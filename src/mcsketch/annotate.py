@@ -32,6 +32,10 @@ Four passes, in dependency order:
    carried exactly (arbitrary precision) so shifted surrogates and the
    landmark replay reproduce identical floats no matter how they are
    recomputed.
+
+No pass reads a distance: passes 1 and 2 read the per-merge ``gap`` and
+``near`` tables and pass 3 the diameters that the build stores in
+:class:`~mcsketch.hst.ClusterIndex`.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import net
-from .core import GuaranteeError, PointSet, SketchParams, oracle_all_pairs
+from .core import GuaranteeError, PointSet, SketchParams
 from .hst import ClusterIndex, SketchTree, subtree_decomposition
 
 __all__ = [
@@ -104,7 +108,6 @@ class SurrogateTable:
 
     s_star: np.ndarray
     eta_star: np.ndarray
-    disp: np.ndarray
     shift_int: list[tuple[int, ...]]
     unit: float
 
@@ -126,18 +129,12 @@ def shift_to_float(ks, unit: float) -> np.ndarray:
 
 
 def assign_centers(
-    tree: SketchTree,
-    clusters: ClusterIndex | None,
-    ps: PointSet | None = None,
-    dmat: np.ndarray | None = None,
+    tree: SketchTree, clusters: ClusterIndex
 ) -> tuple[list[int], dict[int, TauTree]]:
     """Representative point per node plus the tau-tree of every node with
     short children.  Raises GuaranteeError if some children graph is
     disconnected (the build never produces one, so that means corrupt
     inputs)."""
-    if dmat is None:
-        dmat = oracle_all_pairs(ps)
-    members = tree.leaf_labels_under()
     center = [-1] * tree.n_nodes
     tau: dict[int, TauTree] = {}
     # node ids are DFS preorder, so descending order visits children first
@@ -147,55 +144,35 @@ def assign_centers(
         elif tree.is_long_top(v):
             center[v] = center[tree.children[v][0]]
         else:
-            tt = _build_tau(tree, v, members, dmat)
+            tt = _build_tau(tree, v, clusters.gap[v])
             tau[v] = tt
             center[v] = center[tt.root]
     return center, tau
 
 
-def _build_tau(
-    tree: SketchTree, v: int, members: list[np.ndarray], dmat: np.ndarray
-) -> TauTree:
+def _build_tau(tree: SketchTree, v: int, gap: np.ndarray | None) -> TauTree:
+    # children are stored by smallest member label, so child 0 is the root
+    # and ascending child index is the neighbor order
     kids = tree.children[v]
-    k = len(kids)
-    smallest = {c: int(members[c][0]) for c in kids}
-    root = min(kids, key=smallest.__getitem__)
-    if k == 1:
-        return TauTree(root=root, parent={root: None}, children={root: []})
-    thresh = math.ldexp(1.0, tree.level[v])
-    if all(members[c].size == 1 for c in kids):
-        labels = np.fromiter((smallest[c] for c in kids), dtype=np.int64, count=k)
-        mins = dmat[np.ix_(labels, labels)]
-    else:
-        mins = np.full((k, k), np.inf)
-        for i in range(k):
-            mi = members[kids[i]]
-            for j in range(i + 1, k):
-                m = float(dmat[np.ix_(mi, members[kids[j]])].min())
-                mins[i, j] = mins[j, i] = m
-    adj: dict[int, list[int]] = {c: [] for c in kids}
-    for i in range(k):
-        for j in range(i + 1, k):
-            if mins[i, j] < thresh:
-                adj[kids[i]].append(kids[j])
-                adj[kids[j]].append(kids[i])
-    for c in kids:
-        adj[c].sort(key=smallest.__getitem__)
-    parent: dict[int, int | None] = {root: None}
+    parent: dict[int, int | None] = {kids[0]: None}
     children: dict[int, list[int]] = {c: [] for c in kids}
-    queue = deque([root])
-    while queue:
-        cur = queue.popleft()
-        for nb in adj[cur]:
-            if nb not in parent:
-                parent[nb] = cur
-                children[cur].append(nb)
-                queue.append(nb)
-    if len(parent) != k:
-        raise GuaranteeError(
-            f"children graph of node {v} is disconnected below 2^{tree.level[v]}"
-        )
-    return TauTree(root=root, parent=parent, children=children)
+    if len(kids) > 1:
+        adj = gap < math.ldexp(1.0, tree.level[v])
+        seen = np.zeros(len(kids), dtype=bool)
+        seen[0] = True
+        queue = deque([0])
+        while queue:
+            i = queue.popleft()
+            fresh = np.flatnonzero(adj[i] & ~seen)
+            seen[fresh] = True
+            children[kids[i]] = [kids[j] for j in fresh]
+            parent.update((kids[j], kids[i]) for j in fresh)
+            queue.extend(fresh)
+        if not seen.all():
+            raise GuaranteeError(
+                f"children graph of node {v} is disconnected below 2^{tree.level[v]}"
+            )
+    return TauTree(root=kids[0], parent=parent, children=children)
 
 
 # --------------------------------------------------------------------------
@@ -206,29 +183,20 @@ def assign_ingresses(
     tree: SketchTree,
     center: list[int],
     tau: dict[int, TauTree],
-    ps: PointSet | None = None,
-    dmat: np.ndarray | None = None,
+    clusters: ClusterIndex,
 ) -> list[int | None]:
     """Ingress node per non-part-root node (None at part roots)."""
-    if dmat is None:
-        dmat = oracle_all_pairs(ps)
-    members = tree.leaf_labels_under()
     ingress: list[int | None] = [None] * tree.n_nodes
     for v, tt in tau.items():
+        index = {c: i for i, c in enumerate(tree.children[v])}
         for c in tt.preorder():
             j = tt.parent[c]
             if j is None:
                 ingress[c] = v
             else:
-                y = _closest_label(dmat, members[j], members[c])
-                ingress[c] = _descend_short(tree, j, y, members)
+                y = int(clusters.near[v][index[j], index[c]])
+                ingress[c] = _descend_short(tree, j, y, clusters.members)
     return ingress
-
-
-def _closest_label(dmat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> int:
-    """Label in ``rows`` closest to the ``cols`` cluster, ties to smallest."""
-    sub = dmat[np.ix_(rows, cols)]
-    return int(rows[int(np.argmin(sub.min(axis=1)))])
 
 
 def _contains(sorted_labels: np.ndarray, y: int) -> bool:
@@ -311,7 +279,6 @@ def compute_surrogates(
     shift_int: list[tuple[int, ...]] = [()] * n_nodes
     s_star = np.zeros((n_nodes, d), dtype=np.float64)
     eta_star = np.zeros((n_nodes, d), dtype=np.float64)
-    disp = np.zeros((n_nodes, d), dtype=np.float64)
 
     for root in decomp.roots:
         base = coords[ann.center[root]]
@@ -334,7 +301,6 @@ def compute_surrogates(
             )
             s_star[v] = base + shift_to_float(shift_int[v], unit)
             eta_star[v] = es
-            disp[v] = dv
 
     ann.inv_delta = inv_delta
     ann.is_subtree_leaf = is_leafy
@@ -342,22 +308,16 @@ def compute_surrogates(
     ann.eta_ints = eta_ints
     ann.eta_rank = eta_rank
     return SurrogateTable(
-        s_star=s_star, eta_star=eta_star, disp=disp, shift_int=shift_int, unit=unit
+        s_star=s_star, eta_star=eta_star, shift_int=shift_int, unit=unit
     )
 
 
 def annotate(
-    tree: SketchTree,
-    clusters: ClusterIndex,
-    ps: PointSet,
-    params: SketchParams,
-    dmat: np.ndarray | None = None,
+    tree: SketchTree, clusters: ClusterIndex, ps: PointSet, params: SketchParams
 ) -> tuple[Annotations, SurrogateTable]:
     """All four passes in one call."""
-    if dmat is None:
-        dmat = oracle_all_pairs(ps)
-    center, tau = assign_centers(tree, clusters, ps, dmat)
-    ingress = assign_ingresses(tree, center, tau, ps, dmat)
+    center, tau = assign_centers(tree, clusters)
+    ingress = assign_ingresses(tree, center, tau, clusters)
     ann = Annotations(center=center, tau=tau, ingress=ingress)
     table = compute_surrogates(tree, ann, ps, params, clusters)
     return ann, table

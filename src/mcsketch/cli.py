@@ -94,7 +94,7 @@ def build_sketch(
         dmat = oracle_all_pairs(ps)
     tree0, clusters0 = build_hst(ps, dmat)
     tree, clusters = compress(tree0, clusters0, params.epsilon)
-    ann, table = annotate(tree, clusters, ps, params, dmat)
+    ann, table = annotate(tree, clusters, ps, params)
     landmarks = None
     if params.landmarks:
         kk = k_parameter(ps.spread, params.epsilon, ps.d, ps.p)

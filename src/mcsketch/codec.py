@@ -382,6 +382,9 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     center_w = (n - 1).bit_length()
     subtree_leaves = [v for v in range(n_nodes) if tree.is_subtree_leaf(v)]
     ref_w = (len(subtree_leaves) - 1).bit_length()
+    leaf_count = [0 if ch else 1 for ch in children]
+    for v in range(n_nodes - 1, 0, -1):  # preorder ids: children come later
+        leaf_count[parent[v]] += leaf_count[v]
     center = [0] * n_nodes
     ingress: list[int | None] = [None] * n_nodes
     inv_delta = [0] * n_nodes
@@ -408,6 +411,10 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         mark = r.position
         inv_delta[v] = 4 + r.read_gamma()
         precision_bits += r.position - mark
+        # a level-l cluster C has diameter < (|C|-1) * 2^l, so a valid build
+        # never stores inv_delta = 5 + ceil(diam / 2^l) above |C| + 4
+        if inv_delta[v] > leaf_count[v] + 4:
+            raise FormatError(f"precision {inv_delta[v]} of node {v} exceeds leaves + 4")
         if not root_here:
             mark = r.position
             delta_eff = net.delta_effective(eps, tree.is_subtree_leaf(v), inv_delta[v])
@@ -419,7 +426,12 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
                     dtype=np.int64,
                 )
             else:
-                bound = net.grid_bound(delta_eff, d, p)
+                try:
+                    bound = net.grid_bound(delta_eff, d, p)
+                except (OverflowError, ZeroDivisionError):
+                    bound = 2**63
+                if bound >= 2**63:  # the d integers below are int64
+                    raise FormatError(f"grid bound of node {v} does not fit in 64 bits")
                 width = net.grid_bit_width(delta_eff, d, p)
                 vals = np.empty(d, dtype=np.int64)
                 for i in range(d):

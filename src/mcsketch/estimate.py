@@ -41,8 +41,6 @@ from .hst import subtree_decomposition
 
 __all__ = [
     "Estimator",
-    "estimate_distance",
-    "shifted_surrogate",
     "select_landmarks",
     "select_all_landmarks",
     "k_parameter",
@@ -271,14 +269,6 @@ class Estimator:
         return out
 
 
-def estimate_distance(est: Estimator, x: int, y: int) -> float:
-    return est.estimate(x, y)
-
-
-def shifted_surrogate(est: Estimator, v: int) -> np.ndarray:
-    return est.shifted_surrogate(v)
-
-
 # --------------------------------------------------------------------------
 # Landmark selection.
 
@@ -290,6 +280,7 @@ def select_landmarks(
     if K < 1:
         raise InputError(f"landmark spacing must be >= 1, got {K}")
     depth = {root: 0}
+    ingress_parent: dict[int, int] = {}
     order = [root]
     i = 0
     while i < len(order):
@@ -297,11 +288,8 @@ def select_landmarks(
         i += 1
         for c in ingress_children.get(v, ()):
             depth[c] = depth[v] + 1
-            order.append(c)
-    ingress_parent: dict[int, int] = {}
-    for v, cs in ingress_children.items():
-        for c in cs:
             ingress_parent[c] = v
+            order.append(c)
     removed: set[int] = set()
     landmarks: set[int] = set()
     for v in sorted(depth, key=lambda v: (-depth[v], v)):

@@ -20,6 +20,11 @@ level lo is contracted iff diam == 0 or
     gap > log2(diam / 2**lo) + log2(1/epsilon),
 
 which guarantees diam < epsilon * 2**(level of the surviving top node).
+
+Only this module reads pair distances: one block per merge node, grouped
+by child, yields the cluster diameter and the per-child-pair tables that
+annotation needs (smallest cross distance, closest member; see
+:class:`ClusterIndex`).
 """
 
 from __future__ import annotations
@@ -140,10 +145,21 @@ class SketchTree:
 
 @dataclass
 class ClusterIndex:
-    """Per-node cluster contents: sorted member labels and exact diameter."""
+    """Per-node cluster contents plus the per-merge pair tables.
+
+    ``members[v]`` is the sorted array of leaf labels under v and
+    ``diameter[v]`` their exact diameter.  At a merge node v with k children
+    ``gap[v]`` is the (k, k) array of smallest cross distances between
+    children i and j, and ``near[v][i, j]`` the label of child i closest to
+    child j (ties to the smallest label); both are None at leaves and chain
+    nodes.  Rows and columns follow the order of ``tree.children[v]``, which
+    is the order of the children's smallest member labels.
+    """
 
     members: list[np.ndarray]
     diameter: list[float]
+    gap: list[np.ndarray | None]
+    near: list[np.ndarray | None]
 
 
 class _DSU:
@@ -177,10 +193,11 @@ def _merge_level(w: float) -> int:
 def build_hst(ps: PointSet, dm: np.ndarray | None = None) -> tuple[SketchTree, ClusterIndex]:
     """Uncompressed hierarchy of a normalized point set.
 
-    ``dm`` may supply the precomputed oracle matrix (it is recomputed
-    otherwise).  Returns the tree plus per-node clusters with exact
-    diameters.  Children of every merge node are ordered by smallest member
-    label, which makes the construction fully deterministic.
+    ``dm`` may supply the precomputed (symmetric) oracle matrix; it is
+    recomputed otherwise.  Children of every merge node are ordered by
+    smallest member label, which makes the construction fully deterministic;
+    each merge node's distance block, grouped by child in that order, is
+    reduced to its diameter and its ``gap`` / ``near`` tables.
     """
     if dm is None:
         dm = oracle_all_pairs(ps)
@@ -201,8 +218,10 @@ def build_hst(ps: PointSet, dm: np.ndarray | None = None) -> tuple[SketchTree, C
     leaf_label: list[int] = list(range(n))
     members: list[np.ndarray] = [np.array([i], dtype=np.int64) for i in range(n)]
     diameter: list[float] = [0.0] * n
+    gap: list[np.ndarray | None] = [None] * n
+    near: list[np.ndarray | None] = [None] * n
 
-    def new_node(lvl: int, labels: np.ndarray, diam: float) -> int:
+    def new_node(lvl: int, labels: np.ndarray, diam: float, tables=(None, None)) -> int:
         node = len(level)
         level.append(lvl)
         parent.append(-1)
@@ -211,6 +230,8 @@ def build_hst(ps: PointSet, dm: np.ndarray | None = None) -> tuple[SketchTree, C
         leaf_label.append(-1)
         members.append(labels)
         diameter.append(diam)
+        gap.append(tables[0])
+        near.append(tables[1])
         return node
 
     def attach(child: int, par: int) -> None:
@@ -236,7 +257,6 @@ def build_hst(ps: PointSet, dm: np.ndarray | None = None) -> tuple[SketchTree, C
         while pos < len(edges) and edges[pos][0] == lvl:
             batch.append(edges[pos])
             pos += 1
-        touched: dict[int, list[int]] = {}
         old_root_of = {}
         for _, i, j in batch:
             for x in (i, j):
@@ -250,9 +270,20 @@ def build_hst(ps: PointSet, dm: np.ndarray | None = None) -> tuple[SketchTree, C
         for new_root, tops in groups.items():
             tops.sort(key=lambda t: int(members[t][0]))
             raised = [extend_chain(t, lvl - 1) for t in tops]
-            labels = np.sort(np.concatenate([members[t] for t in tops]))
-            diam = float(dm[np.ix_(labels, labels)].max())
-            node = new_node(lvl, labels, diam)
+            kid_labels = [members[t] for t in tops]
+            labels = np.concatenate(kid_labels)
+            block = dm[np.ix_(labels, labels)]
+            starts = np.cumsum([0] + [g.size for g in kid_labels[:-1]])
+            # distance from every member to every child, then per child pair
+            to_child = np.minimum.reduceat(block, starts, axis=1)
+            tables = (
+                np.minimum.reduceat(to_child, starts, axis=0),
+                np.stack([
+                    g[np.argmin(to_child[s : s + g.size], axis=0)]
+                    for g, s in zip(kid_labels, starts)
+                ]),
+            )
+            node = new_node(lvl, np.sort(labels), float(block.max()), tables)
             for r in raised:
                 attach(r, node)
             comp_top[new_root] = node
@@ -270,7 +301,7 @@ def build_hst(ps: PointSet, dm: np.ndarray | None = None) -> tuple[SketchTree, C
         leaf_label=leaf_label,
         root=root,
     )
-    return tree, ClusterIndex(members=members, diameter=diameter)
+    return tree, ClusterIndex(members=members, diameter=diameter, gap=gap, near=near)
 
 
 def compress(
@@ -279,8 +310,9 @@ def compress(
     """Contract provably redundant one-child runs into long edges.
 
     Returns a new tree (node ids renumbered to DFS preorder) together with
-    the matching re-indexed cluster index.  A maximal run above node b is
-    contracted iff gap >= 2 and (diam(b) == 0 or
+    the matching re-indexed cluster index; merge nodes keep their children
+    in order, so their pair tables carry over.  A maximal run above node b
+    is contracted iff gap >= 2 and (diam(b) == 0 or
     gap > log2(diam(b)/2**level(b)) + log2(1/eps)); the surviving top keeps
     level(top), so diam(b) < eps * 2**level(top) holds for every long edge.
     """
@@ -340,6 +372,8 @@ def compress(
     idx = ClusterIndex(
         members=[clusters.members[v] for v in order],
         diameter=[clusters.diameter[v] for v in order],
+        gap=[clusters.gap[v] for v in order],
+        near=[clusters.near[v] for v in order],
     )
     return out, idx
 

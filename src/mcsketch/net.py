@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +33,6 @@ import numpy as np
 from .core import FormatError, GuaranteeError, InputError, lp_norm
 
 __all__ = [
-    "NetCode",
     "FOUR_ROOT_PI",
     "round_to_grid",
     "grid_indices",
@@ -52,15 +50,6 @@ __all__ = [
 # 4*sqrt(pi) = 7.0898154036220641091926699333645807...; rounded UP at the
 # 30th significant digit so capacity never falls below the true value.
 FOUR_ROOT_PI = Fraction("7.08981540362206410919266993337")
-
-
-@dataclass(frozen=True)
-class NetCode:
-    """One encoded displacement: the codec kind plus its integer payload."""
-
-    kind: str  # "ranked" | "grid"
-    ranked_index: int | None = None  # 1-based rank within the ball
-    grid_ints: tuple[int, ...] | None = None  # signed grid multiples
 
 
 def per_coord_scale(delta: float, d: int, p: float) -> float:

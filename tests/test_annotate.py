@@ -15,7 +15,6 @@ from mcsketch.core import (
 from mcsketch.annotate import (
     annotate,
     assign_centers,
-    assign_ingresses,
     shift_to_float,
     tau_dfs_order,
 )
@@ -28,7 +27,7 @@ def _built(points, eps, p=2.0, **kw):
     dm = oracle_all_pairs(ps)
     tree0, clusters0 = build_hst(ps, dm)
     tree, clusters = compress(tree0, clusters0, params.epsilon)
-    ann, table = annotate(tree, clusters, ps, params, dm)
+    ann, table = annotate(tree, clusters, ps, params)
     return ps, dm, tree, clusters, ann, table, params
 
 
@@ -208,17 +207,16 @@ def test_ranked_and_grid_share_grid_points():
 
 
 def test_disconnected_children_graph_raises():
-    # an adversarial non-metric "distance matrix" can disconnect the
-    # children graph; the builder must refuse rather than mis-annotate
+    # corrupt pair tables can disconnect the children graph; the builder
+    # must refuse rather than mis-annotate
     ps = normalize(np.array([[0.0], [1.0], [10.0]]), 2.0)
-    dm = oracle_all_pairs(ps)
-    tree0, clusters0 = build_hst(ps, dm)
+    tree0, clusters0 = build_hst(ps)
     tree, clusters = compress(tree0, clusters0, 0.25)
-    bad = dm.copy()
-    bad[:] = 1e9
-    np.fill_diagonal(bad, 0.0)
+    for v in range(tree.n_nodes):
+        if clusters.gap[v] is not None:
+            clusters.gap[v] = np.where(np.eye(len(clusters.gap[v]), dtype=bool), 0.0, 1e9)
     with pytest.raises(GuaranteeError):
-        assign_centers(tree, clusters, ps, bad)
+        assign_centers(tree, clusters)
 
 
 def test_tau_neighbor_ordering_by_smallest_label():

@@ -258,3 +258,29 @@ def test_consistent_but_lying_header_detected():
     fixed = body + zlib.crc32(body).to_bytes(4, "little")
     with pytest.raises(FormatError):
         deserialize(fixed)
+
+
+def _tampered_blob(edit):
+    # decode a real blob, edit the model, serialize again: the CRC is valid
+    # and only the decoder's field checks can refuse the result
+    model = deserialize(_blob(np.random.default_rng(8).normal(size=(12, 2)) * 9))
+    edit(model)
+    return serialize(model)
+
+
+def test_precision_beyond_leaf_count_rejected():
+    def edit(model):
+        v = next(v for v in range(model.tree.n_nodes) if model.eta_ints[v] is not None)
+        model.inv_delta[v] = 2**70
+        model.eta_ints[v] = [2**66] + [0] * (model.d - 1)
+
+    with pytest.raises(FormatError, match="precision"):
+        deserialize(_tampered_blob(edit))
+
+
+def test_grid_bound_beyond_int64_rejected():
+    def edit(model):
+        model.epsilon = 2.0**-80
+
+    with pytest.raises(FormatError, match="64 bits"):
+        deserialize(_tampered_blob(edit))

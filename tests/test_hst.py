@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcsketch.core import normalize, oracle_all_pairs
+from mcsketch.cli import gen_random_graph_metric
+from mcsketch.core import DistanceMatrix, normalize, oracle_all_pairs
 from mcsketch.hst import build_hst, compress, subtree_decomposition
+from mcsketch.reduce import frechet_embed
 
 import _reference as ref
 
@@ -205,3 +207,64 @@ def test_tree_invariants_on_integer_lines(values, eps):
                 assert gap > math.log2(diam) - tree.level[v] + t
             # the guarantee the rule exists for:
             assert diam < eps * math.ldexp(1.0, tree.level[tree.parent[v]])
+
+
+# --------------------------------------------------------------------------
+# Per-merge pair tables against brute-force minima over the oracle.
+
+
+def _check_pair_tables(tree, clusters, dm):
+    merges = 0
+    for v in range(tree.n_nodes):
+        kids = tree.children[v]
+        if len(kids) < 2:
+            assert clusters.gap[v] is None and clusters.near[v] is None
+            continue
+        merges += 1
+        k = len(kids)
+        assert clusters.gap[v].shape == clusters.near[v].shape == (k, k)
+        for i, a in enumerate(kids):
+            rows = clusters.members[a]
+            for j, b in enumerate(kids):
+                if i == j:
+                    continue
+                cols = clusters.members[b]
+                sub = dm[np.ix_(rows, cols)]
+                assert clusters.gap[v][i, j] == sub.min()
+                # closest member of child i to child j, ties to smallest label
+                best = min(rows, key=lambda x: (dm[x, cols].min(), x))
+                assert clusters.near[v][i, j] == best
+    return merges
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(3, 40),
+    st.integers(1, 4),
+    st.sampled_from([1.0, 2.0, math.inf, 1.5]),
+    st.sampled_from([0.5, 0.25, 0.0625]),
+    st.booleans(),
+)
+def test_pair_tables_match_brute_force(seed, n, d, p, eps, integer):
+    rng = np.random.default_rng(seed)
+    # integer coordinates make many equal distances, so ties get exercised
+    pts = rng.integers(0, 6, size=(n, d)) if integer else rng.normal(size=(n, d)) * 20
+    pts = np.unique(pts.astype(float), axis=0)
+    if len(pts) < 2:
+        return
+    ps = normalize(pts, p)
+    dm = oracle_all_pairs(ps)
+    tree0, clusters0 = build_hst(ps, dm)
+    assert _check_pair_tables(tree0, clusters0, dm) >= 1
+    tree, clusters = compress(tree0, clusters0, eps)
+    assert _check_pair_tables(tree, clusters, dm) >= 1
+
+
+def test_pair_tables_on_graph_metric():
+    ps = frechet_embed(DistanceMatrix(entries=gen_random_graph_metric(40, 3)))
+    dm = oracle_all_pairs(ps)
+    tree0, clusters0 = build_hst(ps, dm)
+    assert _check_pair_tables(tree0, clusters0, dm) >= 1
+    tree, clusters = compress(tree0, clusters0, 0.25)
+    assert _check_pair_tables(tree, clusters, dm) >= 1
