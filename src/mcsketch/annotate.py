@@ -90,9 +90,7 @@ class Annotations:
     ingress: list[int | None] = field(default_factory=list)
     inv_delta: list[int] = field(default_factory=list)
     is_subtree_leaf: list[bool] = field(default_factory=list)
-    net_kind: str = "grid"
     eta_ints: list[np.ndarray | None] = field(default_factory=list)
-    eta_rank: list[int | None] = field(default_factory=list)
 
 
 @dataclass
@@ -273,9 +271,7 @@ def compute_surrogates(
         inv_delta[v] = 5 + math.ceil(ratio - 1e-12)
     is_leafy = [tree.is_subtree_leaf(v) for v in range(n_nodes)]
 
-    ranked = params.net_kind == "ranked"
     eta_ints: list[np.ndarray | None] = [None] * n_nodes
-    eta_rank: list[int | None] = [None] * n_nodes
     shift_int: list[tuple[int, ...]] = [()] * n_nodes
     s_star = np.zeros((n_nodes, d), dtype=np.float64)
     eta_star = np.zeros((n_nodes, d), dtype=np.float64)
@@ -291,8 +287,6 @@ def compute_surrogates(
             dv = coords[ann.center[v]] - s_star[u]
             es = dv / (q * math.ldexp(1.0, tree.level[v]))
             m = net.grid_indices(es, delta_eff, d, p)
-            if ranked:
-                eta_rank[v] = net.rank(m, d, delta_eff, 1.0 + delta_eff)
             eta_ints[v] = m
             sh = tree.level[v] + (0 if is_leafy[v] else t)
             prev = shift_int[u]
@@ -304,9 +298,7 @@ def compute_surrogates(
 
     ann.inv_delta = inv_delta
     ann.is_subtree_leaf = is_leafy
-    ann.net_kind = params.net_kind
     ann.eta_ints = eta_ints
-    ann.eta_rank = eta_rank
     return SurrogateTable(
         s_star=s_star, eta_star=eta_star, shift_int=shift_int, unit=unit
     )

@@ -106,8 +106,6 @@ def build_sketch(
         ingress=ann.ingress,
         inv_delta=ann.inv_delta,
         eta_ints=ann.eta_ints,
-        eta_rank=ann.eta_rank,
-        net_kind=params.net_kind,
         landmarks=landmarks,
         p=ps.p,
         epsilon=params.epsilon,
@@ -363,7 +361,6 @@ def _parse_p(text: str) -> float:
 def _params_from(args: argparse.Namespace) -> SketchParams:
     return SketchParams(
         epsilon=args.epsilon,
-        net_kind=args.net,
         landmarks=args.landmarks,
         jl_enabled=not args.no_jl,
         jl_constant=args.jl_const,
@@ -486,7 +483,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"epsilon={model.epsilon}")
     print(f"scale={model.scale}")
     print(f"spread={model.spread}")
-    print(f"net={model.net_kind}")
     print(f"landmarks={int(model.landmarks is not None)}")
     print(f"jl_seed={model.jl_seed}")
     print(f"jl_orig_dim={model.jl_orig_dim}")
@@ -516,7 +512,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_build_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("-e", "--epsilon", type=float, required=True)
     sp.add_argument("-p", default=None, help="norm parameter for text inputs")
-    sp.add_argument("--net", choices=("grid", "ranked"), default="grid")
     sp.add_argument("--landmarks", action="store_true")
     sp.add_argument("--no-jl", action="store_true")
     sp.add_argument("--jl-seed", type=int, default=0)

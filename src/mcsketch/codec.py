@@ -4,8 +4,9 @@ Layout, all multi-byte header fields little-endian:
 
 * header: magic ``MCSK``; u16 version (1); u8 p-code (1, 2, 255 = inf;
   0 = rational p followed by u32 numerator + u32 denominator); u64 n;
-  u64 d; f64 epsilon (post-snap); f64 scale; f64 spread; u8 flags (bit 0:
-  ranked displacement codec, bit 1: landmark table present); u64 random
+  u64 d; f64 epsilon (post-snap); f64 scale; f64 spread; u8 flags (bit 1:
+  landmark table present; every other bit, bit 0 included, is reserved
+  and must be clear); u64 random
   projection seed; u64 pre-projection dimension (0 when no projection was
   applied); u64 payload bit length.
 
@@ -18,8 +19,9 @@ Layout, all multi-byte header fields little-endian:
      that are not part roots, the ingress as one flag bit (0 = parent,
      1 = reference into the preorder enumeration of nodes without short
      children, in ceil(log2 L) bits); Elias-gamma of inv_delta - 4; and,
-     again for non-part-roots, the displacement code (fixed-width rank-1
-     for the ranked codec, else d biased grid integers);
+     again for non-part-roots, the displacement as d grid integers, each
+     biased by the node's grid bound B and written in ceil(log2(2B+1))
+     bits (see ``net``);
   4. when flags bit 1 is set, per decomposition part in preorder-of-roots:
      Elias-gamma of (landmark count + 1), then per landmark its node id in
      ceil(log2 N) bits and d exact surrogate-shift integers, biased, in
@@ -61,7 +63,6 @@ __all__ = ["SketchModel", "SizeReport", "serialize", "deserialize", "size_report
 MAGIC = b"MCSK"
 VERSION = 1
 
-_FLAG_RANKED = 1
 _FLAG_LANDMARKS = 2
 
 
@@ -74,8 +75,6 @@ class SketchModel:
     ingress: list[int | None]
     inv_delta: list[int]
     eta_ints: list[np.ndarray | None]
-    eta_rank: list[int | None]
-    net_kind: str
     landmarks: dict[int, tuple[int, ...]] | None
     p: float
     epsilon: float
@@ -133,10 +132,6 @@ def _pack_p(p: float) -> bytes:
     return out
 
 
-def _ranked_width(d: int, delta_eff: float) -> int:
-    return (net.capacity(d, delta_eff, 1.0 + delta_eff) - 1).bit_length()
-
-
 def _is_part_root(tree: SketchTree, v: int) -> bool:
     return tree.parent[v] == -1 or tree.long_edge[v]
 
@@ -148,7 +143,6 @@ def serialize(model: SketchModel) -> bytes:
     n = model.n
     d = model.d
     eps = model.epsilon
-    ranked = model.net_kind == "ranked"
 
     w = BitWriter()
     # 1. shape
@@ -195,13 +189,10 @@ def serialize(model: SketchModel) -> bytes:
             delta_eff = net.delta_effective(
                 eps, tree.is_subtree_leaf(v), model.inv_delta[v]
             )
-            if ranked:
-                w.write_uint(model.eta_rank[v] - 1, _ranked_width(d, delta_eff))
-            else:
-                bound = net.grid_bound(delta_eff, d, model.p)
-                width = net.grid_bit_width(delta_eff, d, model.p)
-                for m in model.eta_ints[v]:
-                    w.write_uint(int(m) + bound, width)
+            bound = net.grid_bound(delta_eff, d, model.p)
+            width = net.grid_bit_width(delta_eff, d, model.p)
+            for m in model.eta_ints[v]:
+                w.write_uint(int(m) + bound, width)
 
     # 4. landmarks
     if model.landmarks is not None:
@@ -226,9 +217,7 @@ def serialize(model: SketchModel) -> bytes:
                     w.write_uint(val, kk + 2)
 
     payload = w.getvalue()
-    flags = (_FLAG_RANKED if ranked else 0) | (
-        _FLAG_LANDMARKS if model.landmarks is not None else 0
-    )
+    flags = _FLAG_LANDMARKS if model.landmarks is not None else 0
     header = (
         MAGIC
         + struct.pack("<H", VERSION)
@@ -294,9 +283,8 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     if zlib.crc32(data[:-4]) != crc_stored:
         raise FormatError("checksum mismatch (corrupt blob)")
 
-    if flags & ~(_FLAG_RANKED | _FLAG_LANDMARKS):
+    if flags & ~_FLAG_LANDMARKS:
         raise FormatError(f"unknown flag bits {flags:#x}")
-    ranked = bool(flags & _FLAG_RANKED)
     has_landmarks = bool(flags & _FLAG_LANDMARKS)
     if not 2 <= n < 2**40:
         raise FormatError(f"implausible point count {n}")
@@ -389,7 +377,6 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     ingress: list[int | None] = [None] * n_nodes
     inv_delta = [0] * n_nodes
     eta_ints: list[np.ndarray | None] = [None] * n_nodes
-    eta_rank: list[int | None] = [None] * n_nodes
     center_bits = ingress_bits = precision_bits = displacement_bits = 0
     for v in range(n_nodes):
         mark = r.position
@@ -418,28 +405,25 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         if not root_here:
             mark = r.position
             delta_eff = net.delta_effective(eps, tree.is_subtree_leaf(v), inv_delta[v])
-            if ranked:
-                rank_idx = r.read_uint(_ranked_width(d, delta_eff)) + 1
-                eta_rank[v] = rank_idx
-                eta_ints[v] = np.array(
-                    net.unrank(rank_idx, d, delta_eff, 1.0 + delta_eff),
-                    dtype=np.int64,
+            try:
+                bound = net.grid_bound(delta_eff, d, p)
+            except (OverflowError, ZeroDivisionError):
+                bound = 2**63
+            if bound >= 2**63:  # the d integers below are int64
+                raise FormatError(f"grid bound of node {v} does not fit in 64 bits")
+            width = net.grid_bit_width(delta_eff, d, p)
+            if d * width > r.remaining:  # never allocate from the header's d alone
+                raise FormatError(
+                    f"displacement of node {v} needs {d * width} bits, "
+                    f"{r.remaining} remain"
                 )
-            else:
-                try:
-                    bound = net.grid_bound(delta_eff, d, p)
-                except (OverflowError, ZeroDivisionError):
-                    bound = 2**63
-                if bound >= 2**63:  # the d integers below are int64
-                    raise FormatError(f"grid bound of node {v} does not fit in 64 bits")
-                width = net.grid_bit_width(delta_eff, d, p)
-                vals = np.empty(d, dtype=np.int64)
-                for i in range(d):
-                    raw = r.read_uint(width) - bound
-                    if raw > bound:
-                        raise FormatError(f"grid integer {raw} exceeds bound {bound}")
-                    vals[i] = raw
-                eta_ints[v] = vals
+            vals = np.empty(d, dtype=np.int64)
+            for i in range(d):
+                raw = r.read_uint(width) - bound
+                if raw > bound:
+                    raise FormatError(f"grid integer {raw} exceeds bound {bound}")
+                vals[i] = raw
+            eta_ints[v] = vals
             displacement_bits += r.position - mark
 
     for v in leaves:
@@ -488,8 +472,6 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         ingress=ingress,
         inv_delta=inv_delta,
         eta_ints=eta_ints,
-        eta_rank=eta_rank,
-        net_kind="ranked" if ranked else "grid",
         landmarks=landmarks,
         p=p,
         epsilon=eps,

@@ -268,13 +268,13 @@ class SketchParams:
     """Knobs for sketch construction.
 
     ``epsilon`` is snapped down to a power of two at construction so every
-    consumer sees the effective value.  ``net_kind`` selects the
-    displacement codec: "grid" (uniform grid, any p, the default) or
-    "ranked" (lattice-ball ranking, p = 2, small d only).
+    consumer sees the effective value.  ``landmarks`` stores the landmark
+    shift table in the blob; the ``jl_*`` fields configure the random
+    projection, which applies to l2 inputs only.  Displacements always use
+    the uniform-grid codec of ``net``.
     """
 
     epsilon: float
-    net_kind: str = "grid"
     landmarks: bool = False
     jl_enabled: bool = True
     jl_constant: float = 4.0
@@ -282,8 +282,6 @@ class SketchParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", snap_epsilon(self.epsilon))
-        if self.net_kind not in ("grid", "ranked"):
-            raise InputError(f"unknown net kind {self.net_kind!r}")
         if self.jl_constant <= 0:
             raise InputError("jl_constant must be positive")
 

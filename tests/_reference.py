@@ -1,16 +1,14 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive: per-level union-find over all point
-pairs for the hierarchy, brute-force enumeration for lattice balls, plain
-loops for distances.  The production code must agree with these on small
-inputs; none of this is imported by the package itself.
+pairs for the hierarchy, plain loops for distances.  The production code
+must agree with these on small inputs; none of this is imported by the
+package itself.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -106,34 +104,3 @@ def naive_compressed_runs(dm: np.ndarray, eps: float):
         ok = gap >= 2 and (diam == 0.0 or gap > math.log2(diam) - lo + t)
         runs.append((cl, lo, hi, ok))
     return runs
-
-
-def enumerate_ball(d: int, delta: float, r: float) -> list[tuple[int, ...]]:
-    """All integer grid vectors m with ||m * delta/sqrt(d)||_2 <= r, exactly.
-
-    Membership test: sum(m_i^2) <= (r/delta)^2 * d, evaluated in Fractions of
-    the exact float values of delta and r.
-    """
-    r2 = Fraction(r) ** 2 / Fraction(delta) ** 2 * d
-    bound = int(math.isqrt(int(r2)))
-    while (bound + 1) ** 2 <= r2:
-        bound += 1
-    rng = range(-bound, bound + 1)
-    out = []
-    for m in itertools.product(rng, repeat=d):
-        if sum(x * x for x in m) <= r2:
-            out.append(m)
-    return out
-
-
-def ball_capacity_formula(d: int, delta: float, r: float) -> int:
-    """ceil((4 sqrt(pi) * r / delta)^d) with the r=0 and d=0 conventions."""
-    import mpmath as mp
-
-    if d == 0:
-        return 1
-    if r == 0:
-        return 1
-    mp.mp.dps = 80
-    val = (4 * mp.sqrt(mp.pi) * mp.mpf(r) / mp.mpf(delta)) ** d
-    return int(mp.ceil(val))

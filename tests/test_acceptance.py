@@ -5,6 +5,7 @@ x 20 seeded instances) built once per session by the ``corpus`` fixture.
 Each test prints ``criterion NN PASS/FAIL: <measurement>`` before asserting.
 """
 
+import itertools
 import math
 import time
 import zlib
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from mcsketch import net
+from mcsketch._bitio import BitReader, BitWriter
 from mcsketch.cli import (
     build_sketch,
     gen_high_spread_line,
@@ -34,8 +36,6 @@ from mcsketch.core import (
 from mcsketch.estimate import Estimator
 from mcsketch.hst import subtree_decomposition
 from mcsketch.reduce import JlConfig, frechet_embed
-
-import _reference as ref
 
 # --------------------------------------------------------------------------
 # Shared corpus: p x n x d x eps grid, 20 seeded instances per combination.
@@ -72,9 +72,7 @@ def _anchor_chain_max(tree, ann, anchors):
 def _measure_instance(coords, p, eps):
     """Build one sketch and take every corpus measurement in a single pass."""
     ps = normalize(coords, p)
-    params = SketchParams(
-        epsilon=eps, net_kind="grid", landmarks=True, jl_enabled=False
-    )
+    params = SketchParams(epsilon=eps, landmarks=True, jl_enabled=False)
     t_build0 = time.perf_counter()
     res = build_sketch(ps, params)
     est = Estimator(res.blob)
@@ -231,53 +229,51 @@ def test_criterion_04_ingress_bounds(corpus):
 
 
 # --------------------------------------------------------------------------
-# 5. Net correctness, exhaustively.
+# 5. Grid net and codec correctness, exhaustively.
 
 
 def test_criterion_05_net_exhaustive():
     t0 = time.perf_counter()
-    points_checked = 0
-    states_checked = 0
+    vectors = rejected = 0
     ok = True
     for d in (1, 2, 3):
-        for delta in (0.5, 0.25, 0.125):
-            for r in (1.0, 1.0 + delta):
-                pts = ref.enumerate_ball(d, delta, r)
-                cap = net.capacity(d, delta, r)
-                ok &= len(pts) <= cap
+        for delta in (0.5, 0.25):
+            for p in (1.0, 2.0, math.inf):
+                b = net.grid_bound(delta, d, p)
+                width = net.grid_bit_width(delta, d, p)
+                side = net.per_coord_scale(delta, d, p)
+                grid = list(itertools.product(range(-b, b + 1), repeat=d))
+                w = BitWriter()
+                for m in grid:
+                    point = np.array(m, dtype=np.float64) * side
+                    back = net.grid_decode(net.grid_encode(point, delta, d, p), delta, d, p)
+                    ok &= back.tobytes() == point.tobytes()
+                    for x in m:
+                        w.write_uint(x + b, width)
+                r = BitReader(w.getvalue(), w.bit_length)
+                for m in grid:
+                    ok &= tuple(r.read_uint(width) - b for _ in range(d)) == m
+                vectors += len(grid)
 
-                seen = set()
-                for m in pts:
-                    idx = net.rank(np.array(m, dtype=np.int64), d, delta, r)
-                    ok &= 0 <= idx < cap and idx not in seen
-                    seen.add(idx)
-                    ok &= tuple(int(x) for x in net.unrank(idx, d, delta, r)) == m
-                    points_checked += 1
-                ok &= len(seen) == len(pts)
-
-                # segment feasibility: at every residual state the codec can
-                # reach, the summed child-segment capacities fit the parent
-                codec = net._ball_codec(d, delta, r)
-                frontier = {(d, codec.r2)}
-                visited = set()
-                while frontier:
-                    k, w = frontier.pop()
-                    if (k, w) in visited or k == 0:
-                        continue
-                    visited.add((k, w))
-                    lo, ends = codec.segments(k, w)
-                    ok &= ends[-1] <= codec.cap(k, w)
-                    states_checked += 1
-                    for i in range(lo, -lo + 1):
-                        frontier.add((k - 1, w - i * i))
+                # one coordinate just outside the bound, the rest anywhere inside
+                for i in range(d):
+                    for out in (-b - 1, b + 1):
+                        for rest in itertools.product(range(-b, b + 1), repeat=d - 1):
+                            m = rest[:i] + (out,) + rest[i:]
+                            try:
+                                net.grid_decode(m, delta, d, p)
+                                ok = False
+                            except FormatError:
+                                rejected += 1
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
     assert _line(
         5,
         ok,
-        f"rank injective and unrank(rank(m)) == m on {points_checked} lattice "
-        f"points over 18 (d, delta, r) combos; net size <= capacity; segment "
-        f"sums <= capacity at {states_checked} residual states; {elapsed:.1f}s",
+        f"grid_decode(grid_encode(m * side)) == m * side bit for bit and "
+        f"m + B read back from its grid_bit_width bits on all {vectors} vectors "
+        f"|m_i| <= B over 18 (d, delta, p) combos; {rejected} vectors with one "
+        f"coordinate at +-(B+1) rejected; {elapsed:.1f}s",
     )
 
 
@@ -295,11 +291,11 @@ def test_criterion_06_codec_fuzz():
         d = int(rng.integers(1, 5))
         p = float(rng.choice([1.0, 2.0, math.inf]))
         eps = float(rng.choice([0.5, 0.25, 0.125]))
-        kind = "ranked" if (p == 2.0 and d <= 3 and rng.integers(2) == 0) else "grid"
+        if p == 2.0 and d <= 3:
+            rng.integers(2)  # once chose a second codec; kept so the instances stay put
         ps = normalize(rng.normal(size=(n, d)) * float(rng.uniform(2, 60)), p)
         params = SketchParams(
             epsilon=eps,
-            net_kind=kind,
             landmarks=bool(rng.integers(2)),
             jl_enabled=False,
         )

@@ -188,24 +188,6 @@ def test_shift_to_float_big_int_path():
     assert got[1] == float(-(1 << 99) - 1) * unit
 
 
-def test_ranked_and_grid_share_grid_points():
-    rng = np.random.default_rng(6)
-    pts = rng.normal(size=(14, 2)) * 9
-    out_g = _built(pts, 0.25, net_kind="grid")
-    out_r = _built(pts, 0.25, net_kind="ranked")
-    ann_g, table_g = out_g[4], out_g[5]
-    ann_r, table_r = out_r[4], out_r[5]
-    for v in range(len(ann_g.center)):
-        if ann_g.eta_ints[v] is None:
-            assert ann_r.eta_ints[v] is None
-            continue
-        assert np.array_equal(ann_g.eta_ints[v], ann_r.eta_ints[v])
-    assert np.array_equal(table_g.s_star, table_r.s_star)
-    for v in range(len(ann_r.center)):
-        if ann_r.eta_rank[v] is not None:
-            assert ann_g.eta_rank[v] is None
-
-
 def test_disconnected_children_graph_raises():
     # corrupt pair tables can disconnect the children graph; the builder
     # must refuse rather than mis-annotate

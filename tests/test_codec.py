@@ -1,6 +1,9 @@
 """Blob serialization: bit IO, layout accounting, integrity checks."""
 
+import functools
 import math
+import struct
+import time
 import zlib
 
 import numpy as np
@@ -14,6 +17,7 @@ from mcsketch.codec import MAGIC, deserialize, serialize, size_report
 from mcsketch.core import (
     FormatError,
     InputError,
+    SketchError,
     SketchParams,
     normalize,
 )
@@ -32,10 +36,11 @@ def _random_blob(rng):
     d = int(rng.integers(1, 5))
     p = float(rng.choice([1.0, 2.0, math.inf]))
     eps = float(rng.choice([0.5, 0.25, 0.125]))
-    kind = "ranked" if (p == 2.0 and d <= 3 and rng.integers(2) == 0) else "grid"
+    if p == 2.0 and d <= 3:
+        rng.integers(2)  # once chose a second codec; kept so the instances stay put
     lm = bool(rng.integers(2))
     pts = rng.normal(size=(n, d)) * float(rng.uniform(2, 50))
-    return _blob(pts, eps=eps, p=p, net_kind=kind, landmarks=lm)
+    return _blob(pts, eps=eps, p=p, landmarks=lm)
 
 
 # --------------------------------------------------------------------------
@@ -284,3 +289,60 @@ def test_grid_bound_beyond_int64_rejected():
 
     with pytest.raises(FormatError, match="64 bits"):
         deserialize(_tampered_blob(edit))
+
+
+def _with_crc(body) -> bytes:
+    body = bytes(body)
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+def _patch_header(blob: bytes, offset: int, fmt: str, value) -> bytes:
+    """Overwrite the field ``offset`` bytes past the p-code (integer p only:
+    n at 0, d at 8, flags at 40) and recompute the CRC."""
+    assert blob[6] != 0, "rational p moves the fixed header"
+    body = bytearray(blob[:-4])
+    struct.pack_into(fmt, body, 7 + offset, value)
+    return _with_crc(body)
+
+
+def test_flag_bit_zero_rejected():
+    # bit 0 once selected a second displacement codec; it stays reserved
+    blob = _blob(np.random.default_rng(9).normal(size=(10, 2)) * 7)
+    flags = blob[7 + 40]
+    assert flags == 0
+    with pytest.raises(FormatError, match="unknown flag bits"):
+        deserialize(_patch_header(blob, 40, "<B", flags | 1))
+
+
+@pytest.mark.parametrize("d", [2**31, 2**32 - 1])
+def test_huge_header_dimension_rejected_before_allocating(d):
+    blob = _blob(np.random.default_rng(10).normal(size=(8, 2)) * 7)
+    with pytest.raises(FormatError, match="displacement of node"):
+        deserialize(_patch_header(blob, 8, "<Q", d))
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_blob(p: float, landmarks: bool, n: int) -> bytes:
+    pts = np.random.default_rng(n).normal(size=(n, 3)) * 20
+    return _blob(pts, eps=0.25, p=p, landmarks=landmarks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1.0, 2.0, math.inf]),
+    st.booleans(),
+    st.sampled_from([12, 60]),
+    st.lists(st.integers(min_value=0), min_size=1, max_size=3),
+)
+def test_valid_crc_mutations_decode_or_fail_fast(p, landmarks, n, flips):
+    blob = _fuzz_blob(p, landmarks, n)
+    body = bytearray(blob[:-4])
+    for f in flips:
+        bit = f % (8 * len(body))
+        body[bit // 8] ^= 1 << (7 - bit % 8)
+    t0 = time.perf_counter()
+    try:
+        deserialize(_with_crc(body))
+    except SketchError:
+        pass
+    assert time.perf_counter() - t0 < 2.0

@@ -162,8 +162,6 @@ def test_sketch_params_snaps_and_validates():
     assert params.t == 2
     assert SketchParams(epsilon=0.5).t == 1
     with pytest.raises(InputError):
-        SketchParams(epsilon=0.25, net_kind="fancy")
-    with pytest.raises(InputError):
         SketchParams(epsilon=0.25, jl_constant=0.0)
 
 

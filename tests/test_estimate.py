@@ -198,13 +198,10 @@ def test_estimate_equals_shifted_surrogate_distance():
 # Modes agree bit for bit.
 
 
-@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
-@pytest.mark.parametrize("net_kind", ["grid", "ranked"])
-def test_modes_bit_identical(p, net_kind):
-    if net_kind == "ranked" and p != 2.0:
-        pytest.skip("ranked codec is l2-only")
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf], ids=lambda p: f"grid-{p}")
+def test_modes_bit_identical(p):
     rng = np.random.default_rng(5)
-    res = _result(rng.normal(size=(18, 2)) * 14, p=p, net_kind=net_kind, landmarks=True)
+    res = _result(rng.normal(size=(18, 2)) * 14, p=p, landmarks=True)
     est_p = Estimator(res.blob, mode="precomputed")
     est_z = Estimator(res.blob, mode="lazy")
     est_l = Estimator(res.blob, mode="landmark")
@@ -243,18 +240,15 @@ def test_landmark_table_contents():
 def test_all_pairs_matches_single_queries():
     rng = np.random.default_rng(8)
     for p in (1.0, 2.0, math.inf):
-        for kind in ("grid", "ranked"):
-            if kind == "ranked" and p != 2.0:
-                continue
-            res = _result(rng.normal(size=(16, 2)) * 11, p=p, net_kind=kind)
-            est = Estimator(res.blob)
-            allp = est.estimate_all_pairs()
-            assert allp.shape == (16, 16)
-            assert np.array_equal(allp, allp.T)
-            assert np.all(np.diag(allp) == 0.0)
-            for i in range(16):
-                for j in range(16):
-                    assert allp[i, j] == est.estimate(i, j)
+        res = _result(rng.normal(size=(16, 2)) * 11, p=p)
+        est = Estimator(res.blob)
+        allp = est.estimate_all_pairs()
+        assert allp.shape == (16, 16)
+        assert np.array_equal(allp, allp.T)
+        assert np.all(np.diag(allp) == 0.0)
+        for i in range(16):
+            for j in range(16):
+                assert allp[i, j] == est.estimate(i, j)
 
 
 def test_lazy_mode_caches_but_counts_first_walks():

@@ -6,7 +6,7 @@ the ``MCSK`` version bump that announces it.
 
 The cases cover p in {1, 2, inf, 1.5}, metric inputs (Frechet embedding of a
 graph metric), a high-spread line with long edges, landmark tables on and
-off, the ranked displacement codec, a random projection, and an integer
+off, a random projection, and an integer
 lattice whose many equal distances exercise every tie-breaking rule.
 """
 
@@ -58,9 +58,6 @@ CASES = {
         lambda: _lattice((0, 1, 4, 5), 3), 2.0, 0.125, landmarks=True
     ),
     "high-spread-line": _points(lambda: gen_high_spread_line(20, 40, 6), 2.0, 0.25),
-    "ranked-l2": _points(
-        lambda: gen_uniform(40, 3, 7), 2.0, 0.25, net_kind="ranked"
-    ),
     "projected-l2": _points(lambda: gen_uniform(40, 300, 8), 2.0, 0.25),
     "graph-metric": _metric(40, 9, 0.25),
     "graph-metric-landmarks": _metric(30, 10, 0.125, landmarks=True),
@@ -75,7 +72,6 @@ DIGESTS = {
     "lattice-l1-ties": "f24cdcde72c5834a95e1fe9a16367c8f9a37f50ed8cf7c4b893e3909d5a0d1b7",
     "lattice-l2-ties-landmarks": "450e9307103ba1247ae9b854a819a661a745d76934899582b3b3a39a5cb7be31",
     "projected-l2": "0d01b050078e0187314307d4a4b23335a1beb26277a8325541daa11ec8b0f96c",
-    "ranked-l2": "665cdc78e61d5677d036b2029bcf84910844421c4bedc146660209df1e394e19",
     "uniform-l1-landmarks": "b4a86df90c8d1d236e2f40abadb9ee864e797b03142abccb20adc19266247aff",
     "uniform-l1.5": "1f607cae9442b5f6e0b8daaf52b0c8bb3091554afdb68785482b216287b8b4b5",
     "uniform-l2": "69972893bfa55567595dc6613b8f7a2e7a87345de96fc35901696f92d3010d5d",

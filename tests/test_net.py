@@ -1,17 +1,12 @@
-"""Displacement nets: grid rounding, ball capacities, rank/unrank codec."""
+"""Displacement nets: grid rounding and the grid codec."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mcsketch import net
 from mcsketch.core import FormatError, GuaranteeError, InputError
-
-import _reference as ref
 
 
 # --------------------------------------------------------------------------
@@ -77,6 +72,13 @@ def test_grid_bit_width_example():
     assert net.grid_bit_width(0.1, 16, 2.0) == 7
 
 
+def test_d1_net_points():
+    # d=1, delta=1/2: grid side 1/2 and B = ceil(1.5 / 0.5) = 3
+    b = net.grid_bound(0.5, 1, 2.0)
+    pts = [float(net.grid_decode([m], 0.5, 1, 2.0)[0]) for m in range(-b, b + 1)]
+    assert pts == [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
+
+
 def test_grid_encode_decode_roundtrip():
     from mcsketch.core import lp_norm
 
@@ -102,143 +104,3 @@ def test_grid_decode_rejects_out_of_bounds():
     b = net.grid_bound(0.5, 1, 2.0)
     with pytest.raises(FormatError):
         net.grid_decode(np.array([b + 1]), 0.5, 1, 2.0)
-
-
-# --------------------------------------------------------------------------
-# Ball capacities.
-
-
-def test_capacity_frozen_example():
-    # ceil(4*sqrt(pi) / (1/2)) = ceil(14.179...) = 15
-    assert net.capacity(1, 0.5, 1.0) == 15
-
-
-def test_capacity_conventions():
-    assert net.capacity(0, 0.5, 1.0) == 1
-    assert net.capacity(2, 0.5, 0.0) == 1
-    with pytest.raises(InputError):
-        net.capacity(-1, 0.5, 1.0)
-    with pytest.raises(InputError):
-        net.capacity(1, 0.0, 1.0)
-
-
-def test_capacity_matches_mpmath():
-    for d in (1, 2, 3, 5, 8):
-        for delta in (0.5, 0.25, 0.125):
-            for r in (1.0, 1.0 + delta, 0.375):
-                assert net.capacity(d, delta, r) == ref.ball_capacity_formula(
-                    d, delta, r
-                )
-
-
-def test_capacity_exceeds_ball_count():
-    # the capacity formula dominates the true lattice-point count
-    for d in (1, 2, 3):
-        for delta in (0.5, 0.25):
-            for r in (1.0, 1.0 + delta):
-                assert len(ref.enumerate_ball(d, delta, r)) <= net.capacity(
-                    d, delta, r
-                )
-
-
-# --------------------------------------------------------------------------
-# Rank / unrank.
-
-
-def _net_points(d, delta, r):
-    return ref.enumerate_ball(d, delta, r)
-
-
-def test_d1_net_points():
-    # |m| * delta <= 1 with delta = 1/2: m in {-2..2}
-    pts = _net_points(1, 0.5, 1.0)
-    assert pts == [(-2,), (-1,), (0,), (1,), (2,)]
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("delta", [0.5, 0.25, 0.125])
-def test_rank_bijective_exhaustively(d, delta):
-    for r in (1.0, 1.0 + delta):
-        pts = _net_points(d, delta, r)
-        cap = net.capacity(d, delta, r)
-        assert len(pts) <= cap
-        seen = set()
-        for m in pts:
-            idx = net.rank(np.array(m, dtype=np.int64), d, delta, r)
-            assert 0 <= idx < cap
-            assert idx not in seen
-            seen.add(idx)
-            back = net.unrank(idx, d, delta, r)
-            assert tuple(int(x) for x in back) == m
-
-
-def test_rank_rejects_outside_ball():
-    with pytest.raises(InputError):
-        net.rank(np.array([9, 9]), 2, 0.5, 1.0)
-
-
-def test_unrank_rejects_padding_indices():
-    d, delta, r = 2, 0.5, 1.0
-    pts = _net_points(d, delta, r)
-    cap = net.capacity(d, delta, r)
-    used = {net.rank(np.array(m), d, delta, r) for m in pts}
-    pad = [i for i in range(cap) if i not in used]
-    assert pad, "capacity should exceed the true net size"
-    for idx in pad[:20]:
-        with pytest.raises(FormatError):
-            net.unrank(idx, d, delta, r)
-    with pytest.raises(FormatError):
-        net.unrank(cap + 3, d, delta, r)
-
-
-def test_rank_roundtrip_medium_dimension():
-    rng = np.random.default_rng(2)
-    d, delta, r = 8, 0.25, 1.25
-    r2 = Fraction(r) ** 2 / Fraction(delta) ** 2 * d
-    for _ in range(50):
-        m = rng.integers(-3, 4, size=d)
-        if sum(int(x) ** 2 for x in m) > r2:
-            continue
-        idx = net.rank(m.astype(np.int64), d, delta, r)
-        assert tuple(net.unrank(idx, d, delta, r)) == tuple(m)
-
-
-def test_capacity_segments_within_claim():
-    # nested segment capacities never overflow the parent capacity
-    for d in (2, 3):
-        for delta in (0.5, 0.25):
-            r = 1.0
-            pts = _net_points(d, delta, r)
-            groups: dict[int, int] = {}
-            for m in pts:
-                groups[m[0]] = groups.get(m[0], 0) + 1
-            # across first coordinates, residual counts sum to the net size
-            assert sum(groups.values()) == len(pts)
-            assert len(pts) <= net.capacity(d, delta, r)
-
-
-def test_four_root_pi_constant_dominates():
-    import mpmath as mp
-
-    mp.mp.dps = 60
-    true = 4 * mp.sqrt(mp.pi)
-    ours = mp.mpf(net.FOUR_ROOT_PI.numerator) / net.FOUR_ROOT_PI.denominator
-    assert ours >= true
-    assert ours - true < mp.mpf("1e-28")
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 3),
-    st.sampled_from([0.5, 0.25, 0.125]),
-    st.integers(0, 10**6),
-)
-def test_unrank_never_silently_garbage(d, delta, raw):
-    r = 1.0 + delta
-    cap = net.capacity(d, delta, r)
-    idx = raw % (2 * cap)
-    try:
-        m = net.unrank(idx, d, delta, r)
-    except FormatError:
-        return
-    assert net.rank(np.asarray(m), d, delta, r) == idx
