@@ -68,11 +68,16 @@ __all__ = [
 
 @dataclass
 class BuildResult:
-    """Everything produced while building one sketch."""
+    """Everything produced while building one sketch.
+
+    ``point_set`` is the sketched (post-projection) point set.  When it came
+    from ``normalize`` it holds its (n, n) distance matrix, which
+    :func:`evaluate` reads as the oracle; keeping a result keeps that matrix.
+    """
 
     blob: bytes
     model: SketchModel
-    point_set: PointSet  # the sketched (post-projection) point set
+    point_set: PointSet
     jl_applied: bool
     tree: SketchTree
     clusters: ClusterIndex
@@ -86,13 +91,10 @@ def build_sketch(
     params: SketchParams,
     jl_applied: bool = False,
     jl_orig_dim: int = 0,
-    dmat: np.ndarray | None = None,
 ) -> BuildResult:
     """Sketch an already-normalized point set."""
     start = time.perf_counter()
-    if dmat is None:
-        dmat = oracle_all_pairs(ps)
-    tree0, clusters0 = build_hst(ps, dmat)
+    tree0, clusters0 = build_hst(ps)
     tree, clusters = compress(tree0, clusters0, params.epsilon)
     ann, table = annotate(tree, clusters, ps, params)
     landmarks = None

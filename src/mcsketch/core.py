@@ -187,12 +187,19 @@ class PointSet:
     pairwise distance is 1 (to within 1e-12 relative), ``scale`` is the
     divisor that was applied, and ``spread`` is the maximum pairwise
     distance of the normalized coordinates.
+
+    ``distances`` is the (n, n) oracle matrix of ``coords`` when it is
+    already known: :func:`normalize` stores the one it measured the spread
+    on, and makes it and ``coords`` read-only so the two cannot disagree.
+    It is left out of equality and repr; :func:`oracle_all_pairs` computes
+    the matrix when it is None.
     """
 
     coords: np.ndarray
     p: float
     scale: float
     spread: float
+    distances: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -311,26 +318,34 @@ def normalize(coords: np.ndarray, p: float) -> PointSet:
     if not np.all(np.isfinite(coords)):
         raise DataError("coordinates contain non-finite values")
     dm = _pairwise(coords, p)
-    off = dm[~np.eye(n, dtype=bool)]
-    mn = float(off.min())
+    np.fill_diagonal(dm, np.inf)
+    # argmin is the first minimum in row-major order
+    i, j = np.unravel_index(int(dm.argmin()), dm.shape)
+    mn = float(dm[i, j])
     if mn == 0.0:
-        i, j = np.argwhere((dm == 0.0) & ~np.eye(n, dtype=bool))[0]
         raise DuplicatePointError(f"points {i} and {j} coincide")
+    del dm
     normed = coords / mn
+    normed.flags.writeable = False
     dmn = _pairwise(normed, p)
-    offn = dmn[~np.eye(n, dtype=bool)]
+    dmn.flags.writeable = False
     # the minimum distance is 1 by construction, so the spread (diameter
     # over minimum) is >= 1; recomputing distances from divided coordinates
     # can land a few ulps under that, which the clamp absorbs
-    return PointSet(coords=normed, p=p, scale=mn, spread=max(1.0, float(offn.max())))
+    return PointSet(
+        coords=normed, p=p, scale=mn, spread=max(1.0, float(dmn.max())), distances=dmn
+    )
 
 
 def oracle_all_pairs(ps: PointSet) -> np.ndarray:
     """Exact (n, n) distance matrix of a normalized point set.
 
     Every entry equals ``lp_distance(coords[i], coords[j], p)`` bit for bit
-    (both run through the same reduction).
+    (both run through the same reduction).  Returns the read-only matrix
+    stored on ``ps`` when there is one, else computes it.
     """
+    if ps.distances is not None:
+        return ps.distances
     return _pairwise(ps.coords, ps.p)
 
 

@@ -6,11 +6,17 @@ connected components of the graph G_i that joins points at distance < 2**i
 level where a single component remains.  Components that persist across
 levels contribute one chain node per level.
 
-Building all G_i explicitly is quadratic per level; instead we take the
+Building all G_i explicitly is quadratic per level; instead we take a
 minimum spanning tree of the metric (single-linkage clustering yields the
 same components: every MST edge of weight w first connects its endpoints'
 components at the smallest level i with 2**i > w) and replay merges level by
-level.  ``math.frexp`` gives that level exactly, with no log rounding.
+level.  ``math.frexp`` gives that level exactly, with no log rounding.  The
+MST comes from a dense Prim pass over the rows of the distance matrix: n - 1
+steps of an argmin plus a masked update of the distance-to-tree vector, O(n)
+working memory beside the matrix.  Which MST a tie-break picks cannot change
+the tree: every MST has the same multiset of edge weights, and for every
+threshold its edges below the threshold span exactly the components of the
+threshold graph, so the level-by-level replay sees the same merges.
 
 Compression then contracts each maximal run of one-child nodes into a
 single "long" parent edge when the run is provably redundant for distance
@@ -33,8 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .core import FormatError, InputError, PointSet, oracle_all_pairs, snap_epsilon
 
@@ -190,26 +194,50 @@ def _merge_level(w: float) -> int:
     return max(1, e)
 
 
-def build_hst(ps: PointSet, dm: np.ndarray | None = None) -> tuple[SketchTree, ClusterIndex]:
+def _prim_mst(dm: np.ndarray) -> list[tuple[float, int, int]]:
+    """Minimum spanning tree of a dense symmetric matrix as (w, i, j) edges.
+
+    Grows the tree from point 0; ``best[j]`` is the distance from j to the
+    tree and ``via[j]`` the tree point that attains it.  Weights are matrix
+    entries, so they are the oracle's floats bit for bit.
+    """
+    n = dm.shape[0]
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
+    best = dm[0].copy()
+    best[0] = np.inf
+    via = np.zeros(n, dtype=np.int64)
+    edges = []
+    for _ in range(n - 1):
+        j = int(best.argmin())
+        edges.append((float(best[j]), int(via[j]), j))
+        outside[j] = False
+        best[j] = np.inf
+        row = dm[j]
+        closer = (row < best) & outside
+        best[closer] = row[closer]
+        via[closer] = j
+    return edges
+
+
+def build_hst(ps: PointSet) -> tuple[SketchTree, ClusterIndex]:
     """Uncompressed hierarchy of a normalized point set.
 
-    ``dm`` may supply the precomputed (symmetric) oracle matrix; it is
-    recomputed otherwise.  Children of every merge node are ordered by
-    smallest member label, which makes the construction fully deterministic;
-    each merge node's distance block, grouped by child in that order, is
-    reduced to its diameter and its ``gap`` / ``near`` tables.
+    Reads the oracle matrix through :func:`oracle_all_pairs`, which returns
+    the one stored by ``normalize``.  Children of every merge node are
+    ordered by smallest member label, which makes the construction fully
+    deterministic; each merge node's distance block, grouped by child in
+    that order, is reduced to its diameter and its ``gap`` / ``near`` tables.
     """
-    if dm is None:
-        dm = oracle_all_pairs(ps)
     n = ps.n
     if n < 2:
         raise InputError("need at least two points")
+    dm = oracle_all_pairs(ps)
 
-    mst = minimum_spanning_tree(csr_matrix(dm)).tocoo()
-    edges = sorted(
-        (( _merge_level(float(w)), int(i), int(j)) for i, j, w in zip(mst.row, mst.col, mst.data)),
-        key=lambda e: e[0],
-    )
+    mst = _prim_mst(dm)
+    if not all(math.isfinite(w) for w, _, _ in mst):
+        raise InputError("non-finite pairwise distance (coordinates too large?)")
+    edges = sorted(((_merge_level(w), i, j) for w, i, j in mst), key=lambda e: e[0])
 
     level: list[int] = [0] * n
     parent: list[int] = [-1] * n
@@ -288,10 +316,7 @@ def build_hst(ps: PointSet, dm: np.ndarray | None = None) -> tuple[SketchTree, C
                 attach(r, node)
             comp_top[new_root] = node
 
-    roots = {dsu.find(i) for i in range(n)}
-    if len(roots) != 1:
-        raise InputError("points are disconnected at every level (non-finite data?)")
-    root = comp_top[roots.pop()]
+    root = comp_top[dsu.find(0)]  # a spanning tree leaves one component
 
     tree = SketchTree(
         level=level,

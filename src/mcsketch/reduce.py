@@ -18,7 +18,7 @@ arbitrary finite metrics ride the same sketch pipeline with p = inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +49,8 @@ def jl_project(
     Returns (projected-and-renormalized point set, True) or (ps, False)
     when the input dimension is already at most the target.  The returned
     scale composes the input's scale with the post-projection divisor so
-    estimates still come back in original units.
+    estimates still come back in original units; the returned set keeps the
+    distance matrix that renormalization measured.
     """
     if ps.p != 2.0:
         raise InputError("random projection requires the Euclidean norm (p=2)")
@@ -60,15 +61,7 @@ def jl_project(
     signs = rng.integers(0, 2, size=(ps.d, dprime)).astype(np.float64) * 2.0 - 1.0
     proj = ps.coords @ signs / math.sqrt(dprime)
     out = normalize(proj, 2.0)
-    return (
-        PointSet(
-            coords=out.coords,
-            p=2.0,
-            scale=ps.scale * out.scale,
-            spread=out.spread,
-        ),
-        True,
-    )
+    return replace(out, scale=ps.scale * out.scale), True
 
 
 def frechet_embed(dm: DistanceMatrix) -> PointSet:
@@ -77,7 +70,8 @@ def frechet_embed(dm: DistanceMatrix) -> PointSet:
     Point i becomes row i of the matrix.  Validation (symmetry, zero
     diagonal, positive off-diagonal, triangle inequality within 1e-9
     relative) runs first; the embedding needs the triangle inequality to
-    be an isometry.
+    be an isometry.  The returned set keeps the matrix ``normalize``
+    computed from the rows.
     """
     dm.validate()
     return normalize(dm.entries, math.inf)

@@ -25,7 +25,7 @@ def _built(points, eps, p=2.0, **kw):
     ps = normalize(np.asarray(points, dtype=float), p)
     params = SketchParams(epsilon=eps, jl_enabled=False, **kw)
     dm = oracle_all_pairs(ps)
-    tree0, clusters0 = build_hst(ps, dm)
+    tree0, clusters0 = build_hst(ps)
     tree, clusters = compress(tree0, clusters0, params.epsilon)
     ann, table = annotate(tree, clusters, ps, params)
     return ps, dm, tree, clusters, ann, table, params

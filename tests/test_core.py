@@ -1,5 +1,6 @@
 """Distances, normalization, parameters, and the binary point/matrix files."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from mcsketch.core import (
     write_matrix,
     write_points,
 )
+from mcsketch.reduce import JlConfig, frechet_embed, jl_project
 
 import _reference as ref
 
@@ -120,6 +122,13 @@ def test_normalize_rejects_duplicates():
         normalize(np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 0.0]]), 2.0)
 
 
+def test_duplicate_error_names_first_pair_in_row_major_order():
+    # coinciding pairs (1, 3) and (0, 4); row-major order meets (0, 4) first
+    pts = np.array([[5.0, 5.0], [0.0, 0.0], [3.0, 3.0], [0.0, 0.0], [5.0, 5.0]])
+    with pytest.raises(DuplicatePointError, match=r"^points 0 and 4 coincide$"):
+        normalize(pts, 2.0)
+
+
 def test_normalize_needs_two_points():
     with pytest.raises(InputError):
         normalize(np.array([[1.0, 2.0]]), 2.0)
@@ -139,6 +148,62 @@ def test_oracle_matches_brute_force():
     rng = np.random.default_rng(4)
     ps = normalize(rng.normal(size=(12, 4)), 2.0)
     assert np.allclose(oracle_all_pairs(ps), ref.brute_matrix(ps.coords, 2.0), rtol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# The distance matrix stored by normalize.
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf, 1.5])
+def test_stored_matrix_is_a_fresh_oracle_bit_for_bit(p):
+    ps = normalize(np.random.default_rng(5).normal(size=(23, 3)) * 7, p)
+    dm = oracle_all_pairs(ps)
+    assert dm is ps.distances
+    assert np.array_equal(dm, core._pairwise(ps.coords, p))
+    assert ps.spread == max(1.0, float(dm.max()))
+
+
+def test_stored_matrix_and_coords_are_read_only():
+    ps = normalize(np.random.default_rng(6).normal(size=(8, 2)), 2.0)
+    with pytest.raises(ValueError):
+        oracle_all_pairs(ps)[0, 1] = 5.0
+    with pytest.raises(ValueError):
+        ps.coords[0, 0] = 5.0
+
+
+def test_stored_matrix_survives_projection_and_embedding():
+    ps = normalize(np.random.default_rng(7).normal(size=(30, 600)), 2.0)
+    out, applied = jl_project(ps, JlConfig(), 0.5)
+    assert applied and out.d < ps.d
+    assert out.distances is not None
+    assert np.array_equal(out.distances, core._pairwise(out.coords, 2.0))
+    emb = frechet_embed(DistanceMatrix(entries=oracle_all_pairs(out) * out.scale))
+    assert emb.distances is not None
+    assert np.array_equal(emb.distances, core._pairwise(emb.coords, math.inf))
+
+
+def test_point_set_equality_and_repr_ignore_stored_matrix():
+    ps = normalize(np.array([[0.0], [2.0], [20.0]]), 2.0)
+    bare = dataclasses.replace(ps, distances=None)
+    assert bare == ps
+    assert repr(bare) == repr(ps)
+    assert "distances" not in repr(ps)
+
+
+def test_directly_constructed_point_set_computes_matrix():
+    ps = normalize(np.random.default_rng(8).normal(size=(9, 3)), 1.0)
+    direct = core.PointSet(coords=ps.coords, p=ps.p, scale=ps.scale, spread=ps.spread)
+    assert direct.distances is None
+    assert np.array_equal(oracle_all_pairs(direct), ps.distances)
+
+
+def test_validate_recomputes_from_coordinates():
+    ps = normalize(np.array([[0.0], [2.0], [20.0]]), 2.0)
+    # a stored matrix that agrees with a wrong spread does not fool the check
+    fake = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 4.0], [4.0, 4.0, 0.0]])
+    wrong = dataclasses.replace(ps, spread=4.0, distances=fake)
+    with pytest.raises(InputError, match="measured 10"):
+        wrong.validate()
 
 
 # --------------------------------------------------------------------------

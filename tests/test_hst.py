@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from mcsketch.cli import gen_random_graph_metric
-from mcsketch.core import DistanceMatrix, normalize, oracle_all_pairs
-from mcsketch.hst import build_hst, compress, subtree_decomposition
+from mcsketch.core import DistanceMatrix, InputError, normalize, oracle_all_pairs
+from mcsketch.hst import _prim_mst, build_hst, compress, subtree_decomposition
 from mcsketch.reduce import frechet_embed
 
 import _reference as ref
@@ -95,7 +97,7 @@ def test_compression_rule_matches_naive_runs():
         for trial in range(6):
             ps = normalize(rng.normal(size=(14, 2)) * 40, 2.0)
             dm = oracle_all_pairs(ps)
-            tree0, clusters0 = build_hst(ps, dm)
+            tree0, clusters0 = build_hst(ps)
             tree, clusters = compress(tree0, clusters0, eps)
             tree.verify()
             # collect surviving long edges as (bottom members, gap)
@@ -117,7 +119,7 @@ def test_partitions_match_naive_on_random_instances():
     for n, d, p in ((12, 2, 2.0), (30, 3, 1.0), (25, 2, math.inf)):
         ps = normalize(rng.normal(size=(n, d)) * 10, p)
         dm = oracle_all_pairs(ps)
-        tree, clusters = build_hst(ps, dm)
+        tree, clusters = build_hst(ps)
         got = _partitions_from_tree(tree, clusters)
         naive = ref.naive_level_partitions(dm)
         assert len(got) == len(naive)
@@ -140,7 +142,7 @@ def test_compress_preserves_leaves_and_members():
     rng = np.random.default_rng(9)
     ps = normalize(rng.normal(size=(18, 3)) * 12, 2.0)
     dm = oracle_all_pairs(ps)
-    tree0, clusters0 = build_hst(ps, dm)
+    tree0, clusters0 = build_hst(ps)
     tree, clusters = compress(tree0, clusters0, 0.25)
     assert tree.n_leaves == 18
     assert sorted(tree.leaf_label[v] for v in range(tree.n_nodes) if tree.is_leaf(v)) == list(range(18))
@@ -189,7 +191,7 @@ def test_two_point_tree():
 def test_tree_invariants_on_integer_lines(values, eps):
     ps = _line(sorted(values))
     dm = oracle_all_pairs(ps)
-    tree0, clusters0 = build_hst(ps, dm)
+    tree0, clusters0 = build_hst(ps)
     tree0.verify()
     tree, clusters = compress(tree0, clusters0, eps)
     tree.verify()
@@ -207,6 +209,52 @@ def test_tree_invariants_on_integer_lines(values, eps):
                 assert gap > math.log2(diam) - tree.level[v] + t
             # the guarantee the rule exists for:
             assert diam < eps * math.ldexp(1.0, tree.level[tree.parent[v]])
+
+
+# --------------------------------------------------------------------------
+# The dense Prim pass against scipy's MST and the naive level partitions.
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 40),
+    st.integers(1, 4),
+    st.sampled_from([1.0, 2.0, math.inf, 1.5]),
+    st.sampled_from(["integer", "graph"]),
+)
+def test_prim_mst_matches_scipy_and_naive_levels(seed, n, d, p, kind):
+    if kind == "graph":
+        # a graph metric embeds with p = inf whatever p was drawn
+        ps = frechet_embed(DistanceMatrix(entries=gen_random_graph_metric(max(n, 3), seed)))
+    else:
+        # small integer coordinates: many equal distances, so many tied MSTs
+        rng = np.random.default_rng(seed)
+        pts = np.unique(rng.integers(0, 4, size=(n, d)).astype(float), axis=0)
+        if len(pts) < 2:
+            return
+        ps = normalize(pts, p)
+    dm = oracle_all_pairs(ps)
+    edges = _prim_mst(dm)
+    assert len(edges) == ps.n - 1
+    for w, i, j in edges:
+        assert w == dm[i, j]
+    want = minimum_spanning_tree(csr_matrix(dm)).data
+    assert sorted(w for w, _, _ in edges) == sorted(want.tolist())
+    tree, clusters = build_hst(ps)
+    got = _partitions_from_tree(tree, clusters)
+    naive = ref.naive_level_partitions(dm)
+    assert len(got) == len(naive)
+    for lvl, part in enumerate(naive):
+        assert got[lvl] == set(part)
+
+
+def test_overflowing_distance_rejected():
+    # finite coordinates whose l1 distance overflows to inf
+    with np.errstate(over="ignore"):
+        ps = normalize(np.array([[0.0, 0.0], [1.0, 0.0], [1e308, 1e308]]), 1.0)
+    with pytest.raises(InputError, match="non-finite"):
+        build_hst(ps)
 
 
 # --------------------------------------------------------------------------
@@ -255,7 +303,7 @@ def test_pair_tables_match_brute_force(seed, n, d, p, eps, integer):
         return
     ps = normalize(pts, p)
     dm = oracle_all_pairs(ps)
-    tree0, clusters0 = build_hst(ps, dm)
+    tree0, clusters0 = build_hst(ps)
     assert _check_pair_tables(tree0, clusters0, dm) >= 1
     tree, clusters = compress(tree0, clusters0, eps)
     assert _check_pair_tables(tree, clusters, dm) >= 1
@@ -264,7 +312,7 @@ def test_pair_tables_match_brute_force(seed, n, d, p, eps, integer):
 def test_pair_tables_on_graph_metric():
     ps = frechet_embed(DistanceMatrix(entries=gen_random_graph_metric(40, 3)))
     dm = oracle_all_pairs(ps)
-    tree0, clusters0 = build_hst(ps, dm)
+    tree0, clusters0 = build_hst(ps)
     assert _check_pair_tables(tree0, clusters0, dm) >= 1
     tree, clusters = compress(tree0, clusters0, 0.25)
     assert _check_pair_tables(tree, clusters, dm) >= 1
