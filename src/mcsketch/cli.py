@@ -371,19 +371,18 @@ def _params_from(args: argparse.Namespace) -> SketchParams:
 
 
 def _load_for_build(args: argparse.Namespace):
-    """(point set, jl_applied, jl_orig_dim, raw oracle or None)."""
+    """(point set, jl_applied, jl_orig_dim)."""
     p_override = _parse_p(args.p) if args.p is not None else None
     kind, payload, p = load_input(args.input, p_override)
     params = _params_from(args)
     if kind == "matrix":
-        return frechet_embed(payload), False, 0, payload.entries
-    ps, applied, orig_dim = prepare_points(payload, p, params)
-    return ps, applied, orig_dim, None
+        return frechet_embed(payload), False, 0
+    return prepare_points(payload, p, params)
 
 
 def cmd_sketch(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    ps, applied, orig_dim, _ = _load_for_build(args)
+    ps, applied, orig_dim = _load_for_build(args)
     result = build_sketch(ps, params, applied, orig_dim)
     with open(args.output, "wb") as fh:
         fh.write(result.blob)
@@ -441,7 +440,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    ps, applied, orig_dim, _ = _load_for_build(args)
+    ps, applied, orig_dim = _load_for_build(args)
     result = build_sketch(ps, params, applied, orig_dim)
     raw_oracle = None
     if applied:

@@ -178,6 +178,8 @@ def _pairwise(coords: np.ndarray, p: float) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Data carriers.
 
+_REL_TOL = 1e-9  # relative slack of DistanceMatrix.validate's checks
+
 
 @dataclass(frozen=True)
 class PointSet:
@@ -229,8 +231,17 @@ class DistanceMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def validate(self, rel_tol: float = 1e-9) -> None:
-        d = self.entries
+    def validate(self) -> np.ndarray:
+        """Check the metric axioms; return the l-inf distances of the rows.
+
+        Entry (i, j) of the result is max_k |d_ik - d_jk|: the raw matrix of
+        ``normalize(entries, inf)``, same floats.  The triangle inequality
+        holds iff no entry exceeds max(d_ij, d_ji); the larger entry absorbs
+        the asymmetry that the symmetry check allows.  Both checks allow a
+        relative slack of ``_REL_TOL``.  A violation names a triple at the
+        largest excess.
+        """
+        d = np.asarray(self.entries, dtype=np.float64)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise InputError(f"distance matrix must be square, got {d.shape}")
         n = d.shape[0]
@@ -241,20 +252,23 @@ class DistanceMatrix:
         if np.any(np.diag(d) != 0.0):
             raise DataError("distance matrix diagonal must be zero")
         if not np.array_equal(d, d.T):
-            if np.abs(d - d.T).max() > rel_tol * max(1.0, np.abs(d).max()):
+            if np.abs(d - d.T).max() > _REL_TOL * max(1.0, np.abs(d).max()):
                 raise DataError("distance matrix is not symmetric")
         off = d[~np.eye(n, dtype=bool)]
         if np.any(off <= 0.0):
             raise DuplicatePointError("zero distance between distinct labels")
-        # triangle inequality with relative slack
-        slack = rel_tol * np.abs(d).max()
-        for k in range(n):
-            through_k = d[:, k : k + 1] + d[k : k + 1, :]
-            if np.any(d > through_k + slack):
-                i, j = np.unravel_index(np.argmax(d - through_k), d.shape)
-                raise TriangleInequalityError(
-                    f"d({i},{j}) = {d[i, j]} > d({i},{k}) + d({k},{j}) = {through_k[i, j]}"
-                )
+        rows = _pairwise(d, math.inf)
+        excess = rows - np.maximum(d, d.T)
+        i, j = np.unravel_index(int(excess.argmax()), d.shape)
+        if excess[i, j] > _REL_TOL * np.abs(d).max():
+            # rows i and j differ most at k; oriented so that d_ik >= d_jk,
+            # the excess says d_ik > max(d_ij, d_ji) + d_jk
+            k = int(np.abs(d[i] - d[j]).argmax())
+            i, j = (j, i) if d[j, k] > d[i, k] else (i, j)
+            raise TriangleInequalityError(
+                f"d({i},{k}) = {d[i, k]} > d({i},{j}) + d({j},{k}) = {d[i, j] + d[j, k]}"
+            )
+        return rows
 
 
 def snap_epsilon(epsilon: float) -> float:
@@ -317,7 +331,11 @@ def normalize(coords: np.ndarray, p: float) -> PointSet:
         raise InputError("need at least two points")
     if not np.all(np.isfinite(coords)):
         raise DataError("coordinates contain non-finite values")
-    dm = _pairwise(coords, p)
+    return _normalize_with(coords, p, _pairwise(coords, p))
+
+
+def _normalize_with(coords: np.ndarray, p: float, dm: np.ndarray) -> PointSet:
+    """``normalize`` given its first pass ``dm``, whose diagonal it overwrites."""
     np.fill_diagonal(dm, np.inf)
     # argmin is the first minimum in row-major order
     i, j = np.unravel_index(int(dm.argmin()), dm.shape)

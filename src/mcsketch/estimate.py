@@ -10,10 +10,9 @@ when the path has none), and s(v) is the *shifted surrogate*: the surrogate
 of v minus the surrogate of its part root.  Shifted surrogates cancel the
 unknown absolute positions because both anchors of a query live in the same
 part as u, and they are exact integer multiples of eps/d^(1/p) per
-coordinate, so every evaluation mode reproduces identical floats:
+coordinate, so both evaluation modes reproduce identical floats:
 
 * ``precomputed`` materializes all shifted surrogates at load time;
-* ``lazy`` fills a per-node cache on demand;
 * ``landmark`` replays the ingress chain from the nearest stored anchor
   (part root or landmark) on every call, never caching, so the replay
   length per query is a measurable quantity; with a landmark table built
@@ -46,7 +45,7 @@ __all__ = [
     "k_parameter",
 ]
 
-_MODES = ("precomputed", "lazy", "landmark")
+_MODES = ("precomputed", "landmark")
 
 
 class Estimator:
@@ -82,10 +81,6 @@ class Estimator:
             if model.landmarks is None:
                 raise InputError("sketch carries no landmark table")
             self._known.update(model.landmarks)
-            self._sf = None
-        elif mode == "lazy":
-            self._cache: dict[int, np.ndarray] = {}
-            self._int_cache: dict[int, tuple[int, ...]] = dict(self._known)
             self._sf = None
         else:
             self._sf = self._materialize()
@@ -126,25 +121,6 @@ class Estimator:
             raise InputError(f"node id {v} out of range")
         if self.mode == "precomputed":
             return self._sf[v]
-        if self.mode == "lazy":
-            hit = self._cache.get(v)
-            if hit is not None:
-                return hit
-            chain: list[int] = []
-            cur = v
-            while cur not in self._int_cache:
-                chain.append(cur)
-                cur = self.model.ingress[cur]
-            self.last_hops = len(chain)
-            self.max_hops = max(self.max_hops, self.last_hops)
-            acc = self._int_cache[cur]
-            for node in reversed(chain):
-                step = self._step_int(node)
-                acc = tuple(a + b for a, b in zip(acc, step))
-                self._int_cache[node] = acc
-            row = shift_to_float(self._int_cache[v], self._unit)
-            self._cache[v] = row
-            return row
         # landmark: stateless replay, chain length <= K by construction
         chain = []
         cur = v

@@ -13,6 +13,7 @@ at or below the target dimension pass through untouched.
 points under the l-infinity norm; the triangle inequality makes that an
 exact isometry (the max |D[i,k] - D[j,k]| is attained at k = j), so
 arbitrary finite metrics ride the same sketch pipeline with p = inf.
+Validation and normalization share one l-infinity pass over the rows.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DistanceMatrix, InputError, PointSet, normalize
+from .core import DistanceMatrix, InputError, PointSet, _normalize_with, normalize
 
 __all__ = ["JlConfig", "jl_project", "frechet_embed"]
 
@@ -67,11 +68,11 @@ def jl_project(
 def frechet_embed(dm: DistanceMatrix) -> PointSet:
     """Embed a validated distance matrix isometrically into (R^n, l_inf).
 
-    Point i becomes row i of the matrix.  Validation (symmetry, zero
-    diagonal, positive off-diagonal, triangle inequality within 1e-9
-    relative) runs first; the embedding needs the triangle inequality to
-    be an isometry.  The returned set keeps the matrix ``normalize``
-    computed from the rows.
+    Point i becomes row i of the matrix.  Validation runs first, since the
+    embedding is an isometry only under the triangle inequality.  The row
+    distances it returns are normalization's raw matrix, so the embedding
+    takes two l-inf passes; the returned set keeps the second one.
     """
-    dm.validate()
-    return normalize(dm.entries, math.inf)
+    rows = dm.validate()
+    coords = np.ascontiguousarray(dm.entries, dtype=np.float64)
+    return _normalize_with(coords, math.inf, rows)

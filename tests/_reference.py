@@ -104,3 +104,18 @@ def naive_compressed_runs(dm: np.ndarray, eps: float):
         ok = gap >= 2 and (diam == 0.0 or gap > math.log2(diam) - lo + t)
         runs.append((cl, lo, hi, ok))
     return runs
+
+
+def triangle_violation(d: np.ndarray, rel_tol: float = 1e-9):
+    """First (i, j, k) with d[i, j] > d[i, k] + d[k, j] + slack, else None.
+
+    The brute-force O(n^3) loop over the middle point k, with the slack
+    ``rel_tol * max|d|`` that ``DistanceMatrix.validate`` allows.
+    """
+    slack = rel_tol * np.abs(d).max()
+    for k in range(d.shape[0]):
+        through_k = d[:, k : k + 1] + d[k : k + 1, :]
+        if np.any(d > through_k + slack):
+            i, j = np.unravel_index(np.argmax(d - through_k), d.shape)
+            return int(i), int(j), k
+    return None

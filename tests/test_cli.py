@@ -274,6 +274,13 @@ def test_exit_code_data_error_duplicate_points(tmp_path):
     assert main(["sketch", str(src), "-e", "0.25", "-o", str(tmp_path / "x.mcsk")]) == 3
 
 
+def test_exit_code_data_error_triangle_violation(tmp_path, capsys):
+    src = tmp_path / "bad.mcdm"
+    write_matrix(src, np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]]))
+    assert main(["sketch", str(src), "-e", "0.25", "-o", str(tmp_path / "x.mcsk")]) == 3
+    assert "d(0,2) = 9.0 > d(0,1) + d(1,2) = 2.0" in capsys.readouterr().err
+
+
 def test_exit_code_guarantee_error(tmp_path, monkeypatch, capsys):
     # exercised via the mapping: a guarantee failure inside eval exits 4
     def boom(args):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from mcsketch.core import (
     write_matrix,
     write_points,
 )
+from mcsketch.cli import gen_random_graph_metric
 from mcsketch.reduce import JlConfig, frechet_embed, jl_project
 
 import _reference as ref
@@ -269,6 +271,61 @@ def test_distance_matrix_rejects_asymmetry():
     bad = DistanceMatrix(entries=np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(DataError):
         bad.validate()
+
+
+# a message "d(i,j) = x > d(i,k) + d(k,j) = y" names the triple (i, j, k)
+_TRIPLE = re.compile(r"d\((\d+),(\d+)\) = \S+ > d\(\1,(\d+)\) \+ d\(\3,\2\)")
+
+
+def _euclidean_matrix(n, seed):
+    return core._pairwise(np.random.default_rng(seed).normal(size=(n, 3)), 2.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    graph=st.booleans(),
+    n=st.integers(3, 12),
+    seed=st.integers(0, 10_000),
+    scale=st.sampled_from([1e-3, 0.1, 1.0, 37.0, 1e4]),
+    factor=st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0]),
+    pair=st.tuples(st.integers(0, 11), st.integers(0, 11)),
+)
+def test_validate_agrees_with_k_loop(graph, n, seed, scale, factor, pair):
+    # tight graph metrics and non-tight Euclidean matrices, with max|d|
+    # below and above 1, and one symmetric pair moved by a multiple of the
+    # slack; the row-distance check must give the k-loop's verdict
+    d = (gen_random_graph_metric(n, seed) if graph else _euclidean_matrix(n, seed)) * scale
+    a, b = pair[0] % n, pair[1] % n
+    if a != b:
+        delta = factor * core._REL_TOL * np.abs(d).max()
+        d[a, b] += delta
+        d[b, a] += delta
+    slack = core._REL_TOL * np.abs(d).max()
+    want = ref.triangle_violation(d) is not None
+    try:
+        rows = DistanceMatrix(entries=d).validate()
+    except TriangleInequalityError as exc:
+        match = _TRIPLE.search(str(exc))
+        assert match, str(exc)
+        i, j, k = (int(g) for g in match.groups())
+        assert d[i, j] > d[i, k] + d[k, j] + slack
+        assert want
+    else:
+        assert not want
+        assert np.array_equal(rows, core._pairwise(d, math.inf))
+
+
+def test_validate_accepts_asymmetry_within_tolerance():
+    # max|d| = 0.1 and one entry lowered by 5e-10: inside the symmetry
+    # tolerance (1e-9) but five times the triangle slack.  Row distance
+    # (0, 1) sees the unlowered d(1, 0), so a check of the row distances
+    # against d itself, not against max(d, d.T), would reject the matrix.
+    d = _euclidean_matrix(6, 3)
+    d *= 0.1 / d.max()
+    d[0, 1] -= 5e-10
+    assert ref.triangle_violation(d) is None
+    rows = DistanceMatrix(entries=d).validate()
+    assert (rows - d).max() > core._REL_TOL * np.abs(d).max()
 
 
 # --------------------------------------------------------------------------

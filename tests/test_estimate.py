@@ -115,6 +115,8 @@ def test_unknown_mode_rejected():
     res = _result([[0.0], [1.0]])
     with pytest.raises(InputError):
         Estimator(res.blob, mode="telepathic")
+    with pytest.raises(InputError):
+        Estimator(res.blob, mode="lazy")
 
 
 def test_landmark_mode_requires_table():
@@ -203,12 +205,10 @@ def test_modes_bit_identical(p):
     rng = np.random.default_rng(5)
     res = _result(rng.normal(size=(18, 2)) * 14, p=p, landmarks=True)
     est_p = Estimator(res.blob, mode="precomputed")
-    est_z = Estimator(res.blob, mode="lazy")
     est_l = Estimator(res.blob, mode="landmark")
     for i in range(18):
         for j in range(18):
             e = est_p.estimate(i, j)
-            assert est_z.estimate(i, j) == e
             assert est_l.estimate(i, j) == e
 
 
@@ -249,16 +249,3 @@ def test_all_pairs_matches_single_queries():
         for i in range(16):
             for j in range(16):
                 assert allp[i, j] == est.estimate(i, j)
-
-
-def test_lazy_mode_caches_but_counts_first_walks():
-    rng = np.random.default_rng(9)
-    res = _result(rng.normal(size=(20, 2)) * 30)
-    est = Estimator(res.blob, mode="lazy")
-    v = max(range(res.tree.n_nodes), key=lambda u: 0 if res.model.ingress[u] is None else 1)
-    est.shifted_surrogate(v)
-    first = est.last_hops
-    est.last_hops = 0
-    est.shifted_surrogate(v)  # cached now; no new walk recorded
-    assert est.last_hops == 0
-    assert first >= 0
