@@ -3,12 +3,12 @@
 Four passes, in dependency order:
 
 1. centers: every node gets a representative input point, chosen bottom-up
-   so the center of a node is the center of a distinguished child.  For a
-   node v whose children hang on short edges the distinguished child is the
-   root of the tau-tree: a BFS tree over the children graph that connects
-   two children when their clusters come within 2^level(v), rooted at the
-   child holding the smallest label, with neighbor lists sorted by smallest
-   member label so the construction is deterministic.
+   so the center of a node is the center of its child 0, the child holding
+   the smallest label.  For a node v whose children hang on short edges that
+   child is the root of the tau-tree: a BFS tree over the children graph
+   that connects two children when their clusters come within 2^level(v),
+   with neighbor lists sorted by smallest member label so the construction
+   is deterministic.
 
 2. ingresses: every node other than a part root gets a previously processed
    node whose surrogate anchors its own.  The tau-root's ingress is the
@@ -21,17 +21,19 @@ Four passes, in dependency order:
    a 1e-12 downward nudge so diameters that are exact multiples of the
    level scale do not round up on float dust.
 
-4. surrogates: processing each decomposition part in an order that places
-   every node after its ingress, the normalized displacement
+4. surrogates: walking the ingress forest from the part roots (see
+   :func:`ingress_order`), so every node comes after its ingress, the
+   normalized displacement
    eta*(v) = (delta(v)/2^level(v)) * (f(c(v)) - s*(in(v))) is rounded to
    the net of granularity delta_eff (delta_eff = delta(v)*eps at nodes
    with no short children, else delta(v)), and the surrogate is rebuilt as
    s*(v) = s*(in(v)) + (2^level(v)/delta(v)) * eta(v).  Because eps and the
    levels are powers of two, every surrogate minus its part root is an
-   integer multiple of eps/d^(1/p) per coordinate; those integers are
-   carried exactly (arbitrary precision) so shifted surrogates and the
-   landmark replay reproduce identical floats no matter how they are
-   recomputed.
+   integer multiple of eps/d^(1/p) per coordinate: the sum of the
+   :func:`shift_step` integers along the ingress chain.  Those integers are
+   carried exactly (arbitrary precision), and the decoder's estimator uses
+   the same walk and the same step, so shifted surrogates and the landmark
+   replay reproduce identical floats no matter how they are recomputed.
 
 No pass reads a distance: passes 1 and 2 read the per-merge ``gap`` and
 ``near`` tables and pass 3 the diameters that the build stores in
@@ -42,13 +44,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from operator import add
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import net
 from .core import GuaranteeError, PointSet, SketchParams
-from .hst import ClusterIndex, SketchTree, subtree_decomposition
+from .hst import ClusterIndex, SketchTree
 
 __all__ = [
     "TauTree",
@@ -56,7 +59,8 @@ __all__ = [
     "SurrogateTable",
     "assign_centers",
     "assign_ingresses",
-    "tau_dfs_order",
+    "ingress_order",
+    "shift_step",
     "compute_surrogates",
     "annotate",
     "shift_to_float",
@@ -70,15 +74,6 @@ class TauTree:
     root: int
     parent: dict[int, int | None]
     children: dict[int, list[int]]
-
-    def preorder(self) -> list[int]:
-        out: list[int] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(reversed(self.children[v]))
-        return out
 
 
 @dataclass
@@ -139,12 +134,11 @@ def assign_centers(
     for v in range(tree.n_nodes - 1, -1, -1):
         if tree.is_leaf(v):
             center[v] = tree.leaf_label[v]
-        elif tree.is_long_top(v):
-            center[v] = center[tree.children[v][0]]
-        else:
-            tt = _build_tau(tree, v, clusters.gap[v])
-            tau[v] = tt
-            center[v] = center[tt.root]
+            continue
+        if not tree.is_long_top(v):
+            tau[v] = _build_tau(tree, v, clusters.gap[v])
+        # child 0 holds the smallest label and is always the tau-root
+        center[v] = center[tree.children[v][0]]
     return center, tau
 
 
@@ -187,8 +181,7 @@ def assign_ingresses(
     ingress: list[int | None] = [None] * tree.n_nodes
     for v, tt in tau.items():
         index = {c: i for i, c in enumerate(tree.children[v])}
-        for c in tt.preorder():
-            j = tt.parent[c]
+        for c, j in tt.parent.items():
             if j is None:
                 ingress[c] = v
             else:
@@ -216,28 +209,39 @@ def _descend_short(
 
 
 # --------------------------------------------------------------------------
-# Pass 4 ordering: nodes of one part, every node after its ingress.
+# Pass 4 walk and step, shared with the decoder's estimator.
 
 
-def tau_dfs_order(
-    tree: SketchTree, tau: dict[int, TauTree], part_root: int
-) -> list[int]:
-    """All nodes of ``part_root``'s decomposition part, ingress-compatible.
+def ingress_order(ingress: list[int | None]) -> list[int]:
+    """Every node reachable from a part root (ingress None), each placed
+    after its ingress.
 
-    Each node's tau-tree is walked in preorder with every child's part
-    subtree expanded in full before its tau-successor starts; since a
-    non-root child's ingress lies inside its tau-predecessor's expansion,
-    every node appears after its ingress.
+    Breadth-first from the part roots in id order.  A node on an ingress
+    cycle, or below one, is never reached and is left out, so a shorter
+    result than ``len(ingress)`` means the references contain a cycle.
     """
-    out: list[int] = []
-    stack = [part_root]
-    while stack:
-        u = stack.pop()
-        out.append(u)
-        tt = tau.get(u)
-        if tt is not None:
-            stack.extend(reversed(tt.preorder()))
-    return out
+    kids: list[list[int]] = [[] for _ in ingress]
+    order: list[int] = []
+    for v, u in enumerate(ingress):
+        if u is None:
+            order.append(v)
+        else:
+            kids[u].append(v)
+    i = 0
+    while i < len(order):
+        order.extend(kids[order[i]])
+        i += 1
+    return order
+
+
+def shift_step(tree: SketchTree, v: int, m, t: int) -> tuple[int, ...]:
+    """Node v's exact shift over its ingress, in units of eps/d^(1/p).
+
+    The grid integers m scale by 2^level(v), times 2^t = 1/eps more at
+    nodes with short children, whose net is 1/eps times coarser.
+    """
+    sh = tree.level[v] + (0 if tree.is_subtree_leaf(v) else t)
+    return tuple(k << sh for k in np.asarray(m).tolist())
 
 
 # --------------------------------------------------------------------------
@@ -250,7 +254,6 @@ def compute_surrogates(
     ps: PointSet,
     params: SketchParams,
     clusters: ClusterIndex,
-    decomp=None,
 ) -> SurrogateTable:
     """Fill inv_delta / subtree-leaf flags / eta codes in ``ann`` and build
     the surrogate table.  Raises GuaranteeError when a normalized
@@ -262,8 +265,6 @@ def compute_surrogates(
     n_nodes = tree.n_nodes
     coords = ps.coords
     unit = net.per_coord_scale(eps, d, p)
-    if decomp is None:
-        decomp = subtree_decomposition(tree)
 
     inv_delta = [0] * n_nodes
     for v in range(n_nodes):
@@ -276,25 +277,24 @@ def compute_surrogates(
     s_star = np.zeros((n_nodes, d), dtype=np.float64)
     eta_star = np.zeros((n_nodes, d), dtype=np.float64)
 
-    for root in decomp.roots:
-        base = coords[ann.center[root]]
-        s_star[root] = base
-        shift_int[root] = (0,) * d
-        for v in tau_dfs_order(tree, ann.tau, root)[1:]:
-            u = ann.ingress[v]
-            q = inv_delta[v]
-            delta_eff = net.delta_effective(eps, is_leafy[v], q)
-            dv = coords[ann.center[v]] - s_star[u]
-            es = dv / (q * math.ldexp(1.0, tree.level[v]))
-            m = net.grid_indices(es, delta_eff, d, p)
-            eta_ints[v] = m
-            sh = tree.level[v] + (0 if is_leafy[v] else t)
-            prev = shift_int[u]
-            shift_int[v] = tuple(
-                pk + (int(mi) << sh) for pk, mi in zip(prev, m)
-            )
-            s_star[v] = base + shift_to_float(shift_int[v], unit)
-            eta_star[v] = es
+    part_root = list(range(n_nodes))
+    for v in ingress_order(ann.ingress):
+        u = ann.ingress[v]
+        if u is None:
+            s_star[v] = coords[ann.center[v]]
+            shift_int[v] = (0,) * d
+            continue
+        part_root[v] = part_root[u]
+        q = inv_delta[v]
+        delta_eff = net.delta_effective(eps, is_leafy[v], q)
+        dv = coords[ann.center[v]] - s_star[u]
+        es = dv / (q * math.ldexp(1.0, tree.level[v]))
+        m = net.grid_indices(es, delta_eff, d, p)
+        eta_ints[v] = m
+        step = shift_step(tree, v, m, t)
+        shift_int[v] = tuple(map(add, shift_int[u], step))
+        s_star[v] = s_star[part_root[v]] + shift_to_float(shift_int[v], unit)
+        eta_star[v] = es
 
     ann.inv_delta = inv_delta
     ann.is_subtree_leaf = is_leafy

@@ -238,6 +238,19 @@ def gen_random_graph_metric(n: int, seed: int, extra_edges: int | None = None) -
 # Reports.
 
 
+def _section_lines(s: SizeReport) -> list[str]:
+    """``section_<name>_bits=<bits>`` for every payload section, in blob order."""
+    return [
+        f"section_tree_shape_bits={s.tree_shape_bits}",
+        f"section_long_gap_bits={s.long_gap_bits}",
+        f"section_center_bits={s.center_bits}",
+        f"section_ingress_bits={s.ingress_bits}",
+        f"section_precision_bits={s.precision_bits}",
+        f"section_displacement_bits={s.displacement_bits}",
+        f"section_landmark_bits={s.landmark_bits}",
+    ]
+
+
 @dataclass
 class EvalReport:
     """Build-and-verify summary; ``lines()`` is the key=value wire format."""
@@ -269,13 +282,7 @@ class EvalReport:
             f"total_bits={s.total_bits}",
             f"bits_per_point={s.bits_per_point:.3f}",
             f"header_bits={8 * s.header_bytes}",
-            f"section_tree_shape_bits={s.tree_shape_bits}",
-            f"section_long_gap_bits={s.long_gap_bits}",
-            f"section_center_bits={s.center_bits}",
-            f"section_ingress_bits={s.ingress_bits}",
-            f"section_precision_bits={s.precision_bits}",
-            f"section_displacement_bits={s.displacement_bits}",
-            f"section_landmark_bits={s.landmark_bits}",
+            *_section_lines(s),
             f"max_rel_error={self.max_rel_error:.6g}",
             f"mean_rel_error={self.mean_rel_error:.6g}",
             f"error_bound={self.error_bound}",
@@ -391,13 +398,7 @@ def cmd_sketch(args: argparse.Namespace) -> int:
     print(f"n={sizes.n}")
     print(f"total_bytes={sizes.total_bytes}")
     print(f"bits_per_point={sizes.bits_per_point:.3f}")
-    print(f"section_tree_shape_bits={sizes.tree_shape_bits}")
-    print(f"section_long_gap_bits={sizes.long_gap_bits}")
-    print(f"section_center_bits={sizes.center_bits}")
-    print(f"section_ingress_bits={sizes.ingress_bits}")
-    print(f"section_precision_bits={sizes.precision_bits}")
-    print(f"section_displacement_bits={sizes.displacement_bits}")
-    print(f"section_landmark_bits={sizes.landmark_bits}")
+    print(*_section_lines(sizes), sep="\n")
     print(f"build_seconds={result.build_seconds:.4f}")
     return 0
 
@@ -490,13 +491,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(f"nodes={model.tree.n_nodes}")
     print(f"total_bytes={sizes.total_bytes}")
     print(f"bits_per_point={sizes.bits_per_point:.3f}")
-    print(f"section_tree_shape_bits={sizes.tree_shape_bits}")
-    print(f"section_long_gap_bits={sizes.long_gap_bits}")
-    print(f"section_center_bits={sizes.center_bits}")
-    print(f"section_ingress_bits={sizes.ingress_bits}")
-    print(f"section_precision_bits={sizes.precision_bits}")
-    print(f"section_displacement_bits={sizes.displacement_bits}")
-    print(f"section_landmark_bits={sizes.landmark_bits}")
+    print(*_section_lines(sizes), sep="\n")
     print(f"padding_bits={sizes.padding_bits}")
     return 0
 

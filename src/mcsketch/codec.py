@@ -30,8 +30,11 @@ Layout, all multi-byte header fields little-endian:
 * trailer: u32 CRC-32 (zlib) of header plus payload bytes.  Every header
   or payload corruption is caught by the CRC at the latest; structural
   validation (leaf counts, level consistency, permutation of leaf labels,
-  index ranges, ingress acyclicity, padding) runs after it so corrupt or
-  truncated blobs always fail loudly with FormatError.
+  every internal node's center equal to its first child's, index ranges,
+  ingress edges inside their part, padding) runs after it so corrupt or
+  truncated blobs always fail loudly with FormatError.  Ingress cycles are
+  found by :func:`~mcsketch.annotate.ingress_order`, the walk the builder
+  and the estimator take, failing to reach every node.
 
 Decoding levels: the gaps give each node's level relative to the root;
 all leaves must land on one common level, which is then pinned to 0.
@@ -48,6 +51,7 @@ import numpy as np
 
 from . import net
 from ._bitio import BitReader, BitWriter
+from .annotate import ingress_order
 from .core import (
     FormatError,
     GuaranteeError,
@@ -431,8 +435,8 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     if sorted(center[v] for v in leaves) != list(range(n)):
         raise FormatError("leaf centers are not a permutation of the labels")
     for v in range(n_nodes):
-        if children[v] and center[v] not in {center[c] for c in children[v]}:
-            raise FormatError(f"center of node {v} is not inherited from a child")
+        if children[v] and center[v] != center[children[v][0]]:
+            raise FormatError(f"center of node {v} is not its first child's")
     tree.verify()
 
     decomp = subtree_decomposition(tree)
@@ -501,24 +505,14 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
 
 def _check_ingress_forest(tree, ingress, decomp) -> None:
     """Ingress edges must stay inside each part and reach the part root."""
-    n_nodes = tree.n_nodes
-    kids: list[list[int]] = [[] for _ in range(n_nodes)]
-    for v in range(n_nodes):
+    for v in range(tree.n_nodes):
         ing = ingress[v]
         if _is_part_root(tree, v):
             if ing is not None:
                 raise FormatError(f"part root {v} carries an ingress")
-            continue
-        if ing is None:
+        elif ing is None:
             raise FormatError(f"node {v} lacks an ingress")
-        if decomp.part_of[ing] != decomp.part_of[v]:
+        elif decomp.part_of[ing] != decomp.part_of[v]:
             raise FormatError(f"ingress of {v} crosses a long edge")
-        kids[ing].append(v)
-    seen = 0
-    stack = list(decomp.roots)
-    while stack:
-        v = stack.pop()
-        seen += 1
-        stack.extend(kids[v])
-    if seen != n_nodes:
+    if len(ingress_order(ingress)) != tree.n_nodes:
         raise FormatError("ingress references contain a cycle")

@@ -463,6 +463,13 @@ def write_matrix(path: str | Path, entries: np.ndarray) -> None:
 
 
 def read_matrix(path: str | Path) -> DistanceMatrix:
+    """Read an MCDM file and check the metric axioms."""
+    dm = _parse_matrix(path)
+    dm.validate()
+    return dm
+
+
+def _parse_matrix(path: str | Path) -> DistanceMatrix:
     blob = Path(path).read_bytes()
     if len(blob) < 4 or blob[:4] != MCDM_MAGIC:
         raise FormatError(f"{path}: not an MCDM file (bad magic)")
@@ -478,9 +485,7 @@ def read_matrix(path: str | Path) -> DistanceMatrix:
     if len(body) != n * n * 8:
         raise FormatError(f"{path}: expected {n * n * 8} payload bytes, found {len(body)}")
     entries = np.frombuffer(body, dtype="<f8").reshape(n, n).astype(np.float64)
-    dm = DistanceMatrix(entries=entries)
-    dm.validate()
-    return dm
+    return DistanceMatrix(entries=entries)
 
 
 def read_text_points(path: str | Path) -> np.ndarray:
@@ -505,13 +510,17 @@ def read_text_points(path: str | Path) -> np.ndarray:
 
 
 def load_input(path: str | Path, p_override: float | None = None):
-    """Dispatch on magic: returns ('points', coords, p) or ('matrix', dm, inf)."""
+    """Dispatch on magic: returns ('points', coords, p) or ('matrix', dm, inf).
+
+    The matrix is not validated here: :func:`~mcsketch.reduce.frechet_embed`
+    validates it in the pass that normalization reuses.
+    """
     with open(path, "rb") as fh:
         head = fh.read(4)
     if head == MCPT_MAGIC:
         coords, p = read_points(path)
         return "points", coords, (p_override if p_override is not None else p)
     if head == MCDM_MAGIC:
-        return "matrix", read_matrix(path), math.inf
+        return "matrix", _parse_matrix(path), math.inf
     coords = read_text_points(path)
     return "points", coords, (p_override if p_override is not None else 2.0)

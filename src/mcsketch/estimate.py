@@ -10,9 +10,12 @@ when the path has none), and s(v) is the *shifted surrogate*: the surrogate
 of v minus the surrogate of its part root.  Shifted surrogates cancel the
 unknown absolute positions because both anchors of a query live in the same
 part as u, and they are exact integer multiples of eps/d^(1/p) per
-coordinate, so both evaluation modes reproduce identical floats:
+coordinate: sums of :func:`~mcsketch.annotate.shift_step` integers down the
+ingress forest, the same walk and step the builder takes.  So both
+evaluation modes reproduce the builder's floats:
 
-* ``precomputed`` materializes all shifted surrogates at load time;
+* ``precomputed`` materializes all shifted surrogates at load time, in
+  :func:`~mcsketch.annotate.ingress_order`;
 * ``landmark`` replays the ingress chain from the nearest stored anchor
   (part root or landmark) on every call, never caching, so the replay
   length per query is a measurable quantity; with a landmark table built
@@ -29,14 +32,14 @@ size <= K yields none.
 from __future__ import annotations
 
 import math
+from operator import add
 
 import numpy as np
 
 from . import codec, net
-from .annotate import shift_to_float
+from .annotate import ingress_order, shift_step, shift_to_float
 from .core import InputError, UnknownLabelError, k_parameter, lp_distance
 from .core import _lp_reduce
-from .hst import subtree_decomposition
 
 __all__ = [
     "Estimator",
@@ -70,12 +73,12 @@ class Estimator:
         self._t = int(round(-math.log2(model.epsilon)))
         self._unit = net.per_coord_scale(model.epsilon, model.d, model.p)
         self._leaf_of = self.tree.leaf_of()
-        self._decomp = subtree_decomposition(self.tree)
         self.last_hops = 0  # ingress-chain replays in the latest call
         self.max_hops = 0  # high-water mark across all calls
         zero = (0,) * self._d
+        # part roots: the nodes without an ingress
         self._known: dict[int, tuple[int, ...]] = {
-            r: zero for r in self._decomp.roots
+            v: zero for v, u in enumerate(model.ingress) if u is None
         }
         if mode == "landmark":
             if model.landmarks is None:
@@ -87,32 +90,16 @@ class Estimator:
 
     # -- shifted surrogates ------------------------------------------------
 
-    def _step_int(self, v: int) -> tuple[int, ...]:
-        """Exact shift contribution of node v in units of eps/d^(1/p)."""
-        sh = self.tree.level[v] + (0 if self.tree.is_subtree_leaf(v) else self._t)
-        return tuple(int(m) << sh for m in self.model.eta_ints[v])
-
     def _materialize(self) -> np.ndarray:
-        tree = self.tree
-        n_nodes = tree.n_nodes
-        kids: list[list[int]] = [[] for _ in range(n_nodes)]
-        for v in range(n_nodes):
-            ing = self.model.ingress[v]
-            if ing is not None:
-                kids[ing].append(v)
-        ints: list[tuple[int, ...] | None] = [None] * n_nodes
-        sf = np.zeros((n_nodes, self._d), dtype=np.float64)
-        stack = list(self._decomp.roots)
-        zero = (0,) * self._d
-        while stack:
-            v = stack.pop()
-            ing = self.model.ingress[v]
-            if ing is None:
-                ints[v] = zero
-            else:
-                ints[v] = tuple(a + b for a, b in zip(ints[ing], self._step_int(v)))
+        model = self.model
+        ints = [(0,) * self._d] * self.tree.n_nodes
+        sf = np.zeros((self.tree.n_nodes, self._d), dtype=np.float64)
+        for v in ingress_order(model.ingress):
+            u = model.ingress[v]
+            if u is not None:
+                step = shift_step(self.tree, v, model.eta_ints[v], self._t)
+                ints[v] = tuple(map(add, ints[u], step))
                 sf[v] = shift_to_float(ints[v], self._unit)
-            stack.extend(kids[v])
         return sf
 
     def shifted_surrogate(self, v: int) -> np.ndarray:
@@ -131,8 +118,8 @@ class Estimator:
         self.max_hops = max(self.max_hops, self.last_hops)
         acc = self._known[cur]
         for node in reversed(chain):
-            step = self._step_int(node)
-            acc = tuple(a + b for a, b in zip(acc, step))
+            step = shift_step(self.tree, node, self.model.eta_ints[node], self._t)
+            acc = tuple(map(add, acc, step))
         return shift_to_float(acc, self._unit)
 
     # -- query paths ---------------------------------------------------------
@@ -288,13 +275,13 @@ def select_landmarks(
 
 
 def select_all_landmarks(tree, ingress, K: int) -> set[int]:
-    """Union of per-part landmark selections over the whole tree."""
-    decomp = subtree_decomposition(tree)
+    """Union of per-part landmark selections over the whole tree; the part
+    roots are the nodes without an ingress."""
     kids: dict[int, list[int]] = {}
     for v in range(tree.n_nodes):
         if ingress[v] is not None:
             kids.setdefault(ingress[v], []).append(v)
     out: set[int] = set()
-    for root in decomp.roots:
+    for root in (v for v in range(tree.n_nodes) if ingress[v] is None):
         out |= select_landmarks(kids, root, K)
     return out

@@ -15,8 +15,8 @@ from mcsketch.core import (
 from mcsketch.annotate import (
     annotate,
     assign_centers,
+    ingress_order,
     shift_to_float,
-    tau_dfs_order,
 )
 from mcsketch.hst import build_hst, compress, subtree_decomposition
 
@@ -82,23 +82,27 @@ def test_ingresses_on_line():
     assert ann.ingress[leaf_1] == leaf_0
 
 
-def test_tau_dfs_order_visits_ingress_first():
+def test_ingress_order_visits_ingress_first():
     rng = np.random.default_rng(0)
     for trial in range(8):
         pts = rng.normal(size=(16, 2)) * 20
         ps, dm, tree, clusters, ann, table, _ = _built(pts, 0.25)
-        decomp = subtree_decomposition(tree)
-        for root in decomp.roots:
-            order = tau_dfs_order(tree, ann.tau, root)
-            assert order[0] == root
-            seen = {root}
-            for v in order[1:]:
-                assert ann.ingress[v] in seen
-                seen.add(v)
-        # orders cover each part exactly once
-        assert sorted(
-            v for root in decomp.roots for v in tau_dfs_order(tree, ann.tau, root)
-        ) == list(range(tree.n_nodes))
+        order = ingress_order(ann.ingress)
+        # covers every node exactly once
+        assert sorted(order) == list(range(tree.n_nodes))
+        seen = set()
+        for v in order:
+            assert ann.ingress[v] is None or ann.ingress[v] in seen
+            seen.add(v)
+        # the nodes without an ingress are exactly the part roots
+        assert [v for v in order if ann.ingress[v] is None] == (
+            subtree_decomposition(tree).roots
+        )
+
+
+def test_ingress_order_leaves_out_cycles():
+    # 2 and 3 name each other, 4 hangs below the cycle
+    assert ingress_order([None, 0, 3, 2, 2, None]) == [0, 5, 1]
 
 
 def test_ingress_distance_and_level_bounds():
@@ -208,7 +212,11 @@ def test_tau_neighbor_ordering_by_smallest_label():
         [[0.0], [1.1], [4.0], [5.1]], 0.5
     )
     tt = ann.tau[tree.root]
-    root_child = tt.root
-    assert 0 in {int(x) for x in clusters.members[root_child]}
-    order = tt.preorder()
-    assert order[0] == root_child
+    assert tt.root == tree.children[tree.root][0]
+    assert tt.parent[tt.root] is None
+    assert 0 in {int(x) for x in clusters.members[tt.root]}
+    assert ann.center[tree.root] == ann.center[tt.root] == 0
+    # every neighbor list runs in smallest-member-label order
+    for kids in tt.children.values():
+        firsts = [int(clusters.members[c].min()) for c in kids]
+        assert firsts == sorted(firsts)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mcsketch import cli
+from mcsketch import cli, core
 from mcsketch.cli import (
     gen_gaussian_clusters,
     gen_high_spread_line,
@@ -13,7 +13,7 @@ from mcsketch.cli import (
     gen_uniform,
     main,
 )
-from mcsketch.codec import deserialize, serialize
+from mcsketch.codec import deserialize, serialize, size_report
 from mcsketch.core import (
     DistanceMatrix,
     GuaranteeError,
@@ -62,6 +62,27 @@ def test_sketch_matrix_routes_to_linf(tmp_path, capsys):
     model = deserialize(dst.read_bytes())
     assert model.p == math.inf
     assert model.d == 12 == model.n
+
+
+@pytest.mark.parametrize("command", ["sketch", "eval"])
+def test_matrix_build_makes_two_linf_passes(tmp_path, monkeypatch, command):
+    # one validation pass, reused as normalization's raw matrix, then the
+    # normalized matrix; reading the file must not validate a second time
+    src = tmp_path / "dm.mcdm"
+    write_matrix(src, gen_random_graph_metric(12, seed=1))
+    passes = []
+    real = core._pairwise
+
+    def counting(x, p):
+        passes.append(p)
+        return real(x, p)
+
+    monkeypatch.setattr(core, "_pairwise", counting)
+    argv = [command, str(src), "-e", "0.25"]
+    if command == "sketch":
+        argv += ["-o", str(tmp_path / "out.mcsk")]
+    assert main(argv) == 0
+    assert passes == [math.inf, math.inf]
 
 
 def test_sketch_text_input(tmp_path, capsys):
@@ -235,6 +256,38 @@ def test_stats_fields(tmp_path, capsys):
     assert kv["landmarks"] == "1"
     assert int(kv["nodes"]) >= 11
     assert int(kv["total_bytes"]) == len(dst.read_bytes())
+
+
+def test_section_lines_in_blob_order(tmp_path, capsys):
+    keys = [
+        f"section_{name}_bits"
+        for name in (
+            "tree_shape",
+            "long_gap",
+            "center",
+            "ingress",
+            "precision",
+            "displacement",
+            "landmark",
+        )
+    ]
+    src = tmp_path / "pts.mcpt"
+    dst = tmp_path / "out.mcsk"
+    write_points(src, np.random.default_rng(9).normal(size=(15, 2)) * 8, 2.0)
+    runs = [
+        ["sketch", str(src), "-e", "0.25", "--no-jl", "--landmarks", "-o", str(dst)],
+        ["stats", str(dst)],
+        ["eval", str(src), "-e", "0.25", "--no-jl", "--landmarks"],
+    ]
+    for argv in runs:
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        sections = [line.split("=")[0] for line in out if line.startswith("section_")]
+        assert sections == keys
+        kv = _kv("\n".join(out))
+        sizes = size_report(dst.read_bytes())
+        for key in keys:
+            assert int(kv[key]) == getattr(sizes, key[len("section_") :])
 
 
 # --------------------------------------------------------------------------

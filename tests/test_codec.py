@@ -291,6 +291,38 @@ def test_grid_bound_beyond_int64_rejected():
         deserialize(_tampered_blob(edit))
 
 
+def test_center_from_second_child_rejected():
+    # a center inherited from child 1 passed the old "some child" check
+    def edit(model):
+        kids = model.tree.children[model.tree.root]
+        assert len(kids) >= 2 and model.center[kids[1]] != model.center[kids[0]]
+        model.center[model.tree.root] = model.center[kids[1]]
+
+    with pytest.raises(FormatError, match="first child"):
+        deserialize(_tampered_blob(edit))
+
+
+def test_ingress_cycle_between_siblings_rejected():
+    # two short-childless siblings on short edges, each the other's ingress:
+    # both stay inside their part, so only the cycle check can refuse them
+    def edit(model):
+        tree = model.tree
+        a, b = next(
+            (a, b)
+            for v in range(tree.n_nodes)
+            for a in tree.children[v]
+            for b in tree.children[v]
+            if a < b
+            and not (tree.long_edge[a] or tree.long_edge[b])
+            and tree.is_subtree_leaf(a)
+            and tree.is_subtree_leaf(b)
+        )
+        model.ingress[a], model.ingress[b] = b, a
+
+    with pytest.raises(FormatError, match="cycle"):
+        deserialize(_tampered_blob(edit))
+
+
 def _with_crc(body) -> bytes:
     body = bytes(body)
     return body + zlib.crc32(body).to_bytes(4, "little")
