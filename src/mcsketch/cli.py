@@ -46,7 +46,7 @@ from .core import (
 )
 from .estimate import Estimator, select_all_landmarks
 from .hst import ClusterIndex, SketchTree, build_hst, compress
-from .reduce import JlConfig, frechet_embed, jl_project
+from .reduce import JlConfig, frechet_embed, project_points
 
 __all__ = [
     "BuildResult",
@@ -135,16 +135,17 @@ def build_sketch(
 def prepare_points(
     coords: np.ndarray, p: float, params: SketchParams
 ) -> tuple[PointSet, bool, int]:
-    """Normalize and, for Euclidean inputs, apply the random projection."""
-    ps = normalize(coords, p)
-    if params.jl_enabled and ps.p == 2.0:
-        orig_dim = ps.d
-        projected, applied = jl_project(
-            ps, JlConfig(constant=params.jl_constant, seed=params.jl_seed), params.epsilon
-        )
-        if applied:
-            return projected, True, orig_dim
-    return ps, False, 0
+    """Normalize and, for Euclidean inputs, apply the random projection.
+
+    An input that gets projected is never normalized at its original
+    dimension (see :func:`~mcsketch.reduce.project_points`).
+    """
+    if params.jl_enabled and p == 2.0:
+        config = JlConfig(constant=params.jl_constant, seed=params.jl_seed)
+        projected = project_points(coords, config, params.epsilon)
+        if projected is not None:
+            return projected, True, np.shape(coords)[1]
+    return normalize(coords, p), False, 0
 
 
 def sketch_points(coords: np.ndarray, p: float, params: SketchParams) -> bytes:

@@ -5,7 +5,11 @@ plain text).
 Everything downstream works on a *normalized* point set: coordinates are
 divided by the minimum pairwise distance, so the closest pair sits at
 distance 1 and the farthest at distance ``spread``.  The divisor is kept as
-``scale`` so query answers can be mapped back to original units.
+``scale`` so query answers can be mapped back to original units.  It is
+found exactly without a distance matrix: a k-d tree proposes the closest
+pair and its near ties are recomputed on the package's own float path
+(:func:`_min_distance`).  The one n x n pass of a point build is the
+stored matrix of the divided coordinates.
 
 Both binary formats are little-endian.
 
@@ -28,6 +32,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 __all__ = [
     "SketchError",
@@ -234,8 +239,9 @@ class DistanceMatrix:
     def validate(self) -> np.ndarray:
         """Check the metric axioms; return the l-inf distances of the rows.
 
-        Entry (i, j) of the result is max_k |d_ik - d_jk|: the raw matrix of
-        ``normalize(entries, inf)``, same floats.  The triangle inequality
+        Entry (i, j) of the result is max_k |d_ik - d_jk|, the same floats
+        as ``_pairwise(entries, inf)``; its least off-diagonal entry is the
+        divisor that normalizes the rows.  The triangle inequality
         holds iff no entry exceeds max(d_ij, d_ji); the larger entry absorbs
         the asymmetry that the symmetry check allows.  Both checks allow a
         relative slack of ``_REL_TOL``.  A violation names a triple at the
@@ -319,30 +325,32 @@ class SketchParams:
 def normalize(coords: np.ndarray, p: float) -> PointSet:
     """Scale a raw point array so the closest pair is at distance 1.
 
-    Raises DuplicatePointError when two rows coincide (the sketch cannot
-    represent zero distances between distinct labels).
+    The divisor is the exact closest-pair distance from
+    :func:`_min_distance`, which builds no matrix; the one n x n pass runs
+    over the divided coordinates and is stored on the result.  Raises
+    DuplicatePointError when two rows coincide (the sketch cannot represent
+    zero distances between distinct labels), naming the first such pair in
+    row-major order.
     """
     p = _validate_p(p)
+    coords = _as_points(coords)
+    return _normalize_with(coords, p, _min_distance(coords, p))
+
+
+def _as_points(coords: np.ndarray) -> np.ndarray:
+    """``coords`` as a C-contiguous float64 (n, d) array, n >= 2, all finite."""
     coords = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
     if coords.ndim != 2:
         raise InputError(f"expected an (n, d) array, got shape {coords.shape}")
-    n = coords.shape[0]
-    if n < 2:
+    if coords.shape[0] < 2:
         raise InputError("need at least two points")
     if not np.all(np.isfinite(coords)):
         raise DataError("coordinates contain non-finite values")
-    return _normalize_with(coords, p, _pairwise(coords, p))
+    return coords
 
 
-def _normalize_with(coords: np.ndarray, p: float, dm: np.ndarray) -> PointSet:
-    """``normalize`` given its first pass ``dm``, whose diagonal it overwrites."""
-    np.fill_diagonal(dm, np.inf)
-    # argmin is the first minimum in row-major order
-    i, j = np.unravel_index(int(dm.argmin()), dm.shape)
-    mn = float(dm[i, j])
-    if mn == 0.0:
-        raise DuplicatePointError(f"points {i} and {j} coincide")
-    del dm
+def _normalize_with(coords: np.ndarray, p: float, mn: float) -> PointSet:
+    """``normalize`` given the exact minimum pairwise distance ``mn`` > 0."""
     normed = coords / mn
     normed.flags.writeable = False
     dmn = _pairwise(normed, p)
@@ -353,6 +361,81 @@ def _normalize_with(coords: np.ndarray, p: float, dm: np.ndarray) -> PointSet:
     return PointSet(
         coords=normed, p=p, scale=mn, spread=max(1.0, float(dmn.max())), distances=dmn
     )
+
+
+# The k-d tree measures distances on its own float path, a few ulps off
+# _lp_reduce's; every pair within this relative slack of its candidate is
+# recomputed exactly.
+_TREE_SLACK = 1e-9
+# Below 2**_TREE_FLOOR_LOG2 the candidate's p-th power, the quantity the
+# tree sums and compares, is too close to underflow for that bound to hold.
+_TREE_FLOOR_LOG2 = -960
+# Elements per broadcast temporary: 2 MiB of float64, well below the 32 MiB
+# ceiling of glibc's dynamic mmap threshold, so whether a block page-faults
+# does not hinge on what earlier code freed.
+_BLOCK_ELEMS = 1 << 18
+
+
+def _min_distance(coords: np.ndarray, p: float) -> float:
+    """Smallest off-diagonal entry of ``_pairwise(coords, p)``, same float,
+    without building the matrix.
+
+    A k-d tree (Bentley 1975) in the same p proposes the candidate: the
+    least distance from a point to its nearest neighbour.  Every pair
+    within ``cand * (1 + _TREE_SLACK)`` is then recomputed from ``coords``
+    with ``_lp_reduce``.  The tree runs on ``coords`` times the power of
+    two that puts max|x| in [1, 2): exact, and it keeps the tree's p-th
+    powers from overflowing.  Where the tree cannot vouch for its candidate
+    (it raises, the candidate is not finite, or its p-th power is near
+    underflow, which includes every duplicate) an exact running minimum
+    over ``_lp_reduce`` rows takes over.  Raises DuplicatePointError naming
+    the first coinciding pair in row-major order.
+    """
+    mn = _tree_min_distance(coords, p)
+    if mn is None:
+        mn, i, j = _row_min_distance(coords, p)
+        if mn == 0.0:
+            raise DuplicatePointError(f"points {i} and {j} coincide")
+    return mn
+
+
+def _tree_min_distance(coords: np.ndarray, p: float) -> float | None:
+    """The exact minimum when the k-d tree can certify it, else None."""
+    scaled = np.ldexp(coords, 1 - math.frexp(float(np.abs(coords).max()))[1])
+    try:
+        tree = cKDTree(scaled)
+        cand = float(tree.query(scaled, k=2, p=p)[0][:, 1].min())
+        if not 0.0 < cand < math.inf:
+            return None
+        if (1.0 if p == math.inf else p) * math.log2(cand) < _TREE_FLOOR_LOG2:
+            return None
+        pairs = tree.query_pairs(cand * (1.0 + _TREE_SLACK), p=p, output_type="ndarray")
+    except ValueError:  # the tree's own overflow check
+        return None
+    step = max(1, _BLOCK_ELEMS // coords.shape[1])
+    return min(
+        (
+            float(_lp_reduce(coords[ab[:, 0]] - coords[ab[:, 1]], p).min())
+            for ab in (pairs[s : s + step] for s in range(0, len(pairs), step))
+        ),
+        default=None,
+    )
+
+
+def _row_min_distance(coords: np.ndarray, p: float) -> tuple[float, int, int]:
+    """Running minimum over the rows ``_pairwise`` computes, storing none.
+
+    Returns (minimum, i, j) with (i, j) its first pair in row-major order.
+    """
+    best, at = math.inf, (0, 1)
+    for i in range(coords.shape[0] - 1):
+        row = _lp_reduce(coords[i] - coords[i + 1 :], p)
+        j = int(row.argmin())
+        if row[j] < best:
+            best, at = float(row[j]), (i, i + 1 + j)
+            if best == 0.0:
+                break
+    return best, *at
 
 
 def oracle_all_pairs(ps: PointSet) -> np.ndarray:

@@ -39,7 +39,7 @@ import numpy as np
 from . import codec, net
 from .annotate import ingress_order, shift_step, shift_to_float
 from .core import InputError, UnknownLabelError, k_parameter, lp_distance
-from .core import _lp_reduce
+from .core import _BLOCK_ELEMS, _lp_reduce
 
 __all__ = [
     "Estimator",
@@ -211,13 +211,13 @@ class Estimator:
                 sf[[anc[int(x)] for x in labels]] for labels in child_labels
             ]
             # suffix concatenations so each cross-child pair is hit once;
-            # the A side is chunked to cap the broadcast temp at ~32 MB
+            # the A side is chunked to cap each broadcast temp at _BLOCK_ELEMS
             suf_labels = child_labels[-1]
             suf_rows = rows[-1]
             for i in range(len(child_labels) - 2, -1, -1):
                 a_labels = child_labels[i]
                 a_rows = rows[i]
-                chunk = max(1, 4_000_000 // max(1, suf_rows.shape[0] * self._d))
+                chunk = max(1, _BLOCK_ELEMS // max(1, suf_rows.shape[0] * self._d))
                 for s in range(0, a_rows.shape[0], chunk):
                     block = _lp_reduce(
                         a_rows[s : s + chunk][:, None, :] - suf_rows[None, :, :],

@@ -8,6 +8,9 @@ PCG64 generator so builds are reproducible.  The projection is linear
 any fixed pair by more than (1 +- eps) only with vanishing probability, so
 the end-to-end error budget becomes (1+eps)(1+4eps) - 1.  Inputs already
 at or below the target dimension pass through untouched.
+``project_points`` projects raw coordinates directly: it divides them by
+their exact closest pair and builds no n x n matrix at the original
+dimension, only the one that normalizes the projected set.
 
 ``frechet_embed`` turns an n x n distance matrix into its own rows as
 points under the l-infinity norm; the triangle inequality makes that an
@@ -23,9 +26,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DistanceMatrix, InputError, PointSet, _normalize_with, normalize
+from .core import (
+    DistanceMatrix,
+    InputError,
+    PointSet,
+    _as_points,
+    _min_distance,
+    _normalize_with,
+    normalize,
+)
 
-__all__ = ["JlConfig", "jl_project", "frechet_embed"]
+__all__ = ["JlConfig", "jl_project", "project_points", "frechet_embed"]
 
 
 @dataclass(frozen=True)
@@ -58,21 +69,50 @@ def jl_project(
     dprime = config.target_dim(ps.n, epsilon)
     if dprime >= ps.d:
         return ps, False
+    return _project(ps.coords, ps.scale, config, dprime), True
+
+
+def project_points(
+    coords: np.ndarray, config: JlConfig, epsilon: float
+) -> PointSet | None:
+    """``jl_project(normalize(coords, 2.0), config, epsilon)`` without the
+    normalization; None where no projection applies.
+
+    The raw coordinates are divided by their exact closest pair, the divisor
+    ``normalize`` would use, so the projected set holds the same floats.
+    The only n x n pass is the one that normalizes the projected set.
+    """
+    coords = _as_points(coords)
+    n, d = coords.shape
+    dprime = config.target_dim(n, epsilon)
+    if dprime >= d:
+        return None
+    mn = _min_distance(coords, 2.0)
+    return _project(coords / mn, mn, config, dprime)
+
+
+def _project(
+    coords: np.ndarray, scale: float, config: JlConfig, dprime: int
+) -> PointSet:
+    """Project ``coords`` (raw units times 1/``scale``) to ``dprime`` columns."""
     rng = np.random.default_rng(config.seed)
-    signs = rng.integers(0, 2, size=(ps.d, dprime)).astype(np.float64) * 2.0 - 1.0
-    proj = ps.coords @ signs / math.sqrt(dprime)
-    out = normalize(proj, 2.0)
-    return replace(out, scale=ps.scale * out.scale), True
+    bits = rng.integers(0, 2, size=(coords.shape[1], dprime))
+    signs = bits.astype(np.float64) * 2.0 - 1.0
+    out = normalize(coords @ signs / math.sqrt(dprime), 2.0)
+    return replace(out, scale=scale * out.scale)
 
 
 def frechet_embed(dm: DistanceMatrix) -> PointSet:
     """Embed a validated distance matrix isometrically into (R^n, l_inf).
 
     Point i becomes row i of the matrix.  Validation runs first, since the
-    embedding is an isometry only under the triangle inequality.  The row
-    distances it returns are normalization's raw matrix, so the embedding
+    embedding is an isometry only under the triangle inequality.  The least
+    row distance it returns is normalization's divisor, so the embedding
     takes two l-inf passes; the returned set keeps the second one.
     """
     rows = dm.validate()
+    np.fill_diagonal(rows, np.inf)
+    mn = float(rows.min())
+    del rows  # freed before the second pass builds the stored matrix
     coords = np.ascontiguousarray(dm.entries, dtype=np.float64)
-    return _normalize_with(coords, math.inf, rows)
+    return _normalize_with(coords, math.inf, mn)

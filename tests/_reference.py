@@ -12,6 +12,24 @@ import math
 
 import numpy as np
 
+from mcsketch.core import DuplicatePointError, _pairwise
+
+
+def matrix_min_distance(coords, p) -> float:
+    """Closest-pair distance the way normalization once found it.
+
+    The first minimum, in row-major order, of the full ``_pairwise`` matrix
+    of the raw coordinates with its diagonal masked: the same reduction as
+    the package, so the float is comparable bit for bit.  Raises
+    DuplicatePointError naming that pair when the minimum is zero.
+    """
+    dm = _pairwise(np.ascontiguousarray(coords, dtype=np.float64), p)
+    np.fill_diagonal(dm, np.inf)
+    i, j = np.unravel_index(int(dm.argmin()), dm.shape)
+    if dm[i, j] == 0.0:
+        raise DuplicatePointError(f"points {i} and {j} coincide")
+    return float(dm[i, j])
+
 
 def brute_lp(u, v, p) -> float:
     diff = [abs(float(a) - float(b)) for a, b in zip(u, v)]

@@ -17,12 +17,14 @@ from mcsketch.codec import deserialize, serialize, size_report
 from mcsketch.core import (
     DistanceMatrix,
     GuaranteeError,
+    SketchParams,
     load_input,
     normalize,
     read_matrix,
     write_matrix,
     write_points,
 )
+from mcsketch.reduce import JlConfig, jl_project
 
 
 def _kv(captured: str) -> dict[str, str]:
@@ -83,6 +85,44 @@ def test_matrix_build_makes_two_linf_passes(tmp_path, monkeypatch, command):
         argv += ["-o", str(tmp_path / "out.mcsk")]
     assert main(argv) == 0
     assert passes == [math.inf, math.inf]
+
+
+def _count_passes(monkeypatch) -> list[int]:
+    """Record the dimension of every ``_pairwise`` pass from now on."""
+    dims = []
+    real = core._pairwise
+
+    def counting(x, p):
+        dims.append(x.shape[1])
+        return real(x, p)
+
+    monkeypatch.setattr(core, "_pairwise", counting)
+    return dims
+
+
+def test_projected_prepare_points_makes_no_pass_at_the_original_dimension(monkeypatch):
+    coords = np.random.default_rng(10).normal(size=(60, 800)) * 3.0
+    params = SketchParams(epsilon=0.25, jl_seed=4)
+    config = JlConfig(constant=params.jl_constant, seed=params.jl_seed)
+    want, _ = jl_project(normalize(coords, 2.0), config, params.epsilon)
+    dims = _count_passes(monkeypatch)
+    ps, applied, orig_dim = cli.prepare_points(coords, 2.0, params)
+    assert applied and orig_dim == 800
+    # one pass, the stored matrix of the projected set
+    assert dims == [config.target_dim(60, params.epsilon)]
+    assert np.array_equal(ps.coords, want.coords)
+    assert ps.scale == want.scale and ps.spread == want.spread
+
+
+def test_eval_of_projected_points_makes_one_pass_at_the_original_dimension(
+    tmp_path, monkeypatch
+):
+    # the projected set's matrix, then the raw oracle for the end-to-end error
+    src = tmp_path / "pts.mcpt"
+    write_points(src, np.random.default_rng(11).normal(size=(40, 300)), 2.0)
+    dims = _count_passes(monkeypatch)
+    assert main(["eval", str(src), "-e", "0.5"]) == 0
+    assert dims == [JlConfig().target_dim(40, 0.5), 300]
 
 
 def test_sketch_text_input(tmp_path, capsys):

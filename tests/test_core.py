@@ -31,7 +31,11 @@ from mcsketch.core import (
     write_matrix,
     write_points,
 )
-from mcsketch.cli import gen_random_graph_metric
+from mcsketch.cli import (
+    gen_gaussian_clusters,
+    gen_high_spread_line,
+    gen_random_graph_metric,
+)
 from mcsketch.reduce import JlConfig, frechet_embed, jl_project
 
 import _reference as ref
@@ -129,6 +133,109 @@ def test_duplicate_error_names_first_pair_in_row_major_order():
     pts = np.array([[5.0, 5.0], [0.0, 0.0], [3.0, 3.0], [0.0, 0.0], [5.0, 5.0]])
     with pytest.raises(DuplicatePointError, match=r"^points 0 and 4 coincide$"):
         normalize(pts, 2.0)
+
+
+def test_normalize_makes_one_pass(monkeypatch):
+    # the closest pair comes from the k-d tree; the one n x n pass is the
+    # stored matrix of the divided coordinates
+    coords = np.random.default_rng(9).normal(size=(40, 3))
+    passes = []
+    real = core._pairwise
+
+    def counting(x, p):
+        passes.append(x.shape[1])
+        return real(x, p)
+
+    monkeypatch.setattr(core, "_pairwise", counting)
+    ps = normalize(coords, 2.0)
+    assert passes == [3]
+    assert ps.scale == ref.matrix_min_distance(coords, 2.0)
+
+
+@st.composite
+def _closest_pair_cases(draw):
+    """(coords, p): random, tie-heavy lattice, near-tie and high-spread
+    inputs, some with a duplicate row, scaled by 2**-500, 1 or 2**500."""
+    p = draw(st.sampled_from([1.0, 2.0, math.inf, 1.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "lattice", "near-ties", "line"]))
+    if kind == "line":
+        n = draw(st.integers(11, 40))
+        return gen_high_spread_line(n, draw(st.sampled_from([8, 512, 1000])), 0), p
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 12))
+    if kind == "lattice":
+        coords = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    elif kind == "near-ties":
+        # far-apart centers, each with one neighbour at a signed permutation
+        # of one offset: equal distances up to the rounding of each sum
+        offset = rng.normal(size=d)
+        coords = rng.normal(scale=100.0, size=(n, d))
+        for a in range(0, n - 1, 2):
+            coords[a + 1] = coords[a] + rng.permutation(offset) * rng.choice([-1.0, 1.0], d)
+    else:
+        coords = rng.normal(size=(n, d))
+    if draw(st.booleans()):
+        a, b = rng.choice(n, size=2, replace=False)
+        coords[b] = coords[a]
+    return np.ldexp(coords, draw(st.sampled_from([-500, 0, 500]))), p
+
+
+def _checked_min_distance(mp, coords, p):
+    """Check ``normalize(coords, p)`` against the reference: its scale bit
+    for bit, or its duplicate message.  Returns the reference minimum (None
+    on duplicates) and the p of each row-scan fallback that ran."""
+    fallbacks = []
+    real = core._row_min_distance
+
+    def spying(x, q):
+        fallbacks.append(q)
+        return real(x, q)
+
+    mp.setattr(core, "_row_min_distance", spying)
+    try:
+        want = ref.matrix_min_distance(coords, p)
+    except DuplicatePointError as exc:
+        with pytest.raises(DuplicatePointError, match=f"^{re.escape(str(exc))}$"):
+            normalize(coords, p)
+        return None, fallbacks
+    assert normalize(coords, p).scale == want
+    return want, fallbacks
+
+
+@settings(max_examples=400, deadline=None)
+@given(_closest_pair_cases())
+def test_closest_pair_matches_the_matrix_minimum(case):
+    coords, p = case
+    with pytest.MonkeyPatch.context() as mp:
+        want, fallbacks = _checked_min_distance(mp, coords, p)
+    if want is not None:
+        # the row scan is a safety net for extreme ranges only: wherever
+        # (max|x| / closest pair)**p stays well above underflow, the tree
+        # answers
+        span = (1.0 if p == math.inf else p) * math.log2(np.abs(coords).max() / want)
+        assert span >= 900 or not fallbacks
+
+
+@pytest.mark.parametrize(
+    "coords, p, tree",
+    [
+        # ordinary inputs: the tree certifies its candidate, also where the
+        # raw squares would overflow
+        (gen_gaussian_clusters(300, 4, 3), 2.0, True),
+        (np.ldexp(gen_gaussian_clusters(300, 4, 3), 600), 2.0, True),
+        # the tree raises on its own overflow check in query_pairs
+        (np.array([[-1.9], [0.0], [1.9]]), 600.0, False),
+        # the candidate's 600th power overflows to inf
+        (np.array([[-1.9], [1.9]]), 600.0, False),
+        # the scaled candidate 2**-512 squares to a subnormal
+        (gen_high_spread_line(40, 512, 0), 2.0, False),
+        # duplicates: the candidate is zero
+        (np.array([[0.0, 1.0], [3.0, 1.0], [0.0, 1.0]]), 2.0, False),
+    ],
+)
+def test_closest_pair_falls_back_where_the_tree_cannot_vouch(monkeypatch, coords, p, tree):
+    _, fallbacks = _checked_min_distance(monkeypatch, coords, p)
+    assert fallbacks == ([] if tree else [p])
 
 
 def test_normalize_needs_two_points():
