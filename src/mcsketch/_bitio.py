@@ -3,13 +3,21 @@
 Values are packed big-endian within the stream: the first bit written is
 the most significant bit of the first byte.  The reader is bounded by an
 explicit bit length so trailing pad bits can be policed by the caller.
+
+Fixed-width runs (a node's d displacement fields, a landmark's d shift
+fields) move whole: :func:`pack_runs` turns rows of fields into one integer
+per row for :meth:`BitWriter.write_uint`, and :func:`unpack_runs` reads the
+fields of many rows, at any bit offsets, in one vectorized pass.
 """
 
 from __future__ import annotations
 
-from .core import FormatError
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["BitWriter", "BitReader"]
+from .core import FormatError, _BLOCK_ELEMS
+
+__all__ = ["BitWriter", "BitReader", "pack_runs", "unpack_runs"]
 
 
 class BitWriter:
@@ -30,9 +38,9 @@ class BitWriter:
             raise ValueError(f"value {value} does not fit in {width} bits")
         acc = (self._acc << width) | value
         nbits = self._nbits + width
-        while nbits >= 8:
-            nbits -= 8
-            self._buf.append((acc >> nbits) & 0xFF)
+        full, nbits = divmod(nbits, 8)
+        if full:  # every completed byte in one conversion, however wide
+            self._buf += (acc >> nbits).to_bytes(full, "big")
         self._acc = acc & ((1 << nbits) - 1)
         self._nbits = nbits
 
@@ -72,23 +80,25 @@ class BitReader:
     def remaining(self) -> int:
         return self._limit - self._pos
 
-    def read_uint(self, width: int) -> int:
+    def skip(self, width: int) -> int:
+        """Step over ``width`` bits and return the position they start at."""
         if width < 0:
             raise ValueError("negative width")
         if self._pos + width > self._limit:
             raise FormatError("bit stream truncated")
         pos = self._pos
         self._pos = pos + width
-        out = 0
-        taken = 0
-        while taken < width:
-            byte_i, bit_i = divmod(pos + taken, 8)
-            avail = 8 - bit_i
-            take = min(avail, width - taken)
-            chunk = (self._data[byte_i] >> (avail - take)) & ((1 << take) - 1)
-            out = (out << take) | chunk
-            taken += take
-        return out
+        return pos
+
+    def read_uint(self, width: int) -> int:
+        pos = self._pos
+        end = pos + width
+        if width < 0 or end > self._limit:
+            self.skip(width)  # raises the matching error
+        self._pos = end
+        last = (end + 7) >> 3
+        chunk = int.from_bytes(self._data[pos >> 3 : last], "big")
+        return (chunk >> (8 * last - end)) & ((1 << width) - 1)
 
     def read_bit(self) -> int:
         return self.read_uint(1)
@@ -100,3 +110,53 @@ class BitReader:
             if n > self._limit:
                 raise FormatError("unterminated gamma code")
         return (1 << n) | self.read_uint(n)
+
+
+def pack_runs(values: np.ndarray, width: int) -> list[int]:
+    """Each row of ``values`` (unsigned fields below 2^width, width <= 64)
+    concatenated MSB-first into one integer of ``values.shape[1] * width``
+    bits, ready for :meth:`BitWriter.write_uint`."""
+    values = np.asarray(values, dtype=np.uint64)
+    k, count = values.shape
+    runs: list[int] = []
+    step = max(1, _BLOCK_ELEMS // (8 * count))  # as in unpack_runs
+    for s in range(0, k, step):
+        chunk = values[s : s + step]
+        if width < 64 and (chunk >> np.uint64(width)).any():
+            raise ValueError(f"a field does not fit in {width} bits")
+        bits = np.empty(chunk.shape + (width,), dtype=np.uint8)
+        for j in range(width):
+            bits[:, :, j] = (chunk >> np.uint64(width - 1 - j)) & np.uint64(1)
+        packed = np.packbits(bits.reshape(len(chunk), count * width), axis=1)
+        pad = 8 * packed.shape[1] - count * width
+        runs.extend(int.from_bytes(row.tobytes(), "big") >> pad for row in packed)
+    return runs
+
+
+def unpack_runs(
+    data: bytes, starts: np.ndarray, widths: np.ndarray, count: int
+) -> np.ndarray:
+    """uint64 array whose row i holds the ``count`` consecutive fields of
+    ``widths[i]`` bits (at most 64) that start at bit ``starts[i]`` of the
+    MSB-first stream ``data``.  The caller has checked every run against
+    the stream's length."""
+    starts = np.asarray(starts, dtype=np.int64)
+    widths = np.asarray(widths, dtype=np.int64)
+    out = np.empty((starts.size, count), dtype=np.uint64)
+    if not out.size:
+        return out
+    buf = np.frombuffer(bytes(data) + bytes(9), dtype=np.uint8)
+    words = sliding_window_view(buf, 8)
+    # about eight uint64 temporaries per field: together one float block
+    step = max(1, _BLOCK_ELEMS // (8 * count))
+    for s in range(0, starts.size, step):
+        w = widths[s : s + step, None]
+        pos = starts[s : s + step, None] + w * np.arange(count)
+        byte = pos >> 3
+        off = (pos & 7).astype(np.uint64)
+        # the 64 bits from pos on: 8 bytes shifted left, then the next byte's top
+        hi = words[byte].view(">u8")[..., 0].astype(np.uint64)
+        lo = buf[byte + 8].astype(np.uint64)
+        word = (hi << off) | (lo >> (np.uint64(8) - off))
+        out[s : s + step] = word >> (64 - w).astype(np.uint64)
+    return out

@@ -29,11 +29,14 @@ Four passes, in dependency order:
    with no short children, else delta(v)), and the surrogate is rebuilt as
    s*(v) = s*(in(v)) + (2^level(v)/delta(v)) * eta(v).  Because eps and the
    levels are powers of two, every surrogate minus its part root is an
-   integer multiple of eps/d^(1/p) per coordinate: the sum of the
-   :func:`shift_step` integers along the ingress chain.  Those integers are
-   carried exactly (arbitrary precision), and the decoder's estimator uses
-   the same walk and the same step, so shifted surrogates and the landmark
-   replay reproduce identical floats no matter how they are recomputed.
+   integer multiple of eps/d^(1/p) per coordinate: the sum, along the
+   ingress chain, of each node's grid integers shifted left by its
+   :func:`shift_exponents` entry.  Those integers are carried exactly, as
+   one (n_nodes, d) numpy array whose dtype :func:`shift_dtype` picks once
+   per sketch: int64 when K+2 <= 62, Python ints (``object``) beyond.  The
+   decoder's estimator uses the same walk, the same exponents and the same
+   conversion, so shifted surrogates and the landmark replay reproduce
+   identical floats no matter how they are recomputed.
 
 No pass reads a distance: passes 1 and 2 read the per-merge ``gap`` and
 ``near`` tables and pass 3 the diameters that the build stores in
@@ -44,13 +47,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from operator import add
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import net
-from .core import GuaranteeError, PointSet, SketchParams
+from .core import GuaranteeError, PointSet, SketchParams, k_parameter
 from .hst import ClusterIndex, SketchTree
 
 __all__ = [
@@ -59,8 +61,10 @@ __all__ = [
     "SurrogateTable",
     "assign_centers",
     "assign_ingresses",
+    "ingress_layers",
     "ingress_order",
-    "shift_step",
+    "shift_exponents",
+    "shift_dtype",
     "compute_surrogates",
     "annotate",
     "shift_to_float",
@@ -92,7 +96,8 @@ class Annotations:
 class SurrogateTable:
     """Float surrogates plus the exact integer shifts they come from.
 
-    ``shift_int[v]`` holds per-coordinate integers k with
+    ``shift_int`` is an (n_nodes, d) integer array, of the dtype
+    :func:`shift_dtype` picks, whose row v holds the k with
     s*(v) - s*(part root of v) == k * unit exactly (as reals), where
     ``unit`` = eps/d^(1/p).  ``shift_float`` is the one sanctioned
     int->float conversion; every consumer must go through it so that
@@ -100,21 +105,19 @@ class SurrogateTable:
     """
 
     s_star: np.ndarray
-    eta_star: np.ndarray
-    shift_int: list[tuple[int, ...]]
+    shift_int: np.ndarray
     unit: float
 
     def shift_float(self, v: int) -> np.ndarray:
         return shift_to_float(self.shift_int[v], self.unit)
 
 
-def shift_to_float(ks, unit: float) -> np.ndarray:
-    """Correctly rounded float of integer shifts times the fixed-point unit."""
-    if all(-(2**62) < k < 2**62 for k in ks):
-        arr = np.array(ks, dtype=np.int64).astype(np.float64)
-    else:
-        arr = np.array([float(k) for k in ks], dtype=np.float64)
-    return arr * unit
+def shift_to_float(ks: np.ndarray, unit: float) -> np.ndarray:
+    """Correctly rounded floats of an int64 or ``object`` array of integer
+    shifts, times the fixed-point unit (elementwise, any shape)."""
+    out = np.asarray(ks).astype(np.float64)
+    out *= unit
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -212,36 +215,61 @@ def _descend_short(
 # Pass 4 walk and step, shared with the decoder's estimator.
 
 
-def ingress_order(ingress: list[int | None]) -> list[int]:
-    """Every node reachable from a part root (ingress None), each placed
-    after its ingress.
+def ingress_layers(ingress: list[int | None]) -> list[list[int]]:
+    """Nodes reachable from a part root (ingress None), by depth in the
+    ingress forest: layer 0 holds the part roots in id order, layer k+1 the
+    nodes whose ingress lies in layer k.
 
-    Breadth-first from the part roots in id order.  A node on an ingress
-    cycle, or below one, is never reached and is left out, so a shorter
-    result than ``len(ingress)`` means the references contain a cycle.
+    A node on an ingress cycle, or below one, is never reached and is left
+    out, so fewer than ``len(ingress)`` nodes in all means the references
+    contain a cycle.
     """
     kids: list[list[int]] = [[] for _ in ingress]
-    order: list[int] = []
+    layer: list[int] = []
     for v, u in enumerate(ingress):
         if u is None:
-            order.append(v)
+            layer.append(v)
         else:
             kids[u].append(v)
-    i = 0
-    while i < len(order):
-        order.extend(kids[order[i]])
-        i += 1
-    return order
+    layers = []
+    while layer:
+        layers.append(layer)
+        layer = [c for v in layer for c in kids[v]]
+    return layers
 
 
-def shift_step(tree: SketchTree, v: int, m, t: int) -> tuple[int, ...]:
-    """Node v's exact shift over its ingress, in units of eps/d^(1/p).
+def ingress_order(ingress: list[int | None]) -> list[int]:
+    """The nodes of :func:`ingress_layers`, layer after layer, so every node
+    comes after its ingress."""
+    return [v for layer in ingress_layers(ingress) for v in layer]
 
-    The grid integers m scale by 2^level(v), times 2^t = 1/eps more at
-    nodes with short children, whose net is 1/eps times coarser.
+
+def shift_exponents(tree: SketchTree, t: int) -> np.ndarray:
+    """Per node v, the power of two its grid integers m scale by in its exact
+    shift over its ingress, ``m << sh[v]`` in units of eps/d^(1/p).
+
+    sh[v] = level(v), plus t = log2(1/eps) at nodes with short children,
+    whose net is 1/eps times coarser.
     """
-    sh = tree.level[v] + (0 if tree.is_subtree_leaf(v) else t)
-    return tuple(k << sh for k in np.asarray(m).tolist())
+    has_short = np.zeros(tree.n_nodes, dtype=bool)
+    short = np.flatnonzero(~np.array(tree.long_edge, dtype=bool))
+    parents = np.array(tree.parent, dtype=np.int64)[short]
+    has_short[parents[parents >= 0]] = True
+    return np.array(tree.level, dtype=np.int64) + t * has_short
+
+
+# A valid shift lies within +-2^(K+1): s*(v) is within 2^level(v) <= 2*spread
+# of c(v), which is within spread of its part root's center, and 2^K >=
+# 2*spread*d^(1/p)/eps.  So a step (the difference of two shifts) lies within
+# +-2^(K+2), and a shift plus a step cannot leave int64 while K+2 <= 62.
+_INT64_MAX_K = 60
+
+
+def shift_dtype(k: int) -> np.dtype:
+    """Dtype of a sketch's shift arrays from its landmark spacing K (see
+    :func:`~mcsketch.core.k_parameter`): int64 when K+2 <= 62, else
+    ``object`` (exact Python ints, as for spreads near 2^512)."""
+    return np.dtype(np.int64) if k <= _INT64_MAX_K else np.dtype(object)
 
 
 # --------------------------------------------------------------------------
@@ -272,17 +300,17 @@ def compute_surrogates(
         inv_delta[v] = 5 + math.ceil(ratio - 1e-12)
     is_leafy = [tree.is_subtree_leaf(v) for v in range(n_nodes)]
 
+    sh = shift_exponents(tree, t)
+    dtype = shift_dtype(k_parameter(ps.spread, eps, d, p))
     eta_ints: list[np.ndarray | None] = [None] * n_nodes
-    shift_int: list[tuple[int, ...]] = [()] * n_nodes
+    shift_int = np.zeros((n_nodes, d), dtype=dtype)
     s_star = np.zeros((n_nodes, d), dtype=np.float64)
-    eta_star = np.zeros((n_nodes, d), dtype=np.float64)
 
     part_root = list(range(n_nodes))
     for v in ingress_order(ann.ingress):
         u = ann.ingress[v]
         if u is None:
             s_star[v] = coords[ann.center[v]]
-            shift_int[v] = (0,) * d
             continue
         part_root[v] = part_root[u]
         q = inv_delta[v]
@@ -291,17 +319,13 @@ def compute_surrogates(
         es = dv / (q * math.ldexp(1.0, tree.level[v]))
         m = net.grid_indices(es, delta_eff, d, p)
         eta_ints[v] = m
-        step = shift_step(tree, v, m, t)
-        shift_int[v] = tuple(map(add, shift_int[u], step))
+        shift_int[v] = shift_int[u] + (m.astype(dtype, copy=False) << sh[v])
         s_star[v] = s_star[part_root[v]] + shift_to_float(shift_int[v], unit)
-        eta_star[v] = es
 
     ann.inv_delta = inv_delta
     ann.is_subtree_leaf = is_leafy
     ann.eta_ints = eta_ints
-    return SurrogateTable(
-        s_star=s_star, eta_star=eta_star, shift_int=shift_int, unit=unit
-    )
+    return SurrogateTable(s_star=s_star, shift_int=shift_int, unit=unit)
 
 
 def annotate(

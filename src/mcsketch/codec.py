@@ -38,6 +38,13 @@ Layout, all multi-byte header fields little-endian:
 
 Decoding levels: the gaps give each node's level relative to the root;
 all leaves must land on one common level, which is then pinned to 0.
+
+The d fixed-width fields of a displacement or a landmark shift form one
+run.  The writer packs every run of one width in one numpy pass and writes
+it as a single integer; the reader steps over the runs while it parses and
+then reads all of them in one pass (``_bitio.pack_runs`` and
+``unpack_runs``).  Fields wider than 64 bits, which only landmark shifts of
+spreads beyond about 2^60 need, go through exact Python integers.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net
-from ._bitio import BitReader, BitWriter
+from ._bitio import BitReader, BitWriter, pack_runs, unpack_runs
 from .annotate import ingress_order
 from .core import (
     FormatError,
@@ -79,7 +86,7 @@ class SketchModel:
     ingress: list[int | None]
     inv_delta: list[int]
     eta_ints: list[np.ndarray | None]
-    landmarks: dict[int, tuple[int, ...]] | None
+    landmarks: dict[int, np.ndarray] | None
     p: float
     epsilon: float
     scale: float
@@ -174,6 +181,7 @@ def serialize(model: SketchModel) -> bytes:
     subtree_leaves = [v for v in range(n_nodes) if tree.is_subtree_leaf(v)]
     leaf_ref = {v: i for i, v in enumerate(subtree_leaves)}
     ref_w = (len(subtree_leaves) - 1).bit_length()
+    runs = _displacement_runs(model)
     for v in range(n_nodes):
         w.write_uint(model.center[v], center_w)
         root_here = _is_part_root(tree, v)
@@ -190,35 +198,31 @@ def serialize(model: SketchModel) -> bytes:
                 w.write_uint(leaf_ref[ing], ref_w)
         w.write_gamma(model.inv_delta[v] - 4)
         if not root_here:
-            delta_eff = net.delta_effective(
-                eps, tree.is_subtree_leaf(v), model.inv_delta[v]
-            )
-            bound = net.grid_bound(delta_eff, d, model.p)
-            width = net.grid_bit_width(delta_eff, d, model.p)
-            for m in model.eta_ints[v]:
-                w.write_uint(int(m) + bound, width)
+            w.write_uint(*runs[v])
 
     # 4. landmarks
     if model.landmarks is not None:
         decomp = subtree_decomposition(tree)
         kk = k_parameter(model.spread, eps, d, model.p)
         node_w = (n_nodes - 1).bit_length()
-        bias = 1 << (kk + 1)
-        for pid in range(len(decomp.roots)):
-            lms = sorted(
-                v for v in model.landmarks if decomp.part_of[v] == pid
+        parts: list[list[int]] = [[] for _ in decomp.roots]
+        for v in sorted(model.landmarks):
+            parts[decomp.part_of[v]].append(v)
+        lms = [v for part in parts for v in part]
+        try:
+            shift_runs = _biased_runs(
+                [model.landmarks[v] for v in lms], [1 << (kk + 1)] * len(lms), kk + 2
             )
-            w.write_gamma(len(lms) + 1)
-            for v in lms:
+        except ValueError as exc:
+            raise GuaranteeError(
+                f"a landmark shift exceeds the K+2-bit budget: {exc}"
+            ) from exc
+        runs = dict(zip(lms, shift_runs))
+        for part in parts:
+            w.write_gamma(len(part) + 1)
+            for v in part:
                 w.write_uint(v, node_w)
-                shift = model.landmarks[v]
-                for k in shift:
-                    val = k + bias
-                    if not 0 <= val < (1 << (kk + 2)):
-                        raise GuaranteeError(
-                            f"landmark shift {k} exceeds the K+2-bit budget"
-                        )
-                    w.write_uint(val, kk + 2)
+                w.write_uint(runs[v], d * (kk + 2))
 
     payload = w.getvalue()
     flags = _FLAG_LANDMARKS if model.landmarks is not None else 0
@@ -241,6 +245,56 @@ def serialize(model: SketchModel) -> bytes:
     )
     body = header + payload
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _displacement_runs(model: SketchModel) -> dict[int, tuple[int, int]]:
+    """Per node that is not a part root, its d grid integers biased by the
+    node's grid bound B as one run of fixed-width fields: (run, bit count).
+    Nodes that share a field width are packed together."""
+    tree = model.tree
+    groups: dict[int, list[int]] = {}
+    bias: list[int] = []
+    for v in range(tree.n_nodes):
+        if _is_part_root(tree, v):
+            bias.append(0)
+            continue
+        delta_eff = net.delta_effective(
+            model.epsilon, tree.is_subtree_leaf(v), model.inv_delta[v]
+        )
+        bias.append(net.grid_bound(delta_eff, model.d, model.p))
+        width = net.grid_bit_width(delta_eff, model.d, model.p)
+        groups.setdefault(width, []).append(v)
+    runs: dict[int, tuple[int, int]] = {}
+    for width, nodes in groups.items():
+        packed = _biased_runs(
+            [model.eta_ints[v] for v in nodes], [bias[v] for v in nodes], width
+        )
+        runs.update((v, (run, model.d * width)) for v, run in zip(nodes, packed))
+    return runs
+
+
+def _biased_runs(rows: list, bias: list[int], width: int) -> list[int]:
+    """Each row's integers plus that row's bias, as one run of width-bit
+    fields, first field most significant.  int64 rows below 64 bits go
+    through one numpy pass; anything else (wider fields, Python ints beyond
+    int64) through exact Python ints.  Raises ValueError when a biased
+    value falls outside [0, 2^width)."""
+    vals = np.asarray(rows)
+    if width < 64 and vals.dtype == np.int64:
+        # a negative biased value wraps to at least 2^63, so pack_runs refuses it
+        biased = vals.astype(np.uint64)
+        biased += np.array(bias, dtype=np.uint64)[:, None]
+        return pack_runs(biased, width)
+    runs = []
+    for row, b in zip(rows, bias):
+        run = 0
+        for m in row:
+            val = int(m) + b
+            if val < 0 or val >> width:
+                raise ValueError(f"value {val} does not fit in {width} bits")
+            run = (run << width) | val
+        runs.append(run)
+    return runs
 
 
 def deserialize(data: bytes) -> SketchModel:
@@ -380,7 +434,11 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     center = [0] * n_nodes
     ingress: list[int | None] = [None] * n_nodes
     inv_delta = [0] * n_nodes
-    eta_ints: list[np.ndarray | None] = [None] * n_nodes
+    # displacement runs are stepped over here and read below, all at once
+    disp_nodes: list[int] = []
+    disp_starts: list[int] = []
+    disp_widths: list[int] = []
+    disp_bounds: list[int] = []
     center_bits = ingress_bits = precision_bits = displacement_bits = 0
     for v in range(n_nodes):
         mark = r.position
@@ -407,7 +465,6 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         if inv_delta[v] > leaf_count[v] + 4:
             raise FormatError(f"precision {inv_delta[v]} of node {v} exceeds leaves + 4")
         if not root_here:
-            mark = r.position
             delta_eff = net.delta_effective(eps, tree.is_subtree_leaf(v), inv_delta[v])
             try:
                 bound = net.grid_bound(delta_eff, d, p)
@@ -421,14 +478,14 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
                     f"displacement of node {v} needs {d * width} bits, "
                     f"{r.remaining} remain"
                 )
-            vals = np.empty(d, dtype=np.int64)
-            for i in range(d):
-                raw = r.read_uint(width) - bound
-                if raw > bound:
-                    raise FormatError(f"grid integer {raw} exceeds bound {bound}")
-                vals[i] = raw
-            eta_ints[v] = vals
-            displacement_bits += r.position - mark
+            disp_nodes.append(v)
+            disp_starts.append(r.skip(d * width))
+            disp_widths.append(width)
+            disp_bounds.append(bound)
+            displacement_bits += d * width
+    eta_ints = _read_grid(
+        payload, disp_nodes, disp_starts, disp_widths, disp_bounds, d, n_nodes
+    )
 
     for v in leaves:
         leaf_label[v] = center[v]
@@ -443,12 +500,13 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     _check_ingress_forest(tree, ingress, decomp)
 
     # 4. landmarks
-    landmarks: dict[int, tuple[int, ...]] | None = None
+    landmarks: dict[int, np.ndarray] | None = None
     landmark_bits = 0
     if has_landmarks:
         mark = r.position
         kk = k_parameter(spread, eps, d, p)
         node_w = (n_nodes - 1).bit_length()
+        width = kk + 2
         bias = 1 << (kk + 1)
         landmarks = {}
         for pid in range(len(decomp.roots)):
@@ -461,8 +519,16 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
                     raise FormatError(f"landmark node {v} recorded in wrong part")
                 if v in landmarks:
                     raise FormatError(f"duplicate landmark node {v}")
-                shift = tuple(r.read_uint(kk + 2) - bias for _ in range(d))
-                landmarks[v] = shift
+                if width <= 64:  # the run's start; all runs are read below
+                    landmarks[v] = r.skip(d * width)
+                else:  # wider than any numpy integer: exact ints, field by field
+                    landmarks[v] = np.array(
+                        [r.read_uint(width) - bias for _ in range(d)], dtype=object
+                    )
+        if width <= 64 and landmarks:
+            starts = list(landmarks.values())
+            u = unpack_runs(payload, starts, [width] * len(starts), d)
+            landmarks = dict(zip(landmarks, (u - np.uint64(bias)).view(np.int64)))
         landmark_bits = r.position - mark
 
     if r.position != payload_bits:
@@ -501,6 +567,25 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         n=n,
     )
     return model, sizes
+
+
+def _read_grid(payload, nodes, starts, widths, bounds, d, n_nodes) -> list:
+    """The displacement runs stepped over by ``_parse``, in one pass: each
+    node's d grid integers as a row of one (len(nodes), d) int64 array,
+    placed at its node id in a list that holds None elsewhere."""
+    u = unpack_runs(payload, starts, widths, d)
+    bound = np.array(bounds, dtype=np.uint64)[:, None]  # each below 2^63
+    over = u > 2 * bound
+    if over.any():
+        i, j = np.argwhere(over)[0]
+        raise FormatError(
+            f"grid integer {int(u[i, j]) - bounds[i]} exceeds bound {bounds[i]}"
+        )
+    u -= bound  # wraps below zero, which the int64 view reads as negative
+    eta_ints: list[np.ndarray | None] = [None] * n_nodes
+    for v, row in zip(nodes, u.view(np.int64)):
+        eta_ints[v] = row
+    return eta_ints
 
 
 def _check_ingress_forest(tree, ingress, decomp) -> None:

@@ -120,20 +120,22 @@ def _lp_reduce(diff: np.ndarray, p: float) -> np.ndarray:
     Scaling each row by its own max before powering keeps the reduction
     exact for coordinates as large as 2**512 (high-spread instances) and —
     because it is applied unconditionally — guarantees that the one-pair
-    path and the all-pairs path produce bit-identical floats.
+    path and the all-pairs path produce bit-identical floats.  Works in
+    place: ``diff`` is overwritten, so callers pass a difference they own
+    and the reduction allocates nothing of its size.
     """
-    diff = np.abs(diff)
+    diff = np.abs(diff, diff)  # positional out: a keyword costs more per call
     if p == math.inf:
         return diff.max(axis=-1)
     m = diff.max(axis=-1, keepdims=True)
     safe = np.where(m == 0.0, 1.0, m)
-    u = diff / safe
+    u = np.divide(diff, safe, diff)
     if p == 1.0:
         s = u.sum(axis=-1)
     elif p == 2.0:
-        s = np.sqrt((u * u).sum(axis=-1))
+        s = np.sqrt(np.multiply(u, u, u).sum(axis=-1))
     else:
-        s = (u**p).sum(axis=-1) ** (1.0 / p)
+        s = np.power(u, p, u).sum(axis=-1) ** (1.0 / p)
     return s * m[..., 0]
 
 
@@ -163,7 +165,7 @@ def k_parameter(spread: float, epsilon: float, d: int, p: float) -> int:
 def lp_norm(vec: np.ndarray, p: float) -> float:
     """lp norm of a single vector (same float path as lp_distance)."""
     p = _validate_p(p)
-    vec = np.asarray(vec, dtype=np.float64)
+    vec = np.array(vec, dtype=np.float64)  # a copy: _lp_reduce overwrites it
     if vec.ndim != 1:
         raise InputError(f"expected a vector, got shape {vec.shape}")
     return float(_lp_reduce(vec, p))

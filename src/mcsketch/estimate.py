@@ -10,16 +10,19 @@ when the path has none), and s(v) is the *shifted surrogate*: the surrogate
 of v minus the surrogate of its part root.  Shifted surrogates cancel the
 unknown absolute positions because both anchors of a query live in the same
 part as u, and they are exact integer multiples of eps/d^(1/p) per
-coordinate: sums of :func:`~mcsketch.annotate.shift_step` integers down the
-ingress forest, the same walk and step the builder takes.  So both
-evaluation modes reproduce the builder's floats:
+coordinate: sums of steps down the ingress forest, each step a node's grid
+integers shifted left by its :func:`~mcsketch.annotate.shift_exponents`
+entry, the same walk and steps the builder takes.  All steps sit in one
+(n_nodes, d) integer array, int64 or exact ints as the sketch allows (see
+``Estimator._steps_of``), so both evaluation modes reproduce the builder's
+floats:
 
-* ``precomputed`` materializes all shifted surrogates at load time, in
-  :func:`~mcsketch.annotate.ingress_order`;
+* ``precomputed`` materializes all shifted surrogates at load time, one
+  array operation per layer of :func:`~mcsketch.annotate.ingress_layers`;
 * ``landmark`` replays the ingress chain from the nearest stored anchor
-  (part root or landmark) on every call, never caching, so the replay
-  length per query is a measurable quantity; with a landmark table built
-  for spacing K every chain is at most K hops.
+  (part root or landmark) on every call, adding the chain's step rows and
+  never caching, so the replay length per query is a measurable quantity;
+  with a landmark table built for spacing K every chain is at most K hops.
 
 Landmark selection on one part's ingress tree: repeatedly take the deepest
 remaining node (smallest id on ties); stop when its depth is below K;
@@ -32,12 +35,11 @@ size <= K yields none.
 from __future__ import annotations
 
 import math
-from operator import add
 
 import numpy as np
 
 from . import codec, net
-from .annotate import ingress_order, shift_step, shift_to_float
+from .annotate import ingress_layers, shift_dtype, shift_exponents, shift_to_float
 from .core import InputError, UnknownLabelError, k_parameter, lp_distance
 from .core import _BLOCK_ELEMS, _lp_reduce
 
@@ -75,32 +77,65 @@ class Estimator:
         self._leaf_of = self.tree.leaf_of()
         self.last_hops = 0  # ingress-chain replays in the latest call
         self.max_hops = 0  # high-water mark across all calls
-        zero = (0,) * self._d
-        # part roots: the nodes without an ingress
-        self._known: dict[int, tuple[int, ...]] = {
-            v: zero for v, u in enumerate(model.ingress) if u is None
-        }
+        if mode == "landmark" and model.landmarks is None:
+            raise InputError("sketch carries no landmark table")
+        steps, layers, ing = self._steps_of(model)
         if mode == "landmark":
-            if model.landmarks is None:
-                raise InputError("sketch carries no landmark table")
-            self._known.update(model.landmarks)
+            zero = np.zeros(self._d, dtype=steps.dtype)
+            # part roots (the nodes without an ingress) and landmarks
+            self._known = {v: zero for v in layers[0]}
+            self._known.update(
+                (v, np.asarray(ks).astype(steps.dtype))
+                for v, ks in model.landmarks.items()
+            )
+            self._steps = steps
             self._sf = None
         else:
-            self._sf = self._materialize()
+            # layer by layer each row becomes its node's shift: its ingress's
+            # row, one layer up, already holds the ingress's shift
+            for layer in layers[1:]:
+                steps[layer] += steps[ing[layer]]
+            self._sf = shift_to_float(steps, self._unit)
 
     # -- shifted surrogates ------------------------------------------------
 
-    def _materialize(self) -> np.ndarray:
-        model = self.model
-        ints = [(0,) * self._d] * self.tree.n_nodes
-        sf = np.zeros((self.tree.n_nodes, self._d), dtype=np.float64)
-        for v in ingress_order(model.ingress):
-            u = model.ingress[v]
-            if u is not None:
-                step = shift_step(self.tree, v, model.eta_ints[v], self._t)
-                ints[v] = tuple(map(add, ints[u], step))
-                sf[v] = shift_to_float(ints[v], self._unit)
-        return sf
+    def _steps_of(self, model) -> tuple[np.ndarray, list, np.ndarray]:
+        """Every node's exact step over its ingress as one (n_nodes, d) array
+        (zero rows at part roots), plus the ingress layers and the ingress
+        of every node as an array (-1 at part roots).
+
+        The dtype is :func:`~mcsketch.annotate.shift_dtype`'s (int64 up to
+        K+2 = 62) unless the decoded values cannot prove that every sum
+        fits in int64; then it is exact ints.  Every sum the
+        materialization or a replay forms is zero or a landmark shift plus
+        steps along one ingress chain, and a landmark shift lies within
+        +-2^61, the range of its K+2-bit field.  So int64 needs only that
+        the largest |step| of each node, summed down its chain, stays
+        below 2^62.  That bound is summed in floats; the room between
+        2^62 + 2^61 and 2^63 absorbs their rounding.
+        """
+        tree = self.tree
+        grid = np.zeros((tree.n_nodes, self._d), dtype=np.int64)
+        rows = [v for v, m in enumerate(model.eta_ints) if m is not None]
+        if rows:
+            grid[rows] = np.array([model.eta_ints[v] for v in rows], np.int64)
+        sh = shift_exponents(tree, self._t)
+        layers = ingress_layers(model.ingress)
+        ing = np.array([-1 if u is None else u for u in model.ingress], np.int64)
+        kk = k_parameter(model.spread, model.epsilon, self._d, self._p)
+        dtype = shift_dtype(kk)
+        if dtype == np.int64:
+            lo = grid.min(axis=1).astype(np.float64)
+            hi = grid.max(axis=1).astype(np.float64)
+            step = np.ldexp(np.maximum(hi, -lo), sh)
+            reach = np.zeros(tree.n_nodes)
+            for layer in layers[1:]:
+                reach[layer] = reach[ing[layer]] + step[layer]
+            if not reach.max() < 2.0**62:
+                dtype = np.dtype(object)
+        steps = grid.astype(dtype, copy=False)
+        steps <<= sh[:, None]
+        return steps, layers, ing
 
     def shifted_surrogate(self, v: int) -> np.ndarray:
         """s(v) = s*(v) - s*(part root of v), as float coordinates."""
@@ -117,9 +152,8 @@ class Estimator:
         self.last_hops = len(chain)
         self.max_hops = max(self.max_hops, self.last_hops)
         acc = self._known[cur]
-        for node in reversed(chain):
-            step = shift_step(self.tree, node, self.model.eta_ints[node], self._t)
-            acc = tuple(map(add, acc, step))
+        if chain:
+            acc = acc + self._steps[chain].sum(axis=0)
         return shift_to_float(acc, self._unit)
 
     # -- query paths ---------------------------------------------------------
@@ -204,6 +238,10 @@ class Estimator:
                     anchor_at[par][label] = a
                 cur = par
         out = np.zeros((n, n), dtype=np.float64)
+        # every block's differences go to this one buffer, so the loop makes
+        # no block-sized temporaries and its page faults do not depend on
+        # where the allocator happens to place them
+        buf = np.empty(_BLOCK_ELEMS)
         for u in branching:
             anc = anchor_at[u]
             child_labels = [members[c] for c in tree.children[u]]
@@ -211,18 +249,22 @@ class Estimator:
                 sf[[anc[int(x)] for x in labels]] for labels in child_labels
             ]
             # suffix concatenations so each cross-child pair is hit once;
-            # the A side is chunked to cap each broadcast temp at _BLOCK_ELEMS
+            # the A side is chunked to cap each block at _BLOCK_ELEMS
             suf_labels = child_labels[-1]
             suf_rows = rows[-1]
             for i in range(len(child_labels) - 2, -1, -1):
                 a_labels = child_labels[i]
                 a_rows = rows[i]
-                chunk = max(1, _BLOCK_ELEMS // max(1, suf_rows.shape[0] * self._d))
+                chunk = max(1, _BLOCK_ELEMS // max(1, suf_rows.size))
+                if chunk * suf_rows.size > buf.size:  # one row exceeds a block
+                    buf = np.empty(chunk * suf_rows.size)
                 for s in range(0, a_rows.shape[0], chunk):
-                    block = _lp_reduce(
-                        a_rows[s : s + chunk][:, None, :] - suf_rows[None, :, :],
-                        self._p,
+                    a = a_rows[s : s + chunk]
+                    diff = buf[: a.shape[0] * suf_rows.size].reshape(
+                        a.shape[0], *suf_rows.shape
                     )
+                    np.subtract(a[:, None, :], suf_rows[None, :, :], out=diff)
+                    block = _lp_reduce(diff, self._p)
                     out[np.ix_(a_labels[s : s + chunk], suf_labels)] = block
                     out[np.ix_(suf_labels, a_labels[s : s + chunk])] = block.T
                 suf_labels = np.concatenate([a_labels, suf_labels])

@@ -137,3 +137,38 @@ def triangle_violation(d: np.ndarray, rel_tol: float = 1e-9):
             i, j = np.unravel_index(np.argmax(d - through_k), d.shape)
             return int(i), int(j), k
     return None
+
+
+def exact_shift_floats(model, known=None) -> np.ndarray:
+    """Every node's shifted surrogate from exact Python-int sums, one
+    coordinate at a time, the way the package once carried them.
+
+    A node's shift is the shift of the nearest node up its ingress chain
+    that ``known`` maps to integers (the part roots, at zero, plus any
+    given landmark shifts), plus each later node's grid integers shifted
+    left by level(v), and by t = log2(1/eps) more at nodes with short
+    children.  Floats are ``float(k) * unit`` per coordinate.
+    """
+    tree = model.tree
+    d = model.d
+    t = round(-math.log2(model.epsilon))
+    unit = model.epsilon / d ** (1.0 / model.p)
+    ints: dict[int, list[int]] = {
+        v: [0] * d for v, u in enumerate(model.ingress) if u is None
+    }
+    for v, ks in (known or {}).items():
+        ints[v] = [int(k) for k in ks]
+    out = np.zeros((tree.n_nodes, d))
+    for v in range(tree.n_nodes):
+        chain = []
+        cur = v
+        while cur not in ints:
+            chain.append(cur)
+            cur = model.ingress[cur]
+        acc = ints[cur]
+        for node in reversed(chain):
+            leafy = all(tree.long_edge[c] for c in tree.children[node])
+            sh = tree.level[node] + (0 if leafy else t)
+            acc = [a + (int(m) << sh) for a, m in zip(acc, model.eta_ints[node])]
+        out[v] = [float(k) * unit for k in acc]
+    return out

@@ -153,7 +153,7 @@ def test_surrogate_of_part_root_is_exact():
     ps, dm, tree, clusters, ann, table, _ = _built(pts, 0.25)
     for root in subtree_decomposition(tree).roots:
         assert np.array_equal(table.s_star[root], ps.coords[ann.center[root]])
-        assert table.shift_int[root] == (0,) * ps.d
+        assert np.array_equal(table.shift_int[root], np.zeros(ps.d, dtype=int))
 
 
 def test_normalized_displacement_within_unit_ball():
@@ -164,8 +164,11 @@ def test_normalized_displacement_within_unit_ball():
     for v in range(tree.n_nodes):
         if v in roots:
             continue
-        # eta* was measured against the ingress surrogate, pre-rounding
-        assert np.linalg.norm(table.eta_star[v]) <= 1.0 + 1e-9
+        # eta* is measured against the ingress surrogate, pre-rounding
+        eta_star = (ps.coords[ann.center[v]] - table.s_star[ann.ingress[v]]) / (
+            ann.inv_delta[v] * math.ldexp(1.0, tree.level[v])
+        )
+        assert np.linalg.norm(eta_star) <= 1.0 + 1e-9
 
 
 def test_shift_ints_reproduce_floats_exactly():
@@ -182,11 +185,16 @@ def test_shift_ints_reproduce_floats_exactly():
 
 def test_shift_to_float_big_int_path():
     unit = 0.25 / math.sqrt(2)
-    small = (3, -17)
+    small = np.array([3, -17], dtype=np.int64)
     assert np.array_equal(
         shift_to_float(small, unit), np.array([3.0, -17.0]) * unit
     )
-    big = (1 << 200, -(1 << 99) - 1)
+    # both dtypes round alike, up to the edge of int64
+    edge = np.array([3, -17, (1 << 62) + 1, -(1 << 63) + 1], dtype=np.int64)
+    assert np.array_equal(
+        shift_to_float(edge, unit), shift_to_float(edge.astype(object), unit)
+    )
+    big = np.array([1 << 200, -(1 << 99) - 1], dtype=object)
     got = shift_to_float(big, unit)
     assert got[0] == float(1 << 200) * unit
     assert got[1] == float(-(1 << 99) - 1) * unit

@@ -11,18 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcsketch._bitio import BitReader, BitWriter
-from mcsketch.cli import build_sketch
+from mcsketch._bitio import BitReader, BitWriter, pack_runs, unpack_runs
+from mcsketch.cli import build_sketch, gen_high_spread_line
+from mcsketch import net
 from mcsketch.codec import MAGIC, deserialize, serialize, size_report
 from mcsketch.core import (
     FormatError,
     InputError,
     SketchError,
     SketchParams,
+    k_parameter,
     normalize,
 )
+from mcsketch.estimate import Estimator
+from mcsketch.hst import subtree_decomposition
 
-import _reference as ref  # noqa: F401  (imported for parity with sibling modules)
+import _reference as ref
 
 
 def _blob(points, eps=0.25, p=2.0, **kw):
@@ -102,6 +106,36 @@ def test_gamma_roundtrip(values):
         assert r.read_gamma() == v
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_runs_match_scalar_fields(seed):
+    # runs of 1..64-bit fields at every bit alignment, widths mixed in one read
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 6))
+    w = BitWriter()
+    w.write_uint(0, int(rng.integers(0, 8)))
+    starts, widths, rows = [], [], []
+    for _ in range(int(rng.integers(1, 6))):
+        width = int(rng.integers(1, 65))
+        draws = rng.integers(0, 2**64, size=count, dtype=np.uint64)
+        row = [int(x) >> (64 - width) for x in draws]
+        run = 0
+        for x in row:
+            run = (run << width) | x
+        assert pack_runs(np.array([row], dtype=np.uint64), width) == [run]
+        starts.append(w.bit_length)
+        widths.append(width)
+        rows.append(row)
+        w.write_uint(run, count * width)
+        w.write_uint(0, int(rng.integers(0, 9)))
+    data = w.getvalue()
+    got = unpack_runs(data, starts, widths, count)
+    r = BitReader(data, w.bit_length)
+    for start, width, row, fields in zip(starts, widths, rows, got.tolist()):
+        r.skip(start - r.position)
+        assert fields == row == [r.read_uint(width) for _ in range(count)]
+
+
 def test_gamma_length_is_logarithmic():
     for v in (1, 2, 3, 9, 100, 2**20):
         w = BitWriter()
@@ -138,7 +172,9 @@ def test_roundtrip_preserves_all_fields():
     assert again.center == model.center
     assert again.ingress == model.ingress
     assert again.inv_delta == model.inv_delta
-    assert again.landmarks == model.landmarks
+    assert again.landmarks.keys() == model.landmarks.keys()
+    for v, ks in model.landmarks.items():
+        assert np.array_equal(again.landmarks[v], ks)
     for a, b in zip(again.eta_ints, model.eta_ints):
         assert (a is None) == (b is None)
         if a is not None:
@@ -323,6 +359,40 @@ def test_ingress_cycle_between_siblings_rejected():
         deserialize(_tampered_blob(edit))
 
 
+def test_shift_sums_beyond_int64_decode_exactly_or_fail():
+    # 0, 1, 2, 4, ..., 2^57 hangs a chain of short-edge nodes from level 57
+    # down with K+2 = 62, so the sketch takes int64 shifts.  Grid integers
+    # raised to the bound of the largest precision the decoder accepts, and
+    # a landmark at the top of its K+2-bit field, make sums far beyond int64.
+    pts = np.array([0.0] + [2.0**i for i in range(58)]).reshape(-1, 1)
+    model = deserialize(_blob(pts, landmarks=True))
+    tree = model.tree
+    kk = k_parameter(model.spread, model.epsilon, model.d, model.p)
+    assert kk + 2 == 62
+    leaves = [len(x) for x in tree.leaf_labels_under()]
+    for v in range(tree.n_nodes):
+        if model.eta_ints[v] is not None and tree.level[v] > 40:
+            model.inv_delta[v] = leaves[v] + 4
+            delta_eff = net.delta_effective(
+                model.epsilon, tree.is_subtree_leaf(v), model.inv_delta[v]
+            )
+            model.eta_ints[v] = [net.grid_bound(delta_eff, model.d, model.p)]
+    v = next(v for v in range(tree.n_nodes) if tree.level[v] == 30)
+    model.landmarks[v] = [(1 << (kk + 1)) - 1]
+    blob = serialize(model)
+    decoded = deserialize(blob)
+    unit = net.per_coord_scale(model.epsilon, model.d, model.p)
+    for mode, known in (("precomputed", None), ("landmark", decoded.landmarks)):
+        exact = ref.exact_shift_floats(decoded, known)
+        assert np.abs(exact).max() / unit > 2.0**64
+        try:
+            est = Estimator(blob, mode=mode)
+            got = np.array([est.shifted_surrogate(v) for v in range(tree.n_nodes)])
+        except SketchError:
+            continue
+        assert np.array_equal(got, exact)
+
+
 def _with_crc(body) -> bytes:
     body = bytes(body)
     return body + zlib.crc32(body).to_bytes(4, "little")
@@ -359,22 +429,77 @@ def _fuzz_blob(p: float, landmarks: bool, n: int) -> bytes:
     return _blob(pts, eps=0.25, p=p, landmarks=landmarks)
 
 
+@functools.lru_cache(maxsize=None)
+def _landmark_run_bits(blob: bytes) -> tuple[int, ...]:
+    """Offsets, from the blob's first bit, of every bit inside a
+    landmark-shift run (the layout in the codec module docstring)."""
+    model = deserialize(blob)
+    rep = size_report(blob)
+    decomp = subtree_decomposition(model.tree)
+    kk = k_parameter(model.spread, model.epsilon, model.d, model.p)
+    node_w = (model.tree.n_nodes - 1).bit_length()
+    run = model.d * (kk + 2)
+    pos = 8 * rep.header_bytes + rep.payload_bits - rep.landmark_bits
+    out: list[int] = []
+    for pid in range(len(decomp.roots)):
+        count = sum(decomp.part_of[v] == pid for v in model.landmarks)
+        pos += 2 * (count + 1).bit_length() - 1  # Elias gamma of count + 1
+        for _ in range(count):
+            out.extend(range(pos + node_w, pos + node_w + run))
+            pos += node_w + run
+    assert pos == 8 * rep.header_bytes + rep.payload_bits
+    return tuple(out)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from([1.0, 2.0, math.inf]),
     st.booleans(),
     st.sampled_from([12, 60]),
     st.lists(st.integers(min_value=0), min_size=1, max_size=3),
+    st.booleans(),
 )
-def test_valid_crc_mutations_decode_or_fail_fast(p, landmarks, n, flips):
+def test_valid_crc_mutations_decode_or_fail_fast(p, landmarks, n, flips, in_shifts):
     blob = _fuzz_blob(p, landmarks, n)
     body = bytearray(blob[:-4])
+    # with landmarks, half the examples flip bits inside landmark-shift runs
+    targets = _landmark_run_bits(blob) if landmarks and in_shifts else ()
     for f in flips:
-        bit = f % (8 * len(body))
+        bit = targets[f % len(targets)] if targets else f % (8 * len(body))
         body[bit // 8] ^= 1 << (7 - bit % 8)
     t0 = time.perf_counter()
     try:
-        deserialize(_with_crc(body))
+        model = deserialize(_with_crc(body))
     except SketchError:
-        pass
+        model = None
     assert time.perf_counter() - t0 < 2.0
+    if model is None:
+        return
+    # a blob that decodes gives the exact sums' floats in both modes
+    modes = [("precomputed", None)]
+    if model.landmarks is not None:
+        modes.append(("landmark", model.landmarks))
+    for mode, known in modes:
+        est = Estimator(model, mode=mode)
+        got = np.array([est.shifted_surrogate(v) for v in range(model.tree.n_nodes)])
+        assert np.array_equal(got, ref.exact_shift_floats(model, known))
+
+
+@pytest.mark.parametrize("t", [57, 58, 59, 60, 512])
+def test_landmark_fields_of_every_width_roundtrip(t):
+    # K+2 = t+5: fields of 62 and 63 bits are packed by numpy, 64 bits and
+    # beyond by exact ints; 63 and 64 are read by numpy, wider field by field
+    ps = normalize(gen_high_spread_line(32, t, 1), 2.0)
+    res = build_sketch(ps, SketchParams(epsilon=0.25, jl_enabled=False, landmarks=True))
+    model = res.model
+    assert k_parameter(model.spread, model.epsilon, model.d, model.p) + 2 == t + 5
+    v = max(range(model.tree.n_nodes), key=lambda v: res.table.shift_int[v][0])
+    model.landmarks[v] = res.table.shift_int[v]  # a true shift, so still valid
+    blob = serialize(model)
+    decoded = deserialize(blob)
+    assert decoded.landmarks.keys() == {v}
+    assert decoded.landmarks[v].tolist() == res.table.shift_int[v].tolist() != [0]
+    assert serialize(decoded) == blob
+    est = Estimator(blob, mode="landmark")
+    got = np.array([est.shifted_surrogate(u) for u in range(model.tree.n_nodes)])
+    assert np.array_equal(got, ref.exact_shift_floats(decoded))

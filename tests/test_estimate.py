@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mcsketch.cli import build_sketch
+from mcsketch.cli import build_sketch, gen_high_spread_line
 from mcsketch.core import (
     InputError,
     SketchParams,
@@ -16,6 +16,8 @@ from mcsketch.core import (
 )
 from mcsketch.estimate import Estimator, select_all_landmarks, select_landmarks
 from mcsketch.hst import subtree_decomposition
+
+import _reference as ref
 
 
 def _result(points, eps=0.25, p=2.0, **kw):
@@ -234,7 +236,7 @@ def test_landmark_table_contents():
     want = select_all_landmarks(res.tree, res.ann.ingress, K)
     assert set(res.model.landmarks) == want
     for v, ints in res.model.landmarks.items():
-        assert tuple(ints) == res.table.shift_int[v]
+        assert np.array_equal(ints, res.table.shift_int[v])
 
 
 def test_all_pairs_matches_single_queries():
@@ -248,4 +250,44 @@ def test_all_pairs_matches_single_queries():
         assert np.all(np.diag(allp) == 0.0)
         for i in range(16):
             for j in range(16):
+                assert allp[i, j] == est.estimate(i, j)
+
+
+@pytest.mark.parametrize(
+    "t, k_plus_2", [(8, 13), (56, 61), (57, 62), (58, 63), (512, 517)]
+)
+def test_int64_and_exact_shifts_agree_across_the_boundary(t, k_plus_2):
+    # shifts are int64 up to K+2 = 62 and exact Python ints beyond; either
+    # way builder, both modes and all-pairs match exact per-coordinate sums
+    res = _result(gen_high_spread_line(32, t, 1), eps=0.25, landmarks=True)
+    model = res.model
+    assert k_parameter(model.spread, model.epsilon, model.d, model.p) + 2 == k_plus_2
+    want = np.dtype(np.int64) if k_plus_2 <= 62 else np.dtype(object)
+    est_p = Estimator(res.blob)
+    est_l = Estimator(res.blob, mode="landmark")
+    assert res.table.shift_int.dtype == want
+    assert est_l._steps.dtype == want
+    exact = ref.exact_shift_floats(model)
+    decomp = subtree_decomposition(res.tree)
+    for v in range(res.tree.n_nodes):
+        root = decomp.roots[decomp.part_of[v]]
+        assert np.array_equal(res.table.s_star[v], res.table.s_star[root] + exact[v])
+        assert np.array_equal(est_p.shifted_surrogate(v), exact[v])
+        assert np.array_equal(est_l.shifted_surrogate(v), exact[v])
+    allp = est_p.estimate_all_pairs()
+    assert np.array_equal(est_l.estimate_all_pairs(), allp)
+    for i in range(model.n):
+        for j in range(model.n):
+            assert allp[i, j] == est_p.estimate(i, j)
+
+
+def test_all_pairs_rows_wider_than_one_block():
+    # 40 x 7000 coordinates: one suffix of rows alone exceeds _BLOCK_ELEMS
+    rng = np.random.default_rng(9)
+    for p in (2.0, math.inf):
+        res = _result(rng.normal(size=(40, 7000)), p=p)
+        est = Estimator(res.blob)
+        allp = est.estimate_all_pairs()
+        for i in range(40):
+            for j in range(40):
                 assert allp[i, j] == est.estimate(i, j)
