@@ -44,9 +44,6 @@ class BitWriter:
         self._acc = acc & ((1 << nbits) - 1)
         self._nbits = nbits
 
-    def write_bit(self, bit: int) -> None:
-        self.write_uint(1 if bit else 0, 1)
-
     def write_gamma(self, value: int) -> None:
         """Elias gamma: N zero bits then the (N+1)-bit value, value >= 1."""
         value = int(value)
@@ -100,9 +97,6 @@ class BitReader:
         chunk = int.from_bytes(self._data[pos >> 3 : last], "big")
         return (chunk >> (8 * last - end)) & ((1 << width) - 1)
 
-    def read_bit(self) -> int:
-        return self.read_uint(1)
-
     def read_gamma(self) -> int:
         n = 0
         while self.read_uint(1) == 0:
@@ -137,9 +131,9 @@ def unpack_runs(
     data: bytes, starts: np.ndarray, widths: np.ndarray, count: int
 ) -> np.ndarray:
     """uint64 array whose row i holds the ``count`` consecutive fields of
-    ``widths[i]`` bits (at most 64) that start at bit ``starts[i]`` of the
-    MSB-first stream ``data``.  The caller has checked every run against
-    the stream's length."""
+    ``widths[i]`` bits (0 to 64; width 0 reads zeros) that start at bit
+    ``starts[i]`` of the MSB-first stream ``data``.  The caller has checked
+    every run against the stream's length."""
     starts = np.asarray(starts, dtype=np.int64)
     widths = np.asarray(widths, dtype=np.int64)
     out = np.empty((starts.size, count), dtype=np.uint64)

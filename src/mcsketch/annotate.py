@@ -27,7 +27,10 @@ Four passes, in dependency order:
    eta*(v) = (delta(v)/2^level(v)) * (f(c(v)) - s*(in(v))) is rounded to
    the net of granularity delta_eff (delta_eff = delta(v)*eps at nodes
    with no short children, else delta(v)), and the surrogate is rebuilt as
-   s*(v) = s*(in(v)) + (2^level(v)/delta(v)) * eta(v).  Because eps and the
+   s*(v) = s*(in(v)) + (2^level(v)/delta(v)) * eta(v).  eta(v) is kept as
+   its d grid integers, row v of one (n_nodes, d) int64 array
+   ``Annotations.eta_ints`` with zero rows at part roots; the codec stores
+   and the decoder returns that same array.  Because eps and the
    levels are powers of two, every surrogate minus its part root is an
    integer multiple of eps/d^(1/p) per coordinate: the sum, along the
    ingress chain, of each node's grid integers shifted left by its
@@ -52,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import net
-from .core import GuaranteeError, PointSet, SketchParams, k_parameter
+from .core import GuaranteeError, InputError, PointSet, SketchParams, k_parameter
 from .hst import ClusterIndex, SketchTree
 
 __all__ = [
@@ -89,7 +92,8 @@ class Annotations:
     ingress: list[int | None] = field(default_factory=list)
     inv_delta: list[int] = field(default_factory=list)
     is_subtree_leaf: list[bool] = field(default_factory=list)
-    eta_ints: list[np.ndarray | None] = field(default_factory=list)
+    # (n_nodes, d) int64 grid integers, zero rows at part roots
+    eta_ints: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), np.int64))
 
 
 @dataclass
@@ -175,10 +179,7 @@ def _build_tau(tree: SketchTree, v: int, gap: np.ndarray | None) -> TauTree:
 
 
 def assign_ingresses(
-    tree: SketchTree,
-    center: list[int],
-    tau: dict[int, TauTree],
-    clusters: ClusterIndex,
+    tree: SketchTree, tau: dict[int, TauTree], clusters: ClusterIndex
 ) -> list[int | None]:
     """Ingress node per non-part-root node (None at part roots)."""
     ingress: list[int | None] = [None] * tree.n_nodes
@@ -283,9 +284,11 @@ def compute_surrogates(
     params: SketchParams,
     clusters: ClusterIndex,
 ) -> SurrogateTable:
-    """Fill inv_delta / subtree-leaf flags / eta codes in ``ann`` and build
-    the surrogate table.  Raises GuaranteeError when a normalized
-    displacement overflows 1 + delta_eff."""
+    """Fill inv_delta / subtree-leaf flags / grid integers in ``ann`` and
+    build the surrogate table.  Raises InputError when epsilon is so small
+    that some node's grid bound leaves int64 (see
+    :func:`~mcsketch.net.grid_bound_fits`), and GuaranteeError when a
+    normalized displacement overflows 1 + delta_eff."""
     eps = params.epsilon
     t = params.t
     p = ps.p
@@ -302,7 +305,7 @@ def compute_surrogates(
 
     sh = shift_exponents(tree, t)
     dtype = shift_dtype(k_parameter(ps.spread, eps, d, p))
-    eta_ints: list[np.ndarray | None] = [None] * n_nodes
+    grid = np.zeros((n_nodes, d), dtype=np.int64)
     shift_int = np.zeros((n_nodes, d), dtype=dtype)
     s_star = np.zeros((n_nodes, d), dtype=np.float64)
 
@@ -315,16 +318,21 @@ def compute_surrogates(
         part_root[v] = part_root[u]
         q = inv_delta[v]
         delta_eff = net.delta_effective(eps, is_leafy[v], q)
+        if not net.grid_bound_fits(delta_eff, d, p):
+            raise InputError(
+                f"epsilon {eps} is too small: the grid integers of node {v} "
+                "would not fit in 64 bits"
+            )
         dv = coords[ann.center[v]] - s_star[u]
         es = dv / (q * math.ldexp(1.0, tree.level[v]))
         m = net.grid_indices(es, delta_eff, d, p)
-        eta_ints[v] = m
+        grid[v] = m
         shift_int[v] = shift_int[u] + (m.astype(dtype, copy=False) << sh[v])
         s_star[v] = s_star[part_root[v]] + shift_to_float(shift_int[v], unit)
 
     ann.inv_delta = inv_delta
     ann.is_subtree_leaf = is_leafy
-    ann.eta_ints = eta_ints
+    ann.eta_ints = grid
     return SurrogateTable(s_star=s_star, shift_int=shift_int, unit=unit)
 
 
@@ -333,7 +341,7 @@ def annotate(
 ) -> tuple[Annotations, SurrogateTable]:
     """All four passes in one call."""
     center, tau = assign_centers(tree, clusters)
-    ingress = assign_ingresses(tree, center, tau, clusters)
+    ingress = assign_ingresses(tree, tau, clusters)
     ann = Annotations(center=center, tau=tau, ingress=ingress)
     table = compute_surrogates(tree, ann, ps, params, clusters)
     return ann, table

@@ -27,7 +27,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from . import net
 from .annotate import Annotations, SurrogateTable, annotate
-from .codec import SketchModel, SizeReport, serialize, size_report
+from .codec import SketchModel, SizeReport, deserialize, serialize, size_report
 from .core import (
     DataError,
     DistanceMatrix,
@@ -478,8 +478,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     blob = Path(args.blob).read_bytes()
     sizes = size_report(blob)
-    est = Estimator(blob)
-    model = est.model
+    model = deserialize(blob)
     print(f"p={model.p}")
     print(f"n={model.n}")
     print(f"d={model.d}")

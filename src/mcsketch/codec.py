@@ -79,13 +79,17 @@ _FLAG_LANDMARKS = 2
 
 @dataclass
 class SketchModel:
-    """Everything a decoder needs to answer queries; the codec's schema."""
+    """Everything a decoder needs to answer queries; the codec's schema.
+
+    ``eta_ints`` holds every node's d grid integers as one (n_nodes, d)
+    int64 array, with zero rows at part roots, which store none.
+    """
 
     tree: SketchTree
     center: list[int]
     ingress: list[int | None]
     inv_delta: list[int]
-    eta_ints: list[np.ndarray | None]
+    eta_ints: np.ndarray
     landmarks: dict[int, np.ndarray] | None
     p: float
     epsilon: float
@@ -250,7 +254,8 @@ def serialize(model: SketchModel) -> bytes:
 def _displacement_runs(model: SketchModel) -> dict[int, tuple[int, int]]:
     """Per node that is not a part root, its d grid integers biased by the
     node's grid bound B as one run of fixed-width fields: (run, bit count).
-    Nodes that share a field width are packed together."""
+    Nodes that share a field width are packed together.  Raises
+    GuaranteeError when an integer lies outside [-B, B]."""
     tree = model.tree
     groups: dict[int, list[int]] = {}
     bias: list[int] = []
@@ -266,32 +271,38 @@ def _displacement_runs(model: SketchModel) -> dict[int, tuple[int, int]]:
         groups.setdefault(width, []).append(v)
     runs: dict[int, tuple[int, int]] = {}
     for width, nodes in groups.items():
-        packed = _biased_runs(
-            [model.eta_ints[v] for v in nodes], [bias[v] for v in nodes], width
-        )
+        try:
+            packed = _biased_runs(model.eta_ints[nodes], [bias[v] for v in nodes], width)
+        except ValueError as exc:
+            raise GuaranteeError(f"a grid integer exceeds its bound: {exc}") from exc
         runs.update((v, (run, model.d * width)) for v, run in zip(nodes, packed))
     return runs
 
 
-def _biased_runs(rows: list, bias: list[int], width: int) -> list[int]:
+def _biased_runs(rows, bias: list[int], width: int) -> list[int]:
     """Each row's integers plus that row's bias, as one run of width-bit
     fields, first field most significant.  int64 rows below 64 bits go
     through one numpy pass; anything else (wider fields, Python ints beyond
     int64) through exact Python ints.  Raises ValueError when a biased
-    value falls outside [0, 2^width)."""
+    value falls outside [0, 2 * bias], the range the decoder accepts, or
+    does not fit in width bits."""
     vals = np.asarray(rows)
     if width < 64 and vals.dtype == np.int64:
-        # a negative biased value wraps to at least 2^63, so pack_runs refuses it
+        b = np.array(bias, dtype=np.uint64)[:, None]  # each below 2^63
         biased = vals.astype(np.uint64)
-        biased += np.array(bias, dtype=np.uint64)[:, None]
+        biased += b  # a negative value wraps to far above 2 * bias
+        if (biased > 2 * b).any():
+            raise ValueError("a value lies outside [-bias, bias]")
         return pack_runs(biased, width)
     runs = []
     for row, b in zip(rows, bias):
         run = 0
         for m in row:
             val = int(m) + b
-            if val < 0 or val >> width:
-                raise ValueError(f"value {val} does not fit in {width} bits")
+            if val < 0 or val > 2 * b or val >> width:
+                raise ValueError(
+                    f"biased value {val} lies outside [0, {2 * b}] or {width} bits"
+                )
             run = (run << width) | val
         runs.append(run)
     return runs
@@ -435,10 +446,10 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     ingress: list[int | None] = [None] * n_nodes
     inv_delta = [0] * n_nodes
     # displacement runs are stepped over here and read below, all at once
-    disp_nodes: list[int] = []
-    disp_starts: list[int] = []
-    disp_widths: list[int] = []
-    disp_bounds: list[int] = []
+    # (part roots keep width 0, which reads as a zero row)
+    disp_starts = [0] * n_nodes
+    disp_widths = [0] * n_nodes
+    disp_bounds = [0] * n_nodes
     center_bits = ingress_bits = precision_bits = displacement_bits = 0
     for v in range(n_nodes):
         mark = r.position
@@ -466,26 +477,20 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
             raise FormatError(f"precision {inv_delta[v]} of node {v} exceeds leaves + 4")
         if not root_here:
             delta_eff = net.delta_effective(eps, tree.is_subtree_leaf(v), inv_delta[v])
-            try:
-                bound = net.grid_bound(delta_eff, d, p)
-            except (OverflowError, ZeroDivisionError):
-                bound = 2**63
-            if bound >= 2**63:  # the d integers below are int64
+            if not net.grid_bound_fits(delta_eff, d, p):
                 raise FormatError(f"grid bound of node {v} does not fit in 64 bits")
+            bound = net.grid_bound(delta_eff, d, p)
             width = net.grid_bit_width(delta_eff, d, p)
             if d * width > r.remaining:  # never allocate from the header's d alone
                 raise FormatError(
                     f"displacement of node {v} needs {d * width} bits, "
                     f"{r.remaining} remain"
                 )
-            disp_nodes.append(v)
-            disp_starts.append(r.skip(d * width))
-            disp_widths.append(width)
-            disp_bounds.append(bound)
+            disp_starts[v] = r.skip(d * width)
+            disp_widths[v] = width
+            disp_bounds[v] = bound
             displacement_bits += d * width
-    eta_ints = _read_grid(
-        payload, disp_nodes, disp_starts, disp_widths, disp_bounds, d, n_nodes
-    )
+    eta_ints = _read_grid(payload, disp_starts, disp_widths, disp_bounds, d)
 
     for v in leaves:
         leaf_label[v] = center[v]
@@ -569,10 +574,12 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     return model, sizes
 
 
-def _read_grid(payload, nodes, starts, widths, bounds, d, n_nodes) -> list:
-    """The displacement runs stepped over by ``_parse``, in one pass: each
-    node's d grid integers as a row of one (len(nodes), d) int64 array,
-    placed at its node id in a list that holds None elsewhere."""
+def _read_grid(payload, starts, widths, bounds, d) -> np.ndarray:
+    """The displacement runs stepped over by ``_parse``, in one pass, as one
+    (len(starts), d) int64 array of grid integers: row i holds the d fields
+    of ``widths[i]`` bits from bit ``starts[i]`` on, minus ``bounds[i]``.
+    A width of 0 (a part root) gives a zero row.  A field above twice its
+    bound raises FormatError."""
     u = unpack_runs(payload, starts, widths, d)
     bound = np.array(bounds, dtype=np.uint64)[:, None]  # each below 2^63
     over = u > 2 * bound
@@ -582,10 +589,7 @@ def _read_grid(payload, nodes, starts, widths, bounds, d, n_nodes) -> list:
             f"grid integer {int(u[i, j]) - bounds[i]} exceeds bound {bounds[i]}"
         )
     u -= bound  # wraps below zero, which the int64 view reads as negative
-    eta_ints: list[np.ndarray | None] = [None] * n_nodes
-    for v, row in zip(nodes, u.view(np.int64)):
-        eta_ints[v] = row
-    return eta_ints
+    return u.view(np.int64)
 
 
 def _check_ingress_forest(tree, ingress, decomp) -> None:

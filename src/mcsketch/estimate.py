@@ -11,9 +11,10 @@ of v minus the surrogate of its part root.  Shifted surrogates cancel the
 unknown absolute positions because both anchors of a query live in the same
 part as u, and they are exact integer multiples of eps/d^(1/p) per
 coordinate: sums of steps down the ingress forest, each step a node's grid
-integers shifted left by its :func:`~mcsketch.annotate.shift_exponents`
-entry, the same walk and steps the builder takes.  All steps sit in one
-(n_nodes, d) integer array, int64 or exact ints as the sketch allows (see
+integers (its row of the model's (n_nodes, d) int64 ``eta_ints``) shifted
+left by its :func:`~mcsketch.annotate.shift_exponents` entry, the same walk
+and steps the builder takes.  All steps sit in one more (n_nodes, d)
+integer array, int64 or exact ints as the sketch allows (see
 ``Estimator._steps_of``), so both evaluation modes reproduce the builder's
 floats:
 
@@ -104,6 +105,10 @@ class Estimator:
         (zero rows at part roots), plus the ingress layers and the ingress
         of every node as an array (-1 at part roots).
 
+        The steps are the model's grid integers ``eta_ints`` shifted left
+        by :func:`~mcsketch.annotate.shift_exponents`, in a fresh array:
+        the caller sums it in place, and the model is never written.
+
         The dtype is :func:`~mcsketch.annotate.shift_dtype`'s (int64 up to
         K+2 = 62) unless the decoded values cannot prove that every sum
         fits in int64; then it is exact ints.  Every sum the
@@ -115,10 +120,7 @@ class Estimator:
         2^62 + 2^61 and 2^63 absorbs their rounding.
         """
         tree = self.tree
-        grid = np.zeros((tree.n_nodes, self._d), dtype=np.int64)
-        rows = [v for v, m in enumerate(model.eta_ints) if m is not None]
-        if rows:
-            grid[rows] = np.array([model.eta_ints[v] for v in rows], np.int64)
+        grid = model.eta_ints
         sh = shift_exponents(tree, self._t)
         layers = ingress_layers(model.ingress)
         ing = np.array([-1 if u is None else u for u in model.ingress], np.int64)
@@ -133,7 +135,7 @@ class Estimator:
                 reach[layer] = reach[ing[layer]] + step[layer]
             if not reach.max() < 2.0**62:
                 dtype = np.dtype(object)
-        steps = grid.astype(dtype, copy=False)
+        steps = grid.astype(dtype)  # the one new array; the model's stays put
         steps <<= sh[:, None]
         return steps, layers, ing
 

@@ -74,10 +74,6 @@ class SketchTree:
     def n_nodes(self) -> int:
         return len(self.level)
 
-    @property
-    def n_leaves(self) -> int:
-        return sum(1 for lbl in self.leaf_label if lbl >= 0)
-
     def is_leaf(self, v: int) -> bool:
         return self.leaf_label[v] >= 0
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mcsketch import net
-from mcsketch._bitio import BitReader, BitWriter
+from mcsketch._bitio import BitWriter
 from mcsketch.cli import (
     build_sketch,
     gen_high_spread_line,
@@ -23,7 +23,7 @@ from mcsketch.cli import (
     gen_uniform,
     prepare_points,
 )
-from mcsketch.codec import deserialize, serialize, size_report
+from mcsketch.codec import _biased_runs, _read_grid, deserialize, serialize, size_report
 from mcsketch.core import (
     DistanceMatrix,
     FormatError,
@@ -232,48 +232,68 @@ def test_criterion_04_ingress_bounds(corpus):
 # 5. Grid net and codec correctness, exhaustively.
 
 
+def _written(runs, bits):
+    """Bytes of runs of ``bits`` bits each, back to back, and their starts."""
+    w = BitWriter()
+    starts = []
+    for run in runs:
+        starts.append(w.bit_length)
+        w.write_uint(run, bits)
+    return w.getvalue(), starts
+
+
 def test_criterion_05_net_exhaustive():
     t0 = time.perf_counter()
-    vectors = rejected = 0
+    vectors = rejected = refused = 0
     ok = True
     for d in (1, 2, 3):
         for delta in (0.5, 0.25):
             for p in (1.0, 2.0, math.inf):
                 b = net.grid_bound(delta, d, p)
                 width = net.grid_bit_width(delta, d, p)
-                side = net.per_coord_scale(delta, d, p)
-                grid = list(itertools.product(range(-b, b + 1), repeat=d))
-                w = BitWriter()
-                for m in grid:
-                    point = np.array(m, dtype=np.float64) * side
-                    back = net.grid_decode(net.grid_encode(point, delta, d, p), delta, d, p)
-                    ok &= back.tobytes() == point.tobytes()
-                    for x in m:
-                        w.write_uint(x + b, width)
-                r = BitReader(w.getvalue(), w.bit_length)
-                for m in grid:
-                    ok &= tuple(r.read_uint(width) - b for _ in range(d)) == m
-                vectors += len(grid)
+                inside = range(-b, b + 1)
+                grid = np.array(list(itertools.product(inside, repeat=d)), np.int64)
+                k = len(grid)
+                data, starts = _written(_biased_runs(grid, [b] * k, width), d * width)
+                back = _read_grid(data, starts, [width] * k, [b] * k, d)
+                ok &= back.dtype == np.int64 and back.tobytes() == grid.tobytes()
+                vectors += k
+
+                # one stored field above 2B, the rest anywhere inside
+                bad = [
+                    rest[:i] + (u,) + rest[i:]
+                    for i in range(d)
+                    for u in range(2 * b + 1, 1 << width)
+                    for rest in itertools.product(range(2 * b + 1), repeat=d - 1)
+                ]
+                runs = [int("".join(f"{f:0{width}b}" for f in row), 2) for row in bad]
+                data, starts = _written(runs, d * width)
+                for start in starts:
+                    try:
+                        _read_grid(data, [start], [width], [b], d)
+                        ok = False
+                    except FormatError:
+                        rejected += 1
 
                 # one coordinate just outside the bound, the rest anywhere inside
                 for i in range(d):
                     for out in (-b - 1, b + 1):
-                        for rest in itertools.product(range(-b, b + 1), repeat=d - 1):
-                            m = rest[:i] + (out,) + rest[i:]
+                        for rest in itertools.product(inside, repeat=d - 1):
+                            m = np.array([rest[:i] + (out,) + rest[i:]], np.int64)
                             try:
-                                net.grid_decode(m, delta, d, p)
+                                _biased_runs(m, [b], width)
                                 ok = False
-                            except FormatError:
-                                rejected += 1
+                            except ValueError:
+                                refused += 1
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
     assert _line(
         5,
         ok,
-        f"grid_decode(grid_encode(m * side)) == m * side bit for bit and "
-        f"m + B read back from its grid_bit_width bits on all {vectors} vectors "
-        f"|m_i| <= B over 18 (d, delta, p) combos; {rejected} vectors with one "
-        f"coordinate at +-(B+1) rejected; {elapsed:.1f}s",
+        f"all {vectors} vectors |m_i| <= B over 18 (d, delta, p) combos come back "
+        f"exactly through the codec's _biased_runs and _read_grid; {rejected} "
+        f"stored vectors with a field in (2B, 2^width) rejected; {refused} vectors "
+        f"with one coordinate at +-(B+1) refused by the encoder; {elapsed:.1f}s",
     )
 
 

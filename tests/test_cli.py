@@ -391,6 +391,16 @@ def test_invalid_epsilon_is_usage_error(tmp_path):
     assert main(["sketch", str(src), "-e", "0", "-o", str(tmp_path / "x.mcsk")]) == 1
 
 
+def test_epsilon_beyond_int64_grid_is_usage_error(tmp_path, capsys):
+    # 2^-61: some node's grid integers would not fit in 64 bits
+    src = tmp_path / "pts.mcpt"
+    dst = tmp_path / "x.mcsk"
+    write_points(src, np.random.default_rng(0).normal(size=(20, 2)) * 10, 2.0)
+    assert main(["sketch", str(src), "-e", "4.336808689942018e-19", "-o", str(dst)]) == 1
+    assert "epsilon" in capsys.readouterr().err
+    assert not dst.exists()
+
+
 def test_invalid_p_is_usage_error(tmp_path):
     src = tmp_path / "pts.txt"
     src.write_text("0 0\n1 0\n")

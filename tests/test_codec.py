@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsketch._bitio import BitReader, BitWriter, pack_runs, unpack_runs
-from mcsketch.cli import build_sketch, gen_high_spread_line
+from mcsketch.cli import build_sketch, gen_high_spread_line, sketch_points
 from mcsketch import net
 from mcsketch.codec import MAGIC, deserialize, serialize, size_report
 from mcsketch.core import (
     FormatError,
+    GuaranteeError,
     InputError,
     SketchError,
     SketchParams,
@@ -54,13 +55,13 @@ def _random_blob(rng):
 def test_bitwriter_reader_basic():
     w = BitWriter()
     w.write_uint(5, 3)
-    w.write_bit(1)
+    w.write_uint(1, 1)
     w.write_gamma(9)
     w.write_uint(0, 7)
     data = w.getvalue()
     r = BitReader(data, w.bit_length)
     assert r.read_uint(3) == 5
-    assert r.read_bit() == 1
+    assert r.read_uint(1) == 1
     assert r.read_gamma() == 9
     assert r.read_uint(7) == 0
     assert r.remaining == 0  # reader is bounded by the logical bit length
@@ -81,7 +82,7 @@ def test_bitreader_rejects_overrun():
     r = BitReader(w.getvalue(), w.bit_length)
     r.read_uint(2)
     with pytest.raises(FormatError):
-        r.read_bit()
+        r.read_uint(1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -175,10 +176,8 @@ def test_roundtrip_preserves_all_fields():
     assert again.landmarks.keys() == model.landmarks.keys()
     for v, ks in model.landmarks.items():
         assert np.array_equal(again.landmarks[v], ks)
-    for a, b in zip(again.eta_ints, model.eta_ints):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert np.array_equal(a, b)
+    assert again.eta_ints.dtype == model.eta_ints.dtype == np.int64
+    assert np.array_equal(again.eta_ints, model.eta_ints)
 
 
 def test_hundred_random_roundtrips():
@@ -311,9 +310,9 @@ def _tampered_blob(edit):
 
 def test_precision_beyond_leaf_count_rejected():
     def edit(model):
-        v = next(v for v in range(model.tree.n_nodes) if model.eta_ints[v] is not None)
+        v = next(v for v in range(model.tree.n_nodes) if model.ingress[v] is not None)
         model.inv_delta[v] = 2**70
-        model.eta_ints[v] = [2**66] + [0] * (model.d - 1)
+        model.eta_ints[v] = [2**62] + [0] * (model.d - 1)
 
     with pytest.raises(FormatError, match="precision"):
         deserialize(_tampered_blob(edit))
@@ -325,6 +324,34 @@ def test_grid_bound_beyond_int64_rejected():
 
     with pytest.raises(FormatError, match="64 bits"):
         deserialize(_tampered_blob(edit))
+
+
+def test_grid_integer_beyond_bound_refused_at_serialize():
+    # B+1 still fits the field's width; the encoder refuses it, as the
+    # decoder would
+    model = deserialize(_blob(np.random.default_rng(8).normal(size=(12, 2)) * 9))
+    tree = model.tree
+    v = next(v for v in range(tree.n_nodes) if model.ingress[v] is not None)
+    delta_eff = net.delta_effective(
+        model.epsilon, tree.is_subtree_leaf(v), model.inv_delta[v]
+    )
+    b = net.grid_bound(delta_eff, model.d, model.p)
+    assert (2 * b + 1).bit_length() == net.grid_bit_width(delta_eff, model.d, model.p)
+    model.eta_ints[v, 0] = b + 1
+    with pytest.raises(GuaranteeError, match="exceeds its bound"):
+        serialize(model)
+
+
+def test_epsilon_beyond_int64_grid_refused_at_build():
+    # from eps = 2^-61 on, the grid bound of some short-childless node
+    # passes 2^63: the build must refuse, not write a blob the decoder
+    # refuses or cast out-of-range floats into int64
+    pts = np.random.default_rng(0).normal(size=(20, 2)) * 10
+    blob = sketch_points(pts, 2, SketchParams(epsilon=2.0**-60, jl_enabled=False))
+    assert Estimator(blob).estimate(0, 1) > 0
+    for eps in (2.0**-61, 2.0**-62):
+        with pytest.raises(InputError, match="epsilon"):
+            sketch_points(pts, 2, SketchParams(epsilon=eps, jl_enabled=False))
 
 
 def test_center_from_second_child_rejected():
@@ -371,7 +398,7 @@ def test_shift_sums_beyond_int64_decode_exactly_or_fail():
     assert kk + 2 == 62
     leaves = [len(x) for x in tree.leaf_labels_under()]
     for v in range(tree.n_nodes):
-        if model.eta_ints[v] is not None and tree.level[v] > 40:
+        if model.ingress[v] is not None and tree.level[v] > 40:
             model.inv_delta[v] = leaves[v] + 4
             delta_eff = net.delta_effective(
                 model.epsilon, tree.is_subtree_leaf(v), model.inv_delta[v]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mcsketch.cli import build_sketch, gen_high_spread_line
+from mcsketch.codec import deserialize, serialize
 from mcsketch.core import (
     InputError,
     SketchParams,
@@ -132,6 +133,28 @@ def test_estimator_accepts_model_directly():
     est = Estimator(res.model)
     est2 = Estimator(res.blob)
     assert est.estimate(0, 2) == est2.estimate(0, 2)
+
+
+@pytest.mark.parametrize("mode", ["precomputed", "landmark"])
+def test_estimators_from_one_model_leave_it_untouched(mode):
+    # each Estimator shifts its own copy of the grid integers; one that
+    # shifted the model's array would corrupt the next and the blob
+    rng = np.random.default_rng(9)
+    res = _result(rng.normal(size=(20, 3)) * 15, landmarks=True)
+    model = deserialize(res.blob)
+    grid = model.eta_ints.copy()
+    assert grid.dtype == np.int64 and grid.shape == (model.tree.n_nodes, model.d)
+    assert res.model.eta_ints.dtype == np.int64
+    assert np.array_equal(grid, res.model.eta_ints)
+    assert not grid[[v for v, u in enumerate(model.ingress) if u is None]].any()
+    first = Estimator(model, mode=mode)
+    second = Estimator(model, mode=mode)
+    assert np.array_equal(model.eta_ints, grid)
+    assert serialize(model) == res.blob
+    got = [[first.estimate(i, j) for j in range(20)] for i in range(20)]
+    again = [[second.estimate(i, j) for j in range(20)] for i in range(20)]
+    assert np.array_equal(got, again)
+    assert np.array_equal(first.estimate_all_pairs(), second.estimate_all_pairs())
 
 
 def test_estimate_symmetry():
