@@ -5,8 +5,8 @@ unchanged.  A change of the blob format updates these digests together with
 the ``MCSK`` version bump that announces it.
 
 The cases cover p in {1, 2, inf, 1.5}, metric inputs (Frechet embedding of a
-graph metric), a high-spread line with long edges, landmark tables on and
-off, a random projection, and an integer
+graph metric), a high-spread line with long edges, a spread near 2^512 whose
+exact shifts outgrow int64 (K + 2 > 62), landmark tables on and off, a random projection, and an integer
 lattice whose many equal distances exercise every tie-breaking rule.
 """
 
@@ -58,6 +58,9 @@ CASES = {
         lambda: _lattice((0, 1, 4, 5), 3), 2.0, 0.125, landmarks=True
     ),
     "high-spread-line": _points(lambda: gen_high_spread_line(20, 40, 6), 2.0, 0.25),
+    "high-spread-line-512-landmarks": _points(
+        lambda: gen_high_spread_line(20, 512, 6), 2.0, 0.25, landmarks=True
+    ),
     "projected-l2": _points(lambda: gen_uniform(40, 300, 8), 2.0, 0.25),
     "graph-metric": _metric(40, 9, 0.25),
     "graph-metric-landmarks": _metric(30, 10, 0.125, landmarks=True),
@@ -69,6 +72,7 @@ DIGESTS = {
     "graph-metric": "97bcbd49aaa92922a80d9db3775f3c2ccddae6ab15942a4f550ab40cf159336a",
     "graph-metric-landmarks": "3b0034cfc48cb7ad81dfdde41d75f5ba5424a18b84cff06dd68610abc11dfe3f",
     "high-spread-line": "cd2eb7c5862f0424e4119cd6a2bc65259438bfc3f18f0a4cfc9b367bc857e7b3",
+    "high-spread-line-512-landmarks": "b23082705208769efd13a8c96eeaea8aff1d3fbc1b3db2f04c764ae2a09d1386",
     "lattice-l1-ties": "f24cdcde72c5834a95e1fe9a16367c8f9a37f50ed8cf7c4b893e3909d5a0d1b7",
     "lattice-l2-ties-landmarks": "450e9307103ba1247ae9b854a819a661a745d76934899582b3b3a39a5cb7be31",
     "projected-l2": "0d01b050078e0187314307d4a4b23335a1beb26277a8325541daa11ec8b0f96c",
