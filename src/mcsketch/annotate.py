@@ -2,28 +2,30 @@
 
 Four passes, in dependency order:
 
-1. centers: every node gets a representative input point, chosen bottom-up
-   so the center of a node is the center of its child 0, the child holding
-   the smallest label.  For a node v whose children hang on short edges that
-   child is the root of the tau-tree: a BFS tree over the children graph
-   that connects two children when their clusters come within 2^level(v),
-   with neighbor lists sorted by smallest member label so the construction
-   is deterministic.
+1. centers: every node gets a representative input point, the center of
+   its child 0, the child holding the smallest label; with node ids in DFS
+   preorder that is the label of the first leaf at or after the node.  For
+   a node v whose children hang on short edges that child is the root of
+   the tau-tree: a BFS tree over the children graph that connects two
+   children when their clusters come within 2^level(v), with neighbor
+   lists sorted by smallest member label so the construction is
+   deterministic.
 
 2. ingresses: every node other than a part root gets a previously processed
    node whose surrogate anchors its own.  The tau-root's ingress is the
    parent; any other child v_i of v takes the closest point y of its
    tau-predecessor's cluster and descends from that predecessor toward
    leaf(y), stopping before any long edge, which always lands on a node
-   with no short children.
+   with no short children.  Each step takes the last child whose preorder
+   id is at most leaf(y)'s.
 
 3. precisions: inv_delta(v) = 5 + ceil(Delta(v)/2^level(v)), computed with
    a 1e-12 downward nudge so diameters that are exact multiples of the
    level scale do not round up on float dust.
 
-4. surrogates: walking the ingress forest from the part roots (see
-   :func:`ingress_order`), so every node comes after its ingress, the
-   normalized displacement
+4. surrogates: one array operation per layer of the ingress forest (see
+   :func:`ingress_layers`), from the part roots down, so every node comes
+   after its ingress.  The normalized displacement
    eta*(v) = (delta(v)/2^level(v)) * (f(c(v)) - s*(in(v))) is rounded to
    the net of granularity delta_eff (delta_eff = delta(v)*eps at nodes
    with no short children, else delta(v)), and the surrogate is rebuilt as
@@ -37,9 +39,9 @@ Four passes, in dependency order:
    :func:`shift_exponents` entry.  Those integers are carried exactly, as
    one (n_nodes, d) numpy array whose dtype :func:`shift_dtype` picks once
    per sketch: int64 when K+2 <= 62, Python ints (``object``) beyond.  The
-   decoder's estimator uses the same walk, the same exponents and the same
-   conversion, so shifted surrogates and the landmark replay reproduce
-   identical floats no matter how they are recomputed.
+   decoder's estimator uses the same layers, the same exponents and the
+   same conversion, so shifted surrogates and the landmark replay
+   reproduce identical floats no matter how they are recomputed.
 
 No pass reads a distance: passes 1 and 2 read the per-merge ``gap`` and
 ``near`` tables and pass 3 the diameters that the build stores in
@@ -49,6 +51,7 @@ No pass reads a distance: passes 1 and 2 read the per-merge ``gap`` and
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -65,7 +68,6 @@ __all__ = [
     "assign_centers",
     "assign_ingresses",
     "ingress_layers",
-    "ingress_order",
     "shift_exponents",
     "shift_dtype",
     "compute_surrogates",
@@ -91,7 +93,6 @@ class Annotations:
     tau: dict[int, TauTree]
     ingress: list[int | None] = field(default_factory=list)
     inv_delta: list[int] = field(default_factory=list)
-    is_subtree_leaf: list[bool] = field(default_factory=list)
     # (n_nodes, d) int64 grid integers, zero rows at part roots
     eta_ints: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), np.int64))
 
@@ -135,18 +136,14 @@ def assign_centers(
     short children.  Raises GuaranteeError if some children graph is
     disconnected (the build never produces one, so that means corrupt
     inputs)."""
-    center = [-1] * tree.n_nodes
-    tau: dict[int, TauTree] = {}
-    # node ids are DFS preorder, so descending order visits children first
-    for v in range(tree.n_nodes - 1, -1, -1):
-        if tree.is_leaf(v):
-            center[v] = tree.leaf_label[v]
-            continue
-        if not tree.is_long_top(v):
-            tau[v] = _build_tau(tree, v, clusters.gap[v])
-        # child 0 holds the smallest label and is always the tau-root
-        center[v] = center[tree.children[v][0]]
-    return center, tau
+    label = np.array(tree.leaf_label)
+    leaves = np.flatnonzero(label >= 0)
+    # node ids are DFS preorder, so the first leaf at or after v ends the
+    # chain of child 0s below v
+    center = label[leaves[np.searchsorted(leaves, np.arange(tree.n_nodes))]]
+    short = np.flatnonzero(tree.has_short).tolist()
+    tau = {v: _build_tau(tree, v, clusters.gap[v]) for v in short}
+    return center.tolist(), tau
 
 
 def _build_tau(tree: SketchTree, v: int, gap: np.ndarray | None) -> TauTree:
@@ -183,6 +180,7 @@ def assign_ingresses(
 ) -> list[int | None]:
     """Ingress node per non-part-root node (None at part roots)."""
     ingress: list[int | None] = [None] * tree.n_nodes
+    leaf_of = tree.leaf_of()
     for v, tt in tau.items():
         index = {c: i for i, c in enumerate(tree.children[v])}
         for c, j in tt.parent.items():
@@ -190,22 +188,17 @@ def assign_ingresses(
                 ingress[c] = v
             else:
                 y = int(clusters.near[v][index[j], index[c]])
-                ingress[c] = _descend_short(tree, j, y, clusters.members)
+                ingress[c] = _descend_short(tree, j, leaf_of[y])
     return ingress
 
 
-def _contains(sorted_labels: np.ndarray, y: int) -> bool:
-    i = int(np.searchsorted(sorted_labels, y))
-    return i < sorted_labels.size and int(sorted_labels[i]) == y
-
-
-def _descend_short(
-    tree: SketchTree, start: int, y: int, members: list[np.ndarray]
-) -> int:
-    """Lowest node on the path start -> leaf(y) reachable over short edges."""
+def _descend_short(tree: SketchTree, start: int, leaf: int) -> int:
+    """Lowest node on the path start -> leaf reachable over short edges.
+    Ids are DFS preorder: the child holding leaf is the last one <= leaf."""
     cur = start
     while not tree.is_leaf(cur):
-        nxt = next(c for c in tree.children[cur] if _contains(members[c], y))
+        kids = tree.children[cur]
+        nxt = kids[bisect_right(kids, leaf) - 1]
         if tree.long_edge[nxt]:
             break
         cur = nxt
@@ -239,12 +232,6 @@ def ingress_layers(ingress: list[int | None]) -> list[list[int]]:
     return layers
 
 
-def ingress_order(ingress: list[int | None]) -> list[int]:
-    """The nodes of :func:`ingress_layers`, layer after layer, so every node
-    comes after its ingress."""
-    return [v for layer in ingress_layers(ingress) for v in layer]
-
-
 def shift_exponents(tree: SketchTree, t: int) -> np.ndarray:
     """Per node v, the power of two its grid integers m scale by in its exact
     shift over its ingress, ``m << sh[v]`` in units of eps/d^(1/p).
@@ -252,11 +239,7 @@ def shift_exponents(tree: SketchTree, t: int) -> np.ndarray:
     sh[v] = level(v), plus t = log2(1/eps) at nodes with short children,
     whose net is 1/eps times coarser.
     """
-    has_short = np.zeros(tree.n_nodes, dtype=bool)
-    short = np.flatnonzero(~np.array(tree.long_edge, dtype=bool))
-    parents = np.array(tree.parent, dtype=np.int64)[short]
-    has_short[parents[parents >= 0]] = True
-    return np.array(tree.level, dtype=np.int64) + t * has_short
+    return np.array(tree.level, dtype=np.int64) + t * tree.has_short
 
 
 # A valid shift lies within +-2^(K+1): s*(v) is within 2^level(v) <= 2*spread
@@ -284,54 +267,51 @@ def compute_surrogates(
     params: SketchParams,
     clusters: ClusterIndex,
 ) -> SurrogateTable:
-    """Fill inv_delta / subtree-leaf flags / grid integers in ``ann`` and
-    build the surrogate table.  Raises InputError when epsilon is so small
-    that some node's grid bound leaves int64 (see
-    :func:`~mcsketch.net.grid_bound_fits`), and GuaranteeError when a
-    normalized displacement overflows 1 + delta_eff."""
+    """Fill inv_delta and the grid integers in ``ann`` and build the
+    surrogate table, one array operation per ingress layer.  Raises
+    InputError when epsilon is so small that some node's grid bound leaves
+    int64 (see :func:`~mcsketch.net.grid_bound_fits`), and GuaranteeError
+    when a normalized displacement overflows 1 + delta_eff."""
     eps = params.epsilon
-    t = params.t
-    p = ps.p
-    d = ps.d
+    p, d = ps.p, ps.d
     n_nodes = tree.n_nodes
-    coords = ps.coords
     unit = net.per_coord_scale(eps, d, p)
+    level = np.array(tree.level, dtype=np.int64)
+    ratio = np.array(clusters.diameter, dtype=np.float64) / np.ldexp(1.0, level)
+    inv_delta = 5 + np.ceil(ratio - 1e-12).astype(np.int64)
+    scale = np.ldexp(inv_delta, level)  # 2^level(v) / delta(v)
 
-    inv_delta = [0] * n_nodes
-    for v in range(n_nodes):
-        ratio = clusters.diameter[v] / math.ldexp(1.0, tree.level[v])
-        inv_delta[v] = 5 + math.ceil(ratio - 1e-12)
-    is_leafy = [tree.is_subtree_leaf(v) for v in range(n_nodes)]
-
-    sh = shift_exponents(tree, t)
-    dtype = shift_dtype(k_parameter(ps.spread, eps, d, p))
-    grid = np.zeros((n_nodes, d), dtype=np.int64)
-    shift_int = np.zeros((n_nodes, d), dtype=dtype)
-    s_star = np.zeros((n_nodes, d), dtype=np.float64)
-
-    part_root = list(range(n_nodes))
-    for v in ingress_order(ann.ingress):
-        u = ann.ingress[v]
-        if u is None:
-            s_star[v] = coords[ann.center[v]]
-            continue
-        part_root[v] = part_root[u]
-        q = inv_delta[v]
-        delta_eff = net.delta_effective(eps, is_leafy[v], q)
-        if not net.grid_bound_fits(delta_eff, d, p):
+    # the scalar net helpers (exact ints), once per (has_short, inv_delta)
+    nodes = np.flatnonzero(~tree.part_root)
+    key = 2 * inv_delta[nodes] + tree.has_short[nodes]
+    keys, first, which = np.unique(key, return_index=True, return_inverse=True)
+    nets = [net.delta_effective(eps, not k & 1, k >> 1) for k in keys.tolist()]
+    for delta, v in zip(nets, nodes[first].tolist()):
+        if not net.grid_bound_fits(delta, d, p):
             raise InputError(
                 f"epsilon {eps} is too small: the grid integers of node {v} "
                 "would not fit in 64 bits"
             )
-        dv = coords[ann.center[v]] - s_star[u]
-        es = dv / (q * math.ldexp(1.0, tree.level[v]))
-        m = net.grid_indices(es, delta_eff, d, p)
-        grid[v] = m
-        shift_int[v] = shift_int[u] + (m.astype(dtype, copy=False) << sh[v])
-        s_star[v] = s_star[part_root[v]] + shift_to_float(shift_int[v], unit)
+    delta_eff = np.zeros(n_nodes)
+    delta_eff[nodes] = np.array(nets)[which]
 
-    ann.inv_delta = inv_delta
-    ann.is_subtree_leaf = is_leafy
+    sh = shift_exponents(tree, params.t)
+    dtype = shift_dtype(k_parameter(ps.spread, eps, d, p))
+    center = np.array(ann.center, dtype=np.int64)
+    ing = np.array([-1 if u is None else u for u in ann.ingress], dtype=np.int64)
+    part_root = np.arange(n_nodes)
+    grid = np.zeros((n_nodes, d), dtype=np.int64)
+    shift_int = np.zeros((n_nodes, d), dtype=dtype)
+    s_star = ps.coords[center]  # exact at the part roots, layer 0
+    for layer in ingress_layers(ann.ingress)[1:]:
+        u = ing[layer]
+        es = (s_star[layer] - s_star[u]) / scale[layer, None]
+        grid[layer] = m = net.grid_indices(es, delta_eff[layer], d, p)
+        shift_int[layer] = shift_int[u] + (m.astype(dtype) << sh[layer, None])
+        part_root[layer] = part_root[u]
+        s_star[layer] = s_star[part_root[layer]] + shift_to_float(shift_int[layer], unit)
+
+    ann.inv_delta = inv_delta.tolist()
     ann.eta_ints = grid
     return SurrogateTable(s_star=s_star, shift_int=shift_int, unit=unit)
 

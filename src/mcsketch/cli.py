@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
-from . import net
 from .annotate import Annotations, SurrogateTable, annotate
 from .codec import SketchModel, SizeReport, deserialize, serialize, size_report
 from .core import (
@@ -92,14 +91,15 @@ def build_sketch(
     jl_applied: bool = False,
     jl_orig_dim: int = 0,
 ) -> BuildResult:
-    """Sketch an already-normalized point set."""
+    """Sketch an already-normalized point set.  Raises InputError when the
+    spread and epsilon leave no finite landmark spacing K."""
     start = time.perf_counter()
+    kk = k_parameter(ps.spread, params.epsilon, ps.d, ps.p)
     tree0, clusters0 = build_hst(ps)
     tree, clusters = compress(tree0, clusters0, params.epsilon)
     ann, table = annotate(tree, clusters, ps, params)
     landmarks = None
     if params.landmarks:
-        kk = k_parameter(ps.spread, params.epsilon, ps.d, ps.p)
         chosen = select_all_landmarks(tree, ann.ingress, kk)
         landmarks = {v: table.shift_int[v] for v in chosen}
     model = SketchModel(

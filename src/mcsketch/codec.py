@@ -33,7 +33,7 @@ Layout, all multi-byte header fields little-endian:
   every internal node's center equal to its first child's, index ranges,
   ingress edges inside their part, padding) runs after it so corrupt or
   truncated blobs always fail loudly with FormatError.  Ingress cycles are
-  found by :func:`~mcsketch.annotate.ingress_order`, the walk the builder
+  found by :func:`~mcsketch.annotate.ingress_layers`, the walk the builder
   and the estimator take, failing to reach every node.
 
 Decoding levels: the gaps give each node's level relative to the root;
@@ -58,10 +58,11 @@ import numpy as np
 
 from . import net
 from ._bitio import BitReader, BitWriter, pack_runs, unpack_runs
-from .annotate import ingress_order
+from .annotate import ingress_layers
 from .core import (
     FormatError,
     GuaranteeError,
+    InputError,
     decode_p,
     encode_p,
     k_parameter,
@@ -147,10 +148,6 @@ def _pack_p(p: float) -> bytes:
     return out
 
 
-def _is_part_root(tree: SketchTree, v: int) -> bool:
-    return tree.parent[v] == -1 or tree.long_edge[v]
-
-
 def serialize(model: SketchModel) -> bytes:
     """Deterministic bytes of a sketch model (see module docstring)."""
     tree = model.tree
@@ -182,13 +179,14 @@ def serialize(model: SketchModel) -> bytes:
 
     # 3. node records
     center_w = (n - 1).bit_length()
-    subtree_leaves = [v for v in range(n_nodes) if tree.is_subtree_leaf(v)]
+    subtree_leaves = np.flatnonzero(~tree.has_short).tolist()
     leaf_ref = {v: i for i, v in enumerate(subtree_leaves)}
     ref_w = (len(subtree_leaves) - 1).bit_length()
     runs = _displacement_runs(model)
+    part_root = tree.part_root.tolist()
     for v in range(n_nodes):
         w.write_uint(model.center[v], center_w)
-        root_here = _is_part_root(tree, v)
+        root_here = part_root[v]
         if not root_here:
             ing = model.ingress[v]
             if ing == tree.parent[v]:
@@ -254,20 +252,20 @@ def serialize(model: SketchModel) -> bytes:
 def _displacement_runs(model: SketchModel) -> dict[int, tuple[int, int]]:
     """Per node that is not a part root, its d grid integers biased by the
     node's grid bound B as one run of fixed-width fields: (run, bit count).
-    Nodes that share a field width are packed together.  Raises
-    GuaranteeError when an integer lies outside [-B, B]."""
-    tree = model.tree
+    B and the width come once per distinct (has_short, inv_delta) pair;
+    nodes that share a width are packed together.  Raises GuaranteeError
+    when an integer lies outside [-B, B]."""
+    d, p = model.d, model.p
+    has_short = model.tree.has_short.tolist()
+    fields: dict[tuple[bool, int], tuple[int, int]] = {}
     groups: dict[int, list[int]] = {}
-    bias: list[int] = []
-    for v in range(tree.n_nodes):
-        if _is_part_root(tree, v):
-            bias.append(0)
-            continue
-        delta_eff = net.delta_effective(
-            model.epsilon, tree.is_subtree_leaf(v), model.inv_delta[v]
-        )
-        bias.append(net.grid_bound(delta_eff, model.d, model.p))
-        width = net.grid_bit_width(delta_eff, model.d, model.p)
+    bias: dict[int, int] = {}
+    for v in np.flatnonzero(~model.tree.part_root).tolist():
+        key = (has_short[v], model.inv_delta[v])
+        if key not in fields:
+            de = net.delta_effective(model.epsilon, not key[0], key[1])
+            fields[key] = net.grid_bound(de, d, p), net.grid_bit_width(de, d, p)
+        bias[v], width = fields[key]
         groups.setdefault(width, []).append(v)
     runs: dict[int, tuple[int, int]] = {}
     for width, nodes in groups.items():
@@ -275,7 +273,7 @@ def _displacement_runs(model: SketchModel) -> dict[int, tuple[int, int]]:
             packed = _biased_runs(model.eta_ints[nodes], [bias[v] for v in nodes], width)
         except ValueError as exc:
             raise GuaranteeError(f"a grid integer exceeds its bound: {exc}") from exc
-        runs.update((v, (run, model.d * width)) for v, run in zip(nodes, packed))
+        runs.update((v, (run, d * width)) for v, run in zip(nodes, packed))
     return runs
 
 
@@ -365,6 +363,10 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         raise FormatError(f"implausible scale {scale}")
     if not (math.isfinite(spread) and spread >= 1.0):
         raise FormatError(f"implausible spread {spread}")
+    try:
+        kk = k_parameter(spread, eps, d, p)
+    except InputError as exc:
+        raise FormatError(str(exc)) from None
 
     payload = data[header_len : header_len + payload_len]
     if payload_len:
@@ -437,8 +439,10 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
 
     # 3. node records
     center_w = (n - 1).bit_length()
-    subtree_leaves = [v for v in range(n_nodes) if tree.is_subtree_leaf(v)]
+    subtree_leaves = np.flatnonzero(~tree.has_short).tolist()
     ref_w = (len(subtree_leaves) - 1).bit_length()
+    has_short = tree.has_short.tolist()
+    part_root = tree.part_root.tolist()
     leaf_count = [0 if ch else 1 for ch in children]
     for v in range(n_nodes - 1, 0, -1):  # preorder ids: children come later
         leaf_count[parent[v]] += leaf_count[v]
@@ -457,7 +461,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         if center[v] >= n:
             raise FormatError(f"center label {center[v]} out of range")
         center_bits += r.position - mark
-        root_here = _is_part_root(tree, v)
+        root_here = part_root[v]
         if not root_here:
             mark = r.position
             if r.read_uint(1):
@@ -476,7 +480,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         if inv_delta[v] > leaf_count[v] + 4:
             raise FormatError(f"precision {inv_delta[v]} of node {v} exceeds leaves + 4")
         if not root_here:
-            delta_eff = net.delta_effective(eps, tree.is_subtree_leaf(v), inv_delta[v])
+            delta_eff = net.delta_effective(eps, not has_short[v], inv_delta[v])
             if not net.grid_bound_fits(delta_eff, d, p):
                 raise FormatError(f"grid bound of node {v} does not fit in 64 bits")
             bound = net.grid_bound(delta_eff, d, p)
@@ -509,7 +513,6 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     landmark_bits = 0
     if has_landmarks:
         mark = r.position
-        kk = k_parameter(spread, eps, d, p)
         node_w = (n_nodes - 1).bit_length()
         width = kk + 2
         bias = 1 << (kk + 1)
@@ -594,14 +597,14 @@ def _read_grid(payload, starts, widths, bounds, d) -> np.ndarray:
 
 def _check_ingress_forest(tree, ingress, decomp) -> None:
     """Ingress edges must stay inside each part and reach the part root."""
-    for v in range(tree.n_nodes):
+    for v, root_here in enumerate(tree.part_root.tolist()):
         ing = ingress[v]
-        if _is_part_root(tree, v):
+        if root_here:
             if ing is not None:
                 raise FormatError(f"part root {v} carries an ingress")
         elif ing is None:
             raise FormatError(f"node {v} lacks an ingress")
         elif decomp.part_of[ing] != decomp.part_of[v]:
             raise FormatError(f"ingress of {v} crosses a long edge")
-    if len(ingress_order(ingress)) != tree.n_nodes:
+    if sum(map(len, ingress_layers(ingress))) != tree.n_nodes:
         raise FormatError("ingress references contain a cycle")

@@ -157,9 +157,12 @@ def k_parameter(spread: float, epsilon: float, d: int, p: float) -> int:
 
     Every ingress chain is cut to at most K hops by the landmark table; K
     is also the budget that makes one landmark's worth of coordinates cost
-    no more than the chain it replaces.
+    no more than the chain it replaces.  InputError when it overflows.
     """
-    return math.ceil(math.log2(2.0 * spread / epsilon * d ** (1.0 / p)))
+    x = 2.0 * spread / epsilon * d ** (1.0 / p)
+    if math.isinf(x):
+        raise InputError(f"K overflows at spread {spread}, epsilon {epsilon}")
+    return math.ceil(math.log2(x))
 
 
 def lp_norm(vec: np.ndarray, p: float) -> float:

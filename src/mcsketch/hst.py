@@ -61,6 +61,10 @@ class SketchTree:
     describes the edge from v to its parent (False for the root).  After
     :func:`compress`, node ids coincide with DFS preorder (root == 0,
     children in stored order).
+
+    Two bool arrays are derived from the edges at construction:
+    ``has_short[v]`` (some child of v hangs on a short edge) and
+    ``part_root[v]`` (v is the root or the bottom of a long edge).
     """
 
     level: list[int]
@@ -69,6 +73,14 @@ class SketchTree:
     long_edge: list[bool]
     leaf_label: list[int]
     root: int
+    has_short: np.ndarray = field(init=False, repr=False, compare=False)
+    part_root: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        parent = np.array(self.parent, dtype=np.int64)
+        self.part_root = (parent < 0) | np.array(self.long_edge, dtype=bool)
+        short_parents = parent[~self.part_root]
+        self.has_short = np.bincount(short_parents, minlength=self.n_nodes) > 0
 
     @property
     def n_nodes(self) -> int:
@@ -76,14 +88,6 @@ class SketchTree:
 
     def is_leaf(self, v: int) -> bool:
         return self.leaf_label[v] >= 0
-
-    def is_long_top(self, v: int) -> bool:
-        ch = self.children[v]
-        return len(ch) == 1 and self.long_edge[ch[0]]
-
-    def is_subtree_leaf(self, v: int) -> bool:
-        """True when v has no short-edge child (tree leaf or long-edge top)."""
-        return all(self.long_edge[c] for c in self.children[v])
 
     def edge_gap(self, v: int) -> int:
         """Level gap of the edge from v to its parent."""
@@ -417,8 +421,9 @@ def subtree_decomposition(tree: SketchTree) -> Decomposition:
     part_of = [-1] * tree.n_nodes
     parts: list[list[int]] = []
     roots: list[int] = []
+    is_root = tree.part_root.tolist()
     for v in tree.dfs_preorder():
-        if tree.parent[v] == -1 or tree.long_edge[v]:
+        if is_root[v]:
             part_of[v] = len(parts)
             parts.append([v])
             roots.append(v)

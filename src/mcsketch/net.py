@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import GuaranteeError, InputError, lp_norm
+from .core import GuaranteeError, InputError, _lp_reduce, _validate_p
 
 __all__ = [
     "grid_indices",
@@ -40,23 +40,31 @@ def delta_effective(epsilon: float, subtree_leaf: bool, inv_delta: int) -> float
     return (epsilon if subtree_leaf else 1.0) / inv_delta
 
 
-def grid_indices(eta_star: np.ndarray, delta: float, d: int, p: float) -> np.ndarray:
+def grid_indices(
+    eta_star: np.ndarray, delta: float | np.ndarray, d: int, p: float
+) -> np.ndarray:
     """Integer multiples m of the grid side delta/d^(1/p) nearest to eta_star,
     ties toward -infinity, as int64.
 
-    The per-coordinate error of m * side is at most half a grid side, so the
-    lp error is at most delta/2, and |m_i| <= :func:`grid_bound`.  Inputs
-    with ||eta_star||_p > 1 + delta are rejected.
+    ``eta_star`` is a d-vector, or k of them as rows with ``delta`` one float
+    or one per row; a row rounds as it would alone.  The per-coordinate
+    error of m * side is at most half a grid side, so the lp error is at
+    most delta/2, and |m_i| <= :func:`grid_bound`.  Inputs with
+    ||eta_star||_p > 1 + delta are rejected.
     """
     eta_star = np.asarray(eta_star, dtype=np.float64)
-    if eta_star.shape != (d,):
-        raise InputError(f"expected a vector of dimension {d}, got {eta_star.shape}")
-    norm = lp_norm(eta_star, p)
-    if norm > 1.0 + delta:
+    if eta_star.ndim not in (1, 2) or eta_star.shape[-1] != d:
+        raise InputError(f"expected vectors of dimension {d}, got {eta_star.shape}")
+    delta = np.asarray(delta, dtype=np.float64)
+    norm = _lp_reduce(eta_star.copy(), _validate_p(p))
+    norm, most = np.broadcast_arrays(norm, 1.0 + delta)
+    over = norm > most
+    if over.any():
+        i = over.argmax()
         raise GuaranteeError(
-            f"displacement norm {norm} exceeds 1 + delta = {1.0 + delta}"
+            f"displacement norm {norm.flat[i]} exceeds 1 + delta = {most.flat[i]}"
         )
-    side = per_coord_scale(delta, d, p)
+    side = per_coord_scale(delta, d, p)[..., None]
     return np.ceil(eta_star / side - 0.5).astype(np.int64)
 
 

@@ -172,3 +172,72 @@ def exact_shift_floats(model, known=None) -> np.ndarray:
             acc = [a + (int(m) << sh) for a, m in zip(acc, model.eta_ints[node])]
         out[v] = [float(k) * unit for k in acc]
     return out
+
+
+def member_search_ingresses(tree, tau, clusters) -> list:
+    """Ingresses found by searching member labels, as the package once did.
+
+    Each descent step from the tau-predecessor toward leaf(y) takes the
+    child whose sorted member labels contain y, by binary search over
+    ``clusters.members``, and stops before a long edge or at a leaf.
+    """
+    def contains(labels, y):
+        i = int(np.searchsorted(labels, y))
+        return i < labels.size and int(labels[i]) == y
+
+    ingress = [None] * tree.n_nodes
+    for v, tt in tau.items():
+        index = {c: i for i, c in enumerate(tree.children[v])}
+        for c, j in tt.parent.items():
+            if j is None:
+                ingress[c] = v
+                continue
+            y = int(clusters.near[v][index[j], index[c]])
+            cur = j
+            while not tree.is_leaf(cur):
+                nxt = next(k for k in tree.children[cur] if contains(clusters.members[k], y))
+                if tree.long_edge[nxt]:
+                    break
+                cur = nxt
+            ingress[c] = cur
+    return ingress
+
+
+def node_by_node_surrogates(tree, ingress, center, ps, params, clusters):
+    """Precisions, grid integers, exact shifts and surrogates the way the
+    package once computed them: one node at a time in ingress order, with
+    a scalar rounding per node.  Returns (inv_delta, grid, shift_int,
+    s_star) with the dtypes of the package's arrays."""
+    from mcsketch import net
+    from mcsketch.annotate import ingress_layers, shift_dtype
+    from mcsketch.core import k_parameter
+
+    eps, d, p = params.epsilon, ps.d, ps.p
+    unit = net.per_coord_scale(eps, d, p)
+    dtype = shift_dtype(k_parameter(ps.spread, eps, d, p))
+    n_nodes = tree.n_nodes
+    inv_delta = [
+        5 + math.ceil(clusters.diameter[v] / math.ldexp(1.0, tree.level[v]) - 1e-12)
+        for v in range(n_nodes)
+    ]
+    grid = np.zeros((n_nodes, d), dtype=np.int64)
+    shift_int = np.zeros((n_nodes, d), dtype=dtype)
+    s_star = np.zeros((n_nodes, d))
+    part_root = list(range(n_nodes))
+    for v in (v for layer in ingress_layers(ingress) for v in layer):
+        u = ingress[v]
+        if u is None:
+            s_star[v] = ps.coords[center[v]]
+            continue
+        part_root[v] = part_root[u]
+        leafy = all(tree.long_edge[c] for c in tree.children[v])
+        delta_eff = net.delta_effective(eps, leafy, inv_delta[v])
+        es = (ps.coords[center[v]] - s_star[u]) / (
+            inv_delta[v] * math.ldexp(1.0, tree.level[v])
+        )
+        m = net.grid_indices(es, delta_eff, d, p)
+        grid[v] = m
+        sh = tree.level[v] + (0 if leafy else params.t)
+        shift_int[v] = shift_int[u] + (m.astype(dtype) << sh)
+        s_star[v] = s_star[part_root[v]] + shift_int[v].astype(np.float64) * unit
+    return inv_delta, grid, shift_int, s_star

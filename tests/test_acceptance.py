@@ -95,7 +95,7 @@ def _measure_instance(coords, p, eps):
         lim = math.ldexp(1.0, tree.level[v])
         err = lp_distance(ps.coords[ann.center[v]], table.s_star[v], p)
         surr_ratio = max(surr_ratio, err / lim)
-        if ann.is_subtree_leaf[v]:
+        if not tree.has_short[v]:
             leaf_ratio = max(leaf_ratio, err / (params.epsilon * lim))
         if v not in roots:
             u = ann.ingress[v]

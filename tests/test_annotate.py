@@ -15,10 +15,15 @@ from mcsketch.core import (
 from mcsketch.annotate import (
     annotate,
     assign_centers,
-    ingress_order,
+    assign_ingresses,
+    compute_surrogates,
+    ingress_layers,
     shift_to_float,
 )
+from mcsketch.cli import gen_gaussian_clusters, gen_high_spread_line
 from mcsketch.hst import build_hst, compress, subtree_decomposition
+
+import _reference as ref
 
 
 def _built(points, eps, p=2.0, **kw):
@@ -82,12 +87,16 @@ def test_ingresses_on_line():
     assert ann.ingress[leaf_1] == leaf_0
 
 
-def test_ingress_order_visits_ingress_first():
+def _layer_order(ingress):
+    return [v for layer in ingress_layers(ingress) for v in layer]
+
+
+def test_ingress_layers_visit_ingress_first():
     rng = np.random.default_rng(0)
     for trial in range(8):
         pts = rng.normal(size=(16, 2)) * 20
         ps, dm, tree, clusters, ann, table, _ = _built(pts, 0.25)
-        order = ingress_order(ann.ingress)
+        order = _layer_order(ann.ingress)
         # covers every node exactly once
         assert sorted(order) == list(range(tree.n_nodes))
         seen = set()
@@ -100,9 +109,31 @@ def test_ingress_order_visits_ingress_first():
         )
 
 
-def test_ingress_order_leaves_out_cycles():
+def test_ingress_layers_leave_out_cycles():
     # 2 and 3 name each other, 4 hangs below the cycle
-    assert ingress_order([None, 0, 3, 2, 2, None]) == [0, 5, 1]
+    assert ingress_layers([None, 0, 3, 2, 2, None]) == [[0, 5], [1]]
+
+
+def _lattice_l1_ties():
+    axis = (0, 1, 4, 5, 16, 17, 20, 21)
+    return [[x, y] for x in axis for y in axis]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_preorder_descent_matches_member_search(p):
+    # the descent by preorder id lands where a search of member labels does
+    rng = np.random.default_rng(6)
+    instances = [rng.normal(size=(int(rng.integers(3, 40)), 3)) * 25 for _ in range(6)]
+    instances += [gen_gaussian_clusters(120, 2, 7), gen_high_spread_line(20, 60, 3)]
+    if p == 1.0:
+        instances.append(_lattice_l1_ties())
+    descents = 0
+    for pts in instances:
+        ps, dm, tree, clusters, ann, table, _ = _built(pts, 0.25, p=p)
+        got = assign_ingresses(tree, ann.tau, clusters)
+        assert got == ref.member_search_ingresses(tree, ann.tau, clusters)
+        descents += sum(u is not None and u != tree.parent[v] for v, u in enumerate(got))
+    assert descents > 0
 
 
 def test_ingress_distance_and_level_bounds():
@@ -143,8 +174,38 @@ def test_surrogate_bounds():
                 )
                 lim = math.ldexp(1.0, tree.level[v])
                 assert err <= lim * (1 + 1e-9)
-                if ann.is_subtree_leaf[v]:
+                if not tree.has_short[v]:
                     assert err <= params.epsilon * lim * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+def test_layered_surrogates_match_node_by_node(p):
+    # one array operation per ingress layer gives the integers and floats
+    # of the per-node loop exactly; the 2^512 line takes exact-int shifts
+    rng = np.random.default_rng(8)
+    instances = [(rng.normal(size=(30, 3)) * 20, 0.25), (gen_gaussian_clusters(90, 4, 2), 1 / 16)]
+    instances.append((gen_high_spread_line(20, 512, 6), 0.25))
+    for pts, eps in instances:
+        ps, dm, tree, clusters, ann, table, params = _built(pts, eps, p=p)
+        inv_delta, grid, shift_int, s_star = ref.node_by_node_surrogates(
+            tree, ann.ingress, ann.center, ps, params, clusters
+        )
+        assert ann.inv_delta == inv_delta
+        assert np.array_equal(ann.eta_ints, grid)
+        assert shift_int.dtype == table.shift_int.dtype
+        assert np.array_equal(table.shift_int, shift_int)
+        assert np.array_equal(table.s_star, s_star)
+
+
+def test_far_center_overflows_the_unit_ball():
+    # a non-root node whose center lies far from its ingress's surrogate has a
+    # normalized displacement beyond 1 + delta_eff, in whichever layer it is
+    pts = np.random.default_rng(7).normal(size=(20, 2)) * 40
+    ps, dm, tree, clusters, ann, table, params = _built(pts, 0.25)
+    v = next(v for v in range(tree.n_nodes) if tree.is_leaf(v) and ann.ingress[v] is not None)
+    ann.center[v] = int(dm[ann.center[v]].argmax())
+    with pytest.raises(GuaranteeError, match="displacement norm"):
+        compute_surrogates(tree, ann, ps, params, clusters)
 
 
 def test_surrogate_of_part_root_is_exact():

@@ -401,6 +401,24 @@ def test_epsilon_beyond_int64_grid_is_usage_error(tmp_path, capsys):
     assert not dst.exists()
 
 
+def test_spread_beyond_k_is_input_error():
+    # 2 * spread / eps * d^(1/p) overflows a float, so K = ceil(log2(.)) has
+    # no value: the build refuses before it builds the tree
+    for t, eps in ((1000, 2.0**-30), (1023, 0.25)):
+        params = SketchParams(epsilon=eps, jl_enabled=False)
+        with pytest.raises(core.InputError, match="K overflows"):
+            cli.sketch_points(gen_high_spread_line(20, t, 1), 2.0, params)
+
+
+def test_sketch_of_spread_beyond_k_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "line.mcpt"
+    dst = tmp_path / "x.mcsk"
+    assert main(["gen", "high-spread-line", "-n", "20", "-t", "1023", "-o", str(src)]) == 0
+    assert main(["sketch", str(src), "-e", "0.25", "-o", str(dst)]) == 1
+    assert "K overflows" in capsys.readouterr().err
+    assert not dst.exists()
+
+
 def test_invalid_p_is_usage_error(tmp_path):
     src = tmp_path / "pts.txt"
     src.write_text("0 0\n1 0\n")

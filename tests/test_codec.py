@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsketch._bitio import BitReader, BitWriter, pack_runs, unpack_runs
-from mcsketch.cli import build_sketch, gen_high_spread_line, sketch_points
+from mcsketch.cli import build_sketch, gen_high_spread_line, gen_uniform, sketch_points
 from mcsketch import net
 from mcsketch.codec import MAGIC, deserialize, serialize, size_report
 from mcsketch.core import (
@@ -333,7 +333,7 @@ def test_grid_integer_beyond_bound_refused_at_serialize():
     tree = model.tree
     v = next(v for v in range(tree.n_nodes) if model.ingress[v] is not None)
     delta_eff = net.delta_effective(
-        model.epsilon, tree.is_subtree_leaf(v), model.inv_delta[v]
+        model.epsilon, not tree.has_short[v], model.inv_delta[v]
     )
     b = net.grid_bound(delta_eff, model.d, model.p)
     assert (2 * b + 1).bit_length() == net.grid_bit_width(delta_eff, model.d, model.p)
@@ -377,8 +377,8 @@ def test_ingress_cycle_between_siblings_rejected():
             for b in tree.children[v]
             if a < b
             and not (tree.long_edge[a] or tree.long_edge[b])
-            and tree.is_subtree_leaf(a)
-            and tree.is_subtree_leaf(b)
+            and not tree.has_short[a]
+            and not tree.has_short[b]
         )
         model.ingress[a], model.ingress[b] = b, a
 
@@ -401,7 +401,7 @@ def test_shift_sums_beyond_int64_decode_exactly_or_fail():
         if model.ingress[v] is not None and tree.level[v] > 40:
             model.inv_delta[v] = leaves[v] + 4
             delta_eff = net.delta_effective(
-                model.epsilon, tree.is_subtree_leaf(v), model.inv_delta[v]
+                model.epsilon, not tree.has_short[v], model.inv_delta[v]
             )
             model.eta_ints[v] = [net.grid_bound(delta_eff, model.d, model.p)]
     v = next(v for v in range(tree.n_nodes) if tree.level[v] == 30)
@@ -448,6 +448,16 @@ def test_huge_header_dimension_rejected_before_allocating(d):
     blob = _blob(np.random.default_rng(10).normal(size=(8, 2)) * 7)
     with pytest.raises(FormatError, match="displacement of node"):
         deserialize(_patch_header(blob, 8, "<Q", d))
+
+
+def test_header_spread_beyond_k_rejected():
+    # a valid-CRC header whose spread overflows K = ceil(log2(2 * spread /
+    # eps * d^(1/p))) once ended in OverflowError inside Estimator
+    blob = _blob(gen_uniform(20, 2, 1))
+    bad = _patch_header(blob, 32, "<d", 1e308)
+    for decode in (deserialize, Estimator):
+        with pytest.raises(FormatError, match="K overflows"):
+            decode(bad)
 
 
 @functools.lru_cache(maxsize=None)

@@ -59,6 +59,35 @@ def test_grid_indices_are_int_multiples():
     assert np.array_equal(net.grid_indices(m * side, 0.5, 2, 2.0), m)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+def test_grid_indices_rows_match_single_vectors(p):
+    # k rows with one delta each round bit for bit as k separate calls
+    rng = np.random.default_rng(2)
+    d = 4
+    deltas = np.array([0.5, 0.25, 1 / 6, 0.125 / 7, 1 / 16, 0.5, 0.25, 0.125])
+    rows = rng.uniform(-1, 1, size=(deltas.size, d))
+    rows /= np.maximum(1.0, [lp_norm(x, p) for x in rows])[:, None]
+    # exact half-grid ties: with d = 4 the side is delta over a power of two
+    # for p in {1, 2, inf}, so (k + 1/2) * side is a tie on the float grid
+    ties = np.array([[0, 1, -1, -2], [1, 0, 0, -1], [-1, 0, 2, 0]]) + 0.5
+    for i, k in enumerate(ties, start=5):
+        rows[i] = k * net.per_coord_scale(deltas[i], d, p)
+    want = np.stack([net.grid_indices(x, de, d, p) for x, de in zip(rows, deltas)])
+    got = net.grid_indices(rows, deltas, d, p)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    if p != 1.5:
+        assert np.array_equal(got[5:], np.floor(ties))  # ties toward -infinity
+    scalar = net.grid_indices(rows, 0.5, d, p)
+    assert np.array_equal(scalar, [net.grid_indices(x, 0.5, d, p) for x in rows])
+
+
+def test_grid_indices_rows_refuse_one_row_over_bound():
+    rows = np.zeros((5, 2))
+    rows[3] = [2.0, 0.0]
+    with pytest.raises(GuaranteeError, match="displacement norm 2.0 exceeds"):
+        net.grid_indices(rows, np.full(5, 0.5), 2, 2.0)
+
+
 def test_delta_effective():
     assert net.delta_effective(0.25, True, 5) == 0.25 / 5
     assert net.delta_effective(0.25, False, 5) == 1.0 / 5
