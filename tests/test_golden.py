@@ -4,12 +4,19 @@ A refactor that claims to keep behaviour must leave every digest below
 unchanged.  A change of the blob format updates these digests together with
 the ``MCSK`` version bump that announces it.
 
+A second digest covers each decoded model's content and stays put across a
+change of layout: header scalars, tree, centers, ingresses, precisions,
+grid integers and landmark shifts, beside the bits of every ``size_report``
+section.  A new layout that moves fields but keeps them must leave these
+unchanged.
+
 The cases cover p in {1, 2, inf, 1.5}, metric inputs (Frechet embedding of a
 graph metric), a high-spread line with long edges, a spread near 2^512 whose
 exact shifts outgrow int64 (K + 2 > 62), landmark tables on and off, a random projection, and an integer
 lattice whose many equal distances exercise every tie-breaking rule.
 """
 
+import functools
 import hashlib
 import itertools
 
@@ -25,6 +32,7 @@ from mcsketch import (
     sketch_metric,
     sketch_points,
 )
+from mcsketch.codec import deserialize, size_report
 
 
 def _lattice(axis: tuple[int, ...], d: int) -> np.ndarray:
@@ -82,6 +90,107 @@ DIGESTS = {
 }
 
 
+# model-content digest and size_report section bits (tree shape, long gaps,
+# centers, ingresses, precisions, displacements, landmarks, padding)
+MODELS = {
+    "clusters-l2-fine-landmarks": (
+        "a9970a445ee2931dd4dd45e40d1c39b779c3bcafdd203cd9161d9bf2216a463d",
+        (455, 86, 912, 536, 236, 2589, 269, 5),
+    ),
+    "clusters-linf": (
+        "10b65c2cefbf16ed1c44aea944d4b42f0729b59134021f4eae2877ca8329b20d",
+        (467, 24, 1092, 702, 238, 3484, 0, 1),
+    ),
+    "graph-metric": (
+        "2e3c916fc4417a910cda85179613423b23535d41dfec9c0e39d9ba777c6462aa",
+        (152, 0, 306, 284, 63, 11320, 0, 3),
+    ),
+    "graph-metric-landmarks": (
+        "1b6364e460a854dad0552ddb6a23ea0b11d8e49f1ba508e240f1e1468378600a",
+        (104, 0, 175, 179, 41, 6810, 555, 0),
+    ),
+    "high-spread-line": (
+        "184337a73e0ba98ed7f5da448000caf457513d92eca7ee28a75bc9ef985fa40e",
+        (77, 22, 130, 118, 44, 137, 0, 0),
+    ),
+    "high-spread-line-512-landmarks": (
+        "f6906fd42aa9145a99838992fd4d405a4e0a65570cf582262d47fb906684831e",
+        (77, 36, 130, 118, 42, 137, 3, 1),
+    ),
+    "lattice-l1-ties": (
+        "7faa94adc491743808c172f1d9e9f4a2dbfbf1a61e19614c167139f2128a73c3",
+        (266, 0, 534, 466, 149, 1152, 0, 1),
+    ),
+    "lattice-l2-ties-landmarks": (
+        "9669f34a7ad42f7e72be1434b60dc4b58a2b0d38232cee5b2d30b744bfd6e94d",
+        (218, 0, 438, 450, 93, 1656, 77, 4),
+    ),
+    "projected-l2": (
+        "0cfb58074f5fe0ec797866641fc14e405677f6544ae4cab9306ae05564de038d",
+        (122, 0, 246, 274, 43, 94800, 0, 3),
+    ),
+    "uniform-l1-landmarks": (
+        "dcbd838ee432eac46a4998f4785c3aa10ed9565723c265c7b31bb3798101e7e1",
+        (404, 159, 810, 494, 175, 1818, 199, 5),
+    ),
+    "uniform-l1.5": (
+        "fd74c59b5f6e73cabd688d26b69206fb7cd438a1fe6b61dde01953fd1f1cc364",
+        (350, 226, 702, 411, 163, 892, 0, 0),
+    ),
+    "uniform-l2": (
+        "8b80169cc52b0f2f33d766d2fd4dc88a664174769e5e48dd20bf86dd2e3eb974",
+        (419, 150, 840, 502, 188, 1698, 0, 3),
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _blob(name: str) -> bytes:
+    return CASES[name]()
+
+
+def _model_digest(model) -> str:
+    """sha256 of everything a decoded model holds, layout-free."""
+    tree = model.tree
+    landmarks = None
+    if model.landmarks is not None:
+        landmarks = sorted(
+            (v, [int(k) for k in ks]) for v, ks in model.landmarks.items()
+        )
+    content = (
+        (model.p, model.epsilon, model.scale, model.spread, model.n, model.d),
+        (model.jl_seed, model.jl_orig_dim),
+        (tree.level, tree.parent, tree.children, tree.long_edge),
+        (tree.leaf_label, tree.root),
+        (model.center, model.ingress, model.inv_delta),
+        (model.eta_ints.dtype.str, model.eta_ints.shape, model.eta_ints.tobytes()),
+        landmarks,
+    )
+    return hashlib.sha256(repr(content).encode()).hexdigest()
+
+
+def _sections(blob: bytes) -> tuple[int, ...]:
+    rep = size_report(blob)
+    return (
+        rep.tree_shape_bits,
+        rep.long_gap_bits,
+        rep.center_bits,
+        rep.ingress_bits,
+        rep.precision_bits,
+        rep.displacement_bits,
+        rep.landmark_bits,
+        rep.padding_bits,
+    )
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_blob(name):
-    assert hashlib.sha256(CASES[name]()).hexdigest() == DIGESTS[name]
+    assert hashlib.sha256(_blob(name)).hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_model(name):
+    blob = _blob(name)
+    digest, sections = MODELS[name]
+    assert _model_digest(deserialize(blob)) == digest
+    assert _sections(blob) == sections
