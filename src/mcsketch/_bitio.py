@@ -1,13 +1,15 @@
-"""MSB-first bit stream writer/reader with Elias-gamma support.
+"""MSB-first bit columns, written and read by array code.
 
-Values are packed big-endian within the stream: the first bit written is
-the most significant bit of the first byte.  The reader is bounded by an
-explicit bit length so trailing pad bits can be policed by the caller.
-
-Fixed-width runs (a node's d displacement fields, a landmark's d shift
-fields) move whole: :func:`pack_runs` turns rows of fields into one integer
-per row for :meth:`BitWriter.write_uint`, and :func:`unpack_runs` reads the
-fields of many rows, at any bit offsets, in one vectorized pass.
+A payload is a sequence of fields: unsigned integers of given bit widths,
+back to back, each most significant bit first.  An Elias gamma code of
+v >= 1 is such a field too, v in 2 bitlen(v) - 1 bits, whose bitlen(v) - 1
+leading zeros announce its width.  :func:`pack_fields` writes any sequence
+of fields in one pass; :func:`unpack_runs` reads runs of fixed-width fields
+at any bit offsets in one pass, and :func:`read_gammas` walks a column of
+gamma codes, whose widths come one code at a time, one step per code.
+Fields wider than 64 bits, which only landmark shifts at spreads beyond
+about 2^60 (and hostile models) need, are exact Python ints moved as 64-bit
+pieces.
 """
 
 from __future__ import annotations
@@ -17,125 +19,100 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import FormatError, _BLOCK_ELEMS
 
-__all__ = ["BitWriter", "BitReader", "pack_runs", "unpack_runs"]
+__all__ = ["pack_fields", "gamma_widths", "bit_windows", "unpack_runs", "read_gammas"]
 
 
-class BitWriter:
-    def __init__(self) -> None:
-        self._buf = bytearray()
-        self._acc = 0
-        self._nbits = 0
-
-    @property
-    def bit_length(self) -> int:
-        return 8 * len(self._buf) + self._nbits
-
-    def write_uint(self, value: int, width: int) -> None:
-        value = int(value)
-        if width < 0:
-            raise ValueError("negative width")
-        if value < 0 or value >> width:
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        acc = (self._acc << width) | value
-        nbits = self._nbits + width
-        full, nbits = divmod(nbits, 8)
-        if full:  # every completed byte in one conversion, however wide
-            self._buf += (acc >> nbits).to_bytes(full, "big")
-        self._acc = acc & ((1 << nbits) - 1)
-        self._nbits = nbits
-
-    def write_gamma(self, value: int) -> None:
-        """Elias gamma: N zero bits then the (N+1)-bit value, value >= 1."""
-        value = int(value)
-        if value < 1:
-            raise ValueError(f"gamma code requires value >= 1, got {value}")
-        n = value.bit_length() - 1
-        self.write_uint(0, n)
-        self.write_uint(value, n + 1)
-
-    def getvalue(self) -> bytes:
-        """Bytes with zero padding in the final partial byte."""
-        out = bytes(self._buf)
-        if self._nbits:
-            out += bytes([(self._acc << (8 - self._nbits)) & 0xFF])
-        return out
+def _pieces(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fields cut into pieces of at most 64 bits, top piece first: per piece
+    its field, the number of field bits below it, and its width."""
+    per = np.maximum(1, -(-widths // 64))
+    field = np.repeat(np.arange(widths.size), per)
+    low = 64 * (np.repeat(np.cumsum(per), per) - 1 - np.arange(field.size))
+    return field, low, np.minimum(64, widths[field] - low)
 
 
-class BitReader:
-    def __init__(self, data: bytes, bit_length: int | None = None) -> None:
-        self._data = data
-        self._limit = 8 * len(data) if bit_length is None else bit_length
-        if self._limit > 8 * len(data):
-            raise FormatError("bit length exceeds the available bytes")
-        self._pos = 0
-
-    @property
-    def position(self) -> int:
-        return self._pos
-
-    @property
-    def remaining(self) -> int:
-        return self._limit - self._pos
-
-    def skip(self, width: int) -> int:
-        """Step over ``width`` bits and return the position they start at."""
-        if width < 0:
-            raise ValueError("negative width")
-        if self._pos + width > self._limit:
-            raise FormatError("bit stream truncated")
-        pos = self._pos
-        self._pos = pos + width
-        return pos
-
-    def read_uint(self, width: int) -> int:
-        pos = self._pos
-        end = pos + width
-        if width < 0 or end > self._limit:
-            self.skip(width)  # raises the matching error
-        self._pos = end
-        last = (end + 7) >> 3
-        chunk = int.from_bytes(self._data[pos >> 3 : last], "big")
-        return (chunk >> (8 * last - end)) & ((1 << width) - 1)
-
-    def read_gamma(self) -> int:
-        n = 0
-        while self.read_uint(1) == 0:
-            n += 1
-            if n > self._limit:
-                raise FormatError("unterminated gamma code")
-        return (1 << n) | self.read_uint(n)
+def pack_fields(values, widths) -> bytes:
+    """Field i, ``values[i]`` in ``widths[i]`` bits (or in ``widths`` bits
+    each), back to back from bit 0 and zero-padded to whole bytes.  Values
+    are non-negative: an integer array, or exact ints (an object array) for
+    fields wider than 64 bits.  Raises ValueError when a value is negative
+    or does not fit its width."""
+    values = np.asarray(values)
+    widths = np.broadcast_to(np.asarray(widths, dtype=np.int64), values.shape)
+    if values.size and values.min() < 0:
+        raise ValueError(f"negative field value {values.min()}")
+    if values.dtype == object:  # exact ints: 64-bit pieces, top piece first
+        if (values >> widths).any():
+            raise ValueError("a value does not fit its field")
+        per = np.maximum(1, -(-widths // 64)).tolist()
+        raw = b"".join(int(v).to_bytes(8 * k, "big") for v, k in zip(values, per))
+        values = np.frombuffer(raw, dtype=">u8")
+        widths = _pieces(widths)[2]
+    values = values.astype(np.uint64)
+    if (values >> widths.astype(np.uint64)).any():  # a shift by 64 gives 0
+        raise ValueError("a value does not fit its field")
+    ends = np.cumsum(widths)
+    total = int(ends[-1]) if ends.size else 0
+    out = np.zeros(total // 64 + 2, dtype=np.uint64)
+    # each field lies in one 64-bit word of the stream or straddles two: its
+    # left-aligned bits go into the first word and any spill into the next
+    step = _BLOCK_ELEMS // 8
+    for s in range(0, widths.size, step):
+        w = widths[s : s + step]
+        start = ends[s : s + step] - w
+        word = start >> 6
+        off = (start & 63).astype(np.uint64)
+        left = values[s : s + step] << (64 - w).astype(np.uint64)
+        first = np.flatnonzero(np.diff(word, prepend=-1))
+        out[word[first]] |= np.bitwise_or.reduceat(left >> off, first)
+        spill = off + w.astype(np.uint64) > 64
+        out[word[spill] + 1] |= left[spill] << (np.uint64(64) - off[spill])
+    return out.astype(">u8").tobytes()[: (total + 7) // 8]
 
 
-def pack_runs(values: np.ndarray, width: int) -> list[int]:
-    """Each row of ``values`` (unsigned fields below 2^width, width <= 64)
-    concatenated MSB-first into one integer of ``values.shape[1] * width``
-    bits, ready for :meth:`BitWriter.write_uint`."""
-    values = np.asarray(values, dtype=np.uint64)
-    k, count = values.shape
-    runs: list[int] = []
-    step = max(1, _BLOCK_ELEMS // (8 * count))  # as in unpack_runs
-    for s in range(0, k, step):
-        chunk = values[s : s + step]
-        if width < 64 and (chunk >> np.uint64(width)).any():
-            raise ValueError(f"a field does not fit in {width} bits")
-        bits = np.empty(chunk.shape + (width,), dtype=np.uint8)
-        for j in range(width):
-            bits[:, :, j] = (chunk >> np.uint64(width - 1 - j)) & np.uint64(1)
-        packed = np.packbits(bits.reshape(len(chunk), count * width), axis=1)
-        pad = 8 * packed.shape[1] - count * width
-        runs.extend(int.from_bytes(row.tobytes(), "big") >> pad for row in packed)
-    return runs
+def gamma_widths(values) -> np.ndarray:
+    """Field widths 2 bitlen(v) - 1 of the Elias gamma codes of ``values``.
+    Raises ValueError on a value below 1."""
+    values = np.asarray(values).tolist()
+    if min(values, default=1) < 1:
+        raise ValueError(f"gamma code requires values >= 1, got {min(values)}")
+    return 2 * np.array([v.bit_length() for v in values], dtype=np.int64) - 1
+
+
+def bit_windows(data: bytes, start: int, limit: int, span: int):
+    """Ever longer windows of the stream from bit ``start`` on, each as its
+    end and its bits (a uint8 array of 0s and 1s): ``span`` bits, doubling
+    up to bit ``limit``.  Asking for one more raises FormatError."""
+    while True:
+        stop = min(limit, start + span)
+        first, last = start >> 3, (stop + 7) >> 3
+        bits = np.unpackbits(np.frombuffer(data, np.uint8, last - first, first))
+        yield stop, bits[start - 8 * first : stop - 8 * first]
+        if stop == limit:
+            raise FormatError("a column runs past the end of the payload")
+        span *= 2
 
 
 def unpack_runs(
     data: bytes, starts: np.ndarray, widths: np.ndarray, count: int
 ) -> np.ndarray:
-    """uint64 array whose row i holds the ``count`` consecutive fields of
-    ``widths[i]`` bits (0 to 64; width 0 reads zeros) that start at bit
-    ``starts[i]`` of the MSB-first stream ``data``.  The caller has checked
-    every run against the stream's length."""
+    """Array whose row i holds the ``count`` consecutive fields of
+    ``widths[i]`` bits (width 0 reads zeros) that start at bit ``starts[i]``
+    of the MSB-first stream ``data``: uint64 up to 64 bits, exact ints
+    (object) when a field is wider.  The caller has checked every run
+    against the stream's length."""
     starts = np.asarray(starts, dtype=np.int64)
     widths = np.asarray(widths, dtype=np.int64)
+    if widths.size and widths.max() > 64:
+        flat = np.repeat(widths, count)
+        field, low, w = _pieces(flat)
+        at = (starts[:, None] + widths[:, None] * np.arange(count)).ravel()
+        u = unpack_runs(data, at[field] + flat[field] - low - w, w, 1)
+        # a field's pieces, each right-aligned in 64 bits, spell its value
+        raw = u[:, 0].astype(">u8").tobytes()
+        cut = (8 * np.append(np.flatnonzero(np.diff(field, prepend=-1)), field.size)).tolist()
+        vals = [int.from_bytes(raw[a:b], "big") for a, b in zip(cut[:-1], cut[1:])]
+        return np.array(vals, dtype=object).reshape(-1, count)
     out = np.empty((starts.size, count), dtype=np.uint64)
     if not out.size:
         return out
@@ -154,3 +131,33 @@ def unpack_runs(
         word = (hi << off) | (lo >> (np.uint64(8) - off))
         out[s : s + step] = word >> (64 - w).astype(np.uint64)
     return out
+
+
+def read_gammas(data: bytes, start: int, count: int, limit: int) -> tuple[np.ndarray, int]:
+    """The values of the ``count`` Elias gamma codes that follow one another
+    from bit ``start`` of ``data`` (as :func:`unpack_runs` gives them), and
+    the bit after the last code.
+
+    The walk takes one step per code over a table, for every position of a
+    window of the stream, of where a code starting there ends; the window
+    doubles while a code runs past it, and a code whose leading zeros leave
+    too few bits before bit ``limit`` raises FormatError.
+    """
+    for stop, bits in bit_windows(data, start, limit, 8 * count + 64):
+        at = np.arange(start, stop + 1)
+        # the first set bit at or after each position (stop where none), and
+        # the end of a code of as many zeros, that bit and as many more bits
+        one = np.minimum.accumulate(np.append(np.where(bits, at[:-1], stop), stop)[::-1])
+        end = (2 * one[::-1] - at + 1).tolist()
+        codes, pos = [], start
+        for _ in range(count):
+            if end[pos - start] > stop:
+                break
+            codes.append(pos)
+            pos = end[pos - start]
+        else:
+            break
+    codes = np.array(codes, dtype=np.int64)
+    width = np.diff(codes, append=pos)
+    lead = codes + width // 2  # a code of width 2z+1 has z leading zeros
+    return unpack_runs(data, lead, width - width // 2, 1)[:, 0], pos

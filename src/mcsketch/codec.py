@@ -2,30 +2,35 @@
 
 Layout, all multi-byte header fields little-endian:
 
-* header: magic ``MCSK``; u16 version (1); u8 p-code (1, 2, 255 = inf;
+* header: magic ``MCSK``; u16 version (2); u8 p-code (1, 2, 255 = inf;
   0 = rational p followed by u32 numerator + u32 denominator); u64 n;
   u64 d; f64 epsilon (post-snap); f64 scale; f64 spread; u8 flags (bit 1:
   landmark table present; every other bit, bit 0 included, is reserved
-  and must be clear); u64 random
-  projection seed; u64 pre-projection dimension (0 when no projection was
-  applied); u64 payload bit length.
+  and must be clear); u64 random projection seed; u64 pre-projection
+  dimension (0 when no projection was applied); u64 payload bit length.
 
-* payload, an MSB-first bit stream of four sections:
+* payload, an MSB-first bit stream of columns, each holding one field per
+  node (or per edge, part or landmark) in DFS preorder:
 
-  1. tree shape as balanced parentheses, two bits per node, DFS preorder;
-  2. per non-root node in preorder: one bit short/long, long edges
-     followed by the Elias-gamma coded level gap (>= 2);
-  3. per node in preorder: center label in ceil(log2 n) bits; for nodes
-     that are not part roots, the ingress as one flag bit (0 = parent,
-     1 = reference into the preorder enumeration of nodes without short
-     children, in ceil(log2 L) bits); Elias-gamma of inv_delta - 4; and,
-     again for non-part-roots, the displacement as d grid integers, each
-     biased by the node's grid bound B and written in ceil(log2(2B+1))
-     bits (see ``net``);
-  4. when flags bit 1 is set, per decomposition part in preorder-of-roots:
-     Elias-gamma of (landmark count + 1), then per landmark its node id in
-     ceil(log2 N) bits and d exact surrogate-shift integers, biased, in
-     K+2 bits each where K is the landmark spacing parameter.
+  1. tree shape as balanced parentheses, two bits per node (1 opens it,
+     0 closes it);
+  2. one bit per non-root node, 1 for a long edge; then the Elias-gamma
+     coded level gap (>= 2) of every long edge;
+  3. every node's center label in ceil(log2 n) bits;
+  4. one ingress flag bit per node that is not a part root (0 = parent,
+     1 = reference); then every flagged node's reference into the preorder
+     enumeration of nodes without short children, in ceil(log2 L) bits;
+  5. every node's Elias-gamma of inv_delta - 4;
+  6. per node that is not a part root, its displacement as d grid
+     integers, each biased by the node's grid bound B and written in
+     ceil(log2(2B+1)) bits (see ``net`` and :func:`_grid_fields`);
+  7. when flags bit 1 is set: per decomposition part in preorder of
+     roots, Elias-gamma of (landmark count + 1); then every landmark's
+     node id in ceil(log2 N) bits, by part and ascending within one; then
+     every landmark's d exact surrogate-shift integers, biased by 2^(K+1),
+     in K+2 bits each, where K is the landmark spacing parameter.
+
+  Version 1 held the same fields node by node; it is refused.
 
 * trailer: u32 CRC-32 (zlib) of header plus payload bytes.  Every header
   or payload corruption is caught by the CRC at the latest; structural
@@ -39,12 +44,13 @@ Layout, all multi-byte header fields little-endian:
 Decoding levels: the gaps give each node's level relative to the root;
 all leaves must land on one common level, which is then pinned to 0.
 
-The d fixed-width fields of a displacement or a landmark shift form one
-run.  The writer packs every run of one width in one numpy pass and writes
-it as a single integer; the reader steps over the runs while it parses and
-then reads all of them in one pass (``_bitio.pack_runs`` and
-``unpack_runs``).  Fields wider than 64 bits, which only landmark shifts of
-spreads beyond about 2^60 need, go through exact Python integers.
+Columns move whole.  The writer packs every field of the payload in one
+pass (``_bitio.pack_fields``); the reader reads each fixed-width column in
+one pass (``unpack_runs``) and each gamma column in one walk
+(``read_gammas``).  Every column's length follows from the node count and
+the columns before it, and is checked against the bits that remain before
+anything is allocated for it.  Fields wider than 64 bits, which only
+landmark shifts of spreads beyond about 2^60 need, are exact Python ints.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net
-from ._bitio import BitReader, BitWriter, pack_runs, unpack_runs
+from ._bitio import bit_windows, gamma_widths, pack_fields, read_gammas, unpack_runs
 from .annotate import ingress_layers
 from .core import (
     FormatError,
@@ -73,9 +79,12 @@ from .hst import SketchTree, subtree_decomposition
 __all__ = ["SketchModel", "SizeReport", "serialize", "deserialize", "size_report"]
 
 MAGIC = b"MCSK"
-VERSION = 1
+VERSION = 2
 
 _FLAG_LANDMARKS = 2
+# the fixed header after the norm: n, d, epsilon, scale, spread, flags, random
+# projection seed, pre-projection dimension, payload bit length
+_TAIL = "<QQdddBQQQ"
 
 
 @dataclass
@@ -152,158 +161,137 @@ def serialize(model: SketchModel) -> bytes:
     """Deterministic bytes of a sketch model (see module docstring)."""
     tree = model.tree
     n_nodes = tree.n_nodes
-    n = model.n
-    d = model.d
-    eps = model.epsilon
+    n, d, eps = model.n, model.d, model.epsilon
+    parent = np.array(tree.parent, dtype=np.int64)
+    inner = np.flatnonzero(~tree.part_root)  # nodes with an ingress
+    cols: list[tuple[np.ndarray, np.ndarray]] = []  # (values, widths) in order
 
-    w = BitWriter()
-    # 1. shape
-    stack: list[tuple[int, bool]] = [(tree.root, False)]
-    while stack:
-        v, closing = stack.pop()
-        if closing:
-            w.write_uint(0, 1)
-            continue
-        w.write_uint(1, 1)
-        stack.append((v, True))
-        for c in reversed(tree.children[v]):
-            stack.append((c, False))
+    def column(values, widths) -> None:
+        values = _ints(values)
+        cols.append((values, np.broadcast_to(widths, values.shape)))
+
+    # 1. shape: before node v opens, the v nodes before it in preorder have
+    # opened and all but its depth(v) ancestors have closed
+    depth = [0] * n_nodes
+    for v in range(1, n_nodes):  # a parent comes first
+        depth[v] = depth[tree.parent[v]] + 1
+    shape = np.zeros(2 * n_nodes, dtype=np.uint8)
+    shape[2 * np.arange(n_nodes) - depth] = 1
+    column(shape, 1)
 
     # 2. edges
-    for v in range(1, n_nodes):
-        if tree.long_edge[v]:
-            w.write_uint(1, 1)
-            w.write_gamma(tree.edge_gap(v))
-        else:
-            w.write_uint(0, 1)
+    long_edge = np.array(tree.long_edge, dtype=bool)
+    column(long_edge[1:], 1)
+    level = np.array(tree.level, dtype=np.int64)
+    below = np.flatnonzero(long_edge)
+    gaps = level[parent[below]] - level[below]
+    column(gaps, gamma_widths(gaps))
 
-    # 3. node records
-    center_w = (n - 1).bit_length()
-    subtree_leaves = np.flatnonzero(~tree.has_short).tolist()
-    leaf_ref = {v: i for i, v in enumerate(subtree_leaves)}
-    ref_w = (len(subtree_leaves) - 1).bit_length()
-    runs = _displacement_runs(model)
-    part_root = tree.part_root.tolist()
-    for v in range(n_nodes):
-        w.write_uint(model.center[v], center_w)
-        root_here = part_root[v]
-        if not root_here:
-            ing = model.ingress[v]
-            if ing == tree.parent[v]:
-                w.write_uint(0, 1)
-            else:
-                if ing not in leaf_ref:
-                    raise GuaranteeError(
-                        f"ingress of node {v} is neither parent nor short-childless"
-                    )
-                w.write_uint(1, 1)
-                w.write_uint(leaf_ref[ing], ref_w)
-        w.write_gamma(model.inv_delta[v] - 4)
-        if not root_here:
-            w.write_uint(*runs[v])
+    # 3. centers
+    column(model.center, (n - 1).bit_length())
 
-    # 4. landmarks
+    # 4. ingresses
+    subtree_leaves = np.flatnonzero(~tree.has_short)
+    ingress = _ints([-1 if u is None else u for u in model.ingress])[inner]
+    flagged = ingress != parent[inner]
+    ref = np.searchsorted(subtree_leaves, ingress[flagged])
+    known = subtree_leaves[np.minimum(ref, subtree_leaves.size - 1)] == ingress[flagged]
+    if not known.all():
+        v = inner[flagged][~known][0]
+        raise GuaranteeError(f"ingress of node {v} is neither parent nor short-childless")
+    column(flagged, 1)
+    column(ref, (subtree_leaves.size - 1).bit_length())
+
+    # 5. precisions
+    precision = _ints(model.inv_delta) - 4
+    column(precision, gamma_widths(precision))
+
+    # 6. displacements
+    bounds, widths = _grid_fields(tree, model.inv_delta, eps, d, model.p)
+    try:
+        fields = _biased(
+            _ints(model.eta_ints)[inner], bounds[inner].tolist(), widths[inner].tolist()
+        )
+    except ValueError as exc:
+        raise GuaranteeError(f"a grid integer exceeds its bound: {exc}") from exc
+    column(fields, np.repeat(widths[inner], d))
+
+    # 7. landmarks
     if model.landmarks is not None:
-        decomp = subtree_decomposition(tree)
+        part_of = subtree_decomposition(tree).part_of
         kk = k_parameter(model.spread, eps, d, model.p)
-        node_w = (n_nodes - 1).bit_length()
-        parts: list[list[int]] = [[] for _ in decomp.roots]
-        for v in sorted(model.landmarks):
-            parts[decomp.part_of[v]].append(v)
-        lms = [v for part in parts for v in part]
+        lms = sorted(model.landmarks, key=lambda v: (part_of[v], v))
+        counts = np.bincount([part_of[v] for v in lms], minlength=max(part_of) + 1)
+        column(counts + 1, gamma_widths(counts + 1))
+        column(lms, (n_nodes - 1).bit_length())
+        rows = _ints([model.landmarks[v] for v in lms]).reshape(len(lms), d)
         try:
-            shift_runs = _biased_runs(
-                [model.landmarks[v] for v in lms], [1 << (kk + 1)] * len(lms), kk + 2
-            )
+            fields = _biased(rows, [1 << (kk + 1)] * len(lms), [kk + 2] * len(lms))
         except ValueError as exc:
-            raise GuaranteeError(
-                f"a landmark shift exceeds the K+2-bit budget: {exc}"
-            ) from exc
-        runs = dict(zip(lms, shift_runs))
-        for part in parts:
-            w.write_gamma(len(part) + 1)
-            for v in part:
-                w.write_uint(v, node_w)
-                w.write_uint(runs[v], d * (kk + 2))
+            raise GuaranteeError(f"a landmark shift exceeds K+2 bits: {exc}") from exc
+        column(fields, kk + 2)
 
-    payload = w.getvalue()
+    # a negative value cast to uint64 lands at 2^63 or above, which only the
+    # biased columns could fit, and those were checked
+    exact = any(values.dtype == object for values, _ in cols)
+    values = np.concatenate([v.astype(object if exact else np.uint64) for v, _ in cols])
+    widths = np.concatenate([w for _, w in cols])
     flags = _FLAG_LANDMARKS if model.landmarks is not None else 0
-    header = (
+    tail = (n, d, eps, model.scale, model.spread, flags, model.jl_seed, model.jl_orig_dim)
+    body = (
         MAGIC
         + struct.pack("<H", VERSION)
         + _pack_p(model.p)
-        + struct.pack(
-            "<QQdddBQQQ",
-            n,
-            d,
-            eps,
-            model.scale,
-            model.spread,
-            flags,
-            model.jl_seed,
-            model.jl_orig_dim,
-            w.bit_length,
-        )
+        + struct.pack(_TAIL, *tail, int(widths.sum()))
+        + pack_fields(values, widths)
     )
-    body = header + payload
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def _displacement_runs(model: SketchModel) -> dict[int, tuple[int, int]]:
-    """Per node that is not a part root, its d grid integers biased by the
-    node's grid bound B as one run of fixed-width fields: (run, bit count).
-    B and the width come once per distinct (has_short, inv_delta) pair;
-    nodes that share a width are packed together.  Raises GuaranteeError
-    when an integer lies outside [-B, B]."""
-    d, p = model.d, model.p
-    has_short = model.tree.has_short.tolist()
-    fields: dict[tuple[bool, int], tuple[int, int]] = {}
-    groups: dict[int, list[int]] = {}
-    bias: dict[int, int] = {}
-    for v in np.flatnonzero(~model.tree.part_root).tolist():
-        key = (has_short[v], model.inv_delta[v])
-        if key not in fields:
-            de = net.delta_effective(model.epsilon, not key[0], key[1])
-            fields[key] = net.grid_bound(de, d, p), net.grid_bit_width(de, d, p)
-        bias[v], width = fields[key]
-        groups.setdefault(width, []).append(v)
-    runs: dict[int, tuple[int, int]] = {}
-    for width, nodes in groups.items():
-        try:
-            packed = _biased_runs(model.eta_ints[nodes], [bias[v] for v in nodes], width)
-        except ValueError as exc:
-            raise GuaranteeError(f"a grid integer exceeds its bound: {exc}") from exc
-        runs.update((v, (run, d * width)) for v, run in zip(nodes, packed))
-    return runs
+def _ints(values) -> np.ndarray:
+    """Integers as an int64 array, or as exact ints where one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
-def _biased_runs(rows, bias: list[int], width: int) -> list[int]:
-    """Each row's integers plus that row's bias, as one run of width-bit
-    fields, first field most significant.  int64 rows below 64 bits go
-    through one numpy pass; anything else (wider fields, Python ints beyond
-    int64) through exact Python ints.  Raises ValueError when a biased
-    value falls outside [0, 2 * bias], the range the decoder accepts, or
-    does not fit in width bits."""
-    vals = np.asarray(rows)
-    if width < 64 and vals.dtype == np.int64:
-        b = np.array(bias, dtype=np.uint64)[:, None]  # each below 2^63
-        biased = vals.astype(np.uint64)
-        biased += b  # a negative value wraps to far above 2 * bias
-        if (biased > 2 * b).any():
-            raise ValueError("a value lies outside [-bias, bias]")
-        return pack_runs(biased, width)
-    runs = []
-    for row, b in zip(rows, bias):
-        run = 0
-        for m in row:
-            val = int(m) + b
-            if val < 0 or val > 2 * b or val >> width:
-                raise ValueError(
-                    f"biased value {val} lies outside [0, {2 * b}] or {width} bits"
-                )
-            run = (run << width) | val
-        runs.append(run)
-    return runs
+def _grid_fields(tree, inv_delta, eps: float, d: int, p: float):
+    """Per node, the bound B of its grid integers and the width
+    ceil(log2(2B+1)) of each of its d stored fields: the one rule the
+    writer and the reader share.  Part roots, which store no displacement,
+    get 0 and 0.  B comes once per distinct (has_short, inv_delta) pair; it
+    is exact, int64 or exact ints once one reaches 2^63.  A net too fine for
+    floats (B infinite) raises OverflowError or ZeroDivisionError."""
+    inner = np.flatnonzero(~tree.part_root)
+    keys, which = np.unique(
+        _ints(inv_delta)[inner] * 2 + tree.has_short[inner], return_inverse=True
+    )
+    deltas = [net.delta_effective(eps, not k & 1, k >> 1) for k in keys.tolist()]
+    nets = _ints([net.grid_bound(de, d, p) for de in deltas])
+    bounds = np.zeros(tree.n_nodes, dtype=nets.dtype)
+    bounds[inner] = nets[which]
+    widths = np.zeros(tree.n_nodes, dtype=np.int64)
+    widths[inner] = np.array([(2 * b).bit_length() for b in nets.tolist()])[which]
+    return bounds, widths
+
+
+def _biased(rows, bias: list[int], widths: list[int]) -> np.ndarray:
+    """The stored fields of d-integer rows, flattened: each row's integers
+    plus that row's bias, in that row's width (a displacement: bias B,
+    width ceil(log2(2B+1)); a landmark shift: bias 2^(K+1), width K+2).
+    Raises ValueError when a biased value falls outside [0, 2 * bias] or
+    its width, the range the decoder accepts.  uint64 when every field
+    does, exact ints otherwise; with each bias at most 2^63 a negative
+    value wraps to above 2 * bias, or above the width, in uint64."""
+    top = [min(2 * b, (1 << w) - 1) for b, w in zip(bias, widths)]
+    rows = np.asarray(rows)
+    fits = rows.dtype == np.int64 and max(top, default=0) < 2**64
+    dtype = np.uint64 if fits else object
+    biased = rows.astype(dtype) + np.array(bias, dtype=dtype).reshape(-1, 1)
+    if (biased > np.array(top, dtype=dtype).reshape(-1, 1)).any() or (biased < 0).any():
+        raise ValueError("a biased value falls outside [0, 2 * bias] or its width")
+    return biased.ravel()
 
 
 def deserialize(data: bytes) -> SketchModel:
@@ -333,11 +321,11 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         num, den = struct.unpack_from("<II", data, off)
         off += 8
     p = decode_p(p_code, num, den)
-    tail = struct.calcsize("<QQdddBQQQ")
+    tail = struct.calcsize(_TAIL)
     if len(data) < off + tail + 4:
         raise FormatError("blob truncated inside the header")
     n, d, eps, scale, spread, flags, jl_seed, jl_orig_dim, payload_bits = (
-        struct.unpack_from("<QQdddBQQQ", data, off)
+        struct.unpack_from(_TAIL, data, off)
     )
     header_len = off + tail
     payload_len = (payload_bits + 7) // 8
@@ -373,175 +361,191 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         pad = 8 * payload_len - payload_bits
         if pad and payload[-1] & ((1 << pad) - 1):
             raise FormatError("nonzero padding bits")
-    r = BitReader(payload, payload_bits)
 
-    # 1. shape
-    if r.read_uint(1) != 1:
-        raise FormatError("payload does not open with the root")
-    parent = [-1]
-    children: list[list[int]] = [[]]
-    open_stack = [0]
-    while open_stack:
-        if r.read_uint(1):
-            node = len(parent)
-            parent.append(open_stack[-1])
-            children.append([])
-            children[open_stack[-1]].append(node)
-            open_stack.append(node)
-        else:
-            open_stack.pop()
-    n_nodes = len(parent)
-    shape_bits = r.position
+    def column(width: int, count: int, what: str, rows: int = 1) -> np.ndarray:
+        """The next ``rows`` runs of ``count`` fields of ``width`` bits, each
+        run a row, checked against the bits that remain before allocating."""
+        nonlocal pos
+        bits = rows * count * width
+        if bits > payload_bits - pos:
+            raise FormatError(f"{what} need {bits} bits, {payload_bits - pos} remain")
+        pos += bits
+        starts = pos - bits + count * width * np.arange(rows)
+        return unpack_runs(payload, starts, [width] * rows, count)
+
+    def gammas(count: int) -> tuple[np.ndarray, int]:
+        nonlocal pos
+        start = pos
+        values, pos = read_gammas(payload, pos, count, payload_bits)
+        return values, pos - start
+
+    # 1. shape: read through windows that double until the root closes (a
+    # tree of n leaves takes a few times n nodes, not the whole payload)
+    for _, shape in bit_windows(payload, 0, payload_bits, 16 * n + 64):
+        if not (shape.size and shape[0]):
+            raise FormatError("payload does not open with the root")
+        depth = np.cumsum(shape.astype(np.int64) * 2 - 1)
+        closed = np.flatnonzero(depth == 0)
+        if closed.size:
+            break
+    pos = int(closed[0]) + 1
+    n_nodes = pos // 2
+    shape = shape[:pos]
+    opens = np.flatnonzero(shape)
+    depth = depth[opens] - 1  # the root at 0
+    is_leaf = shape[opens + 1] == 0
+    # in preorder a node's parent is the last node before it one level up
+    key = depth * n_nodes + np.arange(n_nodes)
+    ranked = np.sort(key)
+    parent = ranked[np.searchsorted(ranked, key - n_nodes) - 1] % n_nodes
+    parent[0] = -1
+    layers = np.split(
+        np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1]
+    )
 
     # 2. edges
-    long_edge = [False] * n_nodes
-    gaps = [0] * n_nodes
-    gap_bits_total = 0
-    for v in range(1, n_nodes):
-        if r.read_uint(1):
-            long_edge[v] = True
-            before = r.position
-            gaps[v] = r.read_gamma()
-            gap_bits_total += r.position - before
-            if gaps[v] < 2:
-                raise FormatError(f"long edge into {v} has gap {gaps[v]} < 2")
-        else:
-            gaps[v] = 1
-    edge_bits = r.position - shape_bits
-    edge_flag_bits = edge_bits - gap_bits_total
+    long_edge = np.append(False, column(1, n_nodes - 1, "edge flags")[0] == 1)
+    gap_values, gap_bits = gammas(int(long_edge.sum()))
+    # levels fall from the root's, at most the spread's exponent, to 0 at
+    # the leaves, so no gap exceeds that exponent
+    top = math.frexp(spread)[1]
+    bad = np.flatnonzero((gap_values < 2) | (gap_values > top))
+    if bad.size:
+        v = np.flatnonzero(long_edge)[bad[0]]
+        raise FormatError(
+            f"long edge into {v} has gap {gap_values[bad[0]]} outside [2, {top}]"
+        )
+    gaps = np.ones(n_nodes, dtype=np.int64)
+    gaps[long_edge] = gap_values
 
     # levels: depth below root, then pin the common leaf level to 0
-    rel = [0] * n_nodes
-    for v in range(1, n_nodes):
-        rel[v] = rel[parent[v]] - gaps[v]
-    leaves = [v for v in range(n_nodes) if not children[v]]
-    if len(leaves) != n:
-        raise FormatError(f"blob announces n={n} but has {len(leaves)} leaves")
-    leaf_rel = {rel[v] for v in leaves}
-    if len(leaf_rel) != 1:
+    rel = np.zeros(n_nodes, dtype=np.int64)
+    for layer in layers[1:]:
+        rel[layer] = rel[parent[layer]] - gaps[layer]
+    if int(is_leaf.sum()) != n:
+        raise FormatError(f"blob announces n={n} but has {int(is_leaf.sum())} leaves")
+    leaf_rel = np.unique(rel[is_leaf])
+    if leaf_rel.size != 1:
         raise FormatError("leaves do not share a common level")
-    root_level = -leaf_rel.pop()
-    if root_level < 1 or root_level > math.frexp(spread)[1]:
+    root_level = -int(leaf_rel[0])
+    if root_level < 1 or root_level > top:
         raise FormatError(
             f"root level {root_level} inconsistent with spread {spread}"
         )
-    level = [rel[v] + root_level for v in range(n_nodes)]
-
+    parent_list = parent.tolist()
+    children: list[list[int]] = [[] for _ in range(n_nodes)]
+    for v in range(1, n_nodes):
+        children[parent_list[v]].append(v)
     leaf_label = [-1] * n_nodes
     tree = SketchTree(
-        level=level,
-        parent=parent,
+        level=(rel + root_level).tolist(),
+        parent=parent_list,
         children=children,
-        long_edge=long_edge,
+        long_edge=long_edge.tolist(),
         leaf_label=leaf_label,
         root=0,
     )
 
-    # 3. node records
-    center_w = (n - 1).bit_length()
-    subtree_leaves = np.flatnonzero(~tree.has_short).tolist()
-    ref_w = (len(subtree_leaves) - 1).bit_length()
-    has_short = tree.has_short.tolist()
-    part_root = tree.part_root.tolist()
-    leaf_count = [0 if ch else 1 for ch in children]
-    for v in range(n_nodes - 1, 0, -1):  # preorder ids: children come later
-        leaf_count[parent[v]] += leaf_count[v]
-    center = [0] * n_nodes
-    ingress: list[int | None] = [None] * n_nodes
-    inv_delta = [0] * n_nodes
-    # displacement runs are stepped over here and read below, all at once
-    # (part roots keep width 0, which reads as a zero row)
-    disp_starts = [0] * n_nodes
-    disp_widths = [0] * n_nodes
-    disp_bounds = [0] * n_nodes
-    center_bits = ingress_bits = precision_bits = displacement_bits = 0
-    for v in range(n_nodes):
-        mark = r.position
-        center[v] = r.read_uint(center_w)
-        if center[v] >= n:
-            raise FormatError(f"center label {center[v]} out of range")
-        center_bits += r.position - mark
-        root_here = part_root[v]
-        if not root_here:
-            mark = r.position
-            if r.read_uint(1):
-                idx = r.read_uint(ref_w)
-                if idx >= len(subtree_leaves):
-                    raise FormatError(f"ingress reference {idx} out of range")
-                ingress[v] = subtree_leaves[idx]
-            else:
-                ingress[v] = parent[v]
-            ingress_bits += r.position - mark
-        mark = r.position
-        inv_delta[v] = 4 + r.read_gamma()
-        precision_bits += r.position - mark
-        # a level-l cluster C has diameter < (|C|-1) * 2^l, so a valid build
-        # never stores inv_delta = 5 + ceil(diam / 2^l) above |C| + 4
-        if inv_delta[v] > leaf_count[v] + 4:
-            raise FormatError(f"precision {inv_delta[v]} of node {v} exceeds leaves + 4")
-        if not root_here:
-            delta_eff = net.delta_effective(eps, not has_short[v], inv_delta[v])
-            if not net.grid_bound_fits(delta_eff, d, p):
-                raise FormatError(f"grid bound of node {v} does not fit in 64 bits")
-            bound = net.grid_bound(delta_eff, d, p)
-            width = net.grid_bit_width(delta_eff, d, p)
-            if d * width > r.remaining:  # never allocate from the header's d alone
-                raise FormatError(
-                    f"displacement of node {v} needs {d * width} bits, "
-                    f"{r.remaining} remain"
-                )
-            disp_starts[v] = r.skip(d * width)
-            disp_widths[v] = width
-            disp_bounds[v] = bound
-            displacement_bits += d * width
-    eta_ints = _read_grid(payload, disp_starts, disp_widths, disp_bounds, d)
+    # 3. centers
+    centers = column((n - 1).bit_length(), n_nodes, "centers")[0]
+    if (centers >= n).any():
+        raise FormatError(f"center label {centers[centers >= n][0]} out of range")
+    center = centers.tolist()
 
-    for v in leaves:
+    # 4. ingresses
+    mark = pos
+    inner = np.flatnonzero(~tree.part_root)
+    subtree_leaves = np.flatnonzero(~tree.has_short)
+    flagged = column(1, inner.size, "ingress flags")[0] == 1
+    ref_w = (subtree_leaves.size - 1).bit_length()
+    refs = column(ref_w, int(flagged.sum()), "ingress references")[0].astype(np.int64)
+    if (refs >= subtree_leaves.size).any():
+        raise FormatError(
+            f"ingress reference {refs[refs >= subtree_leaves.size][0]} out of range"
+        )
+    ing = np.full(n_nodes, -1, dtype=np.int64)
+    ing[inner] = parent[inner]
+    ing[inner[flagged]] = subtree_leaves[refs]
+    ingress: list[int | None] = [None if u < 0 else u for u in ing.tolist()]
+    ingress_bits = pos - mark
+
+    # 5. precisions
+    leaf_count = is_leaf.astype(np.int64)
+    for layer in layers[:0:-1]:  # deepest first
+        np.add.at(leaf_count, parent[layer], leaf_count[layer])
+    precision, precision_bits = gammas(n_nodes)
+    # a level-l cluster C has diameter < (|C|-1) * 2^l, so a valid build
+    # never stores inv_delta = 5 + ceil(diam / 2^l) above |C| + 4
+    over = np.flatnonzero(precision > leaf_count.astype(np.uint64))
+    if over.size:
+        v = over[0]
+        raise FormatError(f"precision {precision[v] + 4} of node {v} exceeds leaves + 4")
+    inv_delta = (precision.astype(np.int64) + 4).tolist()
+
+    # 6. displacements
+    try:
+        bounds, widths = _grid_fields(tree, inv_delta, eps, d, p)
+    except (OverflowError, ZeroDivisionError):  # B is infinite
+        bounds = None
+    if bounds is None or bounds.dtype == object:
+        raise FormatError("a grid bound does not fit in 64 bits")
+    # never allocate from the header's d alone: the first node whose run
+    # ends past the payload is named
+    ends = np.cumsum(widths)
+    over = np.flatnonzero(ends > (payload_bits - pos) // d)
+    if over.size:
+        v = over[0]
+        raise FormatError(
+            f"displacement of node {v} needs {d * widths[v]} bits, "
+            f"{payload_bits - pos - d * (ends[v] - widths[v])} remain"
+        )
+    eta_ints = _read_grid(payload, pos + d * (ends - widths), widths, bounds, d)
+    displacement_bits = d * int(ends[-1])
+    pos += displacement_bits
+
+    for v in np.flatnonzero(is_leaf).tolist():
         leaf_label[v] = center[v]
-    if sorted(center[v] for v in leaves) != list(range(n)):
+    if not np.array_equal(np.sort(centers[is_leaf]), np.arange(n)):
         raise FormatError("leaf centers are not a permutation of the labels")
-    for v in range(n_nodes):
-        if children[v] and center[v] != center[children[v][0]]:
-            raise FormatError(f"center of node {v} is not its first child's")
+    # in preorder, an internal node's first child is the next node
+    differs = np.flatnonzero(~is_leaf[:-1] & (centers[:-1] != centers[1:]))
+    if differs.size:
+        raise FormatError(f"center of node {differs[0]} is not its first child's")
     tree.verify()
 
     decomp = subtree_decomposition(tree)
-    _check_ingress_forest(tree, ingress, decomp)
+    part_of = np.array(decomp.part_of, dtype=np.int64)
+    crossing = inner[part_of[ing[inner]] != part_of[inner]]
+    if crossing.size:
+        raise FormatError(f"ingress of {crossing[0]} crosses a long edge")
+    if sum(map(len, ingress_layers(ingress))) != n_nodes:
+        raise FormatError("ingress references contain a cycle")
 
-    # 4. landmarks
+    # 7. landmarks
     landmarks: dict[int, np.ndarray] | None = None
-    landmark_bits = 0
+    mark = pos
     if has_landmarks:
-        mark = r.position
-        node_w = (n_nodes - 1).bit_length()
-        width = kk + 2
+        counts = [int(c) - 1 for c in gammas(len(decomp.roots))[0]]  # exact sums
+        total = sum(counts)
+        ids = column((n_nodes - 1).bit_length(), total, "landmark ids")[0].astype(np.int64)
+        if (ids >= n_nodes).any():
+            raise FormatError(f"landmark node {ids[ids >= n_nodes][0]} out of range")
+        wrong = ids[part_of[ids] != np.repeat(np.arange(len(counts)), counts)]
+        if wrong.size:
+            raise FormatError(f"landmark node {wrong[0]} recorded in wrong part")
+        ranked = np.sort(ids)
+        dup = ranked[1:][ranked[1:] == ranked[:-1]]
+        if dup.size:
+            raise FormatError(f"duplicate landmark node {dup[0]}")
+        u = column(kk + 2, d, "landmark shifts", rows=total)
         bias = 1 << (kk + 1)
-        landmarks = {}
-        for pid in range(len(decomp.roots)):
-            count = r.read_gamma() - 1
-            for _ in range(count):
-                v = r.read_uint(node_w)
-                if v >= n_nodes:
-                    raise FormatError(f"landmark node {v} out of range")
-                if decomp.part_of[v] != pid:
-                    raise FormatError(f"landmark node {v} recorded in wrong part")
-                if v in landmarks:
-                    raise FormatError(f"duplicate landmark node {v}")
-                if width <= 64:  # the run's start; all runs are read below
-                    landmarks[v] = r.skip(d * width)
-                else:  # wider than any numpy integer: exact ints, field by field
-                    landmarks[v] = np.array(
-                        [r.read_uint(width) - bias for _ in range(d)], dtype=object
-                    )
-        if width <= 64 and landmarks:
-            starts = list(landmarks.values())
-            u = unpack_runs(payload, starts, [width] * len(starts), d)
-            landmarks = dict(zip(landmarks, (u - np.uint64(bias)).view(np.int64)))
-        landmark_bits = r.position - mark
+        shifts = (u - np.uint64(bias)).view(np.int64) if kk < 63 else u.astype(object) - bias
+        landmarks = dict(zip(ids.tolist(), shifts))
+    landmark_bits = pos - mark
 
-    if r.position != payload_bits:
+    if pos != payload_bits:
         raise FormatError(
-            f"payload length mismatch: read {r.position} of {payload_bits} bits"
+            f"payload length mismatch: read {pos} of {payload_bits} bits"
         )
 
     model = SketchModel(
@@ -564,9 +568,9 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         total_bytes=len(data),
         header_bytes=header_len,
         crc_bytes=4,
-        tree_shape_bits=shape_bits + edge_flag_bits,
-        long_gap_bits=gap_bits_total,
-        center_bits=center_bits,
+        tree_shape_bits=3 * n_nodes - 1,
+        long_gap_bits=gap_bits,
+        center_bits=n_nodes * ((n - 1).bit_length()),
         ingress_bits=ingress_bits,
         precision_bits=precision_bits,
         displacement_bits=displacement_bits,
@@ -578,11 +582,11 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
 
 
 def _read_grid(payload, starts, widths, bounds, d) -> np.ndarray:
-    """The displacement runs stepped over by ``_parse``, in one pass, as one
-    (len(starts), d) int64 array of grid integers: row i holds the d fields
-    of ``widths[i]`` bits from bit ``starts[i]`` on, minus ``bounds[i]``.
-    A width of 0 (a part root) gives a zero row.  A field above twice its
-    bound raises FormatError."""
+    """The displacement column in one pass, as one (len(starts), d) int64
+    array of grid integers: row i holds the d fields of ``widths[i]`` bits
+    from bit ``starts[i]`` on, minus ``bounds[i]``.  A width of 0 (a part
+    root) gives a zero row.  A field above twice its bound raises
+    FormatError."""
     u = unpack_runs(payload, starts, widths, d)
     bound = np.array(bounds, dtype=np.uint64)[:, None]  # each below 2^63
     over = u > 2 * bound
@@ -593,18 +597,3 @@ def _read_grid(payload, starts, widths, bounds, d) -> np.ndarray:
         )
     u -= bound  # wraps below zero, which the int64 view reads as negative
     return u.view(np.int64)
-
-
-def _check_ingress_forest(tree, ingress, decomp) -> None:
-    """Ingress edges must stay inside each part and reach the part root."""
-    for v, root_here in enumerate(tree.part_root.tolist()):
-        ing = ingress[v]
-        if root_here:
-            if ing is not None:
-                raise FormatError(f"part root {v} carries an ingress")
-        elif ing is None:
-            raise FormatError(f"node {v} lacks an ingress")
-        elif decomp.part_of[ing] != decomp.part_of[v]:
-            raise FormatError(f"ingress of {v} crosses a long edge")
-    if sum(map(len, ingress_layers(ingress))) != tree.n_nodes:
-        raise FormatError("ingress references contain a cycle")

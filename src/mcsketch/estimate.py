@@ -41,7 +41,7 @@ import numpy as np
 
 from . import codec, net
 from .annotate import ingress_layers, shift_dtype, shift_exponents, shift_to_float
-from .core import InputError, UnknownLabelError, k_parameter, lp_distance
+from .core import FormatError, InputError, UnknownLabelError, k_parameter, lp_distance
 from .core import _BLOCK_ELEMS, _lp_reduce
 
 __all__ = [
@@ -81,22 +81,25 @@ class Estimator:
         if mode == "landmark" and model.landmarks is None:
             raise InputError("sketch carries no landmark table")
         steps, layers, ing = self._steps_of(model)
+        shifts = steps.copy() if mode == "landmark" else steps
+        # layer by layer each row becomes its node's shift: its ingress's
+        # row, one layer up, already holds the ingress's shift
+        for layer in layers[1:]:
+            shifts[layer] += shifts[ing[layer]]
         if mode == "landmark":
             zero = np.zeros(self._d, dtype=steps.dtype)
-            # part roots (the nodes without an ingress) and landmarks
+            # part roots (the nodes without an ingress) and landmarks; a
+            # stored shift other than the sum its chain replays to would
+            # answer queries the precomputed mode answers differently
             self._known = {v: zero for v in layers[0]}
-            self._known.update(
-                (v, np.asarray(ks).astype(steps.dtype))
-                for v, ks in model.landmarks.items()
-            )
+            for v, ks in model.landmarks.items():
+                self._known[v] = np.asarray(ks).astype(steps.dtype)
+                if not np.array_equal(self._known[v], shifts[v]):
+                    raise FormatError(f"landmark shift of node {v} disagrees with its chain")
             self._steps = steps
             self._sf = None
         else:
-            # layer by layer each row becomes its node's shift: its ingress's
-            # row, one layer up, already holds the ingress's shift
-            for layer in layers[1:]:
-                steps[layer] += steps[ing[layer]]
-            self._sf = shift_to_float(steps, self._unit)
+            self._sf = shift_to_float(shifts, self._unit)
 
     # -- shifted surrogates ------------------------------------------------
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from mcsketch.core import DuplicatePointError, _pairwise
+from mcsketch.core import DuplicatePointError, FormatError, _pairwise
 
 
 def matrix_min_distance(coords, p) -> float:
@@ -241,3 +241,134 @@ def node_by_node_surrogates(tree, ingress, center, ps, params, clusters):
         shift_int[v] = shift_int[u] + (m.astype(dtype) << sh)
         s_star[v] = s_star[part_root[v]] + shift_int[v].astype(np.float64) * unit
     return inv_delta, grid, shift_int, s_star
+
+
+class BitWriter:
+    """Scalar MSB-first bit writer, one field per call, as the codec once
+    wrote blobs: the reference the array packer must match bit for bit."""
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+        self._acc = 0
+        self._nbits = 0
+
+    @property
+    def bit_length(self) -> int:
+        return 8 * len(self._buf) + self._nbits
+
+    def write_uint(self, value: int, width: int) -> None:
+        value = int(value)
+        if width < 0:
+            raise ValueError("negative width")
+        if value < 0 or value >> width:
+            raise ValueError(f"value {value} does not fit in {width} bits")
+        acc = (self._acc << width) | value
+        nbits = self._nbits + width
+        full, nbits = divmod(nbits, 8)
+        if full:
+            self._buf += (acc >> nbits).to_bytes(full, "big")
+        self._acc = acc & ((1 << nbits) - 1)
+        self._nbits = nbits
+
+    def write_gamma(self, value: int) -> None:
+        """Elias gamma: N zero bits then the (N+1)-bit value, value >= 1."""
+        value = int(value)
+        if value < 1:
+            raise ValueError(f"gamma code requires value >= 1, got {value}")
+        n = value.bit_length() - 1
+        self.write_uint(0, n)
+        self.write_uint(value, n + 1)
+
+    def getvalue(self) -> bytes:
+        """Bytes with zero padding in the final partial byte."""
+        out = bytes(self._buf)
+        if self._nbits:
+            out += bytes([(self._acc << (8 - self._nbits)) & 0xFF])
+        return out
+
+
+class BitReader:
+    """Scalar reader matching :class:`BitWriter`, bounded by a bit length."""
+
+    def __init__(self, data: bytes, bit_length: int) -> None:
+        self._data = data
+        self._limit = bit_length
+        self.position = 0
+
+    def read_uint(self, width: int) -> int:
+        pos = self.position
+        end = pos + width
+        if end > self._limit:
+            raise FormatError("bit stream truncated")
+        self.position = end
+        last = (end + 7) >> 3
+        chunk = int.from_bytes(self._data[pos >> 3 : last], "big")
+        return (chunk >> (8 * last - end)) & ((1 << width) - 1)
+
+    def read_gamma(self) -> int:
+        n = 0
+        while self.read_uint(1) == 0:
+            n += 1
+        return (1 << n) | self.read_uint(n)
+
+
+COLUMNS = (
+    "shape",
+    "edge flags",
+    "gaps",
+    "centers",
+    "ingress flags",
+    "references",
+    "precisions",
+    "displacements",
+    "landmark counts",
+    "landmark ids",
+    "landmark shifts",
+)
+
+
+def payload_columns(blob: bytes) -> dict[str, range]:
+    """The bits, counted from the blob's first bit, of every payload column
+    of an MCSK v2 blob, derived from the decoded model and the field widths
+    of the layout alone; a column the blob lacks is an empty range."""
+    from mcsketch.codec import deserialize, size_report
+    from mcsketch.core import k_parameter
+    from mcsketch.hst import subtree_decomposition
+
+    model = deserialize(blob)
+    rep = size_report(blob)
+    tree = model.tree
+    nodes = tree.n_nodes
+    inner = sum(u is not None for u in model.ingress)
+    refs = sum(
+        u is not None and u != tree.parent[v] for v, u in enumerate(model.ingress)
+    )
+    short_childless = sum(not tree.has_short[v] for v in range(nodes))
+    lengths = [
+        2 * nodes,
+        nodes - 1,
+        sum(2 * tree.edge_gap(v).bit_length() - 1 for v in range(1, nodes) if tree.long_edge[v]),
+        nodes * (model.n - 1).bit_length(),
+        inner,
+        refs * (short_childless - 1).bit_length(),
+        sum(2 * (k - 4).bit_length() - 1 for k in model.inv_delta),
+        rep.displacement_bits,
+        0,
+        0,
+        0,
+    ]
+    if model.landmarks is not None:
+        part_of = subtree_decomposition(tree).part_of
+        kk = k_parameter(model.spread, model.epsilon, model.d, model.p)
+        for pid in range(max(part_of) + 1):
+            count = sum(part_of[v] == pid for v in model.landmarks)
+            lengths[8] += 2 * (count + 1).bit_length() - 1
+        lengths[9] = len(model.landmarks) * (nodes - 1).bit_length()
+        lengths[10] = len(model.landmarks) * model.d * (kk + 2)
+    pos = 8 * rep.header_bytes
+    out = {}
+    for name, length in zip(COLUMNS, lengths):
+        out[name] = range(pos, pos + length)
+        pos += length
+    assert pos == 8 * rep.header_bytes + rep.payload_bits
+    return out

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mcsketch import net
-from mcsketch._bitio import BitWriter
+from mcsketch._bitio import pack_fields
 from mcsketch.cli import (
     build_sketch,
     gen_high_spread_line,
@@ -23,10 +23,11 @@ from mcsketch.cli import (
     gen_uniform,
     prepare_points,
 )
-from mcsketch.codec import _biased_runs, _read_grid, deserialize, serialize, size_report
+from mcsketch.codec import _biased, _read_grid, deserialize, serialize, size_report
 from mcsketch.core import (
     DistanceMatrix,
     FormatError,
+    SketchError,
     SketchParams,
     k_parameter,
     lp_distance,
@@ -36,6 +37,8 @@ from mcsketch.core import (
 from mcsketch.estimate import Estimator
 from mcsketch.hst import subtree_decomposition
 from mcsketch.reduce import JlConfig, frechet_embed
+
+import _reference as ref
 
 # --------------------------------------------------------------------------
 # Shared corpus: p x n x d x eps grid, 20 seeded instances per combination.
@@ -232,14 +235,11 @@ def test_criterion_04_ingress_bounds(corpus):
 # 5. Grid net and codec correctness, exhaustively.
 
 
-def _written(runs, bits):
-    """Bytes of runs of ``bits`` bits each, back to back, and their starts."""
-    w = BitWriter()
-    starts = []
-    for run in runs:
-        starts.append(w.bit_length)
-        w.write_uint(run, bits)
-    return w.getvalue(), starts
+def _written(fields, width, d):
+    """Bytes of rows of ``d`` fields of ``width`` bits each, back to back,
+    and the bit each row starts at."""
+    rows = len(fields) // d
+    return pack_fields(fields, width), (d * width * np.arange(rows)).tolist()
 
 
 def test_criterion_05_net_exhaustive():
@@ -254,7 +254,7 @@ def test_criterion_05_net_exhaustive():
                 inside = range(-b, b + 1)
                 grid = np.array(list(itertools.product(inside, repeat=d)), np.int64)
                 k = len(grid)
-                data, starts = _written(_biased_runs(grid, [b] * k, width), d * width)
+                data, starts = _written(_biased(grid, [b] * k, [width] * k), width, d)
                 back = _read_grid(data, starts, [width] * k, [b] * k, d)
                 ok &= back.dtype == np.int64 and back.tobytes() == grid.tobytes()
                 vectors += k
@@ -266,8 +266,7 @@ def test_criterion_05_net_exhaustive():
                     for u in range(2 * b + 1, 1 << width)
                     for rest in itertools.product(range(2 * b + 1), repeat=d - 1)
                 ]
-                runs = [int("".join(f"{f:0{width}b}" for f in row), 2) for row in bad]
-                data, starts = _written(runs, d * width)
+                data, starts = _written(np.array(bad).ravel(), width, d)
                 for start in starts:
                     try:
                         _read_grid(data, [start], [width], [b], d)
@@ -281,7 +280,7 @@ def test_criterion_05_net_exhaustive():
                         for rest in itertools.product(inside, repeat=d - 1):
                             m = np.array([rest[:i] + (out,) + rest[i:]], np.int64)
                             try:
-                                _biased_runs(m, [b], width)
+                                _biased(m, [b], [width])
                                 ok = False
                             except ValueError:
                                 refused += 1
@@ -291,7 +290,7 @@ def test_criterion_05_net_exhaustive():
         5,
         ok,
         f"all {vectors} vectors |m_i| <= B over 18 (d, delta, p) combos come back "
-        f"exactly through the codec's _biased_runs and _read_grid; {rejected} "
+        f"exactly through the codec's _biased and _read_grid; {rejected} "
         f"stored vectors with a field in (2B, 2^width) rejected; {refused} vectors "
         f"with one coordinate at +-(B+1) refused by the encoder; {elapsed:.1f}s",
     )
@@ -333,15 +332,44 @@ def test_criterion_06_codec_fuzz():
             deserialize(bytes(bad))
         except FormatError:
             detected += 1
-    start, end = rep.header_bytes * 8, (len(blob) - rep.crc_bytes) * 8
-    for bitpos in rng.integers(start, end, size=200):
-        bad = bytearray(blob)
+    # 200 payload bit flips spread over all eleven columns of a blob that has
+    # them all: with the CRC left stale each must be detected; with the CRC
+    # recomputed the decoder must refuse within 2 s, or decode to a model
+    # whose estimators give the exact sums' floats (the landmark mode, from
+    # the part roots alone, may refuse instead)
+    ps = normalize(np.random.default_rng(60).normal(size=(60, 3)) * 20, 2.0)
+    full = build_sketch(ps, SketchParams(epsilon=0.25, landmarks=True, jl_enabled=False)).blob
+    columns = [bits for bits in ref.payload_columns(full).values() if bits]
+    ok &= len(columns) == len(ref.COLUMNS)
+    refused = exact = 0
+    for k in range(200):
+        bits = columns[k % len(columns)]
+        bitpos = bits[int(rng.integers(len(bits)))]
+        bad = bytearray(full)
         bad[bitpos // 8] ^= 1 << (7 - bitpos % 8)
         attempts += 1
         try:
             deserialize(bytes(bad))
         except FormatError:
             detected += 1
+        t1 = time.perf_counter()
+        try:
+            model = deserialize(bytes(bad[:-4]) + zlib.crc32(bad[:-4]).to_bytes(4, "little"))
+        except SketchError:
+            refused += 1
+            ok &= time.perf_counter() - t1 < 2.0
+            continue
+        ok &= time.perf_counter() - t1 < 2.0
+        want = ref.exact_shift_floats(model)
+        nodes = range(model.tree.n_nodes)
+        est = Estimator(model)
+        ok &= np.array_equal([est.shifted_surrogate(v) for v in nodes], want)
+        try:
+            est = Estimator(model, mode="landmark")
+            ok &= np.array_equal([est.shifted_surrogate(v) for v in nodes], want)
+        except SketchError:
+            pass
+        exact += 1
     ok &= detected == attempts
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0
@@ -349,7 +377,9 @@ def test_criterion_06_codec_fuzz():
         6,
         ok,
         f"100 roundtrips byte-exact; {detected}/{attempts} corruptions "
-        f"(every header byte + 200 payload bit flips) detected; {elapsed:.1f}s",
+        f"(every header byte + 200 payload bit flips over all "
+        f"{len(ref.COLUMNS)} columns) detected; with the CRC recomputed, "
+        f"{refused} refused and {exact} decoded to exact floats; {elapsed:.1f}s",
     )
 
 

@@ -8,13 +8,13 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mcsketch._bitio import BitReader, BitWriter, pack_runs, unpack_runs
+from mcsketch._bitio import gamma_widths, pack_fields, read_gammas, unpack_runs
 from mcsketch.cli import build_sketch, gen_high_spread_line, gen_uniform, sketch_points
 from mcsketch import net
-from mcsketch.codec import MAGIC, deserialize, serialize, size_report
+from mcsketch.codec import MAGIC, VERSION, deserialize, serialize, size_report
 from mcsketch.core import (
     FormatError,
     GuaranteeError,
@@ -49,62 +49,105 @@ def _random_blob(rng):
 
 
 # --------------------------------------------------------------------------
-# Bit-level IO.
+# Bit-level IO: the array packer and column readers against the scalar
+# reference writer and reader of ``_reference``.
+
+
+def _scalar(fields) -> tuple[bytes, int]:
+    """Bytes and bit length of ("u", value, width) and ("g", value) fields
+    written one call at a time."""
+    w = ref.BitWriter()
+    for f in fields:
+        w.write_uint(f[1], f[2]) if f[0] == "u" else w.write_gamma(f[1])
+    return w.getvalue(), w.bit_length
+
+
+def _packed(fields) -> tuple[bytes, list[int], list[int]]:
+    """The same fields through pack_fields: bytes, start and width of each."""
+    values = np.array([f[1] for f in fields], dtype=object)
+    widths = [f[2] if f[0] == "u" else int(gamma_widths([f[1]])[0]) for f in fields]
+    starts = np.cumsum([0] + widths)[:-1].tolist()
+    return pack_fields(values, widths), starts, widths
 
 
 def test_bitwriter_reader_basic():
-    w = BitWriter()
-    w.write_uint(5, 3)
-    w.write_uint(1, 1)
-    w.write_gamma(9)
-    w.write_uint(0, 7)
-    data = w.getvalue()
-    r = BitReader(data, w.bit_length)
-    assert r.read_uint(3) == 5
-    assert r.read_uint(1) == 1
-    assert r.read_gamma() == 9
-    assert r.read_uint(7) == 0
-    assert r.remaining == 0  # reader is bounded by the logical bit length
-    assert len(data) == (w.bit_length + 7) // 8
+    fields = [("u", 5, 3), ("u", 1, 1), ("g", 9), ("u", 0, 7)]
+    data, starts, widths = _packed(fields)
+    assert widths[2] == 7 and sum(widths) == 18
+    assert (data, sum(widths)) == _scalar(fields)
+    assert len(data) == (sum(widths) + 7) // 8
+    assert unpack_runs(data, starts, widths, 1)[:, 0].tolist() == [5, 1, 9, 0]
+    values, end = read_gammas(data, 4, 1, 18)
+    assert values.tolist() == [9] and end == 11
+    # the gamma walk is bounded by the logical bit length, not the bytes
+    with pytest.raises(FormatError):
+        read_gammas(data, 4, 1, 10)
 
 
 def test_bitwriter_rejects_oversized_values():
-    w = BitWriter()
     with pytest.raises(ValueError):
-        w.write_uint(8, 3)
+        pack_fields(np.array([8]), [3])
     with pytest.raises(ValueError):
-        w.write_gamma(0)
+        pack_fields(np.array([2**70], dtype=object), [70])
+    with pytest.raises(ValueError):
+        pack_fields(np.array([-1]), [8])
+    with pytest.raises(ValueError):
+        gamma_widths([0])
 
 
 def test_bitreader_rejects_overrun():
-    w = BitWriter()
-    w.write_uint(3, 2)
-    r = BitReader(w.getvalue(), w.bit_length)
-    r.read_uint(2)
+    data = pack_fields(np.array([3, 0]), [2, 5])
     with pytest.raises(FormatError):
-        r.read_uint(1)
+        read_gammas(data, 2, 1, 7)  # five zeros and no terminating one
+    with pytest.raises(FormatError):
+        read_gammas(data, 0, 3, 2)  # two one-bit codes, then nothing
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(1, 41)), max_size=30))
+@given(st.lists(st.tuples(st.integers(0, 2**200), st.integers(0, 200)), max_size=30))
 def test_uint_roundtrip(items):
-    w = BitWriter()
-    for value, width in items:
-        w.write_uint(value % (1 << width), width)
-    r = BitReader(w.getvalue(), w.bit_length)
-    for value, width in items:
-        assert r.read_uint(width) == value % (1 << width)
+    fields = [("u", value % (1 << width), width) for value, width in items]
+    data, starts, widths = _packed(fields)
+    assert (data, sum(widths)) == _scalar(fields)
+    back = unpack_runs(data, starts, widths, 1)[:, 0] if fields else []
+    assert [int(x) for x in back] == [f[1] for f in fields]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 2**32), max_size=30))
+@given(st.lists(st.integers(1, 2**100), max_size=30))
 def test_gamma_roundtrip(values):
-    w = BitWriter()
-    for v in values:
-        w.write_gamma(v)
-    r = BitReader(w.getvalue(), w.bit_length)
-    for v in values:
-        assert r.read_gamma() == v
+    fields = [("g", v) for v in values]
+    data, _, widths = _packed(fields)
+    assert (data, sum(widths)) == _scalar(fields)
+    back, end = read_gammas(data, 0, len(values), sum(widths))
+    assert [int(x) for x in back] == values and end == sum(widths)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("u"), st.integers(0, 2**70), st.integers(0, 70)),
+            st.tuples(st.just("g"), st.integers(1, 2**70)),
+        ),
+        max_size=40,
+    )
+)
+def test_packer_matches_scalar_writer(fields):
+    # uint fields of 0..70 bits and gammas mixed at every alignment: the
+    # array packer writes the scalar writer's bytes, and the column readers
+    # read back what the scalar reader reads
+    fields = [(f[0], f[1] % (1 << f[2]), f[2]) if f[0] == "u" else f for f in fields]
+    data, starts, widths = _packed(fields)
+    assert (data, sum(widths)) == _scalar(fields)
+    r = ref.BitReader(data, sum(widths))
+    for f, start, width in zip(fields, starts, widths):
+        if f[0] == "u":
+            got = unpack_runs(data, [start], [width], 1)[0, 0]
+            assert int(got) == r.read_uint(width) == f[1]
+        else:
+            got, end = read_gammas(data, start, 1, sum(widths))
+            assert int(got[0]) == r.read_gamma() == f[1] and end == start + width
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,35 +156,30 @@ def test_runs_match_scalar_fields(seed):
     # runs of 1..64-bit fields at every bit alignment, widths mixed in one read
     rng = np.random.default_rng(seed)
     count = int(rng.integers(1, 6))
-    w = BitWriter()
-    w.write_uint(0, int(rng.integers(0, 8)))
+    fields = [("u", 0, int(rng.integers(0, 8)))]
     starts, widths, rows = [], [], []
     for _ in range(int(rng.integers(1, 6))):
         width = int(rng.integers(1, 65))
         draws = rng.integers(0, 2**64, size=count, dtype=np.uint64)
         row = [int(x) >> (64 - width) for x in draws]
-        run = 0
-        for x in row:
-            run = (run << width) | x
-        assert pack_runs(np.array([row], dtype=np.uint64), width) == [run]
-        starts.append(w.bit_length)
+        starts.append(sum(f[2] for f in fields))
         widths.append(width)
         rows.append(row)
-        w.write_uint(run, count * width)
-        w.write_uint(0, int(rng.integers(0, 9)))
-    data = w.getvalue()
+        fields += [("u", x, width) for x in row]
+        fields.append(("u", 0, int(rng.integers(0, 9))))
+    data, _, _ = _packed(fields)
+    assert data == _scalar(fields)[0]
     got = unpack_runs(data, starts, widths, count)
-    r = BitReader(data, w.bit_length)
-    for start, width, row, fields in zip(starts, widths, rows, got.tolist()):
-        r.skip(start - r.position)
-        assert fields == row == [r.read_uint(width) for _ in range(count)]
+    r = ref.BitReader(data, _scalar(fields)[1])
+    for start, width, row, back in zip(starts, widths, rows, got.tolist()):
+        r.read_uint(start - r.position)
+        assert back == row == [r.read_uint(width) for _ in range(count)]
 
 
 def test_gamma_length_is_logarithmic():
     for v in (1, 2, 3, 9, 100, 2**20):
-        w = BitWriter()
-        w.write_gamma(v)
-        assert w.bit_length == 2 * int(math.log2(v)) + 1
+        assert gamma_widths([v])[0] == 2 * int(math.log2(v)) + 1
+        assert _scalar([("g", v)])[1] == gamma_widths([v])[0]
 
 
 # --------------------------------------------------------------------------
@@ -434,6 +472,17 @@ def _patch_header(blob: bytes, offset: int, fmt: str, value) -> bytes:
     return _with_crc(body)
 
 
+def test_version_one_refused():
+    # version 2 moved every field into columns; a version-1 blob is refused,
+    # not read by a second parser
+    blob = _blob(np.random.default_rng(9).normal(size=(10, 2)) * 7)
+    assert struct.unpack_from("<H", blob, 4) == (VERSION,) == (2,)
+    body = bytearray(blob[:-4])
+    struct.pack_into("<H", body, 4, 1)
+    with pytest.raises(FormatError, match="unsupported version 1"):
+        deserialize(_with_crc(body))
+
+
 def test_flag_bit_zero_rejected():
     # bit 0 once selected a second displacement codec; it stays reserved
     blob = _blob(np.random.default_rng(9).normal(size=(10, 2)) * 7)
@@ -466,60 +515,57 @@ def _fuzz_blob(p: float, landmarks: bool, n: int) -> bytes:
     return _blob(pts, eps=0.25, p=p, landmarks=landmarks)
 
 
-@functools.lru_cache(maxsize=None)
-def _landmark_run_bits(blob: bytes) -> tuple[int, ...]:
-    """Offsets, from the blob's first bit, of every bit inside a
-    landmark-shift run (the layout in the codec module docstring)."""
-    model = deserialize(blob)
-    rep = size_report(blob)
-    decomp = subtree_decomposition(model.tree)
-    kk = k_parameter(model.spread, model.epsilon, model.d, model.p)
-    node_w = (model.tree.n_nodes - 1).bit_length()
-    run = model.d * (kk + 2)
-    pos = 8 * rep.header_bytes + rep.payload_bits - rep.landmark_bits
-    out: list[int] = []
-    for pid in range(len(decomp.roots)):
-        count = sum(decomp.part_of[v] == pid for v in model.landmarks)
-        pos += 2 * (count + 1).bit_length() - 1  # Elias gamma of count + 1
-        for _ in range(count):
-            out.extend(range(pos + node_w, pos + node_w + run))
-            pos += node_w + run
-    assert pos == 8 * rep.header_bytes + rep.payload_bits
-    return tuple(out)
+_columns = functools.lru_cache(maxsize=None)(ref.payload_columns)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.sampled_from([1.0, 2.0, math.inf]),
-    st.booleans(),
-    st.sampled_from([12, 60]),
-    st.lists(st.integers(min_value=0), min_size=1, max_size=3),
-    st.booleans(),
-)
-def test_valid_crc_mutations_decode_or_fail_fast(p, landmarks, n, flips, in_shifts):
-    blob = _fuzz_blob(p, landmarks, n)
-    body = bytearray(blob[:-4])
-    # with landmarks, half the examples flip bits inside landmark-shift runs
-    targets = _landmark_run_bits(blob) if landmarks and in_shifts else ()
-    for f in flips:
-        bit = targets[f % len(targets)] if targets else f % (8 * len(body))
-        body[bit // 8] ^= 1 << (7 - bit % 8)
-    t0 = time.perf_counter()
-    try:
-        model = deserialize(_with_crc(body))
-    except SketchError:
-        model = None
-    assert time.perf_counter() - t0 < 2.0
-    if model is None:
-        return
-    # a blob that decodes gives the exact sums' floats in both modes
-    modes = [("precomputed", None)]
-    if model.landmarks is not None:
-        modes.append(("landmark", model.landmarks))
-    for mode, known in modes:
-        est = Estimator(model, mode=mode)
-        got = np.array([est.shifted_surrogate(v) for v in range(model.tree.n_nodes)])
-        assert np.array_equal(got, ref.exact_shift_floats(model, known))
+def test_valid_crc_mutations_decode_or_fail_fast():
+    hit = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([1.0, 2.0, math.inf]),
+        st.booleans(),
+        st.sampled_from([12, 60]),
+        st.sampled_from((None,) + ref.COLUMNS),
+        st.lists(st.integers(min_value=0), min_size=1, max_size=3),
+    )
+    def mutate(p, landmarks, n, column, flips):
+        blob = _fuzz_blob(p, landmarks, n)
+        body = bytearray(blob[:-4])
+        # flips inside one payload column; None, or a column the blob
+        # lacks, flips anywhere in header and payload
+        targets = _columns(blob).get(column) or range(8 * len(body))
+        if column in _columns(blob) and _columns(blob)[column]:
+            hit.add(column)
+        for f in flips:
+            bit = targets[f % len(targets)]
+            body[bit // 8] ^= 1 << (7 - bit % 8)
+        t0 = time.perf_counter()
+        try:
+            model = deserialize(_with_crc(body))
+        except SketchError:
+            model = None
+        assert time.perf_counter() - t0 < 2.0
+        if model is None:
+            return
+        # a blob that decodes gives the exact sums' floats in both modes; the
+        # landmark mode, which checks every stored shift against its chain,
+        # gives those of the part roots alone or refuses
+        exact = ref.exact_shift_floats(model)
+        modes = ["precomputed"] + ["landmark"] * (model.landmarks is not None)
+        for mode in modes:
+            try:
+                est = Estimator(model, mode=mode)
+            except SketchError:
+                assert mode == "landmark"
+                continue
+            got = np.array([est.shifted_surrogate(v) for v in range(model.tree.n_nodes)])
+            assert np.array_equal(got, exact)
+
+    for column in ref.COLUMNS:  # every column of one blob that has them all
+        mutate = example(2.0, True, 60, column, [0, 7, 2**40 + 3])(mutate)
+    mutate()
+    assert hit == set(ref.COLUMNS)
 
 
 @pytest.mark.parametrize("t", [57, 58, 59, 60, 512])

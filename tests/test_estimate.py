@@ -5,9 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from mcsketch.cli import build_sketch, gen_high_spread_line
+from mcsketch.cli import (
+    build_sketch,
+    gen_gaussian_clusters,
+    gen_high_spread_line,
+    sketch_points,
+)
 from mcsketch.codec import deserialize, serialize
 from mcsketch.core import (
+    FormatError,
     InputError,
     SketchParams,
     UnknownLabelError,
@@ -248,6 +254,23 @@ def test_landmark_replay_matches_shift_table_ints():
         got = est.shifted_surrogate(v)
         assert est.last_hops <= K
         assert np.array_equal(got, res.table.shift_float(v))
+
+
+def test_landmark_shift_disagreeing_with_its_chain_refused():
+    # +3 on one non-root landmark's stored shift, serialized with a valid
+    # CRC, once decoded and gave landmark estimates that differ from the
+    # precomputed ones on about a third of the pairs
+    pts = gen_gaussian_clusters(300, 3, 29)
+    blob = sketch_points(pts, 2.0, SketchParams(epsilon=1 / 16, landmarks=True))
+    assert Estimator(blob, mode="landmark").max_hops == 0
+    model = deserialize(blob)
+    v = min(u for u in model.landmarks if model.ingress[u] is not None)
+    model.landmarks[v] = model.landmarks[v] + 3
+    tampered = serialize(model)
+    assert deserialize(tampered).landmarks[v].tolist() == model.landmarks[v].tolist()
+    Estimator(tampered)  # the precomputed mode reads no landmark
+    with pytest.raises(FormatError, match=f"landmark shift of node {v} disagrees"):
+        Estimator(tampered, mode="landmark")
 
 
 def test_landmark_table_contents():

@@ -75,18 +75,18 @@ CASES = {
 }
 
 DIGESTS = {
-    "clusters-l2-fine-landmarks": "74b2b3837cc655eb162c04eb06e0e44a4fda493a4213fab31804919eadf17d51",
-    "clusters-linf": "11dc8733fc28a174934ce52eed74054edec9b6887253f3a63a57f6296cb5cd5e",
-    "graph-metric": "97bcbd49aaa92922a80d9db3775f3c2ccddae6ab15942a4f550ab40cf159336a",
-    "graph-metric-landmarks": "3b0034cfc48cb7ad81dfdde41d75f5ba5424a18b84cff06dd68610abc11dfe3f",
-    "high-spread-line": "cd2eb7c5862f0424e4119cd6a2bc65259438bfc3f18f0a4cfc9b367bc857e7b3",
-    "high-spread-line-512-landmarks": "b23082705208769efd13a8c96eeaea8aff1d3fbc1b3db2f04c764ae2a09d1386",
-    "lattice-l1-ties": "f24cdcde72c5834a95e1fe9a16367c8f9a37f50ed8cf7c4b893e3909d5a0d1b7",
-    "lattice-l2-ties-landmarks": "450e9307103ba1247ae9b854a819a661a745d76934899582b3b3a39a5cb7be31",
-    "projected-l2": "0d01b050078e0187314307d4a4b23335a1beb26277a8325541daa11ec8b0f96c",
-    "uniform-l1-landmarks": "b4a86df90c8d1d236e2f40abadb9ee864e797b03142abccb20adc19266247aff",
-    "uniform-l1.5": "1f607cae9442b5f6e0b8daaf52b0c8bb3091554afdb68785482b216287b8b4b5",
-    "uniform-l2": "69972893bfa55567595dc6613b8f7a2e7a87345de96fc35901696f92d3010d5d",
+    "clusters-l2-fine-landmarks": "33f5b42190e6e2ffce41c9731da5bc01aff1a5d488d03374a53dc8b35c77ada1",
+    "clusters-linf": "85943b15a07f4a8ac9dec0328a7306cddec4fcaef52bd8ae80105be279967463",
+    "graph-metric": "3584ac0cd795075d165f00e80d3e6de3d4bf1e8d759c6207e32370ede8a8ab00",
+    "graph-metric-landmarks": "ee7e14c362f3275b59fe073136d5b5ce53f1142d1321fd89fd77e6a107dc1efd",
+    "high-spread-line": "6fb333e98e31f879e4f4c1b2c766befbe990750e532507d067c0abcc9c848626",
+    "high-spread-line-512-landmarks": "05e8170a4fb1298f8db24928fa1f21cfe80e418c27d875f632e421eebc8a96c4",
+    "lattice-l1-ties": "491524f5dc5860f0b9f88f408f6f97315861d707506e9cd252776f3a4f4699b8",
+    "lattice-l2-ties-landmarks": "b10935fa98b08be54f36878e8839dd1acd32b0d58f94441a8e12b7c08299f89a",
+    "projected-l2": "9f447c20f950523da8a349f2ec7c52685d9a3a35827420b04b54bbc2ff0f311c",
+    "uniform-l1-landmarks": "9ef2301dea20f2bd57ee1d0be71c00b83ab71566e74725742671eca6f8c8c72e",
+    "uniform-l1.5": "44a9489d845f698376b9161135e46c531f0d165aeb8408c20ab148b6b4a5960f",
+    "uniform-l2": "4bb2cd17c690ac810d6accb8c7266956256b5f16403a0c5e321f81b868e29dce",
 }
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mcsketch import net
-from mcsketch._bitio import BitWriter
-from mcsketch.codec import _biased_runs, _read_grid
+from mcsketch._bitio import pack_fields
+from mcsketch.codec import _biased, _read_grid
 from mcsketch.core import FormatError, GuaranteeError, lp_distance, lp_norm
 
 
@@ -121,15 +121,11 @@ def test_grid_bound_fits_int64():
     assert not net.grid_bound_fits(0.0, 4, 2.0)
 
 
-def _written(runs, bits):
-    """Bytes of runs of ``bits`` bits each, written back to back, and the
-    bit each run starts at."""
-    w = BitWriter()
-    starts = []
-    for run in runs:
-        starts.append(w.bit_length)
-        w.write_uint(run, bits)
-    return w.getvalue(), starts
+def _written(fields, width, d):
+    """Bytes of rows of ``d`` fields of ``width`` bits each, written back to
+    back, and the bit each row starts at."""
+    rows = len(fields) // d
+    return pack_fields(fields, width), (d * width * np.arange(rows)).tolist()
 
 
 def test_grid_codec_roundtrip():
@@ -146,7 +142,7 @@ def test_grid_codec_roundtrip():
                 ms.append(net.grid_indices(x / max(1.0, lp_norm(x, p)), delta, d, p))
             ms = np.array(ms)
             assert np.abs(ms).max() <= b
-            data, starts = _written(_biased_runs(ms, [b] * 7, width), d * width)
+            data, starts = _written(_biased(ms, [b] * 7, [width] * 7), width, d)
             widths = [0 if i in roots else width for i in range(7)]
             bounds = [0 if i in roots else b for i in range(7)]
             back = _read_grid(data, starts, widths, bounds, d)
@@ -160,7 +156,7 @@ def test_grid_codec_rejects_out_of_bounds():
     assert (b, width) == (3, 3)
     for m in (-b - 1, b + 1):
         with pytest.raises(ValueError):
-            _biased_runs(np.array([[m]]), [b], width)
-    data, starts = _written([2 * b + 1], width)
+            _biased(np.array([[m]]), [b], [width])
+    data, starts = _written(np.array([2 * b + 1]), width, 1)
     with pytest.raises(FormatError, match="exceeds bound"):
         _read_grid(data, starts, [width], [b], 1)
