@@ -4,7 +4,7 @@ A payload is a sequence of fields: unsigned integers of given bit widths,
 back to back, each most significant bit first.  An Elias gamma code of
 v >= 1 is such a field too, v in 2 bitlen(v) - 1 bits, whose bitlen(v) - 1
 leading zeros announce its width.  :func:`pack_fields` writes any sequence
-of fields in one pass; :func:`unpack_runs` reads runs of fixed-width fields
+of columns of fields in one pass; :func:`unpack_runs` reads runs of fixed-width fields
 at any bit offsets in one pass, and :func:`read_gammas` walks a column of
 gamma codes, whose widths come one code at a time, one step per code.
 Fields wider than 64 bits, which only landmark shifts at spreads beyond
@@ -31,49 +31,60 @@ def _pieces(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return field, low, np.minimum(64, widths[field] - low)
 
 
-def pack_fields(values, widths) -> bytes:
-    """Field i, ``values[i]`` in ``widths[i]`` bits (or in ``widths`` bits
-    each), back to back from bit 0 and zero-padded to whole bytes.  Values
-    are non-negative: an integer array, or exact ints (an object array) for
-    fields wider than 64 bits.  Raises ValueError when a value is negative
-    or does not fit its width."""
+def _words(values, widths) -> tuple[np.ndarray, np.ndarray]:
+    """One column's fields as uint64 values and their widths, a field wider
+    than 64 bits cut into 64-bit pieces, top piece first.  Raises
+    ValueError when a value is negative or does not fit its width."""
     values = np.asarray(values)
-    widths = np.broadcast_to(np.asarray(widths, dtype=np.int64), values.shape)
+    widths = np.broadcast_to(np.asarray(widths), values.shape)
     if values.size and values.min() < 0:
         raise ValueError(f"negative field value {values.min()}")
-    if values.dtype == object:  # exact ints: 64-bit pieces, top piece first
-        if (values >> widths).any():
-            raise ValueError("a value does not fit its field")
-        per = np.maximum(1, -(-widths // 64)).tolist()
-        raw = b"".join(int(v).to_bytes(8 * k, "big") for v, k in zip(values, per))
-        values = np.frombuffer(raw, dtype=">u8")
-        widths = _pieces(widths)[2]
-    values = values.astype(np.uint64)
-    if (values >> widths.astype(np.uint64)).any():  # a shift by 64 gives 0
+    if values.dtype != object:
+        return values.astype(np.uint64, copy=False), widths
+    widths = widths.astype(np.int64)
+    if (values >> widths).any():
         raise ValueError("a value does not fit its field")
-    ends = np.cumsum(widths)
-    total = int(ends[-1]) if ends.size else 0
+    per = np.maximum(1, -(-widths // 64)).tolist()
+    raw = b"".join(int(v).to_bytes(8 * k, "big") for v, k in zip(values, per))
+    return np.frombuffer(raw, dtype=">u8").astype(np.uint64), _pieces(widths)[2]
+
+
+def pack_fields(columns) -> tuple[bytes, int]:
+    """The fields of ``columns``, (values, widths) pairs, back to back from
+    bit 0, as bytes zero-padded to a whole byte and their bit length: field
+    i of a column is ``values[i]`` in ``widths[i]`` bits (or in ``widths``
+    bits each).  Values are non-negative: an integer array, or exact ints
+    (an object array) for fields wider than 64 bits.  Raises ValueError
+    when a value is negative or does not fit its width."""
+    columns = [_words(values, widths) for values, widths in columns]
+    total = sum(int(widths.sum()) for _, widths in columns)
     out = np.zeros(total // 64 + 2, dtype=np.uint64)
+    end = 0
     # each field lies in one 64-bit word of the stream or straddles two: its
     # left-aligned bits go into the first word and any spill into the next
-    step = _BLOCK_ELEMS // 8
-    for s in range(0, widths.size, step):
-        w = widths[s : s + step]
-        start = ends[s : s + step] - w
-        word = start >> 6
-        off = (start & 63).astype(np.uint64)
-        left = values[s : s + step] << (64 - w).astype(np.uint64)
-        first = np.flatnonzero(np.diff(word, prepend=-1))
-        out[word[first]] |= np.bitwise_or.reduceat(left >> off, first)
-        spill = off + w.astype(np.uint64) > 64
-        out[word[spill] + 1] |= left[spill] << (np.uint64(64) - off[spill])
-    return out.astype(">u8").tobytes()[: (total + 7) // 8]
+    step = _BLOCK_ELEMS // 32  # a dozen uint64 temporaries: a third of a block
+    for values, widths in columns:
+        for s in range(0, widths.size, step):
+            w = widths[s : s + step].astype(np.int64)
+            wu = w.astype(np.uint64)
+            if (values[s : s + step] >> wu).any():  # a shift by 64 gives 0
+                raise ValueError("a value does not fit its field")
+            start = end + np.cumsum(w) - w
+            end = int(start[-1] + w[-1])
+            word = start >> 6
+            off = (start & 63).astype(np.uint64)
+            left = values[s : s + step] << (np.uint64(64) - wu)
+            first = np.flatnonzero(np.diff(word, prepend=-1))
+            out[word[first]] |= np.bitwise_or.reduceat(left >> off, first)
+            spill = off + wu > 64
+            out[word[spill] + 1] |= left[spill] << (np.uint64(64) - off[spill])
+    return out.astype(">u8").tobytes()[: (total + 7) // 8], total
 
 
 def gamma_widths(values) -> np.ndarray:
     """Field widths 2 bitlen(v) - 1 of the Elias gamma codes of ``values``.
     Raises ValueError on a value below 1."""
-    values = np.asarray(values).tolist()
+    values = [int(v) for v in values]
     if min(values, default=1) < 1:
         raise ValueError(f"gamma code requires values >= 1, got {min(values)}")
     return 2 * np.array([v.bit_length() for v in values], dtype=np.int64) - 1

@@ -164,33 +164,18 @@ def serialize(model: SketchModel) -> bytes:
     n, d, eps = model.n, model.d, model.epsilon
     parent = np.array(tree.parent, dtype=np.int64)
     inner = np.flatnonzero(~tree.part_root)  # nodes with an ingress
-    cols: list[tuple[np.ndarray, np.ndarray]] = []  # (values, widths) in order
 
-    def column(values, widths) -> None:
-        values = _ints(values)
-        cols.append((values, np.broadcast_to(widths, values.shape)))
-
-    # 1. shape: before node v opens, the v nodes before it in preorder have
+    # shape: before node v opens, the v nodes before it in preorder have
     # opened and all but its depth(v) ancestors have closed
     depth = [0] * n_nodes
     for v in range(1, n_nodes):  # a parent comes first
         depth[v] = depth[tree.parent[v]] + 1
     shape = np.zeros(2 * n_nodes, dtype=np.uint8)
     shape[2 * np.arange(n_nodes) - depth] = 1
-    column(shape, 1)
-
-    # 2. edges
     long_edge = np.array(tree.long_edge, dtype=bool)
-    column(long_edge[1:], 1)
     level = np.array(tree.level, dtype=np.int64)
-    below = np.flatnonzero(long_edge)
-    gaps = level[parent[below]] - level[below]
-    column(gaps, gamma_widths(gaps))
+    gaps = (level[parent] - level)[long_edge]
 
-    # 3. centers
-    column(model.center, (n - 1).bit_length())
-
-    # 4. ingresses
     subtree_leaves = np.flatnonzero(~tree.has_short)
     ingress = _ints([-1 if u is None else u for u in model.ingress])[inner]
     flagged = ingress != parent[inner]
@@ -199,14 +184,8 @@ def serialize(model: SketchModel) -> bytes:
     if not known.all():
         v = inner[flagged][~known][0]
         raise GuaranteeError(f"ingress of node {v} is neither parent nor short-childless")
-    column(flagged, 1)
-    column(ref, (subtree_leaves.size - 1).bit_length())
 
-    # 5. precisions
     precision = _ints(model.inv_delta) - 4
-    column(precision, gamma_widths(precision))
-
-    # 6. displacements
     bounds, widths = _grid_fields(tree, model.inv_delta, eps, d, model.p)
     try:
         fields = _biased(
@@ -214,36 +193,41 @@ def serialize(model: SketchModel) -> bytes:
         )
     except ValueError as exc:
         raise GuaranteeError(f"a grid integer exceeds its bound: {exc}") from exc
-    column(fields, np.repeat(widths[inner], d))
 
-    # 7. landmarks
+    cols = [  # (values, widths), in payload order
+        (shape, 1),
+        (long_edge[1:], 1),
+        (gaps, gamma_widths(gaps)),
+        (_ints(model.center), (n - 1).bit_length()),
+        (flagged, 1),
+        (ref, (subtree_leaves.size - 1).bit_length()),
+        (precision, gamma_widths(precision)),
+        (fields, np.repeat(widths[inner].astype(np.uint16), d)),
+    ]
     if model.landmarks is not None:
         part_of = subtree_decomposition(tree).part_of
         kk = k_parameter(model.spread, eps, d, model.p)
         lms = sorted(model.landmarks, key=lambda v: (part_of[v], v))
-        counts = np.bincount([part_of[v] for v in lms], minlength=max(part_of) + 1)
-        column(counts + 1, gamma_widths(counts + 1))
-        column(lms, (n_nodes - 1).bit_length())
+        counts = np.bincount([part_of[v] for v in lms], minlength=max(part_of) + 1) + 1
         rows = _ints([model.landmarks[v] for v in lms]).reshape(len(lms), d)
         try:
             fields = _biased(rows, [1 << (kk + 1)] * len(lms), [kk + 2] * len(lms))
         except ValueError as exc:
             raise GuaranteeError(f"a landmark shift exceeds K+2 bits: {exc}") from exc
-        column(fields, kk + 2)
-
-    # a negative value cast to uint64 lands at 2^63 or above, which only the
-    # biased columns could fit, and those were checked
-    exact = any(values.dtype == object for values, _ in cols)
-    values = np.concatenate([v.astype(object if exact else np.uint64) for v, _ in cols])
-    widths = np.concatenate([w for _, w in cols])
+        cols += [
+            (counts, gamma_widths(counts)),
+            (_ints(lms), (n_nodes - 1).bit_length()),
+            (fields, kk + 2),
+        ]
+    payload, bits = pack_fields(cols)
     flags = _FLAG_LANDMARKS if model.landmarks is not None else 0
     tail = (n, d, eps, model.scale, model.spread, flags, model.jl_seed, model.jl_orig_dim)
     body = (
         MAGIC
         + struct.pack("<H", VERSION)
         + _pack_p(model.p)
-        + struct.pack(_TAIL, *tail, int(widths.sum()))
-        + pack_fields(values, widths)
+        + struct.pack(_TAIL, *tail, bits)
+        + payload
     )
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -251,7 +235,7 @@ def serialize(model: SketchModel) -> bytes:
 def _ints(values) -> np.ndarray:
     """Integers as an int64 array, or as exact ints where one does not fit."""
     try:
-        return np.array(values, dtype=np.int64)
+        return np.asarray(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
 
@@ -288,7 +272,8 @@ def _biased(rows, bias: list[int], widths: list[int]) -> np.ndarray:
     rows = np.asarray(rows)
     fits = rows.dtype == np.int64 and max(top, default=0) < 2**64
     dtype = np.uint64 if fits else object
-    biased = rows.astype(dtype) + np.array(bias, dtype=dtype).reshape(-1, 1)
+    biased = rows.astype(dtype)
+    biased += np.array(bias, dtype=dtype).reshape(-1, 1)
     if (biased > np.array(top, dtype=dtype).reshape(-1, 1)).any() or (biased < 0).any():
         raise ValueError("a biased value falls outside [0, 2 * bias] or its width")
     return biased.ravel()
@@ -393,6 +378,11 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     shape = shape[:pos]
     opens = np.flatnonzero(shape)
     depth = depth[opens] - 1  # the root at 0
+    # levels fall by at least one per edge, from the root's, at most the
+    # spread's exponent, to 0 at the leaves: that bounds depth and every gap
+    top = math.frexp(spread)[1]
+    if depth.max() > top:
+        raise FormatError(f"tree depth {depth.max()} exceeds the spread's {top} levels")
     is_leaf = shape[opens + 1] == 0
     # in preorder a node's parent is the last node before it one level up
     key = depth * n_nodes + np.arange(n_nodes)
@@ -406,9 +396,6 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     # 2. edges
     long_edge = np.append(False, column(1, n_nodes - 1, "edge flags")[0] == 1)
     gap_values, gap_bits = gammas(int(long_edge.sum()))
-    # levels fall from the root's, at most the spread's exponent, to 0 at
-    # the leaves, so no gap exceeds that exponent
-    top = math.frexp(spread)[1]
     bad = np.flatnonzero((gap_values < 2) | (gap_values > top))
     if bad.size:
         v = np.flatnonzero(long_edge)[bad[0]]
@@ -463,8 +450,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         raise FormatError(
             f"ingress reference {refs[refs >= subtree_leaves.size][0]} out of range"
         )
-    ing = np.full(n_nodes, -1, dtype=np.int64)
-    ing[inner] = parent[inner]
+    ing = np.where(tree.part_root, -1, parent)
     ing[inner[flagged]] = subtree_leaves[refs]
     ingress: list[int | None] = [None if u < 0 else u for u in ing.tolist()]
     ingress_bits = pos - mark

@@ -58,16 +58,22 @@ def _scalar(fields) -> tuple[bytes, int]:
     written one call at a time."""
     w = ref.BitWriter()
     for f in fields:
-        w.write_uint(f[1], f[2]) if f[0] == "u" else w.write_gamma(f[1])
+        if f[0] == "u":
+            w.write_uint(f[1], f[2])
+        else:
+            w.write_gamma(f[1])
     return w.getvalue(), w.bit_length
 
 
 def _packed(fields) -> tuple[bytes, list[int], list[int]]:
-    """The same fields through pack_fields: bytes, start and width of each."""
+    """The same fields as one column through pack_fields: bytes, start and
+    width of each."""
     values = np.array([f[1] for f in fields], dtype=object)
     widths = [f[2] if f[0] == "u" else int(gamma_widths([f[1]])[0]) for f in fields]
     starts = np.cumsum([0] + widths)[:-1].tolist()
-    return pack_fields(values, widths), starts, widths
+    data, bits = pack_fields([(values, widths)])
+    assert bits == sum(widths)
+    return data, starts, widths
 
 
 def test_bitwriter_reader_basic():
@@ -86,17 +92,17 @@ def test_bitwriter_reader_basic():
 
 def test_bitwriter_rejects_oversized_values():
     with pytest.raises(ValueError):
-        pack_fields(np.array([8]), [3])
+        pack_fields([(np.array([8]), [3])])
     with pytest.raises(ValueError):
-        pack_fields(np.array([2**70], dtype=object), [70])
+        pack_fields([(np.array([2**70], dtype=object), [70])])
     with pytest.raises(ValueError):
-        pack_fields(np.array([-1]), [8])
+        pack_fields([(np.array([-1]), [8])])
     with pytest.raises(ValueError):
         gamma_widths([0])
 
 
 def test_bitreader_rejects_overrun():
-    data = pack_fields(np.array([3, 0]), [2, 5])
+    data, _ = pack_fields([(np.array([3, 0]), [2, 5])])
     with pytest.raises(FormatError):
         read_gammas(data, 2, 1, 7)  # five zeros and no terminating one
     with pytest.raises(FormatError):
@@ -481,6 +487,17 @@ def test_version_one_refused():
     struct.pack_into("<H", body, 4, 1)
     with pytest.raises(FormatError, match="unsupported version 1"):
         deserialize(_with_crc(body))
+
+
+def test_shape_deeper_than_the_spread_refused():
+    # levels fall by at least one per edge, so no valid tree is deeper than
+    # the spread's exponent; a path of 4000 nodes is refused before any
+    # walk over its levels
+    blob = _blob([[0.0], [1.0], [10.0]])
+    head = bytearray(blob[: size_report(blob).header_bytes])
+    struct.pack_into("<Q", head, len(head) - 8, 8000)  # payload bit length
+    with pytest.raises(FormatError, match="tree depth 3999 exceeds"):
+        deserialize(_with_crc(head + b"\xff" * 500 + b"\x00" * 500))
 
 
 def test_flag_bit_zero_rejected():

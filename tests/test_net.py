@@ -125,7 +125,7 @@ def _written(fields, width, d):
     """Bytes of rows of ``d`` fields of ``width`` bits each, written back to
     back, and the bit each row starts at."""
     rows = len(fields) // d
-    return pack_fields(fields, width), (d * width * np.arange(rows)).tolist()
+    return pack_fields([(fields, width)])[0], (d * width * np.arange(rows)).tolist()
 
 
 def test_grid_codec_roundtrip():
