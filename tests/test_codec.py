@@ -489,6 +489,46 @@ def test_version_one_refused():
         deserialize(_with_crc(body))
 
 
+def _rewritten(blob: bytes, bits: range, value: int) -> bytes:
+    """``blob`` with the field at ``bits`` set to ``value``, CRC recomputed."""
+    body = bytearray(blob[:-4])
+    for k, bit in enumerate(bits):
+        body[bit // 8] &= ~(1 << (7 - bit % 8)) & 0xFF
+        body[bit // 8] |= (value >> (len(bits) - 1 - k) & 1) << (7 - bit % 8)
+    return _with_crc(body)
+
+
+def test_landmark_ids_of_other_parts_and_duplicates_refused():
+    # this blob's three landmarks share part 0, listed by ascending id
+    blob = _fuzz_blob(2.0, True, 60)
+    model = deserialize(blob)
+    first = min(model.landmarks)
+    ids = _columns(blob)["landmark ids"]
+    width = len(ids) // len(model.landmarks)
+    other = subtree_decomposition(model.tree).roots[1]
+    with pytest.raises(FormatError, match=f"landmark node {other} recorded in wrong part"):
+        deserialize(_rewritten(blob, ids[:width], other))
+    with pytest.raises(FormatError, match=f"duplicate landmark node {first}"):
+        deserialize(_rewritten(blob, ids[width : 2 * width], first))
+
+
+def test_ingress_reference_across_a_long_edge_refused():
+    blob = _fuzz_blob(2.0, False, 60)
+    model = deserialize(blob)
+    tree = model.tree
+    part_of = subtree_decomposition(tree).part_of
+    flagged = [
+        v for v, u in enumerate(model.ingress) if u is not None and u != tree.parent[v]
+    ]
+    targets = [v for v in range(tree.n_nodes) if not tree.has_short[v]]
+    v = flagged[0]
+    u = next(u for u in targets if part_of[u] != part_of[v])
+    refs = _columns(blob)["references"]
+    width = len(refs) // len(flagged)
+    with pytest.raises(FormatError, match=f"ingress of {v} crosses a long edge"):
+        deserialize(_rewritten(blob, refs[:width], targets.index(u)))
+
+
 def test_shape_deeper_than_the_spread_refused():
     # levels fall by at least one per edge, so no valid tree is deeper than
     # the spread's exponent; a path of 4000 nodes is refused before any
