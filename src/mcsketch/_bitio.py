@@ -3,9 +3,9 @@
 A payload is a sequence of fields: unsigned integers of given bit widths,
 back to back, each most significant bit first.  An Elias gamma code of
 v >= 1 is such a field too, v in 2 bitlen(v) - 1 bits, whose bitlen(v) - 1
-leading zeros announce its width.  :func:`pack_fields` writes any sequence
-of columns of fields in one pass; :func:`unpack_runs` reads runs of fixed-width fields
-at any bit offsets in one pass, and :func:`read_gammas` walks a column of
+leading zeros announce its width.  :func:`pack_fields` writes columns of
+fields in one pass; :func:`unpack_runs` reads runs of fixed-width fields at
+any bit offsets in one pass, and :func:`read_gammas` walks a column of
 gamma codes, whose widths come one code at a time, one step per code.
 Fields wider than 64 bits, which only landmark shifts at spreads beyond
 about 2^60 (and hostile models) need, are exact Python ints moved as 64-bit

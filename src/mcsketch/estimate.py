@@ -24,6 +24,7 @@ floats:
   (part root or landmark) on every call, adding the chain's step rows and
   never caching, so the replay length per query is a measurable quantity;
   with a landmark table built for spacing K every chain is at most K hops.
+  A stored landmark shift other than the one the layers give is refused.
 
 Landmark selection on one part's ingress tree: repeatedly take the deepest
 remaining node (smallest id on ties); stop when its depth is below K;
