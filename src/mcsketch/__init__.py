@@ -53,7 +53,7 @@ from .core import (
     write_points,
 )
 from .estimate import Estimator, select_all_landmarks, select_landmarks
-from .hst import ClusterIndex, SketchTree, build_hst, compress, subtree_decomposition
+from .hst import ClusterIndex, SketchTree, build_hst, compress
 from .reduce import JlConfig, frechet_embed, jl_project
 
 __version__ = "0.1.0"
@@ -106,7 +106,6 @@ __all__ = [
     "sketch_metric",
     "sketch_points",
     "snap_epsilon",
-    "subtree_decomposition",
     "write_matrix",
     "write_points",
 ]

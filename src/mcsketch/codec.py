@@ -24,9 +24,9 @@ Layout, all multi-byte header fields little-endian:
   6. per node that is not a part root, its displacement as d grid
      integers, each biased by the node's grid bound B and written in
      ceil(log2(2B+1)) bits (see ``net`` and :func:`_grid_fields`);
-  7. when flags bit 1 is set: per decomposition part in preorder of
-     roots, Elias-gamma of (landmark count + 1); then every landmark's
-     node id in ceil(log2 N) bits, by part and ascending within one; then
+  7. when flags bit 1 is set: per part in id order of part roots,
+     Elias-gamma of (landmark count + 1); then every landmark's node id in
+     ceil(log2 N) bits, by part and ascending within one; then
      every landmark's d exact surrogate-shift integers, biased by 2^(K+1),
      in K+2 bits each, where K is the landmark spacing parameter.
 
@@ -74,7 +74,7 @@ from .core import (
     k_parameter,
     snap_epsilon,
 )
-from .hst import SketchTree, subtree_decomposition
+from .hst import SketchTree
 
 __all__ = ["SketchModel", "SizeReport", "serialize", "deserialize", "size_report"]
 
@@ -205,18 +205,18 @@ def serialize(model: SketchModel) -> bytes:
         (fields, np.repeat(widths[inner].astype(np.uint16), d)),
     ]
     if model.landmarks is not None:
-        part_of = subtree_decomposition(tree).part_of
         kk = k_parameter(model.spread, eps, d, model.p)
-        lms = sorted(model.landmarks, key=lambda v: (part_of[v], v))
-        counts = np.bincount([part_of[v] for v in lms], minlength=max(part_of) + 1) + 1
-        rows = _ints([model.landmarks[v] for v in lms]).reshape(len(lms), d)
+        ids = np.array(sorted(model.landmarks), dtype=np.int64)
+        lms = ids[np.argsort(tree.part_of[ids], kind="stable")]  # by part, then id
+        counts = np.bincount(tree.part_of[lms], minlength=int(tree.part_root.sum())) + 1
+        rows = _ints([model.landmarks[v] for v in lms.tolist()]).reshape(len(lms), d)
         try:
             fields = _biased(rows, [1 << (kk + 1)] * len(lms), [kk + 2] * len(lms))
         except ValueError as exc:
             raise GuaranteeError(f"a landmark shift exceeds K+2 bits: {exc}") from exc
         cols += [
             (counts, gamma_widths(counts)),
-            (_ints(lms), (n_nodes - 1).bit_length()),
+            (lms, (n_nodes - 1).bit_length()),
             (fields, kk + 2),
         ]
     payload, bits = pack_fields(cols)
@@ -499,8 +499,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         raise FormatError(f"center of node {differs[0]} is not its first child's")
     tree.verify()
 
-    decomp = subtree_decomposition(tree)
-    part_of = np.array(decomp.part_of, dtype=np.int64)
+    part_of = tree.part_of
     crossing = inner[part_of[ing[inner]] != part_of[inner]]
     if crossing.size:
         raise FormatError(f"ingress of {crossing[0]} crosses a long edge")
@@ -511,7 +510,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     landmarks: dict[int, np.ndarray] | None = None
     mark = pos
     if has_landmarks:
-        counts = [int(c) - 1 for c in gammas(len(decomp.roots))[0]]  # exact sums
+        counts = [int(c) - 1 for c in gammas(int(tree.part_root.sum()))[0]]  # exact sums
         total = sum(counts)
         ids = column((n_nodes - 1).bit_length(), total, "landmark ids")[0].astype(np.int64)
         if (ids >= n_nodes).any():

@@ -37,6 +37,7 @@ size <= K yields none.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -164,12 +165,14 @@ class Estimator:
 
     # -- query paths ---------------------------------------------------------
 
-    def _leaf(self, label: int) -> int:
+    def _leaf(self, label) -> int:
+        """The leaf of an integer label (Python or numpy); a label that is
+        not an integer, or not one of 0..n-1, raises UnknownLabelError."""
         try:
-            return self._leaf_of[label]
-        except KeyError:
+            return self._leaf_of[operator.index(label)]
+        except (KeyError, TypeError):
             raise UnknownLabelError(
-                f"label {label} outside 0..{self.n - 1}"
+                f"label {label!r} is not an integer in 0..{self.n - 1}"
             ) from None
 
     def _lca(self, a: int, b: int) -> int:
@@ -199,8 +202,8 @@ class Estimator:
 
     def estimate(self, x: int, y: int) -> float:
         """Estimated distance between input points x and y (original units)."""
-        lx = self._leaf(int(x))
-        ly = self._leaf(int(y))
+        lx = self._leaf(x)
+        ly = self._leaf(y)
         if lx == ly:
             return 0.0
         u = self._lca(lx, ly)

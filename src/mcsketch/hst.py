@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -45,10 +46,8 @@ from .core import FormatError, InputError, PointSet, oracle_all_pairs, snap_epsi
 __all__ = [
     "SketchTree",
     "ClusterIndex",
-    "Decomposition",
     "build_hst",
     "compress",
-    "subtree_decomposition",
 ]
 
 
@@ -58,13 +57,18 @@ class SketchTree:
 
     Node ids are dense ints.  ``parent[root] == -1``.  ``leaf_label[v]`` is
     the point label for leaves and -1 for internal nodes.  ``long_edge[v]``
-    describes the edge from v to its parent (False for the root).  After
-    :func:`compress`, node ids coincide with DFS preorder (root == 0,
-    children in stored order).
+    describes the edge from v to its parent (False for the root).  Trees
+    from :func:`compress` and from the decoder number their nodes in DFS
+    preorder (root == 0, children in stored order); :func:`build_hst`'s
+    uncompressed tree does not.  ``part_of``, :meth:`verify` and
+    :meth:`leaf_labels_under` hold for any node order.
 
-    Two bool arrays are derived from the edges at construction:
-    ``has_short[v]`` (some child of v hangs on a short edge) and
-    ``part_root[v]`` (v is the root or the bottom of a long edge).
+    Three arrays are derived from the edges at construction:
+    ``has_short[v]`` (some child of v hangs on a short edge),
+    ``part_root[v]`` (v is the root or the bottom of a long edge) and
+    ``part_of[v]`` (the index of v's part, the subtree left under its part
+    root when every long edge is cut; parts are numbered in id order of
+    their roots).
     """
 
     level: list[int]
@@ -75,12 +79,19 @@ class SketchTree:
     root: int
     has_short: np.ndarray = field(init=False, repr=False, compare=False)
     part_root: np.ndarray = field(init=False, repr=False, compare=False)
+    part_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         parent = np.array(self.parent, dtype=np.int64)
         self.part_root = (parent < 0) | np.array(self.long_edge, dtype=bool)
         short_parents = parent[~self.part_root]
         self.has_short = np.bincount(short_parents, minlength=self.n_nodes) > 0
+        # pointer jumping: after k rounds every node points 2^k steps up, or
+        # at its part root, which points at itself; depths stay below n
+        up = np.where(self.part_root, np.arange(self.n_nodes), parent)
+        for _ in range(self.n_nodes.bit_length()):
+            up = up[up]
+        self.part_of = np.cumsum(self.part_root)[up] - 1
 
     @property
     def n_nodes(self) -> int:
@@ -96,19 +107,13 @@ class SketchTree:
     def leaf_of(self) -> dict[int, int]:
         return {lbl: v for v, lbl in enumerate(self.leaf_label) if lbl >= 0}
 
-    def dfs_preorder(self) -> list[int]:
-        order: list[int] = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(self.children[v]))
-        return order
-
     def leaf_labels_under(self) -> list[np.ndarray]:
-        """For every node, the sorted array of leaf labels in its subtree."""
+        """For every node, the sorted array of leaf labels in its subtree.
+
+        Nodes are visited by ascending level: children sit strictly below
+        their parent, so each child's array is ready before its parent's."""
         out: list[np.ndarray | None] = [None] * self.n_nodes
-        for v in reversed(self.dfs_preorder()):
+        for v in np.argsort(self.level, kind="stable").tolist():
             if self.is_leaf(v):
                 out[v] = np.array([self.leaf_label[v]], dtype=np.int64)
             else:
@@ -116,35 +121,39 @@ class SketchTree:
         return out  # type: ignore[return-value]
 
     def verify(self) -> None:
-        """Structural sanity checks; raises FormatError on violation."""
+        """Structural sanity checks, as array checks over all nodes and
+        edges at once; raises FormatError naming the first violation."""
         if self.parent[self.root] != -1:
             raise FormatError("root has a parent")
-        seen_labels = set()
-        for v in range(self.n_nodes):
-            for c in self.children[v]:
-                if self.parent[c] != v:
-                    raise FormatError(f"parent/children mismatch at {v}->{c}")
-                gap = self.level[v] - self.level[c]
-                if self.long_edge[c]:
-                    if gap < 2:
-                        raise FormatError(f"long edge {v}->{c} has gap {gap} < 2")
-                    if len(self.children[v]) != 1:
-                        raise FormatError(f"long-edge top {v} has degree != 1")
-                elif gap != 1:
-                    raise FormatError(f"short edge {v}->{c} has gap {gap} != 1")
-            if self.is_leaf(v):
-                if self.children[v]:
-                    raise FormatError(f"leaf {v} has children")
-                if self.level[v] != 0:
-                    raise FormatError(f"leaf {v} at level {self.level[v]} != 0")
-                if self.leaf_label[v] in seen_labels:
-                    raise FormatError(f"duplicate leaf label {self.leaf_label[v]}")
-                seen_labels.add(self.leaf_label[v])
-            elif not self.children[v]:
-                raise FormatError(f"internal node {v} has no children")
-        if len(self.children[self.root]) < 2 and not self.is_leaf(self.root):
-            if not self.long_edge[self.children[self.root][0]]:
-                raise FormatError("root is a degree-1 chain node")
+        n = self.n_nodes
+        nodes = np.arange(n)
+        parent = np.array(self.parent, dtype=np.int64)
+        level = np.array(self.level, dtype=np.int64)
+        label = np.array(self.leaf_label, dtype=np.int64)
+        leaf = label >= 0
+        labels = np.sort(label[leaf])
+        degree = np.fromiter(map(len, self.children), np.int64, n)
+        # one entry per edge: its top (owner) and bottom (kid)
+        owner = np.repeat(nodes, degree)
+        kid = np.fromiter(chain.from_iterable(self.children), np.int64, owner.size)
+        gap = level[owner] - level[kid]
+        is_long = np.array(self.long_edge, dtype=bool)[kid]
+        for fails, msg, *fields in (
+            (parent[kid] != owner, "parent/children mismatch at {}->{}", owner, kid),
+            (is_long & (gap < 2), "long edge {}->{} has gap {} < 2", owner, kid, gap),
+            (is_long & (degree[owner] != 1), "long-edge top {} has degree != 1", owner),
+            (~is_long & (gap != 1), "short edge {}->{} has gap {} != 1", owner, kid, gap),
+            (leaf & (degree > 0), "leaf {} has children", nodes),
+            (leaf & (level != 0), "leaf {} at level {} != 0", nodes, level),
+            (~leaf & (degree == 0), "internal node {} has no children", nodes),
+            (labels[1:] == labels[:-1], "duplicate leaf label {}", labels),
+        ):
+            bad = np.flatnonzero(fails)
+            if bad.size:
+                raise FormatError(msg.format(*(f[bad[0]] for f in fields)))
+        kids = self.children[self.root]
+        if len(kids) == 1 and not self.long_edge[kids[0]]:
+            raise FormatError("root is a degree-1 chain node")
 
 
 @dataclass
@@ -401,34 +410,3 @@ def compress(
         near=[clusters.near[v] for v in order],
     )
     return out, idx
-
-
-@dataclass
-class Decomposition:
-    """Partition of tree nodes into subtrees obtained by cutting long edges.
-
-    ``roots`` holds the tree root plus every long-edge bottom, in DFS
-    preorder; ``parts[i]`` lists the nodes of part i (DFS order);
-    ``part_of[v]`` maps a node to its part.
-    """
-
-    part_of: list[int]
-    parts: list[list[int]]
-    roots: list[int]
-
-
-def subtree_decomposition(tree: SketchTree) -> Decomposition:
-    part_of = [-1] * tree.n_nodes
-    parts: list[list[int]] = []
-    roots: list[int] = []
-    is_root = tree.part_root.tolist()
-    for v in tree.dfs_preorder():
-        if is_root[v]:
-            part_of[v] = len(parts)
-            parts.append([v])
-            roots.append(v)
-        else:
-            pid = part_of[tree.parent[v]]
-            part_of[v] = pid
-            parts[pid].append(v)
-    return Decomposition(part_of=part_of, parts=parts, roots=roots)

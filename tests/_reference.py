@@ -9,6 +9,7 @@ package itself.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,6 +175,49 @@ def exact_shift_floats(model, known=None) -> np.ndarray:
     return out
 
 
+def dfs_preorder(tree) -> list[int]:
+    """Node ids in DFS preorder, children in stored order, by a stack walk."""
+    order: list[int] = []
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(tree.children[v]))
+    return order
+
+
+@dataclass
+class Decomposition:
+    """Partition of tree nodes into subtrees obtained by cutting long edges.
+
+    ``roots`` holds the tree root plus every long-edge bottom, in DFS
+    preorder; ``parts[i]`` lists the nodes of part i (DFS order);
+    ``part_of[v]`` maps a node to its part.
+    """
+
+    part_of: list[int]
+    parts: list[list[int]]
+    roots: list[int]
+
+
+def subtree_decomposition(tree) -> Decomposition:
+    """The parts of a tree by a walk in DFS preorder, the way the package
+    once numbered them; ``SketchTree.part_of`` must agree with it."""
+    part_of = [-1] * tree.n_nodes
+    parts: list[list[int]] = []
+    roots: list[int] = []
+    for v in dfs_preorder(tree):
+        if v == tree.root or tree.long_edge[v]:
+            part_of[v] = len(parts)
+            parts.append([v])
+            roots.append(v)
+        else:
+            pid = part_of[tree.parent[v]]
+            part_of[v] = pid
+            parts[pid].append(v)
+    return Decomposition(part_of=part_of, parts=parts, roots=roots)
+
+
 def member_search_ingresses(tree, tau, clusters) -> list:
     """Ingresses found by searching member labels, as the package once did.
 
@@ -333,7 +377,6 @@ def payload_columns(blob: bytes) -> dict[str, range]:
     of the layout alone; a column the blob lacks is an empty range."""
     from mcsketch.codec import deserialize, size_report
     from mcsketch.core import k_parameter
-    from mcsketch.hst import subtree_decomposition
 
     model = deserialize(blob)
     rep = size_report(blob)

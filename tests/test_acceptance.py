@@ -35,10 +35,10 @@ from mcsketch.core import (
     oracle_all_pairs,
 )
 from mcsketch.estimate import Estimator
-from mcsketch.hst import subtree_decomposition
 from mcsketch.reduce import JlConfig, frechet_embed
 
 import _reference as ref
+from _reference import subtree_decomposition
 
 # --------------------------------------------------------------------------
 # Shared corpus: p x n x d x eps grid, 20 seeded instances per combination.

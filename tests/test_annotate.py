@@ -21,9 +21,10 @@ from mcsketch.annotate import (
     shift_to_float,
 )
 from mcsketch.cli import gen_gaussian_clusters, gen_high_spread_line
-from mcsketch.hst import build_hst, compress, subtree_decomposition
+from mcsketch.hst import build_hst, compress
 
 import _reference as ref
+from _reference import subtree_decomposition
 
 
 def _built(points, eps, p=2.0, **kw):

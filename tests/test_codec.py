@@ -25,9 +25,10 @@ from mcsketch.core import (
     normalize,
 )
 from mcsketch.estimate import Estimator
-from mcsketch.hst import subtree_decomposition
+from mcsketch.hst import SketchTree
 
 import _reference as ref
+from _reference import subtree_decomposition
 
 
 def _blob(points, eps=0.25, p=2.0, **kw):
@@ -527,6 +528,50 @@ def test_ingress_reference_across_a_long_edge_refused():
     width = len(refs) // len(flagged)
     with pytest.raises(FormatError, match=f"ingress of {v} crosses a long edge"):
         deserialize(_rewritten(blob, refs[:width], targets.index(u)))
+
+
+def _decoders_refuse(blob: bytes, match: str) -> None:
+    for decode in (deserialize, Estimator):
+        with pytest.raises(FormatError, match=match):
+            decode(blob)
+
+
+def test_long_edge_top_with_siblings_refused():
+    # the root raised one level, every child on a long edge: the root tops
+    # several long edges, a tree compression never makes
+    model = deserialize(_blob(np.random.default_rng(8).normal(size=(12, 2)) * 9))
+    tree = model.tree
+    assert len(tree.children[0]) >= 2
+    level = [tree.level[0] + 1] + tree.level[1:]
+    long_edge = list(tree.long_edge)
+    for c in tree.children[0]:
+        long_edge[c] = True
+        model.ingress[c] = None
+        model.eta_ints[c] = 0
+    model.tree = SketchTree(level, tree.parent, tree.children, long_edge, tree.leaf_label, 0)
+    model.spread *= 2  # room for the raised root
+    _decoders_refuse(serialize(model), "long-edge top 0 has degree != 1")
+
+
+def test_root_over_a_single_short_edge_refused():
+    # a new root one level above the old one, joined by a short edge: a
+    # one-child chain node at the top, a tree the hierarchy never builds
+    model = deserialize(_blob(np.random.default_rng(8).normal(size=(12, 2)) * 9))
+    tree = model.tree
+    model.tree = SketchTree(
+        level=[tree.level[0] + 1] + tree.level,
+        parent=[-1, 0] + [u + 1 for u in tree.parent[1:]],
+        children=[[1]] + [[c + 1 for c in kids] for kids in tree.children],
+        long_edge=[False] + tree.long_edge,
+        leaf_label=[-1] + tree.leaf_label,
+        root=0,
+    )
+    model.center = model.center[:1] + model.center
+    model.ingress = [None, 0] + [None if u is None else u + 1 for u in model.ingress[1:]]
+    model.inv_delta = model.inv_delta[:1] + model.inv_delta
+    model.eta_ints = np.vstack([model.eta_ints[:1], model.eta_ints])  # zero rows
+    model.spread *= 2  # room for the new root
+    _decoders_refuse(serialize(model), "root is a degree-1 chain node")
 
 
 def test_shape_deeper_than_the_spread_refused():

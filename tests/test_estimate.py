@@ -22,9 +22,9 @@ from mcsketch.core import (
     oracle_all_pairs,
 )
 from mcsketch.estimate import Estimator, select_all_landmarks, select_landmarks
-from mcsketch.hst import subtree_decomposition
 
 import _reference as ref
+from _reference import subtree_decomposition
 
 
 def _result(points, eps=0.25, p=2.0, **kw):
@@ -118,6 +118,13 @@ def test_unknown_label_raises():
         est.estimate(0, 3)
     with pytest.raises(UnknownLabelError):
         est.estimate(-1, 0)
+    # a label is an integer, never truncated or parsed: 1.9 is not label 1
+    for label in (1.9, 2.0, np.float64(1.0), "1", None, [1]):
+        with pytest.raises(UnknownLabelError):
+            est.estimate(label, 2)
+        with pytest.raises(UnknownLabelError):
+            est.estimate(0, label)
+    assert est.estimate(np.int64(1), np.int32(2)) == est.estimate(1, 2)
 
 
 def test_unknown_mode_rejected():

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from mcsketch.cli import gen_random_graph_metric
+from mcsketch.cli import gen_gaussian_clusters, gen_random_graph_metric
+from mcsketch.codec import deserialize
 from mcsketch.core import DistanceMatrix, InputError, normalize, oracle_all_pairs
-from mcsketch.hst import _prim_mst, build_hst, compress, subtree_decomposition
+from mcsketch.hst import _prim_mst, build_hst, compress
 from mcsketch.reduce import frechet_embed
 
 import _reference as ref
+import test_golden as golden
+from _reference import subtree_decomposition
 
 
 def _line(points):
@@ -71,7 +74,7 @@ def test_compressed_tree_on_line():
     assert sorted(len(p) for p in decomp.parts) == [1, 3, 3]
 
     # node ids are DFS preorder
-    assert tree.dfs_preorder() == list(range(tree.n_nodes))
+    assert ref.dfs_preorder(tree) == list(range(tree.n_nodes))
 
 
 def test_compression_keeps_zero_diameter_chain_rule():
@@ -316,3 +319,37 @@ def test_pair_tables_on_graph_metric():
     assert _check_pair_tables(tree0, clusters0, dm) >= 1
     tree, clusters = compress(tree0, clusters0, 0.25)
     assert _check_pair_tables(tree, clusters, dm) >= 1
+
+
+# --------------------------------------------------------------------------
+# Parts as arrays against the reference walk in DFS preorder.
+
+
+def _assert_parts_match_walk(tree):
+    walk = subtree_decomposition(tree)
+    assert tree.part_of.dtype == np.int64
+    assert tree.part_of.tolist() == walk.part_of
+    assert np.flatnonzero(tree.part_root).tolist() == walk.roots
+
+
+@pytest.mark.parametrize("name", sorted(golden.CASES))
+def test_part_of_matches_walk_on_golden_models(name):
+    _assert_parts_match_walk(deserialize(golden._blob(name)).tree)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_part_of_matches_walk_on_compressed_builds(p):
+    ps = normalize(gen_gaussian_clusters(300, 3, 5), p)
+    tree, _ = compress(*build_hst(ps), 0.0625)
+    assert tree.part_root.sum() > 10
+    _assert_parts_match_walk(tree)
+
+
+def test_array_walks_on_an_uncompressed_tree_out_of_preorder():
+    tree, clusters = build_hst(normalize(gen_gaussian_clusters(60, 2, 6), 2.0))
+    assert ref.dfs_preorder(tree) != list(range(tree.n_nodes))
+    _assert_parts_match_walk(tree)
+    assert not tree.part_of.any()
+    tree.verify()
+    for got, want in zip(tree.leaf_labels_under(), clusters.members, strict=True):
+        assert np.array_equal(got, want)
