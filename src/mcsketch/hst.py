@@ -1,10 +1,9 @@
 """Hierarchical tree construction and long-edge compression.
 
-The hierarchy is the standard threshold-graph 2-HST: level-i nodes are the
-connected components of the graph G_i that joins points at distance < 2**i
-(strict, no tolerance), leaves sit at level 0, and the root is the first
-level where a single component remains.  Components that persist across
-levels contribute one chain node per level.
+The hierarchy is the standard threshold-graph 2-HST: level-i clusters are
+the connected components of the graph G_i that joins points at distance
+< 2**i (strict, no tolerance), leaves sit at level 0, and the root is the
+first level where a single component remains.
 
 Building all G_i explicitly is quadratic per level; instead we take a
 minimum spanning tree of the metric (single-linkage clustering yields the
@@ -18,10 +17,15 @@ the tree: every MST has the same multiset of edge weights, and for every
 threshold its edges below the threshold span exactly the components of the
 threshold graph, so the level-by-level replay sees the same merges.
 
-Compression then contracts each maximal run of one-child nodes into a
+:func:`build_hst` returns the replay as a merge tree (the single-linkage
+dendrogram with levels): the leaves plus one node per merge.  A cluster
+that persists from its own level up to the merge that ends it is one node
+there, standing for a run of one-child levels of the 2-HST.
+:func:`compress` turns it into the sketch tree: it contracts a run into a
 single "long" parent edge when the run is provably redundant for distance
-estimation: a run of gap >= 2 levels above a cluster of diameter diam at
-level lo is contracted iff diam == 0 or
+estimation and spells every other run out, one node per level.  A run of
+gap >= 2 levels above a cluster of diameter diam at level lo is contracted
+iff diam == 0 or
 
     gap > log2(diam / 2**lo) + log2(1/epsilon),
 
@@ -57,11 +61,16 @@ class SketchTree:
 
     Node ids are dense ints.  ``parent[root] == -1``.  ``leaf_label[v]`` is
     the point label for leaves and -1 for internal nodes.  ``long_edge[v]``
-    describes the edge from v to its parent (False for the root).  Trees
-    from :func:`compress` and from the decoder number their nodes in DFS
-    preorder (root == 0, children in stored order); :func:`build_hst`'s
-    uncompressed tree does not.  ``part_of``, :meth:`verify` and
-    :meth:`leaf_labels_under` hold for any node order.
+    describes the edge from v to its parent (False for the root).
+
+    A sketch tree, from :func:`compress` or from the decoder, numbers its
+    nodes in DFS preorder (root == 0, children in stored order); its short
+    edges descend one level and its long edges at least two.
+    :func:`build_hst`'s merge tree is held in the same class: its ids are
+    the leaves then the merges in the order they form, it has no long
+    edges, and one edge may descend several levels.  ``part_of`` and
+    :meth:`leaf_labels_under` hold for any node order and for both kinds
+    of tree; :meth:`verify` checks a sketch tree.
 
     Three arrays are derived from the edges at construction:
     ``has_short[v]`` (some child of v hangs on a short edge),
@@ -121,8 +130,10 @@ class SketchTree:
         return out  # type: ignore[return-value]
 
     def verify(self) -> None:
-        """Structural sanity checks, as array checks over all nodes and
-        edges at once; raises FormatError naming the first violation."""
+        """Structural sanity checks of a sketch tree, as array checks over
+        all nodes and edges at once; raises FormatError naming the first
+        violation.  A merge tree fails them wherever an edge spans more
+        than one level."""
         if self.parent[self.root] != -1:
             raise FormatError("root has a parent")
         n = self.n_nodes
@@ -158,18 +169,17 @@ class SketchTree:
 
 @dataclass
 class ClusterIndex:
-    """Per-node cluster contents plus the per-merge pair tables.
+    """Per-node cluster diameters plus the per-merge pair tables.
 
-    ``members[v]`` is the sorted array of leaf labels under v and
-    ``diameter[v]`` their exact diameter.  At a merge node v with k children
-    ``gap[v]`` is the (k, k) array of smallest cross distances between
-    children i and j, and ``near[v][i, j]`` the label of child i closest to
-    child j (ties to the smallest label); both are None at leaves and chain
-    nodes.  Rows and columns follow the order of ``tree.children[v]``, which
-    is the order of the children's smallest member labels.
+    ``diameter[v]`` is the exact diameter of the leaf labels under v.  At a
+    merge node v with k children ``gap[v]`` is the (k, k) array of smallest
+    cross distances between children i and j, and ``near[v][i, j]`` the
+    label of child i closest to child j (ties to the smallest label); both
+    are None at leaves and one-child nodes.  Rows and columns follow the
+    order of ``tree.children[v]``, which is the order of the children's
+    smallest leaf labels.
     """
 
-    members: list[np.ndarray]
     diameter: list[float]
     gap: list[np.ndarray | None]
     near: list[np.ndarray | None]
@@ -230,13 +240,16 @@ def _prim_mst(dm: np.ndarray) -> list[tuple[float, int, int]]:
 
 
 def build_hst(ps: PointSet) -> tuple[SketchTree, ClusterIndex]:
-    """Uncompressed hierarchy of a normalized point set.
+    """Single-linkage merge tree of a normalized point set.
 
-    Reads the oracle matrix through :func:`oracle_all_pairs`, which returns
-    the one stored by ``normalize``.  Children of every merge node are
-    ordered by smallest member label, which makes the construction fully
-    deterministic; each merge node's distance block, grouped by child in
-    that order, is reduced to its diameter and its ``gap`` / ``near`` tables.
+    The n leaves, at level 0, plus one node per merge at its level; an edge
+    spans every level between a cluster's own and the level of the merge
+    that ends it (see :func:`compress`).  Reads the oracle matrix through
+    :func:`oracle_all_pairs`, which returns the one stored by
+    ``normalize``.  Children of every merge node are ordered by smallest
+    member label, which makes the construction fully deterministic; each
+    merge node's distance block, grouped by child in that order, is reduced
+    to its diameter and its ``gap`` / ``near`` tables.
     """
     n = ps.n
     if n < 2:
@@ -251,38 +264,11 @@ def build_hst(ps: PointSet) -> tuple[SketchTree, ClusterIndex]:
     level: list[int] = [0] * n
     parent: list[int] = [-1] * n
     children: list[list[int]] = [[] for _ in range(n)]
-    long_edge: list[bool] = [False] * n
-    leaf_label: list[int] = list(range(n))
-    members: list[np.ndarray] = [np.array([i], dtype=np.int64) for i in range(n)]
     diameter: list[float] = [0.0] * n
     gap: list[np.ndarray | None] = [None] * n
     near: list[np.ndarray | None] = [None] * n
-
-    def new_node(lvl: int, labels: np.ndarray, diam: float, tables=(None, None)) -> int:
-        node = len(level)
-        level.append(lvl)
-        parent.append(-1)
-        children.append([])
-        long_edge.append(False)
-        leaf_label.append(-1)
-        members.append(labels)
-        diameter.append(diam)
-        gap.append(tables[0])
-        near.append(tables[1])
-        return node
-
-    def attach(child: int, par: int) -> None:
-        parent[child] = par
-        children[par].append(child)
-
-    def extend_chain(top: int, to_level: int) -> int:
-        # materialize one chain node per level for a persisting component
-        cur = top
-        for lvl in range(level[top] + 1, to_level + 1):
-            nxt = new_node(lvl, members[cur], diameter[cur])
-            attach(cur, nxt)
-            cur = nxt
-        return cur
+    # sorted leaf labels of every component's top node, dropped at its merge
+    members: dict[int, np.ndarray] = {i: np.array([i], dtype=np.int64) for i in range(n)}
 
     dsu = _DSU(n)
     comp_top: dict[int, int] = {i: i for i in range(n)}  # DSU root -> top node id
@@ -306,107 +292,97 @@ def build_hst(ps: PointSet) -> tuple[SketchTree, ClusterIndex]:
             groups.setdefault(dsu.find(old_root), []).append(top)
         for new_root, tops in groups.items():
             tops.sort(key=lambda t: int(members[t][0]))
-            raised = [extend_chain(t, lvl - 1) for t in tops]
-            kid_labels = [members[t] for t in tops]
+            kid_labels = [members.pop(t) for t in tops]
             labels = np.concatenate(kid_labels)
             block = dm[np.ix_(labels, labels)]
             starts = np.cumsum([0] + [g.size for g in kid_labels[:-1]])
             # distance from every member to every child, then per child pair
             to_child = np.minimum.reduceat(block, starts, axis=1)
-            tables = (
-                np.minimum.reduceat(to_child, starts, axis=0),
-                np.stack([
-                    g[np.argmin(to_child[s : s + g.size], axis=0)]
-                    for g, s in zip(kid_labels, starts)
-                ]),
-            )
-            node = new_node(lvl, np.sort(labels), float(block.max()), tables)
-            for r in raised:
-                attach(r, node)
+            node = len(level)
+            level.append(lvl)
+            parent.append(-1)
+            children.append(tops)
+            diameter.append(float(block.max()))
+            gap.append(np.minimum.reduceat(to_child, starts, axis=0))
+            near.append(np.stack([
+                g[np.argmin(to_child[s : s + g.size], axis=0)]
+                for g, s in zip(kid_labels, starts)
+            ]))
+            members[node] = np.sort(labels)
+            for t in tops:
+                parent[t] = node
             comp_top[new_root] = node
-
-    root = comp_top[dsu.find(0)]  # a spanning tree leaves one component
 
     tree = SketchTree(
         level=level,
         parent=parent,
         children=children,
-        long_edge=long_edge,
-        leaf_label=leaf_label,
-        root=root,
+        long_edge=[False] * len(level),
+        leaf_label=list(range(n)) + [-1] * (len(level) - n),
+        root=comp_top[dsu.find(0)],  # a spanning tree leaves one component
     )
-    return tree, ClusterIndex(members=members, diameter=diameter, gap=gap, near=near)
+    return tree, ClusterIndex(diameter=diameter, gap=gap, near=near)
 
 
 def compress(
     tree: SketchTree, clusters: ClusterIndex, epsilon: float
 ) -> tuple[SketchTree, ClusterIndex]:
-    """Contract provably redundant one-child runs into long edges.
+    """The sketch tree of :func:`build_hst`'s merge tree.
 
-    Returns a new tree (node ids renumbered to DFS preorder) together with
-    the matching re-indexed cluster index; merge nodes keep their children
-    in order, so their pair tables carry over.  A maximal run above node b
-    is contracted iff gap >= 2 and (diam(b) == 0 or
-    gap > log2(diam(b)/2**level(b)) + log2(1/eps)); the surviving top keeps
-    level(top), so diam(b) < eps * 2**level(top) holds for every long edge.
+    The edge from node b up to its merge spans a run of
+    gap = level(merge) - 1 - level(b) one-child levels.  The run is
+    contracted iff gap >= 2 and (diam(b) == 0 or
+    gap > log2(diam(b)/2**level(b)) + log2(1/eps)): its top, at
+    level(merge) - 1, hangs on a short edge and b under it on a long edge,
+    so diam(b) < eps * 2**level(top) holds for every long edge.  Otherwise
+    all gap one-child nodes are kept, each on a short edge.  One DFS pass
+    emits the nodes, so ids are DFS preorder (root == 0, children in the
+    merge tree's order); merge nodes keep their pair tables, one-child
+    nodes have none.
     """
     eps = snap_epsilon(epsilon)
     t = int(round(-math.log2(eps)))
 
-    # A run's interior nodes have exactly one child each, so every run is
-    # identified by its bottom (a leaf or branching node).  Dropped interiors
-    # are never children of any surviving node except via the long edge.
-    long_child: dict[int, int] = {}  # surviving top -> run bottom
-    for b in range(tree.n_nodes):
-        if len(tree.children[b]) == 1:
-            continue
-        top = b
-        while tree.parent[top] != -1 and len(tree.children[tree.parent[top]]) == 1:
-            top = tree.parent[top]
-        gap = tree.level[top] - tree.level[b]
-        if gap < 2:
-            continue
-        diam = clusters.diameter[b]
-        if diam > 0.0 and not gap > math.log2(diam) - tree.level[b] + t:
-            continue
-        long_child[top] = b
+    level: list[int] = []
+    parent: list[int] = []
+    children: list[list[int]] = []
+    long_edge: list[bool] = []
+    leaf_label: list[int] = []
+    out = ClusterIndex(diameter=[], gap=[], near=[])
 
-    new_id: dict[int, int] = {}
-    order: list[int] = []
-    stack = [tree.root]
+    def emit(b: int, lvl: int, up: int, long: bool) -> int:
+        # b itself at its own level, else a one-child node of b's cluster
+        own = lvl == tree.level[b]
+        v = len(level)
+        level.append(lvl)
+        parent.append(up)
+        children.append([])
+        long_edge.append(long)
+        leaf_label.append(tree.leaf_label[b] if own else -1)
+        out.diameter.append(clusters.diameter[b])
+        out.gap.append(clusters.gap[b] if own else None)
+        out.near.append(clusters.near[b] if own else None)
+        if up >= 0:
+            children[up].append(v)
+        return v
+
+    stack = [(tree.root, -1)]  # (merge-tree node, emitted id of its merge)
     while stack:
-        v = stack.pop()
-        new_id[v] = len(order)
-        order.append(v)
-        kids = [long_child[v]] if v in long_child else tree.children[v]
-        stack.extend(reversed(kids))
+        b, up = stack.pop()
+        lo = tree.level[b]
+        run = range(level[up] - 1, lo, -1) if up >= 0 else range(0)  # top down
+        diam = clusters.diameter[b]
+        contract = len(run) >= 2 and (diam == 0.0 or len(run) > math.log2(diam) - lo + t)
+        for lvl in run[:1] if contract else run:
+            up = emit(b, lvl, up, False)
+        v = emit(b, lo, up, contract)
+        stack.extend((c, v) for c in reversed(tree.children[b]))
 
-    N = len(order)
-    level = [tree.level[v] for v in order]
-    parent = [-1] * N
-    children: list[list[int]] = [[] for _ in range(N)]
-    long_flag = [False] * N
-    leaf_label = [tree.leaf_label[v] for v in order]
-    for v in order:
-        is_long = v in long_child
-        kids = [long_child[v]] if is_long else tree.children[v]
-        for c in kids:
-            parent[new_id[c]] = new_id[v]
-            children[new_id[v]].append(new_id[c])
-            long_flag[new_id[c]] = is_long
-
-    out = SketchTree(
+    return SketchTree(
         level=level,
         parent=parent,
         children=children,
-        long_edge=long_flag,
+        long_edge=long_edge,
         leaf_label=leaf_label,
         root=0,
-    )
-    idx = ClusterIndex(
-        members=[clusters.members[v] for v in order],
-        diameter=[clusters.diameter[v] for v in order],
-        gap=[clusters.gap[v] for v in order],
-        near=[clusters.near[v] for v in order],
-    )
-    return out, idx
+    ), out

@@ -125,6 +125,169 @@ def naive_compressed_runs(dm: np.ndarray, eps: float):
     return runs
 
 
+@dataclass
+class ChainClusters:
+    """Cluster index of the chain tree: every node's sorted leaf labels,
+    its diameter and, at merges, the per-child-pair tables."""
+
+    members: list[np.ndarray]
+    diameter: list[float]
+    gap: list[np.ndarray | None]
+    near: list[np.ndarray | None]
+
+
+def build_chain_hst(ps):
+    """The threshold-graph 2-HST with one chain node per level, as the
+    package once built it: every component that persists across a level
+    gets a one-child node there.  Returns (SketchTree, ChainClusters)."""
+    from mcsketch.core import oracle_all_pairs
+    from mcsketch.hst import SketchTree, _DSU, _merge_level, _prim_mst
+
+    n = ps.n
+    dm = oracle_all_pairs(ps)
+    edges = sorted(((_merge_level(w), i, j) for w, i, j in _prim_mst(dm)), key=lambda e: e[0])
+
+    level: list[int] = [0] * n
+    parent: list[int] = [-1] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    members: list[np.ndarray] = [np.array([i], dtype=np.int64) for i in range(n)]
+    diameter: list[float] = [0.0] * n
+    gap: list[np.ndarray | None] = [None] * n
+    near: list[np.ndarray | None] = [None] * n
+
+    def new_node(lvl, labels, diam, tables=(None, None)):
+        level.append(lvl)
+        parent.append(-1)
+        children.append([])
+        members.append(labels)
+        diameter.append(diam)
+        gap.append(tables[0])
+        near.append(tables[1])
+        return len(level) - 1
+
+    def attach(child, par):
+        parent[child] = par
+        children[par].append(child)
+
+    def extend_chain(top, to_level):
+        cur = top
+        for lvl in range(level[top] + 1, to_level + 1):
+            nxt = new_node(lvl, members[cur], diameter[cur])
+            attach(cur, nxt)
+            cur = nxt
+        return cur
+
+    dsu = _DSU(n)
+    comp_top = {i: i for i in range(n)}
+    pos = 0
+    while pos < len(edges):
+        lvl = edges[pos][0]
+        batch = []
+        while pos < len(edges) and edges[pos][0] == lvl:
+            batch.append(edges[pos])
+            pos += 1
+        old_root_of = {}
+        for _, i, j in batch:
+            for x in (i, j):
+                r = dsu.find(x)
+                old_root_of.setdefault(r, comp_top[r])
+        for _, i, j in batch:
+            dsu.union(i, j)
+        groups: dict[int, list[int]] = {}
+        for old_root, top in old_root_of.items():
+            groups.setdefault(dsu.find(old_root), []).append(top)
+        for new_root, tops in groups.items():
+            tops.sort(key=lambda t: int(members[t][0]))
+            raised = [extend_chain(t, lvl - 1) for t in tops]
+            kid_labels = [members[t] for t in tops]
+            labels = np.concatenate(kid_labels)
+            block = dm[np.ix_(labels, labels)]
+            starts = np.cumsum([0] + [g.size for g in kid_labels[:-1]])
+            to_child = np.minimum.reduceat(block, starts, axis=1)
+            tables = (
+                np.minimum.reduceat(to_child, starts, axis=0),
+                np.stack([
+                    g[np.argmin(to_child[s : s + g.size], axis=0)]
+                    for g, s in zip(kid_labels, starts)
+                ]),
+            )
+            node = new_node(lvl, np.sort(labels), float(block.max()), tables)
+            for r in raised:
+                attach(r, node)
+            comp_top[new_root] = node
+
+    tree = SketchTree(
+        level=level,
+        parent=parent,
+        children=children,
+        long_edge=[False] * len(level),
+        leaf_label=list(range(n)) + [-1] * (len(level) - n),
+        root=comp_top[dsu.find(0)],
+    )
+    return tree, ChainClusters(members=members, diameter=diameter, gap=gap, near=near)
+
+
+def compress_chain_hst(tree, clusters, epsilon):
+    """Long-edge compression of :func:`build_chain_hst`'s tree, as the
+    package once made it: find every maximal one-child run by walking up
+    from its bottom, contract the runs the rule allows, then renumber the
+    survivors in DFS preorder in a second pass."""
+    from mcsketch.core import snap_epsilon
+    from mcsketch.hst import SketchTree
+
+    t = round(-math.log2(snap_epsilon(epsilon)))
+    long_child: dict[int, int] = {}  # surviving top -> run bottom
+    for b in range(tree.n_nodes):
+        if len(tree.children[b]) == 1:
+            continue
+        top = b
+        while tree.parent[top] != -1 and len(tree.children[tree.parent[top]]) == 1:
+            top = tree.parent[top]
+        gap = tree.level[top] - tree.level[b]
+        if gap < 2:
+            continue
+        diam = clusters.diameter[b]
+        if diam > 0.0 and not gap > math.log2(diam) - tree.level[b] + t:
+            continue
+        long_child[top] = b
+
+    new_id: dict[int, int] = {}
+    order: list[int] = []
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        new_id[v] = len(order)
+        order.append(v)
+        kids = [long_child[v]] if v in long_child else tree.children[v]
+        stack.extend(reversed(kids))
+
+    N = len(order)
+    parent = [-1] * N
+    children: list[list[int]] = [[] for _ in range(N)]
+    long_flag = [False] * N
+    for v in order:
+        is_long = v in long_child
+        for c in [long_child[v]] if is_long else tree.children[v]:
+            parent[new_id[c]] = new_id[v]
+            children[new_id[v]].append(new_id[c])
+            long_flag[new_id[c]] = is_long
+
+    out = SketchTree(
+        level=[tree.level[v] for v in order],
+        parent=parent,
+        children=children,
+        long_edge=long_flag,
+        leaf_label=[tree.leaf_label[v] for v in order],
+        root=0,
+    )
+    return out, ChainClusters(
+        members=[clusters.members[v] for v in order],
+        diameter=[clusters.diameter[v] for v in order],
+        gap=[clusters.gap[v] for v in order],
+        near=[clusters.near[v] for v in order],
+    )
+
+
 def triangle_violation(d: np.ndarray, rel_tol: float = 1e-9):
     """First (i, j, k) with d[i, j] > d[i, k] + d[k, j] + slack, else None.
 
@@ -223,12 +386,13 @@ def member_search_ingresses(tree, tau, clusters) -> list:
 
     Each descent step from the tau-predecessor toward leaf(y) takes the
     child whose sorted member labels contain y, by binary search over
-    ``clusters.members``, and stops before a long edge or at a leaf.
+    ``tree.leaf_labels_under()``, and stops before a long edge or at a leaf.
     """
     def contains(labels, y):
         i = int(np.searchsorted(labels, y))
         return i < labels.size and int(labels[i]) == y
 
+    members = tree.leaf_labels_under()
     ingress = [None] * tree.n_nodes
     for v, tt in tau.items():
         index = {c: i for i, c in enumerate(tree.children[v])}
@@ -239,7 +403,7 @@ def member_search_ingresses(tree, tau, clusters) -> list:
             y = int(clusters.near[v][index[j], index[c]])
             cur = j
             while not tree.is_leaf(cur):
-                nxt = next(k for k in tree.children[cur] if contains(clusters.members[k], y))
+                nxt = next(k for k in tree.children[cur] if contains(members[k], y))
                 if tree.long_edge[nxt]:
                     break
                 cur = nxt

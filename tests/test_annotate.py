@@ -39,8 +39,8 @@ def _built(points, eps, p=2.0, **kw):
 
 def _node_of(tree, clusters, members):
     want = frozenset(members)
-    for v in range(tree.n_nodes):
-        if frozenset(int(x) for x in clusters.members[v]) == want:
+    for v, labels in enumerate(tree.leaf_labels_under()):
+        if frozenset(labels.tolist()) == want:
             yield v
 
 
@@ -284,9 +284,10 @@ def test_tau_neighbor_ordering_by_smallest_label():
     tt = ann.tau[tree.root]
     assert tt.root == tree.children[tree.root][0]
     assert tt.parent[tt.root] is None
-    assert 0 in {int(x) for x in clusters.members[tt.root]}
+    members = tree.leaf_labels_under()
+    assert 0 in {int(x) for x in members[tt.root]}
     assert ann.center[tree.root] == ann.center[tt.root] == 0
     # every neighbor list runs in smallest-member-label order
     for kids in tt.children.values():
-        firsts = [int(clusters.members[c].min()) for c in kids]
+        firsts = [int(members[c].min()) for c in kids]
         assert firsts == sorted(firsts)

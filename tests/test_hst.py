@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from mcsketch.cli import gen_gaussian_clusters, gen_random_graph_metric
+from mcsketch.cli import gen_gaussian_clusters, gen_high_spread_line, gen_random_graph_metric
 from mcsketch.codec import deserialize
 from mcsketch.core import DistanceMatrix, InputError, normalize, oracle_all_pairs
-from mcsketch.hst import _prim_mst, build_hst, compress
+from mcsketch.hst import SketchTree, _prim_mst, build_hst, compress
 from mcsketch.reduce import frechet_embed
 
 import _reference as ref
@@ -24,14 +24,35 @@ def _line(points):
     return normalize(np.asarray(points, dtype=float).reshape(-1, 1), 2.0)
 
 
-def _partitions_from_tree(tree, clusters):
-    """level -> set of frozenset clusters, from the uncompressed tree."""
+def _members(tree):
+    return [frozenset(labels.tolist()) for labels in tree.leaf_labels_under()]
+
+
+def _partitions_from_tree(tree):
+    """level -> set of frozenset clusters.  A node counts at every level
+    from its own up to, not including, its parent's; the root at its own."""
     out: dict[int, set] = {}
-    for v in range(tree.n_nodes):
-        out.setdefault(tree.level[v], set()).add(
-            frozenset(int(x) for x in clusters.members[v])
-        )
+    for v, members in enumerate(_members(tree)):
+        up = tree.parent[v]
+        for lvl in range(tree.level[v], tree.level[up] if up >= 0 else tree.level[v] + 1):
+            out.setdefault(lvl, set()).add(members)
     return out
+
+
+def _check_merge_tree(tree):
+    """build_hst's tree: leaves at level 0, every other node a merge of at
+    least two children, each at least one level down, in smallest-label
+    order; no long edges."""
+    firsts = [int(labels[0]) for labels in tree.leaf_labels_under()]
+    assert not any(tree.long_edge)
+    for v in range(tree.n_nodes):
+        kids = tree.children[v]
+        if tree.is_leaf(v):
+            assert tree.level[v] == 0 and not kids
+            continue
+        assert len(kids) >= 2
+        assert all(tree.level[c] < tree.level[v] for c in kids)
+        assert [firsts[c] for c in kids] == sorted(firsts[c] for c in kids)
 
 
 # --------------------------------------------------------------------------
@@ -41,16 +62,18 @@ def _partitions_from_tree(tree, clusters):
 def test_uncompressed_tree_on_line():
     ps = _line([0, 1, 10])
     tree, clusters = build_hst(ps)
-    # levels: leaves at 0; {0,1} forms at 1; chains to 3; {10} chains 1..3;
-    # root {0,1,10} at 4 (distance 9 and 10 both in [8, 16)).
-    got = _partitions_from_tree(tree, clusters)
+    # levels: leaves at 0; {0,1} forms at 1 and persists to 3; {10} persists
+    # 0..3; root {0,1,10} at 4 (distance 9 and 10 both in [8, 16)).
+    got = _partitions_from_tree(tree)
     naive = ref.naive_level_partitions(oracle_all_pairs(ps))
     assert len(got) == len(naive) == 5
     for lvl, part in enumerate(naive):
         assert got[lvl] == set(part)
-    assert tree.n_nodes == 10
+    # three leaves and two merges; the edges above {0,1} and {10} span levels
+    assert tree.n_nodes == 5
     assert tree.level[tree.root] == 4
-    tree.verify()
+    assert sorted(tree.edge_gap(v) for v in tree.children[tree.root]) == [3, 4]
+    _check_merge_tree(tree)
 
 
 def test_compressed_tree_on_line():
@@ -84,11 +107,7 @@ def test_compression_keeps_zero_diameter_chain_rule():
     tree0, clusters0 = build_hst(ps)
     tree, clusters = compress(tree0, clusters0, 0.25)
     tree.verify()
-    leaf_26 = next(
-        v
-        for v in range(tree.n_nodes)
-        if tree.is_leaf(v) and clusters.members[v][0] == 3
-    )
+    leaf_26 = tree.leaf_of()[3]
     assert tree.long_edge[leaf_26]
     assert tree.edge_gap(leaf_26) == 4
     assert tree.level[leaf_26] == 0
@@ -104,8 +123,9 @@ def test_compression_rule_matches_naive_runs():
             tree, clusters = compress(tree0, clusters0, eps)
             tree.verify()
             # collect surviving long edges as (bottom members, gap)
+            members = _members(tree)
             got = {
-                (frozenset(int(x) for x in clusters.members[v]), tree.edge_gap(v))
+                (members[v], tree.edge_gap(v))
                 for v in range(tree.n_nodes)
                 if tree.long_edge[v]
             }
@@ -123,7 +143,7 @@ def test_partitions_match_naive_on_random_instances():
         ps = normalize(rng.normal(size=(n, d)) * 10, p)
         dm = oracle_all_pairs(ps)
         tree, clusters = build_hst(ps)
-        got = _partitions_from_tree(tree, clusters)
+        got = _partitions_from_tree(tree)
         naive = ref.naive_level_partitions(dm)
         assert len(got) == len(naive)
         for lvl, part in enumerate(naive):
@@ -134,7 +154,7 @@ def test_levels_refine_upward():
     rng = np.random.default_rng(8)
     ps = normalize(rng.normal(size=(20, 2)) * 25, 2.0)
     tree, clusters = build_hst(ps)
-    got = _partitions_from_tree(tree, clusters)
+    got = _partitions_from_tree(tree)
     for lvl in range(1, max(got) + 1):
         coarser = got[lvl]
         for fine in got[lvl - 1]:
@@ -149,17 +169,17 @@ def test_compress_preserves_leaves_and_members():
     tree, clusters = compress(tree0, clusters0, 0.25)
     assert sum(map(tree.is_leaf, range(tree.n_nodes))) == 18
     assert sorted(tree.leaf_label[v] for v in range(tree.n_nodes) if tree.is_leaf(v)) == list(range(18))
-    # every surviving node represents the same cluster it did before
+    # every surviving node represents the same cluster it did before, at a
+    # level its merge-tree node spans
     before = {
-        (tree0.level[v], frozenset(int(x) for x in clusters0.members[v]))
-        for v in range(tree0.n_nodes)
+        (lvl, members) for lvl, part in _partitions_from_tree(tree0).items() for members in part
     }
+    members = _members(tree)
     for v in range(tree.n_nodes):
-        key = (tree.level[v], frozenset(int(x) for x in clusters.members[v]))
-        assert key in before
+        assert (tree.level[v], members[v]) in before
     # diameters are exact maxima over the members
     for v in range(tree.n_nodes):
-        mem = clusters.members[v]
+        mem = members[v]
         want = max(
             (dm[i, j] for i in mem for j in mem if i != j),
             default=0.0,
@@ -195,7 +215,7 @@ def test_tree_invariants_on_integer_lines(values, eps):
     ps = _line(sorted(values))
     dm = oracle_all_pairs(ps)
     tree0, clusters0 = build_hst(ps)
-    tree0.verify()
+    _check_merge_tree(tree0)
     tree, clusters = compress(tree0, clusters0, eps)
     tree.verify()
     n = len(values)
@@ -245,7 +265,7 @@ def test_prim_mst_matches_scipy_and_naive_levels(seed, n, d, p, kind):
     want = minimum_spanning_tree(csr_matrix(dm)).data
     assert sorted(w for w, _, _ in edges) == sorted(want.tolist())
     tree, clusters = build_hst(ps)
-    got = _partitions_from_tree(tree, clusters)
+    got = _partitions_from_tree(tree)
     naive = ref.naive_level_partitions(dm)
     assert len(got) == len(naive)
     for lvl, part in enumerate(naive):
@@ -265,6 +285,7 @@ def test_overflowing_distance_rejected():
 
 
 def _check_pair_tables(tree, clusters, dm):
+    members = tree.leaf_labels_under()
     merges = 0
     for v in range(tree.n_nodes):
         kids = tree.children[v]
@@ -275,11 +296,11 @@ def _check_pair_tables(tree, clusters, dm):
         k = len(kids)
         assert clusters.gap[v].shape == clusters.near[v].shape == (k, k)
         for i, a in enumerate(kids):
-            rows = clusters.members[a]
+            rows = members[a]
             for j, b in enumerate(kids):
                 if i == j:
                     continue
-                cols = clusters.members[b]
+                cols = members[b]
                 sub = dm[np.ix_(rows, cols)]
                 assert clusters.gap[v][i, j] == sub.min()
                 # closest member of child i to child j, ties to smallest label
@@ -345,11 +366,83 @@ def test_part_of_matches_walk_on_compressed_builds(p):
     _assert_parts_match_walk(tree)
 
 
-def test_array_walks_on_an_uncompressed_tree_out_of_preorder():
-    tree, clusters = build_hst(normalize(gen_gaussian_clusters(60, 2, 6), 2.0))
-    assert ref.dfs_preorder(tree) != list(range(tree.n_nodes))
-    _assert_parts_match_walk(tree)
-    assert not tree.part_of.any()
-    tree.verify()
-    for got, want in zip(tree.leaf_labels_under(), clusters.members, strict=True):
-        assert np.array_equal(got, want)
+def test_array_walks_on_a_permuted_compressed_tree():
+    ps = normalize(gen_gaussian_clusters(60, 2, 6), 2.0)
+    tree, _ = compress(*build_hst(ps), 0.0625)
+    members = ref.compress_chain_hst(*ref.build_chain_hst(ps), 0.0625)[1].members
+    perm = np.random.default_rng(5).permutation(tree.n_nodes)
+    moved = SketchTree(
+        level=[0] * tree.n_nodes,
+        parent=[0] * tree.n_nodes,
+        children=[[]] * tree.n_nodes,
+        long_edge=[False] * tree.n_nodes,
+        leaf_label=[0] * tree.n_nodes,
+        root=int(perm[tree.root]),
+    )
+    for v, w in enumerate(perm.tolist()):
+        moved.level[w] = tree.level[v]
+        moved.parent[w] = int(perm[tree.parent[v]]) if v != tree.root else -1
+        moved.children[w] = perm[tree.children[v]].tolist()
+        moved.long_edge[w] = tree.long_edge[v]
+        moved.leaf_label[w] = tree.leaf_label[v]
+    moved.__post_init__()
+    assert ref.dfs_preorder(moved) != list(range(moved.n_nodes))
+    moved.verify()
+    # parts are numbered in id order of their roots: the walk's part i is
+    # the rank of its moved root among the moved roots
+    walk = subtree_decomposition(tree)
+    assert len(walk.roots) > 1
+    roots = perm[walk.roots]
+    rank = np.argsort(np.argsort(roots))
+    assert np.flatnonzero(moved.part_root).tolist() == sorted(roots.tolist())
+    assert moved.part_of[perm].tolist() == rank[walk.part_of].tolist()
+    labels = moved.leaf_labels_under()
+    for v, w in enumerate(perm.tolist()):
+        assert np.array_equal(labels[w], members[v])
+
+
+# --------------------------------------------------------------------------
+# The merge tree and its compression against the chain tree's.
+
+
+def _assert_same_as_chain_tree(ps, eps):
+    tree, clusters = compress(*build_hst(ps), eps)
+    want, chain = ref.compress_chain_hst(*ref.build_chain_hst(ps), eps)
+    for name in ("level", "parent", "children", "long_edge", "leaf_label", "root"):
+        assert getattr(tree, name) == getattr(want, name), name
+    assert clusters.diameter == chain.diameter
+    for got, exp in zip(clusters.gap + clusters.near, chain.gap + chain.near, strict=True):
+        assert (got is None and exp is None) or np.array_equal(got, exp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 40),
+    st.integers(1, 3),
+    st.sampled_from([1.0, 1.5, 2.0, math.inf]),
+    st.sampled_from([0.5, 0.25, 0.0625]),
+    st.sampled_from(["lattice", "line", "graph"]),
+)
+def test_compressed_merge_tree_equals_chain_tree(seed, n, d, p, eps, kind):
+    if kind == "graph":
+        ps = frechet_embed(DistanceMatrix(entries=gen_random_graph_metric(max(n, 3), seed)))
+    elif kind == "line":
+        ps = normalize(gen_high_spread_line(max(n, 11), 40, seed), p)
+    else:
+        # small integer coordinates: many equal distances, so ties at merges
+        rng = np.random.default_rng(seed)
+        pts = np.unique(rng.integers(0, 5, size=(n, d)).astype(float), axis=0)
+        if len(pts) < 2:
+            return
+        ps = normalize(pts, p)
+    _assert_same_as_chain_tree(ps, eps)
+
+
+def test_merge_tree_of_the_query_clusters_instance():
+    # the first seed-1 instance of the benchmark's query-clusters workload
+    ps = normalize(gen_gaussian_clusters(2000, 2, 1), 1.0)
+    tree, _ = build_hst(ps)
+    assert tree.n_nodes == 2632
+    assert max(map(len, tree.children)) > 100
+    _assert_same_as_chain_tree(ps, 1 / 16)
