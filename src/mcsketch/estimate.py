@@ -145,7 +145,13 @@ class Estimator:
         return steps, layers, ing
 
     def shifted_surrogate(self, v: int) -> np.ndarray:
-        """s(v) = s*(v) - s*(part root of v), as float coordinates."""
+        """s(v) = s*(v) - s*(part root of v), as float coordinates.  A node
+        id that is not an integer (Python or numpy), or not one of
+        0..n_nodes-1, raises InputError."""
+        try:
+            v = operator.index(v)
+        except TypeError:
+            raise InputError(f"node id {v!r} is not an integer") from None
         if not 0 <= v < self.tree.n_nodes:
             raise InputError(f"node id {v} out of range")
         if self.mode == "precomputed":

@@ -127,6 +127,22 @@ def test_unknown_label_raises():
     assert est.estimate(np.int64(1), np.int32(2)) == est.estimate(1, 2)
 
 
+@pytest.mark.parametrize("mode", ["precomputed", "landmark"])
+def test_shifted_surrogate_takes_integer_node_ids(mode):
+    res = _result(np.random.default_rng(2).normal(size=(20, 3)) * 15, landmarks=True)
+    est = Estimator(res.blob, mode=mode)
+    last = res.tree.n_nodes - 1
+    # a node id is an integer, never truncated or parsed
+    for v in (1.5, 2.0, np.float64(1.0), "2", None, [1], -1, last + 1):
+        with pytest.raises(InputError):
+            est.shifted_surrogate(v)
+    # a bool is the integer it equals, as for labels, and never a mask
+    for v, same in ((np.int64(1), 1), (np.int32(last), last), (True, 1), (False, 0)):
+        got = est.shifted_surrogate(v)
+        assert got.shape == (3,)
+        assert np.array_equal(got, est.shifted_surrogate(same))
+
+
 def test_unknown_mode_rejected():
     res = _result([[0.0], [1.0]])
     with pytest.raises(InputError):
