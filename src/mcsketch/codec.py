@@ -241,9 +241,9 @@ def _ints(values) -> np.ndarray:
 
 
 def _grid_fields(tree, inv_delta, eps: float, d: int, p: float):
-    """Per node, the bound B of its grid integers and the width
-    ceil(log2(2B+1)) of each of its d stored fields: the one rule the
-    writer and the reader share.  Part roots, which store no displacement,
+    """Per node, the bound B of its grid integers and the width of each of
+    its d stored fields, both from ``net``: the one rule the writer and the
+    reader share.  Part roots, which store no displacement,
     get 0 and 0.  B comes once per distinct (has_short, inv_delta) pair; it
     is exact, int64 or exact ints once one reaches 2^63.  A net too fine for
     floats (B infinite) raises OverflowError or ZeroDivisionError."""
@@ -256,7 +256,7 @@ def _grid_fields(tree, inv_delta, eps: float, d: int, p: float):
     bounds = np.zeros(tree.n_nodes, dtype=nets.dtype)
     bounds[inner] = nets[which]
     widths = np.zeros(tree.n_nodes, dtype=np.int64)
-    widths[inner] = np.array([(2 * b).bit_length() for b in nets.tolist()])[which]
+    widths[inner] = np.array([net.grid_bit_width(de, d, p) for de in deltas])[which]
     return bounds, widths
 
 
