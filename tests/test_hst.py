@@ -371,21 +371,15 @@ def test_array_walks_on_a_permuted_compressed_tree():
     tree, _ = compress(*build_hst(ps), 0.0625)
     members = ref.compress_chain_hst(*ref.build_chain_hst(ps), 0.0625)[1].members
     perm = np.random.default_rng(5).permutation(tree.n_nodes)
+    old = np.argsort(perm).tolist()  # the id in tree of every moved id
     moved = SketchTree(
-        level=[0] * tree.n_nodes,
-        parent=[0] * tree.n_nodes,
-        children=[[]] * tree.n_nodes,
-        long_edge=[False] * tree.n_nodes,
-        leaf_label=[0] * tree.n_nodes,
+        level=[tree.level[v] for v in old],
+        parent=[int(perm[tree.parent[v]]) if v != tree.root else -1 for v in old],
+        children=[perm[tree.children[v]].tolist() for v in old],
+        long_edge=[tree.long_edge[v] for v in old],
+        leaf_label=[tree.leaf_label[v] for v in old],
         root=int(perm[tree.root]),
     )
-    for v, w in enumerate(perm.tolist()):
-        moved.level[w] = tree.level[v]
-        moved.parent[w] = int(perm[tree.parent[v]]) if v != tree.root else -1
-        moved.children[w] = perm[tree.children[v]].tolist()
-        moved.long_edge[w] = tree.long_edge[v]
-        moved.leaf_label[w] = tree.leaf_label[v]
-    moved.__post_init__()
     assert ref.dfs_preorder(moved) != list(range(moved.n_nodes))
     moved.verify()
     # parts are numbered in id order of their roots: the walk's part i is
