@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcsketch.codec import deserialize
 from mcsketch.core import (
+    DistanceMatrix,
     GuaranteeError,
     SketchParams,
     lp_distance,
@@ -20,8 +24,14 @@ from mcsketch.annotate import (
     ingress_layers,
     shift_to_float,
 )
-from mcsketch.cli import gen_gaussian_clusters, gen_high_spread_line
+from mcsketch.cli import (
+    build_sketch,
+    gen_gaussian_clusters,
+    gen_high_spread_line,
+    gen_random_graph_metric,
+)
 from mcsketch.hst import build_hst, compress
+from mcsketch.reduce import frechet_embed
 
 import _reference as ref
 from _reference import subtree_decomposition
@@ -291,3 +301,43 @@ def test_tau_neighbor_ordering_by_smallest_label():
     for kids in tt.children.values():
         firsts = [int(members[c].min()) for c in kids]
         assert firsts == sorted(firsts)
+
+
+# --------------------------------------------------------------------------
+# What the decoder derives instead of reading: centers and first ingresses.
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 40),
+    st.integers(1, 3),
+    st.sampled_from([1.0, 1.5, 2.0, math.inf]),
+    st.sampled_from([0.5, 0.25, 0.0625]),
+    st.sampled_from(["lattice", "line", "graph"]),
+)
+def test_centers_and_first_ingresses_follow_the_tree(seed, n, d, p, eps, kind):
+    if kind == "graph":
+        ps = frechet_embed(DistanceMatrix(entries=gen_random_graph_metric(max(n, 3), seed)))
+    elif kind == "line":
+        ps = normalize(gen_high_spread_line(max(n, 11), 40, seed), p)
+    else:
+        # small integer coordinates: many equal distances, so ties at merges
+        rng = np.random.default_rng(seed)
+        pts = np.unique(rng.integers(0, 5, size=(n, d)).astype(float), axis=0)
+        if len(pts) < 2:
+            return
+        ps = normalize(pts, p)
+    res = build_sketch(ps, SketchParams(epsilon=eps, jl_enabled=False))
+    tree, ann = res.tree, res.ann
+    for v in range(tree.n_nodes):
+        leaf = v
+        while not tree.is_leaf(leaf):
+            leaf = tree.children[leaf][0]
+        assert ann.center[v] == tree.leaf_label[leaf]
+        if tree.part_root[v]:
+            assert ann.ingress[v] is None
+        else:
+            u = tree.parent[v]
+            assert (ann.ingress[v] == u) == (tree.children[u][0] == v) == (u == v - 1)
+    assert deserialize(res.blob).ingress == ann.ingress
