@@ -314,8 +314,12 @@ class SketchParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", snap_epsilon(self.epsilon))
-        if self.jl_constant <= 0:
-            raise InputError("jl_constant must be positive")
+        c, seed = self.jl_constant, self.jl_seed
+        if not (math.isfinite(c) and c > 0):
+            raise InputError(f"jl_constant must be finite and positive, got {c}")
+        # the blob header stores the seed as a u64
+        if not (isinstance(seed, int | np.integer) and 0 <= seed < 2**64):
+            raise InputError(f"jl_seed must be an integer in [0, 2^64), got {seed!r}")
 
     @property
     def t(self) -> int:

@@ -47,10 +47,12 @@ class JlConfig:
     seed: int = 0
 
     def target_dim(self, n: int, epsilon: float) -> int:
-        """d' = ceil(C * eps^-2 * ln n) (natural log)."""
+        """d' = ceil(C * eps^-2 * ln n) (natural log), capped at 2^63, more
+        than any dimension, so a huge C cannot overflow to infinity."""
         if n < 2:
             raise InputError("need at least two points")
-        return max(1, math.ceil(self.constant * epsilon**-2.0 * math.log(n)))
+        target = self.constant * epsilon**-2.0 * math.log(n)
+        return max(1, math.ceil(min(target, 2.0**63)))
 
 
 def jl_project(

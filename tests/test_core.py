@@ -35,7 +35,9 @@ from mcsketch.cli import (
     gen_gaussian_clusters,
     gen_high_spread_line,
     gen_random_graph_metric,
+    sketch_points,
 )
+from mcsketch.codec import deserialize
 from mcsketch.reduce import JlConfig, frechet_embed, jl_project
 
 import _reference as ref
@@ -337,6 +339,35 @@ def test_sketch_params_snaps_and_validates():
     assert SketchParams(epsilon=0.5).t == 1
     with pytest.raises(InputError):
         SketchParams(epsilon=0.25, jl_constant=0.0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"jl_seed": -1},
+        {"jl_seed": 2**64},
+        {"jl_seed": 1.5},
+        {"jl_constant": math.nan},
+        {"jl_constant": math.inf},
+    ],
+)
+def test_sketch_params_refuse_what_the_build_cannot_use(bad):
+    # a negative seed once failed in numpy's generator, 2^64 when the blob
+    # header packed it as a u64, and nan / inf constants in the target
+    # dimension; all are refused up front
+    with pytest.raises(InputError, match=next(iter(bad))):
+        SketchParams(epsilon=0.25, **bad)
+
+
+def test_projection_seeds_and_constants_at_their_limits_build():
+    # the largest u64 seed projects and comes back from the header; a
+    # constant near the float limit asks for more dimensions than the input
+    # has, so no projection applies
+    pts = np.random.default_rng(0).normal(size=(20, 500))
+    blob = sketch_points(pts, 2.0, SketchParams(epsilon=0.25, jl_seed=2**64 - 1))
+    assert deserialize(blob).jl_seed == 2**64 - 1
+    blob = sketch_points(pts, 2.0, SketchParams(epsilon=0.25, jl_constant=1e308))
+    assert deserialize(blob).jl_orig_dim == 0
 
 
 def test_k_parameter_examples():
