@@ -170,6 +170,8 @@ def sketch_metric(entries: np.ndarray | DistanceMatrix, params: SketchParams) ->
 def gen_uniform(
     n: int, d: int, seed: int, low: float = 0.0, high: float = 100.0
 ) -> np.ndarray:
+    if n < 2 or d < 1:
+        raise InputError(f"need n >= 2 points of d >= 1 coordinates, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     return rng.uniform(low, high, size=(n, d))
 
@@ -182,6 +184,8 @@ def gen_gaussian_clusters(
     center_spread: float = 40.0,
     sigma: float = 1.0,
 ) -> np.ndarray:
+    if n < 2 or d < 1:
+        raise InputError(f"need n >= 2 points of d >= 1 coordinates, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, center_spread, size=(clusters, d))
     assign = rng.integers(0, clusters, size=n)
@@ -200,6 +204,8 @@ def gen_high_spread_line(n: int, t: int, seed: int) -> np.ndarray:
     """
     if n < 11:
         raise InputError("high-spread-line needs n >= 11")
+    if t >= 1024:  # 2^1024 is past the largest float
+        raise InputError(f"spread exponent t={t} must be below 1024")
     rng = np.random.default_rng(seed)
     blob_count = n - 3
     jitter = rng.uniform(-0.9, 0.9, size=blob_count)
@@ -457,20 +463,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    seed = args.seed
-    if args.kind == "uniform":
-        coords = gen_uniform(args.n, args.d, seed)
+    n, d, seed = args.n, args.d, args.seed
+    if args.kind == "random-graph-metric":
+        write_matrix(args.output, gen_random_graph_metric(n, seed))
+    else:
+        if args.kind == "uniform":
+            coords = gen_uniform(n, d, seed)
+        elif args.kind == "gaussian-clusters":
+            coords = gen_gaussian_clusters(n, d, seed)
+        else:  # argparse restricts the kinds
+            coords = gen_high_spread_line(n, args.t, seed)
         write_points(args.output, coords, _parse_p(args.p) if args.p else 2.0)
-    elif args.kind == "gaussian-clusters":
-        coords = gen_gaussian_clusters(args.n, args.d, seed)
-        write_points(args.output, coords, _parse_p(args.p) if args.p else 2.0)
-    elif args.kind == "high-spread-line":
-        coords = gen_high_spread_line(args.n, args.t, seed)
-        write_points(args.output, coords, _parse_p(args.p) if args.p else 2.0)
-    elif args.kind == "random-graph-metric":
-        write_matrix(args.output, gen_random_graph_metric(args.n, seed))
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown generator kind {args.kind!r}")
     print(f"output={args.output}")
     return 0
 
@@ -567,24 +570,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
+    except (SketchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GuaranteeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except SketchError as exc:  # pragma: no cover - catch-all
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        codes = {FormatError: 2, DataError: 3, GuaranteeError: 4}
+        return next((c for kind, c in codes.items() if isinstance(exc, kind)), 1)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -340,6 +340,36 @@ def test_exit_code_usage_error():
     assert main(["query"]) == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["uniform", "-n", "-5"],
+        ["uniform", "-n", "1"],
+        ["uniform", "-n", "5", "-d", "-1"],
+        ["gaussian-clusters", "-n", "5", "-d", "0"],
+        ["high-spread-line", "-n", "20", "-t", "2000"],
+        ["high-spread-line", "-n", "20", "-t", "1024"],
+    ],
+)
+def test_gen_of_impossible_sizes_is_usage_error(tmp_path, capsys, args):
+    # negative sizes once ended in numpy's ValueError and t >= 1024 in the
+    # OverflowError of 2^t, both as tracebacks
+    dst = tmp_path / "x.mcpt"
+    assert main(["gen", *args, "-o", str(dst)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not dst.exists()
+
+
+def test_projection_seed_outside_u64_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "pts.mcpt"
+    write_points(src, np.random.default_rng(0).normal(size=(20, 500)), 2.0)
+    for seed in ("-1", str(2**64)):
+        dst = tmp_path / "x.mcsk"
+        assert main(["sketch", str(src), "-e", "0.25", "--jl-seed", seed, "-o", str(dst)]) == 1
+        assert capsys.readouterr().err.startswith("error: jl_seed")
+        assert not dst.exists()
+
+
 def test_exit_code_missing_file(tmp_path):
     assert main(["stats", str(tmp_path / "absent.mcsk")]) == 1
 
