@@ -9,7 +9,8 @@ Four passes, in dependency order:
    the tau-tree: a BFS tree over the children graph that connects two
    children when their clusters come within 2^level(v), with neighbor
    lists sorted by smallest member label so the construction is
-   deterministic.
+   deterministic.  The blob stores no center: the decoder derives each
+   from the leaf labels.
 
 2. ingresses: every node other than a part root gets a previously processed
    node whose surrogate anchors its own.  The tau-root's ingress is the
@@ -17,7 +18,9 @@ Four passes, in dependency order:
    tau-predecessor's cluster and descends from that predecessor toward
    leaf(y), stopping before any long edge, which always lands on a node
    with no short children.  Each step takes the last child whose preorder
-   id is at most leaf(y)'s.
+   id is at most leaf(y)'s.  So a node's ingress is its parent exactly when
+   it is the parent's first child; the decoder derives those and the blob
+   stores only the others.
 
 3. precisions: inv_delta(v) = 5 + ceil(Delta(v)/2^level(v)), computed with
    a 1e-12 downward nudge so diameters that are exact multiples of the

@@ -104,7 +104,6 @@ def build_sketch(
         landmarks = {v: table.shift_int[v] for v in chosen}
     model = SketchModel(
         tree=tree,
-        center=ann.center,
         ingress=ann.ingress,
         inv_delta=ann.inv_delta,
         eta_ints=ann.eta_ints,

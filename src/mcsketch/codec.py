@@ -2,7 +2,7 @@
 
 Layout, all multi-byte header fields little-endian:
 
-* header: magic ``MCSK``; u16 version (2); u8 p-code (1, 2, 255 = inf;
+* header: magic ``MCSK``; u16 version (3); u8 p-code (1, 2, 255 = inf;
   0 = rational p followed by u32 numerator + u32 denominator); u64 n;
   u64 d; f64 epsilon (post-snap); f64 scale; f64 spread; u8 flags (bit 1:
   landmark table present; every other bit, bit 0 included, is reserved
@@ -10,16 +10,18 @@ Layout, all multi-byte header fields little-endian:
   dimension (0 when no projection was applied); u64 payload bit length.
 
 * payload, an MSB-first bit stream of columns, each holding one field per
-  node (or per edge, part or landmark) in DFS preorder:
+  node (or per edge, leaf, part or landmark) in DFS preorder:
 
   1. tree shape as balanced parentheses, two bits per node (1 opens it,
      0 closes it);
   2. one bit per non-root node, 1 for a long edge; then the Elias-gamma
      coded level gap (>= 2) of every long edge;
-  3. every node's center label in ceil(log2 n) bits;
-  4. one ingress flag bit per node that is not a part root (0 = parent,
-     1 = reference); then every flagged node's reference into the preorder
-     enumeration of nodes without short children, in ceil(log2 L) bits;
+  3. every leaf's point label in ceil(log2 n) bits (a node's center, its
+     first child's, is the label of the first leaf at or after it);
+  4. per node that is not a part root and not its parent's first child
+     (a first child's ingress is its parent), its ingress as a reference
+     into the preorder enumeration of nodes without short children, in
+     ceil(log2 L) bits;
   5. every node's Elias-gamma of inv_delta - 4;
   6. per node that is not a part root, its displacement as d grid
      integers, each biased by the node's grid bound B and written in
@@ -30,16 +32,16 @@ Layout, all multi-byte header fields little-endian:
      every landmark's d exact surrogate-shift integers, biased by 2^(K+1),
      in K+2 bits each, where K is the landmark spacing parameter.
 
-  Version 1 held the same fields node by node; it is refused.
+  Versions 1 (fields node by node) and 2 (every node's center, one
+  ingress flag per node) are refused.
 
 * trailer: u32 CRC-32 (zlib) of header plus payload bytes.  Every header
   or payload corruption is caught by the CRC at the latest; structural
   validation (leaf counts, level consistency, permutation of leaf labels,
-  every internal node's center equal to its first child's, index ranges,
-  ingress edges inside their part, padding) runs after it so corrupt or
-  truncated blobs always fail loudly with FormatError.  Ingress cycles are
-  found by :func:`~mcsketch.annotate.ingress_layers`, the walk the builder
-  and the estimator take, failing to reach every node.
+  index ranges, ingress edges inside their part, padding) runs after it so
+  corrupt or truncated blobs always fail loudly with FormatError.  Ingress
+  cycles are found by :func:`~mcsketch.annotate.ingress_layers`, the walk
+  the builder and the estimator take, failing to reach every node.
 
 Decoding levels: the gaps give each node's level relative to the root;
 all leaves must land on one common level, which is then pinned to 0.
@@ -79,7 +81,7 @@ from .hst import SketchTree
 __all__ = ["SketchModel", "SizeReport", "serialize", "deserialize", "size_report"]
 
 MAGIC = b"MCSK"
-VERSION = 2
+VERSION = 3
 
 _FLAG_LANDMARKS = 2
 # the fixed header after the norm: n, d, epsilon, scale, spread, flags, random
@@ -92,11 +94,12 @@ class SketchModel:
     """Everything a decoder needs to answer queries; the codec's schema.
 
     ``eta_ints`` holds every node's d grid integers as one (n_nodes, d)
-    int64 array, with zero rows at part roots, which store none.
+    int64 array, with zero rows at part roots, which store none.  Centers
+    and first children's ingresses follow from the tree (see the module
+    docstring), and the blob stores neither.
     """
 
     tree: SketchTree
-    center: list[int]
     ingress: list[int | None]
     inv_delta: list[int]
     eta_ints: np.ndarray
@@ -176,14 +179,19 @@ def serialize(model: SketchModel) -> bytes:
     level = np.array(tree.level, dtype=np.int64)
     gaps = (level[parent] - level)[long_edge]
 
+    label = np.array(tree.leaf_label, dtype=np.int64)
+    ingress = _ints([-1 if u is None else u for u in model.ingress])
+    # ids are preorder, so a first child comes right after its parent
+    first = parent[inner] == inner - 1
+    wrong = inner[first & (ingress[inner] != parent[inner])]
+    if wrong.size:
+        raise GuaranteeError(f"ingress of first child {wrong[0]} is not its parent")
+    later = inner[~first]
     subtree_leaves = np.flatnonzero(~tree.has_short)
-    ingress = _ints([-1 if u is None else u for u in model.ingress])[inner]
-    flagged = ingress != parent[inner]
-    ref = np.searchsorted(subtree_leaves, ingress[flagged])
-    known = subtree_leaves[np.minimum(ref, subtree_leaves.size - 1)] == ingress[flagged]
+    ref = np.searchsorted(subtree_leaves, ingress[later])
+    known = subtree_leaves[np.minimum(ref, subtree_leaves.size - 1)] == ingress[later]
     if not known.all():
-        v = inner[flagged][~known][0]
-        raise GuaranteeError(f"ingress of node {v} is neither parent nor short-childless")
+        raise GuaranteeError(f"ingress of node {later[~known][0]} is not short-childless")
 
     precision = _ints(model.inv_delta) - 4
     bounds, widths = _grid_fields(tree, model.inv_delta, eps, d, model.p)
@@ -198,8 +206,7 @@ def serialize(model: SketchModel) -> bytes:
         (shape, 1),
         (long_edge[1:], 1),
         (gaps, gamma_widths(gaps)),
-        (_ints(model.center), (n - 1).bit_length()),
-        (flagged, 1),
+        (label[label >= 0], (n - 1).bit_length()),
         (ref, (subtree_leaves.size - 1).bit_length()),
         (precision, gamma_widths(precision)),
         (fields, np.repeat(widths[inner].astype(np.uint16), d)),
@@ -419,39 +426,42 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         raise FormatError(
             f"root level {root_level} inconsistent with spread {spread}"
         )
+
+    # 3. leaf labels
+    labels = column((n - 1).bit_length(), n, "leaf labels")[0]
+    if (labels >= n).any():
+        raise FormatError(f"leaf label {labels[labels >= n][0]} out of range")
+    if not np.array_equal(np.sort(labels), np.arange(n)):
+        raise FormatError("leaf labels are not a permutation of 0..n-1")
+    leaf_label = np.full(n_nodes, -1, dtype=np.int64)
+    leaf_label[is_leaf] = labels
     parent_list = parent.tolist()
     children: list[list[int]] = [[] for _ in range(n_nodes)]
     for v in range(1, n_nodes):
         children[parent_list[v]].append(v)
-    leaf_label = [-1] * n_nodes
     tree = SketchTree(
         level=(rel + root_level).tolist(),
         parent=parent_list,
         children=children,
         long_edge=long_edge.tolist(),
-        leaf_label=leaf_label,
+        leaf_label=leaf_label.tolist(),
         root=0,
     )
 
-    # 3. centers
-    centers = column((n - 1).bit_length(), n_nodes, "centers")[0]
-    if (centers >= n).any():
-        raise FormatError(f"center label {centers[centers >= n][0]} out of range")
-    center = centers.tolist()
-
-    # 4. ingresses
+    # 4. ingresses: a first child's is its parent, every other node's with
+    # an ingress a reference
     mark = pos
     inner = np.flatnonzero(~tree.part_root)
+    later = inner[parent[inner] != inner - 1]
     subtree_leaves = np.flatnonzero(~tree.has_short)
-    flagged = column(1, inner.size, "ingress flags")[0] == 1
     ref_w = (subtree_leaves.size - 1).bit_length()
-    refs = column(ref_w, int(flagged.sum()), "ingress references")[0].astype(np.int64)
+    refs = column(ref_w, later.size, "ingress references")[0].astype(np.int64)
     if (refs >= subtree_leaves.size).any():
         raise FormatError(
             f"ingress reference {refs[refs >= subtree_leaves.size][0]} out of range"
         )
     ing = np.where(tree.part_root, -1, parent)
-    ing[inner[flagged]] = subtree_leaves[refs]
+    ing[later] = subtree_leaves[refs]
     ingress: list[int | None] = [None if u < 0 else u for u in ing.tolist()]
     ingress_bits = pos - mark
 
@@ -489,14 +499,6 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     displacement_bits = d * int(ends[-1])
     pos += displacement_bits
 
-    for v in np.flatnonzero(is_leaf).tolist():
-        leaf_label[v] = center[v]
-    if not np.array_equal(np.sort(centers[is_leaf]), np.arange(n)):
-        raise FormatError("leaf centers are not a permutation of the labels")
-    # in preorder, an internal node's first child is the next node
-    differs = np.flatnonzero(~is_leaf[:-1] & (centers[:-1] != centers[1:]))
-    if differs.size:
-        raise FormatError(f"center of node {differs[0]} is not its first child's")
     tree.verify()
 
     part_of = tree.part_of
@@ -535,7 +537,6 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
 
     model = SketchModel(
         tree=tree,
-        center=center,
         ingress=ingress,
         inv_delta=inv_delta,
         eta_ints=eta_ints,
@@ -555,7 +556,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         crc_bytes=4,
         tree_shape_bits=3 * n_nodes - 1,
         long_gap_bits=gap_bits,
-        center_bits=n_nodes * ((n - 1).bit_length()),
+        center_bits=n * (n - 1).bit_length(),
         ingress_bits=ingress_bits,
         precision_bits=precision_bits,
         displacement_bits=displacement_bits,

@@ -524,8 +524,7 @@ COLUMNS = (
     "shape",
     "edge flags",
     "gaps",
-    "centers",
-    "ingress flags",
+    "leaf labels",
     "references",
     "precisions",
     "displacements",
@@ -537,7 +536,7 @@ COLUMNS = (
 
 def payload_columns(blob: bytes) -> dict[str, range]:
     """The bits, counted from the blob's first bit, of every payload column
-    of an MCSK v2 blob, derived from the decoded model and the field widths
+    of an MCSK v3 blob, derived from the decoded model and the field widths
     of the layout alone; a column the blob lacks is an empty range."""
     from mcsketch.codec import deserialize, size_report
     from mcsketch.core import k_parameter
@@ -546,17 +545,16 @@ def payload_columns(blob: bytes) -> dict[str, range]:
     rep = size_report(blob)
     tree = model.tree
     nodes = tree.n_nodes
-    inner = sum(u is not None for u in model.ingress)
+    # a first child (the node right after its parent) stores no reference
     refs = sum(
-        u is not None and u != tree.parent[v] for v, u in enumerate(model.ingress)
+        u is not None and tree.parent[v] != v - 1 for v, u in enumerate(model.ingress)
     )
     short_childless = sum(not tree.has_short[v] for v in range(nodes))
     lengths = [
         2 * nodes,
         nodes - 1,
         sum(2 * tree.edge_gap(v).bit_length() - 1 for v in range(1, nodes) if tree.long_edge[v]),
-        nodes * (model.n - 1).bit_length(),
-        inner,
+        model.n * (model.n - 1).bit_length(),
         refs * (short_childless - 1).bit_length(),
         sum(2 * (k - 4).bit_length() - 1 for k in model.inv_delta),
         rep.displacement_bits,
@@ -569,9 +567,9 @@ def payload_columns(blob: bytes) -> dict[str, range]:
         kk = k_parameter(model.spread, model.epsilon, model.d, model.p)
         for pid in range(max(part_of) + 1):
             count = sum(part_of[v] == pid for v in model.landmarks)
-            lengths[8] += 2 * (count + 1).bit_length() - 1
-        lengths[9] = len(model.landmarks) * (nodes - 1).bit_length()
-        lengths[10] = len(model.landmarks) * model.d * (kk + 2)
+            lengths[7] += 2 * (count + 1).bit_length() - 1
+        lengths[8] = len(model.landmarks) * (nodes - 1).bit_length()
+        lengths[9] = len(model.landmarks) * model.d * (kk + 2)
     pos = 8 * rep.header_bytes
     out = {}
     for name, length in zip(COLUMNS, lengths):

@@ -332,7 +332,7 @@ def test_criterion_06_codec_fuzz():
             deserialize(bytes(bad))
         except FormatError:
             detected += 1
-    # 200 payload bit flips spread over all eleven columns of a blob that has
+    # 200 payload bit flips spread over all ten columns of a blob that has
     # them all: with the CRC left stale each must be detected; with the CRC
     # recomputed the decoder must refuse within 2 s, or decode to a model
     # whose estimators give the exact sums' floats (the landmark mode, from

@@ -215,7 +215,7 @@ def test_roundtrip_preserves_all_fields():
     assert again.tree.level == model.tree.level
     assert again.tree.parent == model.tree.parent
     assert again.tree.long_edge == model.tree.long_edge
-    assert again.center == model.center
+    assert again.tree.leaf_label == model.tree.leaf_label
     assert again.ingress == model.ingress
     assert again.inv_delta == model.inv_delta
     assert again.landmarks.keys() == model.landmarks.keys()
@@ -399,27 +399,35 @@ def test_epsilon_beyond_int64_grid_refused_at_build():
             sketch_points(pts, 2, SketchParams(epsilon=eps, jl_enabled=False))
 
 
-def test_center_from_second_child_rejected():
-    # a center inherited from child 1 passed the old "some child" check
-    def edit(model):
-        kids = model.tree.children[model.tree.root]
-        assert len(kids) >= 2 and model.center[kids[1]] != model.center[kids[0]]
-        model.center[model.tree.root] = model.center[kids[1]]
-
-    with pytest.raises(FormatError, match="first child"):
-        deserialize(_tampered_blob(edit))
+def test_ingress_the_decoder_cannot_derive_refused_at_serialize():
+    # a first child's ingress is derived as its parent, and a later child's
+    # is stored as a reference into the nodes without short children: the
+    # encoder refuses any other value instead of writing a different blob
+    model = deserialize(_blob(np.random.default_rng(8).normal(size=(12, 2)) * 9))
+    tree = model.tree
+    first, later = tree.children[tree.root][:2]
+    assert not (tree.long_edge[first] or tree.long_edge[later])
+    saved = model.ingress[first]
+    model.ingress[first] = later
+    with pytest.raises(GuaranteeError, match=f"first child {first} is not its parent"):
+        serialize(model)
+    model.ingress[first] = saved
+    model.ingress[later] = tree.root
+    with pytest.raises(GuaranteeError, match=f"node {later} is not short-childless"):
+        serialize(model)
 
 
 def test_ingress_cycle_between_siblings_rejected():
-    # two short-childless siblings on short edges, each the other's ingress:
-    # both stay inside their part, so only the cycle check can refuse them
+    # two short-childless later siblings on short edges, each the other's
+    # ingress: both stay inside their part, so only the cycle check can
+    # refuse them (a first child's ingress, its parent, is not stored)
     def edit(model):
         tree = model.tree
         a, b = next(
             (a, b)
             for v in range(tree.n_nodes)
-            for a in tree.children[v]
-            for b in tree.children[v]
+            for a in tree.children[v][1:]
+            for b in tree.children[v][1:]
             if a < b
             and not (tree.long_edge[a] or tree.long_edge[b])
             and not tree.has_short[a]
@@ -480,14 +488,16 @@ def _patch_header(blob: bytes, offset: int, fmt: str, value) -> bytes:
 
 
 def test_version_one_refused():
-    # version 2 moved every field into columns; a version-1 blob is refused,
-    # not read by a second parser
+    # version 2 moved every field into columns and version 3 dropped the
+    # centers and ingress flags; older blobs are refused, not read by a
+    # second parser
     blob = _blob(np.random.default_rng(9).normal(size=(10, 2)) * 7)
-    assert struct.unpack_from("<H", blob, 4) == (VERSION,) == (2,)
-    body = bytearray(blob[:-4])
-    struct.pack_into("<H", body, 4, 1)
-    with pytest.raises(FormatError, match="unsupported version 1"):
-        deserialize(_with_crc(body))
+    assert struct.unpack_from("<H", blob, 4) == (VERSION,) == (3,)
+    for old in (1, 2):
+        body = bytearray(blob[:-4])
+        struct.pack_into("<H", body, 4, old)
+        with pytest.raises(FormatError, match=f"unsupported version {old}"):
+            deserialize(_with_crc(body))
 
 
 def _rewritten(blob: bytes, bits: range, value: int) -> bytes:
@@ -518,14 +528,14 @@ def test_ingress_reference_across_a_long_edge_refused():
     model = deserialize(blob)
     tree = model.tree
     part_of = subtree_decomposition(tree).part_of
-    flagged = [
+    later = [
         v for v, u in enumerate(model.ingress) if u is not None and u != tree.parent[v]
     ]
     targets = [v for v in range(tree.n_nodes) if not tree.has_short[v]]
-    v = flagged[0]
+    v = later[0]
     u = next(u for u in targets if part_of[u] != part_of[v])
     refs = _columns(blob)["references"]
-    width = len(refs) // len(flagged)
+    width = len(refs) // len(later)
     with pytest.raises(FormatError, match=f"ingress of {v} crosses a long edge"):
         deserialize(_rewritten(blob, refs[:width], targets.index(u)))
 
@@ -566,7 +576,6 @@ def test_root_over_a_single_short_edge_refused():
         leaf_label=[-1] + tree.leaf_label,
         root=0,
     )
-    model.center = model.center[:1] + model.center
     model.ingress = [None, 0] + [None if u is None else u + 1 for u in model.ingress[1:]]
     model.inv_delta = model.inv_delta[:1] + model.inv_delta
     model.eta_ints = np.vstack([model.eta_ints[:1], model.eta_ints])  # zero rows

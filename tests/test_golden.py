@@ -75,18 +75,18 @@ CASES = {
 }
 
 DIGESTS = {
-    "clusters-l2-fine-landmarks": "33f5b42190e6e2ffce41c9731da5bc01aff1a5d488d03374a53dc8b35c77ada1",
-    "clusters-linf": "85943b15a07f4a8ac9dec0328a7306cddec4fcaef52bd8ae80105be279967463",
-    "graph-metric": "3584ac0cd795075d165f00e80d3e6de3d4bf1e8d759c6207e32370ede8a8ab00",
-    "graph-metric-landmarks": "ee7e14c362f3275b59fe073136d5b5ce53f1142d1321fd89fd77e6a107dc1efd",
-    "high-spread-line": "6fb333e98e31f879e4f4c1b2c766befbe990750e532507d067c0abcc9c848626",
-    "high-spread-line-512-landmarks": "05e8170a4fb1298f8db24928fa1f21cfe80e418c27d875f632e421eebc8a96c4",
-    "lattice-l1-ties": "491524f5dc5860f0b9f88f408f6f97315861d707506e9cd252776f3a4f4699b8",
-    "lattice-l2-ties-landmarks": "b10935fa98b08be54f36878e8839dd1acd32b0d58f94441a8e12b7c08299f89a",
-    "projected-l2": "9f447c20f950523da8a349f2ec7c52685d9a3a35827420b04b54bbc2ff0f311c",
-    "uniform-l1-landmarks": "9ef2301dea20f2bd57ee1d0be71c00b83ab71566e74725742671eca6f8c8c72e",
-    "uniform-l1.5": "44a9489d845f698376b9161135e46c531f0d165aeb8408c20ab148b6b4a5960f",
-    "uniform-l2": "4bb2cd17c690ac810d6accb8c7266956256b5f16403a0c5e321f81b868e29dce",
+    "clusters-l2-fine-landmarks": "6f567eb25e82cea686e430ba133005785d222610e38208a45511762e6aafc664",
+    "clusters-linf": "feed4cf5a97502db56d8a7dd4d6a043ff02785907ec16287f95fd87ca106dd8d",
+    "graph-metric": "b01559927e0db3de4a2ed342e03c08b9e79fec69f3ae5e7832a0a49ec654f6bd",
+    "graph-metric-landmarks": "b7e4762e3ed11de1d3ab3d01e24ad0374b1e2463950f3d3dc662cb95366d043a",
+    "high-spread-line": "76d615ba85bd62dbfc4e74877bc085aeb71275029472f306d62f5e10264829c8",
+    "high-spread-line-512-landmarks": "45709c9e7c68a45389b645b100fb3b064805e201009d50b933035d47c1cfa358",
+    "lattice-l1-ties": "4fd5e13e38115d0e619008d14bdec017f7fee4ead23256c8245a314bf4fc7378",
+    "lattice-l2-ties-landmarks": "343f46bd60608d5285ecd563e1d771c427f7452e2b131109320906caf97ed754",
+    "projected-l2": "08bcc00c17c6ae90942a8a3daeff5dc425806513fe1e427243e8361dfc65b530",
+    "uniform-l1-landmarks": "a1373485d2a7977b4ac00aaf6ece19f902fdd9a810b6cbd8c9ad3eebd02b2630",
+    "uniform-l1.5": "4b70e4d2dde6e0c30a3a3a73e26c6923a332f57267ceec7218f8dab5dc6e31f1",
+    "uniform-l2": "509f4d15e850045c05b2dfe21e142416dfa5693acb17274f513c2c993f391b25",
 }
 
 
@@ -95,51 +95,51 @@ DIGESTS = {
 MODELS = {
     "clusters-l2-fine-landmarks": (
         "a9970a445ee2931dd4dd45e40d1c39b779c3bcafdd203cd9161d9bf2216a463d",
-        (455, 86, 912, 536, 236, 2589, 269, 5),
+        (455, 86, 360, 413, 236, 2589, 269, 0),
     ),
     "clusters-linf": (
         "10b65c2cefbf16ed1c44aea944d4b42f0729b59134021f4eae2877ca8329b20d",
-        (467, 24, 1092, 702, 238, 3484, 0, 1),
+        (467, 24, 560, 553, 238, 3484, 0, 2),
     ),
     "graph-metric": (
         "2e3c916fc4417a910cda85179613423b23535d41dfec9c0e39d9ba777c6462aa",
-        (152, 0, 306, 284, 63, 11320, 0, 3),
+        (152, 0, 240, 234, 63, 11320, 0, 7),
     ),
     "graph-metric-landmarks": (
         "1b6364e460a854dad0552ddb6a23ea0b11d8e49f1ba508e240f1e1468378600a",
-        (104, 0, 175, 179, 41, 6810, 555, 0),
+        (104, 0, 150, 145, 41, 6810, 555, 3),
     ),
     "high-spread-line": (
         "184337a73e0ba98ed7f5da448000caf457513d92eca7ee28a75bc9ef985fa40e",
-        (77, 22, 130, 118, 44, 137, 0, 0),
+        (77, 22, 100, 95, 44, 137, 0, 5),
     ),
     "high-spread-line-512-landmarks": (
         "f6906fd42aa9145a99838992fd4d405a4e0a65570cf582262d47fb906684831e",
-        (77, 36, 130, 118, 42, 137, 3, 1),
+        (77, 36, 100, 95, 42, 137, 3, 6),
     ),
     "lattice-l1-ties": (
         "7faa94adc491743808c172f1d9e9f4a2dbfbf1a61e19614c167139f2128a73c3",
-        (266, 0, 534, 466, 149, 1152, 0, 1),
+        (266, 0, 384, 378, 149, 1152, 0, 7),
     ),
     "lattice-l2-ties-landmarks": (
         "9669f34a7ad42f7e72be1434b60dc4b58a2b0d38232cee5b2d30b744bfd6e94d",
-        (218, 0, 438, 450, 93, 1656, 77, 4),
+        (218, 0, 384, 378, 93, 1656, 77, 2),
     ),
     "projected-l2": (
         "0cfb58074f5fe0ec797866641fc14e405677f6544ae4cab9306ae05564de038d",
-        (122, 0, 246, 274, 43, 94800, 0, 3),
+        (122, 0, 240, 234, 43, 94800, 0, 1),
     ),
     "uniform-l1-landmarks": (
         "dcbd838ee432eac46a4998f4785c3aa10ed9565723c265c7b31bb3798101e7e1",
-        (404, 159, 810, 494, 175, 1818, 199, 5),
+        (404, 159, 360, 413, 175, 1818, 199, 0),
     ),
     "uniform-l1.5": (
         "fd74c59b5f6e73cabd688d26b69206fb7cd438a1fe6b61dde01953fd1f1cc364",
-        (350, 226, 702, 411, 163, 892, 0, 0),
+        (350, 226, 300, 343, 163, 892, 0, 6),
     ),
     "uniform-l2": (
         "8b80169cc52b0f2f33d766d2fd4dc88a664174769e5e48dd20bf86dd2e3eb974",
-        (419, 150, 840, 502, 188, 1698, 0, 3),
+        (419, 150, 360, 413, 188, 1698, 0, 4),
     ),
 }
 
@@ -150,8 +150,13 @@ def _blob(name: str) -> bytes:
 
 
 def _model_digest(model) -> str:
-    """sha256 of everything a decoded model holds, layout-free."""
+    """sha256 of everything a decoded model holds, layout-free.  Each node's
+    center, derived since version 3, is the label of the first leaf at or
+    after it in preorder."""
     tree = model.tree
+    label = np.array(tree.leaf_label)
+    leaves = np.flatnonzero(label >= 0)
+    center = label[leaves[np.searchsorted(leaves, np.arange(tree.n_nodes))]].tolist()
     landmarks = None
     if model.landmarks is not None:
         landmarks = sorted(
@@ -162,7 +167,7 @@ def _model_digest(model) -> str:
         (model.jl_seed, model.jl_orig_dim),
         (tree.level, tree.parent, tree.children, tree.long_edge),
         (tree.leaf_label, tree.root),
-        (model.center, model.ingress, model.inv_delta),
+        (center, model.ingress, model.inv_delta),
         (model.eta_ints.dtype.str, model.eta_ints.shape, model.eta_ints.tobytes()),
         landmarks,
     )

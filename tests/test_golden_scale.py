@@ -34,9 +34,9 @@ CASES = {
 }
 
 DIGESTS = {
-    "build-clusters": "c3a2246f233cd5521a3540c887de0fd36fab6aaddbaee35aa9b616fee9df3a2b",
-    "query-clusters": "18f862d557ec1fa46b9b89be24e1323602958edf3cdfdc534f00ca296df3210f",
-    "metric-graph": "c38179129784e8d30a6be0133c3f322898f32d0d30e5d82a0f297633c0e92f2b",
+    "build-clusters": "1b7c383654c9db71a1193a9df6808f6f74e6b1de2f98293b4e7ee48287b9c578",
+    "query-clusters": "b25e917acd89477af04067cdd1b492759117eca0a3b2bb11ea2e413a0bc70843",
+    "metric-graph": "1636d08cc874b5cefd0d289727a4330de12c73fb6459d28dd1f7b7baf22672bd",
 }
 
 
