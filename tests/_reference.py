@@ -3,7 +3,8 @@
 Everything here is deliberately naive: per-level union-find over all point
 pairs for the hierarchy, plain loops for distances.  The production code
 must agree with these on small inputs; none of this is imported by the
-package itself.
+package itself.  :func:`small_instance` draws the inputs of the property
+tests that compare them.
 """
 
 from __future__ import annotations
@@ -577,3 +578,22 @@ def payload_columns(blob: bytes) -> dict[str, range]:
         pos += length
     assert pos == 8 * rep.header_bytes + rep.payload_bits
     return out
+
+
+def small_instance(seed: int, n: int, d: int, p: float, kind: str):
+    """A normalized point set for property tests: the Frechet embedding of a
+    random graph metric (``"graph"``), a high-spread line (``"line"``) or a
+    lattice of small integer coordinates, whose many equal distances make
+    ties at merges (``"lattice"``); None when the lattice draw has fewer
+    than two distinct points."""
+    from mcsketch.cli import gen_high_spread_line, gen_random_graph_metric
+    from mcsketch.core import DistanceMatrix, normalize
+    from mcsketch.reduce import frechet_embed
+
+    if kind == "graph":
+        return frechet_embed(DistanceMatrix(entries=gen_random_graph_metric(max(n, 3), seed)))
+    if kind == "line":
+        return normalize(gen_high_spread_line(max(n, 11), 40, seed), p)
+    rng = np.random.default_rng(seed)
+    pts = np.unique(rng.integers(0, 5, size=(n, d)).astype(float), axis=0)
+    return normalize(pts, p) if len(pts) >= 2 else None

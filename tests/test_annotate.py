@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from mcsketch.codec import deserialize
 from mcsketch.core import (
-    DistanceMatrix,
     GuaranteeError,
     SketchParams,
     lp_distance,
@@ -24,14 +23,8 @@ from mcsketch.annotate import (
     ingress_layers,
     shift_to_float,
 )
-from mcsketch.cli import (
-    build_sketch,
-    gen_gaussian_clusters,
-    gen_high_spread_line,
-    gen_random_graph_metric,
-)
+from mcsketch.cli import build_sketch, gen_gaussian_clusters, gen_high_spread_line
 from mcsketch.hst import build_hst, compress
-from mcsketch.reduce import frechet_embed
 
 import _reference as ref
 from _reference import subtree_decomposition
@@ -317,17 +310,9 @@ def test_tau_neighbor_ordering_by_smallest_label():
     st.sampled_from(["lattice", "line", "graph"]),
 )
 def test_centers_and_first_ingresses_follow_the_tree(seed, n, d, p, eps, kind):
-    if kind == "graph":
-        ps = frechet_embed(DistanceMatrix(entries=gen_random_graph_metric(max(n, 3), seed)))
-    elif kind == "line":
-        ps = normalize(gen_high_spread_line(max(n, 11), 40, seed), p)
-    else:
-        # small integer coordinates: many equal distances, so ties at merges
-        rng = np.random.default_rng(seed)
-        pts = np.unique(rng.integers(0, 5, size=(n, d)).astype(float), axis=0)
-        if len(pts) < 2:
-            return
-        ps = normalize(pts, p)
+    ps = ref.small_instance(seed, n, d, p, kind)
+    if ps is None:
+        return
     res = build_sketch(ps, SketchParams(epsilon=eps, jl_enabled=False))
     tree, ann = res.tree, res.ann
     for v in range(tree.n_nodes):

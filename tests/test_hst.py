@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from mcsketch.cli import gen_gaussian_clusters, gen_high_spread_line, gen_random_graph_metric
+from mcsketch.cli import gen_gaussian_clusters, gen_random_graph_metric
 from mcsketch.codec import deserialize
 from mcsketch.core import DistanceMatrix, InputError, normalize, oracle_all_pairs
 from mcsketch.hst import SketchTree, _prim_mst, build_hst, compress
@@ -419,18 +419,9 @@ def _assert_same_as_chain_tree(ps, eps):
     st.sampled_from(["lattice", "line", "graph"]),
 )
 def test_compressed_merge_tree_equals_chain_tree(seed, n, d, p, eps, kind):
-    if kind == "graph":
-        ps = frechet_embed(DistanceMatrix(entries=gen_random_graph_metric(max(n, 3), seed)))
-    elif kind == "line":
-        ps = normalize(gen_high_spread_line(max(n, 11), 40, seed), p)
-    else:
-        # small integer coordinates: many equal distances, so ties at merges
-        rng = np.random.default_rng(seed)
-        pts = np.unique(rng.integers(0, 5, size=(n, d)).astype(float), axis=0)
-        if len(pts) < 2:
-            return
-        ps = normalize(pts, p)
-    _assert_same_as_chain_tree(ps, eps)
+    ps = ref.small_instance(seed, n, d, p, kind)
+    if ps is not None:
+        _assert_same_as_chain_tree(ps, eps)
 
 
 def test_merge_tree_of_the_query_clusters_instance():
