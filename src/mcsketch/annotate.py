@@ -156,18 +156,21 @@ def _build_tau(tree: SketchTree, v: int, gap: np.ndarray | None) -> TauTree:
     parent: dict[int, int | None] = {kids[0]: None}
     children: dict[int, list[int]] = {c: [] for c in kids}
     if len(kids) > 1:
-        adj = gap < math.ldexp(1.0, tree.level[v])
-        seen = np.zeros(len(kids), dtype=bool)
+        # the threshold graph once as nested lists: the BFS makes no numpy
+        # call per step
+        adj = (gap < math.ldexp(1.0, tree.level[v])).tolist()
+        seen = [False] * len(kids)
         seen[0] = True
         queue = deque([0])
         while queue:
             i = queue.popleft()
-            fresh = np.flatnonzero(adj[i] & ~seen)
-            seen[fresh] = True
+            fresh = [j for j, edge in enumerate(adj[i]) if edge and not seen[j]]
+            for j in fresh:
+                seen[j] = True
             children[kids[i]] = [kids[j] for j in fresh]
             parent.update((kids[j], kids[i]) for j in fresh)
             queue.extend(fresh)
-        if not seen.all():
+        if not all(seen):
             raise GuaranteeError(
                 f"children graph of node {v} is disconnected below 2^{tree.level[v]}"
             )

@@ -448,6 +448,10 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         root=0,
     )
 
+    # before any (n_nodes, d) array: a valid shape makes every part root but
+    # the root hang below a node that stores d fields
+    tree.verify()
+
     # 4. ingresses: a first child's is its parent, every other node's with
     # an ingress a reference
     mark = pos
@@ -498,8 +502,6 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     eta_ints = _read_grid(payload, pos + d * (ends - widths), widths, bounds, d)
     displacement_bits = d * int(ends[-1])
     pos += displacement_bits
-
-    tree.verify()
 
     part_of = tree.part_of
     crossing = inner[part_of[ing[inner]] != part_of[inner]]

@@ -123,8 +123,15 @@ def _lp_reduce(diff: np.ndarray, p: float) -> np.ndarray:
     path and the all-pairs path produce bit-identical floats.  Works in
     place: ``diff`` is overwritten, so callers pass a difference they own
     and the reduction allocates nothing of its size.
+
+    A batch (``diff.ndim > 1``) whose last axis is shorter than
+    ``_SHORT_AXIS`` goes to :func:`_lp_reduce_columns`, which makes a few
+    whole-column calls in place of one reduction per row; a single vector
+    (``lp_distance``) and longer rows take the reductions below.
     """
     diff = np.abs(diff, diff)  # positional out: a keyword costs more per call
+    if diff.ndim > 1 and 0 < diff.shape[-1] < _SHORT_AXIS:
+        return _lp_reduce_columns(diff, p)
     if p == math.inf:
         return diff.max(axis=-1)
     m = diff.max(axis=-1, keepdims=True)
@@ -137,6 +144,50 @@ def _lp_reduce(diff: np.ndarray, p: float) -> np.ndarray:
     else:
         s = np.power(u, p, u).sum(axis=-1) ** (1.0 / p)
     return s * m[..., 0]
+
+
+# Below this many terms numpy's pairwise summation adds them one by one in
+# order (its unrolled blocks start at 8), so a chain of column adds forms
+# the same float as ``sum(axis=-1)``.
+_SHORT_AXIS = 8
+
+
+def _lp_reduce_columns(diff: np.ndarray, p: float) -> np.ndarray:
+    """:func:`_lp_reduce` of a non-negative ``diff`` whose last axis is
+    shorter than ``_SHORT_AXIS``, one column at a time.
+
+    The row max is a chain of ``np.maximum`` (a max is exact in any order)
+    and the sum an in-order chain of adds, the order numpy's reduction
+    takes below ``_SHORT_AXIS`` terms; every other step is the same
+    element-wise call as the reduction path's, so the floats are its floats
+    bit for bit.  Each column is a strided view of ``diff``; it is scaled
+    into a contiguous buffer, because ``np.power`` may take a vectorized
+    path on contiguous input whose floats can differ from the scalar
+    loop's, and the reduction path powers a contiguous array.
+    """
+    cols = [diff[..., k] for k in range(diff.shape[-1])]
+    m = cols[0].copy()
+    for c in cols[1:]:
+        np.maximum(m, c, out=m)
+    if p == math.inf:
+        return m
+    safe = np.where(m == 0.0, 1.0, m)
+    s = np.empty_like(m)
+    u = np.empty_like(m)
+    for k, c in enumerate(cols):
+        t = u if k else s
+        np.divide(c, safe, t)
+        if p == 2.0:
+            np.multiply(t, t, t)
+        elif p != 1.0:
+            np.power(t, p, t)
+        if k:
+            np.add(s, u, s)
+    if p == 2.0:
+        np.sqrt(s, s)
+    elif p != 1.0:
+        s = s ** (1.0 / p)
+    return np.multiply(s, m, s)
 
 
 def lp_distance(u: np.ndarray, v: np.ndarray, p: float) -> float:

@@ -222,10 +222,22 @@ class Estimator:
     def estimate_all_pairs(self) -> np.ndarray:
         """Full n x n matrix of estimates; identical floats to estimate().
 
-        One distance block per LCA: for every node u with two or more
-        children, the cross-child leaf pairs (exactly those whose LCA is u)
-        are assigned from a single vectorized reduction over the leaves'
-        per-ancestor anchors.
+        One pass over the nodes, children before parents, with the leaves
+        in DFS preorder, where every node's leaves, and within them each
+        child's, are one contiguous range.  ``anchor`` holds each leaf's
+        anchor as seen from the node at hand: a node over a long edge sets
+        that child's range to itself.  A node u with two or more children
+        reduces its cross-child leaf pairs (exactly those whose LCA is u),
+        each child's leaves against the later children's, from the
+        anchors' shifted surrogates in blocks of at most ``_BLOCK_ELEMS``
+        coordinate differences.  Each block goes into slices of one
+        ``np.empty`` matrix in leaf preorder, and its transpose across the
+        diagonal.
+
+        That matrix is then put into label order in place, so no second
+        n x n array is made: its columns are permuted in strips of rows,
+        then its rows in strips of columns, each strip through one
+        temporary of at most ``_BLOCK_ELEMS`` entries.
         """
         tree = self.tree
         n = self.n
@@ -235,57 +247,51 @@ class Estimator:
             sf = np.zeros((tree.n_nodes, self._d), dtype=np.float64)
             for v in range(tree.n_nodes):
                 sf[v] = self.shifted_surrogate(v)
-        members = tree.leaf_labels_under()
-        parent = tree.parent
+        children = tree.children
         long_edge = tree.long_edge
-        branching = [v for v in range(tree.n_nodes) if len(tree.children[v]) >= 2]
-        anchor_at: dict[int, dict[int, int]] = {u: {} for u in branching}
-        for leaf, label in (
-            (v, tree.leaf_label[v]) for v in range(tree.n_nodes) if tree.is_leaf(v)
-        ):
-            cur = leaf
-            a = leaf
-            while parent[cur] != -1:
-                par = parent[cur]
-                if long_edge[cur]:
-                    a = par
-                if par in anchor_at:
-                    anchor_at[par][label] = a
-                cur = par
-        out = np.zeros((n, n), dtype=np.float64)
+        preorder, lo, hi = tree.leaf_ranges()
+        leaves = [v for v in preorder if tree.is_leaf(v)]
+        anchor = np.array(leaves, dtype=np.int64)
+        out = np.empty((n, n), dtype=np.float64)
         # every block's differences go to this one buffer, so the loop makes
         # no block-sized temporaries and its page faults do not depend on
         # where the allocator happens to place them
         buf = np.empty(_BLOCK_ELEMS)
-        for u in branching:
-            anc = anchor_at[u]
-            child_labels = [members[c] for c in tree.children[u]]
-            rows = [
-                sf[[anc[int(x)] for x in labels]] for labels in child_labels
-            ]
-            # suffix concatenations so each cross-child pair is hit once;
-            # the A side is chunked to cap each block at _BLOCK_ELEMS
-            suf_labels = child_labels[-1]
-            suf_rows = rows[-1]
-            for i in range(len(child_labels) - 2, -1, -1):
-                a_labels = child_labels[i]
-                a_rows = rows[i]
-                chunk = max(1, _BLOCK_ELEMS // max(1, suf_rows.size))
-                if chunk * suf_rows.size > buf.size:  # one row exceeds a block
-                    buf = np.empty(chunk * suf_rows.size)
+        for u in reversed(preorder):
+            kids = children[u]
+            for c in kids:
+                if long_edge[c]:
+                    anchor[lo[c] : hi[c]] = u
+            if len(kids) < 2:
+                continue
+            rows = sf[anchor[lo[u] : hi[u]]]
+            for c in kids[:-1]:
+                # child c's leaves against every later child's
+                a_rows = rows[lo[c] - lo[u] : hi[c] - lo[u]]
+                b_rows = rows[hi[c] - lo[u] :]
+                chunk = max(1, _BLOCK_ELEMS // max(1, b_rows.size))
+                if chunk * b_rows.size > buf.size:  # one row exceeds a block
+                    buf = np.empty(chunk * b_rows.size)
                 for s in range(0, a_rows.shape[0], chunk):
                     a = a_rows[s : s + chunk]
-                    diff = buf[: a.shape[0] * suf_rows.size].reshape(
-                        a.shape[0], *suf_rows.shape
+                    diff = buf[: a.shape[0] * b_rows.size].reshape(
+                        a.shape[0], *b_rows.shape
                     )
-                    np.subtract(a[:, None, :], suf_rows[None, :, :], out=diff)
+                    np.subtract(a[:, None, :], b_rows[None, :, :], out=diff)
                     block = _lp_reduce(diff, self._p)
-                    out[np.ix_(a_labels[s : s + chunk], suf_labels)] = block
-                    out[np.ix_(suf_labels, a_labels[s : s + chunk])] = block.T
-                suf_labels = np.concatenate([a_labels, suf_labels])
-                suf_rows = np.concatenate([rows[i], suf_rows])
-        out *= self.scale
+                    block *= self.scale
+                    top = lo[c] + s
+                    out[top : top + a.shape[0], hi[c] : hi[u]] = block
+                    out[hi[c] : hi[u], top : top + a.shape[0]] = block.T
         np.fill_diagonal(out, 0.0)
+        # out[pos[x], pos[y]] is the estimate of labels x and y
+        pos = np.empty(n, dtype=np.int64)
+        pos[[tree.leaf_label[v] for v in leaves]] = np.arange(n)
+        strip = max(1, _BLOCK_ELEMS // n)
+        for s in range(0, n, strip):
+            out[s : s + strip] = out[s : s + strip, pos]
+        for s in range(0, n, strip):
+            out[:, s : s + strip] = out[pos, s : s + strip]
         return out
 
 

@@ -31,9 +31,11 @@ iff diam == 0 or
 
 which guarantees diam < epsilon * 2**(level of the surviving top node).
 
-Only this module reads pair distances: one block per merge node, grouped
-by child, yields the cluster diameter and the per-child-pair tables that
-annotation needs (smallest cross distance, closest member; see
+Only this module reads pair distances.  The matrix is permuted once into
+the merge tree's leaf preorder, where every node's leaves, and within them
+each child's, are one contiguous range; each merge node's block is then a
+slice view, and it yields the cluster diameter and the per-child-pair
+tables that annotation needs (smallest cross distance, closest member; see
 :class:`ClusterIndex`).
 """
 
@@ -68,9 +70,9 @@ class SketchTree:
     edges descend one level and its long edges at least two.
     :func:`build_hst`'s merge tree is held in the same class: its ids are
     the leaves then the merges in the order they form, it has no long
-    edges, and one edge may descend several levels.  ``part_of`` and
-    :meth:`leaf_labels_under` hold for any node order and for both kinds
-    of tree; :meth:`verify` checks a sketch tree.
+    edges, and one edge may descend several levels.  ``part_of``,
+    :meth:`leaf_labels_under` and :meth:`leaf_ranges` hold for any node
+    order and for both kinds of tree; :meth:`verify` checks a sketch tree.
 
     Three arrays are derived from the edges at construction:
     ``has_short[v]`` (some child of v hangs on a short edge),
@@ -129,6 +131,27 @@ class SketchTree:
                 out[v] = np.sort(np.concatenate([out[c] for c in self.children[v]]))
         return out  # type: ignore[return-value]
 
+    def leaf_ranges(self) -> tuple[list[int], list[int], list[int]]:
+        """DFS preorder from the root, children in stored order, and for
+        every node v the range ``lo[v]:hi[v]`` of its leaves among the
+        leaves in that preorder.  The ranges of v's children tile v's, in
+        order."""
+        preorder = []
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            preorder.append(v)
+            stack.extend(reversed(self.children[v]))
+        lo = [0] * self.n_nodes
+        hi = [0] * self.n_nodes
+        for k, v in enumerate(v for v in preorder if self.is_leaf(v)):
+            lo[v], hi[v] = k, k + 1
+        for v in reversed(preorder):
+            kids = self.children[v]
+            if kids:
+                lo[v], hi[v] = lo[kids[0]], hi[kids[-1]]
+        return preorder, lo, hi
+
     def verify(self) -> None:
         """Structural sanity checks of a sketch tree, as array checks over
         all nodes and edges at once; raises FormatError naming the first
@@ -149,10 +172,15 @@ class SketchTree:
         kid = np.fromiter(chain.from_iterable(self.children), np.int64, owner.size)
         gap = level[owner] - level[kid]
         is_long = np.array(self.long_edge, dtype=bool)[kid]
+        # a part root other than the root tops no long edge: a chain of
+        # long edges would make part roots, rows of every (n_nodes, d)
+        # array, that store no displacement
+        chained = self.part_root[owner] & (owner != self.root)
         for fails, msg, *fields in (
             (parent[kid] != owner, "parent/children mismatch at {}->{}", owner, kid),
             (is_long & (gap < 2), "long edge {}->{} has gap {} < 2", owner, kid, gap),
             (is_long & (degree[owner] != 1), "long-edge top {} has degree != 1", owner),
+            (is_long & chained, "long-edge top {} is a part root", owner),
             (~is_long & (gap != 1), "short edge {}->{} has gap {} != 1", owner, kid, gap),
             (leaf & (degree > 0), "leaf {} has children", nodes),
             (leaf & (level != 0), "leaf {} at level {} != 0", nodes, level),
@@ -247,9 +275,16 @@ def build_hst(ps: PointSet) -> tuple[SketchTree, ClusterIndex]:
     that ends it (see :func:`compress`).  Reads the oracle matrix through
     :func:`oracle_all_pairs`, which returns the one stored by
     ``normalize``.  Children of every merge node are ordered by smallest
-    member label, which makes the construction fully deterministic; each
-    merge node's distance block, grouped by child in that order, is reduced
-    to its diameter and its ``gap`` / ``near`` tables.
+    member label, which makes the construction fully deterministic.
+
+    Two passes: the first replays the merges for the tree alone; the
+    second permutes the matrix once into the tree's leaf preorder, where
+    every node's leaves, and within them each child's, are one contiguous
+    range, and reduces each merge node's block, a slice view of that
+    matrix, to its diameter and its ``gap`` / ``near`` tables.  Minima and
+    maxima do not depend on the order of their terms, and ``near`` breaks
+    ties by label, not by position, so the tables are those of blocks
+    gathered in label order.
     """
     n = ps.n
     if n < 2:
@@ -264,11 +299,7 @@ def build_hst(ps: PointSet) -> tuple[SketchTree, ClusterIndex]:
     level: list[int] = [0] * n
     parent: list[int] = [-1] * n
     children: list[list[int]] = [[] for _ in range(n)]
-    diameter: list[float] = [0.0] * n
-    gap: list[np.ndarray | None] = [None] * n
-    near: list[np.ndarray | None] = [None] * n
-    # sorted leaf labels of every component's top node, dropped at its merge
-    members: dict[int, np.ndarray] = {i: np.array([i], dtype=np.int64) for i in range(n)}
+    smallest: list[int] = list(range(n))  # smallest leaf label under each node
 
     dsu = _DSU(n)
     comp_top: dict[int, int] = {i: i for i in range(n)}  # DSU root -> top node id
@@ -291,24 +322,12 @@ def build_hst(ps: PointSet) -> tuple[SketchTree, ClusterIndex]:
         for old_root, top in old_root_of.items():
             groups.setdefault(dsu.find(old_root), []).append(top)
         for new_root, tops in groups.items():
-            tops.sort(key=lambda t: int(members[t][0]))
-            kid_labels = [members.pop(t) for t in tops]
-            labels = np.concatenate(kid_labels)
-            block = dm[np.ix_(labels, labels)]
-            starts = np.cumsum([0] + [g.size for g in kid_labels[:-1]])
-            # distance from every member to every child, then per child pair
-            to_child = np.minimum.reduceat(block, starts, axis=1)
+            tops.sort(key=smallest.__getitem__)
             node = len(level)
             level.append(lvl)
             parent.append(-1)
             children.append(tops)
-            diameter.append(float(block.max()))
-            gap.append(np.minimum.reduceat(to_child, starts, axis=0))
-            near.append(np.stack([
-                g[np.argmin(to_child[s : s + g.size], axis=0)]
-                for g, s in zip(kid_labels, starts)
-            ]))
-            members[node] = np.sort(labels)
+            smallest.append(smallest[tops[0]])
             for t in tops:
                 parent[t] = node
             comp_top[new_root] = node
@@ -321,7 +340,42 @@ def build_hst(ps: PointSet) -> tuple[SketchTree, ClusterIndex]:
         leaf_label=list(range(n)) + [-1] * (len(level) - n),
         root=comp_top[dsu.find(0)],  # a spanning tree leaves one component
     )
-    return tree, ClusterIndex(diameter=diameter, gap=gap, near=near)
+    return tree, _pair_tables(dm, tree)
+
+
+def _pair_tables(dm: np.ndarray, tree: SketchTree) -> ClusterIndex:
+    """Diameters and per-merge tables of :func:`build_hst`'s merge tree,
+    whose ids are the leaves (id = label) and then the merges, each after
+    its children.  ``P`` is ``dm`` with rows and columns in leaf preorder,
+    so node v's block is ``P[lo[v]:hi[v], lo[v]:hi[v]]`` and each child's
+    rows and columns are a range of it."""
+    n = dm.shape[0]
+    preorder, lo, hi = tree.leaf_ranges()
+    order = np.array([v for v in preorder if v < n], dtype=np.int64)
+    P = dm[np.ix_(order, order)]
+
+    out = ClusterIndex(diameter=[0.0] * n, gap=[None] * n, near=[None] * n)
+    for v in range(n, tree.n_nodes):
+        a, b = lo[v], hi[v]
+        kids = tree.children[v]
+        block = P[a:b, a:b]
+        starts = [lo[c] - a for c in kids]
+        # distance from every member to every child, then per child pair
+        to_child = np.minimum.reduceat(block, starts, axis=1)
+        gap = np.minimum.reduceat(to_child, starts, axis=0)
+        # child i's members at child j's gap, the smallest label among them;
+        # compared one child at a time, so that beside P a merge holds at
+        # most one (members, k) float array
+        hit = np.empty(to_child.shape, dtype=bool)
+        for i, c in enumerate(kids):
+            rows = slice(lo[c] - a, hi[c] - a)
+            np.equal(to_child[rows], gap[i], out=hit[rows])
+        del to_child
+        closest = np.where(hit, order[a:b, None], n)
+        out.diameter.append(float(block.max()))
+        out.gap.append(gap)
+        out.near.append(np.minimum.reduceat(closest, starts, axis=0))
+    return out
 
 
 def compress(

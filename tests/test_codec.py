@@ -4,6 +4,7 @@ import functools
 import math
 import struct
 import time
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from mcsketch._bitio import gamma_widths, pack_fields, read_gammas, unpack_runs
 from mcsketch.cli import build_sketch, gen_high_spread_line, gen_uniform, sketch_points
 from mcsketch import net
-from mcsketch.codec import MAGIC, VERSION, deserialize, serialize, size_report
+from mcsketch.codec import MAGIC, VERSION, SketchModel, deserialize, serialize, size_report
 from mcsketch.core import (
     FormatError,
     GuaranteeError,
@@ -561,6 +562,59 @@ def test_long_edge_top_with_siblings_refused():
     model.tree = SketchTree(level, tree.parent, tree.children, long_edge, tree.leaf_label, 0)
     model.spread *= 2  # room for the raised root
     _decoders_refuse(serialize(model), "long-edge top 0 has degree != 1")
+
+
+def _long_edge_chain(links: int, d: int) -> SketchModel:
+    """Two points, p = inf, eps = 1/2: the root's first child tops a chain
+    of ``links`` long edges down to leaf 0, each two levels deep, and its
+    second child tops one long edge down to leaf 1.  With links >= 2 the
+    chain's inner nodes are part roots that top long edges; such part
+    roots store no displacement yet are rows of every (n_nodes, d) array."""
+    top = 2 * links  # level of the root's children
+    n_nodes = links + 4
+    return SketchModel(
+        tree=SketchTree(
+            level=[top + 1] + [top - 2 * i for i in range(links + 1)] + [top, 0],
+            parent=[-1] + list(range(links + 1)) + [0, links + 2],
+            children=[[1, links + 2]] + [[v + 1] for v in range(1, links + 1)]
+            + [[], [links + 3], []],
+            long_edge=[False, False] + [True] * links + [False, True],
+            leaf_label=[-1] * (links + 1) + [0, -1, 1],
+            root=0,
+        ),
+        ingress=[None, 0] + [None] * links + [1, None],
+        inv_delta=[5] * n_nodes,
+        eta_ints=np.zeros((n_nodes, d), dtype=np.int64),
+        landmarks=None,
+        p=math.inf,
+        epsilon=0.5,
+        scale=1.0,
+        spread=2.0 ** (top + 1),
+        n=2,
+        d=d,
+        jl_seed=0,
+        jl_orig_dim=d,
+    )
+
+
+def test_chain_of_long_edges_refused():
+    # a valid-CRC v3 blob whose every other check passes: one long edge per
+    # child decodes, a chain of them is refused
+    model = deserialize(serialize(_long_edge_chain(1, 2)))
+    assert model.tree.long_edge == [False, False, True, False, True]
+    _decoders_refuse(serialize(_long_edge_chain(2, 2)), "long-edge top 2 is a part root")
+    # 300 links at d = 2000 fit in 2,845 bytes and would decode to (304,
+    # 2000) arrays; the refusal comes before any of them is allocated
+    blob = serialize(_long_edge_chain(300, 2000))
+    assert len(blob) < 3000
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="long-edge top 2 is a part root"):
+            deserialize(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500 * len(blob)
 
 
 def test_root_over_a_single_short_edge_refused():

@@ -1,6 +1,7 @@
 """Query-side estimation: anchors, modes, landmarks, all-pairs consistency."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mcsketch.core import (
     normalize,
     oracle_all_pairs,
 )
+from mcsketch.core import _BLOCK_ELEMS
 from mcsketch.estimate import Estimator, select_all_landmarks, select_landmarks
 
 import _reference as ref
@@ -360,3 +362,24 @@ def test_all_pairs_rows_wider_than_one_block():
         for i in range(40):
             for j in range(40):
                 assert allp[i, j] == est.estimate(i, j)
+
+
+@pytest.mark.parametrize("d, p", [(2, 1.0), (4, 2.0)])
+def test_all_pairs_peak_is_one_matrix_plus_blocks(d, p):
+    # the leaf-preorder matrix is put into label order in place.  Besides
+    # the n x n result the peak holds one _BLOCK_ELEMS difference buffer
+    # and at most five block results of _BLOCK_ELEMS / d entries (the last
+    # block and the short-axis kernel's four arrays), or one permutation
+    # strip: 3.5 buffers at d = 2.  A second n x n array, 4 buffers at
+    # n = 1000, exceeds the bound.
+    n = 1000
+    pts = gen_gaussian_clusters(n, d, 1)
+    est = Estimator(sketch_points(pts, p, SketchParams(epsilon=0.25, jl_enabled=False)))
+    tracemalloc.start()
+    try:
+        allp = est.estimate_all_pairs()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert allp.shape == (n, n)
+    assert peak < n * n * 8 + 4 * _BLOCK_ELEMS * 8
