@@ -155,25 +155,33 @@ def _build_tau(tree: SketchTree, v: int, gap: np.ndarray | None) -> TauTree:
     kids = tree.children[v]
     parent: dict[int, int | None] = {kids[0]: None}
     children: dict[int, list[int]] = {c: [] for c in kids}
-    if len(kids) > 1:
-        # the threshold graph once as nested lists: the BFS makes no numpy
-        # call per step
-        adj = (gap < math.ldexp(1.0, tree.level[v])).tolist()
-        seen = [False] * len(kids)
-        seen[0] = True
+    bound = math.ldexp(1.0, tree.level[v])
+    seen = [True] + [False] * (len(kids) - 1)
+    if len(kids) == 2:
+        # the commonest merge: its one possible edge is one entry of gap
+        if gap[0, 1] < bound:
+            seen[1] = True
+            children[kids[0]] = [kids[1]]
+            parent[kids[1]] = kids[0]
+    elif len(kids) > 2:
+        # neighbour lists in ascending order from one nonzero pass over
+        # the threshold graph, so a pop scans only its own edges
+        adj = gap < bound
+        nbr = np.nonzero(adj)[1].tolist()
+        start = [0, *np.count_nonzero(adj, axis=1).cumsum().tolist()]
         queue = deque([0])
         while queue:
             i = queue.popleft()
-            fresh = [j for j, edge in enumerate(adj[i]) if edge and not seen[j]]
+            fresh = [j for j in nbr[start[i] : start[i + 1]] if not seen[j]]
             for j in fresh:
                 seen[j] = True
             children[kids[i]] = [kids[j] for j in fresh]
             parent.update((kids[j], kids[i]) for j in fresh)
             queue.extend(fresh)
-        if not all(seen):
-            raise GuaranteeError(
-                f"children graph of node {v} is disconnected below 2^{tree.level[v]}"
-            )
+    if not all(seen):
+        raise GuaranteeError(
+            f"children graph of node {v} is disconnected below 2^{tree.level[v]}"
+        )
     return TauTree(root=kids[0], parent=parent, children=children)
 
 

@@ -25,14 +25,17 @@ accepted wherever an MCPT file is; p then comes from the caller.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 __all__ = [
     "SketchError",
@@ -142,8 +145,23 @@ def _lp_reduce(diff: np.ndarray, p: float) -> np.ndarray:
     elif p == 2.0:
         s = np.sqrt(np.multiply(u, u, u).sum(axis=-1))
     else:
-        s = np.power(u, p, u).sum(axis=-1) ** (1.0 / p)
+        s = _root(np.power(u, p, u).sum(axis=-1), p)
     return s * m[..., 0]
+
+
+def _root(s, p: float):
+    """``s ** (1/p)`` taken by libm's ``pow`` for every element.
+
+    A single vector's sum is a numpy scalar, whose power is libm's; an
+    array's power would be NumPy's vectorized ``pow``, which can differ in
+    the last bit.  So an array goes through ``math.pow`` one element at a
+    time, and a batch of rows gives each row the float it gets alone.
+    """
+    if np.ndim(s) == 0:
+        return s ** (1.0 / p)
+    flat = s.ravel().tolist()
+    out = np.fromiter(map(math.pow, flat, itertools.repeat(1.0 / p)), np.float64, len(flat))
+    return out.reshape(s.shape)
 
 
 # Below this many terms numpy's pairwise summation adds them one by one in
@@ -186,7 +204,7 @@ def _lp_reduce_columns(diff: np.ndarray, p: float) -> np.ndarray:
     if p == 2.0:
         np.sqrt(s, s)
     elif p != 1.0:
-        s = s ** (1.0 / p)
+        s = _root(s, p)
     return np.multiply(s, m, s)
 
 
@@ -226,14 +244,75 @@ def lp_norm(vec: np.ndarray, p: float) -> float:
 
 
 def _pairwise(coords: np.ndarray, p: float) -> np.ndarray:
-    """Full symmetric distance matrix, same float path as lp_distance."""
+    """Full symmetric distance matrix, same floats as ``lp_distance``.
+
+    Built from :func:`_pair_blocks` bands over the upper triangle, each
+    band written with its transpose: at p = inf SciPy's compiled Chebyshev
+    ``cdist``, at every other p ``_lp_reduce`` over one reused difference
+    buffer; both give ``_lp_reduce``'s floats.  A band also recomputes the
+    small lower-triangle corner of its own rows; ``|a - b| = |b - a|``
+    exactly, so the corner holds the floats its transpose writes there.
+    """
     n = coords.shape[0]
-    out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n - 1):
-        row = _lp_reduce(coords[i] - coords[i + 1 :], p)
-        out[i, i + 1 :] = row
-        out[i + 1 :, i] = row
+    out = np.empty((n, n), dtype=np.float64)
+    for s, block in _pair_blocks(coords, coords, p, tri=True):
+        rows = slice(s, s + block.shape[0])
+        out[rows, s:] = block
+        out[s:, rows] = block.T
     return out
+
+
+# Rows per band of a triangular pass.  Thin bands keep the recomputed
+# corners small: on a 400-point graph metric (p = inf, d = 400) one full
+# cdist took 0.034 s and the 16-row bands 0.017 s, with 4 to 64 rows all
+# within 0.002 s of that, on a 2-vCPU host.  Below p = inf a band's
+# differences stay small enough to sit in cache.
+_TRI_ROWS = 16
+
+
+def _pair_blocks(
+    a: np.ndarray, b: np.ndarray, p: float, tri: bool = False, buf: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Distances between the rows of ``a`` and ``b``, one row block at a time.
+
+    Yields ``(s, block)``: ``block[i, j]`` is the lp distance of rows
+    ``a[s + i]`` and ``b[j]``, or of ``a[s + i]`` and ``b[s + j]`` when
+    ``tri`` (``a`` and ``b`` then index the same points, and the blocks
+    cover the upper triangle, diagonal included).  Every entry is the float
+    ``_lp_reduce`` gives that pair's difference alone, so
+    ``lp_distance``'s:
+
+    * at p = inf it is ``cdist(..., "chebyshev")``, SciPy's compiled max
+      of ``|a_k - b_k|``; a difference, an absolute value and a max are
+      all exact, so the floats are the reduction's;
+    * at every other p the differences go to one buffer of at most
+      ``_BLOCK_ELEMS`` entries (more only when one row alone needs more),
+      ``buf`` when it is large enough, and ``_lp_reduce`` reduces them,
+      each row the same way it reduces alone.
+
+    A block holds at most ``_BLOCK_ELEMS`` differences, or at p = inf
+    entries, unless one row alone holds more; a triangular band is at most
+    ``_TRI_ROWS`` rows.
+    """
+    d = a.shape[1]
+    most = _TRI_ROWS if tri else a.shape[0]  # rows per block
+    s = 0
+    while s < a.shape[0]:
+        cols = b[s:] if tri else b
+        per_row = cols.shape[0] if p == math.inf else cols.size
+        r = max(1, min(most, _BLOCK_ELEMS // max(1, per_row)))
+        if p == math.inf:
+            yield s, cdist(a[s : s + r], cols, "chebyshev")
+        else:
+            rows = a[s : s + r]
+            need = rows.shape[0] * cols.size
+            if buf is None or buf.size < need:
+                # room for every later block too, as ``cols`` never grows
+                buf = np.empty(max(need, min(_BLOCK_ELEMS, most * cols.size)))
+            diff = buf[:need].reshape(rows.shape[0], cols.shape[0], d)
+            np.subtract(rows[:, None, :], cols[None, :, :], out=diff)
+            yield s, _lp_reduce(diff, p)
+        s += r
 
 
 # --------------------------------------------------------------------------
@@ -295,9 +374,12 @@ class DistanceMatrix:
     def validate(self) -> np.ndarray:
         """Check the metric axioms; return the l-inf distances of the rows.
 
-        Entry (i, j) of the result is max_k |d_ik - d_jk|, the same floats
-        as ``_pairwise(entries, inf)``; its least off-diagonal entry is the
-        divisor that normalizes the rows.  The triangle inequality
+        Entry (i, j) of the result is max_k |d_ik - d_jk|: it is
+        ``_pairwise(entries, inf)``, SciPy's compiled Chebyshev ``cdist``
+        over bands of rows, whose differences, absolute values and maxima
+        are exact, so its floats are ``_lp_reduce``'s (see
+        :func:`_pair_blocks`).  Its least off-diagonal entry is the divisor
+        that normalizes the rows.  The triangle inequality
         holds iff no entry exceeds max(d_ij, d_ji); the larger entry absorbs
         the asymmetry that the symmetry check allows.  Both checks allow a
         relative slack of ``_REL_TOL``.  A violation names a triple at the
@@ -502,7 +584,7 @@ def oracle_all_pairs(ps: PointSet) -> np.ndarray:
     """Exact (n, n) distance matrix of a normalized point set.
 
     Every entry equals ``lp_distance(coords[i], coords[j], p)`` bit for bit
-    (both run through the same reduction).  Returns the read-only matrix
+    (see :func:`_pair_blocks`).  Returns the read-only matrix
     stored on ``ps`` when there is one, else computes it.
     """
     if ps.distances is not None:

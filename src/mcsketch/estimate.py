@@ -44,7 +44,7 @@ import numpy as np
 from . import codec, net
 from .annotate import ingress_layers, shift_dtype, shift_exponents, shift_to_float
 from .core import FormatError, InputError, UnknownLabelError, k_parameter, lp_distance
-from .core import _BLOCK_ELEMS, _lp_reduce
+from .core import _BLOCK_ELEMS, _pair_blocks
 
 __all__ = [
     "Estimator",
@@ -229,8 +229,13 @@ class Estimator:
         that child's range to itself.  A node u with two or more children
         reduces its cross-child leaf pairs (exactly those whose LCA is u),
         each child's leaves against the later children's, from the
-        anchors' shifted surrogates in blocks of at most ``_BLOCK_ELEMS``
-        coordinate differences.  Each block goes into slices of one
+        anchors' shifted surrogates with the pair kernel
+        :func:`~mcsketch.core._pair_blocks`: at p = inf SciPy's compiled
+        Chebyshev ``cdist`` in blocks of at most ``_BLOCK_ELEMS`` entries,
+        at every other p ``_lp_reduce`` over blocks of at most
+        ``_BLOCK_ELEMS`` coordinate differences in one reused buffer.
+        Either way each entry is the float ``lp_distance`` gives the pair
+        alone, so ``estimate``'s.  Each block goes into slices of one
         ``np.empty`` matrix in leaf preorder, and its transpose across the
         diagonal.
 
@@ -253,10 +258,10 @@ class Estimator:
         leaves = [v for v in preorder if tree.is_leaf(v)]
         anchor = np.array(leaves, dtype=np.int64)
         out = np.empty((n, n), dtype=np.float64)
-        # every block's differences go to this one buffer, so the loop makes
-        # no block-sized temporaries and its page faults do not depend on
-        # where the allocator happens to place them
-        buf = np.empty(_BLOCK_ELEMS)
+        # below p = inf every block's differences go to this one buffer, so
+        # the loop makes no block-sized temporaries and its page faults do
+        # not depend on where the allocator happens to place them
+        buf = None if self._p == math.inf else np.empty(_BLOCK_ELEMS)
         for u in reversed(preorder):
             kids = children[u]
             for c in kids:
@@ -269,20 +274,11 @@ class Estimator:
                 # child c's leaves against every later child's
                 a_rows = rows[lo[c] - lo[u] : hi[c] - lo[u]]
                 b_rows = rows[hi[c] - lo[u] :]
-                chunk = max(1, _BLOCK_ELEMS // max(1, b_rows.size))
-                if chunk * b_rows.size > buf.size:  # one row exceeds a block
-                    buf = np.empty(chunk * b_rows.size)
-                for s in range(0, a_rows.shape[0], chunk):
-                    a = a_rows[s : s + chunk]
-                    diff = buf[: a.shape[0] * b_rows.size].reshape(
-                        a.shape[0], *b_rows.shape
-                    )
-                    np.subtract(a[:, None, :], b_rows[None, :, :], out=diff)
-                    block = _lp_reduce(diff, self._p)
+                for s, block in _pair_blocks(a_rows, b_rows, self._p, buf=buf):
                     block *= self.scale
-                    top = lo[c] + s
-                    out[top : top + a.shape[0], hi[c] : hi[u]] = block
-                    out[hi[c] : hi[u], top : top + a.shape[0]] = block.T
+                    top = slice(lo[c] + s, lo[c] + s + block.shape[0])
+                    out[top, hi[c] : hi[u]] = block
+                    out[hi[c] : hi[u], top] = block.T
         np.fill_diagonal(out, 0.0)
         # out[pos[x], pos[y]] is the estimate of labels x and y
         pos = np.empty(n, dtype=np.int64)

@@ -16,7 +16,9 @@ dimension, only the one that normalizes the projected set.
 points under the l-infinity norm; the triangle inequality makes that an
 exact isometry (the max |D[i,k] - D[j,k]| is attained at k = j), so
 arbitrary finite metrics ride the same sketch pipeline with p = inf.
-Validation and normalization share one l-infinity pass over the rows.
+Validation and normalization take one l-infinity pass over the rows each,
+both through SciPy's compiled Chebyshev kernel; validation's pass also
+gives normalization its divisor.
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ def frechet_embed(dm: DistanceMatrix) -> PointSet:
     Point i becomes row i of the matrix.  Validation runs first, since the
     embedding is an isometry only under the triangle inequality.  The least
     row distance it returns is normalization's divisor, so the embedding
-    takes two l-inf passes; the returned set keeps the second one.
+    takes two l-inf passes, over the raw and the divided rows; the returned
+    set keeps the second one.
     """
     rows = dm.validate()
     np.fill_diagonal(rows, np.inf)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,7 +69,8 @@ def test_lp_distance_matches_reference():
 
 def _lp_rows_reference(diff, p):
     """``_lp_reduce``'s reduction path one row at a time: each row a (1, d)
-    array, max-scaled and reduced with ``np.sum(axis=-1)``."""
+    array, max-scaled and reduced with ``np.sum(axis=-1)``, and at a general
+    p rooted by libm's ``pow``, as a single vector's sum is."""
     out = []
     for row in np.abs(diff).reshape(-1, 1, diff.shape[-1]):
         m = row.max(axis=-1, keepdims=True)
@@ -80,7 +82,7 @@ def _lp_rows_reference(diff, p):
         elif p == 2.0:
             s = np.sqrt(np.sum(u * u, axis=-1))
         else:
-            s = np.sum(np.power(u, p), axis=-1) ** (1.0 / p)
+            s = np.array([math.pow(t, 1.0 / p) for t in np.sum(np.power(u, p), axis=-1)])
         out.append(s * m[:, 0])
     return np.concatenate(out).reshape(diff.shape[:-1])
 
@@ -111,6 +113,61 @@ def test_short_axis_kernel_matches_row_sums(d, p):
         got = core._lp_reduce(x.copy(), p)
         assert got.shape == shape[:-1]
         assert np.array_equal(got, want)
+
+
+def _pair_rows_reference(a, b, p):
+    """Distances of ``a`` against ``b`` by one ``_lp_reduce`` call per row."""
+    return np.array([core._lp_reduce(row - b, p) for row in a]).reshape(len(a), len(b))
+
+
+def _pair_points(d):
+    """45 rows of ``_short_rows``, with rows 7, 18, 29 and 40 copies of row 3:
+    zero distances between distinct rows and tied distances to the rest."""
+    x = _short_rows(np.random.default_rng(d), (45, d))
+    x[7::11] = x[3]
+    return x
+
+
+@pytest.mark.parametrize("block", [256, core._BLOCK_ELEMS])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+@pytest.mark.parametrize("d", [1, 3, 7, 8, 12, 400])
+def test_pair_blocks_match_rows_one_at_a_time(monkeypatch, d, p, block):
+    # the pair kernel, cdist at p = inf and row blocks below, gives every
+    # pair the float a row-at-a-time reduction gives it; a 256-entry block
+    # splits the rows at several sizes, down to one row that alone needs a
+    # larger buffer (d = 400), and 45 rows are 2.8 triangular bands
+    monkeypatch.setattr(core, "_BLOCK_ELEMS", block)
+    x = _pair_points(d)
+    for a, b in ((x[:5], x), (x, x[:5]), (x[:37], x[37:]), (x, x)):
+        blocks = list(core._pair_blocks(a, b, p, buf=np.empty(50)))
+        assert [s for s, _ in blocks] == [0, *np.cumsum([len(k) for _, k in blocks])[:-1]]
+        assert np.array_equal(np.vstack([k for _, k in blocks]), _pair_rows_reference(a, b, p))
+    for n in (5, 16, 45):
+        for s, band in core._pair_blocks(x[:n], x[:n], p, tri=True):
+            assert len(band) <= core._TRI_ROWS
+            assert np.array_equal(band, _pair_rows_reference(x[s : s + len(band)], x[s:n], p))
+        assert s + len(band) == n
+    assert np.array_equal(core._pairwise(x, p), _pair_rows_reference(x, x, p))
+
+
+@pytest.mark.parametrize("d, p", [(2, 1.0), (4, 2.0), (12, 1.5), (30, 1.0), (400, math.inf)])
+def test_pairwise_peak_is_one_matrix_plus_blocks(d, p):
+    # besides the n x n result the peak holds one difference buffer of at
+    # most _BLOCK_ELEMS entries, allocated once, and a few band-sized
+    # arrays: _lp_reduce's temporaries, or the list of floats the libm root
+    # walks at a general p; at p = inf only cdist's band.  Measured at
+    # n = 1000: 0.42, 0.55, 1.27, 1.17 and 0.12 blocks.  The bound allows
+    # two; a second n x n array is four
+    n = 1000
+    x = np.random.default_rng(d).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        dm = core._pairwise(x, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dm.shape == (n, n)
+    assert peak < n * n * 8 + 2 * core._BLOCK_ELEMS * 8
 
 
 def test_lp_norm_is_distance_to_origin():
@@ -300,6 +357,17 @@ def test_oracle_matches_lp_distance_bitwise():
         for i in range(ps.n):
             for j in range(ps.n):
                 assert dm[i, j] == lp_distance(ps.coords[i], ps.coords[j], p)
+
+
+@pytest.mark.parametrize("d", [2, 10])
+def test_oracle_matches_lp_distance_bitwise_at_a_general_p(d):
+    # the row root goes through libm, as a single vector's does; with NumPy's
+    # vectorized pow 166 (d = 2) and 186 (d = 10) of these entries differed
+    ps = normalize(gen_gaussian_clusters(60, d, 8) * 11, 1.5)
+    dm = oracle_all_pairs(ps)
+    for i in range(ps.n):
+        for j in range(ps.n):
+            assert dm[i, j] == lp_distance(ps.coords[i], ps.coords[j], 1.5)
 
 
 def test_oracle_matches_brute_force():

@@ -10,6 +10,8 @@ from mcsketch.cli import (
     build_sketch,
     gen_gaussian_clusters,
     gen_high_spread_line,
+    gen_random_graph_metric,
+    sketch_metric,
     sketch_points,
 )
 from mcsketch.codec import deserialize, serialize
@@ -312,7 +314,7 @@ def test_landmark_table_contents():
 
 def test_all_pairs_matches_single_queries():
     rng = np.random.default_rng(8)
-    for p in (1.0, 2.0, math.inf):
+    for p in (1.0, 1.5, 2.0, math.inf):
         res = _result(rng.normal(size=(16, 2)) * 11, p=p)
         est = Estimator(res.blob)
         allp = est.estimate_all_pairs()
@@ -322,6 +324,32 @@ def test_all_pairs_matches_single_queries():
         for i in range(16):
             for j in range(16):
                 assert allp[i, j] == est.estimate(i, j)
+
+
+def _assert_all_pairs_match_single_queries(blob):
+    est = Estimator(blob)
+    allp = est.estimate_all_pairs()
+    for i in range(est.n):
+        for j in range(est.n):
+            assert allp[i, j] == est.estimate(i, j)
+
+
+def test_all_pairs_matches_single_queries_on_a_graph_metric():
+    # p = inf with d = 60: the blocks come from cdist, the queries from
+    # _lp_reduce
+    _assert_all_pairs_match_single_queries(
+        sketch_metric(gen_random_graph_metric(60, 4), SketchParams(epsilon=0.25))
+    )
+
+
+@pytest.mark.parametrize("d", [2, 10])
+def test_all_pairs_matches_single_queries_at_a_general_p(d):
+    # a block's roots go through libm, as a single query's does; with NumPy's
+    # vectorized pow 32 (d = 2) and 144 (d = 10) of these entries differed
+    pts = gen_gaussian_clusters(60, d, 8) * 11
+    _assert_all_pairs_match_single_queries(
+        sketch_points(pts, 1.5, SketchParams(epsilon=0.25, jl_enabled=False))
+    )
 
 
 @pytest.mark.parametrize(
@@ -364,14 +392,15 @@ def test_all_pairs_rows_wider_than_one_block():
                 assert allp[i, j] == est.estimate(i, j)
 
 
-@pytest.mark.parametrize("d, p", [(2, 1.0), (4, 2.0)])
+@pytest.mark.parametrize("d, p", [(2, 1.0), (4, 2.0), (4, math.inf)])
 def test_all_pairs_peak_is_one_matrix_plus_blocks(d, p):
     # the leaf-preorder matrix is put into label order in place.  Besides
     # the n x n result the peak holds one _BLOCK_ELEMS difference buffer
     # and at most five block results of _BLOCK_ELEMS / d entries (the last
     # block and the short-axis kernel's four arrays), or one permutation
-    # strip: 3.5 buffers at d = 2.  A second n x n array, 4 buffers at
-    # n = 1000, exceeds the bound.
+    # strip: 3.5 buffers at d = 2.  At p = inf there is no difference
+    # buffer, and cdist's block holds at most _BLOCK_ELEMS entries.  A
+    # second n x n array, 4 buffers at n = 1000, exceeds the bound.
     n = 1000
     pts = gen_gaussian_clusters(n, d, 1)
     est = Estimator(sketch_points(pts, p, SketchParams(epsilon=0.25, jl_enabled=False)))

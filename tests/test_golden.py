@@ -19,6 +19,7 @@ lattice whose many equal distances exercise every tie-breaking rule.
 import functools
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from mcsketch import (
     sketch_points,
 )
 from mcsketch.codec import deserialize, size_report
+from mcsketch.estimate import Estimator
 
 
 def _lattice(axis: tuple[int, ...], d: int) -> np.ndarray:
@@ -199,3 +201,34 @@ def test_golden_model(name):
     digest, sections = MODELS[name]
     assert _model_digest(deserialize(blob)) == digest
     assert _sections(blob) == sections
+
+
+# Decoder memory: the tracemalloc peak of deserialize plus Estimator stays
+# within this many bytes per blob byte, plus a constant.  Measured peaks are
+# 62-286 bytes per blob byte here (30-743 KB) and 34-277 on the
+# benchmark-scale blobs (2.0-5.3 MB); a chain of long edges, which verify
+# now refuses, decoded at 2,574.
+DECODE_PEAK_PER_BYTE = 350
+DECODE_PEAK_CONSTANT = 1 << 16
+
+
+def decode_peak(blob: bytes) -> int:
+    """Largest tracemalloc peak of ``Estimator(deserialize(blob), mode)``
+    over the modes the blob serves."""
+    peaks = []
+    for mode in ("precomputed", "landmark"):
+        tracemalloc.start()
+        try:
+            model = deserialize(blob)
+            if mode == "precomputed" or model.landmarks is not None:
+                Estimator(model, mode=mode)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return max(peaks)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_decoder_memory_is_linear_in_the_blob(name):
+    blob = _blob(name)
+    assert decode_peak(blob) <= DECODE_PEAK_PER_BYTE * len(blob) + DECODE_PEAK_CONSTANT

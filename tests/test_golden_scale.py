@@ -9,6 +9,7 @@ one-child levels, which the small cases of ``test_golden.py`` never do; a
 refactor that claims byte-identical blobs must leave these unchanged too.
 """
 
+import functools
 import hashlib
 
 import pytest
@@ -20,6 +21,8 @@ from mcsketch import (
     sketch_metric,
     sketch_points,
 )
+
+from test_golden import DECODE_PEAK_CONSTANT, DECODE_PEAK_PER_BYTE, decode_peak
 
 CASES = {
     "build-clusters": lambda: sketch_points(
@@ -40,6 +43,17 @@ DIGESTS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _blob(name: str) -> bytes:
+    return CASES[name]()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_blob_at_benchmark_scale(name):
-    assert hashlib.sha256(CASES[name]()).hexdigest() == DIGESTS[name]
+    assert hashlib.sha256(_blob(name)).hexdigest() == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_decoder_memory_is_linear_in_the_blob_at_benchmark_scale(name):
+    blob = _blob(name)
+    assert decode_peak(blob) <= DECODE_PEAK_PER_BYTE * len(blob) + DECODE_PEAK_CONSTANT
