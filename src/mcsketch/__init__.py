@@ -15,7 +15,7 @@ Typical library use::
     est.estimate(3, 17)  # ~ the l2 distance between points 3 and 17
 """
 
-from .annotate import Annotations, SurrogateTable, annotate
+from .annotate import Annotations, SurrogateTable
 from .cli import (
     BuildResult,
     build_sketch,
@@ -53,7 +53,7 @@ from .core import (
     write_points,
 )
 from .estimate import Estimator, select_all_landmarks, select_landmarks
-from .hst import ClusterIndex, SketchTree, build_hst, compress
+from .hst import SketchTree, build_hst, compress
 from .reduce import JlConfig, frechet_embed, jl_project
 
 __version__ = "0.1.0"
@@ -61,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Annotations",
     "BuildResult",
-    "ClusterIndex",
     "DataError",
     "DistanceMatrix",
     "DuplicatePointError",
@@ -79,7 +78,6 @@ __all__ = [
     "SurrogateTable",
     "TriangleInequalityError",
     "UnknownLabelError",
-    "annotate",
     "build_hst",
     "build_sketch",
     "compress",

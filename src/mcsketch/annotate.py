@@ -9,15 +9,18 @@ Four passes, in dependency order:
    the tau-tree: a BFS tree over the children graph that connects two
    children when their clusters come within 2^level(v), with neighbor
    lists sorted by smallest member label so the construction is
-   deterministic.  The blob stores no center: the decoder derives each
-   from the leaf labels.
+   deterministic.  The build decides each merge's tau-tree while it holds
+   the merge's distances and stores its edges as tau-parent positions;
+   this pass turns them into :class:`TauTree` objects.  The blob stores
+   no center: the decoder derives each from the leaf labels.
 
 2. ingresses: every node other than a part root gets a previously processed
    node whose surrogate anchors its own.  The tau-root's ingress is the
    parent; any other child v_i of v takes the closest point y of its
-   tau-predecessor's cluster and descends from that predecessor toward
-   leaf(y), stopping before any long edge, which always lands on a node
-   with no short children.  Each step takes the last child whose preorder
+   tau-predecessor's cluster, which the build stores as the near label of
+   that tau edge, and descends from that predecessor toward leaf(y),
+   stopping before any long edge, which always lands on a node with no
+   short children.  Each step takes the last child whose preorder
    id is at most leaf(y)'s.  So a node's ingress is its parent exactly when
    it is the parent's first child; the decoder derives those and the blob
    stores only the others.
@@ -46,22 +49,20 @@ Four passes, in dependency order:
    same conversion, so shifted surrogates and the landmark replay
    reproduce identical floats no matter how they are recomputed.
 
-No pass reads a distance: passes 1 and 2 read the per-merge ``gap`` and
-``near`` tables and pass 3 the diameters that the build stores in
+No pass reads a distance: passes 1 and 2 read the tau edges and near
+labels and pass 3 the diameters that the build stores in
 :class:`~mcsketch.hst.ClusterIndex`.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import net
-from .core import GuaranteeError, InputError, PointSet, SketchParams, k_parameter
+from .core import InputError, PointSet, SketchParams, k_parameter
 from .hst import ClusterIndex, SketchTree
 
 __all__ = [
@@ -136,53 +137,24 @@ def assign_centers(
     tree: SketchTree, clusters: ClusterIndex
 ) -> tuple[list[int], dict[int, TauTree]]:
     """Representative point per node plus the tau-tree of every node with
-    short children.  Raises GuaranteeError if some children graph is
-    disconnected (the build never produces one, so that means corrupt
-    inputs)."""
+    short children: a merge node's from the tau-parent positions the build
+    stores in ``clusters.tau``, a one-child node's its child alone."""
     label = np.array(tree.leaf_label)
     leaves = np.flatnonzero(label >= 0)
     # node ids are DFS preorder, so the first leaf at or after v ends the
     # chain of child 0s below v
     center = label[leaves[np.searchsorted(leaves, np.arange(tree.n_nodes))]]
-    short = np.flatnonzero(tree.has_short).tolist()
-    tau = {v: _build_tau(tree, v, clusters.gap[v]) for v in short}
+    tau = {}
+    for v in np.flatnonzero(tree.has_short).tolist():
+        kids = tree.children[v]
+        pos = clusters.tau[v] or [-1]  # None at a one-child node
+        parent = {c: kids[i] if i >= 0 else None for c, i in zip(kids, pos)}
+        children: dict[int, list[int]] = {c: [] for c in kids}
+        for c, up in parent.items():
+            if up is not None:
+                children[up].append(c)
+        tau[v] = TauTree(root=kids[0], parent=parent, children=children)
     return center.tolist(), tau
-
-
-def _build_tau(tree: SketchTree, v: int, gap: np.ndarray | None) -> TauTree:
-    # children are stored by smallest member label, so child 0 is the root
-    # and ascending child index is the neighbor order
-    kids = tree.children[v]
-    parent: dict[int, int | None] = {kids[0]: None}
-    children: dict[int, list[int]] = {c: [] for c in kids}
-    bound = math.ldexp(1.0, tree.level[v])
-    seen = [True] + [False] * (len(kids) - 1)
-    if len(kids) == 2:
-        # the commonest merge: its one possible edge is one entry of gap
-        if gap[0, 1] < bound:
-            seen[1] = True
-            children[kids[0]] = [kids[1]]
-            parent[kids[1]] = kids[0]
-    elif len(kids) > 2:
-        # neighbour lists in ascending order from one nonzero pass over
-        # the threshold graph, so a pop scans only its own edges
-        adj = gap < bound
-        nbr = np.nonzero(adj)[1].tolist()
-        start = [0, *np.count_nonzero(adj, axis=1).cumsum().tolist()]
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            fresh = [j for j in nbr[start[i] : start[i + 1]] if not seen[j]]
-            for j in fresh:
-                seen[j] = True
-            children[kids[i]] = [kids[j] for j in fresh]
-            parent.update((kids[j], kids[i]) for j in fresh)
-            queue.extend(fresh)
-    if not all(seen):
-        raise GuaranteeError(
-            f"children graph of node {v} is disconnected below 2^{tree.level[v]}"
-        )
-    return TauTree(root=kids[0], parent=parent, children=children)
 
 
 # --------------------------------------------------------------------------
@@ -192,17 +164,17 @@ def _build_tau(tree: SketchTree, v: int, gap: np.ndarray | None) -> TauTree:
 def assign_ingresses(
     tree: SketchTree, tau: dict[int, TauTree], clusters: ClusterIndex
 ) -> list[int | None]:
-    """Ingress node per non-part-root node (None at part roots)."""
+    """Ingress node per non-part-root node (None at part roots).  A
+    tau-root's is its parent; any other child i of v descends from its
+    tau-parent toward the leaf of ``clusters.near[v][i]``."""
     ingress: list[int | None] = [None] * tree.n_nodes
     leaf_of = tree.leaf_of()
     for v, tt in tau.items():
-        index = {c: i for i, c in enumerate(tree.children[v])}
-        for c, j in tt.parent.items():
-            if j is None:
-                ingress[c] = v
-            else:
-                y = int(clusters.near[v][index[j], index[c]])
-                ingress[c] = _descend_short(tree, j, leaf_of[y])
+        kids = tree.children[v]
+        ingress[kids[0]] = v
+        for i in range(1, len(kids)):
+            y = clusters.near[v][i]
+            ingress[kids[i]] = _descend_short(tree, tt.parent[kids[i]], leaf_of[y])
     return ingress
 
 

@@ -391,20 +391,24 @@ class DistanceMatrix:
         n = d.shape[0]
         if n < 2:
             raise InputError("need at least two points")
-        if not np.all(np.isfinite(d)):
+        # min and max propagate nan, so they find every non-finite entry
+        lo, hi = d.min(), d.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise DataError("distance matrix contains non-finite entries")
         if np.any(np.diag(d) != 0.0):
             raise DataError("distance matrix diagonal must be zero")
+        largest = max(hi, -lo)  # max |d_ij|
         if not np.array_equal(d, d.T):
-            if np.abs(d - d.T).max() > _REL_TOL * max(1.0, np.abs(d).max()):
+            if np.abs(d - d.T).max() > _REL_TOL * max(1.0, largest):
                 raise DataError("distance matrix is not symmetric")
-        off = d[~np.eye(n, dtype=bool)]
-        if np.any(off <= 0.0):
+        # the n diagonal entries are zero, so any further entry <= 0 is off it
+        if np.count_nonzero(d <= 0.0) > n:
             raise DuplicatePointError("zero distance between distinct labels")
         rows = _pairwise(d, math.inf)
-        excess = rows - np.maximum(d, d.T)
+        excess = np.maximum(d, d.T)
+        np.subtract(rows, excess, out=excess)
         i, j = np.unravel_index(int(excess.argmax()), d.shape)
-        if excess[i, j] > _REL_TOL * np.abs(d).max():
+        if excess[i, j] > _REL_TOL * largest:
             # rows i and j differ most at k; oriented so that d_ik >= d_jk,
             # the excess says d_ik > max(d_ij, d_ji) + d_jk
             k = int(np.abs(d[i] - d[j]).argmax())

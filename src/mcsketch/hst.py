@@ -34,9 +34,9 @@ which guarantees diam < epsilon * 2**(level of the surviving top node).
 Only this module reads pair distances.  The matrix is permuted once into
 the merge tree's leaf preorder, where every node's leaves, and within them
 each child's, are one contiguous range; each merge node's block is then a
-slice view, and it yields the cluster diameter and the per-child-pair
-tables that annotation needs (smallest cross distance, closest member; see
-:class:`ClusterIndex`).
+slice view.  It yields the cluster diameter, the tau-tree and, on each
+tau edge, the closest member (see :class:`ClusterIndex`); the per-pair
+minima these come from are not kept.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ from itertools import chain
 
 import numpy as np
 
-from .core import FormatError, InputError, PointSet, oracle_all_pairs, snap_epsilon
+from .core import FormatError, GuaranteeError, InputError, PointSet
+from .core import oracle_all_pairs, snap_epsilon
 
 __all__ = [
     "SketchTree",
@@ -70,9 +71,9 @@ class SketchTree:
     edges descend one level and its long edges at least two.
     :func:`build_hst`'s merge tree is held in the same class: its ids are
     the leaves then the merges in the order they form, it has no long
-    edges, and one edge may descend several levels.  ``part_of``,
-    :meth:`leaf_labels_under` and :meth:`leaf_ranges` hold for any node
-    order and for both kinds of tree; :meth:`verify` checks a sketch tree.
+    edges, and one edge may descend several levels.  ``part_of`` and
+    :meth:`leaf_ranges` hold for any node order and for both kinds of
+    tree; :meth:`verify` checks a sketch tree.
 
     Three arrays are derived from the edges at construction:
     ``has_short[v]`` (some child of v hangs on a short edge),
@@ -117,19 +118,6 @@ class SketchTree:
 
     def leaf_of(self) -> dict[int, int]:
         return {lbl: v for v, lbl in enumerate(self.leaf_label) if lbl >= 0}
-
-    def leaf_labels_under(self) -> list[np.ndarray]:
-        """For every node, the sorted array of leaf labels in its subtree.
-
-        Nodes are visited by ascending level: children sit strictly below
-        their parent, so each child's array is ready before its parent's."""
-        out: list[np.ndarray | None] = [None] * self.n_nodes
-        for v in np.argsort(self.level, kind="stable").tolist():
-            if self.is_leaf(v):
-                out[v] = np.array([self.leaf_label[v]], dtype=np.int64)
-            else:
-                out[v] = np.sort(np.concatenate([out[c] for c in self.children[v]]))
-        return out  # type: ignore[return-value]
 
     def leaf_ranges(self) -> tuple[list[int], list[int], list[int]]:
         """DFS preorder from the root, children in stored order, and for
@@ -197,20 +185,20 @@ class SketchTree:
 
 @dataclass
 class ClusterIndex:
-    """Per-node cluster diameters plus the per-merge pair tables.
+    """Per-node cluster diameters plus each merge's tau-tree and near points.
 
-    ``diameter[v]`` is the exact diameter of the leaf labels under v.  At a
-    merge node v with k children ``gap[v]`` is the (k, k) array of smallest
-    cross distances between children i and j, and ``near[v][i, j]`` the
-    label of child i closest to child j (ties to the smallest label); both
-    are None at leaves and one-child nodes.  Rows and columns follow the
-    order of ``tree.children[v]``, which is the order of the children's
-    smallest leaf labels.
+    ``diameter[v]`` is the exact diameter of the leaf labels under v.  The
+    tau-tree of a merge node v is the BFS tree from child 0 of the graph
+    joining children that come within 2^level(v), neighbours in ascending
+    child index (``tree.children[v]`` is in smallest-label order).
+    ``tau[v][i]`` is the index of child i's tau-parent and ``near[v][i]``
+    the parent's label closest to child i (ties to the smallest label),
+    -1 at child 0; both are None at leaves and one-child nodes.
     """
 
     diameter: list[float]
-    gap: list[np.ndarray | None]
-    near: list[np.ndarray | None]
+    tau: list[list[int] | None]
+    near: list[list[int] | None]
 
 
 class _DSU:
@@ -281,10 +269,10 @@ def build_hst(ps: PointSet) -> tuple[SketchTree, ClusterIndex]:
     second permutes the matrix once into the tree's leaf preorder, where
     every node's leaves, and within them each child's, are one contiguous
     range, and reduces each merge node's block, a slice view of that
-    matrix, to its diameter and its ``gap`` / ``near`` tables.  Minima and
-    maxima do not depend on the order of their terms, and ``near`` breaks
-    ties by label, not by position, so the tables are those of blocks
-    gathered in label order.
+    matrix, to its diameter, its tau-tree and its ``near`` labels.  Minima
+    and maxima do not depend on the order of their terms, and ``near``
+    breaks ties by label, not by position, so the results are those of
+    blocks gathered in label order.
     """
     n = ps.n
     if n < 2:
@@ -343,18 +331,46 @@ def build_hst(ps: PointSet) -> tuple[SketchTree, ClusterIndex]:
     return tree, _pair_tables(dm, tree)
 
 
+def _tau_parents(adj: np.ndarray) -> list[int]:
+    """BFS tree from child 0 of a children graph given as a (k, k) boolean
+    adjacency matrix, neighbours in ascending position: the position of
+    every child's parent, -1 at child 0.  Raises GuaranteeError if the
+    graph is disconnected, which no merge of the build can be."""
+    k = len(adj)
+    parent = [-1] * k
+    if k == 2:
+        # the commonest merge: its one possible edge is one entry
+        if adj[0, 1]:
+            parent[1] = 0
+    else:
+        # neighbour lists in ascending order from one nonzero pass, so a
+        # pop scans only its own edges
+        nbr = np.nonzero(adj)[1].tolist()
+        start = [0, *np.count_nonzero(adj, axis=1).cumsum().tolist()]
+        queue = [0]
+        for i in queue:
+            for j in nbr[start[i] : start[i + 1]]:
+                if j and parent[j] < 0:
+                    parent[j] = i
+                    queue.append(j)
+    if -1 in parent[1:]:
+        raise GuaranteeError(f"children graph of a {k}-child merge is disconnected")
+    return parent
+
+
 def _pair_tables(dm: np.ndarray, tree: SketchTree) -> ClusterIndex:
-    """Diameters and per-merge tables of :func:`build_hst`'s merge tree,
-    whose ids are the leaves (id = label) and then the merges, each after
-    its children.  ``P`` is ``dm`` with rows and columns in leaf preorder,
-    so node v's block is ``P[lo[v]:hi[v], lo[v]:hi[v]]`` and each child's
-    rows and columns are a range of it."""
+    """Diameters, tau-trees and near points of :func:`build_hst`'s merge
+    tree, whose ids are the leaves (id = label) and then the merges, each
+    after its children.  ``P`` is ``dm`` with rows and columns in leaf
+    preorder, so node v's block is ``P[lo[v]:hi[v], lo[v]:hi[v]]`` and each
+    child's rows and columns are a range of it.  Each merge's (k, k)
+    smallest cross distances are thresholded once, for its tau-tree."""
     n = dm.shape[0]
     preorder, lo, hi = tree.leaf_ranges()
     order = np.array([v for v in preorder if v < n], dtype=np.int64)
     P = dm[np.ix_(order, order)]
 
-    out = ClusterIndex(diameter=[0.0] * n, gap=[None] * n, near=[None] * n)
+    out = ClusterIndex(diameter=[0.0] * n, tau=[None] * n, near=[None] * n)
     for v in range(n, tree.n_nodes):
         a, b = lo[v], hi[v]
         kids = tree.children[v]
@@ -363,18 +379,17 @@ def _pair_tables(dm: np.ndarray, tree: SketchTree) -> ClusterIndex:
         # distance from every member to every child, then per child pair
         to_child = np.minimum.reduceat(block, starts, axis=1)
         gap = np.minimum.reduceat(to_child, starts, axis=0)
-        # child i's members at child j's gap, the smallest label among them;
-        # compared one child at a time, so that beside P a merge holds at
-        # most one (members, k) float array
-        hit = np.empty(to_child.shape, dtype=bool)
-        for i, c in enumerate(kids):
-            rows = slice(lo[c] - a, hi[c] - a)
-            np.equal(to_child[rows], gap[i], out=hit[rows])
-        del to_child
-        closest = np.where(hit, order[a:b, None], n)
+        tau = _tau_parents(gap < math.ldexp(1.0, tree.level[v]))
+        # the parent child's members at the gap of each tau edge, the
+        # smallest label among them
+        near = [-1]
+        for j, i in enumerate(tau[1:], 1):
+            r0, r1 = lo[kids[i]], hi[kids[i]]
+            hit = to_child[r0 - a : r1 - a, j] == gap[i, j]
+            near.append(int(order[r0:r1][hit].min()))
         out.diameter.append(float(block.max()))
-        out.gap.append(gap)
-        out.near.append(np.minimum.reduceat(closest, starts, axis=0))
+        out.tau.append(tau)
+        out.near.append(near)
     return out
 
 
@@ -391,8 +406,8 @@ def compress(
     so diam(b) < eps * 2**level(top) holds for every long edge.  Otherwise
     all gap one-child nodes are kept, each on a short edge.  One DFS pass
     emits the nodes, so ids are DFS preorder (root == 0, children in the
-    merge tree's order); merge nodes keep their pair tables, one-child
-    nodes have none.
+    merge tree's order); merge nodes keep their tau-trees and near points,
+    one-child nodes have none.
     """
     eps = snap_epsilon(epsilon)
     t = int(round(-math.log2(eps)))
@@ -402,7 +417,7 @@ def compress(
     children: list[list[int]] = []
     long_edge: list[bool] = []
     leaf_label: list[int] = []
-    out = ClusterIndex(diameter=[], gap=[], near=[])
+    out = ClusterIndex(diameter=[], tau=[], near=[])
 
     def emit(b: int, lvl: int, up: int, long: bool) -> int:
         # b itself at its own level, else a one-child node of b's cluster
@@ -414,7 +429,7 @@ def compress(
         long_edge.append(long)
         leaf_label.append(tree.leaf_label[b] if own else -1)
         out.diameter.append(clusters.diameter[b])
-        out.gap.append(clusters.gap[b] if own else None)
+        out.tau.append(clusters.tau[b] if own else None)
         out.near.append(clusters.near[b] if own else None)
         if up >= 0:
             children[up].append(v)

@@ -126,6 +126,42 @@ def naive_compressed_runs(dm: np.ndarray, eps: float):
     return runs
 
 
+def leaf_labels_under(tree) -> list[np.ndarray]:
+    """For every node, the sorted array of leaf labels in its subtree.
+
+    Nodes are visited by ascending level: children sit strictly below
+    their parent, so each child's array is ready before its parent's."""
+    out: list[np.ndarray | None] = [None] * tree.n_nodes
+    for v in np.argsort(tree.level, kind="stable").tolist():
+        if tree.is_leaf(v):
+            out[v] = np.array([tree.leaf_label[v]], dtype=np.int64)
+        else:
+            out[v] = np.sort(np.concatenate([out[c] for c in tree.children[v]]))
+    return out  # type: ignore[return-value]
+
+
+def tau_from_tables(gap, near, level: int) -> tuple[list[int], list[int]]:
+    """Tau-parent positions and near labels of one merge from its (k, k)
+    tables: ``gap[i][j]`` the smallest distance between children i and j,
+    ``near[i][j]`` the label of child i closest to child j.  A plain BFS
+    from child 0 over the pairs with gap < 2^level, each popped child's
+    neighbours in ascending position; -1 at child 0 in both lists.  Raises
+    AssertionError if the children graph is disconnected."""
+    k = len(gap)
+    bound = math.ldexp(1.0, level)
+    parent = [-1] * k
+    labels = [-1] * k
+    queue = [0]
+    for i in queue:
+        for j in range(1, k):
+            if parent[j] < 0 and gap[i][j] < bound:
+                parent[j] = i
+                labels[j] = int(near[i][j])
+                queue.append(j)
+    assert len(queue) == k, "children graph is disconnected"
+    return parent, labels
+
+
 @dataclass
 class ChainClusters:
     """Cluster index of the chain tree: every node's sorted leaf labels,
@@ -385,23 +421,24 @@ def subtree_decomposition(tree) -> Decomposition:
 def member_search_ingresses(tree, tau, clusters) -> list:
     """Ingresses found by searching member labels, as the package once did.
 
-    Each descent step from the tau-predecessor toward leaf(y) takes the
-    child whose sorted member labels contain y, by binary search over
-    ``tree.leaf_labels_under()``, and stops before a long edge or at a leaf.
+    Each descent step from the tau-predecessor toward leaf(y), y the near
+    label stored for the tau edge, takes the child whose sorted member
+    labels contain y, by binary search over :func:`leaf_labels_under`, and
+    stops before a long edge or at a leaf.
     """
     def contains(labels, y):
         i = int(np.searchsorted(labels, y))
         return i < labels.size and int(labels[i]) == y
 
-    members = tree.leaf_labels_under()
+    members = leaf_labels_under(tree)
     ingress = [None] * tree.n_nodes
     for v, tt in tau.items():
-        index = {c: i for i, c in enumerate(tree.children[v])}
-        for c, j in tt.parent.items():
+        for i, c in enumerate(tree.children[v]):
+            j = tt.parent[c]
             if j is None:
                 ingress[c] = v
                 continue
-            y = int(clusters.near[v][index[j], index[c]])
+            y = clusters.near[v][i]
             cur = j
             while not tree.is_leaf(cur):
                 nxt = next(k for k in tree.children[cur] if contains(members[k], y))

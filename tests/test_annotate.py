@@ -17,14 +17,13 @@ from mcsketch.core import (
 )
 from mcsketch.annotate import (
     annotate,
-    assign_centers,
     assign_ingresses,
     compute_surrogates,
     ingress_layers,
     shift_to_float,
 )
 from mcsketch.cli import build_sketch, gen_gaussian_clusters, gen_high_spread_line
-from mcsketch.hst import build_hst, compress
+from mcsketch.hst import _tau_parents, build_hst, compress
 
 import _reference as ref
 from _reference import subtree_decomposition
@@ -42,7 +41,7 @@ def _built(points, eps, p=2.0, **kw):
 
 def _node_of(tree, clusters, members):
     want = frozenset(members)
-    for v, labels in enumerate(tree.leaf_labels_under()):
+    for v, labels in enumerate(ref.leaf_labels_under(tree)):
         if frozenset(labels.tolist()) == want:
             yield v
 
@@ -266,16 +265,15 @@ def test_shift_to_float_big_int_path():
 
 
 def test_disconnected_children_graph_raises():
-    # corrupt pair tables can disconnect the children graph; the builder
-    # must refuse rather than mis-annotate
-    ps = normalize(np.array([[0.0], [1.0], [10.0]]), 2.0)
-    tree0, clusters0 = build_hst(ps)
-    tree, clusters = compress(tree0, clusters0, 0.25)
-    for v in range(tree.n_nodes):
-        if clusters.gap[v] is not None:
-            clusters.gap[v] = np.where(np.eye(len(clusters.gap[v]), dtype=bool), 0.0, 1e9)
-    with pytest.raises(GuaranteeError):
-        assign_centers(tree, clusters)
+    # no merge of the build has a disconnected children graph; the BFS
+    # that decides tau-trees must refuse one rather than mis-annotate
+    for k in (2, 4):
+        adj = np.zeros((k, k), dtype=bool)
+        adj[1:, 1:] = True
+        with pytest.raises(GuaranteeError, match="disconnected"):
+            _tau_parents(adj)
+        adj[0, k - 1] = adj[k - 1, 0] = True
+        assert _tau_parents(adj) == [-1] + [k - 1] * (k - 2) + [0]
 
 
 def test_tau_neighbor_ordering_by_smallest_label():
@@ -287,7 +285,7 @@ def test_tau_neighbor_ordering_by_smallest_label():
     tt = ann.tau[tree.root]
     assert tt.root == tree.children[tree.root][0]
     assert tt.parent[tt.root] is None
-    members = tree.leaf_labels_under()
+    members = ref.leaf_labels_under(tree)
     assert 0 in {int(x) for x in members[tt.root]}
     assert ann.center[tree.root] == ann.center[tt.root] == 0
     # every neighbor list runs in smallest-member-label order

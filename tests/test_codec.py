@@ -450,7 +450,7 @@ def test_shift_sums_beyond_int64_decode_exactly_or_fail():
     tree = model.tree
     kk = k_parameter(model.spread, model.epsilon, model.d, model.p)
     assert kk + 2 == 62
-    leaves = [len(x) for x in tree.leaf_labels_under()]
+    leaves = [len(x) for x in ref.leaf_labels_under(tree)]
     for v in range(tree.n_nodes):
         if model.ingress[v] is not None and tree.level[v] > 40:
             model.inv_delta[v] = leaves[v] + 4

@@ -1,6 +1,8 @@
 """Hierarchy construction and long-edge compression against a naive oracle."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ def _line(points):
 
 
 def _members(tree):
-    return [frozenset(labels.tolist()) for labels in tree.leaf_labels_under()]
+    return [frozenset(labels.tolist()) for labels in ref.leaf_labels_under(tree)]
 
 
 def _partitions_from_tree(tree):
@@ -43,7 +45,7 @@ def _check_merge_tree(tree):
     """build_hst's tree: leaves at level 0, every other node a merge of at
     least two children, each at least one level down, in smallest-label
     order; no long edges."""
-    firsts = [int(labels[0]) for labels in tree.leaf_labels_under()]
+    firsts = [int(labels[0]) for labels in ref.leaf_labels_under(tree)]
     assert not any(tree.long_edge)
     for v in range(tree.n_nodes):
         kids = tree.children[v]
@@ -281,32 +283,36 @@ def test_overflowing_distance_rejected():
 
 
 # --------------------------------------------------------------------------
-# Per-merge pair tables against brute-force minima over the oracle.
+# Tau-trees and near points against a plain BFS over brute-force minima of
+# the oracle.
 
 
 def _check_pair_tables(tree, clusters, dm):
-    members = tree.leaf_labels_under()
-    merges = 0
+    """Every merge's tau-parents and near labels equal those of a plain BFS
+    over the brute-force smallest cross distances, neighbours in
+    smallest-label order, where the near point of child i to child j is
+    the member of i closest to j, ties to the smallest label.  Returns the
+    number of merges and of tau edges whose near point had a tie."""
+    members = ref.leaf_labels_under(tree)
+    merges = ties = 0
     for v in range(tree.n_nodes):
         kids = tree.children[v]
         if len(kids) < 2:
-            assert clusters.gap[v] is None and clusters.near[v] is None
+            assert clusters.tau[v] is None and clusters.near[v] is None
             continue
         merges += 1
-        k = len(kids)
-        assert clusters.gap[v].shape == clusters.near[v].shape == (k, k)
-        for i, a in enumerate(kids):
-            rows = members[a]
-            for j, b in enumerate(kids):
-                if i == j:
-                    continue
-                cols = members[b]
-                sub = dm[np.ix_(rows, cols)]
-                assert clusters.gap[v][i, j] == sub.min()
-                # closest member of child i to child j, ties to smallest label
-                best = min(rows, key=lambda x: (dm[x, cols].min(), x))
-                assert clusters.near[v][i, j] == best
-    return merges
+        # positions run in smallest-label order, the BFS's neighbour order
+        firsts = [int(members[c][0]) for c in kids]
+        assert firsts == sorted(firsts)
+        rows = [members[c].tolist() for c in kids]
+        to = {x: [dm[x, members[c]].min() for c in kids] for r in rows for x in r}
+        gap = [[min(to[x][j] for x in r) for j in range(len(kids))] for r in rows]
+        near = [[min(r, key=lambda x: (to[x][j], x)) for j in range(len(kids))] for r in rows]
+        want = ref.tau_from_tables(gap, near, tree.level[v])
+        assert (clusters.tau[v], clusters.near[v]) == want
+        for j, i in enumerate(want[0][1:], 1):
+            ties += sum(to[x][j] == gap[i][j] for x in rows[i]) > 1
+    return merges, ties
 
 
 @settings(max_examples=25, deadline=None)
@@ -328,18 +334,49 @@ def test_pair_tables_match_brute_force(seed, n, d, p, eps, integer):
     ps = normalize(pts, p)
     dm = oracle_all_pairs(ps)
     tree0, clusters0 = build_hst(ps)
-    assert _check_pair_tables(tree0, clusters0, dm) >= 1
+    assert _check_pair_tables(tree0, clusters0, dm)[0] >= 1
     tree, clusters = compress(tree0, clusters0, eps)
-    assert _check_pair_tables(tree, clusters, dm) >= 1
+    assert _check_pair_tables(tree, clusters, dm)[0] >= 1
 
 
 def test_pair_tables_on_graph_metric():
     ps = frechet_embed(DistanceMatrix(entries=gen_random_graph_metric(40, 3)))
     dm = oracle_all_pairs(ps)
     tree0, clusters0 = build_hst(ps)
-    assert _check_pair_tables(tree0, clusters0, dm) >= 1
+    assert _check_pair_tables(tree0, clusters0, dm)[0] >= 1
     tree, clusters = compress(tree0, clusters0, 0.25)
-    assert _check_pair_tables(tree, clusters, dm) >= 1
+    assert _check_pair_tables(tree, clusters, dm)[0] >= 1
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_near_points_break_ties_by_label(p):
+    # a two-scale lattice, where many members of a tau-parent sit at its gap
+    axis = (0, 1, 4, 5, 16, 17, 20, 21)
+    ps = normalize(np.array(list(itertools.product(axis, repeat=2)), dtype=float), p)
+    tree, clusters = build_hst(ps)
+    assert _check_pair_tables(tree, clusters, oracle_all_pairs(ps))[1] >= 10
+
+
+# Bytes per point that build_hst's ClusterIndex may keep: a diameter per
+# node and, per merge, k tau-parent positions and k near labels.  The
+# instance below measures 59; per-merge (k, k) tables kept 4,339.
+INDEX_BYTES_PER_POINT = 200
+
+
+def test_cluster_index_is_linear_in_n():
+    # the first seed-1 instance of the benchmark's metric-graph workload,
+    # whose root merge has 321 children
+    ps = frechet_embed(DistanceMatrix(entries=gen_random_graph_metric(400, 3)))
+    tracemalloc.start()
+    try:
+        tree, clusters = build_hst(ps)
+        with_index = tracemalloc.get_traced_memory()[0]
+        del clusters
+        retained = with_index - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert max(map(len, tree.children)) == 321
+    assert retained < INDEX_BYTES_PER_POINT * ps.n
 
 
 # --------------------------------------------------------------------------
@@ -390,7 +427,7 @@ def test_array_walks_on_a_permuted_compressed_tree():
     rank = np.argsort(np.argsort(roots))
     assert np.flatnonzero(moved.part_root).tolist() == sorted(roots.tolist())
     assert moved.part_of[perm].tolist() == rank[walk.part_of].tolist()
-    labels = moved.leaf_labels_under()
+    labels = ref.leaf_labels_under(moved)
     for v, w in enumerate(perm.tolist()):
         assert np.array_equal(labels[w], members[v])
 
@@ -405,8 +442,10 @@ def _assert_same_as_chain_tree(ps, eps):
     for name in ("level", "parent", "children", "long_edge", "leaf_label", "root"):
         assert getattr(tree, name) == getattr(want, name), name
     assert clusters.diameter == chain.diameter
-    for got, exp in zip(clusters.gap + clusters.near, chain.gap + chain.near, strict=True):
-        assert (got is None and exp is None) or np.array_equal(got, exp)
+    # the chain tree keeps (k, k) tables; its tau-trees come from a plain BFS
+    for v, (gap, near) in enumerate(zip(chain.gap, chain.near, strict=True)):
+        exp = (None, None) if gap is None else ref.tau_from_tables(gap, near, want.level[v])
+        assert (clusters.tau[v], clusters.near[v]) == exp
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,10 +1,12 @@
-"""Static check on the package source: every import is used.
+"""Checks on the package's imports: every import is used, and no
+package-level name hides a submodule.
 
 A name counts as used when the module reads it anywhere (annotations
 included) or lists it in ``__all__``, which is how ``__init__`` re-exports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,15 @@ def test_checker_finds_unused_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.stem != "__init__"), ids=lambda p: p.name
+)
+def test_submodule_is_not_shadowed(path):
+    # a re-export named like its submodule (a function ``annotate`` from
+    # ``annotate.py``) rebinds the package attribute, so
+    # ``from mcsketch import annotate`` would not give the module
+    import mcsketch
+
+    assert getattr(mcsketch, path.stem) is importlib.import_module(f"mcsketch.{path.stem}")
