@@ -165,8 +165,10 @@ def _root(s, p: float):
 
 
 # Below this many terms numpy's pairwise summation adds them one by one in
-# order (its unrolled blocks start at 8), so a chain of column adds forms
-# the same float as ``sum(axis=-1)``.
+# order (its unrolled blocks start at 8), so a chain of adds forms the same
+# float as ``sum(axis=-1)``: a chain of column adds in
+# :func:`_lp_reduce_columns`, a chain of Python float adds in
+# :func:`_lp_pair`, which answers ``Estimator.estimate`` on short rows.
 _SHORT_AXIS = 8
 
 
@@ -206,6 +208,38 @@ def _lp_reduce_columns(diff: np.ndarray, p: float) -> np.ndarray:
     elif p != 1.0:
         s = _root(s, p)
     return np.multiply(s, m, s)
+
+
+def _lp_pair(a, b, p: float) -> float:
+    """:func:`_lp_reduce` of ``a - b`` in Python floats, for two finite
+    float sequences shorter than ``_SHORT_AXIS`` and p in {1, 2, inf}.
+
+    Each step is the reduction's step on one float: ``|a_k - b_k|``, the
+    max ``m``, ``x / safe`` (squared at p = 2), the sum, ``sqrt`` and the
+    product with ``m``, each correctly rounded by IEEE arithmetic on both
+    sides; the sum is the in-order chain numpy forms below
+    ``_SHORT_AXIS`` terms.  So the float is ``_lp_reduce``'s bit for bit,
+    with no numpy call.  A general p stays on numpy: ``np.power`` on a
+    contiguous array may take a vectorized ``pow`` (see
+    :func:`_lp_reduce_columns`).  Python's ``max`` does not propagate NaN,
+    so arbitrary input goes through :func:`lp_distance`, never here.
+    """
+    diff = [abs(x - y) for x, y in zip(a, b)]
+    m = max(diff)
+    if p == math.inf:
+        return m
+    safe = m or 1.0
+    # an explicit left-to-right chain: sum() is compensated from Python
+    # 3.12 on, and math.fsum always, so either can round otherwise
+    s = 0.0
+    if p == 1.0:
+        for x in diff:
+            s += x / safe
+        return s * m
+    for x in diff:
+        x /= safe
+        s += x * x
+    return math.sqrt(s) * m
 
 
 def lp_distance(u: np.ndarray, v: np.ndarray, p: float) -> float:

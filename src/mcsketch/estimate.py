@@ -26,6 +26,15 @@ floats:
   with a landmark table built for spacing K every chain is at most K hops.
   A stored landmark shift other than the one the layers give is refused.
 
+A single query finds u and both anchors in one walk up from the two
+leaves.  Its norm is ``core._lp_reduce``'s float in either mode.  Rows
+shorter than ``core._SHORT_AXIS`` at p in {1, 2, inf} go to
+:func:`~mcsketch.core._lp_pair`, which takes each of that reduction's
+steps on Python floats and adds the terms in order, the order numpy sums
+so few terms in; so a query makes no numpy call, and the precomputed mode
+keeps its table as one flat list for it.  Other rows go to ``_lp_reduce``
+itself.
+
 Landmark selection on one part's ingress tree: repeatedly take the deepest
 remaining node (smallest id on ties); stop when its depth is below K;
 otherwise its K-th ingress ancestor becomes a landmark and that ancestor's
@@ -43,8 +52,8 @@ import numpy as np
 
 from . import codec, net
 from .annotate import ingress_layers, shift_dtype, shift_exponents, shift_to_float
-from .core import FormatError, InputError, UnknownLabelError, k_parameter, lp_distance
-from .core import _BLOCK_ELEMS, _pair_blocks
+from .core import FormatError, InputError, UnknownLabelError, k_parameter
+from .core import _BLOCK_ELEMS, _SHORT_AXIS, _lp_pair, _lp_reduce, _pair_blocks
 
 __all__ = [
     "Estimator",
@@ -102,6 +111,16 @@ class Estimator:
             self._sf = None
         else:
             self._sf = shift_to_float(shifts, self._unit)
+            # shifted_surrogate hands out its rows; a write through one
+            # would change later estimates, and split estimate_all_pairs
+            # from estimate on short rows, which read a copy
+            self._sf.flags.writeable = False
+        # short rows at p in {1, 2, inf} take estimate's scalar path, on the
+        # precomputed rows as one flat list of floats (row v at v*d:(v+1)*d)
+        self._short = self._d < _SHORT_AXIS and self._p in (1.0, 2.0, math.inf)
+        self._flat = None
+        if self._short and self._sf is not None:
+            self._flat = self._sf.ravel().tolist()
 
     # -- shifted surrogates ------------------------------------------------
 
@@ -147,7 +166,8 @@ class Estimator:
     def shifted_surrogate(self, v: int) -> np.ndarray:
         """s(v) = s*(v) - s*(part root of v), as float coordinates.  A node
         id that is not an integer (Python or numpy), or not one of
-        0..n_nodes-1, raises InputError."""
+        0..n_nodes-1, raises InputError.  In precomputed mode the row is a
+        read-only view of the table every estimate reads."""
         try:
             v = operator.index(v)
         except TypeError:
@@ -181,43 +201,46 @@ class Estimator:
                 f"label {label!r} is not an integer in 0..{self.n - 1}"
             ) from None
 
-    def _lca(self, a: int, b: int) -> int:
+    def estimate(self, x: int, y: int) -> float:
+        """Estimated distance between input points x and y (original units).
+
+        One walk climbs both leaves to their lowest common ancestor, the
+        lower side first and both on a tie; each side keeps the top of the
+        last long edge it crosses, the one nearest the LCA, as its anchor.
+        Rows shorter than ``_SHORT_AXIS`` at p in {1, 2, inf} are reduced
+        by :func:`~mcsketch.core._lp_pair` in Python floats, other rows by
+        ``_lp_reduce``; both give ``_lp_reduce``'s float, so the one
+        ``estimate_all_pairs`` gives the pair.
+        """
+        a = self._leaf(x)
+        b = self._leaf(y)
+        if a == b:
+            return 0.0
         level = self.tree.level
         parent = self.tree.parent
-        while a != b:
-            if level[a] < level[b]:
-                a = parent[a]
-            elif level[b] < level[a]:
-                b = parent[b]
-            else:
-                a = parent[a]
-                b = parent[b]
-        return a
-
-    def _anchor(self, leaf: int, u: int) -> int:
-        """Top of the long edge nearest u on the u -> leaf path, else leaf."""
-        anchor = leaf
-        cur = leaf
-        parent = self.tree.parent
         long_edge = self.tree.long_edge
-        while cur != u:
-            if long_edge[cur]:
-                anchor = parent[cur]
-            cur = parent[cur]
-        return anchor
-
-    def estimate(self, x: int, y: int) -> float:
-        """Estimated distance between input points x and y (original units)."""
-        lx = self._leaf(x)
-        ly = self._leaf(y)
-        if lx == ly:
-            return 0.0
-        u = self._lca(lx, ly)
-        vx = self._anchor(lx, u)
-        vy = self._anchor(ly, u)
-        return self.scale * lp_distance(
-            self.shifted_surrogate(vx), self.shifted_surrogate(vy), self._p
-        )
+        va, vb = a, b
+        while a != b:
+            la, lb = level[a], level[b]
+            if la <= lb:
+                if long_edge[a]:
+                    va = parent[a]
+                a = parent[a]
+            if lb <= la:
+                if long_edge[b]:
+                    vb = parent[b]
+                b = parent[b]
+        if self._flat is not None:
+            d = self._d
+            i, j = va * d, vb * d
+            return self.scale * _lp_pair(self._flat[i : i + d], self._flat[j : j + d], self._p)
+        if self._sf is not None:
+            ra, rb = self._sf[va], self._sf[vb]
+        else:
+            ra, rb = self.shifted_surrogate(va), self.shifted_surrogate(vb)
+        if self._short:
+            return self.scale * _lp_pair(ra.tolist(), rb.tolist(), self._p)
+        return self.scale * float(_lp_reduce(ra - rb, self._p))
 
     def estimate_all_pairs(self) -> np.ndarray:
         """Full n x n matrix of estimates; identical floats to estimate().

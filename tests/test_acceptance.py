@@ -30,10 +30,10 @@ from mcsketch.core import (
     SketchError,
     SketchParams,
     k_parameter,
-    lp_distance,
     normalize,
     oracle_all_pairs,
 )
+from mcsketch.core import _lp_reduce
 from mcsketch.estimate import Estimator
 from mcsketch.reduce import JlConfig, frechet_embed
 
@@ -90,19 +90,19 @@ def _measure_instance(coords, p, eps):
     tree, clusters, ann, table = res.tree, res.clusters, res.ann, res.table
     roots = set(subtree_decomposition(tree).roots)
 
-    surr_ratio = 0.0
-    leaf_ratio = 0.0
+    # every node's surrogate error in one reduction; each row reduces as
+    # it would alone (test_pair_blocks_match_rows_one_at_a_time)
+    err = _lp_reduce(ps.coords[ann.center] - table.s_star, p)
+    lims = np.ldexp(1.0, tree.level)
+    surr_ratio = float((err / lims).max())
+    leaf = ~tree.has_short
+    leaf_ratio = float((err[leaf] / (params.epsilon * lims[leaf])).max(initial=0.0))
     ingress_dist_ok = True
     ingress_level_ok = True
     for v in range(tree.n_nodes):
-        lim = math.ldexp(1.0, tree.level[v])
-        err = lp_distance(ps.coords[ann.center[v]], table.s_star[v], p)
-        surr_ratio = max(surr_ratio, err / lim)
-        if not tree.has_short[v]:
-            leaf_ratio = max(leaf_ratio, err / (params.epsilon * lim))
         if v not in roots:
             u = ann.ingress[v]
-            if dm[ann.center[v], ann.center[u]] > 3.0 * lim + clusters.diameter[v]:
+            if dm[ann.center[v], ann.center[u]] > 3.0 * lims[v] + clusters.diameter[v]:
                 ingress_dist_ok = False
             if tree.level[u] > tree.level[v] + 1:
                 ingress_level_ok = False

@@ -115,6 +115,29 @@ def test_short_axis_kernel_matches_row_sums(d, p):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("d", range(1, 8))
+def test_short_row_pair_matches_lp_reduce(d, p):
+    # Estimator.estimate's scalar path: Python floats, numpy's float bit
+    # for bit, on zero and tied differences, 2^-500 to 2^500 and subnormals
+    rng = np.random.default_rng(d)
+    a = _short_rows(rng, (300, d))
+    pairs = [(a, np.zeros_like(a)), (a, a[::-1]), (a, _short_rows(rng, (300, d)))]
+    if d >= 3:
+        # 1 + t + t in order is 1 + 2^-51 at p = 1 (1 + 2^-52 after the root
+        # at p = 2); a compensated sum, math.fsum or sum() from Python 3.12,
+        # gives 1 + 2^-52 (1.0), and so does any other order
+        t = 1.1e-8 if p == 2.0 else 1.21e-16
+        row = np.array([[1.0, t, t] + [0.0] * (d - 3)])
+        pairs.append((row, np.zeros_like(row)))
+    for x, y in pairs:
+        for u, v in zip(x, y):
+            want = float(core._lp_reduce(u - v, p))
+            assert core._lp_pair(u.tolist(), v.tolist(), p).hex() == want.hex()
+    if d >= 3 and p != math.inf:
+        assert want == (1.0 + 2.0**-51 if p == 1.0 else 1.0 + 2.0**-52)
+
+
 def _pair_rows_reference(a, b, p):
     """Distances of ``a`` against ``b`` by one ``_lp_reduce`` call per row."""
     return np.array([core._lp_reduce(row - b, p) for row in a]).reshape(len(a), len(b))

@@ -212,10 +212,32 @@ def test_shifted_surrogates_match_build_table():
         assert np.array_equal(est.shifted_surrogate(v), res.table.shift_float(v))
 
 
-def test_estimate_equals_shifted_surrogate_distance():
-    rng = np.random.default_rng(4)
-    res = _result(rng.normal(size=(10, 2)) * 20)
+def test_precomputed_surrogate_rows_are_read_only():
+    # a row handed out is a view of the table every estimate reads
+    rng = np.random.default_rng(3)
+    res = _result(rng.normal(size=(60, 2)) * 12)
     est = Estimator(res.blob)
+    want = est.estimate_all_pairs()
+    singles = [[est.estimate(i, j) for j in range(60)] for i in range(60)]
+    for v in range(res.tree.n_nodes):
+        row = est.shifted_surrogate(v)
+        with pytest.raises(ValueError):
+            row += 1.0
+    assert np.array_equal(est.estimate_all_pairs(), want)
+    assert np.array_equal([[est.estimate(i, j) for j in range(60)] for i in range(60)], singles)
+    assert np.array_equal(singles, want)
+
+
+@pytest.mark.parametrize("mode", ["precomputed", "landmark"])
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("d", [2, 4, 10])
+def test_estimate_equals_shifted_surrogate_distance(d, p, mode):
+    # short rows take estimate's scalar path and d = 10 the numpy one; the
+    # points span 2^0 to 2^20, so paths below an LCA cross several long edges
+    rng = np.random.default_rng(4)
+    points = rng.normal(size=(30, d)) * np.exp2(rng.integers(0, 21, size=(30, 1)))
+    res = _result(points, p=p, landmarks=True)
+    est = Estimator(res.blob, mode=mode)
     tree = res.tree
     leaf_of = tree.leaf_of()
     from mcsketch.core import lp_distance
@@ -243,13 +265,13 @@ def test_estimate_equals_shifted_surrogate_distance():
             x = tree.parent[x]
         return x
 
-    for x in range(10):
-        for y in range(x + 1, 10):
+    for x in range(30):
+        for y in range(x + 1, 30):
             u = brute_lca(leaf_of[x], leaf_of[y])
             vx = brute_anchor(u, leaf_of[x])
             vy = brute_anchor(u, leaf_of[y])
             want = res.point_set.scale * lp_distance(
-                est.shifted_surrogate(vx), est.shifted_surrogate(vy), 2.0
+                est.shifted_surrogate(vx), est.shifted_surrogate(vy), p
             )
             assert est.estimate(x, y) == want
 
