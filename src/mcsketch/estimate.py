@@ -25,6 +25,13 @@ floats:
   never caching, so the replay length per query is a measurable quantity;
   with a landmark table built for spacing K every chain is at most K hops.
   A stored landmark shift other than the one the layers give is refused.
+  Rows shorter than ``core._SHORT_AXIS`` (any p) replay in Python ints, one
+  sum per column over that column's steps as a list, and each coordinate
+  is ``float(total) * unit``.  Python ints are exact and ``float(int)``
+  rounds correctly, as numpy's cast does, so these are the array replay's
+  floats for int64 and exact-int steps alike.  Longer rows sum the
+  chain's step rows in numpy, where a Python loop per column would cost
+  more.
 
 A single query finds u and both anchors in one walk up from the two
 leaves.  Its norm is ``core._lp_reduce``'s float in either mode.  Rows
@@ -87,7 +94,9 @@ class Estimator:
         self._t = int(round(-math.log2(model.epsilon)))
         self._unit = net.per_coord_scale(model.epsilon, model.d, model.p)
         self._leaf_of = self.tree.leaf_of()
-        self.last_hops = 0  # ingress-chain replays in the latest call
+        # ingress hops of the latest landmark replay; an estimate makes two
+        # (a same-leaf pair none), and perfbench's hop probe reads this
+        self.last_hops = 0
         self.max_hops = 0  # high-water mark across all calls
         if mode == "landmark" and model.landmarks is None:
             raise InputError("sketch carries no landmark table")
@@ -109,6 +118,12 @@ class Estimator:
                     raise FormatError(f"landmark shift of node {v} disagrees with its chain")
             self._steps = steps
             self._sf = None
+            # short rows replay in Python ints: the steps as one list per
+            # column, each anchor's shift as a list
+            self._cols = None
+            if self._d < _SHORT_AXIS:
+                self._cols = [steps[:, k].tolist() for k in range(self._d)]
+                self._known = {v: ks.tolist() for v, ks in self._known.items()}
         else:
             self._sf = shift_to_float(shifts, self._unit)
             # shifted_surrogate hands out its rows; a write through one
@@ -167,7 +182,17 @@ class Estimator:
         """s(v) = s*(v) - s*(part root of v), as float coordinates.  A node
         id that is not an integer (Python or numpy), or not one of
         0..n_nodes-1, raises InputError.  In precomputed mode the row is a
-        read-only view of the table every estimate reads."""
+        read-only view of the table every estimate reads.
+
+        In landmark mode the row is replayed from v's nearest anchor up its
+        ingress chain, and ``last_hops`` records the chain's length.  Rows
+        shorter than ``_SHORT_AXIS`` add each column's steps to the anchor's
+        shift in Python ints and take ``float(total) * unit``; longer rows
+        add the chain's step rows in numpy and go through
+        :func:`~mcsketch.annotate.shift_to_float`.  The sums are exact
+        either way and both casts round correctly, so the floats are the
+        same, and the precomputed table's.
+        """
         try:
             v = operator.index(v)
         except TypeError:
@@ -177,14 +202,24 @@ class Estimator:
         if self.mode == "precomputed":
             return self._sf[v]
         # landmark: stateless replay, chain length <= K by construction
+        known = self._known
+        ingress = self.model.ingress
         chain = []
         cur = v
-        while cur not in self._known:
+        while cur not in known:
             chain.append(cur)
-            cur = self.model.ingress[cur]
+            cur = ingress[cur]
         self.last_hops = len(chain)
         self.max_hops = max(self.max_hops, self.last_hops)
-        acc = self._known[cur]
+        acc = known[cur]
+        if self._cols is not None:
+            unit = self._unit
+            return np.array(
+                [
+                    float(sum(map(col.__getitem__, chain), k)) * unit
+                    for k, col in zip(acc, self._cols)
+                ]
+            )
         if chain:
             acc = acc + self._steps[chain].sum(axis=0)
         return shift_to_float(acc, self._unit)
@@ -210,7 +245,10 @@ class Estimator:
         Rows shorter than ``_SHORT_AXIS`` at p in {1, 2, inf} are reduced
         by :func:`~mcsketch.core._lp_pair` in Python floats, other rows by
         ``_lp_reduce``; both give ``_lp_reduce``'s float, so the one
-        ``estimate_all_pairs`` gives the pair.
+        ``estimate_all_pairs`` gives the pair.  In landmark mode the two
+        rows come from one ``shifted_surrogate`` call per side, which on
+        short rows replays in Python ints (see there); the rows equal the
+        precomputed ones, so the estimate is the precomputed mode's.
         """
         a = self._leaf(x)
         b = self._leaf(y)

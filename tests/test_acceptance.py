@@ -78,7 +78,10 @@ def _measure_instance(coords, p, eps):
     params = SketchParams(epsilon=eps, landmarks=True, jl_enabled=False)
     t_build0 = time.perf_counter()
     res = build_sketch(ps, params)
-    est = Estimator(res.blob)
+    # one decode of the blob serves both modes; an Estimator never writes
+    # to its model (test_estimators_from_one_model_leave_it_untouched)
+    model = deserialize(res.blob)
+    est = Estimator(model)
     estimates = est.estimate_all_pairs()
     t_build = time.perf_counter() - t_build0
 
@@ -113,7 +116,7 @@ def _measure_instance(coords, p, eps):
     anchors = roots | set(res.model.landmarks or ())
     max_chain = _anchor_chain_max(tree, ann, anchors)
 
-    est_l = Estimator(res.blob, mode="landmark")
+    est_l = Estimator(model, mode="landmark")
     rng = np.random.default_rng(zlib.crc32(repr((p, ps.n, ps.d, eps)).encode()))
     lm_identical = True
     for _ in range(15):

@@ -24,7 +24,7 @@ from mcsketch.core import (
     normalize,
     oracle_all_pairs,
 )
-from mcsketch.core import _BLOCK_ELEMS
+from mcsketch.core import _BLOCK_ELEMS, _SHORT_AXIS
 from mcsketch.estimate import Estimator, select_all_landmarks, select_landmarks
 
 import _reference as ref
@@ -292,6 +292,71 @@ def test_modes_bit_identical(p):
             assert est_l.estimate(i, j) == e
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("d", range(1, _SHORT_AXIS + 1))
+def test_landmark_estimates_equal_precomputed_on_every_short_row(d, p):
+    # rows shorter than _SHORT_AXIS replay in Python ints, d = _SHORT_AXIS
+    # in numpy; the points span 2^0 to 2^20, so chains cross long edges.
+    # Every one of these sketches stores a landmark, and in 17 of the 24 a
+    # landmark with a nonzero shift anchors some of the queries' replays
+    rng = np.random.default_rng(19)
+    points = rng.normal(size=(64, d)) * np.exp2(rng.integers(0, 21, size=(64, 1)))
+    res = _result(points, p=p, landmarks=True)
+    est_p = Estimator(res.blob)
+    est_l = Estimator(res.blob, mode="landmark")
+    assert (est_l._cols is None) == (d >= _SHORT_AXIS)
+    assert est_l.model.landmarks
+    for i in range(64):
+        for j in range(64):
+            assert est_l.estimate(i, j) == est_p.estimate(i, j)
+    assert est_l.max_hops > 0
+    for v in range(res.tree.n_nodes):
+        assert np.array_equal(est_l.shifted_surrogate(v), est_p.shifted_surrogate(v))
+
+
+@pytest.mark.parametrize("d", [2, 10])
+def test_landmark_hops_are_exact(d, monkeypatch):
+    # d = 2 replays in Python ints, d = 10 in numpy
+    rng = np.random.default_rng(13)
+    points = rng.normal(size=(40, d)) * np.exp2(rng.integers(0, 21, size=(40, 1)))
+    res = _result(points, landmarks=True)
+    est = Estimator(res.blob, mode="landmark")
+    ingress = est.model.ingress
+    anchors = set(est.model.landmarks) | {v for v, u in enumerate(ingress) if u is None}
+
+    def brute_hops(v):
+        hops = 0
+        while v not in anchors:
+            v = ingress[v]
+            hops += 1
+        return hops
+
+    high = 0
+    for v in rng.permutation(res.tree.n_nodes).tolist():
+        est.shifted_surrogate(v)
+        assert est.last_hops == brute_hops(v)
+        high = max(high, est.last_hops)
+        assert est.max_hops == high
+    assert high > 1
+    # installed on the class, as perfbench's hop probe is
+    calls = []
+    replay = Estimator.shifted_surrogate
+
+    def counted(self, v):
+        calls.append(v)
+        return replay(self, v)
+
+    monkeypatch.setattr(Estimator, "shifted_surrogate", counted)
+    for x in range(40):
+        for y in range(40):
+            calls.clear()
+            est.estimate(x, y)
+            assert len(calls) == (0 if x == y else 2)
+            if calls:
+                assert est.last_hops == brute_hops(calls[-1])
+    assert est.max_hops == high
+
+
 def test_landmark_replay_matches_shift_table_ints():
     rng = np.random.default_rng(6)
     res = _result(rng.normal(size=(30, 2)) * 25, landmarks=True)
@@ -400,6 +465,7 @@ def test_int64_and_exact_shifts_agree_across_the_boundary(t, k_plus_2):
     for i in range(model.n):
         for j in range(model.n):
             assert allp[i, j] == est_p.estimate(i, j)
+            assert allp[i, j] == est_l.estimate(i, j)
 
 
 def test_all_pairs_rows_wider_than_one_block():
