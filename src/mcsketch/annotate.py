@@ -23,7 +23,9 @@ Four passes, in dependency order:
    short children.  Each step takes the last child whose preorder
    id is at most leaf(y)'s.  So a node's ingress is its parent exactly when
    it is the parent's first child; the decoder derives those and the blob
-   stores only the others.
+   stores only the others.  ``Annotations.ingress`` is a list with None at
+   part roots; :func:`ingress_layers`, the sketch model, the codec and the
+   estimator take the forest as one int64 array with -1 there.
 
 3. precisions: inv_delta(v) = 5 + ceil(Delta(v)/2^level(v)), computed with
    a 1e-12 downward nudge so diameters that are exact multiples of the
@@ -56,14 +58,13 @@ labels and pass 3 the diameters that the build stores in
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import net
 from .core import InputError, PointSet, SketchParams, k_parameter
-from .hst import ClusterIndex, SketchTree
+from .hst import ClusterIndex, SketchTree, _children, _jump
 
 __all__ = [
     "TauTree",
@@ -144,9 +145,10 @@ def assign_centers(
     # node ids are DFS preorder, so the first leaf at or after v ends the
     # chain of child 0s below v
     center = label[leaves[np.searchsorted(leaves, np.arange(tree.n_nodes))]]
+    end = tree.end.tolist()
     tau = {}
     for v in np.flatnonzero(tree.has_short).tolist():
-        kids = tree.children[v]
+        kids = _children(end, v)
         pos = clusters.tau[v] or [-1]  # None at a one-child node
         parent = {c: kids[i] if i >= 0 else None for c, i in zip(kids, pos)}
         children: dict[int, list[int]] = {c: [] for c in kids}
@@ -169,22 +171,25 @@ def assign_ingresses(
     tau-parent toward the leaf of ``clusters.near[v][i]``."""
     ingress: list[int | None] = [None] * tree.n_nodes
     leaf_of = tree.leaf_of()
+    end = tree.end.tolist()
     for v, tt in tau.items():
-        kids = tree.children[v]
+        kids = _children(end, v)
         ingress[kids[0]] = v
         for i in range(1, len(kids)):
             y = clusters.near[v][i]
-            ingress[kids[i]] = _descend_short(tree, tt.parent[kids[i]], leaf_of[y])
+            ingress[kids[i]] = _descend_short(tree, end, tt.parent[kids[i]], leaf_of[y])
     return ingress
 
 
-def _descend_short(tree: SketchTree, start: int, leaf: int) -> int:
+def _descend_short(tree: SketchTree, end: list[int], start: int, leaf: int) -> int:
     """Lowest node on the path start -> leaf reachable over short edges.
-    Ids are DFS preorder: the child holding leaf is the last one <= leaf."""
+    Ids are DFS preorder: the child holding leaf is the one whose subtree
+    range reaches past it."""
     cur = start
-    while not tree.is_leaf(cur):
-        kids = tree.children[cur]
-        nxt = kids[bisect_right(kids, leaf) - 1]
+    while end[cur] > cur + 1:  # not a leaf
+        nxt = cur + 1
+        while end[nxt] <= leaf:
+            nxt = end[nxt]
         if tree.long_edge[nxt]:
             break
         cur = nxt
@@ -195,27 +200,22 @@ def _descend_short(tree: SketchTree, start: int, leaf: int) -> int:
 # Pass 4 walk and step, shared with the decoder's estimator.
 
 
-def ingress_layers(ingress: list[int | None]) -> list[list[int]]:
-    """Nodes reachable from a part root (ingress None), by depth in the
-    ingress forest: layer 0 holds the part roots in id order, layer k+1 the
-    nodes whose ingress lies in layer k.
+def ingress_layers(ingress: np.ndarray) -> list[np.ndarray]:
+    """Nodes reachable from a part root (ingress -1), by depth in the
+    ingress forest given as an int64 array: layer k holds, in id order, the
+    nodes k ingress hops below a part root.
 
-    A node on an ingress cycle, or below one, is never reached and is left
-    out, so fewer than ``len(ingress)`` nodes in all means the references
-    contain a cycle.
+    Depths come from pointer jumping.  A node on an ingress cycle, or below
+    one, never reaches a part root and is left out, so fewer than
+    ``len(ingress)`` nodes in all means the references contain a cycle.
     """
-    kids: list[list[int]] = [[] for _ in ingress]
-    layer: list[int] = []
-    for v, u in enumerate(ingress):
-        if u is None:
-            layer.append(v)
-        else:
-            kids[u].append(v)
-    layers = []
-    while layer:
-        layers.append(layer)
-        layer = [c for v in layer for c in kids[v]]
-    return layers
+    n = len(ingress)
+    root = ingress < 0
+    # a node that never reaches a part root sums 2^bit_length(n) > n hops
+    _, depth = _jump(np.where(root, np.arange(n), ingress), (~root).astype(np.int64))
+    order = np.argsort(depth, kind="stable")
+    counts = np.bincount(depth[depth < n])
+    return np.split(order[: counts.sum()], np.cumsum(counts)[:-1])
 
 
 def shift_exponents(tree: SketchTree, t: int) -> np.ndarray:
@@ -289,7 +289,7 @@ def compute_surrogates(
     grid = np.zeros((n_nodes, d), dtype=np.int64)
     shift_int = np.zeros((n_nodes, d), dtype=dtype)
     s_star = ps.coords[center]  # exact at the part roots, layer 0
-    for layer in ingress_layers(ann.ingress)[1:]:
+    for layer in ingress_layers(ing)[1:]:
         u = ing[layer]
         es = (s_star[layer] - s_star[u]) / scale[layer, None]
         grid[layer] = m = net.grid_indices(es, delta_eff[layer], d, p)

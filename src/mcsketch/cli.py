@@ -98,13 +98,14 @@ def build_sketch(
     tree0, clusters0 = build_hst(ps)
     tree, clusters = compress(tree0, clusters0, params.epsilon)
     ann, table = annotate(tree, clusters, ps, params)
+    ingress = np.array([-1 if u is None else u for u in ann.ingress], dtype=np.int64)
     landmarks = None
     if params.landmarks:
-        chosen = select_all_landmarks(tree, ann.ingress, kk)
+        chosen = select_all_landmarks(tree, ingress, kk)
         landmarks = {v: table.shift_int[v] for v in chosen}
     model = SketchModel(
         tree=tree,
-        ingress=ann.ingress,
+        ingress=ingress,
         inv_delta=ann.inv_delta,
         eta_ints=ann.eta_ints,
         landmarks=landmarks,
@@ -383,19 +384,19 @@ def _params_from(args: argparse.Namespace) -> SketchParams:
     )
 
 
-def _load_for_build(args: argparse.Namespace):
-    """(point set, jl_applied, jl_orig_dim)."""
+def _load_for_build(args: argparse.Namespace, params: SketchParams):
+    """The input's points (None for a distance matrix) and norm, then the
+    point set to build from, jl_applied and jl_orig_dim."""
     p_override = _parse_p(args.p) if args.p is not None else None
     kind, payload, p = load_input(args.input, p_override)
-    params = _params_from(args)
     if kind == "matrix":
-        return frechet_embed(payload), False, 0
-    return prepare_points(payload, p, params)
+        return None, p, frechet_embed(payload), False, 0
+    return payload, p, *prepare_points(payload, p, params)
 
 
 def cmd_sketch(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    ps, applied, orig_dim = _load_for_build(args)
+    _, _, ps, applied, orig_dim = _load_for_build(args, params)
     result = build_sketch(ps, params, applied, orig_dim)
     with open(args.output, "wb") as fh:
         fh.write(result.blob)
@@ -447,11 +448,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    ps, applied, orig_dim = _load_for_build(args)
+    payload, p, ps, applied, orig_dim = _load_for_build(args, params)
     result = build_sketch(ps, params, applied, orig_dim)
     raw_oracle = None
-    if applied:
-        kind, payload, p = load_input(args.input, _parse_p(args.p) if args.p else None)
+    if applied:  # only points are projected
         raw = normalize(payload, p)
         raw_oracle = oracle_all_pairs(raw) * raw.scale
     report = evaluate(result, raw_oracle)

@@ -40,11 +40,14 @@ Layout, all multi-byte header fields little-endian:
   validation (leaf counts, level consistency, permutation of leaf labels,
   index ranges, ingress edges inside their part, padding) runs after it so
   corrupt or truncated blobs always fail loudly with FormatError.  Ingress
-  cycles are found by :func:`~mcsketch.annotate.ingress_layers`, the walk
-  the builder and the estimator take, failing to reach every node.
+  cycles are found by :func:`~mcsketch.annotate.ingress_layers`, the
+  layering the builder and the estimator use, failing to reach every node.
 
 Decoding levels: the gaps give each node's level relative to the root;
 all leaves must land on one common level, which is then pinned to 0.
+The shape fixes the tree's preorder; the decoder derives every node's
+parent from it and builds the ingresses directly as one int64 array, -1
+at part roots, from the parents and the references.
 
 Columns move whole.  The writer packs every field of the payload in one
 pass (``_bitio.pack_fields``); the reader reads each fixed-width column in
@@ -76,7 +79,7 @@ from .core import (
     k_parameter,
     snap_epsilon,
 )
-from .hst import SketchTree
+from .hst import SketchTree, _jump
 
 __all__ = ["SketchModel", "SizeReport", "serialize", "deserialize", "size_report"]
 
@@ -93,14 +96,15 @@ _TAIL = "<QQdddBQQQ"
 class SketchModel:
     """Everything a decoder needs to answer queries; the codec's schema.
 
-    ``eta_ints`` holds every node's d grid integers as one (n_nodes, d)
+    ``ingress`` holds every node's ingress as one int64 array, -1 at part
+    roots, and ``eta_ints`` every node's d grid integers as one (n_nodes, d)
     int64 array, with zero rows at part roots, which store none.  Centers
     and first children's ingresses follow from the tree (see the module
     docstring), and the blob stores neither.
     """
 
     tree: SketchTree
-    ingress: list[int | None]
+    ingress: np.ndarray
     inv_delta: list[int]
     eta_ints: np.ndarray
     landmarks: dict[int, np.ndarray] | None
@@ -169,18 +173,16 @@ def serialize(model: SketchModel) -> bytes:
     inner = np.flatnonzero(~tree.part_root)  # nodes with an ingress
 
     # shape: before node v opens, the v nodes before it in preorder have
-    # opened and all but its depth(v) ancestors have closed
-    depth = [0] * n_nodes
-    for v in range(1, n_nodes):  # a parent comes first
-        depth[v] = depth[tree.parent[v]] + 1
+    # opened and every node whose subtree ends at or before v has closed
+    closed = np.cumsum(np.bincount(tree.end, minlength=n_nodes))[:n_nodes]
     shape = np.zeros(2 * n_nodes, dtype=np.uint8)
-    shape[2 * np.arange(n_nodes) - depth] = 1
+    shape[np.arange(n_nodes) + closed] = 1
     long_edge = np.array(tree.long_edge, dtype=bool)
     level = np.array(tree.level, dtype=np.int64)
     gaps = (level[parent] - level)[long_edge]
 
     label = np.array(tree.leaf_label, dtype=np.int64)
-    ingress = _ints([-1 if u is None else u for u in model.ingress])
+    ingress = model.ingress
     # ids are preorder, so a first child comes right after its parent
     first = parent[inner] == inner - 1
     wrong = inner[first & (ingress[inner] != parent[inner])]
@@ -396,9 +398,6 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     ranked = np.sort(key)
     parent = ranked[np.searchsorted(ranked, key - n_nodes) - 1] % n_nodes
     parent[0] = -1
-    layers = np.split(
-        np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1]
-    )
 
     # 2. edges
     long_edge = np.append(False, column(1, n_nodes - 1, "edge flags")[0] == 1)
@@ -412,10 +411,8 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     gaps = np.ones(n_nodes, dtype=np.int64)
     gaps[long_edge] = gap_values
 
-    # levels: depth below root, then pin the common leaf level to 0
-    rel = np.zeros(n_nodes, dtype=np.int64)
-    for layer in layers[1:]:
-        rel[layer] = rel[parent[layer]] - gaps[layer]
+    # levels below the root's, then pin the common leaf level to 0
+    _, rel = _jump(np.maximum(parent, 0), np.append(0, -gaps[1:]))
     if int(is_leaf.sum()) != n:
         raise FormatError(f"blob announces n={n} but has {int(is_leaf.sum())} leaves")
     leaf_rel = np.unique(rel[is_leaf])
@@ -435,17 +432,11 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         raise FormatError("leaf labels are not a permutation of 0..n-1")
     leaf_label = np.full(n_nodes, -1, dtype=np.int64)
     leaf_label[is_leaf] = labels
-    parent_list = parent.tolist()
-    children: list[list[int]] = [[] for _ in range(n_nodes)]
-    for v in range(1, n_nodes):
-        children[parent_list[v]].append(v)
     tree = SketchTree(
         level=(rel + root_level).tolist(),
-        parent=parent_list,
-        children=children,
+        parent=parent.tolist(),
         long_edge=long_edge.tolist(),
         leaf_label=leaf_label.tolist(),
-        root=0,
     )
 
     # before any (n_nodes, d) array: a valid shape makes every part root but
@@ -464,15 +455,13 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         raise FormatError(
             f"ingress reference {refs[refs >= subtree_leaves.size][0]} out of range"
         )
-    ing = np.where(tree.part_root, -1, parent)
-    ing[later] = subtree_leaves[refs]
-    ingress: list[int | None] = [None if u < 0 else u for u in ing.tolist()]
+    ingress = np.where(tree.part_root, -1, parent)
+    ingress[later] = subtree_leaves[refs]
     ingress_bits = pos - mark
 
     # 5. precisions
-    leaf_count = is_leaf.astype(np.int64)
-    for layer in layers[:0:-1]:  # deepest first
-        np.add.at(leaf_count, parent[layer], leaf_count[layer])
+    lo, hi = tree.leaf_ranges()
+    leaf_count = np.array(hi) - np.array(lo)
     precision, precision_bits = gammas(n_nodes)
     # a level-l cluster C has diameter < (|C|-1) * 2^l, so a valid build
     # never stores inv_delta = 5 + ceil(diam / 2^l) above |C| + 4
@@ -504,7 +493,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     pos += displacement_bits
 
     part_of = tree.part_of
-    crossing = inner[part_of[ing[inner]] != part_of[inner]]
+    crossing = inner[part_of[ingress[inner]] != part_of[inner]]
     if crossing.size:
         raise FormatError(f"ingress of {crossing[0]} crosses a long edge")
     if sum(map(len, ingress_layers(ingress))) != n_nodes:

@@ -10,13 +10,13 @@ when the path has none), and s(v) is the *shifted surrogate*: the surrogate
 of v minus the surrogate of its part root.  Shifted surrogates cancel the
 unknown absolute positions because both anchors of a query live in the same
 part as u, and they are exact integer multiples of eps/d^(1/p) per
-coordinate: sums of steps down the ingress forest, each step a node's grid
-integers (its row of the model's (n_nodes, d) int64 ``eta_ints``) shifted
-left by its :func:`~mcsketch.annotate.shift_exponents` entry, the same walk
-and steps the builder takes.  All steps sit in one more (n_nodes, d)
-integer array, int64 or exact ints as the sketch allows (see
-``Estimator._steps_of``), so both evaluation modes reproduce the builder's
-floats:
+coordinate: sums of steps down the ingress forest (the model's int64
+``ingress``, -1 at part roots), each step a node's grid integers (its row
+of the model's (n_nodes, d) int64 ``eta_ints``) shifted left by its
+:func:`~mcsketch.annotate.shift_exponents` entry, as the builder takes
+them.  All steps sit in one more (n_nodes, d) integer array, int64 or
+exact ints as the sketch allows (see ``Estimator._steps_of``), so both
+evaluation modes reproduce the builder's floats:
 
 * ``precomputed`` materializes all shifted surrogates at load time, one
   array operation per layer of :func:`~mcsketch.annotate.ingress_layers`;
@@ -61,12 +61,12 @@ from . import codec, net
 from .annotate import ingress_layers, shift_dtype, shift_exponents, shift_to_float
 from .core import FormatError, InputError, UnknownLabelError, k_parameter
 from .core import _BLOCK_ELEMS, _SHORT_AXIS, _lp_pair, _lp_reduce, _pair_blocks
+from .hst import _children
 
 __all__ = [
     "Estimator",
     "select_landmarks",
     "select_all_landmarks",
-    "k_parameter",
 ]
 
 _MODES = ("precomputed", "landmark")
@@ -100,23 +100,24 @@ class Estimator:
         self.max_hops = 0  # high-water mark across all calls
         if mode == "landmark" and model.landmarks is None:
             raise InputError("sketch carries no landmark table")
-        steps, layers, ing = self._steps_of(model)
+        steps, layers = self._steps_of(model)
         shifts = steps.copy() if mode == "landmark" else steps
         # layer by layer each row becomes its node's shift: its ingress's
         # row, one layer up, already holds the ingress's shift
         for layer in layers[1:]:
-            shifts[layer] += shifts[ing[layer]]
+            shifts[layer] += shifts[model.ingress[layer]]
         if mode == "landmark":
             zero = np.zeros(self._d, dtype=steps.dtype)
             # part roots (the nodes without an ingress) and landmarks; a
             # stored shift other than the sum its chain replays to would
             # answer queries the precomputed mode answers differently
-            self._known = {v: zero for v in layers[0]}
+            self._known = {v: zero for v in layers[0].tolist()}
             for v, ks in model.landmarks.items():
                 self._known[v] = np.asarray(ks).astype(steps.dtype)
                 if not np.array_equal(self._known[v], shifts[v]):
                     raise FormatError(f"landmark shift of node {v} disagrees with its chain")
             self._steps = steps
+            self._ingress = model.ingress.tolist()  # the replay walks Python ints
             self._sf = None
             # short rows replay in Python ints: the steps as one list per
             # column, each anchor's shift as a list
@@ -139,10 +140,9 @@ class Estimator:
 
     # -- shifted surrogates ------------------------------------------------
 
-    def _steps_of(self, model) -> tuple[np.ndarray, list, np.ndarray]:
+    def _steps_of(self, model) -> tuple[np.ndarray, list]:
         """Every node's exact step over its ingress as one (n_nodes, d) array
-        (zero rows at part roots), plus the ingress layers and the ingress
-        of every node as an array (-1 at part roots).
+        (zero rows at part roots), plus the ingress layers.
 
         The steps are the model's grid integers ``eta_ints`` shifted left
         by :func:`~mcsketch.annotate.shift_exponents`, in a fresh array:
@@ -162,7 +162,6 @@ class Estimator:
         grid = model.eta_ints
         sh = shift_exponents(tree, self._t)
         layers = ingress_layers(model.ingress)
-        ing = np.array([-1 if u is None else u for u in model.ingress], np.int64)
         kk = k_parameter(model.spread, model.epsilon, self._d, self._p)
         dtype = shift_dtype(kk)
         if dtype == np.int64:
@@ -171,12 +170,12 @@ class Estimator:
             step = np.ldexp(np.maximum(hi, -lo), sh)
             reach = np.zeros(tree.n_nodes)
             for layer in layers[1:]:
-                reach[layer] = reach[ing[layer]] + step[layer]
+                reach[layer] = reach[model.ingress[layer]] + step[layer]
             if not reach.max() < 2.0**62:
                 dtype = np.dtype(object)
         steps = grid.astype(dtype)  # the one new array; the model's stays put
         steps <<= sh[:, None]
-        return steps, layers, ing
+        return steps, layers
 
     def shifted_surrogate(self, v: int) -> np.ndarray:
         """s(v) = s*(v) - s*(part root of v), as float coordinates.  A node
@@ -203,7 +202,7 @@ class Estimator:
             return self._sf[v]
         # landmark: stateless replay, chain length <= K by construction
         known = self._known
-        ingress = self.model.ingress
+        ingress = self._ingress
         chain = []
         cur = v
         while cur not in known:
@@ -313,18 +312,18 @@ class Estimator:
             sf = np.zeros((tree.n_nodes, self._d), dtype=np.float64)
             for v in range(tree.n_nodes):
                 sf[v] = self.shifted_surrogate(v)
-        children = tree.children
+        end = tree.end.tolist()
         long_edge = tree.long_edge
-        preorder, lo, hi = tree.leaf_ranges()
-        leaves = [v for v in preorder if tree.is_leaf(v)]
-        anchor = np.array(leaves, dtype=np.int64)
+        lo, hi = tree.leaf_ranges()
+        label = np.array(tree.leaf_label)
+        anchor = np.flatnonzero(label >= 0)  # the leaves, in preorder
         out = np.empty((n, n), dtype=np.float64)
         # below p = inf every block's differences go to this one buffer, so
         # the loop makes no block-sized temporaries and its page faults do
         # not depend on where the allocator happens to place them
         buf = None if self._p == math.inf else np.empty(_BLOCK_ELEMS)
-        for u in reversed(preorder):
-            kids = children[u]
+        for u in np.flatnonzero(label < 0)[::-1].tolist():
+            kids = _children(end, u)
             for c in kids:
                 if long_edge[c]:
                     anchor[lo[c] : hi[c]] = u
@@ -343,7 +342,7 @@ class Estimator:
         np.fill_diagonal(out, 0.0)
         # out[pos[x], pos[y]] is the estimate of labels x and y
         pos = np.empty(n, dtype=np.int64)
-        pos[[tree.leaf_label[v] for v in leaves]] = np.arange(n)
+        pos[label[label >= 0]] = np.arange(n)
         strip = max(1, _BLOCK_ELEMS // n)
         for s in range(0, n, strip):
             out[s : s + strip] = out[s : s + strip, pos]
@@ -394,14 +393,14 @@ def select_landmarks(
     return landmarks
 
 
-def select_all_landmarks(tree, ingress, K: int) -> set[int]:
-    """Union of per-part landmark selections over the whole tree; the part
-    roots are the nodes without an ingress."""
+def select_all_landmarks(tree, ingress: np.ndarray, K: int) -> set[int]:
+    """Union of per-part landmark selections over the whole tree, from the
+    ingress array (-1 at part roots).  A part of at most K nodes yields no
+    landmark (see the module docstring) and is skipped."""
+    big = (np.bincount(tree.part_of) > K)[tree.part_of]
     kids: dict[int, list[int]] = {}
-    for v in range(tree.n_nodes):
-        if ingress[v] is not None:
-            kids.setdefault(ingress[v], []).append(v)
-    out: set[int] = set()
-    for root in (v for v in range(tree.n_nodes) if ingress[v] is None):
-        out |= select_landmarks(kids, root, K)
-    return out
+    nodes = np.flatnonzero(big & (ingress >= 0))
+    for v, u in zip(nodes.tolist(), ingress[nodes].tolist()):
+        kids.setdefault(u, []).append(v)
+    roots = np.flatnonzero(big & (ingress < 0)).tolist()
+    return set().union(*(select_landmarks(kids, root, K) for root in roots))

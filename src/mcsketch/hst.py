@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -60,50 +59,58 @@ __all__ = [
 
 @dataclass
 class SketchTree:
-    """Rooted tree with levels and short/long parent edges.
+    """Rooted tree with levels and short/long parent edges, its nodes
+    numbered in DFS preorder.
 
-    Node ids are dense ints.  ``parent[root] == -1``.  ``leaf_label[v]`` is
-    the point label for leaves and -1 for internal nodes.  ``long_edge[v]``
-    describes the edge from v to its parent (False for the root).
+    Node 0 is the root and ``parent[0] == -1``; the children of a node come
+    in id order, so the subtree of v is the id range ``v:end[v]``.
+    ``leaf_label[v]`` is the point label for leaves and -1 for internal
+    nodes.  ``long_edge[v]`` describes the edge from v to its parent (False
+    for the root).
 
-    A sketch tree, from :func:`compress` or from the decoder, numbers its
-    nodes in DFS preorder (root == 0, children in stored order); its short
-    edges descend one level and its long edges at least two.
-    :func:`build_hst`'s merge tree is held in the same class: its ids are
-    the leaves then the merges in the order they form, it has no long
-    edges, and one edge may descend several levels.  ``part_of`` and
-    :meth:`leaf_ranges` hold for any node order and for both kinds of
-    tree; :meth:`verify` checks a sketch tree.
+    A sketch tree, from :func:`compress` or from the decoder, has short
+    edges that descend one level and long edges that descend at least two.
+    :func:`build_hst`'s merge tree is held in the same class: it has no
+    long edges, and one edge may descend several levels.  :meth:`verify`
+    checks a sketch tree.
 
-    Three arrays are derived from the edges at construction:
+    Four arrays are derived from the edges at construction:
     ``has_short[v]`` (some child of v hangs on a short edge),
-    ``part_root[v]`` (v is the root or the bottom of a long edge) and
+    ``part_root[v]`` (v is the root or the bottom of a long edge),
     ``part_of[v]`` (the index of v's part, the subtree left under its part
     root when every long edge is cut; parts are numbered in id order of
-    their roots).
+    their roots) and ``end[v]`` (one past the last node of v's subtree:
+    v's children are v+1, then ``end[c]`` of each child c while that is
+    below ``end[v]``).
     """
 
     level: list[int]
     parent: list[int]
-    children: list[list[int]]
     long_edge: list[bool]
     leaf_label: list[int]
-    root: int
     has_short: np.ndarray = field(init=False, repr=False, compare=False)
     part_root: np.ndarray = field(init=False, repr=False, compare=False)
     part_of: np.ndarray = field(init=False, repr=False, compare=False)
+    end: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        n = self.n_nodes
+        nodes = np.arange(n)
         parent = np.array(self.parent, dtype=np.int64)
         self.part_root = (parent < 0) | np.array(self.long_edge, dtype=bool)
         short_parents = parent[~self.part_root]
-        self.has_short = np.bincount(short_parents, minlength=self.n_nodes) > 0
-        # pointer jumping: after k rounds every node points 2^k steps up, or
-        # at its part root, which points at itself; depths stay below n
-        up = np.where(self.part_root, np.arange(self.n_nodes), parent)
-        for _ in range(self.n_nodes.bit_length()):
-            up = up[up]
+        self.has_short = np.bincount(short_parents, minlength=n) > 0
+        up, _ = _jump(np.where(self.part_root, nodes, parent))
         self.part_of = np.cumsum(self.part_root)[up] - 1
+        # a subtree ends at the next sibling of its nearest ancestor-or-self
+        # that has one (n for the root): siblings sit side by side in a
+        # stable sort by parent
+        by_parent = np.argsort(parent, kind="stable")
+        same = parent[by_parent[1:]] == parent[by_parent[:-1]]
+        sibling = np.full(n, n)
+        sibling[by_parent[:-1][same]] = by_parent[1:][same]
+        up, _ = _jump(np.where((sibling < n) | (parent < 0), nodes, parent))
+        self.end = sibling[up]
 
     @property
     def n_nodes(self) -> int:
@@ -119,33 +126,20 @@ class SketchTree:
     def leaf_of(self) -> dict[int, int]:
         return {lbl: v for v, lbl in enumerate(self.leaf_label) if lbl >= 0}
 
-    def leaf_ranges(self) -> tuple[list[int], list[int], list[int]]:
-        """DFS preorder from the root, children in stored order, and for
-        every node v the range ``lo[v]:hi[v]`` of its leaves among the
-        leaves in that preorder.  The ranges of v's children tile v's, in
+    def leaf_ranges(self) -> tuple[list[int], list[int]]:
+        """For every node v the range ``lo[v]:hi[v]`` of its leaves among
+        all leaves in id order.  The ranges of v's children tile v's, in
         order."""
-        preorder = []
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            preorder.append(v)
-            stack.extend(reversed(self.children[v]))
-        lo = [0] * self.n_nodes
-        hi = [0] * self.n_nodes
-        for k, v in enumerate(v for v in preorder if self.is_leaf(v)):
-            lo[v], hi[v] = k, k + 1
-        for v in reversed(preorder):
-            kids = self.children[v]
-            if kids:
-                lo[v], hi[v] = lo[kids[0]], hi[kids[-1]]
-        return preorder, lo, hi
+        before = np.cumsum(np.array(self.leaf_label) >= 0)
+        before = np.concatenate(([0], before))  # leaves before each id
+        return before[:-1].tolist(), before[self.end].tolist()
 
     def verify(self) -> None:
         """Structural sanity checks of a sketch tree, as array checks over
         all nodes and edges at once; raises FormatError naming the first
         violation.  A merge tree fails them wherever an edge spans more
         than one level."""
-        if self.parent[self.root] != -1:
+        if self.parent[0] != -1:
             raise FormatError("root has a parent")
         n = self.n_nodes
         nodes = np.arange(n)
@@ -154,18 +148,22 @@ class SketchTree:
         label = np.array(self.leaf_label, dtype=np.int64)
         leaf = label >= 0
         labels = np.sort(label[leaf])
-        degree = np.fromiter(map(len, self.children), np.int64, n)
         # one entry per edge: its top (owner) and bottom (kid)
-        owner = np.repeat(nodes, degree)
-        kid = np.fromiter(chain.from_iterable(self.children), np.int64, owner.size)
+        kid = nodes[1:]
+        owner = parent[1:]
+        degree = np.bincount(owner[owner >= 0], minlength=n)
+        # preorder: node v+1 is v's first child, or v is a leaf and its
+        # subtree ends at v+1
+        follows = np.where(degree[:-1] > 0, owner == kid - 1, self.end[:-1] == kid)
         gap = level[owner] - level[kid]
         is_long = np.array(self.long_edge, dtype=bool)[kid]
         # a part root other than the root tops no long edge: a chain of
         # long edges would make part roots, rows of every (n_nodes, d)
         # array, that store no displacement
-        chained = self.part_root[owner] & (owner != self.root)
+        chained = self.part_root[owner] & (owner != 0)
         for fails, msg, *fields in (
-            (parent[kid] != owner, "parent/children mismatch at {}->{}", owner, kid),
+            ((owner < 0) | (owner >= kid), "parent {} of node {} is not below it", owner, kid),
+            (~follows, "node {} is out of preorder", kid),
             (is_long & (gap < 2), "long edge {}->{} has gap {} < 2", owner, kid, gap),
             (is_long & (degree[owner] != 1), "long-edge top {} has degree != 1", owner),
             (is_long & chained, "long-edge top {} is a part root", owner),
@@ -178,9 +176,30 @@ class SketchTree:
             bad = np.flatnonzero(fails)
             if bad.size:
                 raise FormatError(msg.format(*(f[bad[0]] for f in fields)))
-        kids = self.children[self.root]
-        if len(kids) == 1 and not self.long_edge[kids[0]]:
+        if degree[0] == 1 and not self.long_edge[1]:
             raise FormatError("root is a degree-1 chain node")
+
+
+def _jump(up: np.ndarray, weight: np.ndarray | None = None):
+    """Pointer jumping over the links ``up``, where a node that links to
+    itself ends a chain: every node's chain end, and with ``weight`` (0 at
+    chain ends) the sum of the weights on the way.  After k rounds every
+    node links 2^k steps on, or to its chain's end; a chain has fewer than
+    ``len(up)`` links.  A node on a cycle links to a node of the cycle."""
+    for _ in range(len(up).bit_length()):
+        if weight is not None:
+            weight = weight + weight[up]
+        up = up[up]
+    return up, weight
+
+
+def _children(end: list[int], v: int) -> list[int]:
+    """The children of node v of a preorder tree, from its subtree ends
+    (``SketchTree.end`` as a list)."""
+    kids = [v + 1]
+    while end[kids[-1]] < end[v]:
+        kids.append(end[kids[-1]])
+    return kids
 
 
 @dataclass
@@ -190,7 +209,8 @@ class ClusterIndex:
     ``diameter[v]`` is the exact diameter of the leaf labels under v.  The
     tau-tree of a merge node v is the BFS tree from child 0 of the graph
     joining children that come within 2^level(v), neighbours in ascending
-    child index (``tree.children[v]`` is in smallest-label order).
+    child index (the children of v, in id order, are in smallest-label
+    order).
     ``tau[v][i]`` is the index of child i's tau-parent and ``near[v][i]``
     the parent's label closest to child i (ties to the smallest label),
     -1 at child 0; both are None at leaves and one-child nodes.
@@ -263,7 +283,8 @@ def build_hst(ps: PointSet) -> tuple[SketchTree, ClusterIndex]:
     that ends it (see :func:`compress`).  Reads the oracle matrix through
     :func:`oracle_all_pairs`, which returns the one stored by
     ``normalize``.  Children of every merge node are ordered by smallest
-    member label, which makes the construction fully deterministic.
+    member label, which makes the construction fully deterministic, and
+    the nodes are numbered in DFS preorder, as in every :class:`SketchTree`.
 
     Two passes: the first replays the merges for the tree alone; the
     second permutes the matrix once into the tree's leaf preorder, where
@@ -285,7 +306,6 @@ def build_hst(ps: PointSet) -> tuple[SketchTree, ClusterIndex]:
     edges = sorted(((_merge_level(w), i, j) for w, i, j in mst), key=lambda e: e[0])
 
     level: list[int] = [0] * n
-    parent: list[int] = [-1] * n
     children: list[list[int]] = [[] for _ in range(n)]
     smallest: list[int] = list(range(n))  # smallest leaf label under each node
 
@@ -313,21 +333,22 @@ def build_hst(ps: PointSet) -> tuple[SketchTree, ClusterIndex]:
             tops.sort(key=smallest.__getitem__)
             node = len(level)
             level.append(lvl)
-            parent.append(-1)
             children.append(tops)
             smallest.append(smallest[tops[0]])
-            for t in tops:
-                parent[t] = node
             comp_top[new_root] = node
 
-    tree = SketchTree(
-        level=level,
-        parent=parent,
-        children=children,
-        long_edge=[False] * len(level),
-        leaf_label=list(range(n)) + [-1] * (len(level) - n),
-        root=comp_top[dsu.find(0)],  # a spanning tree leaves one component
-    )
+    # the replay numbers the leaves (id = label) and then the merges as they
+    # form; a walk from the root, a spanning tree's one component, numbers
+    # them in preorder
+    pre_level, pre_parent, pre_label = [], [], []
+    stack = [(comp_top[dsu.find(0)], -1)]  # (node, preorder id of its parent)
+    while stack:
+        v, up = stack.pop()
+        stack.extend((c, len(pre_parent)) for c in reversed(children[v]))
+        pre_level.append(level[v])
+        pre_parent.append(up)
+        pre_label.append(v if v < n else -1)
+    tree = SketchTree(pre_level, pre_parent, [False] * len(level), pre_label)
     return tree, _pair_tables(dm, tree)
 
 
@@ -360,20 +381,21 @@ def _tau_parents(adj: np.ndarray) -> list[int]:
 
 def _pair_tables(dm: np.ndarray, tree: SketchTree) -> ClusterIndex:
     """Diameters, tau-trees and near points of :func:`build_hst`'s merge
-    tree, whose ids are the leaves (id = label) and then the merges, each
-    after its children.  ``P`` is ``dm`` with rows and columns in leaf
-    preorder, so node v's block is ``P[lo[v]:hi[v], lo[v]:hi[v]]`` and each
-    child's rows and columns are a range of it.  Each merge's (k, k)
-    smallest cross distances are thresholded once, for its tau-tree."""
-    n = dm.shape[0]
-    preorder, lo, hi = tree.leaf_ranges()
-    order = np.array([v for v in preorder if v < n], dtype=np.int64)
+    tree.  ``P`` is ``dm`` with rows and columns in leaf preorder, so node
+    v's block is ``P[lo[v]:hi[v], lo[v]:hi[v]]`` and each child's rows and
+    columns are a range of it.  Each merge's (k, k) smallest cross
+    distances are thresholded once, for its tau-tree."""
+    label = np.array(tree.leaf_label)
+    order = label[label >= 0]  # the labels in leaf preorder
+    lo, hi = tree.leaf_ranges()
+    end = tree.end.tolist()
     P = dm[np.ix_(order, order)]
 
-    out = ClusterIndex(diameter=[0.0] * n, tau=[None] * n, near=[None] * n)
-    for v in range(n, tree.n_nodes):
+    nodes = tree.n_nodes
+    out = ClusterIndex(diameter=[0.0] * nodes, tau=[None] * nodes, near=[None] * nodes)
+    for v in np.flatnonzero(label < 0).tolist():
         a, b = lo[v], hi[v]
-        kids = tree.children[v]
+        kids = _children(end, v)
         block = P[a:b, a:b]
         starts = [lo[c] - a for c in kids]
         # distance from every member to every child, then per child pair
@@ -387,9 +409,9 @@ def _pair_tables(dm: np.ndarray, tree: SketchTree) -> ClusterIndex:
             r0, r1 = lo[kids[i]], hi[kids[i]]
             hit = to_child[r0 - a : r1 - a, j] == gap[i, j]
             near.append(int(order[r0:r1][hit].min()))
-        out.diameter.append(float(block.max()))
-        out.tau.append(tau)
-        out.near.append(near)
+        out.diameter[v] = float(block.max())
+        out.tau[v] = tau
+        out.near[v] = near
     return out
 
 
@@ -404,54 +426,39 @@ def compress(
     gap > log2(diam(b)/2**level(b)) + log2(1/eps)): its top, at
     level(merge) - 1, hangs on a short edge and b under it on a long edge,
     so diam(b) < eps * 2**level(top) holds for every long edge.  Otherwise
-    all gap one-child nodes are kept, each on a short edge.  One DFS pass
-    emits the nodes, so ids are DFS preorder (root == 0, children in the
-    merge tree's order); merge nodes keep their tau-trees and near points,
-    one-child nodes have none.
+    all gap one-child nodes are kept, each on a short edge.  Every merge-tree
+    node b, in id order, becomes one block of ids: its kept run, top down,
+    then b itself, so ids stay DFS preorder.  The blocks are laid out with
+    array code; merge nodes keep their tau-trees and near points, one-child
+    nodes have none.
     """
     eps = snap_epsilon(epsilon)
     t = int(round(-math.log2(eps)))
-
-    level: list[int] = []
-    parent: list[int] = []
-    children: list[list[int]] = []
-    long_edge: list[bool] = []
-    leaf_label: list[int] = []
-    out = ClusterIndex(diameter=[], tau=[], near=[])
-
-    def emit(b: int, lvl: int, up: int, long: bool) -> int:
-        # b itself at its own level, else a one-child node of b's cluster
-        own = lvl == tree.level[b]
-        v = len(level)
-        level.append(lvl)
-        parent.append(up)
-        children.append([])
-        long_edge.append(long)
-        leaf_label.append(tree.leaf_label[b] if own else -1)
-        out.diameter.append(clusters.diameter[b])
-        out.tau.append(clusters.tau[b] if own else None)
-        out.near.append(clusters.near[b] if own else None)
-        if up >= 0:
-            children[up].append(v)
-        return v
-
-    stack = [(tree.root, -1)]  # (merge-tree node, emitted id of its merge)
-    while stack:
-        b, up = stack.pop()
-        lo = tree.level[b]
-        run = range(level[up] - 1, lo, -1) if up >= 0 else range(0)  # top down
-        diam = clusters.diameter[b]
-        contract = len(run) >= 2 and (diam == 0.0 or len(run) > math.log2(diam) - lo + t)
-        for lvl in run[:1] if contract else run:
-            up = emit(b, lvl, up, False)
-        v = emit(b, lo, up, contract)
-        stack.extend((c, v) for c in reversed(tree.children[b]))
-
+    level = np.array(tree.level)
+    parent = np.array(tree.parent)
+    run = np.append(0, level[parent[1:]] - 1 - level[1:])  # the root has none
+    contract = np.array([
+        gap >= 2 and (diam == 0.0 or gap > math.log2(diam) - lo + t)
+        for gap, diam, lo in zip(run.tolist(), clusters.diameter, tree.level)
+    ])
+    kept = np.where(contract, 1, run)
+    # node b's block of ids: its kept run, top down, then b itself at own[b]
+    own = np.cumsum(kept + 1) - 1
+    b_of = np.repeat(np.arange(tree.n_nodes), kept + 1)
+    ids = np.arange(b_of.size)
+    step = ids - (own - kept)[b_of]
+    is_own = step == kept[b_of]
+    up = np.where(step == 0, own[parent[b_of]], ids - 1)
+    up[0] = -1
+    merge = np.where(is_own, b_of, -1).tolist()  # -1 on a run
+    out = ClusterIndex(
+        diameter=np.array(clusters.diameter)[b_of].tolist(),
+        tau=[clusters.tau[b] if b >= 0 else None for b in merge],
+        near=[clusters.near[b] if b >= 0 else None for b in merge],
+    )
     return SketchTree(
-        level=level,
-        parent=parent,
-        children=children,
-        long_edge=long_edge,
-        leaf_label=leaf_label,
-        root=0,
+        level=np.where(is_own, level[b_of], level[parent[b_of]] - 1 - step).tolist(),
+        parent=up.tolist(),
+        long_edge=(is_own & contract[b_of]).tolist(),
+        leaf_label=np.where(is_own, np.array(tree.leaf_label)[b_of], -1).tolist(),
     ), out

@@ -126,17 +126,27 @@ def naive_compressed_runs(dm: np.ndarray, eps: float):
     return runs
 
 
+def children_of(tree) -> list[list[int]]:
+    """Every node's children in id order, gathered from ``parent``."""
+    kids: list[list[int]] = [[] for _ in range(tree.n_nodes)]
+    for v, u in enumerate(tree.parent):
+        if u >= 0:
+            kids[u].append(v)
+    return kids
+
+
 def leaf_labels_under(tree) -> list[np.ndarray]:
     """For every node, the sorted array of leaf labels in its subtree.
 
     Nodes are visited by ascending level: children sit strictly below
     their parent, so each child's array is ready before its parent's."""
+    kids = children_of(tree)
     out: list[np.ndarray | None] = [None] * tree.n_nodes
     for v in np.argsort(tree.level, kind="stable").tolist():
         if tree.is_leaf(v):
             out[v] = np.array([tree.leaf_label[v]], dtype=np.int64)
         else:
-            out[v] = np.sort(np.concatenate([out[c] for c in tree.children[v]]))
+            out[v] = np.sort(np.concatenate([out[c] for c in kids[v]]))
     return out  # type: ignore[return-value]
 
 
@@ -163,6 +173,22 @@ def tau_from_tables(gap, near, level: int) -> tuple[list[int], list[int]]:
 
 
 @dataclass
+class ChainTree:
+    """:func:`build_chain_hst`'s tree, whose ids are not in preorder: each
+    node's children as stored lists, and the root's id."""
+
+    level: list[int]
+    parent: list[int]
+    children: list[list[int]]
+    leaf_label: list[int]
+    root: int
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.level)
+
+
+@dataclass
 class ChainClusters:
     """Cluster index of the chain tree: every node's sorted leaf labels,
     its diameter and, at merges, the per-child-pair tables."""
@@ -176,9 +202,9 @@ class ChainClusters:
 def build_chain_hst(ps):
     """The threshold-graph 2-HST with one chain node per level, as the
     package once built it: every component that persists across a level
-    gets a one-child node there.  Returns (SketchTree, ChainClusters)."""
+    gets a one-child node there.  Returns (ChainTree, ChainClusters)."""
     from mcsketch.core import oracle_all_pairs
-    from mcsketch.hst import SketchTree, _DSU, _merge_level, _prim_mst
+    from mcsketch.hst import _DSU, _merge_level, _prim_mst
 
     n = ps.n
     dm = oracle_all_pairs(ps)
@@ -253,11 +279,10 @@ def build_chain_hst(ps):
                 attach(r, node)
             comp_top[new_root] = node
 
-    tree = SketchTree(
+    tree = ChainTree(
         level=level,
         parent=parent,
         children=children,
-        long_edge=[False] * len(level),
         leaf_label=list(range(n)) + [-1] * (len(level) - n),
         root=comp_top[dsu.find(0)],
     )
@@ -300,22 +325,18 @@ def compress_chain_hst(tree, clusters, epsilon):
 
     N = len(order)
     parent = [-1] * N
-    children: list[list[int]] = [[] for _ in range(N)]
     long_flag = [False] * N
     for v in order:
         is_long = v in long_child
         for c in [long_child[v]] if is_long else tree.children[v]:
             parent[new_id[c]] = new_id[v]
-            children[new_id[v]].append(new_id[c])
             long_flag[new_id[c]] = is_long
 
     out = SketchTree(
         level=[tree.level[v] for v in order],
         parent=parent,
-        children=children,
         long_edge=long_flag,
         leaf_label=[tree.leaf_label[v] for v in order],
-        root=0,
     )
     return out, ChainClusters(
         members=[clusters.members[v] for v in order],
@@ -351,11 +372,12 @@ def exact_shift_floats(model, known=None) -> np.ndarray:
     children.  Floats are ``float(k) * unit`` per coordinate.
     """
     tree = model.tree
+    kids = children_of(tree)
     d = model.d
     t = round(-math.log2(model.epsilon))
     unit = model.epsilon / d ** (1.0 / model.p)
     ints: dict[int, list[int]] = {
-        v: [0] * d for v, u in enumerate(model.ingress) if u is None
+        v: [0] * d for v, u in enumerate(model.ingress) if u < 0
     }
     for v, ks in (known or {}).items():
         ints[v] = [int(k) for k in ks]
@@ -368,7 +390,7 @@ def exact_shift_floats(model, known=None) -> np.ndarray:
             cur = model.ingress[cur]
         acc = ints[cur]
         for node in reversed(chain):
-            leafy = all(tree.long_edge[c] for c in tree.children[node])
+            leafy = all(tree.long_edge[c] for c in kids[node])
             sh = tree.level[node] + (0 if leafy else t)
             acc = [a + (int(m) << sh) for a, m in zip(acc, model.eta_ints[node])]
         out[v] = [float(k) * unit for k in acc]
@@ -376,13 +398,15 @@ def exact_shift_floats(model, known=None) -> np.ndarray:
 
 
 def dfs_preorder(tree) -> list[int]:
-    """Node ids in DFS preorder, children in stored order, by a stack walk."""
+    """Node ids in DFS preorder from the node without a parent, children in
+    id order (:func:`children_of`), by a stack walk."""
+    kids = children_of(tree)
     order: list[int] = []
-    stack = [tree.root]
+    stack = [tree.parent.index(-1)]
     while stack:
         v = stack.pop()
         order.append(v)
-        stack.extend(reversed(tree.children[v]))
+        stack.extend(reversed(kids[v]))
     return order
 
 
@@ -407,7 +431,7 @@ def subtree_decomposition(tree) -> Decomposition:
     parts: list[list[int]] = []
     roots: list[int] = []
     for v in dfs_preorder(tree):
-        if v == tree.root or tree.long_edge[v]:
+        if tree.parent[v] < 0 or tree.long_edge[v]:
             part_of[v] = len(parts)
             parts.append([v])
             roots.append(v)
@@ -431,9 +455,10 @@ def member_search_ingresses(tree, tau, clusters) -> list:
         return i < labels.size and int(labels[i]) == y
 
     members = leaf_labels_under(tree)
+    kids = children_of(tree)
     ingress = [None] * tree.n_nodes
     for v, tt in tau.items():
-        for i, c in enumerate(tree.children[v]):
+        for i, c in enumerate(kids[v]):
             j = tt.parent[c]
             if j is None:
                 ingress[c] = v
@@ -441,7 +466,7 @@ def member_search_ingresses(tree, tau, clusters) -> list:
             y = clusters.near[v][i]
             cur = j
             while not tree.is_leaf(cur):
-                nxt = next(k for k in tree.children[cur] if contains(members[k], y))
+                nxt = next(k for k in kids[cur] if contains(members[k], y))
                 if tree.long_edge[nxt]:
                     break
                 cur = nxt
@@ -459,6 +484,7 @@ def node_by_node_surrogates(tree, ingress, center, ps, params, clusters):
     from mcsketch.core import k_parameter
 
     eps, d, p = params.epsilon, ps.d, ps.p
+    kids = children_of(tree)
     unit = net.per_coord_scale(eps, d, p)
     dtype = shift_dtype(k_parameter(ps.spread, eps, d, p))
     n_nodes = tree.n_nodes
@@ -470,13 +496,14 @@ def node_by_node_surrogates(tree, ingress, center, ps, params, clusters):
     shift_int = np.zeros((n_nodes, d), dtype=dtype)
     s_star = np.zeros((n_nodes, d))
     part_root = list(range(n_nodes))
-    for v in (v for layer in ingress_layers(ingress) for v in layer):
+    ing = np.array([-1 if u is None else u for u in ingress], dtype=np.int64)
+    for v in (v for layer in ingress_layers(ing) for v in layer.tolist()):
         u = ingress[v]
         if u is None:
             s_star[v] = ps.coords[center[v]]
             continue
         part_root[v] = part_root[u]
-        leafy = all(tree.long_edge[c] for c in tree.children[v])
+        leafy = all(tree.long_edge[c] for c in kids[v])
         delta_eff = net.delta_effective(eps, leafy, inv_delta[v])
         es = (ps.coords[center[v]] - s_star[u]) / (
             inv_delta[v] * math.ldexp(1.0, tree.level[v])
@@ -584,9 +611,7 @@ def payload_columns(blob: bytes) -> dict[str, range]:
     tree = model.tree
     nodes = tree.n_nodes
     # a first child (the node right after its parent) stores no reference
-    refs = sum(
-        u is not None and tree.parent[v] != v - 1 for v, u in enumerate(model.ingress)
-    )
+    refs = sum(u >= 0 and tree.parent[v] != v - 1 for v, u in enumerate(model.ingress))
     short_childless = sum(not tree.has_short[v] for v in range(nodes))
     lengths = [
         2 * nodes,

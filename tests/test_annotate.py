@@ -63,7 +63,7 @@ def test_centers_on_line():
     for v in _node_of(tree, clusters, {2}):
         assert ann.center[v] == 2
     # root's tau-root is the child holding point 0
-    assert ann.center[tree.root] == 0
+    assert ann.center[0] == 0
 
 
 def test_ingresses_on_line():
@@ -77,11 +77,11 @@ def test_ingresses_on_line():
 
     # part roots (tree root and long-edge bottoms) anchor the recursion and
     # have no ingress; their surrogates are exact
-    assert ann.ingress[tree.root] is None
+    assert ann.ingress[0] is None
     assert ann.ingress[merge_01] is None
     assert ann.ingress[leaf_2] is None
     # tau-root child of the root part: in = parent
-    assert ann.ingress[top_01] == tree.root
+    assert ann.ingress[top_01] == 0
     # second tau child: closest point of C(top_01) to C(top_2) is 1, and the
     # descent from top_01 stops immediately before its long edge
     assert ann.ingress[top_2] == top_01
@@ -91,7 +91,8 @@ def test_ingresses_on_line():
 
 
 def _layer_order(ingress):
-    return [v for layer in ingress_layers(ingress) for v in layer]
+    ing = np.array([-1 if u is None else u for u in ingress])
+    return [v for layer in ingress_layers(ing) for v in layer.tolist()]
 
 
 def test_ingress_layers_visit_ingress_first():
@@ -114,7 +115,8 @@ def test_ingress_layers_visit_ingress_first():
 
 def test_ingress_layers_leave_out_cycles():
     # 2 and 3 name each other, 4 hangs below the cycle
-    assert ingress_layers([None, 0, 3, 2, 2, None]) == [[0, 5], [1]]
+    layers = ingress_layers(np.array([-1, 0, 3, 2, 2, -1]))
+    assert [layer.tolist() for layer in layers] == [[0, 5], [1]]
 
 
 def _lattice_l1_ties():
@@ -282,12 +284,12 @@ def test_tau_neighbor_ordering_by_smallest_label():
     ps, dm, tree, clusters, ann, table, _ = _built(
         [[0.0], [1.1], [4.0], [5.1]], 0.5
     )
-    tt = ann.tau[tree.root]
-    assert tt.root == tree.children[tree.root][0]
+    tt = ann.tau[0]
+    assert tt.root == ref.children_of(tree)[0][0]
     assert tt.parent[tt.root] is None
     members = ref.leaf_labels_under(tree)
     assert 0 in {int(x) for x in members[tt.root]}
-    assert ann.center[tree.root] == ann.center[tt.root] == 0
+    assert ann.center[0] == ann.center[tt.root] == 0
     # every neighbor list runs in smallest-member-label order
     for kids in tt.children.values():
         firsts = [int(members[c].min()) for c in kids]
@@ -313,14 +315,16 @@ def test_centers_and_first_ingresses_follow_the_tree(seed, n, d, p, eps, kind):
         return
     res = build_sketch(ps, SketchParams(epsilon=eps, jl_enabled=False))
     tree, ann = res.tree, res.ann
+    kids = ref.children_of(tree)
     for v in range(tree.n_nodes):
         leaf = v
         while not tree.is_leaf(leaf):
-            leaf = tree.children[leaf][0]
+            leaf = kids[leaf][0]
         assert ann.center[v] == tree.leaf_label[leaf]
         if tree.part_root[v]:
             assert ann.ingress[v] is None
         else:
             u = tree.parent[v]
-            assert (ann.ingress[v] == u) == (tree.children[u][0] == v) == (u == v - 1)
-    assert deserialize(res.blob).ingress == ann.ingress
+            assert (ann.ingress[v] == u) == (kids[u][0] == v) == (u == v - 1)
+    decoded = deserialize(res.blob).ingress.tolist()
+    assert decoded == [-1 if u is None else u for u in ann.ingress]

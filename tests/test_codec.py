@@ -217,7 +217,7 @@ def test_roundtrip_preserves_all_fields():
     assert again.tree.parent == model.tree.parent
     assert again.tree.long_edge == model.tree.long_edge
     assert again.tree.leaf_label == model.tree.leaf_label
-    assert again.ingress == model.ingress
+    assert np.array_equal(again.ingress, model.ingress)
     assert again.inv_delta == model.inv_delta
     assert again.landmarks.keys() == model.landmarks.keys()
     for v, ks in model.landmarks.items():
@@ -356,7 +356,7 @@ def _tampered_blob(edit):
 
 def test_precision_beyond_leaf_count_rejected():
     def edit(model):
-        v = next(v for v in range(model.tree.n_nodes) if model.ingress[v] is not None)
+        v = next(v for v in range(model.tree.n_nodes) if model.ingress[v] >= 0)
         model.inv_delta[v] = 2**70
         model.eta_ints[v] = [2**62] + [0] * (model.d - 1)
 
@@ -377,7 +377,7 @@ def test_grid_integer_beyond_bound_refused_at_serialize():
     # decoder would
     model = deserialize(_blob(np.random.default_rng(8).normal(size=(12, 2)) * 9))
     tree = model.tree
-    v = next(v for v in range(tree.n_nodes) if model.ingress[v] is not None)
+    v = next(v for v in range(tree.n_nodes) if model.ingress[v] >= 0)
     delta_eff = net.delta_effective(
         model.epsilon, not tree.has_short[v], model.inv_delta[v]
     )
@@ -406,14 +406,14 @@ def test_ingress_the_decoder_cannot_derive_refused_at_serialize():
     # encoder refuses any other value instead of writing a different blob
     model = deserialize(_blob(np.random.default_rng(8).normal(size=(12, 2)) * 9))
     tree = model.tree
-    first, later = tree.children[tree.root][:2]
+    first, later = ref.children_of(tree)[0][:2]
     assert not (tree.long_edge[first] or tree.long_edge[later])
     saved = model.ingress[first]
     model.ingress[first] = later
     with pytest.raises(GuaranteeError, match=f"first child {first} is not its parent"):
         serialize(model)
     model.ingress[first] = saved
-    model.ingress[later] = tree.root
+    model.ingress[later] = 0
     with pytest.raises(GuaranteeError, match=f"node {later} is not short-childless"):
         serialize(model)
 
@@ -426,9 +426,9 @@ def test_ingress_cycle_between_siblings_rejected():
         tree = model.tree
         a, b = next(
             (a, b)
-            for v in range(tree.n_nodes)
-            for a in tree.children[v][1:]
-            for b in tree.children[v][1:]
+            for kids in ref.children_of(tree)
+            for a in kids[1:]
+            for b in kids[1:]
             if a < b
             and not (tree.long_edge[a] or tree.long_edge[b])
             and not tree.has_short[a]
@@ -452,7 +452,7 @@ def test_shift_sums_beyond_int64_decode_exactly_or_fail():
     assert kk + 2 == 62
     leaves = [len(x) for x in ref.leaf_labels_under(tree)]
     for v in range(tree.n_nodes):
-        if model.ingress[v] is not None and tree.level[v] > 40:
+        if model.ingress[v] >= 0 and tree.level[v] > 40:
             model.inv_delta[v] = leaves[v] + 4
             delta_eff = net.delta_effective(
                 model.epsilon, not tree.has_short[v], model.inv_delta[v]
@@ -530,7 +530,7 @@ def test_ingress_reference_across_a_long_edge_refused():
     tree = model.tree
     part_of = subtree_decomposition(tree).part_of
     later = [
-        v for v, u in enumerate(model.ingress) if u is not None and u != tree.parent[v]
+        v for v, u in enumerate(model.ingress) if u >= 0 and u != tree.parent[v]
     ]
     targets = [v for v in range(tree.n_nodes) if not tree.has_short[v]]
     v = later[0]
@@ -552,14 +552,15 @@ def test_long_edge_top_with_siblings_refused():
     # several long edges, a tree compression never makes
     model = deserialize(_blob(np.random.default_rng(8).normal(size=(12, 2)) * 9))
     tree = model.tree
-    assert len(tree.children[0]) >= 2
+    kids = ref.children_of(tree)[0]
+    assert len(kids) >= 2
     level = [tree.level[0] + 1] + tree.level[1:]
     long_edge = list(tree.long_edge)
-    for c in tree.children[0]:
+    for c in kids:
         long_edge[c] = True
-        model.ingress[c] = None
+        model.ingress[c] = -1
         model.eta_ints[c] = 0
-    model.tree = SketchTree(level, tree.parent, tree.children, long_edge, tree.leaf_label, 0)
+    model.tree = SketchTree(level, tree.parent, long_edge, tree.leaf_label)
     model.spread *= 2  # room for the raised root
     _decoders_refuse(serialize(model), "long-edge top 0 has degree != 1")
 
@@ -576,13 +577,10 @@ def _long_edge_chain(links: int, d: int) -> SketchModel:
         tree=SketchTree(
             level=[top + 1] + [top - 2 * i for i in range(links + 1)] + [top, 0],
             parent=[-1] + list(range(links + 1)) + [0, links + 2],
-            children=[[1, links + 2]] + [[v + 1] for v in range(1, links + 1)]
-            + [[], [links + 3], []],
             long_edge=[False, False] + [True] * links + [False, True],
             leaf_label=[-1] * (links + 1) + [0, -1, 1],
-            root=0,
         ),
-        ingress=[None, 0] + [None] * links + [1, None],
+        ingress=np.array([-1, 0] + [-1] * links + [1, -1]),
         inv_delta=[5] * n_nodes,
         eta_ints=np.zeros((n_nodes, d), dtype=np.int64),
         landmarks=None,
@@ -625,12 +623,11 @@ def test_root_over_a_single_short_edge_refused():
     model.tree = SketchTree(
         level=[tree.level[0] + 1] + tree.level,
         parent=[-1, 0] + [u + 1 for u in tree.parent[1:]],
-        children=[[1]] + [[c + 1 for c in kids] for kids in tree.children],
         long_edge=[False] + tree.long_edge,
         leaf_label=[-1] + tree.leaf_label,
-        root=0,
     )
-    model.ingress = [None, 0] + [None if u is None else u + 1 for u in model.ingress[1:]]
+    ing = model.ingress[1:]
+    model.ingress = np.concatenate([[-1, 0], np.where(ing < 0, -1, ing + 1)])
     model.inv_delta = model.inv_delta[:1] + model.inv_delta
     model.eta_ints = np.vstack([model.eta_ints[:1], model.eta_ints])  # zero rows
     model.spread *= 2  # room for the new root

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,6 +66,15 @@ def test_chain_of_exactly_k_plus_1_selects_root():
     K = 4
     got = select_landmarks(_chain(K + 1), 0, K)  # depths 0..K
     assert got == {0}
+
+
+def test_all_landmarks_skip_only_parts_of_at_most_k_nodes():
+    # part 0 is an ingress chain of K + 1 nodes, which selects its root;
+    # part 1 is a chain of K nodes, which is skipped
+    K = 4
+    tree = SimpleNamespace(part_of=np.array([0] * (K + 1) + [1] * K))
+    ingress = np.array([-1, 0, 1, 2, 3, -1, 5, 6, 7])
+    assert select_all_landmarks(tree, ingress, K) == {0}
 
 
 def test_star_never_needs_landmarks():
@@ -179,7 +189,7 @@ def test_estimators_from_one_model_leave_it_untouched(mode):
     assert grid.dtype == np.int64 and grid.shape == (model.tree.n_nodes, model.d)
     assert res.model.eta_ints.dtype == np.int64
     assert np.array_equal(grid, res.model.eta_ints)
-    assert not grid[[v for v, u in enumerate(model.ingress) if u is None]].any()
+    assert not grid[[v for v, u in enumerate(model.ingress) if u < 0]].any()
     first = Estimator(model, mode=mode)
     second = Estimator(model, mode=mode)
     assert np.array_equal(model.eta_ints, grid)
@@ -322,7 +332,7 @@ def test_landmark_hops_are_exact(d, monkeypatch):
     res = _result(points, landmarks=True)
     est = Estimator(res.blob, mode="landmark")
     ingress = est.model.ingress
-    anchors = set(est.model.landmarks) | {v for v, u in enumerate(ingress) if u is None}
+    anchors = set(est.model.landmarks) | {v for v, u in enumerate(ingress) if u < 0}
 
     def brute_hops(v):
         hops = 0
@@ -378,7 +388,7 @@ def test_landmark_shift_disagreeing_with_its_chain_refused():
     blob = sketch_points(pts, 2.0, SketchParams(epsilon=1 / 16, landmarks=True))
     assert Estimator(blob, mode="landmark").max_hops == 0
     model = deserialize(blob)
-    v = min(u for u in model.landmarks if model.ingress[u] is not None)
+    v = min(u for u in model.landmarks if model.ingress[u] >= 0)
     model.landmarks[v] = model.landmarks[v] + 3
     tampered = serialize(model)
     assert deserialize(tampered).landmarks[v].tolist() == model.landmarks[v].tolist()
@@ -393,7 +403,7 @@ def test_landmark_table_contents():
     K = k_parameter(
         res.point_set.spread, res.model.epsilon, res.point_set.d, res.point_set.p
     )
-    want = select_all_landmarks(res.tree, res.ann.ingress, K)
+    want = select_all_landmarks(res.tree, res.model.ingress, K)
     assert set(res.model.landmarks) == want
     for v, ints in res.model.landmarks.items():
         assert np.array_equal(ints, res.table.shift_int[v])

@@ -36,6 +36,8 @@ from mcsketch import (
 from mcsketch.codec import deserialize, size_report
 from mcsketch.estimate import Estimator
 
+from _reference import children_of
+
 
 def _lattice(axis: tuple[int, ...], d: int) -> np.ndarray:
     return np.array(list(itertools.product(axis, repeat=d)), dtype=float)
@@ -152,10 +154,14 @@ def _blob(name: str) -> bytes:
 
 
 def _model_digest(model) -> str:
-    """sha256 of everything a decoded model holds, layout-free.  Each node's
-    center, derived since version 3, is the label of the first leaf at or
-    after it in preorder."""
+    """sha256 of everything a decoded model holds, layout-free and
+    independent of how the model holds it.  Each node's center, derived
+    since version 3, is the label of the first leaf at or after it in
+    preorder.  The content is the tuple of the list-based model: child
+    lists in id order, the root 0, and None for a part root's ingress."""
     tree = model.tree
+    children = children_of(tree)
+    ingress = [None if u < 0 else u for u in model.ingress.tolist()]
     label = np.array(tree.leaf_label)
     leaves = np.flatnonzero(label >= 0)
     center = label[leaves[np.searchsorted(leaves, np.arange(tree.n_nodes))]].tolist()
@@ -167,9 +173,9 @@ def _model_digest(model) -> str:
     content = (
         (model.p, model.epsilon, model.scale, model.spread, model.n, model.d),
         (model.jl_seed, model.jl_orig_dim),
-        (tree.level, tree.parent, tree.children, tree.long_edge),
-        (tree.leaf_label, tree.root),
-        (center, model.ingress, model.inv_delta),
+        (tree.level, tree.parent, children, tree.long_edge),
+        (tree.leaf_label, 0),
+        (center, ingress, model.inv_delta),
         (model.eta_ints.dtype.str, model.eta_ints.shape, model.eta_ints.tobytes()),
         landmarks,
     )

@@ -13,12 +13,19 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 
 from mcsketch.cli import gen_gaussian_clusters, gen_random_graph_metric
 from mcsketch.codec import deserialize
-from mcsketch.core import DistanceMatrix, InputError, normalize, oracle_all_pairs
+from mcsketch.core import (
+    DistanceMatrix,
+    FormatError,
+    InputError,
+    normalize,
+    oracle_all_pairs,
+)
 from mcsketch.hst import SketchTree, _prim_mst, build_hst, compress
 from mcsketch.reduce import frechet_embed
 
 import _reference as ref
 import test_golden as golden
+import test_golden_scale as golden_scale
 from _reference import subtree_decomposition
 
 
@@ -47,8 +54,8 @@ def _check_merge_tree(tree):
     order; no long edges."""
     firsts = [int(labels[0]) for labels in ref.leaf_labels_under(tree)]
     assert not any(tree.long_edge)
-    for v in range(tree.n_nodes):
-        kids = tree.children[v]
+    assert ref.dfs_preorder(tree) == list(range(tree.n_nodes))
+    for v, kids in enumerate(ref.children_of(tree)):
         if tree.is_leaf(v):
             assert tree.level[v] == 0 and not kids
             continue
@@ -73,8 +80,8 @@ def test_uncompressed_tree_on_line():
         assert got[lvl] == set(part)
     # three leaves and two merges; the edges above {0,1} and {10} span levels
     assert tree.n_nodes == 5
-    assert tree.level[tree.root] == 4
-    assert sorted(tree.edge_gap(v) for v in tree.children[tree.root]) == [3, 4]
+    assert tree.level[0] == 4
+    assert sorted(tree.edge_gap(v) for v in ref.children_of(tree)[0]) == [3, 4]
     _check_merge_tree(tree)
 
 
@@ -86,7 +93,7 @@ def test_compressed_tree_on_line():
 
     # 7 nodes survive: root@4, two run tops@3, the {0,1} merge@1, 3 leaves@0.
     assert tree.n_nodes == 7
-    assert tree.level[tree.root] == 4
+    assert tree.level[0] == 4
     levels = sorted(tree.level)
     assert levels == [0, 0, 0, 1, 3, 3, 4]
 
@@ -204,7 +211,7 @@ def test_two_point_tree():
     tree0, clusters0 = build_hst(ps)
     tree, clusters = compress(tree0, clusters0, 0.25)
     assert tree.n_nodes == 3
-    assert tree.level[tree.root] == 1
+    assert tree.level[0] == 1
     assert not any(tree.long_edge)
 
 
@@ -295,8 +302,7 @@ def _check_pair_tables(tree, clusters, dm):
     number of merges and of tau edges whose near point had a tie."""
     members = ref.leaf_labels_under(tree)
     merges = ties = 0
-    for v in range(tree.n_nodes):
-        kids = tree.children[v]
+    for v, kids in enumerate(ref.children_of(tree)):
         if len(kids) < 2:
             assert clusters.tau[v] is None and clusters.near[v] is None
             continue
@@ -375,7 +381,7 @@ def test_cluster_index_is_linear_in_n():
         retained = with_index - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert max(map(len, tree.children)) == 321
+    assert max(map(len, ref.children_of(tree))) == 321
     assert retained < INDEX_BYTES_PER_POINT * ps.n
 
 
@@ -403,33 +409,98 @@ def test_part_of_matches_walk_on_compressed_builds(p):
     _assert_parts_match_walk(tree)
 
 
-def test_array_walks_on_a_permuted_compressed_tree():
+# --------------------------------------------------------------------------
+# One node order: children and leaf ranges derived from parent.
+
+
+def _assert_derived_structure(tree):
+    """Children enumerated from ``end`` (v+1, then each child's end while
+    below v's) are the reference's child lists, a walk over them is the
+    reference preorder, which is id order, and ``leaf_ranges`` spans each
+    node's leaf labels."""
+    end = tree.end.tolist()
+    kids = []
+    for v in range(tree.n_nodes):
+        mine, c = [], v + 1
+        while c < end[v]:
+            mine.append(c)
+            c = end[c]
+        kids.append(mine)
+    assert kids == ref.children_of(tree)
+    walk, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        walk.append(v)
+        stack.extend(reversed(kids[v]))
+    assert walk == ref.dfs_preorder(tree) == list(range(tree.n_nodes))
+    label = np.array(tree.leaf_label)
+    in_order = label[label >= 0]
+    lo, hi = tree.leaf_ranges()
+    for v, want in enumerate(ref.leaf_labels_under(tree)):
+        assert np.array_equal(np.sort(in_order[lo[v] : hi[v]]), want)
+
+
+@pytest.mark.parametrize("name", sorted(golden.CASES))
+def test_derived_structure_on_golden_models(name):
+    _assert_derived_structure(deserialize(golden._blob(name)).tree)
+
+
+@pytest.mark.parametrize("name", sorted(golden_scale.CASES))
+def test_derived_structure_at_benchmark_scale(name):
+    # thousands of one-child levels, and in metric-graph a 321-child merge
+    _assert_derived_structure(deserialize(golden_scale._blob(name)).tree)
+
+
+_BENCHMARK_INSTANCES = {
+    "build-clusters": lambda: normalize(gen_gaussian_clusters(1000, 4, 12), 2.0),
+    "query-clusters": lambda: normalize(gen_gaussian_clusters(2000, 2, 1), 1.0),
+    "metric-graph": lambda: frechet_embed(
+        DistanceMatrix(entries=gen_random_graph_metric(400, 3))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BENCHMARK_INSTANCES))
+def test_merge_tree_is_in_preorder_at_benchmark_scale(name):
+    tree, _ = build_hst(_BENCHMARK_INSTANCES[name]())
+    _check_merge_tree(tree)
+    _assert_derived_structure(tree)
+
+
+def _small_tree(parent, level):
+    """A tree on the given parents and levels, its leaves (the nodes no
+    parent names) labelled in id order."""
+    leaves = [v for v in range(len(parent)) if v not in parent]
+    label = [leaves.index(v) if v in leaves else -1 for v in range(len(parent))]
+    return SketchTree(level, parent, [False] * len(parent), label)
+
+
+def test_verify_refuses_parents_out_of_preorder():
+    # 0 -> (1 -> (2, 3), 4 -> (5, 6)) in preorder passes
+    _small_tree([-1, 0, 1, 1, 0, 4, 4], [2, 1, 0, 0, 1, 0, 0]).verify()
+    # ids 1 and 4 exchanged: node 2 hangs below node 4
+    swapped = _small_tree([-1, 0, 4, 4, 0, 1, 1], [2, 1, 0, 0, 1, 0, 0])
+    with pytest.raises(FormatError, match="parent 4 of node 2 is not below it"):
+        swapped.verify()
+    # the two sibling subtrees' children exchanged in id order: every parent
+    # comes first, but node 2 is not where a walk from node 1 goes next
+    interleaved = _small_tree([-1, 0, 0, 2, 2, 1, 1], [2, 1, 1, 0, 0, 0, 0])
+    with pytest.raises(FormatError, match="node 2 is out of preorder"):
+        interleaved.verify()
+    # a compressed tree with its ids permuted at random
     ps = normalize(gen_gaussian_clusters(60, 2, 6), 2.0)
     tree, _ = compress(*build_hst(ps), 0.0625)
-    members = ref.compress_chain_hst(*ref.build_chain_hst(ps), 0.0625)[1].members
+    tree.verify()
     perm = np.random.default_rng(5).permutation(tree.n_nodes)
     old = np.argsort(perm).tolist()  # the id in tree of every moved id
     moved = SketchTree(
         level=[tree.level[v] for v in old],
-        parent=[int(perm[tree.parent[v]]) if v != tree.root else -1 for v in old],
-        children=[perm[tree.children[v]].tolist() for v in old],
+        parent=[int(perm[tree.parent[v]]) if v else -1 for v in old],
         long_edge=[tree.long_edge[v] for v in old],
         leaf_label=[tree.leaf_label[v] for v in old],
-        root=int(perm[tree.root]),
     )
-    assert ref.dfs_preorder(moved) != list(range(moved.n_nodes))
-    moved.verify()
-    # parts are numbered in id order of their roots: the walk's part i is
-    # the rank of its moved root among the moved roots
-    walk = subtree_decomposition(tree)
-    assert len(walk.roots) > 1
-    roots = perm[walk.roots]
-    rank = np.argsort(np.argsort(roots))
-    assert np.flatnonzero(moved.part_root).tolist() == sorted(roots.tolist())
-    assert moved.part_of[perm].tolist() == rank[walk.part_of].tolist()
-    labels = ref.leaf_labels_under(moved)
-    for v, w in enumerate(perm.tolist()):
-        assert np.array_equal(labels[w], members[v])
+    with pytest.raises(FormatError, match="root has a parent|not below it|out of preorder"):
+        moved.verify()
 
 
 # --------------------------------------------------------------------------
@@ -439,7 +510,7 @@ def test_array_walks_on_a_permuted_compressed_tree():
 def _assert_same_as_chain_tree(ps, eps):
     tree, clusters = compress(*build_hst(ps), eps)
     want, chain = ref.compress_chain_hst(*ref.build_chain_hst(ps), eps)
-    for name in ("level", "parent", "children", "long_edge", "leaf_label", "root"):
+    for name in ("level", "parent", "long_edge", "leaf_label"):
         assert getattr(tree, name) == getattr(want, name), name
     assert clusters.diameter == chain.diameter
     # the chain tree keeps (k, k) tables; its tau-trees come from a plain BFS
@@ -468,5 +539,5 @@ def test_merge_tree_of_the_query_clusters_instance():
     ps = normalize(gen_gaussian_clusters(2000, 2, 1), 1.0)
     tree, _ = build_hst(ps)
     assert tree.n_nodes == 2632
-    assert max(map(len, tree.children)) > 100
+    assert max(map(len, ref.children_of(tree))) > 100
     _assert_same_as_chain_tree(ps, 1 / 16)
