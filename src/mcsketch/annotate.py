@@ -24,8 +24,9 @@ Four passes, in dependency order:
    id is at most leaf(y)'s.  So a node's ingress is its parent exactly when
    it is the parent's first child; the decoder derives those and the blob
    stores only the others.  ``Annotations.ingress`` is a list with None at
-   part roots; :func:`ingress_layers`, the sketch model, the codec and the
-   estimator take the forest as one int64 array with -1 there.
+   part roots; :func:`annotate` turns it once into one int64 array with -1
+   there, which pass 4, :func:`ingress_layers`, the sketch model, the
+   codec and the estimator take.
 
 3. precisions: inv_delta(v) = 5 + ceil(Delta(v)/2^level(v)), computed with
    a 1e-12 downward nudge so diameters that are exact multiples of the
@@ -249,12 +250,14 @@ def shift_dtype(k: int) -> np.dtype:
 def compute_surrogates(
     tree: SketchTree,
     ann: Annotations,
+    ingress: np.ndarray,
     ps: PointSet,
     params: SketchParams,
     clusters: ClusterIndex,
 ) -> SurrogateTable:
     """Fill inv_delta and the grid integers in ``ann`` and build the
-    surrogate table, one array operation per ingress layer.  Raises
+    surrogate table, one array operation per layer of ``ingress``, the
+    forest of ``ann.ingress`` as an int64 array (-1 at part roots).  Raises
     InputError when epsilon is so small that some node's grid bound leaves
     int64 (see :func:`~mcsketch.net.grid_bound_fits`), and GuaranteeError
     when a normalized displacement overflows 1 + delta_eff."""
@@ -284,13 +287,12 @@ def compute_surrogates(
     sh = shift_exponents(tree, params.t)
     dtype = shift_dtype(k_parameter(ps.spread, eps, d, p))
     center = np.array(ann.center, dtype=np.int64)
-    ing = np.array([-1 if u is None else u for u in ann.ingress], dtype=np.int64)
     part_root = np.arange(n_nodes)
     grid = np.zeros((n_nodes, d), dtype=np.int64)
     shift_int = np.zeros((n_nodes, d), dtype=dtype)
     s_star = ps.coords[center]  # exact at the part roots, layer 0
-    for layer in ingress_layers(ing)[1:]:
-        u = ing[layer]
+    for layer in ingress_layers(ingress)[1:]:
+        u = ingress[layer]
         es = (s_star[layer] - s_star[u]) / scale[layer, None]
         grid[layer] = m = net.grid_indices(es, delta_eff[layer], d, p)
         shift_int[layer] = shift_int[u] + (m.astype(dtype) << sh[layer, None])
@@ -304,10 +306,12 @@ def compute_surrogates(
 
 def annotate(
     tree: SketchTree, clusters: ClusterIndex, ps: PointSet, params: SketchParams
-) -> tuple[Annotations, SurrogateTable]:
-    """All four passes in one call."""
+) -> tuple[Annotations, np.ndarray, SurrogateTable]:
+    """All four passes in one call.  The ingress forest is turned into its
+    int64 array (-1 at part roots) once, here; that array is returned
+    between the annotations and the table, for the sketch model."""
     center, tau = assign_centers(tree, clusters)
-    ingress = assign_ingresses(tree, tau, clusters)
-    ann = Annotations(center=center, tau=tau, ingress=ingress)
-    table = compute_surrogates(tree, ann, ps, params, clusters)
-    return ann, table
+    ann = Annotations(center=center, tau=tau, ingress=assign_ingresses(tree, tau, clusters))
+    ingress = np.array([-1 if u is None else u for u in ann.ingress], dtype=np.int64)
+    table = compute_surrogates(tree, ann, ingress, ps, params, clusters)
+    return ann, ingress, table

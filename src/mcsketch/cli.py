@@ -97,8 +97,7 @@ def build_sketch(
     kk = k_parameter(ps.spread, params.epsilon, ps.d, ps.p)
     tree0, clusters0 = build_hst(ps)
     tree, clusters = compress(tree0, clusters0, params.epsilon)
-    ann, table = annotate(tree, clusters, ps, params)
-    ingress = np.array([-1 if u is None else u for u in ann.ingress], dtype=np.int64)
+    ann, ingress, table = annotate(tree, clusters, ps, params)
     landmarks = None
     if params.landmarks:
         chosen = select_all_landmarks(tree, ingress, kk)

@@ -128,13 +128,15 @@ def _lp_reduce(diff: np.ndarray, p: float) -> np.ndarray:
     and the reduction allocates nothing of its size.
 
     A batch (``diff.ndim > 1``) whose last axis is shorter than
-    ``_SHORT_AXIS`` goes to :func:`_lp_reduce_columns`, which makes a few
-    whole-column calls in place of one reduction per row; a single vector
-    (``lp_distance``) and longer rows take the reductions below.
+    ``_SHORT_AXIS`` is copied coordinate-major by ``moveaxis`` (the one
+    temporary of its size) and reduced by :func:`_lp_reduce_planes`, which
+    makes a few whole-plane calls in place of one reduction per row; a
+    single vector (``lp_distance``) and longer rows take the reductions
+    below.
     """
-    diff = np.abs(diff, diff)  # positional out: a keyword costs more per call
     if diff.ndim > 1 and 0 < diff.shape[-1] < _SHORT_AXIS:
-        return _lp_reduce_columns(diff, p)
+        return _lp_reduce_planes(np.moveaxis(diff, -1, 0).copy(), p)
+    diff = np.abs(diff, diff)  # positional out: a keyword costs more per call
     if p == math.inf:
         return diff.max(axis=-1)
     m = diff.max(axis=-1, keepdims=True)
@@ -166,48 +168,49 @@ def _root(s, p: float):
 
 # Below this many terms numpy's pairwise summation adds them one by one in
 # order (its unrolled blocks start at 8), so a chain of adds forms the same
-# float as ``sum(axis=-1)``: a chain of column adds in
-# :func:`_lp_reduce_columns`, a chain of Python float adds in
-# :func:`_lp_pair`, which answers ``Estimator.estimate`` on short rows.
+# float as ``sum(axis=-1)``: a chain of whole-plane adds in
+# :func:`_lp_reduce_planes`, which reduces every short-row batch and every
+# short-row block of :func:`_pair_blocks` below p = inf, and a chain of
+# Python float adds in :func:`_lp_pair`, which answers
+# ``Estimator.estimate`` on short rows.
 _SHORT_AXIS = 8
 
 
-def _lp_reduce_columns(diff: np.ndarray, p: float) -> np.ndarray:
-    """:func:`_lp_reduce` of a non-negative ``diff`` whose last axis is
-    shorter than ``_SHORT_AXIS``, one column at a time.
+def _lp_reduce_planes(planes: np.ndarray, p: float) -> np.ndarray:
+    """:func:`_lp_reduce` of differences stored coordinate-major:
+    ``planes[k]`` holds coordinate k of every difference, for fewer than
+    ``_SHORT_AXIS`` coordinates.  ``planes`` must be C-contiguous; it is
+    overwritten, and the result is a fresh array of one plane's shape.
 
     The row max is a chain of ``np.maximum`` (a max is exact in any order)
     and the sum an in-order chain of adds, the order numpy's reduction
     takes below ``_SHORT_AXIS`` terms; every other step is the same
     element-wise call as the reduction path's, so the floats are its floats
-    bit for bit.  Each column is a strided view of ``diff``; it is scaled
-    into a contiguous buffer, because ``np.power`` may take a vectorized
-    path on contiguous input whose floats can differ from the scalar
-    loop's, and the reduction path powers a contiguous array.
+    bit for bit.  Each plane is contiguous, as the array the reduction path
+    powers is: ``np.power`` may take a vectorized path on contiguous input
+    whose floats can differ from the strided loop's.
     """
-    cols = [diff[..., k] for k in range(diff.shape[-1])]
-    m = cols[0].copy()
-    for c in cols[1:]:
+    np.abs(planes, planes)
+    m = planes[0].copy()
+    for c in planes[1:]:
         np.maximum(m, c, out=m)
     if p == math.inf:
         return m
     safe = np.where(m == 0.0, 1.0, m)
-    s = np.empty_like(m)
-    u = np.empty_like(m)
-    for k, c in enumerate(cols):
-        t = u if k else s
-        np.divide(c, safe, t)
+    s = planes[0]
+    for k, c in enumerate(planes):
+        np.divide(c, safe, c)
         if p == 2.0:
-            np.multiply(t, t, t)
+            np.multiply(c, c, c)
         elif p != 1.0:
-            np.power(t, p, t)
+            np.power(c, p, c)
         if k:
-            np.add(s, u, s)
+            np.add(s, c, s)
     if p == 2.0:
         np.sqrt(s, s)
     elif p != 1.0:
         s = _root(s, p)
-    return np.multiply(s, m, s)
+    return np.multiply(s, m, m)
 
 
 def _lp_pair(a, b, p: float) -> float:
@@ -221,7 +224,7 @@ def _lp_pair(a, b, p: float) -> float:
     ``_SHORT_AXIS`` terms.  So the float is ``_lp_reduce``'s bit for bit,
     with no numpy call.  A general p stays on numpy: ``np.power`` on a
     contiguous array may take a vectorized ``pow`` (see
-    :func:`_lp_reduce_columns`).  Python's ``max`` does not propagate NaN,
+    :func:`_lp_reduce_planes`).  Python's ``max`` does not propagate NaN,
     so arbitrary input goes through :func:`lp_distance`, never here.
     """
     diff = [abs(x - y) for x, y in zip(a, b)]
@@ -321,8 +324,12 @@ def _pair_blocks(
       all exact, so the floats are the reduction's;
     * at every other p the differences go to one buffer of at most
       ``_BLOCK_ELEMS`` entries (more only when one row alone needs more),
-      ``buf`` when it is large enough, and ``_lp_reduce`` reduces them,
-      each row the same way it reduces alone.
+      ``buf`` when it is large enough, and are reduced each row the same
+      way it reduces alone.  Rows shorter than ``_SHORT_AXIS`` are written
+      coordinate-major, shaped (d, rows, cols), one contiguous plane per
+      coordinate from ``b``'s transpose (one copy of ``b``), and reduced by
+      :func:`_lp_reduce_planes`; longer rows are written (rows, cols, d)
+      and reduced by ``_lp_reduce``.
 
     A block holds at most ``_BLOCK_ELEMS`` differences, or at p = inf
     entries, unless one row alone holds more; a triangular band is at most
@@ -330,6 +337,9 @@ def _pair_blocks(
     """
     d = a.shape[1]
     most = _TRI_ROWS if tri else a.shape[0]  # rows per block
+    planar = p != math.inf and 0 < d < _SHORT_AXIS
+    if planar:
+        at, bt = a.T, np.ascontiguousarray(b.T)
     s = 0
     while s < a.shape[0]:
         cols = b[s:] if tri else b
@@ -337,12 +347,20 @@ def _pair_blocks(
         r = max(1, min(most, _BLOCK_ELEMS // max(1, per_row)))
         if p == math.inf:
             yield s, cdist(a[s : s + r], cols, "chebyshev")
+            s += r
+            continue
+        rows = a[s : s + r]
+        need = rows.shape[0] * cols.size
+        if buf is None or buf.size < need:
+            # room for every later block too, as ``cols`` never grows
+            buf = np.empty(max(need, min(_BLOCK_ELEMS, most * cols.size)))
+        if planar:
+            diff = buf[:need].reshape(d, rows.shape[0], cols.shape[0])
+            c0 = s if tri else 0
+            for k in range(d):
+                np.subtract(at[k, s : s + r, None], bt[k, None, c0:], out=diff[k])
+            yield s, _lp_reduce_planes(diff, p)
         else:
-            rows = a[s : s + r]
-            need = rows.shape[0] * cols.size
-            if buf is None or buf.size < need:
-                # room for every later block too, as ``cols`` never grows
-                buf = np.empty(max(need, min(_BLOCK_ELEMS, most * cols.size)))
             diff = buf[:need].reshape(rows.shape[0], cols.shape[0], d)
             np.subtract(rows[:, None, :], cols[None, :, :], out=diff)
             yield s, _lp_reduce(diff, p)

@@ -71,6 +71,12 @@ __all__ = [
 
 _MODES = ("precomputed", "landmark")
 
+# estimate_all_pairs reduces a child's rectangle of pairs of at most this
+# many coordinate differences in one batch after its pass, not by its own
+# kernel call
+_SMALL_BLOCK = 2048
+_STRIP_ELEMS = 1 << 14
+
 
 class Estimator:
     """Query-time view of one sketch blob (or already-decoded model)."""
@@ -142,7 +148,9 @@ class Estimator:
 
     def _steps_of(self, model) -> tuple[np.ndarray, list]:
         """Every node's exact step over its ingress as one (n_nodes, d) array
-        (zero rows at part roots), plus the ingress layers.
+        (zero rows at part roots), plus the ingress layers.  FormatError
+        when the layers leave out a node, so the ingress references contain
+        a cycle, which a landmark replay would walk for ever.
 
         The steps are the model's grid integers ``eta_ints`` shifted left
         by :func:`~mcsketch.annotate.shift_exponents`, in a fresh array:
@@ -162,6 +170,9 @@ class Estimator:
         grid = model.eta_ints
         sh = shift_exponents(tree, self._t)
         layers = ingress_layers(model.ingress)
+        if sum(map(len, layers)) != tree.n_nodes:
+            # a model handed over directly, not through the decoder's check
+            raise FormatError("ingress references contain a cycle")
         kk = k_parameter(model.spread, model.epsilon, self._d, self._p)
         dtype = shift_dtype(kk)
         if dtype == np.int64:
@@ -287,25 +298,33 @@ class Estimator:
         child's, are one contiguous range.  ``anchor`` holds each leaf's
         anchor as seen from the node at hand: a node over a long edge sets
         that child's range to itself.  A node u with two or more children
-        reduces its cross-child leaf pairs (exactly those whose LCA is u),
-        each child's leaves against the later children's, from the
-        anchors' shifted surrogates with the pair kernel
+        owns its cross-child leaf pairs (exactly those whose LCA is u),
+        each child's leaves against the later children's.
+
+        A merge of more than ``_SMALL_MERGE`` leaves reduces its pairs at
+        once from the anchors' shifted surrogates with the pair kernel
         :func:`~mcsketch.core._pair_blocks`: at p = inf SciPy's compiled
         Chebyshev ``cdist`` in blocks of at most ``_BLOCK_ELEMS`` entries,
-        at every other p ``_lp_reduce`` over blocks of at most
-        ``_BLOCK_ELEMS`` coordinate differences in one reused buffer.
-        Either way each entry is the float ``lp_distance`` gives the pair
-        alone, so ``estimate``'s.  Each block goes into slices of one
-        ``np.empty`` matrix in leaf preorder, and its transpose across the
-        diagonal.
+        at every other p blocks of at most ``_BLOCK_ELEMS`` coordinate
+        differences in one reused buffer, coordinate-major on rows shorter
+        than ``core._SHORT_AXIS``.  A smaller merge only copies out its
+        slice of ``anchor`` as it stands and records its child rectangles;
+        after the pass the recorded pairs are expanded with array code, in
+        chunks of at most ``_BLOCK_ELEMS`` differences, and each chunk is
+        reduced by ``core._lp_reduce``.  Either way each entry is the float
+        ``lp_distance`` gives the pair alone, so ``estimate``'s.  Every
+        result goes into one ``np.empty`` matrix in leaf preorder, and
+        across the diagonal.
 
         That matrix is then put into label order in place, so no second
         n x n array is made: its columns are permuted in strips of rows,
-        then its rows in strips of columns, each strip through one
-        temporary of at most ``_BLOCK_ELEMS`` entries.
+        each strip through one temporary of at most ``_BLOCK_ELEMS``
+        entries, then its rows by following the permutation's cycles, one
+        row at a time through one n-float temporary.
         """
         tree = self.tree
         n = self.n
+        p = self._p
         if self.mode == "precomputed":
             sf = self._sf
         else:
@@ -321,7 +340,12 @@ class Estimator:
         # below p = inf every block's differences go to this one buffer, so
         # the loop makes no block-sized temporaries and its page faults do
         # not depend on where the allocator happens to place them
-        buf = None if self._p == math.inf else np.empty(_BLOCK_ELEMS)
+        buf = None if p == math.inf else np.empty(_BLOCK_ELEMS)
+        # small merges: their anchor slices, and one (first row, rows,
+        # first column, columns, offset of the slice minus its first leaf)
+        # per child rectangle
+        d = self._d
+        snaps, rects, held = [], [], 0
         for u in np.flatnonzero(label < 0)[::-1].tolist():
             kids = _children(end, u)
             for c in kids:
@@ -329,26 +353,92 @@ class Estimator:
                     anchor[lo[c] : hi[c]] = u
             if len(kids) < 2:
                 continue
-            rows = sf[anchor[lo[u] : hi[u]]]
+            # child c's leaves against every later child's: a rectangle of
+            # (hi[c] - lo[c]) x (hi[u] - hi[c]) pairs
+            large = []
             for c in kids[:-1]:
-                # child c's leaves against every later child's
+                h, w = hi[c] - lo[c], hi[u] - hi[c]
+                if h * w * d <= _SMALL_BLOCK:
+                    rects.append((lo[c], h, hi[c], w, held - lo[u]))
+                else:
+                    large.append(c)
+            if len(large) < len(kids) - 1:
+                snaps.append(anchor[lo[u] : hi[u]].copy())
+                held += hi[u] - lo[u]
+            if not large:
+                continue
+            rows = sf.take(anchor[lo[u] : hi[u]], axis=0)
+            for c in large:
                 a_rows = rows[lo[c] - lo[u] : hi[c] - lo[u]]
                 b_rows = rows[hi[c] - lo[u] :]
-                for s, block in _pair_blocks(a_rows, b_rows, self._p, buf=buf):
+                for s, block in _pair_blocks(a_rows, b_rows, p, buf=buf):
                     block *= self.scale
                     top = slice(lo[c] + s, lo[c] + s + block.shape[0])
                     out[top, hi[c] : hi[u]] = block
                     out[hi[c] : hi[u], top] = block.T
+        buf = None  # the batch below makes its own, smaller arrays
+        if rects:
+            self._small_pairs(out, sf, np.concatenate(snaps), np.array(rects))
         np.fill_diagonal(out, 0.0)
         # out[pos[x], pos[y]] is the estimate of labels x and y
         pos = np.empty(n, dtype=np.int64)
         pos[label[label >= 0]] = np.arange(n)
-        strip = max(1, _BLOCK_ELEMS // n)
-        for s in range(0, n, strip):
-            out[s : s + strip] = out[s : s + strip, pos]
-        for s in range(0, n, strip):
-            out[:, s : s + strip] = out[pos, s : s + strip]
+        tmp = np.empty((max(1, _STRIP_ELEMS // n), n))
+        for s in range(0, n, len(tmp)):
+            strip = out[s : s + len(tmp)]
+            np.take(strip, pos, axis=1, out=tmp[: len(strip)], mode="clip")
+            strip[:] = tmp[: len(strip)]
+        # row x takes row pos[x]: along each cycle x, pos[x], pos[pos[x]],
+        # ... every row takes the next one's, and the last the first's
+        pos = pos.tolist()
+        done = [False] * n
+        tmp = tmp[0]
+        for x in range(n):
+            if done[x] or pos[x] == x:
+                continue
+            tmp[:] = out[x]
+            while not done[pos[x]]:
+                done[x] = True
+                out[x] = out[pos[x]]
+                x = pos[x]
+            done[x] = True
+            out[x] = tmp
         return out
+
+    def _small_pairs(self, out, sf, held, rects) -> None:
+        """Write the pairs of the recorded small rectangles into ``out``
+        and across its diagonal.  ``held`` is the recorded anchor slices
+        end to end; each row of ``rects`` is one rectangle: its first row,
+        rows, first column and columns, and the offset into ``held`` of its
+        merge's first leaf, less that leaf.
+
+        The rectangles are split into one record per row, and the pairs
+        are expanded and reduced in chunks of whole records of at most
+        ``_BLOCK_ELEMS`` coordinate differences (more only when one record
+        alone holds more), each reduced by ``_lp_reduce``.
+        """
+        r0, h, c0, w, off = rects.T
+        rid = np.repeat(np.arange(len(rects)), h)
+        # per record: its leaf, columns, first column, offset into held
+        x = np.arange(len(rid)) - np.repeat(np.cumsum(h) - h - r0, h)
+        k, c0, off = w.take(rid), c0.take(rid), off.take(rid)
+        ax = held.take(x + off)  # the anchor of each record's leaf
+        end = np.cumsum(k)  # pairs up to and including each record
+        step = max(1, _BLOCK_ELEMS // (self._d + 8))
+        a = 0
+        while a < len(k):
+            b = max(a + 1, int(np.searchsorted(end, end[a] - k[a] + step, side="right")))
+            kk = k[a:b]
+            first = end[a:b] - kk  # number of each record's first pair
+            i = np.repeat(x[a:b], kk)
+            j = np.arange(first[0], end[b - 1]) - np.repeat(first - c0[a:b], kk)
+            diff = sf.take(np.repeat(ax[a:b], kk), axis=0)
+            diff -= sf.take(held.take(j + np.repeat(off[a:b], kk)), axis=0)
+            vals = _lp_reduce(diff, self._p)
+            vals *= self.scale
+            out[i, j] = vals
+            out[j, i] = vals
+            a = b
 
 
 # --------------------------------------------------------------------------

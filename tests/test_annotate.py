@@ -35,7 +35,7 @@ def _built(points, eps, p=2.0, **kw):
     dm = oracle_all_pairs(ps)
     tree0, clusters0 = build_hst(ps)
     tree, clusters = compress(tree0, clusters0, params.epsilon)
-    ann, table = annotate(tree, clusters, ps, params)
+    ann, _, table = annotate(tree, clusters, ps, params)
     return ps, dm, tree, clusters, ann, table, params
 
 
@@ -209,8 +209,9 @@ def test_far_center_overflows_the_unit_ball():
     ps, dm, tree, clusters, ann, table, params = _built(pts, 0.25)
     v = next(v for v in range(tree.n_nodes) if tree.is_leaf(v) and ann.ingress[v] is not None)
     ann.center[v] = int(dm[ann.center[v]].argmax())
+    ingress = np.array([-1 if u is None else u for u in ann.ingress])
     with pytest.raises(GuaranteeError, match="displacement norm"):
-        compute_surrogates(tree, ann, ps, params, clusters)
+        compute_surrogates(tree, ann, ingress, ps, params, clusters)
 
 
 def test_surrogate_of_part_root_is_exact():

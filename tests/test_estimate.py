@@ -397,6 +397,25 @@ def test_landmark_shift_disagreeing_with_its_chain_refused():
         Estimator(tampered, mode="landmark")
 
 
+@pytest.mark.parametrize("mode", ["precomputed", "landmark"])
+def test_model_with_an_ingress_cycle_refused(mode):
+    # a model handed straight to Estimator skips the decoder's cycle check;
+    # a landmark replay from either node would loop for ever.  The two nodes
+    # are no landmarks and no node's ingress, so no landmark check sees them
+    pts = gen_gaussian_clusters(200, 2, 3)
+    model = deserialize(sketch_points(pts, 1.0, SketchParams(epsilon=1 / 16, landmarks=True)))
+    ingress = model.ingress
+    used = set(ingress.tolist())
+    a, b = [
+        v
+        for v in np.flatnonzero(ingress >= 0).tolist()
+        if v not in model.landmarks and v not in used
+    ][:2]
+    ingress[a], ingress[b] = b, a
+    with pytest.raises(FormatError, match="ingress references contain a cycle"):
+        Estimator(model, mode=mode)
+
+
 def test_landmark_table_contents():
     rng = np.random.default_rng(7)
     res = _result(rng.normal(size=(40, 2)) * 40, landmarks=True)
