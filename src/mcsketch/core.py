@@ -124,15 +124,14 @@ def _lp_reduce(diff: np.ndarray, p: float) -> np.ndarray:
     exact for coordinates as large as 2**512 (high-spread instances) and —
     because it is applied unconditionally — guarantees that the one-pair
     path and the all-pairs path produce bit-identical floats.  Works in
-    place: ``diff`` is overwritten, so callers pass a difference they own
-    and the reduction allocates nothing of its size.
+    place: ``diff`` is overwritten, so callers pass a difference they own.
 
     A batch (``diff.ndim > 1``) whose last axis is shorter than
-    ``_SHORT_AXIS`` is copied coordinate-major by ``moveaxis`` (the one
-    temporary of its size) and reduced by :func:`_lp_reduce_planes`, which
-    makes a few whole-plane calls in place of one reduction per row; a
-    single vector (``lp_distance``) and longer rows take the reductions
-    below.
+    ``_SHORT_AXIS`` is copied coordinate-major by ``moveaxis``, its one
+    temporary of its own size, and reduced by :func:`_lp_reduce_planes`,
+    which makes a few whole-plane calls in place of one reduction per row.
+    A single vector (``lp_distance``) and longer rows take the reductions
+    below, which allocate nothing of ``diff``'s size.
     """
     if diff.ndim > 1 and 0 < diff.shape[-1] < _SHORT_AXIS:
         return _lp_reduce_planes(np.moveaxis(diff, -1, 0).copy(), p)

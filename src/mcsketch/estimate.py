@@ -71,10 +71,18 @@ __all__ = [
 
 _MODES = ("precomputed", "landmark")
 
-# estimate_all_pairs reduces a child's rectangle of pairs of at most this
-# many coordinate differences in one batch after its pass, not by its own
-# kernel call
+# estimate_all_pairs batches a child's rectangle of pairs that holds at most
+# this many coordinate differences instead of giving it a pair-kernel call.
+# In-process on a 2-vCPU host, a kernel call cost about 30 us before its
+# first pair at d = 2, p = 1 (10 us for cdist at d = 400), and a batched
+# pair about 20 ns more per coordinate difference than a blocked one (3 ns
+# at d = 400): even near 1,500 differences at d = 2 and 3,000 at d = 400.  The all-pairs time of the
+# benchmark's three instances was level from 1,024 to 8,192; at 32,768 the
+# d = 400 one was 20% slower.
 _SMALL_BLOCK = 2048
+# Entries per strip of the column permutation: 128 KiB of float64, so a
+# strip and its temporary stay in cache.  At n = 2000 (8-row strips) the
+# pass took 10 ms against 30 ms with 131-row strips through fancy indexing.
 _STRIP_ELEMS = 1 << 14
 
 
@@ -299,28 +307,26 @@ class Estimator:
         anchor as seen from the node at hand: a node over a long edge sets
         that child's range to itself.  A node u with two or more children
         owns its cross-child leaf pairs (exactly those whose LCA is u),
-        each child's leaves against the later children's.
+        one rectangle per child: the child's leaves against the later
+        children's.
 
-        A merge of more than ``_SMALL_MERGE`` leaves reduces its pairs at
-        once from the anchors' shifted surrogates with the pair kernel
-        :func:`~mcsketch.core._pair_blocks`: at p = inf SciPy's compiled
-        Chebyshev ``cdist`` in blocks of at most ``_BLOCK_ELEMS`` entries,
-        at every other p blocks of at most ``_BLOCK_ELEMS`` coordinate
-        differences in one reused buffer, coordinate-major on rows shorter
-        than ``core._SHORT_AXIS``.  A smaller merge only copies out its
-        slice of ``anchor`` as it stands and records its child rectangles;
-        after the pass the recorded pairs are expanded with array code, in
-        chunks of at most ``_BLOCK_ELEMS`` differences, and each chunk is
-        reduced by ``core._lp_reduce``.  Either way each entry is the float
-        ``lp_distance`` gives the pair alone, so ``estimate``'s.  Every
-        result goes into one ``np.empty`` matrix in leaf preorder, and
-        across the diagonal.
+        A rectangle of more than ``_SMALL_BLOCK`` coordinate differences is
+        reduced at once from the anchors' shifted surrogates by the pair
+        kernel :func:`~mcsketch.core._pair_blocks`: at p = inf SciPy's
+        compiled Chebyshev ``cdist`` in blocks of at most ``_BLOCK_ELEMS``
+        entries, at every other p blocks of at most ``_BLOCK_ELEMS``
+        coordinate differences in one reused buffer, coordinate-major on
+        rows shorter than ``core._SHORT_AXIS``.  For a smaller one the pass
+        only records the rectangle and, once per merge, copies out the
+        merge's slice of ``anchor`` as it stands; after the pass
+        :meth:`_small_pairs` expands the recorded pairs with array code and
+        reduces them in chunks with ``core._lp_reduce`` (at p = inf a row
+        max).  Either way each entry is the float ``lp_distance`` gives the
+        pair alone, so ``estimate``'s.  Every result goes into one
+        ``np.empty`` matrix in leaf preorder, and across the diagonal.
 
-        That matrix is then put into label order in place, so no second
-        n x n array is made: its columns are permuted in strips of rows,
-        each strip through one temporary of at most ``_BLOCK_ELEMS``
-        entries, then its rows by following the permutation's cycles, one
-        row at a time through one n-float temporary.
+        That matrix is then put into label order in place by
+        :func:`_permute_in_place`, so no second n x n array is made.
         """
         tree = self.tree
         n = self.n
@@ -341,10 +347,10 @@ class Estimator:
         # the loop makes no block-sized temporaries and its page faults do
         # not depend on where the allocator happens to place them
         buf = None if p == math.inf else np.empty(_BLOCK_ELEMS)
-        # small merges: their anchor slices, and one (first row, rows,
-        # first column, columns, offset of the slice minus its first leaf)
-        # per child rectangle
         d = self._d
+        # the small rectangles' merges' anchor slices, ``held`` entries in
+        # all, and per rectangle (first row, rows, first column, columns,
+        # where its merge's slice starts in them less its first leaf)
         snaps, rects, held = [], [], 0
         for u in np.flatnonzero(label < 0)[::-1].tolist():
             kids = _children(end, u)
@@ -353,8 +359,7 @@ class Estimator:
                     anchor[lo[c] : hi[c]] = u
             if len(kids) < 2:
                 continue
-            # child c's leaves against every later child's: a rectangle of
-            # (hi[c] - lo[c]) x (hi[u] - hi[c]) pairs
+            # child c's leaves against every later child's
             large = []
             for c in kids[:-1]:
                 h, w = hi[c] - lo[c], hi[u] - hi[c]
@@ -383,26 +388,7 @@ class Estimator:
         # out[pos[x], pos[y]] is the estimate of labels x and y
         pos = np.empty(n, dtype=np.int64)
         pos[label[label >= 0]] = np.arange(n)
-        tmp = np.empty((max(1, _STRIP_ELEMS // n), n))
-        for s in range(0, n, len(tmp)):
-            strip = out[s : s + len(tmp)]
-            np.take(strip, pos, axis=1, out=tmp[: len(strip)], mode="clip")
-            strip[:] = tmp[: len(strip)]
-        # row x takes row pos[x]: along each cycle x, pos[x], pos[pos[x]],
-        # ... every row takes the next one's, and the last the first's
-        pos = pos.tolist()
-        done = [False] * n
-        tmp = tmp[0]
-        for x in range(n):
-            if done[x] or pos[x] == x:
-                continue
-            tmp[:] = out[x]
-            while not done[pos[x]]:
-                done[x] = True
-                out[x] = out[pos[x]]
-                x = pos[x]
-            done[x] = True
-            out[x] = tmp
+        _permute_in_place(out, pos)
         return out
 
     def _small_pairs(self, out, sf, held, rects) -> None:
@@ -413,9 +399,11 @@ class Estimator:
         merge's first leaf, less that leaf.
 
         The rectangles are split into one record per row, and the pairs
-        are expanded and reduced in chunks of whole records of at most
-        ``_BLOCK_ELEMS`` coordinate differences (more only when one record
-        alone holds more), each reduced by ``_lp_reduce``.
+        are expanded and reduced in chunks of whole records, each reduced
+        by ``_lp_reduce``.  A chunk of P pairs holds P x d differences and
+        about eight arrays of P indices, so it takes at most
+        ``_BLOCK_ELEMS // (d + 8)`` pairs, or one record that alone holds
+        more.
         """
         r0, h, c0, w, off = rects.T
         rid = np.repeat(np.arange(len(rects)), h)
@@ -439,6 +427,36 @@ class Estimator:
             out[i, j] = vals
             out[j, i] = vals
             a = b
+
+
+def _permute_in_place(out: np.ndarray, pos: np.ndarray) -> None:
+    """``out[:] = out[pos][:, pos]`` for a square ``out``, with no second
+    matrix.  The columns are permuted in strips of rows, each through one
+    temporary of at most ``_STRIP_ELEMS`` entries, then the rows by
+    following the permutation's cycles, one row at a time through one row
+    of that temporary."""
+    n = len(pos)
+    tmp = np.empty((max(1, _STRIP_ELEMS // n), n))
+    for s in range(0, n, len(tmp)):
+        strip = out[s : s + len(tmp)]
+        # pos is in range; the default mode="raise" would buffer ``out``
+        np.take(strip, pos, axis=1, out=tmp[: len(strip)], mode="clip")
+        strip[:] = tmp[: len(strip)]
+    # row x takes row pos[x]: along each cycle x, pos[x], pos[pos[x]], ...
+    # every row takes the next one's, and the last the first's
+    row = tmp[0]
+    pos = pos.tolist()
+    done = [False] * n
+    for x in range(n):
+        if done[x] or pos[x] == x:
+            continue
+        row[:] = out[x]
+        while not done[pos[x]]:
+            done[x] = True
+            out[x] = out[pos[x]]
+            x = pos[x]
+        done[x] = True
+        out[x] = row
 
 
 # --------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def _short_rows(rng, shape):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
 @pytest.mark.parametrize("d", range(1, 8))
 def test_short_axis_kernel_matches_row_sums(d, p):
-    # the column kernel's in-order adds are numpy's summation order below 8
+    # the planar kernel's in-order adds are numpy's summation order below 8
     # terms; a numpy release that sums short rows another way fails here
     # first, before any golden digest does
     rng = np.random.default_rng(d)
@@ -153,7 +153,7 @@ def _pair_points(d):
 
 @pytest.mark.parametrize("block", [256, core._BLOCK_ELEMS])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
-@pytest.mark.parametrize("d", [1, 3, 7, 8, 12, 400])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 12, 400])
 def test_pair_blocks_match_rows_one_at_a_time(monkeypatch, d, p, block):
     # the pair kernel, cdist at p = inf and row blocks below, gives every
     # pair the float a row-at-a-time reduction gives it; a 256-entry block

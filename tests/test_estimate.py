@@ -25,8 +25,10 @@ from mcsketch.core import (
     normalize,
     oracle_all_pairs,
 )
+from mcsketch import core, estimate
 from mcsketch.core import _BLOCK_ELEMS, _SHORT_AXIS
-from mcsketch.estimate import Estimator, select_all_landmarks, select_landmarks
+from mcsketch.estimate import _SMALL_BLOCK, Estimator, select_all_landmarks, select_landmarks
+from mcsketch.hst import _children
 
 import _reference as ref
 from _reference import subtree_decomposition
@@ -468,6 +470,46 @@ def test_all_pairs_matches_single_queries_at_a_general_p(d):
     )
 
 
+@pytest.mark.parametrize("block", [64, _BLOCK_ELEMS])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+def test_all_pairs_batches_small_rectangles(monkeypatch, p, block):
+    # the merges' child rectangles (a child's leaves against the later
+    # children's) lie on both sides of _SMALL_BLOCK: the small ones are
+    # reduced in a batch after the pass, the others by the pair kernel.  A
+    # 64-entry block splits the batch into many chunks (and the kernel's
+    # blocks into single rows)
+    pts = gen_gaussian_clusters(120, 2, 1) * 11
+    blob = sketch_points(pts, p, SketchParams(epsilon=0.25, landmarks=True, jl_enabled=False))
+    tree = Estimator(blob).tree
+    end = tree.end.tolist()
+    lo, hi = tree.leaf_ranges()
+    rects = [
+        (hi[c] - lo[c], hi[u] - hi[c])
+        for u in range(tree.n_nodes)
+        if tree.leaf_label[u] < 0
+        for c in _children(end, u)[:-1]
+    ]
+    small = [(h, w) for h, w in rects if h * w * 2 <= _SMALL_BLOCK]
+    assert 0 < len(small) < len(rects)
+    monkeypatch.setattr(estimate, "_BLOCK_ELEMS", block)
+    monkeypatch.setattr(core, "_BLOCK_ELEMS", block)
+    chunks = []
+    reduce = estimate._lp_reduce
+    monkeypatch.setattr(estimate, "_lp_reduce", lambda diff, p: chunks.append(len(diff)) or reduce(diff, p))
+    for mode in ("precomputed", "landmark"):
+        est = Estimator(blob, mode=mode)
+        chunks.clear()
+        allp = est.estimate_all_pairs()
+        # every small pair reduced once, in chunks of whole rectangle rows
+        # of at most block / (d + 8) pairs, or one row that alone is wider
+        assert sum(chunks) == sum(h * w for h, w in small)
+        assert max(chunks) <= max(block // 10, *(w for _, w in small))
+        assert (len(chunks) == 1) == (block == _BLOCK_ELEMS)
+        for i in range(est.n):
+            for j in range(est.n):
+                assert allp[i, j] == est.estimate(i, j)
+
+
 @pytest.mark.parametrize(
     "t, k_plus_2", [(8, 13), (56, 61), (57, 62), (58, 63), (512, 517)]
 )
@@ -512,12 +554,16 @@ def test_all_pairs_rows_wider_than_one_block():
 @pytest.mark.parametrize("d, p", [(2, 1.0), (4, 2.0), (4, math.inf)])
 def test_all_pairs_peak_is_one_matrix_plus_blocks(d, p):
     # the leaf-preorder matrix is put into label order in place.  Besides
-    # the n x n result the peak holds one _BLOCK_ELEMS difference buffer
-    # and at most five block results of _BLOCK_ELEMS / d entries (the last
-    # block and the short-axis kernel's four arrays), or one permutation
-    # strip: 3.5 buffers at d = 2.  At p = inf there is no difference
-    # buffer, and cdist's block holds at most _BLOCK_ELEMS entries.  A
-    # second n x n array, 4 buffers at n = 1000, exceeds the bound.
+    # the n x n result the peak holds one _BLOCK_ELEMS difference buffer,
+    # the planar kernel's two arrays of _BLOCK_ELEMS / d entries (row max
+    # and divisor; the max becomes the block's result) and the small
+    # rectangles' records: 2.8 buffers at d = 2, 2.0 at d = 4, p = 2.  The
+    # small rectangles' batch runs after the buffer is freed, in chunks of
+    # at most _BLOCK_ELEMS / (d + 8) pairs, and the permutation goes
+    # through one strip of _STRIP_ELEMS entries.  At p = inf there is no
+    # difference buffer, and cdist's block holds at most _BLOCK_ELEMS
+    # entries: 1.5 buffers.  A second n x n array, 4 buffers at n = 1000,
+    # exceeds the bound.
     n = 1000
     pts = gen_gaussian_clusters(n, d, 1)
     est = Estimator(sketch_points(pts, p, SketchParams(epsilon=0.25, jl_enabled=False)))
