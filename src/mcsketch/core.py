@@ -284,10 +284,11 @@ def _pairwise(coords: np.ndarray, p: float) -> np.ndarray:
 
     Built from :func:`_pair_blocks` bands over the upper triangle, each
     band written with its transpose: at p = inf SciPy's compiled Chebyshev
-    ``cdist``, at every other p ``_lp_reduce`` over one reused difference
-    buffer; both give ``_lp_reduce``'s floats.  A band also recomputes the
-    small lower-triangle corner of its own rows; ``|a - b| = |b - a|``
-    exactly, so the corner holds the floats its transpose writes there.
+    ``cdist``, at every other p a reduction over one reused difference
+    buffer, coordinate-major on short rows; both give ``_lp_reduce``'s
+    floats.  A band also recomputes the small lower-triangle corner of its
+    own rows; ``|a - b| = |b - a|`` exactly, so the corner holds the floats
+    its transpose writes there.
     """
     n = coords.shape[0]
     out = np.empty((n, n), dtype=np.float64)
@@ -338,7 +339,7 @@ def _pair_blocks(
     most = _TRI_ROWS if tri else a.shape[0]  # rows per block
     planar = p != math.inf and 0 < d < _SHORT_AXIS
     if planar:
-        at, bt = a.T, np.ascontiguousarray(b.T)
+        bt = np.ascontiguousarray(b.T)
     s = 0
     while s < a.shape[0]:
         cols = b[s:] if tri else b
@@ -346,23 +347,22 @@ def _pair_blocks(
         r = max(1, min(most, _BLOCK_ELEMS // max(1, per_row)))
         if p == math.inf:
             yield s, cdist(a[s : s + r], cols, "chebyshev")
-            s += r
-            continue
-        rows = a[s : s + r]
-        need = rows.shape[0] * cols.size
-        if buf is None or buf.size < need:
-            # room for every later block too, as ``cols`` never grows
-            buf = np.empty(max(need, min(_BLOCK_ELEMS, most * cols.size)))
-        if planar:
-            diff = buf[:need].reshape(d, rows.shape[0], cols.shape[0])
-            c0 = s if tri else 0
-            for k in range(d):
-                np.subtract(at[k, s : s + r, None], bt[k, None, c0:], out=diff[k])
-            yield s, _lp_reduce_planes(diff, p)
         else:
-            diff = buf[:need].reshape(rows.shape[0], cols.shape[0], d)
-            np.subtract(rows[:, None, :], cols[None, :, :], out=diff)
-            yield s, _lp_reduce(diff, p)
+            rows = a[s : s + r]
+            need = rows.shape[0] * cols.size
+            if buf is None or buf.size < need:
+                # room for every later block too, as ``cols`` never grows
+                buf = np.empty(max(need, min(_BLOCK_ELEMS, most * cols.size)))
+            if planar:
+                diff = buf[:need].reshape(d, rows.shape[0], cols.shape[0])
+                cols_t = bt[:, s:] if tri else bt
+                for k in range(d):
+                    np.subtract(rows[:, k, None], cols_t[k], out=diff[k])
+                yield s, _lp_reduce_planes(diff, p)
+            else:
+                diff = buf[:need].reshape(rows.shape[0], cols.shape[0], d)
+                np.subtract(rows[:, None, :], cols[None, :, :], out=diff)
+                yield s, _lp_reduce(diff, p)
         s += r
 
 
