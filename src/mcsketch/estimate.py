@@ -76,9 +76,9 @@ _MODES = ("precomputed", "landmark")
 # In-process on a 2-vCPU host, a kernel call cost about 30 us before its
 # first pair at d = 2, p = 1 (10 us for cdist at d = 400), and a batched
 # pair about 20 ns more per coordinate difference than a blocked one (3 ns
-# at d = 400): even near 1,500 differences at d = 2 and 3,000 at d = 400.  The all-pairs time of the
-# benchmark's three instances was level from 1,024 to 8,192; at 32,768 the
-# d = 400 one was 20% slower.
+# at d = 400): even near 1,500 differences at d = 2 and 3,000 at d = 400.
+# The all-pairs time of the benchmark's three instances was level from
+# 1,024 to 8,192; at 32,768 the d = 400 one was 20% slower.
 _SMALL_BLOCK = 2048
 # Entries per strip of the column permutation: 128 KiB of float64, so a
 # strip and its temporary stay in cache.  At n = 2000 (8-row strips) the
@@ -329,12 +329,11 @@ class Estimator:
         :func:`_permute_in_place`, so no second n x n array is made.
         """
         tree = self.tree
-        n = self.n
-        p = self._p
+        n, d, p = self.n, self._d, self._p
         if self.mode == "precomputed":
             sf = self._sf
         else:
-            sf = np.zeros((tree.n_nodes, self._d), dtype=np.float64)
+            sf = np.zeros((tree.n_nodes, d), dtype=np.float64)
             for v in range(tree.n_nodes):
                 sf[v] = self.shifted_surrogate(v)
         end = tree.end.tolist()
@@ -347,7 +346,6 @@ class Estimator:
         # the loop makes no block-sized temporaries and its page faults do
         # not depend on where the allocator happens to place them
         buf = None if p == math.inf else np.empty(_BLOCK_ELEMS)
-        d = self._d
         # the small rectangles' merges' anchor slices, ``held`` entries in
         # all, and per rectangle (first row, rows, first column, columns,
         # where its merge's slice starts in them less its first leaf)
