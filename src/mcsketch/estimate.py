@@ -346,9 +346,9 @@ class Estimator:
         # the loop makes no block-sized temporaries and its page faults do
         # not depend on where the allocator happens to place them
         buf = None if p == math.inf else np.empty(_BLOCK_ELEMS)
-        # the small rectangles' merges' anchor slices, ``held`` entries in
-        # all, and per rectangle (first row, rows, first column, columns,
-        # where its merge's slice starts in them less its first leaf)
+        # small rectangles: their merges' anchor slices, ``held`` entries so
+        # far, and per rectangle (first row, rows, first column, columns,
+        # start of its merge's slice in them less the merge's first leaf)
         snaps, rects, held = [], [], 0
         for u in np.flatnonzero(label < 0)[::-1].tolist():
             kids = _children(end, u)
