@@ -125,10 +125,10 @@ class SurrogateTable:
 
 def shift_to_float(ks: np.ndarray, unit: float) -> np.ndarray:
     """Correctly rounded floats of an int64 or ``object`` array of integer
-    shifts, times the fixed-point unit (elementwise, any shape)."""
-    out = np.asarray(ks).astype(np.float64)
-    out *= unit
-    return out
+    shifts, times the fixed-point unit (elementwise, any shape).  One ufunc
+    call: the multiply casts its input to float64 as ``astype`` does,
+    rounding each int64 or Python int correctly, and makes no temporary."""
+    return np.multiply(ks, unit, dtype=np.float64, casting="unsafe")
 
 
 # --------------------------------------------------------------------------

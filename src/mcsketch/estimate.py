@@ -21,17 +21,21 @@ evaluation modes reproduce the builder's floats:
 * ``precomputed`` materializes all shifted surrogates at load time, one
   array operation per layer of :func:`~mcsketch.annotate.ingress_layers`;
 * ``landmark`` replays the ingress chain from the nearest stored anchor
-  (part root or landmark) on every call, adding the chain's step rows and
-  never caching, so the replay length per query is a measurable quantity;
-  with a landmark table built for spacing K every chain is at most K hops.
-  A stored landmark shift other than the one the layers give is refused.
-  Rows shorter than ``core._SHORT_AXIS`` (any p) replay in Python ints, one
-  sum per column over that column's steps as a list, and each coordinate
-  is ``float(total) * unit``.  Python ints are exact and ``float(int)``
+  (part root or landmark) on every call, never caching, so the replay
+  length per query is a measurable quantity; with a landmark table built
+  for spacing K every chain is at most K hops.  A stored landmark shift
+  other than the one the layers give is refused.  The anchors' shifts are
+  folded into the step array: a part root's row is zero already, and each
+  landmark's row, which no replay reads as a step because a walk stops at
+  its first anchor, is overwritten with its shift.  A replay is then the
+  sum of the rows of its chain and its anchor.  Rows shorter than
+  ``core._SHORT_AXIS`` (any p) take that sum in Python ints, one per
+  column over that column's entries as a list, and each coordinate is
+  ``float(total) * unit``.  Python ints are exact and ``float(int)``
   rounds correctly, as numpy's cast does, so these are the array replay's
-  floats for int64 and exact-int steps alike.  Longer rows sum the
-  chain's step rows in numpy, where a Python loop per column would cost
-  more.
+  floats for int64 and exact-int steps alike.  Longer rows, where a
+  Python loop per column would cost more, make one gather of the rows,
+  one sum and one cast-and-scale in numpy.
 
 A single query finds u and both anchors in one walk up from the two
 leaves.  Its norm is ``core._lp_reduce``'s float in either mode.  Rows
@@ -121,24 +125,26 @@ class Estimator:
         for layer in layers[1:]:
             shifts[layer] += shifts[model.ingress[layer]]
         if mode == "landmark":
-            zero = np.zeros(self._d, dtype=steps.dtype)
-            # part roots (the nodes without an ingress) and landmarks; a
-            # stored shift other than the sum its chain replays to would
+            # a stored shift other than the sum its chain replays to would
             # answer queries the precomputed mode answers differently
-            self._known = {v: zero for v in layers[0].tolist()}
             for v, ks in model.landmarks.items():
-                self._known[v] = np.asarray(ks).astype(steps.dtype)
-                if not np.array_equal(self._known[v], shifts[v]):
+                if not np.array_equal(np.asarray(ks).astype(steps.dtype), shifts[v]):
                     raise FormatError(f"landmark shift of node {v} disagrees with its chain")
+            # the anchors are the part roots (the nodes without an ingress),
+            # whose step rows are zero, and the landmarks, whose step rows
+            # no replay reads, as a walk stops at its first anchor: each
+            # landmark's row takes its shift, so a replay sums the rows of
+            # its chain and its anchor
+            marks = list(model.landmarks)
+            steps[marks] = shifts[marks]
+            self._known = {*layers[0].tolist(), *marks}
             self._steps = steps
             self._ingress = model.ingress.tolist()  # the replay walks Python ints
             self._sf = None
-            # short rows replay in Python ints: the steps as one list per
-            # column, each anchor's shift as a list
+            # short rows replay in Python ints, the table as one list per column
             self._cols = None
             if self._d < _SHORT_AXIS:
                 self._cols = [steps[:, k].tolist() for k in range(self._d)]
-                self._known = {v: ks.tolist() for v, ks in self._known.items()}
         else:
             self._sf = shift_to_float(shifts, self._unit)
             # shifted_surrogate hands out its rows; a write through one
@@ -162,7 +168,8 @@ class Estimator:
 
         The steps are the model's grid integers ``eta_ints`` shifted left
         by :func:`~mcsketch.annotate.shift_exponents`, in a fresh array:
-        the caller sums it in place, and the model is never written.
+        the caller sums it in place or folds the landmark shifts into it,
+        and the model is never written.
 
         The dtype is :func:`~mcsketch.annotate.shift_dtype`'s (int64 up to
         K+2 = 62) unless the decoded values cannot prove that every sum
@@ -203,13 +210,15 @@ class Estimator:
         read-only view of the table every estimate reads.
 
         In landmark mode the row is replayed from v's nearest anchor up its
-        ingress chain, and ``last_hops`` records the chain's length.  Rows
-        shorter than ``_SHORT_AXIS`` add each column's steps to the anchor's
-        shift in Python ints and take ``float(total) * unit``; longer rows
-        add the chain's step rows in numpy and go through
+        ingress chain, and ``last_hops`` records the chain's length, the
+        anchor not counted.  The replay sums the step table's rows of the
+        chain and of the anchor, whose row holds its shift.  Rows shorter
+        than ``_SHORT_AXIS`` sum each column in Python ints and take
+        ``float(total) * unit``; longer rows gather the rows with one
+        ``take``, sum them with one ``np.add.reduce`` and go through
         :func:`~mcsketch.annotate.shift_to_float`.  The sums are exact
         either way and both casts round correctly, so the floats are the
-        same, and the precomputed table's.
+        same, and the precomputed table's.  The row is a fresh array.
         """
         try:
             v = operator.index(v)
@@ -229,18 +238,11 @@ class Estimator:
             cur = ingress[cur]
         self.last_hops = len(chain)
         self.max_hops = max(self.max_hops, self.last_hops)
-        acc = known[cur]
+        chain.append(cur)  # the anchor's row holds its shift
         if self._cols is not None:
             unit = self._unit
-            return np.array(
-                [
-                    float(sum(map(col.__getitem__, chain), k)) * unit
-                    for k, col in zip(acc, self._cols)
-                ]
-            )
-        if chain:
-            acc = acc + self._steps[chain].sum(axis=0)
-        return shift_to_float(acc, self._unit)
+            return np.array([float(sum(map(col.__getitem__, chain))) * unit for col in self._cols])
+        return shift_to_float(np.add.reduce(self._steps.take(chain, axis=0)), self._unit)
 
     # -- query paths ---------------------------------------------------------
 
@@ -266,7 +268,9 @@ class Estimator:
         ``estimate_all_pairs`` gives the pair.  In landmark mode the two
         rows come from one ``shifted_surrogate`` call per side, which on
         short rows replays in Python ints (see there); the rows equal the
-        precomputed ones, so the estimate is the precomputed mode's.
+        precomputed ones, so the estimate is the precomputed mode's.  On
+        longer rows the difference is taken in place in the first side's
+        replayed row.
         """
         a = self._leaf(x)
         b = self._leaf(y)
@@ -291,12 +295,14 @@ class Estimator:
             i, j = va * d, vb * d
             return self.scale * _lp_pair(self._flat[i : i + d], self._flat[j : j + d], self._p)
         if self._sf is not None:
-            ra, rb = self._sf[va], self._sf[vb]
+            diff = self._sf[va] - self._sf[vb]
         else:
-            ra, rb = self.shifted_surrogate(va), self.shifted_surrogate(vb)
-        if self._short:
-            return self.scale * _lp_pair(ra.tolist(), rb.tolist(), self._p)
-        return self.scale * float(_lp_reduce(ra - rb, self._p))
+            diff = self.shifted_surrogate(va)
+            rb = self.shifted_surrogate(vb)
+            if self._short:
+                return self.scale * _lp_pair(diff.tolist(), rb.tolist(), self._p)
+            diff -= rb  # a replayed row is a fresh array
+        return self.scale * float(_lp_reduce(diff, self._p))
 
     def estimate_all_pairs(self) -> np.ndarray:
         """Full n x n matrix of estimates; identical floats to estimate().

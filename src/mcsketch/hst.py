@@ -36,7 +36,9 @@ the merge tree's leaf preorder, where every node's leaves, and within them
 each child's, are one contiguous range; each merge node's block is then a
 slice view.  It yields the cluster diameter, the tau-tree and, on each
 tau edge, the closest member (see :class:`ClusterIndex`); the per-pair
-minima these come from are not kept.
+minima these come from are not kept.  A two-child merge reads only the
+rectangle between its children and takes the rest of its diameter from
+theirs.
 """
 
 from __future__ import annotations
@@ -359,21 +361,16 @@ def _tau_parents(adj: np.ndarray) -> list[int]:
     graph is disconnected, which no merge of the build can be."""
     k = len(adj)
     parent = [-1] * k
-    if k == 2:
-        # the commonest merge: its one possible edge is one entry
-        if adj[0, 1]:
-            parent[1] = 0
-    else:
-        # neighbour lists in ascending order from one nonzero pass, so a
-        # pop scans only its own edges
-        nbr = np.nonzero(adj)[1].tolist()
-        start = [0, *np.count_nonzero(adj, axis=1).cumsum().tolist()]
-        queue = [0]
-        for i in queue:
-            for j in nbr[start[i] : start[i + 1]]:
-                if j and parent[j] < 0:
-                    parent[j] = i
-                    queue.append(j)
+    # neighbour lists in ascending order from one nonzero pass, so a pop
+    # scans only its own edges
+    nbr = np.nonzero(adj)[1].tolist()
+    start = [0, *np.count_nonzero(adj, axis=1).cumsum().tolist()]
+    queue = [0]
+    for i in queue:
+        for j in nbr[start[i] : start[i + 1]]:
+            if j and parent[j] < 0:
+                parent[j] = i
+                queue.append(j)
     if -1 in parent[1:]:
         raise GuaranteeError(f"children graph of a {k}-child merge is disconnected")
     return parent
@@ -384,7 +381,14 @@ def _pair_tables(dm: np.ndarray, tree: SketchTree) -> ClusterIndex:
     tree.  ``P`` is ``dm`` with rows and columns in leaf preorder, so node
     v's block is ``P[lo[v]:hi[v], lo[v]:hi[v]]`` and each child's rows and
     columns are a range of it.  Each merge's (k, k) smallest cross
-    distances are thresholded once, for its tau-tree."""
+    distances are thresholded once, for its tau-tree.
+
+    A two-child merge, the commonest, reads only its cross rectangle
+    ``P[lo:m, m:hi]`` (``m`` where child 1 starts): ``dm`` is symmetric, so
+    the rest of its block is the children's blocks and the rectangle's
+    transpose, and its diameter is the larger of the children's diameters
+    and the rectangle's maximum.  The merges are visited children first,
+    so the children's diameters are known."""
     label = np.array(tree.leaf_label)
     order = label[label >= 0]  # the labels in leaf preorder
     lo, hi = tree.leaf_ranges()
@@ -393,9 +397,20 @@ def _pair_tables(dm: np.ndarray, tree: SketchTree) -> ClusterIndex:
 
     nodes = tree.n_nodes
     out = ClusterIndex(diameter=[0.0] * nodes, tau=[None] * nodes, near=[None] * nodes)
-    for v in np.flatnonzero(label < 0).tolist():
+    for v in np.flatnonzero(label < 0)[::-1].tolist():
         a, b = lo[v], hi[v]
         kids = _children(end, v)
+        if len(kids) == 2:
+            m = hi[kids[0]]
+            rect = P[a:m, m:b]
+            to_child = rect.min(axis=1)  # child 0's members to child 1
+            gap = to_child.min()
+            if not gap < math.ldexp(1.0, tree.level[v]):
+                raise GuaranteeError("children graph of a 2-child merge is disconnected")
+            out.diameter[v] = max(out.diameter[kids[0]], out.diameter[kids[1]], float(rect.max()))
+            out.tau[v] = [-1, 0]
+            out.near[v] = [-1, int(order[a:m][to_child == gap].min())]
+            continue
         block = P[a:b, a:b]
         starts = [lo[c] - a for c in kids]
         # distance from every member to every child, then per child pair

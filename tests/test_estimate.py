@@ -539,6 +539,50 @@ def test_int64_and_exact_shifts_agree_across_the_boundary(t, k_plus_2):
             assert allp[i, j] == est_l.estimate(i, j)
 
 
+@pytest.mark.parametrize("t", [60, 200])
+def test_exact_int_replay_on_numpy_rows(t):
+    # seven zero columns take the high-spread line to d = _SHORT_AXIS, so
+    # its exact-int steps (K + 2 > 62) replay through the numpy table
+    points = np.hstack([gen_high_spread_line(32, t, 1), np.zeros((32, _SHORT_AXIS - 1))])
+    res = _result(points, landmarks=True)
+    est_p = Estimator(res.blob)
+    est_l = Estimator(res.blob, mode="landmark")
+    assert est_l._steps.dtype == object
+    assert est_l._cols is None
+    for v in range(res.tree.n_nodes):
+        assert np.array_equal(est_l.shifted_surrogate(v), est_p.shifted_surrogate(v))
+    assert est_l.max_hops > 1
+    for i in range(32):
+        for j in range(32):
+            assert est_l.estimate(i, j) == est_p.estimate(i, j)
+
+
+@pytest.mark.parametrize("d", [2, 10])
+def test_landmark_estimator_leaves_its_model_untouched(d):
+    # the landmark table folds each landmark's shift into the Estimator's
+    # own step array; the model's grid integers, ingress references and
+    # stored shifts stay as decoded, so a precomputed Estimator built from
+    # the same model afterwards gives the same rows
+    rng = np.random.default_rng(14)
+    points = rng.normal(size=(60, d)) * np.exp2(rng.integers(0, 21, size=(60, 1)))
+    res = _result(points, landmarks=True)
+    model = deserialize(res.blob)
+    grid, ingress = model.eta_ints.copy(), model.ingress.copy()
+    shifts = {v: ks.copy() for v, ks in model.landmarks.items()}
+    assert any(ks.any() for ks in shifts.values())
+    est_l = Estimator(model, mode="landmark")
+    assert np.array_equal(model.eta_ints, grid)
+    assert np.array_equal(model.ingress, ingress)
+    assert model.landmarks.keys() == shifts.keys()
+    for v, ks in shifts.items():
+        assert np.array_equal(model.landmarks[v], ks)
+    est_p = Estimator(model)
+    fresh = Estimator(res.blob)
+    for v in range(res.tree.n_nodes):
+        assert np.array_equal(est_p.shifted_surrogate(v), fresh.shifted_surrogate(v))
+        assert np.array_equal(est_l.shifted_surrogate(v), fresh.shifted_surrogate(v))
+
+
 def test_all_pairs_rows_wider_than_one_block():
     # 40 x 7000 coordinates: one suffix of rows alone exceeds _BLOCK_ELEMS
     rng = np.random.default_rng(9)

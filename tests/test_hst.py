@@ -1,5 +1,6 @@
 """Hierarchy construction and long-edge compression against a naive oracle."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -16,11 +17,12 @@ from mcsketch.codec import deserialize
 from mcsketch.core import (
     DistanceMatrix,
     FormatError,
+    GuaranteeError,
     InputError,
     normalize,
     oracle_all_pairs,
 )
-from mcsketch.hst import SketchTree, _prim_mst, build_hst, compress
+from mcsketch.hst import SketchTree, _pair_tables, _prim_mst, build_hst, compress
 from mcsketch.reduce import frechet_embed
 
 import _reference as ref
@@ -303,6 +305,9 @@ def _check_pair_tables(tree, clusters, dm):
     members = ref.leaf_labels_under(tree)
     merges = ties = 0
     for v, kids in enumerate(ref.children_of(tree)):
+        # a two-child merge takes its diameter from its children's and its
+        # cross rectangle's, so a wrong visiting order shows here
+        assert clusters.diameter[v] == dm[np.ix_(members[v], members[v])].max()
         if len(kids) < 2:
             assert clusters.tau[v] is None and clusters.near[v] is None
             continue
@@ -361,6 +366,29 @@ def test_near_points_break_ties_by_label(p):
     ps = normalize(np.array(list(itertools.product(axis, repeat=2)), dtype=float), p)
     tree, clusters = build_hst(ps)
     assert _check_pair_tables(tree, clusters, oracle_all_pairs(ps))[1] >= 10
+
+
+def test_merge_diameter_can_come_from_a_child():
+    # the four-point row merges first and is wider (9) than any of its
+    # distances to the fifth point (at most 8.32), so the root's diameter
+    # is its first child's, not its cross rectangle's maximum
+    ps = normalize(np.array([[0, 0], [3, 0], [6, 0], [9, 0], [4.5, 7]], dtype=float), 2.0)
+    tree, clusters = build_hst(ps)
+    dm = oracle_all_pairs(ps)
+    assert [len(kids) for kids in ref.children_of(tree) if kids] == [2, 4]
+    assert clusters.diameter[0] == dm[0, 3] > dm[:4, 4].max()
+    assert _check_pair_tables(tree, clusters, dm)[0] == 2
+
+
+def test_two_child_merge_with_a_gap_at_its_level_raises():
+    # no merge of the build has a cross distance as large as 2^level; the
+    # two-child path, which thresholds its one gap without a table, must
+    # refuse one as the k-child BFS does
+    ps = _line([0.0, 1.0, 4.0, 5.0, 16.0])
+    tree, _ = build_hst(ps)
+    low = dataclasses.replace(tree, level=[0] * tree.n_nodes)
+    with pytest.raises(GuaranteeError, match="2-child merge is disconnected"):
+        _pair_tables(oracle_all_pairs(ps), low)
 
 
 # Bytes per point that build_hst's ClusterIndex may keep: a diameter per
