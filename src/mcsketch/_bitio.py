@@ -7,8 +7,8 @@ leading zeros announce its width.  :func:`pack_fields` writes columns of
 fields in one pass; :func:`unpack_runs` reads runs of fixed-width fields at
 any bit offsets in one pass, and :func:`read_gammas` walks a column of
 gamma codes, whose widths come one code at a time, one step per code.
-Fields wider than 64 bits, which only landmark shifts at spreads beyond
-about 2^60 (and hostile models) need, are exact Python ints moved as 64-bit
+Fields wider than 64 bits, which no valid blob holds (only hostile gamma
+codes and hostile models reach them), are exact Python ints moved as 64-bit
 pieces.
 """
 

@@ -98,10 +98,7 @@ def build_sketch(
     tree0, clusters0 = build_hst(ps)
     tree, clusters = compress(tree0, clusters0, params.epsilon)
     ann, ingress, table = annotate(tree, clusters, ps, params)
-    landmarks = None
-    if params.landmarks:
-        chosen = select_all_landmarks(tree, ingress, kk)
-        landmarks = {v: table.shift_int[v] for v in chosen}
+    landmarks = sorted(select_all_landmarks(tree, ingress, kk)) if params.landmarks else None
     model = SketchModel(
         tree=tree,
         ingress=ingress,
@@ -166,12 +163,19 @@ def sketch_metric(entries: np.ndarray | DistanceMatrix, params: SketchParams) ->
 # Generators.
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The generators' random source; InputError on a negative seed."""
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def gen_uniform(
     n: int, d: int, seed: int, low: float = 0.0, high: float = 100.0
 ) -> np.ndarray:
     if n < 2 or d < 1:
         raise InputError(f"need n >= 2 points of d >= 1 coordinates, got n={n}, d={d}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     return rng.uniform(low, high, size=(n, d))
 
 
@@ -185,7 +189,7 @@ def gen_gaussian_clusters(
 ) -> np.ndarray:
     if n < 2 or d < 1:
         raise InputError(f"need n >= 2 points of d >= 1 coordinates, got n={n}, d={d}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     centers = rng.normal(0.0, center_spread, size=(clusters, d))
     assign = rng.integers(0, clusters, size=n)
     return centers[assign] + rng.normal(0.0, sigma, size=(n, d))
@@ -205,7 +209,7 @@ def gen_high_spread_line(n: int, t: int, seed: int) -> np.ndarray:
         raise InputError("high-spread-line needs n >= 11")
     if t >= 1024:  # 2^1024 is past the largest float
         raise InputError(f"spread exponent t={t} must be below 1024")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     blob_count = n - 3
     jitter = rng.uniform(-0.9, 0.9, size=blob_count)
     blob = 3.0 + 1.5 * np.arange(blob_count) + 0.25 * jitter
@@ -222,7 +226,7 @@ def gen_random_graph_metric(n: int, seed: int, extra_edges: int | None = None) -
     """Shortest-path metric of a random connected weighted graph."""
     if n < 2:
         raise InputError("need at least two nodes")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     w = np.zeros((n, n), dtype=np.float64)
 
     def add_edge(i: int, j: int, weight: float) -> None:

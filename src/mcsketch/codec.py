@@ -26,14 +26,14 @@ Layout, all multi-byte header fields little-endian:
   6. per node that is not a part root, its displacement as d grid
      integers, each biased by the node's grid bound B and written in
      ceil(log2(2B+1)) bits (see ``net`` and :func:`_grid_fields`);
-  7. when flags bit 1 is set: per part in id order of part roots,
-     Elias-gamma of (landmark count + 1); then every landmark's node id in
-     ceil(log2 N) bits, by part and ascending within one; then
-     every landmark's d exact surrogate-shift integers, biased by 2^(K+1),
-     in K+2 bits each, where K is the landmark spacing parameter.
+  7. when flags bit 1 is set: Elias-gamma of (landmark count L + 1), then
+     the L landmark node ids in strictly ascending order, ceil(log2 N) bits
+     each.  A landmark's shift is not stored: the landmark ``Estimator``
+     sums it from the steps along its ingress chain.
 
-  Versions 1 (fields node by node) and 2 (every node's center, one
-  ingress flag per node) are refused.
+  Versions 1 (fields node by node), 2 (every node's center, one ingress
+  flag per node) and 3 (every landmark's shift, in K+2 bits per
+  coordinate) are refused.
 
 * trailer: u32 CRC-32 (zlib) of header plus payload bytes.  Every header
   or payload corruption is caught by the CRC at the latest; structural
@@ -54,8 +54,7 @@ pass (``_bitio.pack_fields``); the reader reads each fixed-width column in
 one pass (``unpack_runs``) and each gamma column in one walk
 (``read_gammas``).  Every column's length follows from the node count and
 the columns before it, and is checked against the bits that remain before
-anything is allocated for it.  Fields wider than 64 bits, which only
-landmark shifts of spreads beyond about 2^60 need, are exact Python ints.
+anything is allocated for it.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ from .hst import SketchTree, _jump
 __all__ = ["SketchModel", "SizeReport", "serialize", "deserialize", "size_report"]
 
 MAGIC = b"MCSK"
-VERSION = 3
+VERSION = 4
 
 _FLAG_LANDMARKS = 2
 # the fixed header after the norm: n, d, epsilon, scale, spread, flags, random
@@ -100,14 +99,15 @@ class SketchModel:
     roots, and ``eta_ints`` every node's d grid integers as one (n_nodes, d)
     int64 array, with zero rows at part roots, which store none.  Centers
     and first children's ingresses follow from the tree (see the module
-    docstring), and the blob stores neither.
+    docstring), and the blob stores neither.  ``landmarks`` is the sorted
+    list of landmark node ids, or None without a landmark table.
     """
 
     tree: SketchTree
     ingress: np.ndarray
     inv_delta: list[int]
     eta_ints: np.ndarray
-    landmarks: dict[int, np.ndarray] | None
+    landmarks: list[int] | None
     p: float
     epsilon: float
     scale: float
@@ -214,19 +214,10 @@ def serialize(model: SketchModel) -> bytes:
         (fields, np.repeat(widths[inner].astype(np.uint16), d)),
     ]
     if model.landmarks is not None:
-        kk = k_parameter(model.spread, eps, d, model.p)
-        ids = np.array(sorted(model.landmarks), dtype=np.int64)
-        lms = ids[np.argsort(tree.part_of[ids], kind="stable")]  # by part, then id
-        counts = np.bincount(tree.part_of[lms], minlength=int(tree.part_root.sum())) + 1
-        rows = _ints([model.landmarks[v] for v in lms.tolist()]).reshape(len(lms), d)
-        try:
-            fields = _biased(rows, [1 << (kk + 1)] * len(lms), [kk + 2] * len(lms))
-        except ValueError as exc:
-            raise GuaranteeError(f"a landmark shift exceeds K+2 bits: {exc}") from exc
+        count = [len(model.landmarks) + 1]
         cols += [
-            (counts, gamma_widths(counts)),
-            (lms, (n_nodes - 1).bit_length()),
-            (fields, kk + 2),
+            (count, gamma_widths(count)),
+            (landmark_ids(model.landmarks, n_nodes), (n_nodes - 1).bit_length()),
         ]
     payload, bits = pack_fields(cols)
     flags = _FLAG_LANDMARKS if model.landmarks is not None else 0
@@ -270,9 +261,8 @@ def _grid_fields(tree, inv_delta, eps: float, d: int, p: float):
 
 
 def _biased(rows, bias: list[int], widths: list[int]) -> np.ndarray:
-    """The stored fields of d-integer rows, flattened: each row's integers
-    plus that row's bias, in that row's width (a displacement: bias B,
-    width ceil(log2(2B+1)); a landmark shift: bias 2^(K+1), width K+2).
+    """The stored fields of displacement rows, flattened: each row's d grid
+    integers plus that row's bias B, in that row's width ceil(log2(2B+1)).
     Raises ValueError when a biased value falls outside [0, 2 * bias] or
     its width, the range the decoder accepts.  uint64 when every field
     does, exact ints otherwise; with each bias at most 2^63 a negative
@@ -346,7 +336,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     if not (math.isfinite(spread) and spread >= 1.0):
         raise FormatError(f"implausible spread {spread}")
     try:
-        kk = k_parameter(spread, eps, d, p)
+        k_parameter(spread, eps, d, p)
     except InputError as exc:
         raise FormatError(str(exc)) from None
 
@@ -356,16 +346,15 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         if pad and payload[-1] & ((1 << pad) - 1):
             raise FormatError("nonzero padding bits")
 
-    def column(width: int, count: int, what: str, rows: int = 1) -> np.ndarray:
-        """The next ``rows`` runs of ``count`` fields of ``width`` bits, each
-        run a row, checked against the bits that remain before allocating."""
+    def column(width: int, count: int, what: str) -> np.ndarray:
+        """The next ``count`` fields of ``width`` bits, checked against the
+        bits that remain before allocating."""
         nonlocal pos
-        bits = rows * count * width
+        bits = count * width
         if bits > payload_bits - pos:
             raise FormatError(f"{what} need {bits} bits, {payload_bits - pos} remain")
         pos += bits
-        starts = pos - bits + count * width * np.arange(rows)
-        return unpack_runs(payload, starts, [width] * rows, count)
+        return unpack_runs(payload, [pos - bits], [width], count)[0]
 
     def gammas(count: int) -> tuple[np.ndarray, int]:
         nonlocal pos
@@ -400,7 +389,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     parent[0] = -1
 
     # 2. edges
-    long_edge = np.append(False, column(1, n_nodes - 1, "edge flags")[0] == 1)
+    long_edge = np.append(False, column(1, n_nodes - 1, "edge flags") == 1)
     gap_values, gap_bits = gammas(int(long_edge.sum()))
     bad = np.flatnonzero((gap_values < 2) | (gap_values > top))
     if bad.size:
@@ -425,7 +414,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         )
 
     # 3. leaf labels
-    labels = column((n - 1).bit_length(), n, "leaf labels")[0]
+    labels = column((n - 1).bit_length(), n, "leaf labels")
     if (labels >= n).any():
         raise FormatError(f"leaf label {labels[labels >= n][0]} out of range")
     if not np.array_equal(np.sort(labels), np.arange(n)):
@@ -450,7 +439,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     later = inner[parent[inner] != inner - 1]
     subtree_leaves = np.flatnonzero(~tree.has_short)
     ref_w = (subtree_leaves.size - 1).bit_length()
-    refs = column(ref_w, later.size, "ingress references")[0].astype(np.int64)
+    refs = column(ref_w, later.size, "ingress references").astype(np.int64)
     if (refs >= subtree_leaves.size).any():
         raise FormatError(
             f"ingress reference {refs[refs >= subtree_leaves.size][0]} out of range"
@@ -500,25 +489,12 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         raise FormatError("ingress references contain a cycle")
 
     # 7. landmarks
-    landmarks: dict[int, np.ndarray] | None = None
+    landmarks = None
     mark = pos
     if has_landmarks:
-        counts = [int(c) - 1 for c in gammas(int(tree.part_root.sum()))[0]]  # exact sums
-        total = sum(counts)
-        ids = column((n_nodes - 1).bit_length(), total, "landmark ids")[0].astype(np.int64)
-        if (ids >= n_nodes).any():
-            raise FormatError(f"landmark node {ids[ids >= n_nodes][0]} out of range")
-        wrong = ids[part_of[ids] != np.repeat(np.arange(len(counts)), counts)]
-        if wrong.size:
-            raise FormatError(f"landmark node {wrong[0]} recorded in wrong part")
-        ranked = np.sort(ids)
-        dup = ranked[1:][ranked[1:] == ranked[:-1]]
-        if dup.size:
-            raise FormatError(f"duplicate landmark node {dup[0]}")
-        u = column(kk + 2, d, "landmark shifts", rows=total)
-        bias = 1 << (kk + 1)
-        shifts = (u - np.uint64(bias)).view(np.int64) if kk < 63 else u.astype(object) - bias
-        landmarks = dict(zip(ids.tolist(), shifts))
+        count = int(gammas(1)[0][0]) - 1  # an exact int, however wide its code
+        ids = column((n_nodes - 1).bit_length(), count, "landmark ids")
+        landmarks = landmark_ids(ids, n_nodes).tolist()
     landmark_bits = pos - mark
 
     if pos != payload_bits:
@@ -556,6 +532,21 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         n=n,
     )
     return model, sizes
+
+
+def landmark_ids(ids, n_nodes: int) -> np.ndarray:
+    """Landmark node ids as an int64 array, for the writer, the decoder and
+    a landmark-mode Estimator alike.  FormatError unless they strictly
+    ascend within 0..n_nodes-1, the one order a blob holds them in; a
+    negative id would index the replay's step table from its end."""
+    ids = np.asarray(ids, dtype=np.int64)
+    out = ids[(ids < 0) | (ids >= n_nodes)]
+    if out.size:
+        raise FormatError(f"landmark node {out[0]} out of range")
+    down = np.flatnonzero(ids[1:] <= ids[:-1])
+    if down.size:
+        raise FormatError(f"landmark node {ids[down[0] + 1]} does not ascend")
+    return ids
 
 
 def _read_grid(payload, starts, widths, bounds, d) -> np.ndarray:

@@ -260,9 +260,10 @@ def lp_distance(u: np.ndarray, v: np.ndarray, p: float) -> float:
 def k_parameter(spread: float, epsilon: float, d: int, p: float) -> int:
     """Landmark spacing K = ceil(log2(2 * spread * (1/epsilon) * d^(1/p))).
 
-    Every ingress chain is cut to at most K hops by the landmark table; K
-    is also the budget that makes one landmark's worth of coordinates cost
-    no more than the chain it replaces.  InputError when it overflows.
+    Every ingress chain is cut to at most K hops by the landmark table, and
+    every valid shift lies within +-2^(K+1), which fixes the dtype of the
+    shift arrays (:func:`~mcsketch.annotate.shift_dtype`).  InputError when
+    it overflows.
     """
     x = 2.0 * spread / epsilon * d ** (1.0 / p)
     if math.isinf(x):
@@ -489,9 +490,10 @@ class SketchParams:
 
     ``epsilon`` is snapped down to a power of two at construction so every
     consumer sees the effective value.  ``landmarks`` stores the landmark
-    shift table in the blob; the ``jl_*`` fields configure the random
-    projection, which applies to l2 inputs only.  Displacements always use
-    the uniform-grid codec of ``net``.
+    node ids, which a landmark-mode ``Estimator`` needs, in the blob; the
+    ``jl_*`` fields configure the random projection, which applies to l2
+    inputs only.  Displacements always use the uniform-grid codec of
+    ``net``.
     """
 
     epsilon: float
@@ -535,12 +537,15 @@ def normalize(coords: np.ndarray, p: float) -> PointSet:
 
 
 def _as_points(coords: np.ndarray) -> np.ndarray:
-    """``coords`` as a C-contiguous float64 (n, d) array, n >= 2, all finite."""
+    """``coords`` as a C-contiguous float64 (n, d) array, n >= 2, d >= 1, all
+    finite."""
     coords = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
     if coords.ndim != 2:
         raise InputError(f"expected an (n, d) array, got shape {coords.shape}")
     if coords.shape[0] < 2:
         raise InputError("need at least two points")
+    if coords.shape[1] == 0:
+        raise InputError("points have no coordinates")
     if not np.all(np.isfinite(coords)):
         raise DataError("coordinates contain non-finite values")
     return coords

@@ -20,15 +20,17 @@ evaluation modes reproduce the builder's floats:
 
 * ``precomputed`` materializes all shifted surrogates at load time, one
   array operation per layer of :func:`~mcsketch.annotate.ingress_layers`;
-* ``landmark`` replays the ingress chain from the nearest stored anchor
-  (part root or landmark) on every call, never caching, so the replay
-  length per query is a measurable quantity; with a landmark table built
-  for spacing K every chain is at most K hops.  A stored landmark shift
-  other than the one the layers give is refused.  The anchors' shifts are
-  folded into the step array: a part root's row is zero already, and each
-  landmark's row, which no replay reads as a step because a walk stops at
-  its first anchor, is overwritten with its shift.  A replay is then the
-  sum of the rows of its chain and its anchor.  Rows shorter than
+* ``landmark`` replays the ingress chain from the nearest anchor (part
+  root or landmark) on every call, never caching, so the replay length
+  per query is a measurable quantity; with a landmark table built for
+  spacing K every chain is at most K hops.  The table holds only node ids,
+  and landmark ids that do not strictly ascend within the node range are
+  refused.  The anchors' shifts are folded into the step array: a part
+  root's row is zero already, and each landmark's row, which no replay
+  reads as a step because a walk stops at its first anchor, is
+  overwritten with its shift, taken from the same layer sums the
+  precomputed mode materializes.  A replay is then the sum of the rows of
+  its chain and its anchor.  Rows shorter than
   ``core._SHORT_AXIS`` (any p) take that sum in Python ints, one per
   column over that column's entries as a list, and each coordinate is
   ``float(total) * unit``.  Python ints are exact and ``float(int)``
@@ -125,19 +127,14 @@ class Estimator:
         for layer in layers[1:]:
             shifts[layer] += shifts[model.ingress[layer]]
         if mode == "landmark":
-            # a stored shift other than the sum its chain replays to would
-            # answer queries the precomputed mode answers differently
-            for v, ks in model.landmarks.items():
-                if not np.array_equal(np.asarray(ks).astype(steps.dtype), shifts[v]):
-                    raise FormatError(f"landmark shift of node {v} disagrees with its chain")
             # the anchors are the part roots (the nodes without an ingress),
             # whose step rows are zero, and the landmarks, whose step rows
             # no replay reads, as a walk stops at its first anchor: each
             # landmark's row takes its shift, so a replay sums the rows of
             # its chain and its anchor
-            marks = list(model.landmarks)
+            marks = codec.landmark_ids(model.landmarks, self.tree.n_nodes)
             steps[marks] = shifts[marks]
-            self._known = {*layers[0].tolist(), *marks}
+            self._known = {*layers[0].tolist(), *marks.tolist()}
             self._steps = steps
             self._ingress = model.ingress.tolist()  # the replay walks Python ints
             self._sf = None
@@ -174,12 +171,12 @@ class Estimator:
         The dtype is :func:`~mcsketch.annotate.shift_dtype`'s (int64 up to
         K+2 = 62) unless the decoded values cannot prove that every sum
         fits in int64; then it is exact ints.  Every sum the
-        materialization or a replay forms is zero or a landmark shift plus
-        steps along one ingress chain, and a landmark shift lies within
-        +-2^61, the range of its K+2-bit field.  So int64 needs only that
-        the largest |step| of each node, summed down its chain, stays
-        below 2^62.  That bound is summed in floats; the room between
-        2^62 + 2^61 and 2^63 absorbs their rounding.
+        materialization or a replay forms, in any order, is a sum of some
+        of the steps along one ingress chain: a landmark's folded shift is
+        the sum of the steps above it.  So int64 needs only that the
+        largest |step| of each node, summed down its chain, stays below
+        2^62.  That bound is summed in floats; the room between 2^62 and
+        2^63 absorbs their rounding.
         """
         tree = self.tree
         grid = model.eta_ints

@@ -361,15 +361,14 @@ def triangle_violation(d: np.ndarray, rel_tol: float = 1e-9):
     return None
 
 
-def exact_shift_floats(model, known=None) -> np.ndarray:
+def exact_shift_floats(model) -> np.ndarray:
     """Every node's shifted surrogate from exact Python-int sums, one
     coordinate at a time, the way the package once carried them.
 
-    A node's shift is the shift of the nearest node up its ingress chain
-    that ``known`` maps to integers (the part roots, at zero, plus any
-    given landmark shifts), plus each later node's grid integers shifted
-    left by level(v), and by t = log2(1/eps) more at nodes with short
-    children.  Floats are ``float(k) * unit`` per coordinate.
+    A node's shift is the sum, over the nodes of its ingress chain below
+    its part root, of each one's grid integers shifted left by level(v),
+    and by t = log2(1/eps) more at nodes with short children.  Floats are
+    ``float(k) * unit`` per coordinate.
     """
     tree = model.tree
     kids = children_of(tree)
@@ -379,8 +378,6 @@ def exact_shift_floats(model, known=None) -> np.ndarray:
     ints: dict[int, list[int]] = {
         v: [0] * d for v, u in enumerate(model.ingress) if u < 0
     }
-    for v, ks in (known or {}).items():
-        ints[v] = [int(k) for k in ks]
     out = np.zeros((tree.n_nodes, d))
     for v in range(tree.n_nodes):
         chain = []
@@ -593,18 +590,16 @@ COLUMNS = (
     "references",
     "precisions",
     "displacements",
-    "landmark counts",
+    "landmark count",
     "landmark ids",
-    "landmark shifts",
 )
 
 
 def payload_columns(blob: bytes) -> dict[str, range]:
     """The bits, counted from the blob's first bit, of every payload column
-    of an MCSK v3 blob, derived from the decoded model and the field widths
+    of an MCSK v4 blob, derived from the decoded model and the field widths
     of the layout alone; a column the blob lacks is an empty range."""
     from mcsketch.codec import deserialize, size_report
-    from mcsketch.core import k_parameter
 
     model = deserialize(blob)
     rep = size_report(blob)
@@ -623,16 +618,10 @@ def payload_columns(blob: bytes) -> dict[str, range]:
         rep.displacement_bits,
         0,
         0,
-        0,
     ]
     if model.landmarks is not None:
-        part_of = subtree_decomposition(tree).part_of
-        kk = k_parameter(model.spread, model.epsilon, model.d, model.p)
-        for pid in range(max(part_of) + 1):
-            count = sum(part_of[v] == pid for v in model.landmarks)
-            lengths[7] += 2 * (count + 1).bit_length() - 1
+        lengths[7] = 2 * (len(model.landmarks) + 1).bit_length() - 1
         lengths[8] = len(model.landmarks) * (nodes - 1).bit_length()
-        lengths[9] = len(model.landmarks) * model.d * (kk + 2)
     pos = 8 * rep.header_bytes
     out = {}
     for name, length in zip(COLUMNS, lengths):

@@ -335,11 +335,11 @@ def test_criterion_06_codec_fuzz():
             deserialize(bytes(bad))
         except FormatError:
             detected += 1
-    # 200 payload bit flips spread over all ten columns of a blob that has
+    # 200 payload bit flips spread over all nine columns of a blob that has
     # them all: with the CRC left stale each must be detected; with the CRC
     # recomputed the decoder must refuse within 2 s, or decode to a model
-    # whose estimators give the exact sums' floats (the landmark mode, from
-    # the part roots alone, may refuse instead)
+    # whose estimators give the exact sums' floats (the landmark mode may
+    # refuse instead)
     ps = normalize(np.random.default_rng(60).normal(size=(60, 3)) * 20, 2.0)
     full = build_sketch(ps, SketchParams(epsilon=0.25, landmarks=True, jl_enabled=False)).blob
     columns = [bits for bits in ref.payload_columns(full).values() if bits]

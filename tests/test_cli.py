@@ -349,14 +349,27 @@ def test_exit_code_usage_error():
         ["gaussian-clusters", "-n", "5", "-d", "0"],
         ["high-spread-line", "-n", "20", "-t", "2000"],
         ["high-spread-line", "-n", "20", "-t", "1024"],
+        ["uniform", "-n", "10", "--seed", "-1"],
+        ["random-graph-metric", "-n", "10", "--seed", "-1"],
     ],
 )
 def test_gen_of_impossible_sizes_is_usage_error(tmp_path, capsys, args):
-    # negative sizes once ended in numpy's ValueError and t >= 1024 in the
-    # OverflowError of 2^t, both as tracebacks
+    # negative sizes and seeds once ended in numpy's ValueError and t >= 1024
+    # in the OverflowError of 2^t, all as tracebacks
     dst = tmp_path / "x.mcpt"
     assert main(["gen", *args, "-o", str(dst)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not dst.exists()
+
+
+def test_sketch_of_points_without_coordinates_is_usage_error(tmp_path, capsys):
+    # lines of one comma parse to points of no coordinates, which once ended
+    # in a ValueError traceback from the minimum-distance search
+    src = tmp_path / "empty.txt"
+    src.write_text(",\n,\n,\n")
+    dst = tmp_path / "x.mcsk"
+    assert main(["sketch", str(src), "-e", "0.25", "-o", str(dst)]) == 1
+    assert capsys.readouterr().err.startswith("error: points have no coordinates")
     assert not dst.exists()
 
 

@@ -219,9 +219,8 @@ def test_roundtrip_preserves_all_fields():
     assert again.tree.leaf_label == model.tree.leaf_label
     assert np.array_equal(again.ingress, model.ingress)
     assert again.inv_delta == model.inv_delta
-    assert again.landmarks.keys() == model.landmarks.keys()
-    for v, ks in model.landmarks.items():
-        assert np.array_equal(again.landmarks[v], ks)
+    assert again.landmarks == model.landmarks
+    assert type(again.landmarks) is list and model.landmarks
     assert again.eta_ints.dtype == model.eta_ints.dtype == np.int64
     assert np.array_equal(again.eta_ints, model.eta_ints)
 
@@ -440,11 +439,11 @@ def test_ingress_cycle_between_siblings_rejected():
         deserialize(_tampered_blob(edit))
 
 
-def test_shift_sums_beyond_int64_decode_exactly_or_fail():
+def test_shift_sums_beyond_int64_decode_exactly():
     # 0, 1, 2, 4, ..., 2^57 hangs a chain of short-edge nodes from level 57
     # down with K+2 = 62, so the sketch takes int64 shifts.  Grid integers
-    # raised to the bound of the largest precision the decoder accepts, and
-    # a landmark at the top of its K+2-bit field, make sums far beyond int64.
+    # raised to the bound of the largest precision the decoder accepts make
+    # sums far beyond int64, and a landmark low on the chain folds one in.
     pts = np.array([0.0] + [2.0**i for i in range(58)]).reshape(-1, 1)
     model = deserialize(_blob(pts, landmarks=True))
     tree = model.tree
@@ -459,18 +458,16 @@ def test_shift_sums_beyond_int64_decode_exactly_or_fail():
             )
             model.eta_ints[v] = [net.grid_bound(delta_eff, model.d, model.p)]
     v = next(v for v in range(tree.n_nodes) if tree.level[v] == 30)
-    model.landmarks[v] = [(1 << (kk + 1)) - 1]
+    model.landmarks = sorted({*model.landmarks, v})
     blob = serialize(model)
     decoded = deserialize(blob)
+    assert v in decoded.landmarks
     unit = net.per_coord_scale(model.epsilon, model.d, model.p)
-    for mode, known in (("precomputed", None), ("landmark", decoded.landmarks)):
-        exact = ref.exact_shift_floats(decoded, known)
-        assert np.abs(exact).max() / unit > 2.0**64
-        try:
-            est = Estimator(blob, mode=mode)
-            got = np.array([est.shifted_surrogate(v) for v in range(tree.n_nodes)])
-        except SketchError:
-            continue
+    exact = ref.exact_shift_floats(decoded)
+    assert np.abs(exact[v]).max() / unit > 2.0**64
+    for mode in ("precomputed", "landmark"):
+        est = Estimator(blob, mode=mode)
+        got = np.array([est.shifted_surrogate(u) for u in range(tree.n_nodes)])
         assert np.array_equal(got, exact)
 
 
@@ -489,12 +486,12 @@ def _patch_header(blob: bytes, offset: int, fmt: str, value) -> bytes:
 
 
 def test_version_one_refused():
-    # version 2 moved every field into columns and version 3 dropped the
-    # centers and ingress flags; older blobs are refused, not read by a
-    # second parser
+    # version 2 moved every field into columns, version 3 dropped the
+    # centers and ingress flags and version 4 the landmark shifts; older
+    # blobs are refused, not read by a second parser
     blob = _blob(np.random.default_rng(9).normal(size=(10, 2)) * 7)
-    assert struct.unpack_from("<H", blob, 4) == (VERSION,) == (3,)
-    for old in (1, 2):
+    assert struct.unpack_from("<H", blob, 4) == (VERSION,) == (4,)
+    for old in (1, 2, 3):
         body = bytearray(blob[:-4])
         struct.pack_into("<H", body, 4, old)
         with pytest.raises(FormatError, match=f"unsupported version {old}"):
@@ -510,18 +507,27 @@ def _rewritten(blob: bytes, bits: range, value: int) -> bytes:
     return _with_crc(body)
 
 
-def test_landmark_ids_of_other_parts_and_duplicates_refused():
-    # this blob's three landmarks share part 0, listed by ascending id
+def test_landmark_ids_that_do_not_ascend_or_overrun_refused():
+    # this blob holds three landmarks, in strictly ascending order
     blob = _fuzz_blob(2.0, True, 60)
     model = deserialize(blob)
-    first = min(model.landmarks)
-    ids = _columns(blob)["landmark ids"]
-    width = len(ids) // len(model.landmarks)
-    other = subtree_decomposition(model.tree).roots[1]
-    with pytest.raises(FormatError, match=f"landmark node {other} recorded in wrong part"):
-        deserialize(_rewritten(blob, ids[:width], other))
-    with pytest.raises(FormatError, match=f"duplicate landmark node {first}"):
-        deserialize(_rewritten(blob, ids[width : 2 * width], first))
+    n_nodes = model.tree.n_nodes
+    a, b, c = model.landmarks
+    cols = _columns(blob)
+    ids = cols["landmark ids"]
+    width = len(ids) // 3
+    assert n_nodes < 1 << width
+    first, second, third = (ids[k * width : (k + 1) * width] for k in range(3))
+    for bits, value, bad in ((second, a, a), (first, b, b), (second, c, c), (first, b + 1, b)):
+        with pytest.raises(FormatError, match=f"landmark node {bad} does not ascend"):
+            deserialize(_rewritten(blob, bits, value))
+    with pytest.raises(FormatError, match=f"landmark node {n_nodes} out of range"):
+        deserialize(_rewritten(blob, third, n_nodes))
+    # gamma(4) rewritten as gamma(7): three more ids than the payload holds
+    count = cols["landmark count"]
+    assert len(count) == 5
+    with pytest.raises(FormatError, match=f"landmark ids need {6 * width} bits, {3 * width} remain"):
+        deserialize(_rewritten(blob, count, 7))
 
 
 def test_ingress_reference_across_a_long_edge_refused():
@@ -710,17 +716,11 @@ def test_valid_crc_mutations_decode_or_fail_fast():
         assert time.perf_counter() - t0 < 2.0
         if model is None:
             return
-        # a blob that decodes gives the exact sums' floats in both modes; the
-        # landmark mode, which checks every stored shift against its chain,
-        # gives those of the part roots alone or refuses
+        # a blob that decodes gives the exact sums' floats in both modes
         exact = ref.exact_shift_floats(model)
         modes = ["precomputed"] + ["landmark"] * (model.landmarks is not None)
         for mode in modes:
-            try:
-                est = Estimator(model, mode=mode)
-            except SketchError:
-                assert mode == "landmark"
-                continue
+            est = Estimator(model, mode=mode)
             got = np.array([est.shifted_surrogate(v) for v in range(model.tree.n_nodes)])
             assert np.array_equal(got, exact)
 
@@ -732,19 +732,22 @@ def test_valid_crc_mutations_decode_or_fail_fast():
 
 @pytest.mark.parametrize("t", [57, 58, 59, 60, 512])
 def test_landmark_fields_of_every_width_roundtrip(t):
-    # K+2 = t+5: fields of 62 and 63 bits are packed by numpy, 64 bits and
-    # beyond by exact ints; 63 and 64 are read by numpy, wider field by field
+    # K+2 = t+5.  The sketch selects no landmark; its node with the largest
+    # shift, of t+3 bits (int64 up to t = 59, exact ints beyond), becomes
+    # one by its id alone, and its replayed row is the exact sum's floats
     ps = normalize(gen_high_spread_line(32, t, 1), 2.0)
     res = build_sketch(ps, SketchParams(epsilon=0.25, jl_enabled=False, landmarks=True))
     model = res.model
     assert k_parameter(model.spread, model.epsilon, model.d, model.p) + 2 == t + 5
+    assert model.landmarks == []
     v = max(range(model.tree.n_nodes), key=lambda v: res.table.shift_int[v][0])
-    model.landmarks[v] = res.table.shift_int[v]  # a true shift, so still valid
+    assert int(res.table.shift_int[v][0]).bit_length() == t + 3
+    model.landmarks = [v]
     blob = serialize(model)
     decoded = deserialize(blob)
-    assert decoded.landmarks.keys() == {v}
-    assert decoded.landmarks[v].tolist() == res.table.shift_int[v].tolist() != [0]
+    assert decoded.landmarks == [v]
     assert serialize(decoded) == blob
     est = Estimator(blob, mode="landmark")
     got = np.array([est.shifted_surrogate(u) for u in range(model.tree.n_nodes)])
     assert np.array_equal(got, ref.exact_shift_floats(decoded))
+    assert np.array_equal(got[v], res.table.shift_float(v))

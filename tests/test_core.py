@@ -372,6 +372,13 @@ def test_normalize_needs_two_points():
         normalize(np.array([[1.0, 2.0]]), 2.0)
 
 
+def test_normalize_needs_a_coordinate():
+    # points of no coordinates once ended in numpy's ValueError from the
+    # closest-pair search
+    with pytest.raises(InputError, match="no coordinates"):
+        normalize(np.zeros((3, 0)), 2.0)
+
+
 def test_oracle_matches_lp_distance_bitwise():
     rng = np.random.default_rng(3)
     for p in (1.0, 2.0, math.inf):

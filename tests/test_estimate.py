@@ -382,21 +382,61 @@ def test_landmark_replay_matches_shift_table_ints():
         assert np.array_equal(got, res.table.shift_float(v))
 
 
-def test_landmark_shift_disagreeing_with_its_chain_refused():
-    # +3 on one non-root landmark's stored shift, serialized with a valid
-    # CRC, once decoded and gave landmark estimates that differ from the
-    # precomputed ones on about a third of the pairs
-    pts = gen_gaussian_clusters(300, 3, 29)
-    blob = sketch_points(pts, 2.0, SketchParams(epsilon=1 / 16, landmarks=True))
-    assert Estimator(blob, mode="landmark").max_hops == 0
-    model = deserialize(blob)
-    v = min(u for u in model.landmarks if model.ingress[u] >= 0)
-    model.landmarks[v] = model.landmarks[v] + 3
-    tampered = serialize(model)
-    assert deserialize(tampered).landmarks[v].tolist() == model.landmarks[v].tolist()
-    Estimator(tampered)  # the precomputed mode reads no landmark
-    with pytest.raises(FormatError, match=f"landmark shift of node {v} disagrees"):
-        Estimator(tampered, mode="landmark")
+@pytest.mark.parametrize("d", [2, 10])
+def test_landmark_rows_for_any_id_list(d):
+    # the table holds ids only, and the Estimator sums each listed node's
+    # shift itself: any strictly ascending list, part roots and leaves
+    # included, gives the precomputed rows, and every replay walks to the
+    # nearest listed node or part root
+    rng = np.random.default_rng(23)
+    points = rng.normal(size=(50, d)) * np.exp2(rng.integers(0, 21, size=(50, 1)))
+    res = _result(points, landmarks=True)
+    model = deserialize(res.blob)
+    tree = model.tree
+    ingress = model.ingress
+    roots = np.flatnonzero(ingress < 0)
+    leaves = np.flatnonzero(np.array(tree.leaf_label) >= 0)
+    picked = rng.choice(tree.n_nodes, size=tree.n_nodes // 5, replace=False)
+    model.landmarks = sorted({*picked.tolist(), *roots[1:3].tolist(), *leaves[:4].tolist()})
+    est_l = Estimator(model, mode="landmark")
+    est_p = Estimator(res.blob)
+    anchors = set(model.landmarks) | set(roots.tolist())
+
+    def hops(v):
+        count = 0
+        while v not in anchors:
+            v = ingress[v]
+            count += 1
+        return count
+
+    for v in range(tree.n_nodes):
+        assert np.array_equal(est_l.shifted_surrogate(v), est_p.shifted_surrogate(v))
+        assert est_l.last_hops == hops(v)
+    assert est_l.max_hops > 1
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda ids: [-1] + ids, "landmark node -1 out of range"),
+        (lambda ids: ids + [28], "landmark node 28 out of range"),
+        (lambda ids: ids + ids, "landmark node 10 does not ascend"),
+        (lambda ids: ids + [3], "landmark node 3 does not ascend"),
+    ],
+    ids=["negative", "past-the-end", "duplicate", "descending"],
+)
+def test_landmark_ids_out_of_order_or_range_refused(edit, match):
+    # id -1 once indexed the last node's row: the landmark rows of nodes 26
+    # and 27, and 25 estimates, changed with no error.  The writer refuses
+    # such a table too, rather than write a blob the decoder refuses
+    pts = np.unique(np.random.default_rng(0).integers(0, 6, (40, 2)).astype(float), axis=0)
+    model = _result(pts, p=1.0, landmarks=True).model
+    assert model.tree.n_nodes == 28 and model.landmarks == [10]
+    model.landmarks = edit(model.landmarks)
+    Estimator(model)  # the precomputed mode reads no landmark
+    for refuse in (lambda: Estimator(model, mode="landmark"), lambda: serialize(model)):
+        with pytest.raises(FormatError, match=match):
+            refuse()
 
 
 @pytest.mark.parametrize("mode", ["precomputed", "landmark"])
@@ -425,9 +465,11 @@ def test_landmark_table_contents():
         res.point_set.spread, res.model.epsilon, res.point_set.d, res.point_set.p
     )
     want = select_all_landmarks(res.tree, res.model.ingress, K)
-    assert set(res.model.landmarks) == want
-    for v, ints in res.model.landmarks.items():
-        assert np.array_equal(ints, res.table.shift_int[v])
+    assert res.model.landmarks == sorted(want)
+    est = Estimator(res.blob, mode="landmark")
+    for v in want:
+        assert np.array_equal(est.shifted_surrogate(v), res.table.shift_float(v))
+        assert est.last_hops == 0
 
 
 def test_all_pairs_matches_single_queries():
@@ -559,23 +601,21 @@ def test_exact_int_replay_on_numpy_rows(t):
 
 @pytest.mark.parametrize("d", [2, 10])
 def test_landmark_estimator_leaves_its_model_untouched(d):
-    # the landmark table folds each landmark's shift into the Estimator's
-    # own step array; the model's grid integers, ingress references and
-    # stored shifts stay as decoded, so a precomputed Estimator built from
-    # the same model afterwards gives the same rows
+    # the landmark Estimator folds each landmark's shift into its own step
+    # array; the model's grid integers, ingress references and landmark ids
+    # stay as decoded, so a precomputed Estimator built from the same model
+    # afterwards gives the same rows
     rng = np.random.default_rng(14)
     points = rng.normal(size=(60, d)) * np.exp2(rng.integers(0, 21, size=(60, 1)))
     res = _result(points, landmarks=True)
     model = deserialize(res.blob)
     grid, ingress = model.eta_ints.copy(), model.ingress.copy()
-    shifts = {v: ks.copy() for v, ks in model.landmarks.items()}
-    assert any(ks.any() for ks in shifts.values())
+    ids = list(model.landmarks)
+    assert any(res.table.shift_int[v].any() for v in ids)
     est_l = Estimator(model, mode="landmark")
     assert np.array_equal(model.eta_ints, grid)
     assert np.array_equal(model.ingress, ingress)
-    assert model.landmarks.keys() == shifts.keys()
-    for v, ks in shifts.items():
-        assert np.array_equal(model.landmarks[v], ks)
+    assert model.landmarks == ids
     est_p = Estimator(model)
     fresh = Estimator(res.blob)
     for v in range(res.tree.n_nodes):

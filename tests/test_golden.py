@@ -6,7 +6,7 @@ the ``MCSK`` version bump that announces it.
 
 A second digest covers each decoded model's content and stays put across a
 change of layout: header scalars, tree, centers, ingresses, precisions,
-grid integers and landmark shifts, beside the bits of every ``size_report``
+grid integers and landmark ids, beside the bits of every ``size_report``
 section.  A new layout that moves fields but keeps them must leave these
 unchanged.
 
@@ -79,18 +79,18 @@ CASES = {
 }
 
 DIGESTS = {
-    "clusters-l2-fine-landmarks": "6f567eb25e82cea686e430ba133005785d222610e38208a45511762e6aafc664",
-    "clusters-linf": "feed4cf5a97502db56d8a7dd4d6a043ff02785907ec16287f95fd87ca106dd8d",
-    "graph-metric": "b01559927e0db3de4a2ed342e03c08b9e79fec69f3ae5e7832a0a49ec654f6bd",
-    "graph-metric-landmarks": "b7e4762e3ed11de1d3ab3d01e24ad0374b1e2463950f3d3dc662cb95366d043a",
-    "high-spread-line": "76d615ba85bd62dbfc4e74877bc085aeb71275029472f306d62f5e10264829c8",
-    "high-spread-line-512-landmarks": "45709c9e7c68a45389b645b100fb3b064805e201009d50b933035d47c1cfa358",
-    "lattice-l1-ties": "4fd5e13e38115d0e619008d14bdec017f7fee4ead23256c8245a314bf4fc7378",
-    "lattice-l2-ties-landmarks": "343f46bd60608d5285ecd563e1d771c427f7452e2b131109320906caf97ed754",
-    "projected-l2": "08bcc00c17c6ae90942a8a3daeff5dc425806513fe1e427243e8361dfc65b530",
-    "uniform-l1-landmarks": "a1373485d2a7977b4ac00aaf6ece19f902fdd9a810b6cbd8c9ad3eebd02b2630",
-    "uniform-l1.5": "4b70e4d2dde6e0c30a3a3a73e26c6923a332f57267ceec7218f8dab5dc6e31f1",
-    "uniform-l2": "509f4d15e850045c05b2dfe21e142416dfa5693acb17274f513c2c993f391b25",
+    "clusters-l2-fine-landmarks": "26ee6e742358921dec42d6efe961a8bb9bfd3873b71a8418ce6ddceff152e944",
+    "clusters-linf": "8c5902a17b36d7b536b6cb7e17e91a435e36406e8b3939169bd19b88082d6fd6",
+    "graph-metric": "cf293c965dbe7d3ba86fceda5fc807aed14be095d2ccfca07a62927d28fcfb5d",
+    "graph-metric-landmarks": "d35ef16115aa0bbf74a38a7fde075f662c80853b8a7533286e5b93717194eee5",
+    "high-spread-line": "8fe6422432bc425708dc5d1ba33fdd59606d46ee4b2d89772c98f0674c133873",
+    "high-spread-line-512-landmarks": "fc06ea8d47339a2f9e656647b125dc2f60fd0828aa2218ecdcb17a8c191d8c36",
+    "lattice-l1-ties": "e592a9a93e2192576cf5fcdb3ecfc74e8df9a0ba15b1b2c03ddd177898d04c13",
+    "lattice-l2-ties-landmarks": "d3d2fb9f02410d5880a15065cbea2f02caac4f721fd0300ea5cce9eaae666f01",
+    "projected-l2": "e8ab7618c4e919636b99e936b2498021d56cfae148247fb5c0777c4e736d0c4d",
+    "uniform-l1-landmarks": "c38d363920dd617245f3afac75621e2bca81fc75946c47cae47b6439bdee1c55",
+    "uniform-l1.5": "d0a6d3d2aaeceafd87da706e2ff0abb1049240c393726838b03979cc75b19c5d",
+    "uniform-l2": "8787818486eb687dab1e9a93e939447a7efcc2b31d03e10455d5bfc1e1d5f304",
 }
 
 
@@ -98,8 +98,8 @@ DIGESTS = {
 # centers, ingresses, precisions, displacements, landmarks, padding)
 MODELS = {
     "clusters-l2-fine-landmarks": (
-        "a9970a445ee2931dd4dd45e40d1c39b779c3bcafdd203cd9161d9bf2216a463d",
-        (455, 86, 360, 413, 236, 2589, 269, 0),
+        "62c89fc0568d22b320485125d6cf59e01a0cffb1f0f39fb78bbffaa0f6cb5364",
+        (455, 86, 360, 413, 236, 2589, 37, 0),
     ),
     "clusters-linf": (
         "10b65c2cefbf16ed1c44aea944d4b42f0729b59134021f4eae2877ca8329b20d",
@@ -110,8 +110,8 @@ MODELS = {
         (152, 0, 240, 234, 63, 11320, 0, 7),
     ),
     "graph-metric-landmarks": (
-        "1b6364e460a854dad0552ddb6a23ea0b11d8e49f1ba508e240f1e1468378600a",
-        (104, 0, 150, 145, 41, 6810, 555, 3),
+        "aa5ad419ddedd1e9d6a740e74f610146ef66800d6f3178ad8c284bd1b2d554fc",
+        (104, 0, 150, 145, 41, 6810, 15, 7),
     ),
     "high-spread-line": (
         "184337a73e0ba98ed7f5da448000caf457513d92eca7ee28a75bc9ef985fa40e",
@@ -119,23 +119,23 @@ MODELS = {
     ),
     "high-spread-line-512-landmarks": (
         "f6906fd42aa9145a99838992fd4d405a4e0a65570cf582262d47fb906684831e",
-        (77, 36, 100, 95, 42, 137, 3, 6),
+        (77, 36, 100, 95, 42, 137, 1, 0),
     ),
     "lattice-l1-ties": (
         "7faa94adc491743808c172f1d9e9f4a2dbfbf1a61e19614c167139f2128a73c3",
         (266, 0, 384, 378, 149, 1152, 0, 7),
     ),
     "lattice-l2-ties-landmarks": (
-        "9669f34a7ad42f7e72be1434b60dc4b58a2b0d38232cee5b2d30b744bfd6e94d",
-        (218, 0, 384, 378, 93, 1656, 77, 2),
+        "a8dc6a764569f61e03801b9db41a7b1842737828c5dc6ddc248311563c536d4d",
+        (218, 0, 384, 378, 93, 1656, 17, 6),
     ),
     "projected-l2": (
         "0cfb58074f5fe0ec797866641fc14e405677f6544ae4cab9306ae05564de038d",
         (122, 0, 240, 234, 43, 94800, 0, 1),
     ),
     "uniform-l1-landmarks": (
-        "dcbd838ee432eac46a4998f4785c3aa10ed9565723c265c7b31bb3798101e7e1",
-        (404, 159, 360, 413, 175, 1818, 199, 0),
+        "a08bfbf399ea9af43cd9c8bde978d603ce4fc0c000d4dabeb5c5b3ebf94c1974",
+        (404, 159, 360, 413, 175, 1818, 29, 2),
     ),
     "uniform-l1.5": (
         "fd74c59b5f6e73cabd688d26b69206fb7cd438a1fe6b61dde01953fd1f1cc364",
@@ -165,11 +165,6 @@ def _model_digest(model) -> str:
     label = np.array(tree.leaf_label)
     leaves = np.flatnonzero(label >= 0)
     center = label[leaves[np.searchsorted(leaves, np.arange(tree.n_nodes))]].tolist()
-    landmarks = None
-    if model.landmarks is not None:
-        landmarks = sorted(
-            (v, [int(k) for k in ks]) for v, ks in model.landmarks.items()
-        )
     content = (
         (model.p, model.epsilon, model.scale, model.spread, model.n, model.d),
         (model.jl_seed, model.jl_orig_dim),
@@ -177,7 +172,7 @@ def _model_digest(model) -> str:
         (tree.leaf_label, 0),
         (center, ingress, model.inv_delta),
         (model.eta_ints.dtype.str, model.eta_ints.shape, model.eta_ints.tobytes()),
-        landmarks,
+        model.landmarks,
     )
     return hashlib.sha256(repr(content).encode()).hexdigest()
 

@@ -37,9 +37,9 @@ CASES = {
 }
 
 DIGESTS = {
-    "build-clusters": "1b7c383654c9db71a1193a9df6808f6f74e6b1de2f98293b4e7ee48287b9c578",
-    "query-clusters": "b25e917acd89477af04067cdd1b492759117eca0a3b2bb11ea2e413a0bc70843",
-    "metric-graph": "1636d08cc874b5cefd0d289727a4330de12c73fb6459d28dd1f7b7baf22672bd",
+    "build-clusters": "ed43e3efd37e5dd8639c1f3aafe654930ae371232e2131efb1795c87dfe2ddff",
+    "query-clusters": "12950d1962467956c93f0cf2d81ed2f62ec1a9dae7d1c92e9956136163b283be",
+    "metric-graph": "8a4a0265a7141f2cb95e584dde9836945207cfc3c585b8dc3f27ae6617877789",
 }
 
 
