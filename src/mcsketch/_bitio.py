@@ -1,15 +1,26 @@
 """MSB-first bit columns, written and read by array code.
 
-A payload is a sequence of fields: unsigned integers of given bit widths,
-back to back, each most significant bit first.  An Elias gamma code of
-v >= 1 is such a field too, v in 2 bitlen(v) - 1 bits, whose bitlen(v) - 1
-leading zeros announce its width.  :func:`pack_fields` writes columns of
-fields in one pass; :func:`unpack_runs` reads runs of fixed-width fields at
-any bit offsets in one pass, and :func:`read_gammas` walks a column of
-gamma codes, whose widths come one code at a time, one step per code.
-Fields wider than 64 bits, which no valid blob holds (only hostile gamma
-codes and hostile models reach them), are exact Python ints moved as 64-bit
-pieces.
+A payload is a sequence of columns.  Most are fields: unsigned integers of
+given bit widths, back to back, each most significant bit first.  A column
+of width 1 is a bit column, packed with one ``np.packbits``.  Two codes of
+variable length are laid out as a bit column plus fields, so that a reader
+finds every code's width with whole-array calls:
+
+* a unary code of q >= 0 is q zeros and a one (:func:`unary_bits`); a
+  column of them is read by locating its ``count`` first one bits
+  (:func:`read_unary`);
+* an Elias gamma column of values v >= 1 is the unary codes of every
+  bitlen(v) - 1, then every value's bitlen(v) - 1 low bits as fields
+  (:func:`gamma_columns`, :func:`read_gamma_column`): 2 bitlen(v) - 1 bits
+  per value, as in the interleaved code.
+
+Rows of d integers can also be stored as bit planes: row i as its k[i] low
+bits, one plane of d bits per bit, most significant plane first
+(:func:`plane_bits`, :func:`read_planes`).  :func:`pack_fields` writes
+columns of fields and bit columns in one pass; :func:`unpack_runs` reads
+runs of fixed-width fields at any bit offsets in one pass.  Fields wider
+than 64 bits, which no valid blob holds (only hostile gamma codes and
+hostile models reach them), are exact Python ints moved as 64-bit pieces.
 """
 
 from __future__ import annotations
@@ -19,7 +30,19 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import FormatError, _BLOCK_ELEMS
 
-__all__ = ["pack_fields", "gamma_widths", "bit_windows", "unpack_runs", "read_gammas"]
+__all__ = [
+    "pack_fields",
+    "gamma_widths",
+    "gamma_columns",
+    "unary_bits",
+    "plane_bits",
+    "bit_windows",
+    "unpack_runs",
+    "read_unary",
+    "read_gamma_column",
+    "read_planes",
+    "row_blocks",
+]
 
 
 def _pieces(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -54,16 +77,25 @@ def pack_fields(columns) -> tuple[bytes, int]:
     bit 0, as bytes zero-padded to a whole byte and their bit length: field
     i of a column is ``values[i]`` in ``widths[i]`` bits (or in ``widths``
     bits each).  Values are non-negative: an integer array, or exact ints
-    (an object array) for fields wider than 64 bits.  Raises ValueError
-    when a value is negative or does not fit its width."""
-    columns = [_words(values, widths) for values, widths in columns]
-    total = sum(int(widths.sum()) for _, widths in columns)
+    (an object array) for fields wider than 64 bits.  A column whose
+    ``widths`` is the scalar 1 is a bit column of 0s and 1s.  Raises
+    ValueError when a value is negative or does not fit its width."""
+    columns = [
+        _bits(values) if np.ndim(widths) == 0 and widths == 1 else _words(values, widths)
+        for values, widths in columns
+    ]
+    total = sum(v.size if w is None else int(w.sum()) for v, w in columns)
     out = np.zeros(total // 64 + 2, dtype=np.uint64)
     end = 0
+    bit_columns = []
     # each field lies in one 64-bit word of the stream or straddles two: its
     # left-aligned bits go into the first word and any spill into the next
     step = _BLOCK_ELEMS // 32  # a dozen uint64 temporaries: a third of a block
     for values, widths in columns:
+        if widths is None:
+            bit_columns.append((end, values))
+            end += values.size
+            continue
         for s in range(0, widths.size, step):
             w = widths[s : s + step].astype(np.int64)
             wu = w.astype(np.uint64)
@@ -78,7 +110,25 @@ def pack_fields(columns) -> tuple[bytes, int]:
             out[word[first]] |= np.bitwise_or.reduceat(left >> off, first)
             spill = off + wu > 64
             out[word[spill] + 1] |= left[spill] << (np.uint64(64) - off[spill])
-    return out.astype(">u8").tobytes()[: (total + 7) // 8], total
+    raw = out.astype(">u8").view(np.uint8)
+    for start, bits in bit_columns:
+        # packed whole, then moved start & 7 bits right: each packed byte
+        # spills its low bits into the next byte of the stream
+        packed = np.packbits(bits)
+        at, off = start >> 3, start & 7
+        raw[at : at + packed.size] |= packed >> off
+        if off:
+            raw[at + 1 : at + 1 + packed.size] |= packed << (8 - off)
+    return raw.tobytes()[: (total + 7) // 8], total
+
+
+def _bits(values) -> tuple[np.ndarray, None]:
+    """A bit column as a uint8 array of 0s and 1s.  Raises ValueError on any
+    other value."""
+    values = np.asarray(values)
+    if values.size and (values.min() < 0 or values.max() > 1):
+        raise ValueError("a bit column holds a value other than 0 and 1")
+    return values.astype(np.uint8, copy=False), None
 
 
 def gamma_widths(values) -> np.ndarray:
@@ -88,6 +138,61 @@ def gamma_widths(values) -> np.ndarray:
     if min(values, default=1) < 1:
         raise ValueError(f"gamma code requires values >= 1, got {min(values)}")
     return 2 * np.array([v.bit_length() for v in values], dtype=np.int64) - 1
+
+
+def gamma_columns(values) -> list:
+    """The two columns, for :func:`pack_fields`, of an Elias gamma column
+    of ``values``: the unary codes of every bitlen(v) - 1, then every
+    value's bitlen(v) - 1 low bits.  Raises ValueError on a value below 1."""
+    low = gamma_widths(values) // 2
+    if low.max(initial=0) < 63:
+        suffix = np.asarray(values, dtype=np.int64) - (1 << low)
+    else:
+        suffix = np.array([int(v) - (1 << int(w)) for v, w in zip(values, low)], dtype=object)
+    return [(unary_bits(low), 1), (suffix, low)]
+
+
+def unary_bits(q) -> np.ndarray:
+    """The unary codes of ``q`` (each q zeros, then a one), back to back, as
+    a bit column."""
+    q = np.asarray(q, dtype=np.int64).ravel()
+    bits = np.zeros(int(q.sum()) + q.size, dtype=np.uint8)
+    end = 0
+    for s in range(0, q.size, _BLOCK_ELEMS // 8):  # two int64 temporaries
+        ones = np.cumsum(q[s : s + _BLOCK_ELEMS // 8] + 1)
+        ones += end - 1
+        bits[ones] = 1
+        end = int(ones[-1]) + 1
+    return bits
+
+
+def plane_bits(rows, k) -> np.ndarray:
+    """The bit planes of an (n, d) array of non-negative integers (uint64,
+    or exact ints) as a bit column: row i as its ``k[i]`` low bits, one
+    plane of d bits per bit, most significant plane first, row by row.
+    The planes are filled for the rows of one k at a time, one block of
+    rows and one plane per step."""
+    rows = np.asarray(rows)
+    k = np.asarray(k, dtype=np.int64)
+    planes = np.empty((int(k.sum()), rows.shape[1]), dtype=np.uint8)
+    top = np.cumsum(k) - k  # each row's first plane
+    one = rows.dtype.type(1)
+    for kk in np.unique(k[k > 0]).tolist():
+        g = np.flatnonzero(k == kk)
+        for r in row_blocks(g.size, rows.shape[1]):
+            part, at = rows[g[r]], top[g[r]]
+            for j in range(kk):
+                planes[at + j] = (part >> rows.dtype.type(kk - 1 - j)) & one
+    return planes.ravel()
+
+
+def row_blocks(n: int, d: int) -> list[slice]:
+    """Slices of ``n`` rows of ``d`` values, each of at most 1/32 of a float
+    block (8,192 values, or one row when a row is longer): the unit of the
+    row loops here and in the codec, so that a uint64 temporary of one
+    stays at 64 KB."""
+    step = max(1, _BLOCK_ELEMS // (32 * d))
+    return [slice(s, s + step) for s in range(0, n, step)]
 
 
 def bit_windows(data: bytes, start: int, limit: int, span: int):
@@ -144,31 +249,69 @@ def unpack_runs(
     return out
 
 
-def read_gammas(data: bytes, start: int, count: int, limit: int) -> tuple[np.ndarray, int]:
-    """The values of the ``count`` Elias gamma codes that follow one another
-    from bit ``start`` of ``data`` (as :func:`unpack_runs` gives them), and
-    the bit after the last code.
-
-    The walk takes one step per code over a table, for every position of a
-    window of the stream, of where a code starting there ends; the window
-    doubles while a code runs past it, and a code whose leading zeros leave
-    too few bits before bit ``limit`` raises FormatError.
-    """
-    for stop, bits in bit_windows(data, start, limit, 8 * count + 64):
-        at = np.arange(start, stop + 1)
-        # the first set bit at or after each position (stop where none), and
-        # the end of a code of as many zeros, that bit and as many more bits
-        one = np.minimum.accumulate(np.append(np.where(bits, at[:-1], stop), stop)[::-1])
-        end = (2 * one[::-1] - at + 1).tolist()
-        codes, pos = [], start
-        for _ in range(count):
-            if end[pos - start] > stop:
-                break
-            codes.append(pos)
-            pos = end[pos - start]
-        else:
+def read_unary(
+    data: bytes, start: int, count: int, limit: int, span: int = 0
+) -> tuple[np.ndarray, int]:
+    """The ``count`` unary codes that follow one another from bit ``start``
+    of ``data``, as an int64 array of their q, and the bit after the last
+    code.  The reader locates the first ``count`` one bits with one
+    ``np.unpackbits`` and one ``np.flatnonzero`` per window; the windows
+    start at ``span`` bits (by default twice the count, plus 64) and double
+    up to bit ``limit``.  Fewer ones than codes before ``limit`` raise
+    FormatError."""
+    if not count:
+        return np.zeros(0, dtype=np.int64), start
+    for _, bits in bit_windows(data, start, limit, span or 2 * count + 64):
+        ones = np.flatnonzero(bits.view(bool))  # numpy's fast path
+        if ones.size >= count:
             break
-    codes = np.array(codes, dtype=np.int64)
-    width = np.diff(codes, append=pos)
-    lead = codes + width // 2  # a code of width 2z+1 has z leading zeros
-    return unpack_runs(data, lead, width - width // 2, 1)[:, 0], pos
+    q = np.empty(count, dtype=np.int64)
+    q[0] = ones[0]
+    np.subtract(ones[1:count], ones[: count - 1], out=q[1:])
+    q[1:] -= 1
+    return q, start + int(ones[count - 1]) + 1
+
+
+def read_gamma_column(data: bytes, start: int, count: int, limit: int) -> tuple[np.ndarray, int]:
+    """The values of the Elias gamma column of ``count`` codes that
+    :func:`gamma_columns` laid out from bit ``start`` of ``data`` (uint64,
+    or exact ints once a value reaches 2^64), and the bit after it.
+    FormatError when the unary part, or the low bits it announces, run
+    past bit ``limit``; the low bits are checked before they are read."""
+    low, mid = read_unary(data, start, count, limit, 4 * count + 64)
+    total = int(low.sum())
+    if total > limit - mid:
+        raise FormatError(f"gamma codes need {total} more bits, {limit - mid} remain")
+    suffix = unpack_runs(data, mid + np.cumsum(low) - low, low, 1)[:, 0]
+    if low.max(initial=0) < 64:
+        values = suffix | (np.uint64(1) << low.astype(np.uint64))
+    else:
+        values = np.array([(1 << w) | int(s) for w, s in zip(low.tolist(), suffix)], dtype=object)
+    return values, mid + total
+
+
+def read_planes(data: bytes, start: int, k: np.ndarray, rows: np.ndarray) -> None:
+    """Append to each row of the (len(k), d) uint64 array ``rows``, in place,
+    the bit planes that :func:`plane_bits` wrote from bit ``start`` of
+    ``data``: row i is shifted left by ``k[i]`` (at most 64) and takes its
+    k[i] low bits from them.  The planes come with one ``np.unpackbits``
+    for them all, seen as rows of d bits, and one gather per plane of each
+    distinct k.  The caller has checked the d * sum(k) bits against the
+    stream's length, and that no row overflows."""
+    k = np.asarray(k, dtype=np.int64)
+    d = rows.shape[1]
+    total = int(k.sum()) * d
+    if not total:
+        return
+    first, last = start >> 3, (start + total + 7) >> 3
+    bits = np.unpackbits(np.frombuffer(data, np.uint8, last - first, first))
+    planes = bits[start - 8 * first : start - 8 * first + total].reshape(-1, d)
+    top = np.cumsum(k) - k  # each row's first plane
+    for kk in np.unique(k[k > 0]).tolist():
+        g = np.flatnonzero(k == kk)
+        for r in row_blocks(g.size, d):
+            at, acc = top[g[r]], rows[g[r]]
+            for j in range(kk):
+                acc <<= np.uint64(1)
+                acc |= planes[at + j]
+            rows[g[r]] = acc

@@ -2,7 +2,7 @@
 
 Layout, all multi-byte header fields little-endian:
 
-* header: magic ``MCSK``; u16 version (3); u8 p-code (1, 2, 255 = inf;
+* header: magic ``MCSK``; u16 version (5); u8 p-code (1, 2, 255 = inf;
   0 = rational p followed by u32 numerator + u32 denominator); u64 n;
   u64 d; f64 epsilon (post-snap); f64 scale; f64 spread; u8 flags (bit 1:
   landmark table present; every other bit, bit 0 included, is reserved
@@ -10,30 +10,39 @@ Layout, all multi-byte header fields little-endian:
   dimension (0 when no projection was applied); u64 payload bit length.
 
 * payload, an MSB-first bit stream of columns, each holding one field per
-  node (or per edge, leaf, part or landmark) in DFS preorder:
+  node (or per edge, leaf, part or landmark) in DFS preorder.  An Elias
+  gamma column is split in two (``_bitio.gamma_columns``): the unary codes
+  of every value's bitlen(v) - 1 (that many zeros, then a one), then every
+  value's bitlen(v) - 1 low bits.
 
   1. tree shape as balanced parentheses, two bits per node (1 opens it,
      0 closes it);
   2. one bit per non-root node, 1 for a long edge; then the Elias-gamma
-     coded level gap (>= 2) of every long edge;
+     column of the level gaps (>= 2) of the long edges;
   3. every leaf's point label in ceil(log2 n) bits (a node's center, its
      first child's, is the label of the first leaf at or after it);
   4. per node that is not a part root and not its parent's first child
      (a first child's ingress is its parent), its ingress as a reference
      into the preorder enumeration of nodes without short children, in
      ceil(log2 L) bits;
-  5. every node's Elias-gamma of inv_delta - 4;
-  6. per node that is not a part root, its displacement as d grid
-     integers, each biased by the node's grid bound B and written in
-     ceil(log2(2B+1)) bits (see ``net`` and :func:`_grid_fields`);
-  7. when flags bit 1 is set: Elias-gamma of (landmark count L + 1), then
-     the L landmark node ids in strictly ascending order, ceil(log2 N) bits
-     each.  A landmark's shift is not stored: the landmark ``Estimator``
-     sums it from the steps along its ingress chain.
+  5. the Elias-gamma column of every node's inv_delta - 4;
+  6. the displacements of the nodes that are not part roots, each d grid
+     integers m with |m| <= B, the node's grid bound (see ``net``), coded
+     by their zigzag values z (2m for m >= 0, -2m-1 below) in Rice codes
+     of parameter k = max(0, bitlen(B) - c): first the offset c of first
+     children and that of every other node, 4 bits each; then the unary
+     codes of every quotient z >> k, node by node; then every node's k low
+     bits of its d values as k bit planes of d bits, most significant
+     plane first (see :func:`_rice_columns`);
+  7. when flags bit 1 is set: the Elias-gamma of (landmark count L + 1),
+     then the L landmark node ids in strictly ascending order,
+     ceil(log2 N) bits each.  A landmark's shift is not stored: the
+     landmark ``Estimator`` sums it from the steps along its ingress chain.
 
   Versions 1 (fields node by node), 2 (every node's center, one ingress
-  flag per node) and 3 (every landmark's shift, in K+2 bits per
-  coordinate) are refused.
+  flag per node), 3 (every landmark's shift, in K+2 bits per coordinate)
+  and 4 (displacements and gamma codes in fixed or interleaved fields)
+  are refused.
 
 * trailer: u32 CRC-32 (zlib) of header plus payload bytes.  Every header
   or payload corruption is caught by the CRC at the latest; structural
@@ -51,15 +60,17 @@ at part roots, from the parents and the references.
 
 Columns move whole.  The writer packs every field of the payload in one
 pass (``_bitio.pack_fields``); the reader reads each fixed-width column in
-one pass (``unpack_runs``) and each gamma column in one walk
-(``read_gammas``).  Every column's length follows from the node count and
-the columns before it, and is checked against the bits that remain before
-anything is allocated for it.
+one pass (``unpack_runs``), and each unary stream, a gamma column's or
+the displacements' quotients, by locating its one bits with whole-array
+calls (``read_unary``).  Every column's length follows from the node
+count and the columns before it, and is checked against the bits that
+remain before anything is allocated for it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 import zlib
 from dataclasses import dataclass
@@ -67,7 +78,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net
-from ._bitio import bit_windows, gamma_widths, pack_fields, read_gammas, unpack_runs
+from ._bitio import (
+    bit_windows,
+    gamma_columns,
+    pack_fields,
+    plane_bits,
+    read_gamma_column,
+    read_planes,
+    read_unary,
+    row_blocks,
+    unary_bits,
+    unpack_runs,
+)
 from .annotate import ingress_layers
 from .core import (
     FormatError,
@@ -83,7 +105,7 @@ from .hst import SketchTree, _jump
 __all__ = ["SketchModel", "SizeReport", "serialize", "deserialize", "size_report"]
 
 MAGIC = b"MCSK"
-VERSION = 4
+VERSION = 5
 
 _FLAG_LANDMARKS = 2
 # the fixed header after the norm: n, d, epsilon, scale, spread, flags, random
@@ -196,10 +218,10 @@ def serialize(model: SketchModel) -> bytes:
         raise GuaranteeError(f"ingress of node {later[~known][0]} is not short-childless")
 
     precision = _ints(model.inv_delta) - 4
-    bounds, widths = _grid_fields(tree, model.inv_delta, eps, d, model.p)
+    bounds, lengths = _grid_bounds(tree, model.inv_delta, eps, d, model.p)
     try:
-        fields = _biased(
-            _ints(model.eta_ints)[inner], bounds[inner].tolist(), widths[inner].tolist()
+        displacements = _rice_columns(
+            _ints(model.eta_ints), bounds, lengths, parent == np.arange(n_nodes) - 1
         )
     except ValueError as exc:
         raise GuaranteeError(f"a grid integer exceeds its bound: {exc}") from exc
@@ -207,16 +229,15 @@ def serialize(model: SketchModel) -> bytes:
     cols = [  # (values, widths), in payload order
         (shape, 1),
         (long_edge[1:], 1),
-        (gaps, gamma_widths(gaps)),
+        *gamma_columns(gaps),
         (label[label >= 0], (n - 1).bit_length()),
         (ref, (subtree_leaves.size - 1).bit_length()),
-        (precision, gamma_widths(precision)),
-        (fields, np.repeat(widths[inner].astype(np.uint16), d)),
+        *gamma_columns(precision),
+        *displacements,
     ]
     if model.landmarks is not None:
-        count = [len(model.landmarks) + 1]
         cols += [
-            (count, gamma_widths(count)),
+            *gamma_columns([len(model.landmarks) + 1]),
             (landmark_ids(model.landmarks, n_nodes), (n_nodes - 1).bit_length()),
         ]
     payload, bits = pack_fields(cols)
@@ -240,42 +261,163 @@ def _ints(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _grid_fields(tree, inv_delta, eps: float, d: int, p: float):
-    """Per node, the bound B of its grid integers and the width of each of
-    its d stored fields, both from ``net``: the one rule the writer and the
-    reader share.  Part roots, which store no displacement,
-    get 0 and 0.  B comes once per distinct (has_short, inv_delta) pair; it
-    is exact, int64 or exact ints once one reaches 2^63.  A net too fine for
-    floats (B infinite) raises OverflowError or ZeroDivisionError."""
+def _grid_bounds(tree, inv_delta, eps: float, d: int, p: float):
+    """Per node, the bound B of its grid integers and B's bit length, both
+    from ``net``: the one rule the writer and the reader share.  Part
+    roots, which store no displacement, get 0 and 0.  B comes once per
+    distinct (has_short, inv_delta) pair; it is exact, int64 or exact ints
+    once one reaches 2^63.  A net too fine for floats (B infinite) raises
+    OverflowError or ZeroDivisionError."""
     inner = np.flatnonzero(~tree.part_root)
     keys, which = np.unique(
         _ints(inv_delta)[inner] * 2 + tree.has_short[inner], return_inverse=True
     )
     deltas = [net.delta_effective(eps, not k & 1, k >> 1) for k in keys.tolist()]
-    nets = _ints([net.grid_bound(de, d, p) for de in deltas])
-    bounds = np.zeros(tree.n_nodes, dtype=nets.dtype)
-    bounds[inner] = nets[which]
-    widths = np.zeros(tree.n_nodes, dtype=np.int64)
-    widths[inner] = np.array([net.grid_bit_width(de, d, p) for de in deltas])[which]
-    return bounds, widths
+    nets = [net.grid_bound(de, d, p) for de in deltas]
+    bounds = np.zeros(tree.n_nodes, dtype=_ints(nets).dtype)
+    bounds[inner] = _ints(nets)[which]
+    lengths = np.zeros(tree.n_nodes, dtype=np.int64)
+    lengths[inner] = np.array([b.bit_length() for b in nets], dtype=np.int64)[which]
+    return bounds, lengths
 
 
-def _biased(rows, bias: list[int], widths: list[int]) -> np.ndarray:
-    """The stored fields of displacement rows, flattened: each row's d grid
-    integers plus that row's bias B, in that row's width ceil(log2(2B+1)).
-    Raises ValueError when a biased value falls outside [0, 2 * bias] or
-    its width, the range the decoder accepts.  uint64 when every field
-    does, exact ints otherwise; with each bias at most 2^63 a negative
-    value wraps to above 2 * bias, or above the width, in uint64."""
-    top = [min(2 * b, (1 << w) - 1) for b, w in zip(bias, widths)]
-    rows = np.asarray(rows)
-    fits = rows.dtype == np.int64 and max(top, default=0) < 2**64
-    dtype = np.uint64 if fits else object
-    biased = rows.astype(dtype)
-    biased += np.array(bias, dtype=dtype).reshape(-1, 1)
-    if (biased > np.array(top, dtype=dtype).reshape(-1, 1)).any() or (biased < 0).any():
-        raise ValueError("a biased value falls outside [0, 2 * bias] or its width")
-    return biased.ravel()
+# --------------------------------------------------------------------------
+# Displacements: zigzag values in Rice codes, in two streams.
+
+
+def _rice_columns(rows, bounds, lengths, first) -> list:
+    """The displacement section of grid rows, as columns for
+    ``pack_fields``.  Row i stores nothing when ``bounds[i]`` is 0 (a part
+    root); any other row stores its d integers m, each as its zigzag value
+    z (2m for m >= 0, -2m-1 below, so |m| <= B exactly when z <= 2B) in a
+    Rice code of parameter k = max(0, bitlen(B) - c).  The section holds
+    the offset c of the rows with ``first`` set (first children) and that
+    of the other rows in 4 bits each, then the unary codes of every
+    quotient z >> k, row by row, then every row's k remainder bits as bit
+    planes (``plane_bits``).  Raises ValueError when an integer lies
+    outside [-B, B]."""
+    stored = bounds > 0
+    z = _zigzag(np.asarray(rows)[stored], bounds[stored])
+    lengths, first = lengths[stored], np.asarray(first)[stored]
+    offsets = _rice_offsets(z, lengths, first)
+    k = np.maximum(0, lengths - np.where(first, *offsets))
+    shift = _shifts(k, z.dtype)
+    unary = [unary_bits((z[r] >> shift[r]).astype(np.int64)) for r in row_blocks(*z.shape)]
+    one = z.dtype.type(1)
+    z &= (one << shift) - one  # the remainders, in place
+    return [(np.array(offsets), 4), (np.concatenate(unary or [[]]), 1), (plane_bits(z, k), 1)]
+
+
+def _shifts(k: np.ndarray, dtype) -> np.ndarray:
+    """Per-row shift counts ``k`` as a column in the values' dtype, so that
+    exact ints shift as Python ints."""
+    return k.astype(dtype)[:, None]
+
+
+def _zigzag(rows, bounds) -> np.ndarray:
+    """The zigzag values of grid rows: uint64, in place of an int64 array
+    (the map is a bijection of int64 onto uint64), or exact ints where a
+    row or a bound does not fit int64.  Raises ValueError unless every
+    value of row i is at most 2 * bounds[i]."""
+    if rows.dtype == np.int64 and bounds.dtype == np.int64:
+        negative = rows < 0
+        z = np.abs(rows, out=rows).view(np.uint64)  # -2^63 stays 2^63
+        z <<= np.uint64(1)
+        z -= negative  # -2^63 wraps to 2^64 - 1, above every 2B
+        top = bounds.astype(np.uint64) << np.uint64(1)  # each B below 2^63
+    else:
+        rows = rows.astype(object)
+        z = np.where(rows >= 0, 2 * rows, -2 * rows - 1)
+        top = bounds.astype(object) * 2
+    bad = z > top[:, None]
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        m = -(int(z[i, j]) + 1 >> 1) if z[i, j] & 1 else int(z[i, j]) >> 1
+        raise ValueError(f"grid integer {m} lies outside [-{bounds[i]}, {bounds[i]}]")
+    return z
+
+
+def _rice_offsets(z, lengths, first) -> list[int]:
+    """The offsets c in 0..15 of the rows with ``first`` set and of the
+    others, each the best of three.  A class's mean of z / 2^bitlen(B)
+    gives the c of a geometric law's best Rice parameter,
+    log2(ln 2 * mean); that c and its two neighbours are costed exactly,
+    and the fewest bits win, the smaller c on a tie."""
+    classes = (first, ~first)
+    mean = z.sum(axis=1, dtype=np.float64) * np.exp2(-lengths)
+    guess = []
+    for rows in classes:
+        m = mean[rows].sum() / max(1, int(rows.sum()) * z.shape[1])
+        guess.append(15 if m == 0 else min(15, max(0, round(-math.log2(math.log(2) * m)))))
+    best = [(math.inf, 0), (math.inf, 0)]
+    for step in (-1, 0, 1):
+        c = np.where(first, guess[0] + step, guess[1] + step)
+        k = np.maximum(0, lengths - c)
+        shift = _shifts(k, z.dtype)
+        bits = z.shape[1] * (k + 1)
+        for r in row_blocks(*z.shape):
+            bits[r] += (z[r] >> shift[r]).sum(axis=1).astype(np.int64)
+        for i, rows in enumerate(classes):
+            if 0 <= guess[i] + step <= 15:
+                best[i] = min(best[i], (int(bits[rows].sum()), guess[i] + step))
+    return [c for _, c in best]
+
+
+def _read_rice(payload, start: int, limit: int, bounds, lengths, first, d: int):
+    """The rows :func:`_rice_columns` wrote from bit ``start`` of
+    ``payload``, as one (len(bounds), d) int64 array with zero rows where
+    ``bounds`` is 0, and the bit after the section.  Each stream is read
+    with whole-array calls: the quotients with one ``read_unary`` window up
+    to the remainders, the remainders with ``read_planes``.  FormatError,
+    before any (rows, d) array is allocated, when the rows cannot fit
+    before bit ``limit`` (at least d (k + 1) bits each), and after, when a
+    quotient exceeds 2B >> k (checked before it is shifted) or a value
+    exceeds 2B."""
+    if limit - start < 8:
+        raise FormatError(f"Rice offsets need 8 bits, {limit - start} remain")
+    pair = int.from_bytes(payload[start >> 3 : (start >> 3) + 2].ljust(2, b"\0"), "big")
+    offsets = divmod(pair >> (8 - (start & 7)) & 0xFF, 16)
+    pos = start + 8
+    stored = bounds > 0
+    k = np.maximum(0, lengths - np.where(first, *offsets))  # 0 at part roots
+    # never allocate from the header's d alone: the first node whose codes
+    # cannot end before the limit is named
+    ends = np.cumsum(np.where(stored, k + 1, 0))
+    over = np.flatnonzero(ends > (limit - pos) // d)
+    if over.size:
+        v = over[0]
+        raise FormatError(
+            f"displacement of node {v} needs at least {d * (k[v] + 1)} bits, "
+            f"{limit - pos - d * (ends[v] - k[v] - 1)} remain"
+        )
+    k, b = k[stored], bounds[stored].astype(np.uint64)
+    planes = d * int(k.sum())
+    q, pos = read_unary(payload, pos, d * k.size, limit - planes, limit - planes - pos)
+    z = q.view(np.uint64).reshape(-1, d)
+    top = (b << np.uint64(1))[:, None]
+    bad = z > top >> _shifts(k, np.uint64)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise FormatError(
+            f"quotient {z[i, j]} of node {np.flatnonzero(stored)[i]} exceeds "
+            f"2B >> k = {top[i, 0] >> np.uint64(k[i])}"
+        )
+    read_planes(payload, pos, k, z)
+    bad = z > top
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise FormatError(
+            f"zigzag value {z[i, j]} of node {np.flatnonzero(stored)[i]} exceeds 2B = {top[i, 0]}"
+        )
+    for r in row_blocks(*z.shape):
+        sign = z[r].view(np.int64) & 1
+        np.negative(sign, out=sign)  # all ones below zero, where z = 2|m| - 1
+        z[r] >>= np.uint64(1)
+        z[r] ^= sign.view(np.uint64)  # ~(|m| - 1) = m
+    m = z.view(np.int64)
+    eta = np.zeros((bounds.size, d), dtype=np.int64)
+    eta[stored] = m
+    return eta, pos + planes
 
 
 def deserialize(data: bytes) -> SketchModel:
@@ -359,7 +501,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     def gammas(count: int) -> tuple[np.ndarray, int]:
         nonlocal pos
         start = pos
-        values, pos = read_gammas(payload, pos, count, payload_bits)
+        values, pos = read_gamma_column(payload, pos, count, payload_bits)
         return values, pos - start
 
     # 1. shape: read through windows that double until the root closes (a
@@ -462,24 +604,15 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
 
     # 6. displacements
     try:
-        bounds, widths = _grid_fields(tree, inv_delta, eps, d, p)
+        bounds, lengths = _grid_bounds(tree, inv_delta, eps, d, p)
     except (OverflowError, ZeroDivisionError):  # B is infinite
         bounds = None
     if bounds is None or bounds.dtype == object:
         raise FormatError("a grid bound does not fit in 64 bits")
-    # never allocate from the header's d alone: the first node whose run
-    # ends past the payload is named
-    ends = np.cumsum(widths)
-    over = np.flatnonzero(ends > (payload_bits - pos) // d)
-    if over.size:
-        v = over[0]
-        raise FormatError(
-            f"displacement of node {v} needs {d * widths[v]} bits, "
-            f"{payload_bits - pos - d * (ends[v] - widths[v])} remain"
-        )
-    eta_ints = _read_grid(payload, pos + d * (ends - widths), widths, bounds, d)
-    displacement_bits = d * int(ends[-1])
-    pos += displacement_bits
+    mark = pos
+    first = parent == np.arange(n_nodes) - 1
+    eta_ints, pos = _read_rice(payload, pos, payload_bits, bounds, lengths, first, d)
+    displacement_bits = pos - mark
 
     part_of = tree.part_of
     crossing = inner[part_of[ingress[inner]] != part_of[inner]]
@@ -536,32 +669,20 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
 
 def landmark_ids(ids, n_nodes: int) -> np.ndarray:
     """Landmark node ids as an int64 array, for the writer, the decoder and
-    a landmark-mode Estimator alike.  FormatError unless they strictly
-    ascend within 0..n_nodes-1, the one order a blob holds them in; a
-    negative id would index the replay's step table from its end."""
-    ids = np.asarray(ids, dtype=np.int64)
+    a landmark-mode Estimator alike.  FormatError unless they are integers
+    (a float id would be truncated to some other node) and strictly ascend
+    within 0..n_nodes-1, the one order a blob holds them in; a negative id
+    would index the replay's step table from its end."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        for x in ids.ravel().tolist():
+            if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+                raise FormatError(f"landmark node {x!r} is not an integer")
     out = ids[(ids < 0) | (ids >= n_nodes)]
     if out.size:
         raise FormatError(f"landmark node {out[0]} out of range")
+    ids = ids.astype(np.int64)
     down = np.flatnonzero(ids[1:] <= ids[:-1])
     if down.size:
         raise FormatError(f"landmark node {ids[down[0] + 1]} does not ascend")
     return ids
-
-
-def _read_grid(payload, starts, widths, bounds, d) -> np.ndarray:
-    """The displacement column in one pass, as one (len(starts), d) int64
-    array of grid integers: row i holds the d fields of ``widths[i]`` bits
-    from bit ``starts[i]`` on, minus ``bounds[i]``.  A width of 0 (a part
-    root) gives a zero row.  A field above twice its bound raises
-    FormatError."""
-    u = unpack_runs(payload, starts, widths, d)
-    bound = np.array(bounds, dtype=np.uint64)[:, None]  # each below 2^63
-    over = u > 2 * bound
-    if over.any():
-        i, j = np.argwhere(over)[0]
-        raise FormatError(
-            f"grid integer {int(u[i, j]) - bounds[i]} exceeds bound {bounds[i]}"
-        )
-    u -= bound  # wraps below zero, which the int64 view reads as negative
-    return u.view(np.int64)

@@ -3,11 +3,12 @@
 The quantized displacement of a node is a vector eta with ||eta||_p <= 1
 (up to rounding slack).  The builder rounds it to the uniform grid
 (delta/d^(1/p)) Z^d with :func:`grid_indices` and keeps its d signed
-multiples as one row of an (n_nodes, d) int64 array.  The codec stores
-each multiple biased by the bound B = ceil((1+delta) d^(1/p) / delta) in
-the fixed width ceil(log2(2B+1)), and the decoder refuses any stored field
-above 2B.  This works for every p.  B must stay below 2^63
-(:func:`grid_bound_fits`) so that every multiple fits int64.
+multiples as one row of an (n_nodes, d) int64 array.  Every multiple lies
+within the bound B = ceil((1+delta) d^(1/p) / delta).  The codec stores
+each as its zigzag value z (at most 2B) in a Rice code whose parameter
+follows from bitlen(B), and the decoder refuses any z above 2B.  This
+works for every p.  B must stay below 2^63 (:func:`grid_bound_fits`) so
+that every multiple fits int64.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "grid_indices",
     "grid_bound",
     "grid_bound_fits",
-    "grid_bit_width",
     "per_coord_scale",
     "delta_effective",
 ]
@@ -69,7 +69,7 @@ def grid_indices(
 
 
 # --------------------------------------------------------------------------
-# Codec bounds: d biased fixed-width grid multiples.
+# Codec bounds: every grid multiple lies in [-B, B].
 
 
 def grid_bound(delta: float, d: int, p: float) -> int:
@@ -79,14 +79,10 @@ def grid_bound(delta: float, d: int, p: float) -> int:
 
 def grid_bound_fits(delta: float, d: int, p: float) -> bool:
     """True when B < 2^63, so that every grid multiple fits int64 and every
-    biased field (at most 2B) fits uint64.  The builder and the decoder
+    zigzag value (at most 2B) fits uint64.  The builder and the decoder
     both refuse a node whose net fails this test."""
     try:
         return grid_bound(delta, d, p) < 2**63
     except (OverflowError, ZeroDivisionError):  # B is infinite
         return False
 
-
-def grid_bit_width(delta: float, d: int, p: float) -> int:
-    """Fixed width ceil(log2(2B+1)) of one stored coordinate."""
-    return (2 * grid_bound(delta, d, p)).bit_length()

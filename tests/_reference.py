@@ -540,14 +540,10 @@ class BitWriter:
         self._acc = acc & ((1 << nbits) - 1)
         self._nbits = nbits
 
-    def write_gamma(self, value: int) -> None:
-        """Elias gamma: N zero bits then the (N+1)-bit value, value >= 1."""
-        value = int(value)
-        if value < 1:
-            raise ValueError(f"gamma code requires value >= 1, got {value}")
-        n = value.bit_length() - 1
-        self.write_uint(0, n)
-        self.write_uint(value, n + 1)
+    def write_unary(self, q: int) -> None:
+        """q zero bits, then a one."""
+        self.write_uint(0, q)
+        self.write_uint(1, 1)
 
     def getvalue(self) -> bytes:
         """Bytes with zero padding in the final partial byte."""
@@ -575,11 +571,54 @@ class BitReader:
         chunk = int.from_bytes(self._data[pos >> 3 : last], "big")
         return (chunk >> (8 * last - end)) & ((1 << width) - 1)
 
-    def read_gamma(self) -> int:
-        n = 0
+    def read_unary(self) -> int:
+        q = 0
         while self.read_uint(1) == 0:
-            n += 1
-        return (1 << n) | self.read_uint(n)
+            q += 1
+        return q
+
+
+def write_gammas(w: BitWriter, values) -> None:
+    """An Elias gamma column, one code at a time: every value's
+    bitlen(v) - 1 in unary, then every value's bitlen(v) - 1 low bits."""
+    for v in values:
+        w.write_unary(int(v).bit_length() - 1)
+    for v in values:
+        n = int(v).bit_length() - 1
+        w.write_uint(int(v) - (1 << n), n)
+
+
+def read_gammas(r: BitReader, count: int) -> list[int]:
+    lows = [r.read_unary() for _ in range(count)]
+    return [(1 << n) | r.read_uint(n) for n in lows]
+
+
+def zigzag(m: int) -> int:
+    return 2 * m if m >= 0 else -2 * m - 1
+
+
+def write_rice_rows(w: BitWriter, rows, ks) -> None:
+    """Rows of non-negative integers in Rice codes of one parameter k per
+    row, one bit at a time: every value's quotient z >> k in unary, row by
+    row, then each row's k planes of d bits, most significant plane first."""
+    for row, k in zip(rows, ks):
+        for z in row:
+            w.write_unary(int(z) >> k)
+    for row, k in zip(rows, ks):
+        for j in reversed(range(k)):
+            for z in row:
+                w.write_uint(int(z) >> j & 1, 1)
+
+
+def read_rice_rows(r: BitReader, ks, d: int) -> list[list[int]]:
+    quotients = [[r.read_unary() for _ in range(d)] for _ in ks]
+    rows = []
+    for qs, k in zip(quotients, ks):
+        rest = [0] * d
+        for _ in range(k):
+            rest = [2 * x + r.read_uint(1) for x in rest]
+        rows.append([q << k | x for q, x in zip(qs, rest)])
+    return rows
 
 
 COLUMNS = (
@@ -589,7 +628,9 @@ COLUMNS = (
     "leaf labels",
     "references",
     "precisions",
-    "displacements",
+    "Rice offsets",
+    "quotients",
+    "remainders",
     "landmark count",
     "landmark ids",
 )
@@ -597,8 +638,11 @@ COLUMNS = (
 
 def payload_columns(blob: bytes) -> dict[str, range]:
     """The bits, counted from the blob's first bit, of every payload column
-    of an MCSK v4 blob, derived from the decoded model and the field widths
-    of the layout alone; a column the blob lacks is an empty range."""
+    of an MCSK v5 blob, derived from the decoded model and the field widths
+    of the layout alone; a column the blob lacks is an empty range.  The
+    Rice offsets, the one pair of encoder choices, are read from the blob
+    at the place the columns before them end."""
+    from mcsketch import net
     from mcsketch.codec import deserialize, size_report
 
     model = deserialize(blob)
@@ -615,13 +659,25 @@ def payload_columns(blob: bytes) -> dict[str, range]:
         model.n * (model.n - 1).bit_length(),
         refs * (short_childless - 1).bit_length(),
         sum(2 * (k - 4).bit_length() - 1 for k in model.inv_delta),
-        rep.displacement_bits,
-        0,
-        0,
+        8,
     ]
+    r = BitReader(blob, 8 * len(blob))
+    r.position = 8 * rep.header_bytes + int(sum(lengths)) - 8
+    offsets = r.read_uint(4), r.read_uint(4)
+    quotients = remainders = 0
+    for v in range(nodes):
+        if model.ingress[v] < 0:
+            continue
+        delta = net.delta_effective(model.epsilon, not tree.has_short[v], model.inv_delta[v])
+        c = offsets[0] if tree.parent[v] == v - 1 else offsets[1]
+        k = max(0, net.grid_bound(delta, model.d, model.p).bit_length() - c)
+        quotients += sum(zigzag(int(m)) >> k for m in model.eta_ints[v]) + model.d
+        remainders += k * model.d
+    lengths += [quotients, remainders, 0, 0]
+    assert sum(lengths[-4:-2]) + 8 == rep.displacement_bits
     if model.landmarks is not None:
-        lengths[7] = 2 * (len(model.landmarks) + 1).bit_length() - 1
-        lengths[8] = len(model.landmarks) * (nodes - 1).bit_length()
+        lengths[-2] = 2 * (len(model.landmarks) + 1).bit_length() - 1
+        lengths[-1] = len(model.landmarks) * (nodes - 1).bit_length()
     pos = 8 * rep.header_bytes
     out = {}
     for name, length in zip(COLUMNS, lengths):

@@ -23,7 +23,7 @@ from mcsketch.cli import (
     gen_uniform,
     prepare_points,
 )
-from mcsketch.codec import _biased, _read_grid, deserialize, serialize, size_report
+from mcsketch.codec import _read_rice, _rice_columns, deserialize, serialize, size_report
 from mcsketch.core import (
     DistanceMatrix,
     FormatError,
@@ -238,13 +238,6 @@ def test_criterion_04_ingress_bounds(corpus):
 # 5. Grid net and codec correctness, exhaustively.
 
 
-def _written(fields, width, d):
-    """Bytes of rows of ``d`` fields of ``width`` bits each, back to back,
-    and the bit each row starts at."""
-    rows = len(fields) // d
-    return pack_fields([(fields, width)])[0], (d * width * np.arange(rows)).tolist()
-
-
 def test_criterion_05_net_exhaustive():
     t0 = time.perf_counter()
     vectors = rejected = refused = 0
@@ -253,29 +246,36 @@ def test_criterion_05_net_exhaustive():
         for delta in (0.5, 0.25):
             for p in (1.0, 2.0, math.inf):
                 b = net.grid_bound(delta, d, p)
-                width = net.grid_bit_width(delta, d, p)
                 inside = range(-b, b + 1)
                 grid = np.array(list(itertools.product(inside, repeat=d)), np.int64)
                 k = len(grid)
-                data, starts = _written(_biased(grid, [b] * k, [width] * k), width, d)
-                back = _read_grid(data, starts, [width] * k, [b] * k, d)
+                bounds = np.full(k, b)
+                lengths = np.full(k, b.bit_length())
+                first = np.arange(k) % 2 == 0  # both offset classes
+                cols = _rice_columns(grid, bounds, lengths, first)
+                data, bits = pack_fields(cols)
+                back, end = _read_rice(data, 0, bits, bounds, lengths, first, d)
                 ok &= back.dtype == np.int64 and back.tobytes() == grid.tobytes()
+                ok &= end == bits
                 vectors += k
 
-                # one stored field above 2B, the rest anywhere inside
-                bad = [
-                    rest[:i] + (u,) + rest[i:]
-                    for i in range(d)
-                    for u in range(2 * b + 1, 1 << width)
-                    for rest in itertools.product(range(2 * b + 1), repeat=d - 1)
-                ]
-                data, starts = _written(np.array(bad).ravel(), width, d)
-                for start in starts:
-                    try:
-                        _read_grid(data, [start], [width], [b], d)
-                        ok = False
-                    except FormatError:
-                        rejected += 1
+                # one stored value above 2B, the rest anywhere inside: every
+                # value of the top quotient 2B >> k, and the first quotient
+                # past it, at the encoder's k
+                c = int(cols[0][0][1])
+                shift = max(0, b.bit_length() - c)
+                for i in range(d):
+                    for u in range(2 * b + 1, ((2 * b >> shift) + 1 << shift) + 1):
+                        for rest in itertools.product(range(2 * b + 1), repeat=d - 1):
+                            w = ref.BitWriter()
+                            w.write_uint(17 * c, 8)
+                            ref.write_rice_rows(w, [rest[:i] + (u,) + rest[i:]], [shift])
+                            data, bits = w.getvalue(), w.bit_length
+                            try:
+                                _read_rice(data, 0, bits, bounds[:1], lengths[:1], [False], d)
+                                ok = False
+                            except FormatError:
+                                rejected += 1
 
                 # one coordinate just outside the bound, the rest anywhere inside
                 for i in range(d):
@@ -283,7 +283,7 @@ def test_criterion_05_net_exhaustive():
                         for rest in itertools.product(inside, repeat=d - 1):
                             m = np.array([rest[:i] + (out,) + rest[i:]], np.int64)
                             try:
-                                _biased(m, [b], [width])
+                                _rice_columns(m, bounds[:1], lengths[:1], np.array([False]))
                                 ok = False
                             except ValueError:
                                 refused += 1
@@ -293,9 +293,10 @@ def test_criterion_05_net_exhaustive():
         5,
         ok,
         f"all {vectors} vectors |m_i| <= B over 18 (d, delta, p) combos come back "
-        f"exactly through the codec's _biased and _read_grid; {rejected} "
-        f"stored vectors with a field in (2B, 2^width) rejected; {refused} vectors "
-        f"with one coordinate at +-(B+1) refused by the encoder; {elapsed:.1f}s",
+        f"exactly through the codec's _rice_columns and _read_rice; {rejected} "
+        f"stored vectors with a zigzag value in (2B, (2B >> k) + 1 << k] rejected; "
+        f"{refused} vectors with one coordinate at +-(B+1) refused by the encoder; "
+        f"{elapsed:.1f}s",
     )
 
 
@@ -335,7 +336,7 @@ def test_criterion_06_codec_fuzz():
             deserialize(bytes(bad))
         except FormatError:
             detected += 1
-    # 200 payload bit flips spread over all nine columns of a blob that has
+    # 200 payload bit flips spread over all eleven columns of a blob that has
     # them all: with the CRC left stale each must be detected; with the CRC
     # recomputed the decoder must refuse within 2 s, or decode to a model
     # whose estimators give the exact sums' floats (the landmark mode may

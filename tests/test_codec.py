@@ -12,10 +12,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mcsketch._bitio import gamma_widths, pack_fields, read_gammas, unpack_runs
+from mcsketch._bitio import (
+    gamma_columns,
+    gamma_widths,
+    pack_fields,
+    plane_bits,
+    read_gamma_column,
+    read_planes,
+    read_unary,
+    unary_bits,
+    unpack_runs,
+)
 from mcsketch.cli import build_sketch, gen_high_spread_line, gen_uniform, sketch_points
 from mcsketch import net
-from mcsketch.codec import MAGIC, VERSION, SketchModel, deserialize, serialize, size_report
+from mcsketch.codec import (
+    MAGIC,
+    VERSION,
+    SketchModel,
+    _read_rice,
+    deserialize,
+    serialize,
+    size_report,
+)
 from mcsketch.core import (
     FormatError,
     GuaranteeError,
@@ -56,40 +74,54 @@ def _random_blob(rng):
 
 
 def _scalar(fields) -> tuple[bytes, int]:
-    """Bytes and bit length of ("u", value, width) and ("g", value) fields
-    written one call at a time."""
+    """Bytes and bit length of ("u", value, width) fields, ("b", bits) bit
+    columns and ("g", values) gamma columns written one bit field at a
+    time."""
     w = ref.BitWriter()
     for f in fields:
         if f[0] == "u":
             w.write_uint(f[1], f[2])
+        elif f[0] == "b":
+            for bit in f[1]:
+                w.write_uint(bit, 1)
         else:
-            w.write_gamma(f[1])
+            ref.write_gammas(w, f[1])
     return w.getvalue(), w.bit_length
 
 
 def _packed(fields) -> tuple[bytes, list[int], list[int]]:
-    """The same fields as one column through pack_fields: bytes, start and
-    width of each."""
-    values = np.array([f[1] for f in fields], dtype=object)
-    widths = [f[2] if f[0] == "u" else int(gamma_widths([f[1]])[0]) for f in fields]
+    """The same fields and columns through one pack_fields call: bytes,
+    and the start and bit length of each."""
+    columns, widths = [], []
+    for f in fields:
+        if f[0] == "u":
+            columns.append((np.array([f[1]], dtype=object), [f[2]]))
+            widths.append(f[2])
+        elif f[0] == "b":
+            columns.append((np.array(f[1], dtype=np.uint8), 1))
+            widths.append(len(f[1]))
+        else:
+            columns += gamma_columns(f[1])
+            widths.append(int(gamma_widths(f[1]).sum()) if f[1] else 0)
     starts = np.cumsum([0] + widths)[:-1].tolist()
-    data, bits = pack_fields([(values, widths)])
+    data, bits = pack_fields(columns)
     assert bits == sum(widths)
     return data, starts, widths
 
 
 def test_bitwriter_reader_basic():
-    fields = [("u", 5, 3), ("u", 1, 1), ("g", 9), ("u", 0, 7)]
+    fields = [("u", 5, 3), ("u", 1, 1), ("g", [9]), ("u", 0, 7)]
     data, starts, widths = _packed(fields)
     assert widths[2] == 7 and sum(widths) == 18
     assert (data, sum(widths)) == _scalar(fields)
     assert len(data) == (sum(widths) + 7) // 8
     assert unpack_runs(data, starts, widths, 1)[:, 0].tolist() == [5, 1, 9, 0]
-    values, end = read_gammas(data, 4, 1, 18)
+    values, end = read_gamma_column(data, 4, 1, 18)
     assert values.tolist() == [9] and end == 11
-    # the gamma walk is bounded by the logical bit length, not the bytes
-    with pytest.raises(FormatError):
-        read_gammas(data, 4, 1, 10)
+    # the gamma reader is bounded by the logical bit length, not the bytes:
+    # the unary part of 9 ends at bit 8, its three low bits would end at 11
+    with pytest.raises(FormatError, match="gamma codes need 3 more bits, 2 remain"):
+        read_gamma_column(data, 4, 1, 10)
 
 
 def test_bitwriter_rejects_oversized_values():
@@ -100,15 +132,52 @@ def test_bitwriter_rejects_oversized_values():
     with pytest.raises(ValueError):
         pack_fields([(np.array([-1]), [8])])
     with pytest.raises(ValueError):
+        pack_fields([(np.array([0, 2]), 1)])  # a bit column holds 0s and 1s
+    with pytest.raises(ValueError):
         gamma_widths([0])
+    with pytest.raises(ValueError):
+        gamma_columns([3, 0])
 
 
 def test_bitreader_rejects_overrun():
     data, _ = pack_fields([(np.array([3, 0]), [2, 5])])
-    with pytest.raises(FormatError):
-        read_gammas(data, 2, 1, 7)  # five zeros and no terminating one
-    with pytest.raises(FormatError):
-        read_gammas(data, 0, 3, 2)  # two one-bit codes, then nothing
+    for read in (read_unary, read_gamma_column):
+        with pytest.raises(FormatError):
+            read(data, 2, 1, 7)  # five zeros and no terminating one
+        with pytest.raises(FormatError):
+            read(data, 0, 3, 2)  # two one-bit codes, then nothing
+    # a unary part that announces low bits past the limit: 2^40 - 1 has 39
+    # of them; the reader refuses before it reads or allocates for them
+    data, bits = pack_fields(gamma_columns([2**40 - 1]))
+    assert bits == 79
+    with pytest.raises(FormatError, match="need 39 more bits, 38 remain"):
+        read_gamma_column(data, 0, 1, 78)
+
+
+def _rice_section(offsets, unary, planes) -> tuple[bytes, int]:
+    """A displacement section written bit by bit: two 4-bit offsets, then
+    the unary stream and the remainder planes as given."""
+    return pack_fields([(np.array(offsets), 4), (np.array(unary + planes, dtype=np.uint8), 1)])
+
+
+def test_rice_section_hostile_streams_refused():
+    first = np.array([False])
+    # d = 2 codes announced, one terminating one before the remainders
+    data, bits = _rice_section([0, 0], [0, 1], [0, 0, 0, 0])
+    with pytest.raises(FormatError, match="past the end"):
+        _read_rice(data, 0, bits, np.array([3]), np.array([2]), first, 2)
+    # B = 2^62 at offset 0 gives k = 63, so 2B >> k = 1: quotient 2 is
+    # refused before it is shifted, where 2 << 63 would wrap to 0 in uint64
+    data, bits = _rice_section([0, 0], [0, 0, 1], [0] * 63)
+    with pytest.raises(FormatError, match="quotient 2 of node 0 exceeds 2B >> k = 1"):
+        _read_rice(data, 0, bits, np.array([2**62]), np.array([63]), first, 1)
+    # B = 5 at offset 1 gives k = 2: quotient 2 (= 2B >> k) with remainder 3
+    # makes zigzag 11 > 2B
+    data, bits = _rice_section([0, 1], [0, 0, 1], [1, 1])
+    with pytest.raises(FormatError, match="zigzag value 11 of node 0 exceeds 2B = 10"):
+        _read_rice(data, 0, bits, np.array([5]), np.array([3]), first, 1)
+    data, bits = _rice_section([0, 1], [0, 0, 1], [1, 0])
+    assert _read_rice(data, 0, bits, np.array([5]), np.array([3]), first, 1)[0].tolist() == [[5]]
 
 
 @settings(max_examples=200, deadline=None)
@@ -124,11 +193,12 @@ def test_uint_roundtrip(items):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(1, 2**100), max_size=30))
 def test_gamma_roundtrip(values):
-    fields = [("g", v) for v in values]
+    fields = [("g", values)]
     data, _, widths = _packed(fields)
     assert (data, sum(widths)) == _scalar(fields)
-    back, end = read_gammas(data, 0, len(values), sum(widths))
+    back, end = read_gamma_column(data, 0, len(values), sum(widths))
     assert [int(x) for x in back] == values and end == sum(widths)
+    assert ref.read_gammas(ref.BitReader(data, sum(widths)), len(values)) == values
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,16 +206,17 @@ def test_gamma_roundtrip(values):
     st.lists(
         st.one_of(
             st.tuples(st.just("u"), st.integers(0, 2**70), st.integers(0, 70)),
-            st.tuples(st.just("g"), st.integers(1, 2**70)),
+            st.tuples(st.just("b"), st.lists(st.integers(0, 1), max_size=20)),
+            st.tuples(st.just("g"), st.lists(st.integers(1, 2**70), min_size=1, max_size=4)),
         ),
         max_size=40,
     )
 )
 def test_packer_matches_scalar_writer(fields):
-    # uint fields of 0..70 bits and gammas mixed at every alignment: the
-    # array packer writes the scalar writer's bytes, and the column readers
-    # read back what the scalar reader reads
-    fields = [(f[0], f[1] % (1 << f[2]), f[2]) if f[0] == "u" else f for f in fields]
+    # uint fields of 0..70 bits, bit columns and gamma columns mixed at
+    # every alignment: the array packer writes the scalar writer's bytes,
+    # and the column readers read back what the scalar reader reads
+    fields = [("u", f[1] % (1 << f[2]), f[2]) if f[0] == "u" else f for f in fields]
     data, starts, widths = _packed(fields)
     assert (data, sum(widths)) == _scalar(fields)
     r = ref.BitReader(data, sum(widths))
@@ -153,9 +224,51 @@ def test_packer_matches_scalar_writer(fields):
         if f[0] == "u":
             got = unpack_runs(data, [start], [width], 1)[0, 0]
             assert int(got) == r.read_uint(width) == f[1]
+        elif f[0] == "b":
+            assert [r.read_uint(1) for _ in f[1]] == f[1]
         else:
-            got, end = read_gammas(data, start, 1, sum(widths))
-            assert int(got[0]) == r.read_gamma() == f[1] and end == start + width
+            got, end = read_gamma_column(data, start, len(f[1]), sum(widths))
+            assert [int(x) for x in got] == ref.read_gammas(r, len(f[1])) == f[1]
+            assert end == start + width
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_rice_rows_match_scalar_codes(seed):
+    # rows of random values in Rice codes of parameters 0..63, after a
+    # prefix of any alignment: the unary and plane columns write the scalar
+    # Rice writer's bytes, and read_unary and read_planes read them back
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 6))
+    k = rng.integers(0, 64, size=int(rng.integers(0, 6)))
+    k[rng.random(k.size) < 0.5] = rng.integers(0, 4)  # parameters shared by rows
+    z = [
+        [int(rng.integers(0, 2 ** min(kk + 3, 64), dtype=np.uint64)) for _ in range(d)]
+        for kk in k.tolist()
+    ]
+    q = [[x >> kk for x in row] for row, kk in zip(z, k.tolist())]
+    rest = [[x & (1 << kk) - 1 for x in row] for row, kk in zip(z, k.tolist())]
+    prefix = rng.integers(0, 2, size=int(rng.integers(0, 12))).tolist()
+    data, total = pack_fields(
+        [
+            (np.array(prefix, dtype=np.uint8), 1),
+            (unary_bits(np.array(q, dtype=np.int64).ravel()), 1),
+            (plane_bits(np.array(rest, dtype=np.uint64).reshape(-1, d), k), 1),
+        ]
+    )
+    w = ref.BitWriter()
+    for bit in prefix:
+        w.write_uint(bit, 1)
+    ref.write_rice_rows(w, z, k.tolist())
+    assert (data, total) == (w.getvalue(), w.bit_length)
+    back, mid = read_unary(data, len(prefix), k.size * d, total)
+    assert back.tolist() == sum(q, []) and mid == total - d * int(k.sum())
+    rows = back.astype(np.uint64).reshape(-1, d)
+    read_planes(data, mid, k, rows)  # each row shifted by its k, remainders below
+    assert rows.tolist() == z
+    r = ref.BitReader(data, total)
+    r.position = len(prefix)
+    assert ref.read_rice_rows(r, k.tolist(), d) == z
 
 
 @settings(max_examples=200, deadline=None)
@@ -187,7 +300,8 @@ def test_runs_match_scalar_fields(seed):
 def test_gamma_length_is_logarithmic():
     for v in (1, 2, 3, 9, 100, 2**20):
         assert gamma_widths([v])[0] == 2 * int(math.log2(v)) + 1
-        assert _scalar([("g", v)])[1] == gamma_widths([v])[0]
+        assert _scalar([("g", [v])])[1] == gamma_widths([v])[0]
+        assert pack_fields(gamma_columns([v]))[1] == gamma_widths([v])[0]
 
 
 # --------------------------------------------------------------------------
@@ -372,8 +486,8 @@ def test_grid_bound_beyond_int64_rejected():
 
 
 def test_grid_integer_beyond_bound_refused_at_serialize():
-    # B+1 still fits the field's width; the encoder refuses it, as the
-    # decoder would
+    # B+1 has a Rice code like any other value; the encoder refuses it, as
+    # the decoder would
     model = deserialize(_blob(np.random.default_rng(8).normal(size=(12, 2)) * 9))
     tree = model.tree
     v = next(v for v in range(tree.n_nodes) if model.ingress[v] >= 0)
@@ -381,7 +495,6 @@ def test_grid_integer_beyond_bound_refused_at_serialize():
         model.epsilon, not tree.has_short[v], model.inv_delta[v]
     )
     b = net.grid_bound(delta_eff, model.d, model.p)
-    assert (2 * b + 1).bit_length() == net.grid_bit_width(delta_eff, model.d, model.p)
     model.eta_ints[v, 0] = b + 1
     with pytest.raises(GuaranteeError, match="exceeds its bound"):
         serialize(model)
@@ -487,11 +600,12 @@ def _patch_header(blob: bytes, offset: int, fmt: str, value) -> bytes:
 
 def test_version_one_refused():
     # version 2 moved every field into columns, version 3 dropped the
-    # centers and ingress flags and version 4 the landmark shifts; older
+    # centers and ingress flags, version 4 the landmark shifts, and version
+    # 5 moved the displacements from fixed widths to Rice codes; older
     # blobs are refused, not read by a second parser
     blob = _blob(np.random.default_rng(9).normal(size=(10, 2)) * 7)
-    assert struct.unpack_from("<H", blob, 4) == (VERSION,) == (4,)
-    for old in (1, 2, 3):
+    assert struct.unpack_from("<H", blob, 4) == (VERSION,) == (5,)
+    for old in (1, 2, 3, 4):
         body = bytearray(blob[:-4])
         struct.pack_into("<H", body, 4, old)
         with pytest.raises(FormatError, match=f"unsupported version {old}"):

@@ -439,6 +439,28 @@ def test_landmark_ids_out_of_order_or_range_refused(edit, match):
             refuse()
 
 
+@pytest.mark.parametrize(
+    "ids, match",
+    [
+        ([10.7], "landmark node 10.7 is not an integer"),
+        ([10.0], "landmark node 10.0 is not an integer"),
+        ([10, 2**70], f"landmark node {2**70} out of range"),
+    ],
+    ids=["fraction", "integral-float", "beyond-int64"],
+)
+def test_landmark_ids_that_are_not_integers_refused(ids, match):
+    # 10.7 was once truncated to 10, the sketch's one landmark: the writer
+    # stored 10 and a landmark Estimator anchored there, with no error; an
+    # id beyond int64 escaped as OverflowError
+    pts = np.unique(np.random.default_rng(0).integers(0, 6, (40, 2)).astype(float), axis=0)
+    model = _result(pts, p=1.0, landmarks=True).model
+    assert model.landmarks == [10]
+    model.landmarks = ids
+    for refuse in (lambda: Estimator(model, mode="landmark"), lambda: serialize(model)):
+        with pytest.raises(FormatError, match=match):
+            refuse()
+
+
 @pytest.mark.parametrize("mode", ["precomputed", "landmark"])
 def test_model_with_an_ingress_cycle_refused(mode):
     # a model handed straight to Estimator skips the decoder's cycle check;

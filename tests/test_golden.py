@@ -79,18 +79,18 @@ CASES = {
 }
 
 DIGESTS = {
-    "clusters-l2-fine-landmarks": "26ee6e742358921dec42d6efe961a8bb9bfd3873b71a8418ce6ddceff152e944",
-    "clusters-linf": "8c5902a17b36d7b536b6cb7e17e91a435e36406e8b3939169bd19b88082d6fd6",
-    "graph-metric": "cf293c965dbe7d3ba86fceda5fc807aed14be095d2ccfca07a62927d28fcfb5d",
-    "graph-metric-landmarks": "d35ef16115aa0bbf74a38a7fde075f662c80853b8a7533286e5b93717194eee5",
-    "high-spread-line": "8fe6422432bc425708dc5d1ba33fdd59606d46ee4b2d89772c98f0674c133873",
-    "high-spread-line-512-landmarks": "fc06ea8d47339a2f9e656647b125dc2f60fd0828aa2218ecdcb17a8c191d8c36",
-    "lattice-l1-ties": "e592a9a93e2192576cf5fcdb3ecfc74e8df9a0ba15b1b2c03ddd177898d04c13",
-    "lattice-l2-ties-landmarks": "d3d2fb9f02410d5880a15065cbea2f02caac4f721fd0300ea5cce9eaae666f01",
-    "projected-l2": "e8ab7618c4e919636b99e936b2498021d56cfae148247fb5c0777c4e736d0c4d",
-    "uniform-l1-landmarks": "c38d363920dd617245f3afac75621e2bca81fc75946c47cae47b6439bdee1c55",
-    "uniform-l1.5": "d0a6d3d2aaeceafd87da706e2ff0abb1049240c393726838b03979cc75b19c5d",
-    "uniform-l2": "8787818486eb687dab1e9a93e939447a7efcc2b31d03e10455d5bfc1e1d5f304",
+    "clusters-l2-fine-landmarks": "3daef1d187c574c0a6c6d6c8a8a044281e20b5d6521e03867700d2e489cb8796",
+    "clusters-linf": "cc8c8bcb75e367bdb8e3f4a460d41c1c85d246cd6691e0bf3fd05c2c1ee4fac1",
+    "graph-metric": "42639a6ab5fed46ac268dcafb3cfba059f387a46b89a6d53fa59292af5f7dffc",
+    "graph-metric-landmarks": "ac34c6b7a7811d8c33a42199f8d874297cefa916554c9bc64cb3e6756e5d7437",
+    "high-spread-line": "c25f33fb42b655881cb66c18be88c3d98b6a091ae0e563ecc918868f08308dc6",
+    "high-spread-line-512-landmarks": "fe4e2b1ba62681dc5d6bf7673c0e62f7d96e0057add51b64f8a846c71aca3dcb",
+    "lattice-l1-ties": "76d5695acd1892b4c2346a2c2e33cb29c9bb6c5da1753242b74d7cfcf446716c",
+    "lattice-l2-ties-landmarks": "7b59989443394e55c3bf5d9f688f72cc9222acfab59e51fff1d16a03fc2b77c0",
+    "projected-l2": "02bd5d2f5559ba3ea8aac856a1cfc9b8bd3a61ff526e301e7cc6924bd6abf181",
+    "uniform-l1-landmarks": "4e8aa3d99dc82f1ecdd13e13586eba56af679adaf37093f8ccfcbc556bedca37",
+    "uniform-l1.5": "c945e9075791565a68f0b38bc05720d6cc00bed852a450b8537df704cd9ee9bb",
+    "uniform-l2": "9cd99b185303f9211d0a3f24f84e3f61e79f74139257c79ebb96cf56ff51fc96",
 }
 
 
@@ -99,51 +99,51 @@ DIGESTS = {
 MODELS = {
     "clusters-l2-fine-landmarks": (
         "62c89fc0568d22b320485125d6cf59e01a0cffb1f0f39fb78bbffaa0f6cb5364",
-        (455, 86, 360, 413, 236, 2589, 37, 0),
+        (455, 86, 360, 413, 236, 1538, 37, 3),
     ),
     "clusters-linf": (
         "10b65c2cefbf16ed1c44aea944d4b42f0729b59134021f4eae2877ca8329b20d",
-        (467, 24, 560, 553, 238, 3484, 0, 2),
+        (467, 24, 560, 553, 238, 2187, 0, 3),
     ),
     "graph-metric": (
         "2e3c916fc4417a910cda85179613423b23535d41dfec9c0e39d9ba777c6462aa",
-        (152, 0, 240, 234, 63, 11320, 0, 7),
+        (152, 0, 240, 234, 63, 8137, 0, 6),
     ),
     "graph-metric-landmarks": (
         "aa5ad419ddedd1e9d6a740e74f610146ef66800d6f3178ad8c284bd1b2d554fc",
-        (104, 0, 150, 145, 41, 6810, 15, 7),
+        (104, 0, 150, 145, 41, 5156, 15, 5),
     ),
     "high-spread-line": (
         "184337a73e0ba98ed7f5da448000caf457513d92eca7ee28a75bc9ef985fa40e",
-        (77, 22, 100, 95, 44, 137, 0, 5),
+        (77, 22, 100, 95, 44, 109, 0, 1),
     ),
     "high-spread-line-512-landmarks": (
         "f6906fd42aa9145a99838992fd4d405a4e0a65570cf582262d47fb906684831e",
-        (77, 36, 100, 95, 42, 137, 1, 0),
+        (77, 36, 100, 95, 42, 108, 1, 5),
     ),
     "lattice-l1-ties": (
         "7faa94adc491743808c172f1d9e9f4a2dbfbf1a61e19614c167139f2128a73c3",
-        (266, 0, 384, 378, 149, 1152, 0, 7),
+        (266, 0, 384, 378, 149, 652, 0, 3),
     ),
     "lattice-l2-ties-landmarks": (
         "a8dc6a764569f61e03801b9db41a7b1842737828c5dc6ddc248311563c536d4d",
-        (218, 0, 384, 378, 93, 1656, 17, 6),
+        (218, 0, 384, 378, 93, 1100, 17, 2),
     ),
     "projected-l2": (
         "0cfb58074f5fe0ec797866641fc14e405677f6544ae4cab9306ae05564de038d",
-        (122, 0, 240, 234, 43, 94800, 0, 1),
+        (122, 0, 240, 234, 43, 41236, 0, 5),
     ),
     "uniform-l1-landmarks": (
         "a08bfbf399ea9af43cd9c8bde978d603ce4fc0c000d4dabeb5c5b3ebf94c1974",
-        (404, 159, 360, 413, 175, 1818, 29, 2),
+        (404, 159, 360, 413, 175, 1021, 29, 7),
     ),
     "uniform-l1.5": (
         "fd74c59b5f6e73cabd688d26b69206fb7cd438a1fe6b61dde01953fd1f1cc364",
-        (350, 226, 300, 343, 163, 892, 0, 6),
+        (350, 226, 300, 343, 163, 557, 0, 5),
     ),
     "uniform-l2": (
         "8b80169cc52b0f2f33d766d2fd4dc88a664174769e5e48dd20bf86dd2e3eb974",
-        (419, 150, 360, 413, 188, 1698, 0, 4),
+        (419, 150, 360, 413, 188, 1003, 0, 3),
     ),
 }
 
@@ -206,9 +206,9 @@ def test_golden_model(name):
 
 # Decoder memory: the tracemalloc peak of deserialize plus Estimator stays
 # within this many bytes per blob byte, plus a constant.  Measured peaks are
-# 62-286 bytes per blob byte here (30-743 KB) and 34-277 on the
-# benchmark-scale blobs (2.0-5.3 MB); a chain of long edges, which verify
-# now refuses, decoded at 2,574.
+# 59-154 bytes per blob byte here and 52-136 on the benchmark-scale blobs
+# (MCSK v5); a chain of long edges, which verify now refuses, decoded at
+# 2,574.
 DECODE_PEAK_PER_BYTE = 350
 DECODE_PEAK_CONSTANT = 1 << 16
 

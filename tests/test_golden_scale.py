@@ -37,9 +37,9 @@ CASES = {
 }
 
 DIGESTS = {
-    "build-clusters": "ed43e3efd37e5dd8639c1f3aafe654930ae371232e2131efb1795c87dfe2ddff",
-    "query-clusters": "12950d1962467956c93f0cf2d81ed2f62ec1a9dae7d1c92e9956136163b283be",
-    "metric-graph": "8a4a0265a7141f2cb95e584dde9836945207cfc3c585b8dc3f27ae6617877789",
+    "build-clusters": "4d7522d9a50d9199710983f9a33cdefe9923f4bb5b3afccd22911bf881d2012e",
+    "query-clusters": "ff7a104af4245a31610358dea8c012e85104026f1a50f56e14465ee6f95873d7",
+    "metric-graph": "b6b80f585e0a5f3e8d08ac1c3995150608c211d07e6cd676dc02800ce1ee2bc8",
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from mcsketch import net
 from mcsketch._bitio import pack_fields
-from mcsketch.codec import _biased, _read_grid
+from mcsketch.codec import _read_rice, _rice_columns
 from mcsketch.core import FormatError, GuaranteeError, lp_distance, lp_norm
 
 
@@ -98,10 +98,10 @@ def test_delta_effective():
 # Grid codec (bounded integer coordinates).
 
 
-def test_grid_bit_width_example():
-    # d=16, p=2, delta=1/10: B = ceil(1.1 * 4 / 0.1) = 44, width(88) = 7
+def test_grid_bound_example():
+    # d=16, p=2, delta=1/10: B = ceil(1.1 * 4 / 0.1) = 44, 6 bits, so a
+    # Rice offset c codes its zigzag values (at most 88) with k = max(0, 6 - c)
     assert net.grid_bound(0.1, 16, 2.0) == 44
-    assert net.grid_bit_width(0.1, 16, 2.0) == 7
 
 
 def test_d1_net_points():
@@ -121,42 +121,36 @@ def test_grid_bound_fits_int64():
     assert not net.grid_bound_fits(0.0, 4, 2.0)
 
 
-def _written(fields, width, d):
-    """Bytes of rows of ``d`` fields of ``width`` bits each, written back to
-    back, and the bit each row starts at."""
-    rows = len(fields) // d
-    return pack_fields([(fields, width)])[0], (d * width * np.arange(rows)).tolist()
-
-
 def test_grid_codec_roundtrip():
     # the builder's integers through the codec's own encoder and decoder
     rng = np.random.default_rng(1)
-    roots = [0, 3]  # zero-width rows, as part roots are read
+    roots = [0, 3]  # bound 0 stores nothing and reads as zeros, as part roots do
+    first = np.arange(7) % 3 == 1
     for p in (1.0, 2.0, math.inf):
         for delta in (0.5, 0.125):
             d = 4
             b = net.grid_bound(delta, d, p)
-            width = net.grid_bit_width(delta, d, p)
             ms = []
             for x in rng.uniform(-1, 1, size=(7, d)):
                 ms.append(net.grid_indices(x / max(1.0, lp_norm(x, p)), delta, d, p))
             ms = np.array(ms)
             assert np.abs(ms).max() <= b
-            data, starts = _written(_biased(ms, [b] * 7, [width] * 7), width, d)
-            widths = [0 if i in roots else width for i in range(7)]
-            bounds = [0 if i in roots else b for i in range(7)]
-            back = _read_grid(data, starts, widths, bounds, d)
+            bounds = np.array([0 if i in roots else b for i in range(7)])
+            lengths = np.array([0 if i in roots else b.bit_length() for i in range(7)])
+            data, bits = pack_fields(_rice_columns(ms, bounds, lengths, first))
+            back, end = _read_rice(data, 0, bits, bounds, lengths, first, d)
             ms[roots] = 0
-            assert back.dtype == np.int64 and np.array_equal(back, ms)
+            assert back.dtype == np.int64 and np.array_equal(back, ms) and end == bits
 
 
 def test_grid_codec_rejects_out_of_bounds():
     b = net.grid_bound(0.5, 1, 2.0)
-    width = net.grid_bit_width(0.5, 1, 2.0)
-    assert (b, width) == (3, 3)
+    bounds, lengths, first = np.array([b]), np.array([b.bit_length()]), np.array([False])
+    assert (b, lengths[0]) == (3, 2)
     for m in (-b - 1, b + 1):
-        with pytest.raises(ValueError):
-            _biased(np.array([[m]]), [b], [width])
-    data, starts = _written(np.array([2 * b + 1]), width, 1)
-    with pytest.raises(FormatError, match="exceeds bound"):
-        _read_grid(data, starts, [width], [b], 1)
+        with pytest.raises(ValueError, match=r"outside \[-3, 3\]"):
+            _rice_columns(np.array([[m]]), bounds, lengths, first)
+    # zigzag 7 = 2B + 1, at offsets 0 (k = 2: quotient 1, remainder 3)
+    data, bits = pack_fields([(np.array([0, 0]), 4), (np.array([0, 1, 1, 1]), 1)])
+    with pytest.raises(FormatError, match="zigzag value 7 of node 0 exceeds 2B = 6"):
+        _read_rice(data, 0, bits, bounds, lengths, first, 1)
