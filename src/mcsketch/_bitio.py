@@ -131,9 +131,23 @@ def _bits(values) -> tuple[np.ndarray, None]:
     return values.astype(np.uint8, copy=False), None
 
 
+# 2^0 ... 2^62: an int64 v >= 1 has as many of them at or below it as bits
+_POWERS = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))
+
+
 def gamma_widths(values) -> np.ndarray:
     """Field widths 2 bitlen(v) - 1 of the Elias gamma codes of ``values``.
-    Raises ValueError on a value below 1."""
+    Raises ValueError on a value below 1.
+
+    Signed integer arrays take their bit lengths by one exact
+    ``searchsorted`` over the powers of two; anything else, exact ints
+    beyond int64 among them, goes value by value through ``int``."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "i":
+        if arr.size and arr.min() < 1:
+            raise ValueError(f"gamma code requires values >= 1, got {arr.min()}")
+        bits = np.searchsorted(_POWERS, arr.astype(np.int64, copy=False), side="right")
+        return 2 * bits.astype(np.int64) - 1
     values = [int(v) for v in values]
     if min(values, default=1) < 1:
         raise ValueError(f"gamma code requires values >= 1, got {min(values)}")

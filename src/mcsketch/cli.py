@@ -512,7 +512,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_build_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("-e", "--epsilon", type=float, required=True)
-    sp.add_argument("-p", default=None, help="norm parameter for text inputs")
+    sp.add_argument(
+        "-p", default=None, help="norm parameter of point inputs (a distance matrix takes inf)"
+    )
     sp.add_argument("--landmarks", action="store_true")
     sp.add_argument("--no-jl", action="store_true")
     sp.add_argument("--jl-seed", type=int, default=0)

@@ -383,10 +383,14 @@ class PointSet:
     distance of the normalized coordinates.
 
     ``distances`` is the (n, n) oracle matrix of ``coords`` when it is
-    already known: :func:`normalize` stores the one it measured the spread
-    on, and makes it and ``coords`` read-only so the two cannot disagree.
-    It is left out of equality and repr; :func:`oracle_all_pairs` computes
-    the matrix when it is None.
+    already known, read-only like ``coords`` so the two cannot disagree.
+    :func:`normalize` stores the one pass it measured the spread on.
+    :func:`~mcsketch.reduce.frechet_embed` stores the row distances that
+    :meth:`DistanceMatrix.validate` returned, divided once by ``scale``:
+    exactly symmetric, least off-diagonal entry exactly 1, each entry
+    within a few ulps of the distance of the divided rows.  It is left out
+    of equality and repr; :func:`oracle_all_pairs` computes the matrix
+    when it is None.
     """
 
     coords: np.ndarray
@@ -430,8 +434,11 @@ class DistanceMatrix:
         ``_pairwise(entries, inf)``, SciPy's compiled Chebyshev ``cdist``
         over bands of rows, whose differences, absolute values and maxima
         are exact, so its floats are ``_lp_reduce``'s (see
-        :func:`_pair_blocks`).  Its least off-diagonal entry is the divisor
-        that normalizes the rows.  The triangle inequality
+        :func:`_pair_blocks`).  The result is a fresh array that nothing
+        else holds: :func:`~mcsketch.reduce.frechet_embed` takes its least
+        off-diagonal entry as the divisor that normalizes the rows and
+        divides the matrix itself in place into the stored oracle, so a
+        metric input makes this one l-inf pass.  The triangle inequality
         holds iff no entry exceeds max(d_ij, d_ji); the larger entry absorbs
         the asymmetry that the symmetry check allows.  Both checks allow a
         relative slack of ``_REL_TOL``.  A violation names a triple at the
@@ -533,7 +540,17 @@ def normalize(coords: np.ndarray, p: float) -> PointSet:
     """
     p = _validate_p(p)
     coords = _as_points(coords)
-    return _normalize_with(coords, p, _min_distance(coords, p))
+    mn = _min_distance(coords, p)
+    normed = coords / mn
+    normed.flags.writeable = False
+    dmn = _pairwise(normed, p)
+    dmn.flags.writeable = False
+    # the minimum distance is 1 by construction, so the spread (diameter
+    # over minimum) is >= 1; recomputing distances from divided coordinates
+    # can land a few ulps under that, which the clamp absorbs
+    return PointSet(
+        coords=normed, p=p, scale=mn, spread=max(1.0, float(dmn.max())), distances=dmn
+    )
 
 
 def _as_points(coords: np.ndarray) -> np.ndarray:
@@ -549,20 +566,6 @@ def _as_points(coords: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(coords)):
         raise DataError("coordinates contain non-finite values")
     return coords
-
-
-def _normalize_with(coords: np.ndarray, p: float, mn: float) -> PointSet:
-    """``normalize`` given the exact minimum pairwise distance ``mn`` > 0."""
-    normed = coords / mn
-    normed.flags.writeable = False
-    dmn = _pairwise(normed, p)
-    dmn.flags.writeable = False
-    # the minimum distance is 1 by construction, so the spread (diameter
-    # over minimum) is >= 1; recomputing distances from divided coordinates
-    # can land a few ulps under that, which the clamp absorbs
-    return PointSet(
-        coords=normed, p=p, scale=mn, spread=max(1.0, float(dmn.max())), distances=dmn
-    )
 
 
 # The k-d tree measures distances on its own float path, a few ulps off
@@ -643,9 +646,14 @@ def _row_min_distance(coords: np.ndarray, p: float) -> tuple[float, int, int]:
 def oracle_all_pairs(ps: PointSet) -> np.ndarray:
     """Exact (n, n) distance matrix of a normalized point set.
 
-    Every entry equals ``lp_distance(coords[i], coords[j], p)`` bit for bit
-    (see :func:`_pair_blocks`).  Returns the read-only matrix
-    stored on ``ps`` when there is one, else computes it.
+    Returns the read-only matrix stored on ``ps`` when there is one, else
+    computes it.  For a point set, from :func:`normalize` or computed here,
+    every entry equals ``lp_distance(coords[i], coords[j], p)`` bit for bit
+    (see :func:`_pair_blocks`).  For a metric input, from
+    :func:`~mcsketch.reduce.frechet_embed`, the entries are
+    :meth:`DistanceMatrix.validate`'s row distances divided once by
+    ``scale``, which may differ from ``lp_distance`` over the divided rows
+    by a few ulps.
     """
     if ps.distances is not None:
         return ps.distances
@@ -798,7 +806,9 @@ def load_input(path: str | Path, p_override: float | None = None):
     """Dispatch on magic: returns ('points', coords, p) or ('matrix', dm, inf).
 
     The matrix is not validated here: :func:`~mcsketch.reduce.frechet_embed`
-    validates it in the pass that normalization reuses.
+    validates it in the one l-inf pass, whose matrix becomes the stored
+    oracle.  A matrix is always sketched at p = inf, so ``p_override`` other
+    than inf is refused with InputError for it.
     """
     with open(path, "rb") as fh:
         head = fh.read(4)
@@ -806,6 +816,8 @@ def load_input(path: str | Path, p_override: float | None = None):
         coords, p = read_points(path)
         return "points", coords, (p_override if p_override is not None else p)
     if head == MCDM_MAGIC:
+        if p_override is not None and p_override != math.inf:
+            raise InputError(f"{path}: a distance matrix is sketched at p = inf, not {p_override}")
         return "matrix", _parse_matrix(path), math.inf
     coords = read_text_points(path)
     return "points", coords, (p_override if p_override is not None else 2.0)

@@ -16,9 +16,10 @@ dimension, only the one that normalizes the projected set.
 points under the l-infinity norm; the triangle inequality makes that an
 exact isometry (the max |D[i,k] - D[j,k]| is attained at k = j), so
 arbitrary finite metrics ride the same sketch pipeline with p = inf.
-Validation and normalization take one l-infinity pass over the rows each,
-both through SciPy's compiled Chebyshev kernel; validation's pass also
-gives normalization its divisor.
+The embedding takes one l-infinity pass over the rows, validation's,
+through SciPy's compiled Chebyshev kernel: its least off-diagonal entry is
+normalization's divisor, and the matrix itself, divided in place, is the
+stored oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .core import (
     PointSet,
     _as_points,
     _min_distance,
-    _normalize_with,
     normalize,
 )
 
@@ -110,14 +110,20 @@ def frechet_embed(dm: DistanceMatrix) -> PointSet:
     """Embed a validated distance matrix isometrically into (R^n, l_inf).
 
     Point i becomes row i of the matrix.  Validation runs first, since the
-    embedding is an isometry only under the triangle inequality.  The least
-    row distance it returns is normalization's divisor, so the embedding
-    takes two l-inf passes, over the raw and the divided rows; the returned
-    set keeps the second one.
+    embedding is an isometry only under the triangle inequality.  Its
+    matrix of row distances is the only l-inf pass: divided in place by its
+    least off-diagonal entry, the divisor, it becomes the stored oracle.
+    Its floats are the raw rows' differences divided once, which may differ
+    from ``_pairwise`` over the divided rows by a few ulps; they are exactly
+    symmetric and their least off-diagonal entry is exactly 1, so the
+    spread needs no clamp.
     """
     rows = dm.validate()
     np.fill_diagonal(rows, np.inf)
     mn = float(rows.min())
-    del rows  # freed before the second pass builds the stored matrix
-    coords = np.ascontiguousarray(dm.entries, dtype=np.float64)
-    return _normalize_with(coords, math.inf, mn)
+    rows /= mn
+    np.fill_diagonal(rows, 0.0)
+    rows.flags.writeable = False
+    coords = np.ascontiguousarray(dm.entries, dtype=np.float64) / mn
+    coords.flags.writeable = False
+    return PointSet(coords=coords, p=math.inf, scale=mn, spread=float(rows.max()), distances=rows)

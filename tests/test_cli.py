@@ -67,9 +67,9 @@ def test_sketch_matrix_routes_to_linf(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["sketch", "eval"])
-def test_matrix_build_makes_two_linf_passes(tmp_path, monkeypatch, command):
-    # one validation pass, reused as normalization's raw matrix, then the
-    # normalized matrix; reading the file must not validate a second time
+def test_matrix_build_makes_one_linf_pass(tmp_path, monkeypatch, command):
+    # validation's pass, divided in place into the stored oracle; reading the
+    # file must not validate a second time
     src = tmp_path / "dm.mcdm"
     write_matrix(src, gen_random_graph_metric(12, seed=1))
     passes = []
@@ -84,7 +84,25 @@ def test_matrix_build_makes_two_linf_passes(tmp_path, monkeypatch, command):
     if command == "sketch":
         argv += ["-o", str(tmp_path / "out.mcsk")]
     assert main(argv) == 0
-    assert passes == [math.inf, math.inf]
+    assert passes == [math.inf]
+
+
+def test_matrix_input_refuses_a_finite_norm(tmp_path, capsys):
+    # a matrix is always sketched at p = inf; any other -p is a usage error,
+    # raised before anything is written
+    src = tmp_path / "dm.mcdm"
+    write_matrix(src, gen_random_graph_metric(12, seed=1))
+    for command in ("sketch", "eval"):
+        dst = tmp_path / f"{command}-bad.mcsk"
+        argv = [command, str(src), "-e", "0.25", "-p", "2"]
+        if command == "sketch":
+            argv += ["-o", str(dst)]
+        assert main(argv) == 1
+        assert "p = inf" in capsys.readouterr().err
+        assert not dst.exists()
+    dst = tmp_path / "inf.mcsk"
+    assert main(["sketch", str(src), "-e", "0.25", "-p", "inf", "-o", str(dst)]) == 0
+    assert deserialize(dst.read_bytes()).p == math.inf
 
 
 def _count_passes(monkeypatch) -> list[int]:

@@ -304,6 +304,23 @@ def test_gamma_length_is_logarithmic():
         assert pack_fields(gamma_columns([v]))[1] == gamma_widths([v])[0]
 
 
+def test_gamma_widths_match_bit_length_at_the_float_and_int64_edges():
+    # int64 columns take their bit lengths from one searchsorted over the
+    # powers of two; no value may round through a float on the way
+    values = [1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1, 2**53, 2**53 + 1]
+    values += [2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1]
+    want = [2 * v.bit_length() - 1 for v in values]
+    got = gamma_widths(np.array(values, dtype=np.int64))
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert gamma_widths(values).tolist() == want
+    huge = np.array([2**63, 2**100 + 1, 5], dtype=object)  # exact ints beyond int64
+    assert gamma_widths(huge).tolist() == [2 * int(v).bit_length() - 1 for v in huge]
+    with pytest.raises(ValueError):
+        gamma_widths(np.array([4, 0, 7], dtype=np.int64))
+    with pytest.raises(ValueError):
+        gamma_widths(np.array([2**64, -1], dtype=object))
+
+
 # --------------------------------------------------------------------------
 # Roundtrips.
 

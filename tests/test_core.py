@@ -433,9 +433,51 @@ def test_stored_matrix_survives_projection_and_embedding():
     assert applied and out.d < ps.d
     assert out.distances is not None
     assert np.array_equal(out.distances, core._pairwise(out.coords, 2.0))
-    emb = frechet_embed(DistanceMatrix(entries=oracle_all_pairs(out) * out.scale))
+    dm = DistanceMatrix(entries=oracle_all_pairs(out) * out.scale)
+    emb = frechet_embed(dm)
+    # the embedding stores validation's row distances, divided once
     assert emb.distances is not None
-    assert np.array_equal(emb.distances, core._pairwise(emb.coords, math.inf))
+    assert np.array_equal(emb.distances, dm.validate() / emb.scale)
+    with pytest.raises(ValueError):
+        emb.distances[0, 1] = 5.0
+
+
+def _assert_embedded_oracle(d):
+    """frechet_embed's stored matrix keeps PointSet's invariants exactly."""
+    emb = frechet_embed(DistanceMatrix(entries=d))
+    stored = emb.distances
+    off = stored[~np.eye(emb.n, dtype=bool)]
+    assert np.array_equal(stored, stored.T)
+    assert off.min() == 1.0
+    assert emb.spread == stored.max()
+    assert not stored.flags.writeable and not emb.coords.flags.writeable
+    emb.validate()
+    # the divided rows measure the same distances up to a few ulps
+    assert np.allclose(stored, core._pairwise(emb.coords, math.inf), rtol=1e-14, atol=0.0)
+    return emb
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_embedded_graph_metric_keeps_the_point_set_invariants(seed):
+    # shortest-path metrics are full of tight triangles: d_ik = d_ij + d_jk
+    _assert_embedded_oracle(gen_random_graph_metric(60, seed))
+
+
+def test_embedded_matrix_inside_validate_tolerance_keeps_its_minimum():
+    # the closest pair lowered by 1e-10 relative to max|d| leaves a triangle
+    # excess through every node beyond it, and one entry raised alone leaves
+    # an asymmetry: both within validate's 1e-9 slack.  The row distances
+    # still divide to a minimum of exactly 1; max(d, d.T) would not
+    d = gen_random_graph_metric(60, 3)
+    n, big = d.shape[0], np.abs(d).max()
+    a, b = np.unravel_index(np.where(np.eye(n, dtype=bool), np.inf, d).argmin(), d.shape)
+    assert any(d[a, k] == d[a, b] + d[b, k] for k in range(n) if k not in (a, b))
+    d[a, b] -= 1e-10 * big
+    d[b, a] -= 1e-10 * big
+    d[5, 7] += 1e-10 * big
+    emb = _assert_embedded_oracle(d)
+    sym = np.maximum(d, d.T) / emb.scale
+    assert sym[~np.eye(n, dtype=bool)].min() < 1.0 - 1e-12
 
 
 def test_point_set_equality_and_repr_ignore_stored_matrix():
