@@ -118,13 +118,18 @@ def _validate_p(p: float) -> float:
 
 
 def _lp_reduce(diff: np.ndarray, p: float) -> np.ndarray:
-    """lp norm along the last axis of ``|diff|``, max-scaled per row.
+    """lp norm along the last axis of ``|diff|``.
 
-    Scaling each row by its own max before powering keeps the reduction
-    exact for coordinates as large as 2**512 (high-spread instances) and —
-    because it is applied unconditionally — guarantees that the one-pair
-    path and the all-pairs path produce bit-identical floats.  Works in
-    place: ``diff`` is overwritten, so callers pass a difference they own.
+    At p = 1 this is the plain sum of ``|diff|``: nothing is raised to a
+    power, so nothing can overflow before the sum itself does, and integer
+    coordinates give exact integer distances while those stay below 2**53
+    (a level threshold 2**i is then met exactly).  At every other
+    finite p each row is scaled by its own max before powering, which keeps
+    the reduction exact for coordinates as large as 2**512 (high-spread
+    instances).  The one-pair, all-pairs and landmark paths agree bit for
+    bit because they all take these same operations in the same order (see
+    ``_SHORT_AXIS``).  Works in place: ``diff`` is overwritten, so callers
+    pass a difference they own.
 
     A batch (``diff.ndim > 1``) whose last axis is shorter than
     ``_SHORT_AXIS`` is copied coordinate-major by ``moveaxis``, its one
@@ -138,12 +143,12 @@ def _lp_reduce(diff: np.ndarray, p: float) -> np.ndarray:
     diff = np.abs(diff, diff)  # positional out: a keyword costs more per call
     if p == math.inf:
         return diff.max(axis=-1)
+    if p == 1.0:
+        return diff.sum(axis=-1)
     m = diff.max(axis=-1, keepdims=True)
     safe = np.where(m == 0.0, 1.0, m)
     u = np.divide(diff, safe, diff)
-    if p == 1.0:
-        s = u.sum(axis=-1)
-    elif p == 2.0:
+    if p == 2.0:
         s = np.sqrt(np.multiply(u, u, u).sum(axis=-1))
     else:
         s = _root(np.power(u, p, u).sum(axis=-1), p)
@@ -171,7 +176,9 @@ def _root(s, p: float):
 # :func:`_lp_reduce_planes`, which reduces every short-row batch and every
 # short-row block of :func:`_pair_blocks` below p = inf, and a chain of
 # Python float adds in :func:`_lp_pair`, which answers
-# ``Estimator.estimate`` on short rows.
+# ``Estimator.estimate`` on short rows.  At and above it every path sums
+# with numpy's pairwise ``sum``.  Sharing this order, not any scaling, is
+# what makes the paths agree bit for bit.
 _SHORT_AXIS = 8
 
 
@@ -181,15 +188,22 @@ def _lp_reduce_planes(planes: np.ndarray, p: float) -> np.ndarray:
     ``_SHORT_AXIS`` coordinates.  ``planes`` must be C-contiguous; it is
     overwritten, and the result is a fresh array of one plane's shape.
 
-    The row max is a chain of ``np.maximum`` (a max is exact in any order)
-    and the sum an in-order chain of adds, the order numpy's reduction
-    takes below ``_SHORT_AXIS`` terms; every other step is the same
-    element-wise call as the reduction path's, so the floats are its floats
-    bit for bit.  Each plane is contiguous, as the array the reduction path
-    powers is: ``np.power`` may take a vectorized path on contiguous input
-    whose floats can differ from the strided loop's.
+    At p = 1 the result is the in-order chain of ``np.add`` over the
+    absolute planes, the order numpy's reduction takes below
+    ``_SHORT_AXIS`` terms.  Otherwise the row max is a chain of
+    ``np.maximum`` (a max is exact in any order), the sum the same in-order
+    chain, and every other step the same element-wise call as the
+    reduction path's, so the floats are its floats bit for bit.  Each plane
+    is contiguous, as the array the reduction path powers is: ``np.power``
+    may take a vectorized path on contiguous input whose floats can differ
+    from the strided loop's.
     """
     np.abs(planes, planes)
+    if p == 1.0:
+        s = planes[0].copy()
+        for c in planes[1:]:
+            np.add(s, c, s)
+        return s
     m = planes[0].copy()
     for c in planes[1:]:
         np.maximum(m, c, out=m)
@@ -201,13 +215,13 @@ def _lp_reduce_planes(planes: np.ndarray, p: float) -> np.ndarray:
         np.divide(c, safe, c)
         if p == 2.0:
             np.multiply(c, c, c)
-        elif p != 1.0:
+        else:
             np.power(c, p, c)
         if k:
             np.add(s, c, s)
     if p == 2.0:
         np.sqrt(s, s)
-    elif p != 1.0:
+    else:
         s = _root(s, p)
     return np.multiply(s, m, m)
 
@@ -216,28 +230,29 @@ def _lp_pair(a, b, p: float) -> float:
     """:func:`_lp_reduce` of ``a - b`` in Python floats, for two finite
     float sequences shorter than ``_SHORT_AXIS`` and p in {1, 2, inf}.
 
-    Each step is the reduction's step on one float: ``|a_k - b_k|``, the
-    max ``m``, ``x / safe`` (squared at p = 2), the sum, ``sqrt`` and the
-    product with ``m``, each correctly rounded by IEEE arithmetic on both
-    sides; the sum is the in-order chain numpy forms below
-    ``_SHORT_AXIS`` terms.  So the float is ``_lp_reduce``'s bit for bit,
-    with no numpy call.  A general p stays on numpy: ``np.power`` on a
-    contiguous array may take a vectorized ``pow`` (see
-    :func:`_lp_reduce_planes`).  Python's ``max`` does not propagate NaN,
-    so arbitrary input goes through :func:`lp_distance`, never here.
+    Each step is the reduction's step on one float, correctly rounded by
+    IEEE arithmetic on both sides: at p = 1 the in-order sum of
+    ``|a_k - b_k|``; at p = 2 the max ``m``, ``x / safe`` squared, the
+    sum, ``sqrt`` and the product with ``m``; at p = inf the max.  Each sum
+    is the in-order chain numpy forms below ``_SHORT_AXIS`` terms.  So the
+    float is ``_lp_reduce``'s bit for bit, with no numpy call.  A general p
+    stays on numpy: ``np.power`` on a contiguous array may take a
+    vectorized ``pow`` (see :func:`_lp_reduce_planes`).  Python's ``max``
+    does not propagate NaN, so arbitrary input goes through
+    :func:`lp_distance`, never here.
     """
+    # an explicit left-to-right chain: sum() is compensated from Python
+    # 3.12 on, and math.fsum always, so either can round otherwise
+    s = 0.0
+    if p == 1.0:
+        for x, y in zip(a, b):
+            s += abs(x - y)
+        return s
     diff = [abs(x - y) for x, y in zip(a, b)]
     m = max(diff)
     if p == math.inf:
         return m
     safe = m or 1.0
-    # an explicit left-to-right chain: sum() is compensated from Python
-    # 3.12 on, and math.fsum always, so either can round otherwise
-    s = 0.0
-    if p == 1.0:
-        for x in diff:
-            s += x / safe
-        return s * m
     for x in diff:
         x /= safe
         s += x * x
@@ -658,6 +673,42 @@ def oracle_all_pairs(ps: PointSet) -> np.ndarray:
     if ps.distances is not None:
         return ps.distances
     return _pairwise(ps.coords, ps.p)
+
+
+# Entries per strip of the column permutation: 128 KiB of float64, so a
+# strip and its temporary stay in cache.  At n = 2000 (8-row strips) the
+# pass took 10 ms against 30 ms with 131-row strips through fancy indexing.
+_STRIP_ELEMS = 1 << 14
+
+
+def _permute_in_place(out: np.ndarray, pos: np.ndarray) -> None:
+    """``out[:] = out[pos][:, pos]`` for a square ``out``, with no second
+    matrix.  The columns are permuted in strips of rows, each through one
+    temporary of at most ``_STRIP_ELEMS`` entries, then the rows by
+    following the permutation's cycles, one row at a time through one row
+    of that temporary."""
+    n = len(pos)
+    tmp = np.empty((max(1, _STRIP_ELEMS // n), n))
+    for s in range(0, n, len(tmp)):
+        strip = out[s : s + len(tmp)]
+        # pos is in range; the default mode="raise" would buffer ``out``
+        np.take(strip, pos, axis=1, out=tmp[: len(strip)], mode="clip")
+        strip[:] = tmp[: len(strip)]
+    # row x takes row pos[x]: along each cycle x, pos[x], pos[pos[x]], ...
+    # every row takes the next one's, and the last the first's
+    row = tmp[0]
+    pos = pos.tolist()
+    done = [False] * n
+    for x in range(n):
+        if done[x] or pos[x] == x:
+            continue
+        row[:] = out[x]
+        while not done[pos[x]]:
+            done[x] = True
+            out[x] = out[pos[x]]
+            x = pos[x]
+        done[x] = True
+        out[x] = row
 
 
 # --------------------------------------------------------------------------

@@ -66,7 +66,7 @@ import numpy as np
 from . import codec, net
 from .annotate import ingress_layers, shift_dtype, shift_exponents, shift_to_float
 from .core import FormatError, InputError, UnknownLabelError, k_parameter
-from .core import _BLOCK_ELEMS, _SHORT_AXIS, _lp_pair, _lp_reduce, _pair_blocks
+from .core import _BLOCK_ELEMS, _SHORT_AXIS, _lp_pair, _lp_reduce, _pair_blocks, _permute_in_place
 from .hst import _children
 
 __all__ = [
@@ -86,10 +86,6 @@ _MODES = ("precomputed", "landmark")
 # The all-pairs time of the benchmark's three instances was level from
 # 1,024 to 8,192; at 32,768 the d = 400 one was 20% slower.
 _SMALL_BLOCK = 2048
-# Entries per strip of the column permutation: 128 KiB of float64, so a
-# strip and its temporary stay in cache.  At n = 2000 (8-row strips) the
-# pass took 10 ms against 30 ms with 131-row strips through fancy indexing.
-_STRIP_ELEMS = 1 << 14
 
 
 class Estimator:
@@ -329,7 +325,8 @@ class Estimator:
         ``np.empty`` matrix in leaf preorder, and across the diagonal.
 
         That matrix is then put into label order in place by
-        :func:`_permute_in_place`, so no second n x n array is made.
+        :func:`~mcsketch.core._permute_in_place`, so no second n x n array
+        is made.
         """
         tree = self.tree
         n, d, p = self.n, self._d, self._p
@@ -428,36 +425,6 @@ class Estimator:
             out[i, j] = vals
             out[j, i] = vals
             a = b
-
-
-def _permute_in_place(out: np.ndarray, pos: np.ndarray) -> None:
-    """``out[:] = out[pos][:, pos]`` for a square ``out``, with no second
-    matrix.  The columns are permuted in strips of rows, each through one
-    temporary of at most ``_STRIP_ELEMS`` entries, then the rows by
-    following the permutation's cycles, one row at a time through one row
-    of that temporary."""
-    n = len(pos)
-    tmp = np.empty((max(1, _STRIP_ELEMS // n), n))
-    for s in range(0, n, len(tmp)):
-        strip = out[s : s + len(tmp)]
-        # pos is in range; the default mode="raise" would buffer ``out``
-        np.take(strip, pos, axis=1, out=tmp[: len(strip)], mode="clip")
-        strip[:] = tmp[: len(strip)]
-    # row x takes row pos[x]: along each cycle x, pos[x], pos[pos[x]], ...
-    # every row takes the next one's, and the last the first's
-    row = tmp[0]
-    pos = pos.tolist()
-    done = [False] * n
-    for x in range(n):
-        if done[x] or pos[x] == x:
-            continue
-        row[:] = out[x]
-        while not done[pos[x]]:
-            done[x] = True
-            out[x] = out[pos[x]]
-            x = pos[x]
-        done[x] = True
-        out[x] = row
 
 
 # --------------------------------------------------------------------------

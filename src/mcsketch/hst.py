@@ -31,14 +31,17 @@ iff diam == 0 or
 
 which guarantees diam < epsilon * 2**(level of the surviving top node).
 
-Only this module reads pair distances.  The matrix is permuted once into
-the merge tree's leaf preorder, where every node's leaves, and within them
-each child's, are one contiguous range; each merge node's block is then a
-slice view.  It yields the cluster diameter, the tau-tree and, on each
-tau edge, the closest member (see :class:`ClusterIndex`); the per-pair
-minima these come from are not kept.  A two-child merge reads only the
-rectangle between its children and takes the rest of its diameter from
-theirs.
+Only this module reads pair distances.  A copy of the matrix is permuted
+once into the merge tree's leaf preorder, where every node's leaves, and
+within them each child's, are one contiguous range; each merge node's
+block is then a slice view.  The copy is permuted in place: its columns in
+strips of a few rows through one small temporary, then its rows along the
+permutation's cycles (``core._permute_in_place``), in about half the time
+of a fancy-indexed gather at n = 2000.  It yields the cluster diameter,
+the tau-tree and, on each tau edge, the closest member (see
+:class:`ClusterIndex`); the per-pair minima these come from are not kept.
+A two-child merge reads only the rectangle between its children and takes
+the rest of its diameter from theirs.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import FormatError, GuaranteeError, InputError, PointSet
-from .core import oracle_all_pairs, snap_epsilon
+from .core import _permute_in_place, oracle_all_pairs, snap_epsilon
 
 __all__ = [
     "SketchTree",
@@ -289,13 +292,13 @@ def build_hst(ps: PointSet) -> tuple[SketchTree, ClusterIndex]:
     the nodes are numbered in DFS preorder, as in every :class:`SketchTree`.
 
     Two passes: the first replays the merges for the tree alone; the
-    second permutes the matrix once into the tree's leaf preorder, where
-    every node's leaves, and within them each child's, are one contiguous
-    range, and reduces each merge node's block, a slice view of that
-    matrix, to its diameter, its tau-tree and its ``near`` labels.  Minima
-    and maxima do not depend on the order of their terms, and ``near``
-    breaks ties by label, not by position, so the results are those of
-    blocks gathered in label order.
+    second permutes a copy of the matrix once into the tree's leaf
+    preorder, where every node's leaves, and within them each child's, are
+    one contiguous range, and reduces each merge node's block, a slice
+    view of that matrix, to its diameter, its tau-tree and its ``near``
+    labels.  Minima and maxima do not depend on the order of their terms,
+    and ``near`` breaks ties by label, not by position, so the results are
+    those of blocks gathered in label order.
     """
     n = ps.n
     if n < 2:
@@ -393,7 +396,8 @@ def _pair_tables(dm: np.ndarray, tree: SketchTree) -> ClusterIndex:
     order = label[label >= 0]  # the labels in leaf preorder
     lo, hi = tree.leaf_ranges()
     end = tree.end.tolist()
-    P = dm[np.ix_(order, order)]
+    P = dm.copy()  # dm is read-only, and evaluate reads it after the build
+    _permute_in_place(P, order)
 
     nodes = tree.n_nodes
     out = ClusterIndex(diameter=[0.0] * nodes, tau=[None] * nodes, near=[None] * nodes)

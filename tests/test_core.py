@@ -57,28 +57,37 @@ def test_345_triangle_distances():
 
 
 def test_lp_distance_matches_reference():
+    # at p = 1 exactly the left-to-right sum of |u_k - v_k|: no scaling, and
+    # numpy sums four terms in order (an explicit chain, as sum() is
+    # compensated from Python 3.12 on)
     rng = np.random.default_rng(0)
     for p in (1.0, 2.0, 3.0, math.inf):
         for _ in range(20):
             u = rng.normal(size=4)
             v = rng.normal(size=4)
-            assert lp_distance(u, v, p) == pytest.approx(
-                ref.brute_lp(u, v, p), rel=1e-12
-            )
+            if p == 1.0:
+                want = 0.0
+                for a, b in zip(u.tolist(), v.tolist()):
+                    want += abs(a - b)
+                assert lp_distance(u, v, p) == want
+            else:
+                assert lp_distance(u, v, p) == pytest.approx(ref.brute_lp(u, v, p), rel=1e-12)
 
 
 def _lp_rows_reference(diff, p):
     """``_lp_reduce``'s reduction path one row at a time: each row a (1, d)
-    array, max-scaled and reduced with ``np.sum(axis=-1)``, and at a general
-    p rooted by libm's ``pow``, as a single vector's sum is."""
+    array reduced with ``np.sum(axis=-1)``, at p = 1 unscaled, at every
+    other finite p max-scaled and at a general p rooted by libm's ``pow``,
+    as a single vector's sum is."""
     out = []
     for row in np.abs(diff).reshape(-1, 1, diff.shape[-1]):
+        if p == 1.0:
+            out.append(np.sum(row, axis=-1))
+            continue
         m = row.max(axis=-1, keepdims=True)
         u = row / np.where(m == 0.0, 1.0, m)
         if p == math.inf:
             s = np.ones(1)
-        elif p == 1.0:
-            s = np.sum(u, axis=-1)
         elif p == 2.0:
             s = np.sqrt(np.sum(u * u, axis=-1))
         else:
@@ -136,6 +145,34 @@ def test_short_row_pair_matches_lp_reduce(d, p):
             assert core._lp_pair(u.tolist(), v.tolist(), p).hex() == want.hex()
     if d >= 3 and p != math.inf:
         assert want == (1.0 + 2.0**-51 if p == 1.0 else 1.0 + 2.0**-52)
+
+
+def test_l1_distance_of_integer_points_is_exact():
+    # 2 + 13 + 1 in order is exactly 16; max-scaled by 13 it was
+    # 15.999999999999998
+    assert lp_distance([2, 13, 1], [0, 0, 0], 1) == 16.0
+    assert lp_norm([2, -13, 1], 1) == 16.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(0, 9), st.integers(0, 9))
+def test_l1_distance_is_the_plain_sum(d, seed, i, j):
+    # at p = 1 a distance is numpy's own sum of |u - v|, with no scaling:
+    # in order below _SHORT_AXIS terms, pairwise at and above it
+    x = _short_rows(np.random.default_rng(seed), (10, d))
+    u, v = x[i], x[j]
+    assert lp_distance(u, v, 1).hex() == float(np.abs(u - v).sum()).hex()
+
+
+@pytest.mark.parametrize("d", [3, 9])
+def test_l1_pairwise_on_an_integer_lattice_is_exact(d):
+    # integer points, coordinates up to 2^40: every l1 distance is an
+    # integer below 2^53, so the matrix equals the integer one exactly
+    rng = np.random.default_rng(d)
+    pts = rng.integers(-(2**40), 2**40, size=(60, d)) >> rng.integers(0, 41, size=(60, 1))
+    want = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1)
+    got = core._pairwise(pts.astype(np.float64), 1.0)
+    assert np.array_equal(got, want.astype(np.float64))
 
 
 def _pair_rows_reference(a, b, p):

@@ -326,6 +326,26 @@ def test_landmark_estimates_equal_precomputed_on_every_short_row(d, p):
         assert np.array_equal(est_l.shifted_surrogate(v), est_p.shifted_surrogate(v))
 
 
+@pytest.mark.parametrize("d", range(1, 13))
+def test_l1_landmark_single_and_all_pairs_estimates_agree(d):
+    # at p = 1 every path sums |differences| in numpy's order: Python float
+    # adds (single queries below _SHORT_AXIS), whole-plane adds (all-pairs
+    # blocks below it) and numpy's pairwise sum (everything at and above it)
+    rng = np.random.default_rng(27)
+    points = rng.normal(size=(40, d)) * np.exp2(rng.integers(0, 21, size=(40, 1)))
+    res = _result(points, p=1.0, landmarks=True)
+    est_p = Estimator(res.blob)
+    est_l = Estimator(res.blob, mode="landmark")
+    allp = est_p.estimate_all_pairs()
+    for i in range(40):
+        for j in range(40):
+            e = est_p.estimate(i, j)
+            assert est_l.estimate(i, j) == e
+            assert allp[i, j] == e
+    assert est_l.max_hops > 0
+    assert np.array_equal(est_l.estimate_all_pairs(), allp)
+
+
 @pytest.mark.parametrize("d", [2, 10])
 def test_landmark_hops_are_exact(d, monkeypatch):
     # d = 2 replays in Python ints, d = 10 in numpy

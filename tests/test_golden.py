@@ -88,7 +88,7 @@ DIGESTS = {
     "lattice-l1-ties": "76d5695acd1892b4c2346a2c2e33cb29c9bb6c5da1753242b74d7cfcf446716c",
     "lattice-l2-ties-landmarks": "7b59989443394e55c3bf5d9f688f72cc9222acfab59e51fff1d16a03fc2b77c0",
     "projected-l2": "02bd5d2f5559ba3ea8aac856a1cfc9b8bd3a61ff526e301e7cc6924bd6abf181",
-    "uniform-l1-landmarks": "4e8aa3d99dc82f1ecdd13e13586eba56af679adaf37093f8ccfcbc556bedca37",
+    "uniform-l1-landmarks": "8b53bb41f1dd60b3464c23ce24a76c086b364e17ed42a9f5deaba187737705da",
     "uniform-l1.5": "c945e9075791565a68f0b38bc05720d6cc00bed852a450b8537df704cd9ee9bb",
     "uniform-l2": "9cd99b185303f9211d0a3f24f84e3f61e79f74139257c79ebb96cf56ff51fc96",
 }
@@ -134,7 +134,7 @@ MODELS = {
         (122, 0, 240, 234, 43, 41236, 0, 5),
     ),
     "uniform-l1-landmarks": (
-        "a08bfbf399ea9af43cd9c8bde978d603ce4fc0c000d4dabeb5c5b3ebf94c1974",
+        "144872354e945ee40a7df19da4a85cbfcb06adcbf88189a826bc15fbac0c7047",
         (404, 159, 360, 413, 175, 1021, 29, 7),
     ),
     "uniform-l1.5": (

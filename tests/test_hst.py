@@ -217,6 +217,18 @@ def test_two_point_tree():
     assert not any(tree.long_edge)
 
 
+def test_l1_root_sits_above_an_exact_power_of_two():
+    # the closest cross pair, (0, 0, 0) and (2, 13, 1), is at l1 distance
+    # exactly 16, which is not below 2^4: the two close pairs first join
+    # at level 5
+    ps = normalize(np.array([[0, 0, 0], [-1, 0, 0], [2, 13, 1], [3, 13, 1]], dtype=float), 1.0)
+    assert ps.scale == 1.0
+    assert oracle_all_pairs(ps)[0, 2] == 16.0
+    tree, _ = build_hst(ps)
+    _check_merge_tree(tree)
+    assert tree.level[0] == 5
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.integers(0, 5000), min_size=2, max_size=24, unique=True),
