@@ -32,6 +32,7 @@ from .core import FormatError, _BLOCK_ELEMS
 
 __all__ = [
     "pack_fields",
+    "bit_lengths",
     "gamma_widths",
     "gamma_columns",
     "unary_bits",
@@ -135,19 +136,25 @@ def _bits(values) -> tuple[np.ndarray, None]:
 _POWERS = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))
 
 
+def bit_lengths(values: np.ndarray) -> np.ndarray:
+    """bitlen(v) of every value of a non-negative int64 array, 0 for 0, as
+    int64: the number of powers of two at or below v, by one exact
+    ``searchsorted``."""
+    return np.searchsorted(_POWERS, values, side="right").astype(np.int64)
+
+
 def gamma_widths(values) -> np.ndarray:
     """Field widths 2 bitlen(v) - 1 of the Elias gamma codes of ``values``.
     Raises ValueError on a value below 1.
 
-    Signed integer arrays take their bit lengths by one exact
-    ``searchsorted`` over the powers of two; anything else, exact ints
-    beyond int64 among them, goes value by value through ``int``."""
+    Signed integer arrays take their bit lengths with :func:`bit_lengths`;
+    anything else, exact ints beyond int64 among them, goes value by value
+    through ``int``."""
     arr = np.asarray(values)
     if arr.dtype.kind == "i":
         if arr.size and arr.min() < 1:
             raise ValueError(f"gamma code requires values >= 1, got {arr.min()}")
-        bits = np.searchsorted(_POWERS, arr.astype(np.int64, copy=False), side="right")
-        return 2 * bits.astype(np.int64) - 1
+        return 2 * bit_lengths(arr.astype(np.int64, copy=False)) - 1
     values = [int(v) for v in values]
     if min(values, default=1) < 1:
         raise ValueError(f"gamma code requires values >= 1, got {min(values)}")

@@ -30,7 +30,9 @@ Four passes, in dependency order:
 
 3. precisions: inv_delta(v) = 5 + ceil(Delta(v)/2^level(v)), computed with
    a 1e-12 downward nudge so diameters that are exact multiples of the
-   level scale do not round up on float dust.
+   level scale do not round up on float dust.  They size the nets of pass
+   4 only: the blob stores none, and the decoder bounds each node's grid
+   integers from the tree alone (:func:`~mcsketch.net.tree_bounds`).
 
 4. surrogates: one array operation per layer of the ingress forest (see
    :func:`ingress_layers`), from the part roots down, so every node comes
@@ -258,9 +260,10 @@ def compute_surrogates(
     """Fill inv_delta and the grid integers in ``ann`` and build the
     surrogate table, one array operation per layer of ``ingress``, the
     forest of ``ann.ingress`` as an int64 array (-1 at part roots).  Raises
-    InputError when epsilon is so small that some node's grid bound leaves
-    int64 (see :func:`~mcsketch.net.grid_bound_fits`), and GuaranteeError
-    when a normalized displacement overflows 1 + delta_eff."""
+    InputError when epsilon is so small that some node's grid bound, the
+    decoder's (:func:`~mcsketch.net.tree_bounds`), which no precision
+    exceeds, leaves int64, and GuaranteeError when a normalized
+    displacement overflows 1 + delta_eff."""
     eps = params.epsilon
     p, d = ps.p, ps.d
     n_nodes = tree.n_nodes
@@ -270,17 +273,15 @@ def compute_surrogates(
     inv_delta = 5 + np.ceil(ratio - 1e-12).astype(np.int64)
     scale = np.ldexp(inv_delta, level)  # 2^level(v) / delta(v)
 
-    # the scalar net helpers (exact ints), once per (has_short, inv_delta)
+    try:
+        net.tree_bounds(tree, eps, d, p)
+    except OverflowError as exc:
+        raise InputError(f"epsilon {eps} is too small: {exc}") from None
+    # the scalar net helper, once per (has_short, inv_delta)
     nodes = np.flatnonzero(~tree.part_root)
     key = 2 * inv_delta[nodes] + tree.has_short[nodes]
-    keys, first, which = np.unique(key, return_index=True, return_inverse=True)
+    keys, which = np.unique(key, return_inverse=True)
     nets = [net.delta_effective(eps, not k & 1, k >> 1) for k in keys.tolist()]
-    for delta, v in zip(nets, nodes[first].tolist()):
-        if not net.grid_bound_fits(delta, d, p):
-            raise InputError(
-                f"epsilon {eps} is too small: the grid integers of node {v} "
-                "would not fit in 64 bits"
-            )
     delta_eff = np.zeros(n_nodes)
     delta_eff[nodes] = np.array(nets)[which]
 

@@ -43,7 +43,7 @@ from .core import (
     write_matrix,
     write_points,
 )
-from .estimate import Estimator, select_all_landmarks
+from .estimate import Estimator, estimate_bound, select_all_landmarks
 from .hst import ClusterIndex, SketchTree, build_hst, compress
 from .reduce import JlConfig, frechet_embed, project_points
 
@@ -92,17 +92,21 @@ def build_sketch(
     jl_orig_dim: int = 0,
 ) -> BuildResult:
     """Sketch an already-normalized point set.  Raises InputError when the
-    spread and epsilon leave no finite landmark spacing K."""
+    spread and epsilon leave no finite landmark spacing K, when epsilon
+    leaves a grid bound beyond int64, and when the estimates could
+    overflow (:func:`~mcsketch.estimate.estimate_bound`), so that every
+    blob it writes decodes."""
     start = time.perf_counter()
     kk = k_parameter(ps.spread, params.epsilon, ps.d, ps.p)
     tree0, clusters0 = build_hst(ps)
     tree, clusters = compress(tree0, clusters0, params.epsilon)
     ann, ingress, table = annotate(tree, clusters, ps, params)
+    if not math.isfinite(estimate_bound(table.shift_int, table.unit, ps.scale, ps.d, ps.p)):
+        raise InputError(f"coordinates too large: estimates at scale {ps.scale} may overflow")
     landmarks = sorted(select_all_landmarks(tree, ingress, kk)) if params.landmarks else None
     model = SketchModel(
         tree=tree,
         ingress=ingress,
-        inv_delta=ann.inv_delta,
         eta_ints=ann.eta_ints,
         landmarks=landmarks,
         p=ps.p,

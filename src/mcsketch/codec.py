@@ -2,7 +2,7 @@
 
 Layout, all multi-byte header fields little-endian:
 
-* header: magic ``MCSK``; u16 version (5); u8 p-code (1, 2, 255 = inf;
+* header: magic ``MCSK``; u16 version (6); u8 p-code (1, 2, 255 = inf;
   0 = rational p followed by u32 numerator + u32 denominator); u64 n;
   u64 d; f64 epsilon (post-snap); f64 scale; f64 spread; u8 flags (bit 1:
   landmark table present; every other bit, bit 0 included, is reserved
@@ -21,28 +21,32 @@ Layout, all multi-byte header fields little-endian:
      column of the level gaps (>= 2) of the long edges;
   3. every leaf's point label in ceil(log2 n) bits (a node's center, its
      first child's, is the label of the first leaf at or after it);
-  4. per node that is not a part root and not its parent's first child
-     (a first child's ingress is its parent), its ingress as a reference
-     into the preorder enumeration of nodes without short children, in
-     ceil(log2 L) bits;
-  5. the Elias-gamma column of every node's inv_delta - 4;
-  6. the displacements of the nodes that are not part roots, each d grid
-     integers m with |m| <= B, the node's grid bound (see ``net``), coded
-     by their zigzag values z (2m for m >= 0, -2m-1 below) in Rice codes
-     of parameter k = max(0, bitlen(B) - c): first the offset c of first
-     children and that of every other node, 4 bits each; then the unary
-     codes of every quotient z >> k, node by node; then every node's k low
-     bits of its d values as k bit planes of d bits, most significant
-     plane first (see :func:`_rice_columns`);
-  7. when flags bit 1 is set: the Elias-gamma of (landmark count L + 1),
+  4. per node c that is not a part root and not its parent's first child
+     (a first child's ingress is its parent), its ingress as a rank: the
+     builder descends to it from a sibling of c, so it is one of the
+     ``count`` nodes without short children among the ids [v+1, c) and
+     [end[c], end[v]) of c's parent v, and c stores its rank among them,
+     in id order, in ceil(log2 count) bits (none when count is 1); see
+     :func:`_reference_ranges`;
+  5. the displacements of the nodes that are not part roots, each d grid
+     integers m with |m| <= B, the node's grid bound from the tree alone
+     (``net.tree_bounds``), coded by their zigzag values z (2m for m >= 0,
+     -2m-1 below) in Rice codes: first one parameter k in 6 bits for each
+     of four classes, first children with and without short children,
+     then every other node with and without; then the unary codes of every
+     quotient z >> k, node by node; then every node's k low bits of its d
+     values as k bit planes of d bits, most significant plane first (see
+     :func:`_rice_columns`);
+  6. when flags bit 1 is set: the Elias-gamma of (landmark count L + 1),
      then the L landmark node ids in strictly ascending order,
      ceil(log2 N) bits each.  A landmark's shift is not stored: the
      landmark ``Estimator`` sums it from the steps along its ingress chain.
 
   Versions 1 (fields node by node), 2 (every node's center, one ingress
-  flag per node), 3 (every landmark's shift, in K+2 bits per coordinate)
-  and 4 (displacements and gamma codes in fixed or interleaved fields)
-  are refused.
+  flag per node), 3 (every landmark's shift, in K+2 bits per coordinate),
+  4 (displacements and gamma codes in fixed or interleaved fields) and 5
+  (every node's precision, two Rice offsets, and ingress references into
+  all nodes without short children) are refused.
 
 * trailer: u32 CRC-32 (zlib) of header plus payload bytes.  Every header
   or payload corruption is caught by the CRC at the latest; structural
@@ -56,15 +60,16 @@ Decoding levels: the gaps give each node's level relative to the root;
 all leaves must land on one common level, which is then pinned to 0.
 The shape fixes the tree's preorder; the decoder derives every node's
 parent from it and builds the ingresses directly as one int64 array, -1
-at part roots, from the parents and the references.
+at part roots, from the parents and the ranks.
 
 Columns move whole.  The writer packs every field of the payload in one
 pass (``_bitio.pack_fields``); the reader reads each fixed-width column in
 one pass (``unpack_runs``), and each unary stream, a gamma column's or
 the displacements' quotients, by locating its one bits with whole-array
-calls (``read_unary``).  Every column's length follows from the node
-count and the columns before it, and is checked against the bits that
-remain before anything is allocated for it.
+calls (``read_unary``), and the ingress ranks, whose widths follow from
+the tree, as one run of fields (``unpack_runs``).  Every column's length
+follows from the node count and the columns before it, and is checked
+against the bits that remain before anything is allocated for it.
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ import numpy as np
 
 from . import net
 from ._bitio import (
+    bit_lengths,
     bit_windows,
     gamma_columns,
     pack_fields,
@@ -105,7 +111,7 @@ from .hst import SketchTree, _jump
 __all__ = ["SketchModel", "SizeReport", "serialize", "deserialize", "size_report"]
 
 MAGIC = b"MCSK"
-VERSION = 5
+VERSION = 6
 
 _FLAG_LANDMARKS = 2
 # the fixed header after the norm: n, d, epsilon, scale, spread, flags, random
@@ -127,7 +133,6 @@ class SketchModel:
 
     tree: SketchTree
     ingress: np.ndarray
-    inv_delta: list[int]
     eta_ints: np.ndarray
     landmarks: list[int] | None
     p: float
@@ -142,7 +147,9 @@ class SketchModel:
 
 @dataclass
 class SizeReport:
-    """Exact bit accounting of one blob; sections sum to the total."""
+    """Exact bit accounting of one blob; sections sum to the total.
+    ``precision_bits`` is always 0: the blob has stored no precision
+    since version 6, and the field stays for readers of the old name."""
 
     total_bytes: int
     header_bytes: int
@@ -210,19 +217,27 @@ def serialize(model: SketchModel) -> bytes:
     wrong = inner[first & (ingress[inner] != parent[inner])]
     if wrong.size:
         raise GuaranteeError(f"ingress of first child {wrong[0]} is not its parent")
-    later = inner[~first]
-    subtree_leaves = np.flatnonzero(~tree.has_short)
-    ref = np.searchsorted(subtree_leaves, ingress[later])
-    known = subtree_leaves[np.minimum(ref, subtree_leaves.size - 1)] == ingress[later]
+    later, below, before, count = _reference_ranges(tree, parent)
+    u = ingress[later]
+    known = (u >= 0) & (u < n_nodes)
+    known[known] = ~tree.has_short[u[known]]
     if not known.all():
         raise GuaranteeError(f"ingress of node {later[~known][0]} is not short-childless")
-
-    precision = _ints(model.inv_delta) - 4
-    bounds, lengths = _grid_bounds(tree, model.inv_delta, eps, d, model.p)
-    try:
-        displacements = _rice_columns(
-            _ints(model.eta_ints), bounds, lengths, parent == np.arange(n_nodes) - 1
+    v, end = parent[later], tree.end
+    inside = ((v < u) & (u < later)) | ((end[later] <= u) & (u < end[v]))
+    if not inside.all():
+        raise GuaranteeError(
+            f"ingress of node {later[~inside][0]} is not under a sibling of it"
         )
+    rank = below[u] - np.where(u < later, below[v + 1], below[end[later]] - before)
+
+    try:
+        bounds = net.tree_bounds(tree, eps, d, model.p)
+        rows = np.asarray(model.eta_ints, dtype=np.int64)
+    except OverflowError as exc:
+        raise GuaranteeError(f"a grid integer or bound leaves int64: {exc}") from None
+    try:
+        displacements = _rice_columns(rows, bounds, _classes(tree, parent))
     except ValueError as exc:
         raise GuaranteeError(f"a grid integer exceeds its bound: {exc}") from exc
 
@@ -231,8 +246,7 @@ def serialize(model: SketchModel) -> bytes:
         (long_edge[1:], 1),
         *gamma_columns(gaps),
         (label[label >= 0], (n - 1).bit_length()),
-        (ref, (subtree_leaves.size - 1).bit_length()),
-        *gamma_columns(precision),
+        (rank, bit_lengths(count - 1)),
         *displacements,
     ]
     if model.landmarks is not None:
@@ -253,82 +267,99 @@ def serialize(model: SketchModel) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def _ints(values) -> np.ndarray:
-    """Integers as an int64 array, or as exact ints where one does not fit."""
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _grid_bounds(tree, inv_delta, eps: float, d: int, p: float):
-    """Per node, the bound B of its grid integers and B's bit length, both
-    from ``net``: the one rule the writer and the reader share.  Part
-    roots, which store no displacement, get 0 and 0.  B comes once per
-    distinct (has_short, inv_delta) pair; it is exact, int64 or exact ints
-    once one reaches 2^63.  A net too fine for floats (B infinite) raises
-    OverflowError or ZeroDivisionError."""
+def _reference_ranges(tree, parent: np.ndarray):
+    """The nodes that store an ingress rank, every later child c of its
+    parent v that is not a part root, in id order, and what places the
+    rank: ``below``, per id i (one entry longer than the tree), the number
+    of nodes without short children among the ids below i; per c, the
+    number ``before`` of them in [v+1, c) and the number ``count`` in
+    [v+1, c) and [end[c], end[v]) together.  The ingress with rank r is
+    the (r+1)-th of them in id order: the one below which ``below`` counts
+    below[v+1] + r of them when r < ``before``, below[end[c]] + r -
+    ``before`` otherwise."""
     inner = np.flatnonzero(~tree.part_root)
-    keys, which = np.unique(
-        _ints(inv_delta)[inner] * 2 + tree.has_short[inner], return_inverse=True
-    )
-    deltas = [net.delta_effective(eps, not k & 1, k >> 1) for k in keys.tolist()]
-    nets = [net.grid_bound(de, d, p) for de in deltas]
-    bounds = np.zeros(tree.n_nodes, dtype=_ints(nets).dtype)
-    bounds[inner] = _ints(nets)[which]
-    lengths = np.zeros(tree.n_nodes, dtype=np.int64)
-    lengths[inner] = np.array([b.bit_length() for b in nets], dtype=np.int64)[which]
-    return bounds, lengths
+    later = inner[parent[inner] != inner - 1]
+    below = np.zeros(tree.n_nodes + 1, dtype=np.int64)
+    np.cumsum(~tree.has_short, out=below[1:])
+    v, end = parent[later], tree.end
+    before = below[later] - below[v + 1]
+    return later, below, before, before + below[end[v]] - below[end[later]]
+
+
+def _classes(tree, parent: np.ndarray) -> np.ndarray:
+    """Every node's Rice class, -1 at part roots, which store no
+    displacement: 0 and 1 for a first child with and without short
+    children, 2 and 3 for any other node with and without."""
+    nodes = np.arange(tree.n_nodes)
+    classes = 2 * (parent != nodes - 1) + ~tree.has_short
+    classes[tree.part_root] = -1
+    return classes
+
+
+def _read_ingress(payload, start: int, limit: int, tree, parent: np.ndarray):
+    """Every node's ingress as one int64 array, -1 at part roots, from the
+    ranks written from bit ``start`` of ``payload``, and the bit after
+    them.  Each rank's width follows from its range (see
+    :func:`_reference_ranges`), and the ranks are read as one run of fields.
+    FormatError, before the ranks are read, when their bits run past bit
+    ``limit``, and after, when a rank is not below its range's count."""
+    later, below, before, count = _reference_ranges(tree, parent)
+    widths = bit_lengths(count - 1)
+    bits = int(widths.sum())
+    if bits > limit - start:
+        raise FormatError(f"ingress ranks need {bits} bits, {limit - start} remain")
+    rank = unpack_runs(payload, start + np.cumsum(widths) - widths, widths, 1)[:, 0]
+    rank = rank.astype(np.int64)
+    over = np.flatnonzero(rank >= count)
+    if over.size:
+        i = over[0]
+        raise FormatError(
+            f"ingress rank {rank[i]} of node {later[i]} is not below the "
+            f"{count[i]} nodes of its range"
+        )
+    # the r-th node without short children from id a on is the one at
+    # index below[a] + r among all of them
+    base = np.where(rank < before, below[parent[later] + 1], below[tree.end[later]] - before)
+    ingress = np.where(tree.part_root, -1, parent)
+    ingress[later] = np.flatnonzero(~tree.has_short)[base + rank]
+    return ingress, start + bits
 
 
 # --------------------------------------------------------------------------
 # Displacements: zigzag values in Rice codes, in two streams.
 
 
-def _rice_columns(rows, bounds, lengths, first) -> list:
-    """The displacement section of grid rows, as columns for
-    ``pack_fields``.  Row i stores nothing when ``bounds[i]`` is 0 (a part
-    root); any other row stores its d integers m, each as its zigzag value
-    z (2m for m >= 0, -2m-1 below, so |m| <= B exactly when z <= 2B) in a
-    Rice code of parameter k = max(0, bitlen(B) - c).  The section holds
-    the offset c of the rows with ``first`` set (first children) and that
-    of the other rows in 4 bits each, then the unary codes of every
-    quotient z >> k, row by row, then every row's k remainder bits as bit
-    planes (``plane_bits``).  Raises ValueError when an integer lies
-    outside [-B, B]."""
-    stored = bounds > 0
+def _rice_columns(rows, bounds, classes) -> list:
+    """The displacement section of int64 grid rows, as columns for
+    ``pack_fields``.  Row i stores nothing when ``classes[i]`` is -1 (a
+    part root); any other row stores its d integers m, each as its zigzag
+    value z (2m for m >= 0, -2m-1 below, so |m| <= B exactly when z <= 2B,
+    B = ``bounds[i]``) in a Rice code of its class's parameter k.  The
+    section holds the four classes' k in 6 bits each
+    (:func:`_rice_parameters`), then the unary codes of every quotient
+    z >> k, row by row, then every row's k remainder bits as bit planes
+    (``plane_bits``).  Raises ValueError when an integer lies outside
+    [-B, B]."""
+    stored = classes >= 0
     z = _zigzag(np.asarray(rows)[stored], bounds[stored])
-    lengths, first = lengths[stored], np.asarray(first)[stored]
-    offsets = _rice_offsets(z, lengths, first)
-    k = np.maximum(0, lengths - np.where(first, *offsets))
-    shift = _shifts(k, z.dtype)
+    ks = _rice_parameters(z, classes[stored])
+    k = ks[classes[stored]]
+    shift = k.astype(np.uint64)[:, None]
     unary = [unary_bits((z[r] >> shift[r]).astype(np.int64)) for r in row_blocks(*z.shape)]
-    one = z.dtype.type(1)
-    z &= (one << shift) - one  # the remainders, in place
-    return [(np.array(offsets), 4), (np.concatenate(unary or [[]]), 1), (plane_bits(z, k), 1)]
-
-
-def _shifts(k: np.ndarray, dtype) -> np.ndarray:
-    """Per-row shift counts ``k`` as a column in the values' dtype, so that
-    exact ints shift as Python ints."""
-    return k.astype(dtype)[:, None]
+    z &= (np.uint64(1) << shift) - np.uint64(1)  # the remainders, in place
+    return [(ks, 6), (np.concatenate(unary or [[]]), 1), (plane_bits(z, k), 1)]
 
 
 def _zigzag(rows, bounds) -> np.ndarray:
-    """The zigzag values of grid rows: uint64, in place of an int64 array
-    (the map is a bijection of int64 onto uint64), or exact ints where a
-    row or a bound does not fit int64.  Raises ValueError unless every
-    value of row i is at most 2 * bounds[i]."""
-    if rows.dtype == np.int64 and bounds.dtype == np.int64:
-        negative = rows < 0
-        z = np.abs(rows, out=rows).view(np.uint64)  # -2^63 stays 2^63
-        z <<= np.uint64(1)
-        z -= negative  # -2^63 wraps to 2^64 - 1, above every 2B
-        top = bounds.astype(np.uint64) << np.uint64(1)  # each B below 2^63
-    else:
-        rows = rows.astype(object)
-        z = np.where(rows >= 0, 2 * rows, -2 * rows - 1)
-        top = bounds.astype(object) * 2
+    """The zigzag values of int64 grid rows as uint64, in place of the rows
+    (the map is a bijection of int64 onto uint64).  ``bounds`` are below
+    2^63, so every 2B fits.  Raises ValueError unless every value of row i
+    is at most 2 * bounds[i]."""
+    negative = rows < 0
+    z = np.abs(rows, out=rows).view(np.uint64)  # -2^63 stays 2^63
+    z <<= np.uint64(1)
+    z -= negative  # -2^63 wraps to 2^64 - 1, above every 2B
+    top = bounds.astype(np.uint64) << np.uint64(1)
     bad = z > top[:, None]
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -337,49 +368,46 @@ def _zigzag(rows, bounds) -> np.ndarray:
     return z
 
 
-def _rice_offsets(z, lengths, first) -> list[int]:
-    """The offsets c in 0..15 of the rows with ``first`` set and of the
-    others, each the best of three.  A class's mean of z / 2^bitlen(B)
-    gives the c of a geometric law's best Rice parameter,
-    log2(ln 2 * mean); that c and its two neighbours are costed exactly,
-    and the fewest bits win, the smaller c on a tie."""
-    classes = (first, ~first)
-    mean = z.sum(axis=1, dtype=np.float64) * np.exp2(-lengths)
-    guess = []
-    for rows in classes:
-        m = mean[rows].sum() / max(1, int(rows.sum()) * z.shape[1])
-        guess.append(15 if m == 0 else min(15, max(0, round(-math.log2(math.log(2) * m)))))
-    best = [(math.inf, 0), (math.inf, 0)]
-    for step in (-1, 0, 1):
-        c = np.where(first, guess[0] + step, guess[1] + step)
-        k = np.maximum(0, lengths - c)
-        shift = _shifts(k, z.dtype)
-        bits = z.shape[1] * (k + 1)
-        for r in row_blocks(*z.shape):
-            bits[r] += (z[r] >> shift[r]).sum(axis=1).astype(np.int64)
-        for i, rows in enumerate(classes):
-            if 0 <= guess[i] + step <= 15:
-                best[i] = min(best[i], (int(bits[rows].sum()), guess[i] + step))
-    return [c for _, c in best]
+def _rice_parameters(z, classes) -> np.ndarray:
+    """The Rice parameter k in 0..63 of each of the four classes of rows,
+    each by exhaustive search: the fewest bits, k + 1 per value plus the
+    sum of the quotients z >> k, the smaller k on a tie (0 for an empty
+    class).  Every k from 0 up to the bit length of the class's largest
+    value is costed, exactly, from the number of values with each bit
+    set: the quotients sum to ones[j] 2^(j - k) over the bits j >= k."""
+    ks = np.zeros(4, dtype=np.int64)
+    for c in range(4):
+        values = z[classes == c]
+        if not values.size:
+            continue
+        top = int(values.max()).bit_length()
+        ones = [int(np.count_nonzero(values & np.uint64(1 << j))) for j in range(top)]
+        costs = [
+            values.size * (k + 1) + sum(ones[j] << j - k for j in range(k, top))
+            for k in range(min(63, top) + 1)
+        ]
+        ks[c] = costs.index(min(costs))
+    return ks
 
 
-def _read_rice(payload, start: int, limit: int, bounds, lengths, first, d: int):
+def _read_rice(payload, start: int, limit: int, bounds, classes, d: int):
     """The rows :func:`_rice_columns` wrote from bit ``start`` of
     ``payload``, as one (len(bounds), d) int64 array with zero rows where
-    ``bounds`` is 0, and the bit after the section.  Each stream is read
+    ``classes`` is -1, and the bit after the section.  Each stream is read
     with whole-array calls: the quotients with one ``read_unary`` window up
     to the remainders, the remainders with ``read_planes``.  FormatError,
     before any (rows, d) array is allocated, when the rows cannot fit
     before bit ``limit`` (at least d (k + 1) bits each), and after, when a
     quotient exceeds 2B >> k (checked before it is shifted) or a value
     exceeds 2B."""
-    if limit - start < 8:
-        raise FormatError(f"Rice offsets need 8 bits, {limit - start} remain")
-    pair = int.from_bytes(payload[start >> 3 : (start >> 3) + 2].ljust(2, b"\0"), "big")
-    offsets = divmod(pair >> (8 - (start & 7)) & 0xFF, 16)
-    pos = start + 8
-    stored = bounds > 0
-    k = np.maximum(0, lengths - np.where(first, *offsets))  # 0 at part roots
+    if limit - start < 24:
+        raise FormatError(f"Rice parameters need 24 bits, {limit - start} remain")
+    word = int.from_bytes(payload[start >> 3 : (start >> 3) + 4].ljust(4, b"\0"), "big")
+    word >>= 8 - (start & 7)
+    ks = np.array([word >> 18 - 6 * i & 63 for i in range(4)], dtype=np.int64)
+    pos = start + 24
+    stored = classes >= 0
+    k = np.where(stored, ks[classes], 0)
     # never allocate from the header's d alone: the first node whose codes
     # cannot end before the limit is named
     ends = np.cumsum(np.where(stored, k + 1, 0))
@@ -395,7 +423,7 @@ def _read_rice(payload, start: int, limit: int, bounds, lengths, first, d: int):
     q, pos = read_unary(payload, pos, d * k.size, limit - planes, limit - planes - pos)
     z = q.view(np.uint64).reshape(-1, d)
     top = (b << np.uint64(1))[:, None]
-    bad = z > top >> _shifts(k, np.uint64)
+    bad = z > top >> k.astype(np.uint64)[:, None]
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise FormatError(
@@ -575,45 +603,21 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     tree.verify()
 
     # 4. ingresses: a first child's is its parent, every other node's with
-    # an ingress a reference
+    # an ingress a rank within its range
     mark = pos
-    inner = np.flatnonzero(~tree.part_root)
-    later = inner[parent[inner] != inner - 1]
-    subtree_leaves = np.flatnonzero(~tree.has_short)
-    ref_w = (subtree_leaves.size - 1).bit_length()
-    refs = column(ref_w, later.size, "ingress references").astype(np.int64)
-    if (refs >= subtree_leaves.size).any():
-        raise FormatError(
-            f"ingress reference {refs[refs >= subtree_leaves.size][0]} out of range"
-        )
-    ingress = np.where(tree.part_root, -1, parent)
-    ingress[later] = subtree_leaves[refs]
+    ingress, pos = _read_ingress(payload, pos, payload_bits, tree, parent)
     ingress_bits = pos - mark
 
-    # 5. precisions
-    lo, hi = tree.leaf_ranges()
-    leaf_count = np.array(hi) - np.array(lo)
-    precision, precision_bits = gammas(n_nodes)
-    # a level-l cluster C has diameter < (|C|-1) * 2^l, so a valid build
-    # never stores inv_delta = 5 + ceil(diam / 2^l) above |C| + 4
-    over = np.flatnonzero(precision > leaf_count.astype(np.uint64))
-    if over.size:
-        v = over[0]
-        raise FormatError(f"precision {precision[v] + 4} of node {v} exceeds leaves + 4")
-    inv_delta = (precision.astype(np.int64) + 4).tolist()
-
-    # 6. displacements
+    # 5. displacements
     try:
-        bounds, lengths = _grid_bounds(tree, inv_delta, eps, d, p)
-    except (OverflowError, ZeroDivisionError):  # B is infinite
-        bounds = None
-    if bounds is None or bounds.dtype == object:
-        raise FormatError("a grid bound does not fit in 64 bits")
+        bounds = net.tree_bounds(tree, eps, d, p)
+    except OverflowError as exc:
+        raise FormatError(str(exc)) from None
     mark = pos
-    first = parent == np.arange(n_nodes) - 1
-    eta_ints, pos = _read_rice(payload, pos, payload_bits, bounds, lengths, first, d)
+    eta_ints, pos = _read_rice(payload, pos, payload_bits, bounds, _classes(tree, parent), d)
     displacement_bits = pos - mark
 
+    inner = np.flatnonzero(~tree.part_root)
     part_of = tree.part_of
     crossing = inner[part_of[ingress[inner]] != part_of[inner]]
     if crossing.size:
@@ -621,7 +625,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     if sum(map(len, ingress_layers(ingress))) != n_nodes:
         raise FormatError("ingress references contain a cycle")
 
-    # 7. landmarks
+    # 6. landmarks
     landmarks = None
     mark = pos
     if has_landmarks:
@@ -638,7 +642,6 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     model = SketchModel(
         tree=tree,
         ingress=ingress,
-        inv_delta=inv_delta,
         eta_ints=eta_ints,
         landmarks=landmarks,
         p=p,
@@ -658,7 +661,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         long_gap_bits=gap_bits,
         center_bits=n * (n - 1).bit_length(),
         ingress_bits=ingress_bits,
-        precision_bits=precision_bits,
+        precision_bits=0,
         displacement_bits=displacement_bits,
         landmark_bits=landmark_bits,
         padding_bits=8 * payload_len - payload_bits,

@@ -71,6 +71,7 @@ from .hst import _children
 
 __all__ = [
     "Estimator",
+    "estimate_bound",
     "select_landmarks",
     "select_all_landmarks",
 ]
@@ -122,6 +123,8 @@ class Estimator:
         # row, one layer up, already holds the ingress's shift
         for layer in layers[1:]:
             shifts[layer] += shifts[model.ingress[layer]]
+        if not math.isfinite(estimate_bound(shifts, self._unit, self.scale, self._d, self._p)):
+            raise FormatError(f"every estimate at scale {self.scale} may overflow")
         if mode == "landmark":
             # the anchors are the part roots (the nodes without an ingress),
             # whose step rows are zero, and the landmarks, whose step rows
@@ -425,6 +428,22 @@ class Estimator:
             out[i, j] = vals
             out[j, i] = vals
             a = b
+
+
+def estimate_bound(shifts: np.ndarray, unit: float, scale: float, d: int, p: float) -> float:
+    """4 max(1, scale) d^(1/p) M, where M is the largest coordinate, in
+    absolute value, of the shifted surrogates whose exact shifts (int64 or
+    exact ints) in units of ``unit`` are ``shifts``; inf when it overflows.
+    An estimate is scale times the lp norm of the difference of two such
+    rows, whose coordinates are at most 2M, so while this is finite
+    neither an estimate nor any step of its reduction, a norm of at most
+    2 d^(1/p) M before the scale, overflows.  The Estimator refuses a
+    model where it is not finite, and the builder an input."""
+    top = max(int(shifts.max()), -int(shifts.min()))
+    try:
+        return 4.0 * max(1.0, scale) * d ** (1.0 / p) * (float(top) * unit)
+    except OverflowError:  # float(top) itself
+        return math.inf
 
 
 # --------------------------------------------------------------------------

@@ -621,14 +621,131 @@ def read_rice_rows(r: BitReader, ks, d: int) -> list[list[int]]:
     return rows
 
 
+def subtree_ends(tree) -> list[int]:
+    """One past the last id of every node's subtree, from child lists: ids
+    are preorder, so that is the largest id below a node, plus one."""
+    kids = children_of(tree)
+    end = list(range(1, tree.n_nodes + 1))
+    for v in reversed(range(tree.n_nodes)):
+        for c in kids[v]:
+            end[v] = max(end[v], end[c])
+    return end
+
+
+def rank_range(tree, c: int) -> list[int]:
+    """The nodes a later child c of v may take as its ingress, in id
+    order, by a scan: the ids of v's subtree outside c's, v excluded,
+    whose children all hang on long edges (leaves among them)."""
+    kids = children_of(tree)
+    end = subtree_ends(tree)
+    v = tree.parent[c]
+    return [
+        u
+        for u in range(v + 1, end[v])
+        if not c <= u < end[c] and all(tree.long_edge[k] for k in kids[u])
+    ]
+
+
+def ingress_ranks(tree, ingress) -> list[tuple[int, int | None, int]]:
+    """(c, rank, count) for every later child c of its parent that is not
+    a part root, in id order: the index of c's ingress in
+    :func:`rank_range` (None when it is not there) and the range's size."""
+    out = []
+    for c in range(1, tree.n_nodes):
+        if tree.long_edge[c] or tree.parent[c] == c - 1:
+            continue
+        span = rank_range(tree, c)
+        u = int(ingress[c])
+        out.append((c, span.index(u) if u in span else None, len(span)))
+    return out
+
+
+def rice_classes(tree) -> list[int | None]:
+    """Every node's Rice class, None at part roots: 0 and 1 for a first
+    child with and without short children, 2 and 3 for any other node."""
+    kids = children_of(tree)
+    out = []
+    for v in range(tree.n_nodes):
+        if tree.parent[v] < 0 or tree.long_edge[v]:
+            out.append(None)
+            continue
+        leafy = all(tree.long_edge[k] for k in kids[v])
+        out.append(2 * (tree.parent[v] != v - 1) + leafy)
+    return out
+
+
+def rice_parameters(rows, classes) -> list[int]:
+    """Per class, the k in 0..63 whose Rice codes of the class's zigzag
+    values take the fewest bits, the smallest on a tie, by costing every
+    k; 0 for an empty class."""
+    ks = []
+    for c in range(4):
+        values = [zigzag(int(m)) for row, k in zip(rows, classes) if k == c for m in row]
+        costs = [sum((z >> k) + 1 + k for z in values) for k in range(64)]
+        ks.append(costs.index(min(costs)))
+    return ks
+
+
+def write_payload(model) -> tuple[bytes, int, dict[str, int]]:
+    """The payload of an MCSK v6 blob written one field at a time, straight
+    from the layout: its bytes, its bit length and the first bit of every
+    column of ``COLUMNS``.  Ranks come from :func:`ingress_ranks` and the
+    Rice parameters from :func:`rice_parameters`; a model whose ingress
+    is not in its range raises AssertionError."""
+    tree = model.tree
+    kids = children_of(tree)
+    w = BitWriter()
+    starts = {}
+    starts["shape"] = w.bit_length
+    stack = [(0, True)]
+    while stack:
+        v, opening = stack.pop()
+        w.write_uint(int(opening), 1)
+        if opening:
+            stack.append((v, False))
+            stack.extend((c, True) for c in reversed(kids[v]))
+    starts["edge flags"] = w.bit_length
+    for v in range(1, tree.n_nodes):
+        w.write_uint(int(tree.long_edge[v]), 1)
+    starts["gaps"] = w.bit_length
+    write_gammas(w, [tree.edge_gap(v) for v in range(1, tree.n_nodes) if tree.long_edge[v]])
+    starts["leaf labels"] = w.bit_length
+    for label in tree.leaf_label:
+        if label >= 0:
+            w.write_uint(label, (model.n - 1).bit_length())
+    starts["ingress ranks"] = w.bit_length
+    for _, rank, count in ingress_ranks(tree, model.ingress):
+        assert rank is not None, "ingress outside its range"
+        w.write_uint(rank, (count - 1).bit_length())
+    classes = rice_classes(tree)
+    rows = [[int(m) for m in model.eta_ints[v]] for v in range(tree.n_nodes)]
+    ks = rice_parameters(rows, classes)
+    starts["Rice parameters"] = w.bit_length
+    for k in ks:
+        w.write_uint(k, 6)
+    stored = [v for v in range(tree.n_nodes) if classes[v] is not None]
+    zig = [[zigzag(m) for m in rows[v]] for v in stored]
+    starts["quotients"] = w.bit_length
+    write_rice_rows(w, zig, [ks[classes[v]] for v in stored])
+    starts["remainders"] = starts["quotients"] + sum(
+        (z >> ks[classes[v]]) + 1 for v, row in zip(stored, zig) for z in row
+    )
+    starts["landmark count"] = w.bit_length
+    if model.landmarks is not None:
+        write_gammas(w, [len(model.landmarks) + 1])
+    starts["landmark ids"] = w.bit_length
+    for v in model.landmarks or ():
+        w.write_uint(v, (tree.n_nodes - 1).bit_length())
+    return w.getvalue(), w.bit_length, starts
+
+
 COLUMNS = (
     "shape",
     "edge flags",
     "gaps",
     "leaf labels",
-    "references",
-    "precisions",
-    "Rice offsets",
+    "ingress ranks",
+    "Rice parameters",
     "quotients",
     "remainders",
     "landmark count",
@@ -638,53 +755,18 @@ COLUMNS = (
 
 def payload_columns(blob: bytes) -> dict[str, range]:
     """The bits, counted from the blob's first bit, of every payload column
-    of an MCSK v5 blob, derived from the decoded model and the field widths
-    of the layout alone; a column the blob lacks is an empty range.  The
-    Rice offsets, the one pair of encoder choices, are read from the blob
-    at the place the columns before them end."""
-    from mcsketch import net
+    of an MCSK v6 blob, from the decoded model through :func:`write_payload`,
+    which must give the blob's payload bit for bit; a column the blob lacks
+    is an empty range."""
     from mcsketch.codec import deserialize, size_report
 
-    model = deserialize(blob)
     rep = size_report(blob)
-    tree = model.tree
-    nodes = tree.n_nodes
-    # a first child (the node right after its parent) stores no reference
-    refs = sum(u >= 0 and tree.parent[v] != v - 1 for v, u in enumerate(model.ingress))
-    short_childless = sum(not tree.has_short[v] for v in range(nodes))
-    lengths = [
-        2 * nodes,
-        nodes - 1,
-        sum(2 * tree.edge_gap(v).bit_length() - 1 for v in range(1, nodes) if tree.long_edge[v]),
-        model.n * (model.n - 1).bit_length(),
-        refs * (short_childless - 1).bit_length(),
-        sum(2 * (k - 4).bit_length() - 1 for k in model.inv_delta),
-        8,
-    ]
-    r = BitReader(blob, 8 * len(blob))
-    r.position = 8 * rep.header_bytes + int(sum(lengths)) - 8
-    offsets = r.read_uint(4), r.read_uint(4)
-    quotients = remainders = 0
-    for v in range(nodes):
-        if model.ingress[v] < 0:
-            continue
-        delta = net.delta_effective(model.epsilon, not tree.has_short[v], model.inv_delta[v])
-        c = offsets[0] if tree.parent[v] == v - 1 else offsets[1]
-        k = max(0, net.grid_bound(delta, model.d, model.p).bit_length() - c)
-        quotients += sum(zigzag(int(m)) >> k for m in model.eta_ints[v]) + model.d
-        remainders += k * model.d
-    lengths += [quotients, remainders, 0, 0]
-    assert sum(lengths[-4:-2]) + 8 == rep.displacement_bits
-    if model.landmarks is not None:
-        lengths[-2] = 2 * (len(model.landmarks) + 1).bit_length() - 1
-        lengths[-1] = len(model.landmarks) * (nodes - 1).bit_length()
-    pos = 8 * rep.header_bytes
-    out = {}
-    for name, length in zip(COLUMNS, lengths):
-        out[name] = range(pos, pos + length)
-        pos += length
-    assert pos == 8 * rep.header_bytes + rep.payload_bits
-    return out
+    payload, bits, starts = write_payload(deserialize(blob))
+    assert bits == rep.payload_bits
+    assert payload == blob[rep.header_bytes : -rep.crc_bytes]
+    at = 8 * rep.header_bytes
+    ends = [starts[name] for name in COLUMNS[1:]] + [bits]
+    return {name: range(at + starts[name], at + e) for name, e in zip(COLUMNS, ends)}
 
 
 def small_instance(seed: int, n: int, d: int, p: float, kind: str):

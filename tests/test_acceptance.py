@@ -250,32 +250,33 @@ def test_criterion_05_net_exhaustive():
                 grid = np.array(list(itertools.product(inside, repeat=d)), np.int64)
                 k = len(grid)
                 bounds = np.full(k, b)
-                lengths = np.full(k, b.bit_length())
-                first = np.arange(k) % 2 == 0  # both offset classes
-                cols = _rice_columns(grid, bounds, lengths, first)
+                classes = np.arange(k) % 4  # all four Rice classes
+                cols = _rice_columns(grid, bounds, classes)
                 data, bits = pack_fields(cols)
-                back, end = _read_rice(data, 0, bits, bounds, lengths, first, d)
+                back, end = _read_rice(data, 0, bits, bounds, classes, d)
                 ok &= back.dtype == np.int64 and back.tobytes() == grid.tobytes()
                 ok &= end == bits
                 vectors += k
 
                 # one stored value above 2B, the rest anywhere inside: every
                 # value of the top quotient 2B >> k, and the first quotient
-                # past it, at the encoder's k
-                c = int(cols[0][0][1])
-                shift = max(0, b.bit_length() - c)
-                for i in range(d):
-                    for u in range(2 * b + 1, ((2 * b >> shift) + 1 << shift) + 1):
-                        for rest in itertools.product(range(2 * b + 1), repeat=d - 1):
-                            w = ref.BitWriter()
-                            w.write_uint(17 * c, 8)
-                            ref.write_rice_rows(w, [rest[:i] + (u,) + rest[i:]], [shift])
-                            data, bits = w.getvalue(), w.bit_length
-                            try:
-                                _read_rice(data, 0, bits, bounds[:1], lengths[:1], [False], d)
-                                ok = False
-                            except FormatError:
-                                rejected += 1
+                # past it, at each distinct k the encoder chose for a class
+                ks = cols[0][0].tolist()
+                for shift in sorted(set(ks)):
+                    c = ks.index(shift)
+                    for i in range(d):
+                        for u in range(2 * b + 1, ((2 * b >> shift) + 1 << shift) + 1):
+                            for rest in itertools.product(range(2 * b + 1), repeat=d - 1):
+                                w = ref.BitWriter()
+                                for kk in ks:
+                                    w.write_uint(kk, 6)
+                                ref.write_rice_rows(w, [rest[:i] + (u,) + rest[i:]], [shift])
+                                data, bits = w.getvalue(), w.bit_length
+                                try:
+                                    _read_rice(data, 0, bits, bounds[:1], np.array([c]), d)
+                                    ok = False
+                                except FormatError:
+                                    rejected += 1
 
                 # one coordinate just outside the bound, the rest anywhere inside
                 for i in range(d):
@@ -283,7 +284,7 @@ def test_criterion_05_net_exhaustive():
                         for rest in itertools.product(inside, repeat=d - 1):
                             m = np.array([rest[:i] + (out,) + rest[i:]], np.int64)
                             try:
-                                _rice_columns(m, bounds[:1], lengths[:1], np.array([False]))
+                                _rice_columns(m, bounds[:1], np.array([3]))
                                 ok = False
                             except ValueError:
                                 refused += 1
@@ -336,8 +337,9 @@ def test_criterion_06_codec_fuzz():
             deserialize(bytes(bad))
         except FormatError:
             detected += 1
-    # 200 payload bit flips spread over all eleven columns of a blob that has
-    # them all: with the CRC left stale each must be detected; with the CRC
+    # 200 payload bit flips spread over all ten columns of a blob that has
+    # them all (MCSK v6 dropped v5's precision column, and its Rice
+    # parameter column replaced the offsets): with the CRC left stale each must be detected; with the CRC
     # recomputed the decoder must refuse within 2 s, or decode to a model
     # whose estimators give the exact sums' floats (the landmark mode may
     # refuse instead)

@@ -9,7 +9,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mcsketch._bitio import (
@@ -23,13 +23,21 @@ from mcsketch._bitio import (
     unary_bits,
     unpack_runs,
 )
-from mcsketch.cli import build_sketch, gen_high_spread_line, gen_uniform, sketch_points
+from mcsketch.cli import (
+    build_sketch,
+    gen_gaussian_clusters,
+    gen_high_spread_line,
+    gen_uniform,
+    sketch_points,
+)
 from mcsketch import net
 from mcsketch.codec import (
     MAGIC,
     VERSION,
     SketchModel,
+    _read_ingress,
     _read_rice,
+    _rice_parameters,
     deserialize,
     serialize,
     size_report,
@@ -154,30 +162,58 @@ def test_bitreader_rejects_overrun():
         read_gamma_column(data, 0, 1, 78)
 
 
-def _rice_section(offsets, unary, planes) -> tuple[bytes, int]:
-    """A displacement section written bit by bit: two 4-bit offsets, then
-    the unary stream and the remainder planes as given."""
-    return pack_fields([(np.array(offsets), 4), (np.array(unary + planes, dtype=np.uint8), 1)])
+def _rice_section(ks, unary, planes) -> tuple[bytes, int]:
+    """A displacement section written bit by bit: the four 6-bit Rice
+    parameters, then the unary stream and the remainder planes as given."""
+    return pack_fields([(np.array(ks), 6), (np.array(unary + planes, dtype=np.uint8), 1)])
 
 
 def test_rice_section_hostile_streams_refused():
-    first = np.array([False])
+    later = np.array([2])  # a later child with short children: the third k
     # d = 2 codes announced, one terminating one before the remainders
-    data, bits = _rice_section([0, 0], [0, 1], [0, 0, 0, 0])
+    data, bits = _rice_section([0, 0, 2, 0], [0, 1], [0, 0, 0, 0])
     with pytest.raises(FormatError, match="past the end"):
-        _read_rice(data, 0, bits, np.array([3]), np.array([2]), first, 2)
-    # B = 2^62 at offset 0 gives k = 63, so 2B >> k = 1: quotient 2 is
-    # refused before it is shifted, where 2 << 63 would wrap to 0 in uint64
-    data, bits = _rice_section([0, 0], [0, 0, 1], [0] * 63)
+        _read_rice(data, 0, bits, np.array([3]), later, 2)
+    # B = 2^62 at k = 63 gives 2B >> k = 1: quotient 2 is refused before it
+    # is shifted, where 2 << 63 would wrap to 0 in uint64
+    data, bits = _rice_section([0, 0, 63, 0], [0, 0, 1], [0] * 63)
     with pytest.raises(FormatError, match="quotient 2 of node 0 exceeds 2B >> k = 1"):
-        _read_rice(data, 0, bits, np.array([2**62]), np.array([63]), first, 1)
-    # B = 5 at offset 1 gives k = 2: quotient 2 (= 2B >> k) with remainder 3
-    # makes zigzag 11 > 2B
-    data, bits = _rice_section([0, 1], [0, 0, 1], [1, 1])
+        _read_rice(data, 0, bits, np.array([2**62]), later, 1)
+    # B = 5 at k = 2: quotient 2 (= 2B >> k) with remainder 3 makes zigzag
+    # 11 > 2B
+    data, bits = _rice_section([0, 0, 2, 0], [0, 0, 1], [1, 1])
     with pytest.raises(FormatError, match="zigzag value 11 of node 0 exceeds 2B = 10"):
-        _read_rice(data, 0, bits, np.array([5]), np.array([3]), first, 1)
-    data, bits = _rice_section([0, 1], [0, 0, 1], [1, 0])
-    assert _read_rice(data, 0, bits, np.array([5]), np.array([3]), first, 1)[0].tolist() == [[5]]
+        _read_rice(data, 0, bits, np.array([5]), later, 1)
+    data, bits = _rice_section([0, 0, 2, 0], [0, 0, 1], [1, 0])
+    assert _read_rice(data, 0, bits, np.array([5]), later, 1)[0].tolist() == [[5]]
+    # bound 0, a part root's first child: any value but 0 is refused, at
+    # every k; the parameters themselves need 24 bits
+    data, bits = _rice_section([5, 0, 0, 0], [1], [0, 0, 0, 0, 1])
+    with pytest.raises(FormatError, match="zigzag value 1 of node 0 exceeds 2B = 0"):
+        _read_rice(data, 0, bits, np.array([0]), np.array([0]), 1)
+    with pytest.raises(FormatError, match="Rice parameters need 24 bits, 23 remain"):
+        _read_rice(data, 0, 23, np.array([0]), np.array([0]), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.one_of(st.integers(-20, 20), st.integers(-(2**63), 2**63 - 1)),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_rice_parameters_are_the_exhaustive_best(items):
+    # the encoder's exact costing by bit counts picks, per class, the k the
+    # scalar search over every k in 0..63 picks, up to zigzag values of 64
+    # bits, which no cost of its may overflow
+    classes = [c for c, _ in items]
+    z = np.array([[ref.zigzag(m)] for _, m in items], dtype=np.uint64)
+    got = _rice_parameters(z, np.array(classes)).tolist()
+    assert got == ref.rice_parameters([[m] for _, m in items], classes)
 
 
 @settings(max_examples=200, deadline=None)
@@ -349,7 +385,6 @@ def test_roundtrip_preserves_all_fields():
     assert again.tree.long_edge == model.tree.long_edge
     assert again.tree.leaf_label == model.tree.leaf_label
     assert np.array_equal(again.ingress, model.ingress)
-    assert again.inv_delta == model.inv_delta
     assert again.landmarks == model.landmarks
     assert type(again.landmarks) is list and model.landmarks
     assert again.eta_ints.dtype == model.eta_ints.dtype == np.int64
@@ -484,37 +519,91 @@ def _tampered_blob(edit):
     return serialize(model)
 
 
-def test_precision_beyond_leaf_count_rejected():
-    def edit(model):
-        v = next(v for v in range(model.tree.n_nodes) if model.ingress[v] >= 0)
-        model.inv_delta[v] = 2**70
-        model.eta_ints[v] = [2**62] + [0] * (model.d - 1)
+def _with_payload(blob: bytes, payload: bytes, bits: int) -> bytes:
+    """``blob``'s header with ``payload`` of ``bits`` bits, CRC recomputed."""
+    head = bytearray(blob[: size_report(blob).header_bytes])
+    struct.pack_into("<Q", head, len(head) - 8, bits)
+    return _with_crc(head + payload)
 
-    with pytest.raises(FormatError, match="precision"):
-        deserialize(_tampered_blob(edit))
+
+def _bound_cases(model) -> dict[str, int]:
+    """One node of each kind of grid bound: a part root's first child (0),
+    another first child with short children (1) and one without
+    (1/eps), and a later child (grid_bound at inv_delta = leaves + 4)."""
+    tree = model.tree
+    kids = ref.children_of(tree)
+    nodes = [v for v in range(tree.n_nodes) if model.ingress[v] >= 0]
+    first = [v for v in nodes if tree.parent[v] == v - 1]
+    return {
+        "under a part root": next(v for v in first if tree.part_root[v - 1]),
+        "first with short children": next(
+            v for v in first if not tree.part_root[v - 1] and tree.has_short[v]
+        ),
+        "first without": next(
+            v for v in first if not tree.part_root[v - 1] and not tree.has_short[v]
+        ),
+        "later": next(v for v in nodes if v not in first and kids[v]),
+    }
+
+
+def test_grid_integer_beyond_tree_bound_refused_at_decode():
+    # the blob stores no precision: every node's bound comes from the tree.
+    # A value at +-B decodes; one at +-(B+1), which serialize refuses, is
+    # written by the scalar writer and refused by the decoder
+    blob = _blob(np.random.default_rng(8).normal(size=(12, 2)) * 9)
+    model = deserialize(blob)
+    bounds = net.tree_bounds(model.tree, model.epsilon, model.d, model.p)
+    leaves = [len(x) for x in ref.leaf_labels_under(model.tree)]
+    cases = _bound_cases(model)
+    inv = round(1 / model.epsilon)
+    later = cases["later"]
+    top = net.grid_bound(
+        net.delta_effective(model.epsilon, not model.tree.has_short[later], leaves[later] + 4),
+        model.d,
+        model.p,
+    )
+    assert [bounds[v] for v in cases.values()] == [0, 1, inv, top]
+    for v in cases.values():
+        saved = model.eta_ints[v, 0]
+        for m in (bounds[v], -bounds[v]):
+            model.eta_ints[v, 0] = m
+            payload, bits, _ = ref.write_payload(model)
+            assert serialize(deserialize(_with_payload(blob, payload, bits)))[:-4] == (
+                _with_payload(blob, payload, bits)[:-4]
+            )
+        for m in (bounds[v] + 1, -bounds[v] - 1):
+            model.eta_ints[v, 0] = m
+            with pytest.raises(GuaranteeError, match="exceeds its bound"):
+                serialize(model)
+            payload, bits, _ = ref.write_payload(model)
+            with pytest.raises(FormatError, match=f"of node {v} exceeds 2B"):
+                deserialize(_with_payload(blob, payload, bits))
+        model.eta_ints[v, 0] = saved
 
 
 def test_grid_bound_beyond_int64_rejected():
-    def edit(model):
-        model.epsilon = 2.0**-80
-
+    # from eps = 2^-61 on, a leaf's bound passes 2^63: serialize refuses such
+    # a model, and the decoder a header that announces such an epsilon
+    model = deserialize(_blob(np.random.default_rng(8).normal(size=(12, 2)) * 9))
+    blob = serialize(model)
+    model.epsilon = 2.0**-80
+    with pytest.raises(GuaranteeError, match="64 bits"):
+        serialize(model)
     with pytest.raises(FormatError, match="64 bits"):
-        deserialize(_tampered_blob(edit))
+        deserialize(_patch_header(blob, 16, "<d", 2.0**-80))
 
 
 def test_grid_integer_beyond_bound_refused_at_serialize():
     # B+1 has a Rice code like any other value; the encoder refuses it, as
-    # the decoder would
+    # the decoder would, for each kind of bound
     model = deserialize(_blob(np.random.default_rng(8).normal(size=(12, 2)) * 9))
-    tree = model.tree
-    v = next(v for v in range(tree.n_nodes) if model.ingress[v] >= 0)
-    delta_eff = net.delta_effective(
-        model.epsilon, not tree.has_short[v], model.inv_delta[v]
-    )
-    b = net.grid_bound(delta_eff, model.d, model.p)
-    model.eta_ints[v, 0] = b + 1
-    with pytest.raises(GuaranteeError, match="exceeds its bound"):
-        serialize(model)
+    bounds = net.tree_bounds(model.tree, model.epsilon, model.d, model.p)
+    for v in _bound_cases(model).values():
+        saved = model.eta_ints[v, 0]
+        model.eta_ints[v, 0] = bounds[v] + 1
+        with pytest.raises(GuaranteeError, match="exceeds its bound"):
+            serialize(model)
+        model.eta_ints[v, 0] = saved
 
 
 def test_epsilon_beyond_int64_grid_refused_at_build():
@@ -531,8 +620,9 @@ def test_epsilon_beyond_int64_grid_refused_at_build():
 
 def test_ingress_the_decoder_cannot_derive_refused_at_serialize():
     # a first child's ingress is derived as its parent, and a later child's
-    # is stored as a reference into the nodes without short children: the
-    # encoder refuses any other value instead of writing a different blob
+    # is stored as its rank among the nodes without short children under
+    # its siblings: the encoder refuses any other value instead of writing
+    # a different blob
     model = deserialize(_blob(np.random.default_rng(8).normal(size=(12, 2)) * 9))
     tree = model.tree
     first, later = ref.children_of(tree)[0][:2]
@@ -544,6 +634,12 @@ def test_ingress_the_decoder_cannot_derive_refused_at_serialize():
     model.ingress[first] = saved
     model.ingress[later] = 0
     with pytest.raises(GuaranteeError, match=f"node {later} is not short-childless"):
+        serialize(model)
+    # a leaf under the later child itself, where no descent from a sibling
+    # ends
+    own = next(u for u in range(later, ref.subtree_ends(tree)[later]) if tree.is_leaf(u))
+    model.ingress[later] = own
+    with pytest.raises(GuaranteeError, match=f"node {later} is not under a sibling of it"):
         serialize(model)
 
 
@@ -570,31 +666,32 @@ def test_ingress_cycle_between_siblings_rejected():
 
 
 def test_shift_sums_beyond_int64_decode_exactly():
-    # 0, 1, 2, 4, ..., 2^57 hangs a chain of short-edge nodes from level 57
-    # down with K+2 = 62, so the sketch takes int64 shifts.  Grid integers
-    # raised to the bound of the largest precision the decoder accepts make
-    # sums far beyond int64, and a landmark low on the chain folds one in.
-    pts = np.array([0.0] + [2.0**i for i in range(58)]).reshape(-1, 1)
-    model = deserialize(_blob(pts, landmarks=True))
+    # 0, 1, 2, 4, ..., 2^55 and, from 2^56 on, 16 times 0, 1, 2, 4, ...,
+    # 2^51 with 29 points more make a root at level 56 whose later child,
+    # at level 55, holds 82 leaves; K+2 = 62, so the sketch takes int64
+    # shifts.  Grid integers raised to the bounds the decoder takes from the
+    # tree make sums beyond int64 under that child, and a landmark low
+    # there folds one in.
+    pts = [0.0] + [2.0**i for i in range(56)]
+    pts += [2.0**56 + 16 * v for v in [0.0] + [2.0**i for i in range(52)]]
+    pts += [2.0**56 + 16 * (2.0**50 + 2.0**30 * j) for j in range(1, 30)]
+    model = deserialize(_blob(np.reshape(pts, (-1, 1)), landmarks=True))
     tree = model.tree
     kk = k_parameter(model.spread, model.epsilon, model.d, model.p)
     assert kk + 2 == 62
-    leaves = [len(x) for x in ref.leaf_labels_under(tree)]
-    for v in range(tree.n_nodes):
-        if model.ingress[v] >= 0 and tree.level[v] > 40:
-            model.inv_delta[v] = leaves[v] + 4
-            delta_eff = net.delta_effective(
-                model.epsilon, not tree.has_short[v], model.inv_delta[v]
-            )
-            model.eta_ints[v] = [net.grid_bound(delta_eff, model.d, model.p)]
-    v = next(v for v in range(tree.n_nodes) if tree.level[v] == 30)
+    bounds = net.tree_bounds(tree, model.epsilon, model.d, model.p)
+    high = np.array(tree.level) > 40
+    model.eta_ints[high, 0] = bounds[high]
+    later = ref.children_of(tree)[0][1]
+    assert len(ref.leaf_labels_under(tree)[later]) == 82
+    v = next(v for v in range(later, tree.n_nodes) if tree.level[v] == 30)
     model.landmarks = sorted({*model.landmarks, v})
     blob = serialize(model)
     decoded = deserialize(blob)
     assert v in decoded.landmarks
     unit = net.per_coord_scale(model.epsilon, model.d, model.p)
     exact = ref.exact_shift_floats(decoded)
-    assert np.abs(exact[v]).max() / unit > 2.0**64
+    assert np.abs(exact[v]).max() / unit > 2.0**63
     for mode in ("precomputed", "landmark"):
         est = Estimator(blob, mode=mode)
         got = np.array([est.shifted_surrogate(u) for u in range(tree.n_nodes)])
@@ -617,12 +714,13 @@ def _patch_header(blob: bytes, offset: int, fmt: str, value) -> bytes:
 
 def test_version_one_refused():
     # version 2 moved every field into columns, version 3 dropped the
-    # centers and ingress flags, version 4 the landmark shifts, and version
-    # 5 moved the displacements from fixed widths to Rice codes; older
-    # blobs are refused, not read by a second parser
+    # centers and ingress flags, version 4 the landmark shifts, version 5
+    # moved the displacements from fixed widths to Rice codes, and version
+    # 6 dropped the precisions and made ingress references local ranks;
+    # older blobs are refused, not read by a second parser
     blob = _blob(np.random.default_rng(9).normal(size=(10, 2)) * 7)
-    assert struct.unpack_from("<H", blob, 4) == (VERSION,) == (5,)
-    for old in (1, 2, 3, 4):
+    assert struct.unpack_from("<H", blob, 4) == (VERSION,) == (6,)
+    for old in (1, 2, 3, 4, 5):
         body = bytearray(blob[:-4])
         struct.pack_into("<H", body, 4, old)
         with pytest.raises(FormatError, match=f"unsupported version {old}"):
@@ -661,21 +759,104 @@ def test_landmark_ids_that_do_not_ascend_or_overrun_refused():
         deserialize(_rewritten(blob, count, 7))
 
 
-def test_ingress_reference_across_a_long_edge_refused():
-    blob = _fuzz_blob(2.0, False, 60)
+def _rank_fields(blob: bytes) -> list[tuple[int, int, range, list[int]]]:
+    """Per stored ingress rank of ``blob``: its node c, its range's count,
+    its bits in the blob and the range's nodes in id order (the nodes
+    without short children of c's parent's subtree, outside c's)."""
     model = deserialize(blob)
+    at = _columns(blob)["ingress ranks"].start
+    out = []
+    for c, _, count in ref.ingress_ranks(model.tree, model.ingress):
+        width = (count - 1).bit_length()
+        out.append((c, count, range(at, at + width), ref.rank_range(model.tree, c)))
+        at += width
+    assert at == _columns(blob)["ingress ranks"].stop
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["graph", "line", "lattice"]),
+    st.sampled_from([1.0, 2.0, math.inf]),
+    st.booleans(),
+    st.data(),
+)
+def test_ranks_and_rice_parameters_match_the_scalar_writer(seed, kind, p, landmarks, data):
+    # any node of its range is an ingress the rank column can hold, and any
+    # row within its bounds one the Rice section can: the codec writes the
+    # scalar writer's payload bit for bit, rank widths and exhaustive Rice
+    # parameters included, and its column readers read it back
+    ps = ref.small_instance(seed, 14, 2, p, kind)
+    assume(ps is not None)
+    params = SketchParams(epsilon=0.25, jl_enabled=False, landmarks=landmarks)
+    model = build_sketch(ps, params).model
     tree = model.tree
-    part_of = subtree_decomposition(tree).part_of
-    later = [
-        v for v, u in enumerate(model.ingress) if u >= 0 and u != tree.parent[v]
-    ]
-    targets = [v for v in range(tree.n_nodes) if not tree.has_short[v]]
-    v = later[0]
-    u = next(u for u in targets if part_of[u] != part_of[v])
-    refs = _columns(blob)["references"]
-    width = len(refs) // len(later)
-    with pytest.raises(FormatError, match=f"ingress of {v} crosses a long edge"):
-        deserialize(_rewritten(blob, refs[:width], targets.index(u)))
+    for c, _, count in ref.ingress_ranks(tree, model.ingress):
+        model.ingress[c] = ref.rank_range(tree, c)[data.draw(st.integers(0, count - 1))]
+    bounds = net.tree_bounds(tree, model.epsilon, model.d, model.p)
+    classes = np.array([-1 if k is None else k for k in ref.rice_classes(tree)])
+    # per class, values up to 0, 1, 5 or the bound, so the four k differ
+    caps = [data.draw(st.sampled_from([0, 1, 5, 2**62])) for _ in range(4)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for v in np.flatnonzero(classes >= 0):
+        top = min(int(bounds[v]), caps[classes[v]])
+        model.eta_ints[v] = rng.integers(-top, top + 1, size=model.d)
+    blob = serialize(model)
+    payload, bits, starts = ref.write_payload(model)
+    assert blob[-4 - len(payload) : -4] == payload
+    assert struct.unpack_from("<Q", blob, len(blob) - 12 - len(payload)) == (bits,)
+    parent = np.array(tree.parent)
+    ingress, end = _read_ingress(payload, starts["ingress ranks"], bits, tree, parent)
+    assert end == starts["Rice parameters"] and np.array_equal(ingress, model.ingress)
+    eta, end = _read_rice(payload, end, bits, bounds, classes, model.d)
+    assert end == starts["landmark count"] and np.array_equal(eta, model.eta_ints)
+
+
+def test_ingress_reference_across_a_long_edge_refused():
+    # a rank may name a node of its range below a long edge, in another part
+    blob = _fuzz_blob(2.0, False, 60)
+    part_of = subtree_decomposition(deserialize(blob).tree).part_of
+    c, u, bits, span = next(
+        (c, u, bits, span)
+        for c, _, bits, span in _rank_fields(blob)
+        for u in span
+        if part_of[u] != part_of[c]
+    )
+    with pytest.raises(FormatError, match=f"ingress of {c} crosses a long edge"):
+        deserialize(_rewritten(blob, bits, span.index(u)))
+
+
+def test_ingress_rank_at_its_range_count_refused():
+    # a rank equal to its range's count fits its field unless the count is
+    # a power of two; the decoder refuses it before it indexes anything
+    blob = _fuzz_blob(2.0, True, 60)
+    c, count, bits, _ = next(f for f in _rank_fields(blob) if f[1] & (f[1] - 1))
+    with pytest.raises(FormatError, match=f"ingress rank {count} of node {c} is not below"):
+        deserialize(_rewritten(blob, bits, count))
+
+
+def test_stream_cut_inside_the_ingress_ranks_refused():
+    # the payload ends inside the rank column: the decoder sums the ranks'
+    # widths from the tree and refuses before it reads or allocates them
+    blob = _fuzz_blob(2.0, True, 60)
+    model = deserialize(blob)
+    head = size_report(blob).header_bytes
+    ranks = _columns(blob)["ingress ranks"]
+    cut = ranks.start + len(ranks) // 2 - 8 * head
+    payload, _, _ = ref.write_payload(model)
+    kept = bytearray(payload[: (cut + 7) // 8])
+    if cut % 8:
+        kept[-1] &= 0xFF << (8 - cut % 8) & 0xFF  # zero padding
+    with pytest.raises(FormatError, match=f"ingress ranks need {len(ranks)} bits, "):
+        deserialize(_with_payload(blob, bytes(kept), cut))
+    # the column reader alone, at the same cut
+    parent = np.array(model.tree.parent)
+    start = ranks.start - 8 * head
+    with pytest.raises(FormatError, match=f"need {len(ranks)} bits, {cut - start} remain"):
+        _read_ingress(payload, start, cut, model.tree, parent)
+    ingress, end = _read_ingress(payload, start, start + len(ranks), model.tree, parent)
+    assert end == start + len(ranks) and np.array_equal(ingress, model.ingress)
 
 
 def _decoders_refuse(blob: bytes, match: str) -> None:
@@ -696,7 +877,9 @@ def test_long_edge_top_with_siblings_refused():
     for c in kids:
         long_edge[c] = True
         model.ingress[c] = -1
-        model.eta_ints[c] = 0
+        # c stores nothing now, and its first child, whose bound is 0 under
+        # a part root, stores zeros
+        model.eta_ints[c : c + 2] = 0
     model.tree = SketchTree(level, tree.parent, long_edge, tree.leaf_label)
     model.spread *= 2  # room for the raised root
     _decoders_refuse(serialize(model), "long-edge top 0 has degree != 1")
@@ -718,7 +901,6 @@ def _long_edge_chain(links: int, d: int) -> SketchModel:
             leaf_label=[-1] * (links + 1) + [0, -1, 1],
         ),
         ingress=np.array([-1, 0] + [-1] * links + [1, -1]),
-        inv_delta=[5] * n_nodes,
         eta_ints=np.zeros((n_nodes, d), dtype=np.int64),
         landmarks=None,
         p=math.inf,
@@ -765,7 +947,6 @@ def test_root_over_a_single_short_edge_refused():
     )
     ing = model.ingress[1:]
     model.ingress = np.concatenate([[-1, 0], np.where(ing < 0, -1, ing + 1)])
-    model.inv_delta = model.inv_delta[:1] + model.inv_delta
     model.eta_ints = np.vstack([model.eta_ints[:1], model.eta_ints])  # zero rows
     model.spread *= 2  # room for the new root
     _decoders_refuse(serialize(model), "root is a degree-1 chain node")
@@ -817,6 +998,18 @@ def _fuzz_blob(p: float, landmarks: bool, n: int) -> bytes:
 _columns = functools.lru_cache(maxsize=None)(ref.payload_columns)
 
 
+def _exponent_bits(offset: int) -> list[int]:
+    """The 11 exponent bits of the little-endian f64 ``offset`` bytes past
+    the integer p-code, in the blob's MSB-first bit numbering: the low
+    seven bits of its top byte and the high four of the byte below."""
+    top = 8 * (7 + offset + 7)
+    return [top - 8 + i for i in range(4)] + [top + i for i in range(1, 8)]
+
+
+# header fields whose flips decode: scale and spread, beside the columns
+_HEADER = {"scale exponent": _exponent_bits(24), "spread exponent": _exponent_bits(32)}
+
+
 def test_valid_crc_mutations_decode_or_fail_fast():
     hit = set()
 
@@ -825,16 +1018,16 @@ def test_valid_crc_mutations_decode_or_fail_fast():
         st.sampled_from([1.0, 2.0, math.inf]),
         st.booleans(),
         st.sampled_from([12, 60]),
-        st.sampled_from((None,) + ref.COLUMNS),
+        st.sampled_from((None,) + ref.COLUMNS + tuple(_HEADER)),
         st.lists(st.integers(min_value=0), min_size=1, max_size=3),
     )
     def mutate(p, landmarks, n, column, flips):
         blob = _fuzz_blob(p, landmarks, n)
         body = bytearray(blob[:-4])
-        # flips inside one payload column; None, or a column the blob
-        # lacks, flips anywhere in header and payload
-        targets = _columns(blob).get(column) or range(8 * len(body))
-        if column in _columns(blob) and _columns(blob)[column]:
+        # flips inside one payload column or header field; None, or a
+        # column the blob lacks, flips anywhere in header and payload
+        targets = {**_columns(blob), **_HEADER}.get(column) or range(8 * len(body))
+        if column in _HEADER or _columns(blob).get(column):
             hit.add(column)
         for f in flips:
             bit = targets[f % len(targets)]
@@ -847,18 +1040,44 @@ def test_valid_crc_mutations_decode_or_fail_fast():
         assert time.perf_counter() - t0 < 2.0
         if model is None:
             return
-        # a blob that decodes gives the exact sums' floats in both modes
+        # a blob that decodes gives the exact sums' floats in both modes,
+        # and finite estimates, or an Estimator refuses its scale
         exact = ref.exact_shift_floats(model)
         modes = ["precomputed"] + ["landmark"] * (model.landmarks is not None)
         for mode in modes:
-            est = Estimator(model, mode=mode)
+            try:
+                est = Estimator(model, mode=mode)
+            except FormatError as exc:
+                assert "may overflow" in str(exc)
+                continue
             got = np.array([est.shifted_surrogate(v) for v in range(model.tree.n_nodes)])
             assert np.array_equal(got, exact)
+            assert math.isfinite(est.estimate(0, model.n - 1))
+            assert np.isfinite(est.estimate_all_pairs()).all()
 
     for column in ref.COLUMNS:  # every column of one blob that has them all
         mutate = example(2.0, True, 60, column, [0, 7, 2**40 + 3])(mutate)
     mutate()
-    assert hit == set(ref.COLUMNS)
+    assert hit == {*ref.COLUMNS, *_HEADER}
+
+
+def test_scale_that_overflows_every_estimate_refused():
+    # a valid CRC over a scale of 3.76e307 (bit 6 of its top byte flipped):
+    # the decoder reads it, and both Estimator modes refuse it where every
+    # estimate would once have been inf or raised inside estimate_all_pairs
+    blob = sketch_points(gen_gaussian_clusters(60, 3, 1), 2.0, SketchParams(0.25, landmarks=True))
+    body = bytearray(blob[:-4])
+    body[38] ^= 1 << 6
+    bad = _with_crc(body)
+    model = deserialize(bad)
+    assert model.scale > 1e307
+    for mode in ("precomputed", "landmark"):
+        with pytest.raises(FormatError, match="may overflow"):
+            Estimator(bad, mode=mode)
+    # the builder refuses the same input: raw coordinates that large
+    pts = gen_gaussian_clusters(60, 3, 1) * 1e306
+    with pytest.raises(InputError, match="may overflow"):
+        sketch_points(pts, 2.0, SketchParams(0.25, landmarks=True))
 
 
 @pytest.mark.parametrize("t", [57, 58, 59, 60, 512])

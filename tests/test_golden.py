@@ -5,10 +5,10 @@ unchanged.  A change of the blob format updates these digests together with
 the ``MCSK`` version bump that announces it.
 
 A second digest covers each decoded model's content and stays put across a
-change of layout: header scalars, tree, centers, ingresses, precisions,
-grid integers and landmark ids, beside the bits of every ``size_report``
-section.  A new layout that moves fields but keeps them must leave these
-unchanged.
+change of layout: header scalars, tree, centers, ingresses, grid integers
+and landmark ids, beside the bits of every ``size_report`` section.  A new
+layout that moves fields but keeps them must leave these unchanged.  (MCSK
+v6 dropped the precisions from the blob and from this content.)
 
 The cases cover p in {1, 2, inf, 1.5}, metric inputs (Frechet embedding of a
 graph metric), a high-spread line with long edges, a spread near 2^512 whose
@@ -19,6 +19,7 @@ lattice whose many equal distances exercise every tie-breaking rule.
 import functools
 import hashlib
 import itertools
+import struct
 import tracemalloc
 
 import numpy as np
@@ -79,71 +80,72 @@ CASES = {
 }
 
 DIGESTS = {
-    "clusters-l2-fine-landmarks": "3daef1d187c574c0a6c6d6c8a8a044281e20b5d6521e03867700d2e489cb8796",
-    "clusters-linf": "cc8c8bcb75e367bdb8e3f4a460d41c1c85d246cd6691e0bf3fd05c2c1ee4fac1",
-    "graph-metric": "42639a6ab5fed46ac268dcafb3cfba059f387a46b89a6d53fa59292af5f7dffc",
-    "graph-metric-landmarks": "ac34c6b7a7811d8c33a42199f8d874297cefa916554c9bc64cb3e6756e5d7437",
-    "high-spread-line": "c25f33fb42b655881cb66c18be88c3d98b6a091ae0e563ecc918868f08308dc6",
-    "high-spread-line-512-landmarks": "fe4e2b1ba62681dc5d6bf7673c0e62f7d96e0057add51b64f8a846c71aca3dcb",
-    "lattice-l1-ties": "76d5695acd1892b4c2346a2c2e33cb29c9bb6c5da1753242b74d7cfcf446716c",
-    "lattice-l2-ties-landmarks": "7b59989443394e55c3bf5d9f688f72cc9222acfab59e51fff1d16a03fc2b77c0",
-    "projected-l2": "02bd5d2f5559ba3ea8aac856a1cfc9b8bd3a61ff526e301e7cc6924bd6abf181",
-    "uniform-l1-landmarks": "8b53bb41f1dd60b3464c23ce24a76c086b364e17ed42a9f5deaba187737705da",
-    "uniform-l1.5": "c945e9075791565a68f0b38bc05720d6cc00bed852a450b8537df704cd9ee9bb",
-    "uniform-l2": "9cd99b185303f9211d0a3f24f84e3f61e79f74139257c79ebb96cf56ff51fc96",
+    "clusters-l2-fine-landmarks": "50c64347c9b80cf62f20a44e765ee081baf0b5568e59be520be80018f13d4b66",
+    "clusters-linf": "a81a69f50467b7bcd5f99b313cc3d4ecfe9fd30f2cd924465a6418d4cf1907b2",
+    "graph-metric": "fac458a75286b8a16e972818d7932b5182c3917ed4c0c7d076e98bc3133c25e6",
+    "graph-metric-landmarks": "8cf365e6de597be157d4986ca6ed3cd312de8a8bda3fb8573110a4adfc3130e6",
+    "high-spread-line": "578af1340d6343e8b608a99540dca4226f410df2157e6a3b364d9a805429dbb0",
+    "high-spread-line-512-landmarks": "f6ff2b01c6f65e5a7217d028710019bd72fed3f95c6238b26a58b40e7c020a41",
+    "lattice-l1-ties": "364a0fe47eed0fb8b26d5d6519f79745d053b6f14d32d0e35b3ef7326fad39e0",
+    "lattice-l2-ties-landmarks": "0551ed6e2b4a251f938bc4007dad06665b50d9b100b5f633f8410c84002f12c2",
+    "projected-l2": "a93ff3393cdf92352115da66625adf30c90154aa636a9ec3577736ee72d9991d",
+    "uniform-l1-landmarks": "6a16d70ed55ce74e1724d25722d62cef18a53624010a72fcc79d29912c42fd86",
+    "uniform-l1.5": "45c660b7feb52621dce8aea5e377720c61610a2dae59e4f37a2d8c2482eda050",
+    "uniform-l2": "1060e40b825e7b2d7b0c9c79ce89e7a5caae38e1c5f2a33f46bb357487b270af",
 }
 
 
 # model-content digest and size_report section bits (tree shape, long gaps,
-# centers, ingresses, precisions, displacements, landmarks, padding)
+# centers, ingresses, precisions (0 since MCSK v6), displacements,
+# landmarks, padding)
 MODELS = {
     "clusters-l2-fine-landmarks": (
-        "62c89fc0568d22b320485125d6cf59e01a0cffb1f0f39fb78bbffaa0f6cb5364",
-        (455, 86, 360, 413, 236, 1538, 37, 3),
+        "6070eaa0f2efce95b0a370b20101c96ce83152b6a83e6cd0b1d40b8b98403d66",
+        (455, 86, 360, 198, 0, 1550, 37, 2),
     ),
     "clusters-linf": (
-        "10b65c2cefbf16ed1c44aea944d4b42f0729b59134021f4eae2877ca8329b20d",
-        (467, 24, 560, 553, 238, 2187, 0, 3),
+        "23170c859d6aa663dde07a5950867265b7d0c81fe4b1bde57068e344a394926c",
+        (467, 24, 560, 287, 0, 2200, 0, 6),
     ),
     "graph-metric": (
-        "2e3c916fc4417a910cda85179613423b23535d41dfec9c0e39d9ba777c6462aa",
-        (152, 0, 240, 234, 63, 8137, 0, 6),
+        "1f29db31c15d78faa3a97fa9a3f5beb8759cb1277fa90d114d48741c5893cb8c",
+        (152, 0, 240, 194, 0, 8114, 0, 4),
     ),
     "graph-metric-landmarks": (
-        "aa5ad419ddedd1e9d6a740e74f610146ef66800d6f3178ad8c284bd1b2d554fc",
-        (104, 0, 150, 145, 41, 5156, 15, 5),
+        "00fa5ededf06ad4f5801394a5d3013b07e3b4266ac4e3c38b1f081b769c5494c",
+        (104, 0, 150, 145, 0, 5147, 15, 7),
     ),
     "high-spread-line": (
-        "184337a73e0ba98ed7f5da448000caf457513d92eca7ee28a75bc9ef985fa40e",
-        (77, 22, 100, 95, 44, 109, 0, 1),
+        "c41ae153d5e90b8d6c18ae3505d328a186d964786029d2d23f465bae5a6cb8c3",
+        (77, 22, 100, 70, 0, 124, 0, 7),
     ),
     "high-spread-line-512-landmarks": (
-        "f6906fd42aa9145a99838992fd4d405a4e0a65570cf582262d47fb906684831e",
-        (77, 36, 100, 95, 42, 108, 1, 5),
+        "3d88ef9a45b1eb9c48960dfca379eb77abe160709e7a209c766995e948b0fdee",
+        (77, 36, 100, 70, 0, 123, 1, 1),
     ),
     "lattice-l1-ties": (
-        "7faa94adc491743808c172f1d9e9f4a2dbfbf1a61e19614c167139f2128a73c3",
-        (266, 0, 384, 378, 149, 652, 0, 3),
+        "83ff965182b23de045dffacb13a27a5e5890bdd280d4dbb196b2a54bdd6620b8",
+        (266, 0, 384, 162, 0, 668, 0, 0),
     ),
     "lattice-l2-ties-landmarks": (
-        "a8dc6a764569f61e03801b9db41a7b1842737828c5dc6ddc248311563c536d4d",
-        (218, 0, 384, 378, 93, 1100, 17, 2),
+        "beb05a4617c4a772f352df9e35a848763ba99e1f88c418cb27d416b4460d592d",
+        (218, 0, 384, 210, 0, 1116, 17, 7),
     ),
     "projected-l2": (
-        "0cfb58074f5fe0ec797866641fc14e405677f6544ae4cab9306ae05564de038d",
-        (122, 0, 240, 234, 43, 41236, 0, 5),
+        "24f31915048fa39db3c081e08773ba875091cfae7af6dd1d05b8d1da6b61aa10",
+        (122, 0, 240, 234, 0, 41252, 0, 0),
     ),
     "uniform-l1-landmarks": (
-        "144872354e945ee40a7df19da4a85cbfcb06adcbf88189a826bc15fbac0c7047",
-        (404, 159, 360, 413, 175, 1021, 29, 7),
+        "06b5687ca732772a42d3f99ca3dcb4acd835215aae0cb3392e6455944483162a",
+        (404, 159, 360, 274, 0, 1037, 29, 1),
     ),
     "uniform-l1.5": (
-        "fd74c59b5f6e73cabd688d26b69206fb7cd438a1fe6b61dde01953fd1f1cc364",
-        (350, 226, 300, 343, 163, 557, 0, 5),
+        "7ba095af690e8badd792735361f0b5cdafdceba6e78173ba13562186a8d23442",
+        (350, 226, 300, 216, 0, 572, 0, 0),
     ),
     "uniform-l2": (
-        "8b80169cc52b0f2f33d766d2fd4dc88a664174769e5e48dd20bf86dd2e3eb974",
-        (419, 150, 360, 413, 188, 1003, 0, 3),
+        "a385a58517e0d41b6fc3ab31ce59ce401de23aa17b7ee3716fb141ae8e260df4",
+        (419, 150, 360, 270, 0, 1019, 0, 6),
     ),
 }
 
@@ -170,7 +172,7 @@ def _model_digest(model) -> str:
         (model.jl_seed, model.jl_orig_dim),
         (tree.level, tree.parent, children, tree.long_edge),
         (tree.leaf_label, 0),
-        (center, ingress, model.inv_delta),
+        (center, ingress),
         (model.eta_ints.dtype.str, model.eta_ints.shape, model.eta_ints.tobytes()),
         model.landmarks,
     )
@@ -204,11 +206,24 @@ def test_golden_model(name):
     assert _sections(blob) == sections
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_precision_section_is_empty(name):
+    # the blob stores no precision since MCSK v6; the field stays, at 0,
+    # for readers of the old section name, and the rest still sum up
+    blob = _blob(name)
+    rep = size_report(blob)
+    assert rep.precision_bits == 0
+    # the header's payload bit length, the last field before the payload
+    (bits,) = struct.unpack_from("<Q", blob, rep.header_bytes - 8)
+    assert sum(_sections(blob)[:-1]) == rep.payload_bits == bits
+    assert bits + rep.padding_bits == 8 * (rep.total_bytes - rep.header_bytes - rep.crc_bytes)
+
+
 # Decoder memory: the tracemalloc peak of deserialize plus Estimator stays
 # within this many bytes per blob byte, plus a constant.  Measured peaks are
-# 59-154 bytes per blob byte here and 52-136 on the benchmark-scale blobs
-# (MCSK v5); a chain of long edges, which verify now refuses, decoded at
-# 2,574.
+# 57-139 bytes per blob byte here and 52-131 on the benchmark-scale blobs
+# (MCSK v6; 59-154 and 52-136 at v5, whose blobs were larger); a chain of
+# long edges, which verify now refuses, decoded at 2,574.
 DECODE_PEAK_PER_BYTE = 350
 DECODE_PEAK_CONSTANT = 1 << 16
 

@@ -37,9 +37,9 @@ CASES = {
 }
 
 DIGESTS = {
-    "build-clusters": "4d7522d9a50d9199710983f9a33cdefe9923f4bb5b3afccd22911bf881d2012e",
-    "query-clusters": "ff7a104af4245a31610358dea8c012e85104026f1a50f56e14465ee6f95873d7",
-    "metric-graph": "b6b80f585e0a5f3e8d08ac1c3995150608c211d07e6cd676dc02800ce1ee2bc8",
+    "build-clusters": "3ce140656bb78afb591b9df3b8acc0682e36ea646dc24d407868eb75b7e0905f",
+    "query-clusters": "f3f38bb8902b70fec5eda57e36b2ef9a9a33f888b3c49c960652f1e8eba730f2",
+    "metric-graph": "100b22996e28a4bce2a063549dbdc569f2b80e70781e28ee68be582e561c0c65",
 }
 
 

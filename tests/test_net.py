@@ -99,8 +99,8 @@ def test_delta_effective():
 
 
 def test_grid_bound_example():
-    # d=16, p=2, delta=1/10: B = ceil(1.1 * 4 / 0.1) = 44, 6 bits, so a
-    # Rice offset c codes its zigzag values (at most 88) with k = max(0, 6 - c)
+    # d=16, p=2, delta=1/10: B = ceil(1.1 * 4 / 0.1) = 44, so every zigzag
+    # value the codec stores is at most 88
     assert net.grid_bound(0.1, 16, 2.0) == 44
 
 
@@ -124,8 +124,9 @@ def test_grid_bound_fits_int64():
 def test_grid_codec_roundtrip():
     # the builder's integers through the codec's own encoder and decoder
     rng = np.random.default_rng(1)
-    roots = [0, 3]  # bound 0 stores nothing and reads as zeros, as part roots do
-    first = np.arange(7) % 3 == 1
+    roots = [0, 3]  # class -1 stores nothing and reads as zeros, as part roots do
+    classes = np.where(np.arange(7) % 3 == 1, 0, 2)  # first children and others
+    classes[roots] = -1
     for p in (1.0, 2.0, math.inf):
         for delta in (0.5, 0.125):
             d = 4
@@ -136,21 +137,20 @@ def test_grid_codec_roundtrip():
             ms = np.array(ms)
             assert np.abs(ms).max() <= b
             bounds = np.array([0 if i in roots else b for i in range(7)])
-            lengths = np.array([0 if i in roots else b.bit_length() for i in range(7)])
-            data, bits = pack_fields(_rice_columns(ms, bounds, lengths, first))
-            back, end = _read_rice(data, 0, bits, bounds, lengths, first, d)
+            data, bits = pack_fields(_rice_columns(ms, bounds, classes))
+            back, end = _read_rice(data, 0, bits, bounds, classes, d)
             ms[roots] = 0
             assert back.dtype == np.int64 and np.array_equal(back, ms) and end == bits
 
 
 def test_grid_codec_rejects_out_of_bounds():
     b = net.grid_bound(0.5, 1, 2.0)
-    bounds, lengths, first = np.array([b]), np.array([b.bit_length()]), np.array([False])
-    assert (b, lengths[0]) == (3, 2)
+    bounds, later = np.array([b]), np.array([2])
+    assert b == 3
     for m in (-b - 1, b + 1):
         with pytest.raises(ValueError, match=r"outside \[-3, 3\]"):
-            _rice_columns(np.array([[m]]), bounds, lengths, first)
-    # zigzag 7 = 2B + 1, at offsets 0 (k = 2: quotient 1, remainder 3)
-    data, bits = pack_fields([(np.array([0, 0]), 4), (np.array([0, 1, 1, 1]), 1)])
+            _rice_columns(np.array([[m]]), bounds, later)
+    # zigzag 7 = 2B + 1 at k = 2: quotient 1, remainder 3
+    data, bits = pack_fields([(np.array([0, 0, 2, 0]), 6), (np.array([0, 1, 1, 1]), 1)])
     with pytest.raises(FormatError, match="zigzag value 7 of node 0 exceeds 2B = 6"):
-        _read_rice(data, 0, bits, bounds, lengths, first, 1)
+        _read_rice(data, 0, bits, bounds, later, 1)
