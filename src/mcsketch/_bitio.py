@@ -18,9 +18,14 @@ Rows of d integers can also be stored as bit planes: row i as its k[i] low
 bits, one plane of d bits per bit, most significant plane first
 (:func:`plane_bits`, :func:`read_planes`).  :func:`pack_fields` writes
 columns of fields and bit columns in one pass; :func:`unpack_runs` reads
-runs of fixed-width fields at any bit offsets in one pass.  Fields wider
-than 64 bits, which no valid blob holds (only hostile gamma codes and
-hostile models reach them), are exact Python ints moved as 64-bit pieces.
+runs of fixed-width fields at any bit offsets in one pass.
+
+Every field is at most 64 bits wide and every gamma value lies in
+[1, 2^63): a valid blob's gamma values are level gaps, at most the
+spread's exponent, and a landmark count plus one.  The writer refuses a
+wider field or a larger value with ValueError, and the gamma reader a
+unary part that announces 63 or more low bits with FormatError, before
+it reads them.
 """
 
 from __future__ import annotations
@@ -46,41 +51,26 @@ __all__ = [
 ]
 
 
-def _pieces(widths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fields cut into pieces of at most 64 bits, top piece first: per piece
-    its field, the number of field bits below it, and its width."""
-    per = np.maximum(1, -(-widths // 64))
-    field = np.repeat(np.arange(widths.size), per)
-    low = 64 * (np.repeat(np.cumsum(per), per) - 1 - np.arange(field.size))
-    return field, low, np.minimum(64, widths[field] - low)
-
-
 def _words(values, widths) -> tuple[np.ndarray, np.ndarray]:
-    """One column's fields as uint64 values and their widths, a field wider
-    than 64 bits cut into 64-bit pieces, top piece first.  Raises
-    ValueError when a value is negative or does not fit its width."""
+    """One column's fields as uint64 values and their widths.  Raises
+    ValueError when a value is negative or a field is wider than 64 bits."""
     values = np.asarray(values)
     widths = np.broadcast_to(np.asarray(widths), values.shape)
     if values.size and values.min() < 0:
         raise ValueError(f"negative field value {values.min()}")
-    if values.dtype != object:
-        return values.astype(np.uint64, copy=False), widths
-    widths = widths.astype(np.int64)
-    if (values >> widths).any():
-        raise ValueError("a value does not fit its field")
-    per = np.maximum(1, -(-widths // 64)).tolist()
-    raw = b"".join(int(v).to_bytes(8 * k, "big") for v, k in zip(values, per))
-    return np.frombuffer(raw, dtype=">u8").astype(np.uint64), _pieces(widths)[2]
+    if widths.size and widths.max() > 64:
+        raise ValueError(f"a field of {widths.max()} bits is wider than 64")
+    return values.astype(np.uint64, copy=False), widths
 
 
 def pack_fields(columns) -> tuple[bytes, int]:
     """The fields of ``columns``, (values, widths) pairs, back to back from
     bit 0, as bytes zero-padded to a whole byte and their bit length: field
     i of a column is ``values[i]`` in ``widths[i]`` bits (or in ``widths``
-    bits each).  Values are non-negative: an integer array, or exact ints
-    (an object array) for fields wider than 64 bits.  A column whose
-    ``widths`` is the scalar 1 is a bit column of 0s and 1s.  Raises
-    ValueError when a value is negative or does not fit its width."""
+    bits each).  Values are non-negative integers and widths at most 64.
+    A column whose ``widths`` is the scalar 1 is a bit column of 0s and
+    1s.  Raises ValueError when a value is negative or does not fit its
+    width, or a width exceeds 64."""
     columns = [
         _bits(values) if np.ndim(widths) == 0 and widths == 1 else _words(values, widths)
         for values, widths in columns
@@ -144,33 +134,24 @@ def bit_lengths(values: np.ndarray) -> np.ndarray:
 
 
 def gamma_widths(values) -> np.ndarray:
-    """Field widths 2 bitlen(v) - 1 of the Elias gamma codes of ``values``.
-    Raises ValueError on a value below 1.
-
-    Signed integer arrays take their bit lengths with :func:`bit_lengths`;
-    anything else, exact ints beyond int64 among them, goes value by value
-    through ``int``."""
+    """Field widths 2 bitlen(v) - 1 of the Elias gamma codes of ``values``,
+    as int64, the bit lengths by :func:`bit_lengths`.  Raises ValueError on
+    a value outside [1, 2^63)."""
     arr = np.asarray(values)
-    if arr.dtype.kind == "i":
-        if arr.size and arr.min() < 1:
-            raise ValueError(f"gamma code requires values >= 1, got {arr.min()}")
-        return 2 * bit_lengths(arr.astype(np.int64, copy=False)) - 1
-    values = [int(v) for v in values]
-    if min(values, default=1) < 1:
-        raise ValueError(f"gamma code requires values >= 1, got {min(values)}")
-    return 2 * np.array([v.bit_length() for v in values], dtype=np.int64) - 1
+    if arr.size and (arr.min() < 1 or int(arr.max()) >> 63):
+        raise ValueError(
+            f"gamma code requires values in [1, 2^63), got {arr.min()} to {arr.max()}"
+        )
+    return 2 * bit_lengths(arr.astype(np.int64)) - 1
 
 
 def gamma_columns(values) -> list:
     """The two columns, for :func:`pack_fields`, of an Elias gamma column
     of ``values``: the unary codes of every bitlen(v) - 1, then every
-    value's bitlen(v) - 1 low bits.  Raises ValueError on a value below 1."""
+    value's bitlen(v) - 1 low bits.  Raises ValueError on a value outside
+    [1, 2^63)."""
     low = gamma_widths(values) // 2
-    if low.max(initial=0) < 63:
-        suffix = np.asarray(values, dtype=np.int64) - (1 << low)
-    else:
-        suffix = np.array([int(v) - (1 << int(w)) for v, w in zip(values, low)], dtype=object)
-    return [(unary_bits(low), 1), (suffix, low)]
+    return [(unary_bits(low), 1), (np.asarray(values, dtype=np.int64) - (1 << low), low)]
 
 
 def unary_bits(q) -> np.ndarray:
@@ -188,22 +169,20 @@ def unary_bits(q) -> np.ndarray:
 
 
 def plane_bits(rows, k) -> np.ndarray:
-    """The bit planes of an (n, d) array of non-negative integers (uint64,
-    or exact ints) as a bit column: row i as its ``k[i]`` low bits, one
-    plane of d bits per bit, most significant plane first, row by row.
-    The planes are filled for the rows of one k at a time, one block of
-    rows and one plane per step."""
-    rows = np.asarray(rows)
+    """The bit planes of an (n, d) uint64 array as a bit column: row i as
+    its ``k[i]`` (at most 64) low bits, one plane of d bits per bit, most
+    significant plane first, row by row.  The planes are filled for the
+    rows of one k at a time, one block of rows and one plane per step."""
+    rows = np.asarray(rows, dtype=np.uint64)
     k = np.asarray(k, dtype=np.int64)
     planes = np.empty((int(k.sum()), rows.shape[1]), dtype=np.uint8)
     top = np.cumsum(k) - k  # each row's first plane
-    one = rows.dtype.type(1)
     for kk in np.unique(k[k > 0]).tolist():
         g = np.flatnonzero(k == kk)
         for r in row_blocks(g.size, rows.shape[1]):
             part, at = rows[g[r]], top[g[r]]
             for j in range(kk):
-                planes[at + j] = (part >> rows.dtype.type(kk - 1 - j)) & one
+                planes[at + j] = (part >> np.uint64(kk - 1 - j)) & np.uint64(1)
     return planes.ravel()
 
 
@@ -233,23 +212,12 @@ def bit_windows(data: bytes, start: int, limit: int, span: int):
 def unpack_runs(
     data: bytes, starts: np.ndarray, widths: np.ndarray, count: int
 ) -> np.ndarray:
-    """Array whose row i holds the ``count`` consecutive fields of
+    """uint64 array whose row i holds the ``count`` consecutive fields of
     ``widths[i]`` bits (width 0 reads zeros) that start at bit ``starts[i]``
-    of the MSB-first stream ``data``: uint64 up to 64 bits, exact ints
-    (object) when a field is wider.  The caller has checked every run
-    against the stream's length."""
+    of the MSB-first stream ``data``.  The caller has checked every run
+    against the stream's length, and every width is at most 64."""
     starts = np.asarray(starts, dtype=np.int64)
     widths = np.asarray(widths, dtype=np.int64)
-    if widths.size and widths.max() > 64:
-        flat = np.repeat(widths, count)
-        field, low, w = _pieces(flat)
-        at = (starts[:, None] + widths[:, None] * np.arange(count)).ravel()
-        u = unpack_runs(data, at[field] + flat[field] - low - w, w, 1)
-        # a field's pieces, each right-aligned in 64 bits, spell its value
-        raw = u[:, 0].astype(">u8").tobytes()
-        cut = (8 * np.append(np.flatnonzero(np.diff(field, prepend=-1)), field.size)).tolist()
-        vals = [int.from_bytes(raw[a:b], "big") for a, b in zip(cut[:-1], cut[1:])]
-        return np.array(vals, dtype=object).reshape(-1, count)
     out = np.empty((starts.size, count), dtype=np.uint64)
     if not out.size:
         return out
@@ -295,20 +263,21 @@ def read_unary(
 
 def read_gamma_column(data: bytes, start: int, count: int, limit: int) -> tuple[np.ndarray, int]:
     """The values of the Elias gamma column of ``count`` codes that
-    :func:`gamma_columns` laid out from bit ``start`` of ``data`` (uint64,
-    or exact ints once a value reaches 2^64), and the bit after it.
-    FormatError when the unary part, or the low bits it announces, run
-    past bit ``limit``; the low bits are checked before they are read."""
+    :func:`gamma_columns` laid out from bit ``start`` of ``data``, as
+    int64, and the bit after it.  FormatError when the unary part runs
+    past bit ``limit``, and, before any low bit is read, when a unary code
+    announces 63 or more low bits (a value of 2^63 or more) or the low
+    bits run past ``limit``."""
     low, mid = read_unary(data, start, count, limit, 4 * count + 64)
+    if low.max(initial=0) >= 63:
+        raise FormatError(
+            f"a gamma code announces {low.max()} low bits; values stop below 2^63"
+        )
     total = int(low.sum())
     if total > limit - mid:
         raise FormatError(f"gamma codes need {total} more bits, {limit - mid} remain")
     suffix = unpack_runs(data, mid + np.cumsum(low) - low, low, 1)[:, 0]
-    if low.max(initial=0) < 64:
-        values = suffix | (np.uint64(1) << low.astype(np.uint64))
-    else:
-        values = np.array([(1 << w) | int(s) for w, s in zip(low.tolist(), suffix)], dtype=object)
-    return values, mid + total
+    return (suffix | (np.uint64(1) << low.astype(np.uint64))).view(np.int64), mid + total
 
 
 def read_planes(data: bytes, start: int, k: np.ndarray, rows: np.ndarray) -> None:

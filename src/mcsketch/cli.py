@@ -470,7 +470,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     n, d, seed = args.n, args.d, args.seed
+    p = _parse_p(args.p) if args.p is not None else None
     if args.kind == "random-graph-metric":
+        if p is not None and p != math.inf:
+            raise InputError(f"a distance matrix is sketched at p = inf, not {p}")
         write_matrix(args.output, gen_random_graph_metric(n, seed))
     else:
         if args.kind == "uniform":
@@ -479,7 +482,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             coords = gen_gaussian_clusters(n, d, seed)
         else:  # argparse restricts the kinds
             coords = gen_high_spread_line(n, args.t, seed)
-        write_points(args.output, coords, _parse_p(args.p) if args.p else 2.0)
+        write_points(args.output, coords, 2.0 if p is None else p)
     print(f"output={args.output}")
     return 0
 

@@ -230,6 +230,9 @@ def serialize(model: SketchModel) -> bytes:
             f"ingress of node {later[~inside][0]} is not under a sibling of it"
         )
     rank = below[u] - np.where(u < later, below[v + 1], below[end[later]] - before)
+    fault = _ingress_fault(tree, ingress)
+    if fault:
+        raise GuaranteeError(fault)
 
     try:
         bounds = net.tree_bounds(tree, eps, d, model.p)
@@ -284,6 +287,22 @@ def _reference_ranges(tree, parent: np.ndarray):
     v, end = parent[later], tree.end
     before = below[later] - below[v + 1]
     return later, below, before, before + below[end[v]] - below[end[later]]
+
+
+def _ingress_fault(tree, ingress: np.ndarray) -> str | None:
+    """The decoder's message when an ingress crosses a long edge or the
+    ingresses form a cycle, else None.  Every node but a part root has a
+    node of the tree as its ingress; part roots count as -1, as the
+    decoder builds them."""
+    inner = np.flatnonzero(~tree.part_root)
+    part_of = tree.part_of
+    crossing = inner[part_of[ingress[inner]] != part_of[inner]]
+    if crossing.size:
+        return f"ingress of {crossing[0]} crosses a long edge"
+    layers = ingress_layers(np.where(tree.part_root, -1, ingress))
+    if sum(map(len, layers)) != tree.n_nodes:
+        return "ingress references contain a cycle"
+    return None
 
 
 def _classes(tree, parent: np.ndarray) -> np.ndarray:
@@ -617,19 +636,15 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     eta_ints, pos = _read_rice(payload, pos, payload_bits, bounds, _classes(tree, parent), d)
     displacement_bits = pos - mark
 
-    inner = np.flatnonzero(~tree.part_root)
-    part_of = tree.part_of
-    crossing = inner[part_of[ingress[inner]] != part_of[inner]]
-    if crossing.size:
-        raise FormatError(f"ingress of {crossing[0]} crosses a long edge")
-    if sum(map(len, ingress_layers(ingress))) != n_nodes:
-        raise FormatError("ingress references contain a cycle")
+    fault = _ingress_fault(tree, ingress)
+    if fault:
+        raise FormatError(fault)
 
     # 6. landmarks
     landmarks = None
     mark = pos
     if has_landmarks:
-        count = int(gammas(1)[0][0]) - 1  # an exact int, however wide its code
+        count = int(gammas(1)[0][0]) - 1  # below 2^63: a wider code is refused
         ids = column((n_nodes - 1).bit_length(), count, "landmark ids")
         landmarks = landmark_ids(ids, n_nodes).tolist()
     landmark_bits = pos - mark

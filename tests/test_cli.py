@@ -288,6 +288,18 @@ def test_gen_graph_metric_is_valid(tmp_path):
     assert dm.n == 32
 
 
+def test_gen_graph_metric_parses_its_norm(tmp_path, capsys):
+    # -p is parsed for every kind; a matrix takes only inf, the rule sketch
+    # applies to matrix input, and is refused before anything is written
+    out = tmp_path / "g.mcdm"
+    for p, message in (("abc", "cannot parse"), ("0.5", ">= 1"), ("2", "p = inf")):
+        assert main(["gen", "random-graph-metric", "-n", "10", "-p", p, "-o", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["gen", "random-graph-metric", "-n", "10", "-p", "inf", "-o", str(out)]) == 0
+    assert read_matrix(out).n == 10
+
+
 def test_gen_functions_are_pure():
     assert np.array_equal(gen_uniform(5, 2, 1), gen_uniform(5, 2, 1))
     assert np.array_equal(

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import struct
 import time
 import tracemalloc
@@ -103,7 +104,7 @@ def _packed(fields) -> tuple[bytes, list[int], list[int]]:
     columns, widths = [], []
     for f in fields:
         if f[0] == "u":
-            columns.append((np.array([f[1]], dtype=object), [f[2]]))
+            columns.append((np.array([f[1]], dtype=np.uint64), [f[2]]))
             widths.append(f[2])
         elif f[0] == "b":
             columns.append((np.array(f[1], dtype=np.uint8), 1))
@@ -133,10 +134,13 @@ def test_bitwriter_reader_basic():
 
 
 def test_bitwriter_rejects_oversized_values():
+    # fields are at most 64 bits wide and gamma values below 2^63
     with pytest.raises(ValueError):
         pack_fields([(np.array([8]), [3])])
-    with pytest.raises(ValueError):
-        pack_fields([(np.array([2**70], dtype=object), [70])])
+    with pytest.raises(ValueError, match="a field of 65 bits is wider than 64"):
+        pack_fields([(np.array([1]), [65])])
+    with pytest.raises(ValueError, match=r"values in \[1, 2\^63\)"):
+        gamma_columns([2**63])
     with pytest.raises(ValueError):
         pack_fields([(np.array([-1]), [8])])
     with pytest.raises(ValueError):
@@ -160,6 +164,15 @@ def test_bitreader_rejects_overrun():
     assert bits == 79
     with pytest.raises(FormatError, match="need 39 more bits, 38 remain"):
         read_gamma_column(data, 0, 1, 78)
+
+
+def test_gamma_code_announcing_63_low_bits_refused():
+    # gamma values stay below 2^63: the reader refuses a unary part that
+    # announces 63 low bits, here those of 2^63 + 5, before it reads them
+    bits = [0] * 63 + [1] + [int(b) for b in format(5, "063b")]
+    data = np.packbits(bits).tobytes()
+    with pytest.raises(FormatError, match="announces 63 low bits"):
+        read_gamma_column(data, 0, 1, len(bits))
 
 
 def _rice_section(ks, unary, planes) -> tuple[bytes, int]:
@@ -217,8 +230,9 @@ def test_rice_parameters_are_the_exhaustive_best(items):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 2**200), st.integers(0, 200)), max_size=30))
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 64)), max_size=30))
 def test_uint_roundtrip(items):
+    # fields of 0..64 bits, the whole domain of a payload field
     fields = [("u", value % (1 << width), width) for value, width in items]
     data, starts, widths = _packed(fields)
     assert (data, sum(widths)) == _scalar(fields)
@@ -227,8 +241,9 @@ def test_uint_roundtrip(items):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 2**100), max_size=30))
+@given(st.lists(st.integers(1, 2**63 - 1), max_size=30))
 def test_gamma_roundtrip(values):
+    # values up to 2^63 - 1, the whole domain of a gamma column
     fields = [("g", values)]
     data, _, widths = _packed(fields)
     assert (data, sum(widths)) == _scalar(fields)
@@ -241,15 +256,15 @@ def test_gamma_roundtrip(values):
 @given(
     st.lists(
         st.one_of(
-            st.tuples(st.just("u"), st.integers(0, 2**70), st.integers(0, 70)),
+            st.tuples(st.just("u"), st.integers(0, 2**64 - 1), st.integers(0, 64)),
             st.tuples(st.just("b"), st.lists(st.integers(0, 1), max_size=20)),
-            st.tuples(st.just("g"), st.lists(st.integers(1, 2**70), min_size=1, max_size=4)),
+            st.tuples(st.just("g"), st.lists(st.integers(1, 2**63 - 1), min_size=1, max_size=4)),
         ),
         max_size=40,
     )
 )
 def test_packer_matches_scalar_writer(fields):
-    # uint fields of 0..70 bits, bit columns and gamma columns mixed at
+    # uint fields of 0..64 bits, bit columns and gamma columns mixed at
     # every alignment: the array packer writes the scalar writer's bytes,
     # and the column readers read back what the scalar reader reads
     fields = [("u", f[1] % (1 << f[2]), f[2]) if f[0] == "u" else f for f in fields]
@@ -341,16 +356,20 @@ def test_gamma_length_is_logarithmic():
 
 
 def test_gamma_widths_match_bit_length_at_the_float_and_int64_edges():
-    # int64 columns take their bit lengths from one searchsorted over the
-    # powers of two; no value may round through a float on the way
+    # integer columns below 2^63 take their bit lengths from one
+    # searchsorted over the powers of two; no value may round through a
+    # float on the way
     values = [1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1, 2**53, 2**53 + 1]
     values += [2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1]
     want = [2 * v.bit_length() - 1 for v in values]
     got = gamma_widths(np.array(values, dtype=np.int64))
     assert got.dtype == np.int64 and got.tolist() == want
     assert gamma_widths(values).tolist() == want
-    huge = np.array([2**63, 2**100 + 1, 5], dtype=object)  # exact ints beyond int64
-    assert gamma_widths(huge).tolist() == [2 * int(v).bit_length() - 1 for v in huge]
+    assert gamma_widths(np.array(values, dtype=np.uint64)).tolist() == want
+    # 2^63 and beyond leave the gamma domain, in any dtype
+    for bad in (np.array([5, 2**63], dtype=np.uint64), [2**64 - 1], [3, 2**100 + 1]):
+        with pytest.raises(ValueError, match=r"\[1, 2\^63\)"):
+            gamma_widths(bad)
     with pytest.raises(ValueError):
         gamma_widths(np.array([4, 0, 7], dtype=np.int64))
     with pytest.raises(ValueError):
@@ -511,14 +530,6 @@ def test_consistent_but_lying_header_detected():
         deserialize(fixed)
 
 
-def _tampered_blob(edit):
-    # decode a real blob, edit the model, serialize again: the CRC is valid
-    # and only the decoder's field checks can refuse the result
-    model = deserialize(_blob(np.random.default_rng(8).normal(size=(12, 2)) * 9))
-    edit(model)
-    return serialize(model)
-
-
 def _with_payload(blob: bytes, payload: bytes, bits: int) -> bytes:
     """``blob``'s header with ``payload`` of ``bits`` bits, CRC recomputed."""
     head = bytearray(blob[: size_report(blob).header_bytes])
@@ -643,26 +654,51 @@ def test_ingress_the_decoder_cannot_derive_refused_at_serialize():
         serialize(model)
 
 
-def test_ingress_cycle_between_siblings_rejected():
-    # two short-childless later siblings on short edges, each the other's
-    # ingress: both stay inside their part, so only the cycle check can
-    # refuse them (a first child's ingress, its parent, is not stored)
-    def edit(model):
-        tree = model.tree
-        a, b = next(
-            (a, b)
-            for kids in ref.children_of(tree)
-            for a in kids[1:]
-            for b in kids[1:]
-            if a < b
-            and not (tree.long_edge[a] or tree.long_edge[b])
-            and not tree.has_short[a]
-            and not tree.has_short[b]
-        )
-        model.ingress[a], model.ingress[b] = b, a
+def _sibling_cycle(model) -> None:
+    """Make two short-childless later siblings on short edges each the
+    other's ingress: both stay inside their part and in their rank ranges,
+    so only the cycle check can refuse them (a first child's ingress, its
+    parent, is not stored)."""
+    tree = model.tree
+    a, b = next(
+        (a, b)
+        for kids in ref.children_of(tree)
+        for a in kids[1:]
+        for b in kids[1:]
+        if a < b
+        and not (tree.long_edge[a] or tree.long_edge[b])
+        and not tree.has_short[a]
+        and not tree.has_short[b]
+    )
+    model.ingress[a], model.ingress[b] = b, a
 
+
+def test_ingress_cycle_between_siblings_rejected():
+    # serialize refuses the cycle, so the scalar writer writes the blob
+    blob = _blob(np.random.default_rng(8).normal(size=(12, 2)) * 9)
+    model = deserialize(blob)
+    _sibling_cycle(model)
+    payload, bits, _ = ref.write_payload(model)
     with pytest.raises(FormatError, match="cycle"):
-        deserialize(_tampered_blob(edit))
+        deserialize(_with_payload(blob, payload, bits))
+
+
+def test_ingress_crossing_or_cycle_refused_at_serialize():
+    # serialize refuses, with the decoder's message, the ingresses the
+    # decoder refuses: a rank into another part of its range, and a cycle
+    blob = _fuzz_blob(2.0, False, 60)
+    model = deserialize(blob)
+    part_of = model.tree.part_of
+    c, u = next(
+        (c, u) for c, _, _, span in _rank_fields(blob) for u in span if part_of[u] != part_of[c]
+    )
+    model.ingress[c] = u
+    with pytest.raises(GuaranteeError, match=f"ingress of {c} crosses a long edge"):
+        serialize(model)
+    model = deserialize(_blob(np.random.default_rng(8).normal(size=(12, 2)) * 9))
+    _sibling_cycle(model)
+    with pytest.raises(GuaranteeError, match="ingress references contain a cycle"):
+        serialize(model)
 
 
 def test_shift_sums_beyond_int64_decode_exactly():
@@ -759,6 +795,21 @@ def test_landmark_ids_that_do_not_ascend_or_overrun_refused():
         deserialize(_rewritten(blob, count, 7))
 
 
+def test_landmark_count_code_beyond_63_low_bits_refused():
+    # the landmark count's gamma code rewritten to announce 70 low bits, a
+    # count of 2^70 - 1 (ids and all else after it dropped): the reader
+    # refuses the code before it reads its low bits or sizes a column
+    blob = _fuzz_blob(2.0, True, 60)
+    head = size_report(blob).header_bytes
+    start = _columns(blob)["landmark count"].start - 8 * head
+    payload, _, _ = ref.write_payload(deserialize(blob))
+    bits = np.unpackbits(np.frombuffer(payload, np.uint8))[:start].tolist()
+    bits += [0] * 70 + [1] + [0] * 70
+    hostile = _with_payload(blob, np.packbits(bits).tobytes(), len(bits))
+    with pytest.raises(FormatError, match="gamma code announces 70 low bits"):
+        deserialize(hostile)
+
+
 def _rank_fields(blob: bytes) -> list[tuple[int, int, range, list[int]]]:
     """Per stored ingress rank of ``blob``: its node c, its range's count,
     its bits in the blob and the range's nodes in id order (the nodes
@@ -784,16 +835,21 @@ def _rank_fields(blob: bytes) -> list[tuple[int, int, range, list[int]]]:
 )
 def test_ranks_and_rice_parameters_match_the_scalar_writer(seed, kind, p, landmarks, data):
     # any node of its range is an ingress the rank column can hold, and any
-    # row within its bounds one the Rice section can: the codec writes the
-    # scalar writer's payload bit for bit, rank widths and exhaustive Rice
-    # parameters included, and its column readers read it back
+    # row within its bounds one the Rice section can: the column readers
+    # read back the scalar writer's payload, and the codec writes it bit
+    # for bit, rank widths and exhaustive Rice parameters included.  Drawn
+    # from the nodes of its range inside its part, the ingresses may still
+    # close a cycle: then serialize refuses the model with the message the
+    # decoder gives for that payload
     ps = ref.small_instance(seed, 14, 2, p, kind)
     assume(ps is not None)
     params = SketchParams(epsilon=0.25, jl_enabled=False, landmarks=landmarks)
-    model = build_sketch(ps, params).model
+    built = build_sketch(ps, params)
+    model = built.model
     tree = model.tree
-    for c, _, count in ref.ingress_ranks(tree, model.ingress):
-        model.ingress[c] = ref.rank_range(tree, c)[data.draw(st.integers(0, count - 1))]
+    for c, _, _ in ref.ingress_ranks(tree, model.ingress):
+        span = [u for u in ref.rank_range(tree, c) if tree.part_of[u] == tree.part_of[c]]
+        model.ingress[c] = span[data.draw(st.integers(0, len(span) - 1))]
     bounds = net.tree_bounds(tree, model.epsilon, model.d, model.p)
     classes = np.array([-1 if k is None else k for k in ref.rice_classes(tree)])
     # per class, values up to 0, 1, 5 or the bound, so the four k differ
@@ -802,15 +858,19 @@ def test_ranks_and_rice_parameters_match_the_scalar_writer(seed, kind, p, landma
     for v in np.flatnonzero(classes >= 0):
         top = min(int(bounds[v]), caps[classes[v]])
         model.eta_ints[v] = rng.integers(-top, top + 1, size=model.d)
-    blob = serialize(model)
     payload, bits, starts = ref.write_payload(model)
-    assert blob[-4 - len(payload) : -4] == payload
-    assert struct.unpack_from("<Q", blob, len(blob) - 12 - len(payload)) == (bits,)
     parent = np.array(tree.parent)
     ingress, end = _read_ingress(payload, starts["ingress ranks"], bits, tree, parent)
     assert end == starts["Rice parameters"] and np.array_equal(ingress, model.ingress)
     eta, end = _read_rice(payload, end, bits, bounds, classes, model.d)
     assert end == starts["landmark count"] and np.array_equal(eta, model.eta_ints)
+    try:
+        blob = serialize(model)
+    except GuaranteeError as exc:
+        with pytest.raises(FormatError, match=re.escape(str(exc))):
+            deserialize(_with_payload(built.blob, payload, bits))
+    else:
+        assert blob == _with_payload(built.blob, payload, bits)
 
 
 def test_ingress_reference_across_a_long_edge_refused():
