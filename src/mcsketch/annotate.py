@@ -112,17 +112,14 @@ class SurrogateTable:
     ``shift_int`` is an (n_nodes, d) integer array, of the dtype
     :func:`shift_dtype` picks, whose row v holds the k with
     s*(v) - s*(part root of v) == k * unit exactly (as reals), where
-    ``unit`` = eps/d^(1/p).  ``shift_float`` is the one sanctioned
-    int->float conversion; every consumer must go through it so that
-    independently recomputed surrogates agree bit for bit.
+    ``unit`` = eps/d^(1/p).  The builder and the estimator turn shifts into
+    floats with :func:`shift_to_float`, or with the same correctly rounded
+    cast, so independently recomputed surrogates agree bit for bit.
     """
 
     s_star: np.ndarray
     shift_int: np.ndarray
     unit: float
-
-    def shift_float(self, v: int) -> np.ndarray:
-        return shift_to_float(self.shift_int[v], self.unit)
 
 
 def shift_to_float(ks: np.ndarray, unit: float) -> np.ndarray:

@@ -8,9 +8,10 @@ the exact oracle, print a line-oriented key=value report), ``gen``
 Exit codes: 0 ok, 1 usage/input, 2 malformed bytes, 3 bad data
 (duplicates, metric violations, unknown labels), 4 guarantee violation.
 
-The functions ``sketch_points`` / ``sketch_metric`` / ``build_sketch`` are
-the programmatic equivalents of ``sketch`` and are re-exported at package
-level for library use.
+The functions ``sketch_points`` and ``sketch_metric`` are the programmatic
+equivalents of ``sketch`` and are re-exported at package level for library
+use; ``build_sketch``, which sketches a normalized point set and returns
+every intermediate, is reached as ``mcsketch.cli.build_sketch``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .core import (
 )
 from .estimate import Estimator, estimate_bound, select_all_landmarks
 from .hst import ClusterIndex, SketchTree, build_hst, compress
-from .reduce import JlConfig, frechet_embed, project_points
+from .reduce import frechet_embed, project_points
 
 __all__ = [
     "BuildResult",
@@ -141,8 +142,7 @@ def prepare_points(
     dimension (see :func:`~mcsketch.reduce.project_points`).
     """
     if params.jl_enabled and p == 2.0:
-        config = JlConfig(constant=params.jl_constant, seed=params.jl_seed)
-        projected = project_points(coords, config, params.epsilon)
+        projected = project_points(coords, params)
         if projected is not None:
             return projected, True, np.shape(coords)[1]
     return normalize(coords, p), False, 0
@@ -267,7 +267,7 @@ def _section_lines(s: SizeReport) -> list[str]:
 
 @dataclass
 class EvalReport:
-    """Build-and-verify summary; ``lines()`` is the key=value wire format."""
+    """Build-and-check summary; ``lines()`` is the key=value wire format."""
 
     n: int
     d: int
@@ -546,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--landmarks", action="store_true", help="landmark replay mode")
     sp.set_defaults(func=cmd_query)
 
-    sp = sub.add_parser("eval", help="build and verify against the oracle")
+    sp = sub.add_parser("eval", help="build and check against the oracle")
     sp.add_argument("input")
     _add_build_flags(sp)
     sp.set_defaults(func=cmd_eval)

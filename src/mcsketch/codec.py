@@ -51,7 +51,8 @@ Layout, all multi-byte header fields little-endian:
 * trailer: u32 CRC-32 (zlib) of header plus payload bytes.  Every header
   or payload corruption is caught by the CRC at the latest; structural
   validation (leaf counts, level consistency, permutation of leaf labels,
-  index ranges, ingress edges inside their part, padding) runs after it so
+  the long-edge rules of :func:`_part_fault`, index ranges, ingress edges
+  inside their part, padding) runs after it so
   corrupt or truncated blobs always fail loudly with FormatError.  Ingress
   cycles are found by :func:`~mcsketch.annotate.ingress_layers`, the
   layering the builder and the estimator use, failing to reach every node.
@@ -194,11 +195,21 @@ def _pack_p(p: float) -> bytes:
 
 
 def serialize(model: SketchModel) -> bytes:
-    """Deterministic bytes of a sketch model (see module docstring)."""
+    """Deterministic bytes of a sketch model (see module docstring).
+    GuaranteeError, with the decoder's message where it has one, for a
+    model whose blob the decoder would refuse or decode differently."""
     tree = model.tree
     n_nodes = tree.n_nodes
     n, d, eps = model.n, model.d, model.epsilon
     parent = np.array(tree.parent, dtype=np.int64)
+    long_edge = np.array(tree.long_edge, dtype=bool)
+    fault = _part_fault(tree, parent, long_edge)
+    if fault:
+        raise GuaranteeError(fault)
+    ingress = model.ingress
+    wrong = np.flatnonzero(tree.part_root & (ingress != -1))
+    if wrong.size:
+        raise GuaranteeError(f"ingress of part root {wrong[0]} is not -1")
     inner = np.flatnonzero(~tree.part_root)  # nodes with an ingress
 
     # shape: before node v opens, the v nodes before it in preorder have
@@ -206,12 +217,10 @@ def serialize(model: SketchModel) -> bytes:
     closed = np.cumsum(np.bincount(tree.end, minlength=n_nodes))[:n_nodes]
     shape = np.zeros(2 * n_nodes, dtype=np.uint8)
     shape[np.arange(n_nodes) + closed] = 1
-    long_edge = np.array(tree.long_edge, dtype=bool)
     level = np.array(tree.level, dtype=np.int64)
     gaps = (level[parent] - level)[long_edge]
 
     label = np.array(tree.leaf_label, dtype=np.int64)
-    ingress = model.ingress
     # ids are preorder, so a first child comes right after its parent
     first = parent[inner] == inner - 1
     wrong = inner[first & (ingress[inner] != parent[inner])]
@@ -253,10 +262,11 @@ def serialize(model: SketchModel) -> bytes:
         *displacements,
     ]
     if model.landmarks is not None:
-        cols += [
-            *gamma_columns([len(model.landmarks) + 1]),
-            (landmark_ids(model.landmarks, n_nodes), (n_nodes - 1).bit_length()),
-        ]
+        try:
+            ids = landmark_ids(model.landmarks, n_nodes)
+        except FormatError as exc:
+            raise GuaranteeError(str(exc)) from None
+        cols += [*gamma_columns([ids.size + 1]), (ids, (n_nodes - 1).bit_length())]
     payload, bits = pack_fields(cols)
     flags = _FLAG_LANDMARKS if model.landmarks is not None else 0
     tail = (n, d, eps, model.scale, model.spread, flags, model.jl_seed, model.jl_orig_dim)
@@ -287,6 +297,27 @@ def _reference_ranges(tree, parent: np.ndarray):
     v, end = parent[later], tree.end
     before = below[later] - below[v + 1]
     return later, below, before, before + below[end[v]] - below[end[later]]
+
+
+def _part_fault(tree, parent: np.ndarray, long_edge: np.ndarray) -> str | None:
+    """The decoder's message when a long edge's top has other children or
+    is itself a part root other than the root, or when the root is a bare
+    chain node (one child, on a short edge), else None.  These are the
+    rules of a sketch tree that a balanced-parenthesis shape, gaps in
+    [2, top], one leaf level and a label permutation leave open.  Without
+    them every part root but the root hangs below a node that stores d
+    fields, so the displacements bound the part count."""
+    top = parent[np.flatnonzero(long_edge)]
+    degree = np.bincount(parent[1:], minlength=tree.n_nodes)
+    bad = top[degree[top] != 1]
+    if bad.size:
+        return f"long-edge top {bad[0]} has degree != 1"
+    bad = top[tree.part_root[top] & (top != 0)]
+    if bad.size:
+        return f"long-edge top {bad[0]} is a part root"
+    if degree[0] == 1 and not long_edge[1]:
+        return "root is a degree-1 chain node"
+    return None
 
 
 def _ingress_fault(tree, ingress: np.ndarray) -> str | None:
@@ -570,7 +601,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     top = math.frexp(spread)[1]
     if depth.max() > top:
         raise FormatError(f"tree depth {depth.max()} exceeds the spread's {top} levels")
-    is_leaf = shape[opens + 1] == 0
+    leaves = shape[opens + 1] == 0
     # in preorder a node's parent is the last node before it one level up
     key = depth * n_nodes + np.arange(n_nodes)
     ranked = np.sort(key)
@@ -591,9 +622,9 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
 
     # levels below the root's, then pin the common leaf level to 0
     _, rel = _jump(np.maximum(parent, 0), np.append(0, -gaps[1:]))
-    if int(is_leaf.sum()) != n:
-        raise FormatError(f"blob announces n={n} but has {int(is_leaf.sum())} leaves")
-    leaf_rel = np.unique(rel[is_leaf])
+    if int(leaves.sum()) != n:
+        raise FormatError(f"blob announces n={n} but has {int(leaves.sum())} leaves")
+    leaf_rel = np.unique(rel[leaves])
     if leaf_rel.size != 1:
         raise FormatError("leaves do not share a common level")
     root_level = -int(leaf_rel[0])
@@ -609,7 +640,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     if not np.array_equal(np.sort(labels), np.arange(n)):
         raise FormatError("leaf labels are not a permutation of 0..n-1")
     leaf_label = np.full(n_nodes, -1, dtype=np.int64)
-    leaf_label[is_leaf] = labels
+    leaf_label[leaves] = labels
     tree = SketchTree(
         level=(rel + root_level).tolist(),
         parent=parent.tolist(),
@@ -619,7 +650,9 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
 
     # before any (n_nodes, d) array: a valid shape makes every part root but
     # the root hang below a node that stores d fields
-    tree.verify()
+    fault = _part_fault(tree, parent, long_edge)
+    if fault:
+        raise FormatError(fault)
 
     # 4. ingresses: a first child's is its parent, every other node's with
     # an ingress a rank within its range

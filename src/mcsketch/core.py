@@ -52,7 +52,6 @@ __all__ = [
     "snap_epsilon",
     "k_parameter",
     "lp_distance",
-    "lp_norm",
     "normalize",
     "oracle_all_pairs",
     "encode_p",
@@ -60,7 +59,6 @@ __all__ = [
     "write_points",
     "read_points",
     "write_matrix",
-    "read_matrix",
     "read_text_points",
     "load_input",
 ]
@@ -286,15 +284,6 @@ def k_parameter(spread: float, epsilon: float, d: int, p: float) -> int:
     return math.ceil(math.log2(x))
 
 
-def lp_norm(vec: np.ndarray, p: float) -> float:
-    """lp norm of a single vector (same float path as lp_distance)."""
-    p = _validate_p(p)
-    vec = np.array(vec, dtype=np.float64)  # a copy: _lp_reduce overwrites it
-    if vec.ndim != 1:
-        raise InputError(f"expected a vector, got shape {vec.shape}")
-    return float(_lp_reduce(vec, p))
-
-
 def _pairwise(coords: np.ndarray, p: float) -> np.ndarray:
     """Full symmetric distance matrix, same floats as ``lp_distance``.
 
@@ -421,15 +410,6 @@ class PointSet:
     @property
     def d(self) -> int:
         return self.coords.shape[1]
-
-    def validate(self) -> None:
-        dm = _pairwise(self.coords, self.p)
-        off = dm[~np.eye(self.n, dtype=bool)]
-        mn, mx = off.min(), off.max()
-        if abs(mn - 1.0) > 1e-12:
-            raise InputError(f"point set not normalized: min distance {mn}")
-        if abs(mx - self.spread) > 1e-9 * max(1.0, self.spread):
-            raise InputError(f"recorded spread {self.spread} but measured {mx}")
 
 
 @dataclass(frozen=True)
@@ -804,13 +784,6 @@ def write_matrix(path: str | Path, entries: np.ndarray) -> None:
         fh.write(MCDM_MAGIC)
         fh.write(struct.pack("<IQ", FORMAT_VERSION, n))
         fh.write(entries.tobytes(order="C"))
-
-
-def read_matrix(path: str | Path) -> DistanceMatrix:
-    """Read an MCDM file and check the metric axioms."""
-    dm = _parse_matrix(path)
-    dm.validate()
-    return dm
 
 
 def _parse_matrix(path: str | Path) -> DistanceMatrix:

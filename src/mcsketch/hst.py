@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FormatError, GuaranteeError, InputError, PointSet
+from .core import GuaranteeError, InputError, PointSet
 from .core import _permute_in_place, oracle_all_pairs, snap_epsilon
 
 __all__ = [
@@ -76,8 +76,9 @@ class SketchTree:
     A sketch tree, from :func:`compress` or from the decoder, has short
     edges that descend one level and long edges that descend at least two.
     :func:`build_hst`'s merge tree is held in the same class: it has no
-    long edges, and one edge may descend several levels.  :meth:`verify`
-    checks a sketch tree.
+    long edges, and one edge may descend several levels.  The decoder
+    derives a sketch tree from a balanced-parenthesis shape and checks the
+    rules that shape leaves open (``codec._part_fault``).
 
     Four arrays are derived from the edges at construction:
     ``has_short[v]`` (some child of v hangs on a short edge),
@@ -121,13 +122,6 @@ class SketchTree:
     def n_nodes(self) -> int:
         return len(self.level)
 
-    def is_leaf(self, v: int) -> bool:
-        return self.leaf_label[v] >= 0
-
-    def edge_gap(self, v: int) -> int:
-        """Level gap of the edge from v to its parent."""
-        return self.level[self.parent[v]] - self.level[v]
-
     def leaf_of(self) -> dict[int, int]:
         return {lbl: v for v, lbl in enumerate(self.leaf_label) if lbl >= 0}
 
@@ -138,51 +132,6 @@ class SketchTree:
         before = np.cumsum(np.array(self.leaf_label) >= 0)
         before = np.concatenate(([0], before))  # leaves before each id
         return before[:-1].tolist(), before[self.end].tolist()
-
-    def verify(self) -> None:
-        """Structural sanity checks of a sketch tree, as array checks over
-        all nodes and edges at once; raises FormatError naming the first
-        violation.  A merge tree fails them wherever an edge spans more
-        than one level."""
-        if self.parent[0] != -1:
-            raise FormatError("root has a parent")
-        n = self.n_nodes
-        nodes = np.arange(n)
-        parent = np.array(self.parent, dtype=np.int64)
-        level = np.array(self.level, dtype=np.int64)
-        label = np.array(self.leaf_label, dtype=np.int64)
-        leaf = label >= 0
-        labels = np.sort(label[leaf])
-        # one entry per edge: its top (owner) and bottom (kid)
-        kid = nodes[1:]
-        owner = parent[1:]
-        degree = np.bincount(owner[owner >= 0], minlength=n)
-        # preorder: node v+1 is v's first child, or v is a leaf and its
-        # subtree ends at v+1
-        follows = np.where(degree[:-1] > 0, owner == kid - 1, self.end[:-1] == kid)
-        gap = level[owner] - level[kid]
-        is_long = np.array(self.long_edge, dtype=bool)[kid]
-        # a part root other than the root tops no long edge: a chain of
-        # long edges would make part roots, rows of every (n_nodes, d)
-        # array, that store no displacement
-        chained = self.part_root[owner] & (owner != 0)
-        for fails, msg, *fields in (
-            ((owner < 0) | (owner >= kid), "parent {} of node {} is not below it", owner, kid),
-            (~follows, "node {} is out of preorder", kid),
-            (is_long & (gap < 2), "long edge {}->{} has gap {} < 2", owner, kid, gap),
-            (is_long & (degree[owner] != 1), "long-edge top {} has degree != 1", owner),
-            (is_long & chained, "long-edge top {} is a part root", owner),
-            (~is_long & (gap != 1), "short edge {}->{} has gap {} != 1", owner, kid, gap),
-            (leaf & (degree > 0), "leaf {} has children", nodes),
-            (leaf & (level != 0), "leaf {} at level {} != 0", nodes, level),
-            (~leaf & (degree == 0), "internal node {} has no children", nodes),
-            (labels[1:] == labels[:-1], "duplicate leaf label {}", labels),
-        ):
-            bad = np.flatnonzero(fails)
-            if bad.size:
-                raise FormatError(msg.format(*(f[bad[0]] for f in fields)))
-        if degree[0] == 1 and not self.long_edge[1]:
-            raise FormatError("root is a degree-1 chain node")
 
 
 def _jump(up: np.ndarray, weight: np.ndarray | None = None):

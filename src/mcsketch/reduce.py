@@ -1,16 +1,16 @@
 """Dimension handling before sketching: random projection and the
 distance-matrix row embedding.
 
-``jl_project`` multiplies Euclidean inputs by a random +-1/sqrt(d') sign
-matrix with d' = ceil(C * eps^-2 * ln n) columns, drawn from a seeded
-PCG64 generator so builds are reproducible.  The projection is linear
-(zero maps to zero, scaling commutes) and with the default C = 4 distorts
-any fixed pair by more than (1 +- eps) only with vanishing probability, so
-the end-to-end error budget becomes (1+eps)(1+4eps) - 1.  Inputs already
-at or below the target dimension pass through untouched.
-``project_points`` projects raw coordinates directly: it divides them by
-their exact closest pair and builds no n x n matrix at the original
-dimension, only the one that normalizes the projected set.
+``project_points`` multiplies Euclidean inputs by a random +-1/sqrt(d')
+sign matrix with d' = ceil(C * eps^-2 * ln n) columns (``target_dim``),
+drawn from a seeded PCG64 generator so builds are reproducible.  The
+projection is linear (zero maps to zero, scaling commutes) and with the
+default C = 4 distorts any fixed pair by more than (1 +- eps) only with
+vanishing probability, so the end-to-end error budget becomes
+(1+eps)(1+4eps) - 1.  Inputs already at or below the target dimension
+pass through untouched.  It projects raw coordinates divided by their
+exact closest pair and builds no n x n matrix at the original dimension,
+only the one that normalizes the projected set.
 
 ``frechet_embed`` turns an n x n distance matrix into its own rows as
 points under the l-infinity norm; the triangle inequality makes that an
@@ -25,7 +25,7 @@ stored oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,77 +33,45 @@ from .core import (
     DistanceMatrix,
     InputError,
     PointSet,
+    SketchParams,
     _as_points,
     _min_distance,
     normalize,
 )
 
-__all__ = ["JlConfig", "jl_project", "project_points", "frechet_embed"]
+__all__ = ["target_dim", "project_points", "frechet_embed"]
 
 
-@dataclass(frozen=True)
-class JlConfig:
-    """Projection parameters: constant C and the generator seed."""
-
-    constant: float = 4.0
-    seed: int = 0
-
-    def target_dim(self, n: int, epsilon: float) -> int:
-        """d' = ceil(C * eps^-2 * ln n) (natural log), capped at 2^63, more
-        than any dimension, so a huge C cannot overflow to infinity."""
-        if n < 2:
-            raise InputError("need at least two points")
-        target = self.constant * epsilon**-2.0 * math.log(n)
-        return max(1, math.ceil(min(target, 2.0**63)))
+def target_dim(n: int, epsilon: float, constant: float) -> int:
+    """d' = ceil(C * eps^-2 * ln n) (natural log), capped at 2^63, more than
+    any dimension, so a huge C cannot overflow to infinity."""
+    if n < 2:
+        raise InputError("need at least two points")
+    target = constant * epsilon**-2.0 * math.log(n)
+    return max(1, math.ceil(min(target, 2.0**63)))
 
 
-def jl_project(
-    ps: PointSet, config: JlConfig, epsilon: float
-) -> tuple[PointSet, bool]:
-    """Project a Euclidean point set to the target dimension.
-
-    Returns (projected-and-renormalized point set, True) or (ps, False)
-    when the input dimension is already at most the target.  The returned
-    scale composes the input's scale with the post-projection divisor so
-    estimates still come back in original units; the returned set keeps the
-    distance matrix that renormalization measured.
-    """
-    if ps.p != 2.0:
-        raise InputError("random projection requires the Euclidean norm (p=2)")
-    dprime = config.target_dim(ps.n, epsilon)
-    if dprime >= ps.d:
-        return ps, False
-    return _project(ps.coords, ps.scale, config, dprime), True
-
-
-def project_points(
-    coords: np.ndarray, config: JlConfig, epsilon: float
-) -> PointSet | None:
-    """``jl_project(normalize(coords, 2.0), config, epsilon)`` without the
-    normalization; None where no projection applies.
+def project_points(coords: np.ndarray, params: SketchParams) -> PointSet | None:
+    """The normalized projection of raw Euclidean coordinates to
+    ``target_dim(n, params.epsilon, params.jl_constant)`` columns, with the
+    sign matrix of ``params.jl_seed``; None where that is no fewer columns.
 
     The raw coordinates are divided by their exact closest pair, the divisor
-    ``normalize`` would use, so the projected set holds the same floats.
-    The only n x n pass is the one that normalizes the projected set.
+    ``normalize`` would use, and projected; the only n x n pass is the one
+    that normalizes the projected set.  The returned scale composes the two
+    divisors, so estimates still come back in original units.
     """
     coords = _as_points(coords)
     n, d = coords.shape
-    dprime = config.target_dim(n, epsilon)
+    dprime = target_dim(n, params.epsilon, params.jl_constant)
     if dprime >= d:
         return None
     mn = _min_distance(coords, 2.0)
-    return _project(coords / mn, mn, config, dprime)
-
-
-def _project(
-    coords: np.ndarray, scale: float, config: JlConfig, dprime: int
-) -> PointSet:
-    """Project ``coords`` (raw units times 1/``scale``) to ``dprime`` columns."""
-    rng = np.random.default_rng(config.seed)
-    bits = rng.integers(0, 2, size=(coords.shape[1], dprime))
+    rng = np.random.default_rng(params.jl_seed)
+    bits = rng.integers(0, 2, size=(d, dprime))
     signs = bits.astype(np.float64) * 2.0 - 1.0
-    out = normalize(coords @ signs / math.sqrt(dprime), 2.0)
-    return replace(out, scale=scale * out.scale)
+    out = normalize((coords / mn) @ signs / math.sqrt(dprime), 2.0)
+    return replace(out, scale=mn * out.scale)
 
 
 def frechet_embed(dm: DistanceMatrix) -> PointSet:

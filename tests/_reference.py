@@ -10,11 +10,13 @@ tests that compare them.
 from __future__ import annotations
 
 import math
+import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from mcsketch.core import DuplicatePointError, FormatError, _pairwise
+from mcsketch.core import DuplicatePointError, FormatError, InputError, _pairwise, encode_p
 
 
 def matrix_min_distance(coords, p) -> float:
@@ -135,6 +137,11 @@ def children_of(tree) -> list[list[int]]:
     return kids
 
 
+def edge_gap(tree, v: int) -> int:
+    """Level gap of the edge from v to its parent."""
+    return tree.level[tree.parent[v]] - tree.level[v]
+
+
 def leaf_labels_under(tree) -> list[np.ndarray]:
     """For every node, the sorted array of leaf labels in its subtree.
 
@@ -143,7 +150,7 @@ def leaf_labels_under(tree) -> list[np.ndarray]:
     kids = children_of(tree)
     out: list[np.ndarray | None] = [None] * tree.n_nodes
     for v in np.argsort(tree.level, kind="stable").tolist():
-        if tree.is_leaf(v):
+        if tree.leaf_label[v] >= 0:
             out[v] = np.array([tree.leaf_label[v]], dtype=np.int64)
         else:
             out[v] = np.sort(np.concatenate([out[c] for c in kids[v]]))
@@ -407,6 +414,68 @@ def dfs_preorder(tree) -> list[int]:
     return order
 
 
+def verify_tree(tree) -> None:
+    """The structural rules of a sketch tree, node by node; raises
+    FormatError naming the first violation.  A merge tree fails them
+    wherever an edge spans more than one level.
+
+    The decoder checks only the rules its balanced-parenthesis shape and
+    its own field checks leave open (``codec._part_fault``); the property
+    tests apply all of them to every tree the builder or the decoder
+    makes."""
+    n = tree.n_nodes
+    parent, level, label = tree.parent, tree.level, tree.leaf_label
+    if parent[0] != -1:
+        raise FormatError("root has a parent")
+    for v in range(1, n):
+        if not 0 <= parent[v] < v:
+            raise FormatError(f"parent {parent[v]} of node {v} is not below it")
+    order = dfs_preorder(tree)
+    for v in range(n):
+        if order[v] != v:
+            raise FormatError(f"node {v} is out of preorder")
+    kids = children_of(tree)
+    for v in range(1, n):
+        u = parent[v]
+        gap = level[u] - level[v]
+        if tree.long_edge[v]:
+            if gap < 2:
+                raise FormatError(f"long edge {u}->{v} has gap {gap} < 2")
+            if len(kids[u]) != 1:
+                raise FormatError(f"long-edge top {u} has degree != 1")
+            if u != 0 and tree.long_edge[u]:
+                raise FormatError(f"long-edge top {u} is a part root")
+        elif gap != 1:
+            raise FormatError(f"short edge {u}->{v} has gap {gap} != 1")
+    for v in range(n):
+        if label[v] >= 0 and kids[v]:
+            raise FormatError(f"leaf {v} has children")
+        if label[v] >= 0 and level[v] != 0:
+            raise FormatError(f"leaf {v} at level {level[v]} != 0")
+        if label[v] < 0 and not kids[v]:
+            raise FormatError(f"internal node {v} has no children")
+    labels = sorted(x for x in label if x >= 0)
+    for a, b in zip(labels, labels[1:]):
+        if a == b:
+            raise FormatError(f"duplicate leaf label {a}")
+    if len(kids[0]) == 1 and not tree.long_edge[1]:
+        raise FormatError("root is a degree-1 chain node")
+
+
+def check_point_set(ps) -> None:
+    """A normalized point set's invariants against its full distance
+    matrix: the least distance is 1 to within 1e-12 and the largest is the
+    recorded spread to within 1e-9 relative.  InputError otherwise.  The
+    stored matrix is not read: the check recomputes it."""
+    dm = _pairwise(ps.coords, ps.p)
+    off = dm[~np.eye(ps.n, dtype=bool)]
+    mn, mx = off.min(), off.max()
+    if abs(mn - 1.0) > 1e-12:
+        raise InputError(f"point set not normalized: min distance {mn}")
+    if abs(mx - ps.spread) > 1e-9 * max(1.0, ps.spread):
+        raise InputError(f"recorded spread {ps.spread} but measured {mx}")
+
+
 @dataclass
 class Decomposition:
     """Partition of tree nodes into subtrees obtained by cutting long edges.
@@ -462,7 +531,7 @@ def member_search_ingresses(tree, tau, clusters) -> list:
                 continue
             y = clusters.near[v][i]
             cur = j
-            while not tree.is_leaf(cur):
+            while tree.leaf_label[cur] < 0:
                 nxt = next(k for k in kids[cur] if contains(members[k], y))
                 if tree.long_edge[nxt]:
                     break
@@ -708,7 +777,7 @@ def write_payload(model) -> tuple[bytes, int, dict[str, int]]:
     for v in range(1, tree.n_nodes):
         w.write_uint(int(tree.long_edge[v]), 1)
     starts["gaps"] = w.bit_length
-    write_gammas(w, [tree.edge_gap(v) for v in range(1, tree.n_nodes) if tree.long_edge[v]])
+    write_gammas(w, [edge_gap(tree, v) for v in range(1, tree.n_nodes) if tree.long_edge[v]])
     starts["leaf labels"] = w.bit_length
     for label in tree.leaf_label:
         if label >= 0:
@@ -737,6 +806,31 @@ def write_payload(model) -> tuple[bytes, int, dict[str, int]]:
     for v in model.landmarks or ():
         w.write_uint(v, (tree.n_nodes - 1).bit_length())
     return w.getvalue(), w.bit_length, starts
+
+
+def write_blob(model) -> bytes:
+    """A whole MCSK v6 blob written straight from the layout, with no
+    check of the model: the header, :func:`write_payload`'s payload and
+    the CRC.  It writes the hostile blobs that ``serialize`` refuses to."""
+    payload, bits, _ = write_payload(model)
+    code, num, den = encode_p(model.p)
+    head = b"MCSK" + struct.pack("<HB", 6, code)
+    if code == 0:
+        head += struct.pack("<II", num, den)
+    flags = 2 if model.landmarks is not None else 0
+    head += struct.pack(
+        "<QQdddBQQQ",
+        model.n,
+        model.d,
+        model.epsilon,
+        model.scale,
+        model.spread,
+        flags,
+        model.jl_seed,
+        model.jl_orig_dim,
+        bits,
+    )
+    return head + payload + struct.pack("<I", zlib.crc32(head + payload))
 
 
 COLUMNS = (

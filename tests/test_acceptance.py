@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
-from mcsketch import net
+from mcsketch import net, reduce
 from mcsketch._bitio import pack_fields
 from mcsketch.cli import (
     build_sketch,
@@ -35,7 +35,7 @@ from mcsketch.core import (
 )
 from mcsketch.core import _lp_reduce
 from mcsketch.estimate import Estimator
-from mcsketch.reduce import JlConfig, frechet_embed
+from mcsketch.reduce import frechet_embed
 
 import _reference as ref
 from _reference import subtree_decomposition
@@ -451,7 +451,7 @@ def test_criterion_08_euclidean_end_to_end():
 
     plain_blob = build_sketch(raw, SketchParams(epsilon=eps, jl_enabled=False)).blob
     jl_model, plain_model = deserialize(jl_blob), deserialize(plain_blob)
-    target_dim = JlConfig(constant=params.jl_constant).target_dim(500, eps)
+    target_dim = reduce.target_dim(500, eps, params.jl_constant)
     ok_dims = (
         jl_model.d == target_dim
         and jl_model.jl_orig_dim == orig_dim

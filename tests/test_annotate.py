@@ -54,7 +54,7 @@ def test_centers_on_line():
     ps, dm, tree, clusters, ann, table, _ = _built([[0], [1], [10]], 0.25)
     # leaves carry their own label as center
     for v in range(tree.n_nodes):
-        if tree.is_leaf(v):
+        if tree.leaf_label[v] >= 0:
             assert ann.center[v] == tree.leaf_label[v]
     # both nodes of the {0,1} cluster (merge@1 and run-top@3) take center 0,
     # long-edge tops inherit from their single child
@@ -207,7 +207,7 @@ def test_far_center_overflows_the_unit_ball():
     # normalized displacement beyond 1 + delta_eff, in whichever layer it is
     pts = np.random.default_rng(7).normal(size=(20, 2)) * 40
     ps, dm, tree, clusters, ann, table, params = _built(pts, 0.25)
-    v = next(v for v in range(tree.n_nodes) if tree.is_leaf(v) and ann.ingress[v] is not None)
+    v = next(v for v in range(tree.n_nodes) if tree.leaf_label[v] >= 0 and ann.ingress[v] is not None)
     ann.center[v] = int(dm[ann.center[v]].argmax())
     ingress = np.array([-1 if u is None else u for u in ann.ingress])
     with pytest.raises(GuaranteeError, match="displacement norm"):
@@ -319,7 +319,7 @@ def test_centers_and_first_ingresses_follow_the_tree(seed, n, d, p, eps, kind):
     kids = ref.children_of(tree)
     for v in range(tree.n_nodes):
         leaf = v
-        while not tree.is_leaf(leaf):
+        while tree.leaf_label[leaf] < 0:
             leaf = kids[leaf][0]
         assert ann.center[v] == tree.leaf_label[leaf]
         if tree.part_root[v]:

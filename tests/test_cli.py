@@ -20,11 +20,10 @@ from mcsketch.core import (
     SketchParams,
     load_input,
     normalize,
-    read_matrix,
     write_matrix,
     write_points,
 )
-from mcsketch.reduce import JlConfig, jl_project
+from mcsketch.reduce import target_dim
 
 
 def _kv(captured: str) -> dict[str, str]:
@@ -121,15 +120,18 @@ def _count_passes(monkeypatch) -> list[int]:
 def test_projected_prepare_points_makes_no_pass_at_the_original_dimension(monkeypatch):
     coords = np.random.default_rng(10).normal(size=(60, 800)) * 3.0
     params = SketchParams(epsilon=0.25, jl_seed=4)
-    config = JlConfig(constant=params.jl_constant, seed=params.jl_seed)
-    want, _ = jl_project(normalize(coords, 2.0), config, params.epsilon)
+    dprime = target_dim(60, params.epsilon, params.jl_constant)
+    # the same projection of the set normalized at the original dimension
+    full = normalize(coords, 2.0)
+    signs = np.random.default_rng(params.jl_seed).integers(0, 2, size=(800, dprime)) * 2.0 - 1.0
+    want = normalize(full.coords @ signs / math.sqrt(dprime), 2.0)
     dims = _count_passes(monkeypatch)
     ps, applied, orig_dim = cli.prepare_points(coords, 2.0, params)
     assert applied and orig_dim == 800
     # one pass, the stored matrix of the projected set
-    assert dims == [config.target_dim(60, params.epsilon)]
+    assert dims == [dprime]
     assert np.array_equal(ps.coords, want.coords)
-    assert ps.scale == want.scale and ps.spread == want.spread
+    assert ps.scale == full.scale * want.scale and ps.spread == want.spread
 
 
 def test_eval_of_projected_points_makes_one_pass_at_the_original_dimension(
@@ -140,7 +142,7 @@ def test_eval_of_projected_points_makes_one_pass_at_the_original_dimension(
     write_points(src, np.random.default_rng(11).normal(size=(40, 300)), 2.0)
     dims = _count_passes(monkeypatch)
     assert main(["eval", str(src), "-e", "0.5"]) == 0
-    assert dims == [JlConfig().target_dim(40, 0.5), 300]
+    assert dims == [target_dim(40, 0.5, 4.0), 300]
 
 
 def test_sketch_text_input(tmp_path, capsys):
@@ -284,8 +286,9 @@ def test_gen_high_spread_line_hits_exact_spread(tmp_path):
 def test_gen_graph_metric_is_valid(tmp_path):
     out = tmp_path / "g.mcdm"
     assert main(["gen", "random-graph-metric", "-n", "32", "--seed", "5", "-o", str(out)]) == 0
-    dm = read_matrix(out)  # validates triangle inequality
-    assert dm.n == 32
+    kind, dm, _ = load_input(out)
+    assert kind == "matrix" and dm.n == 32
+    dm.validate()  # the metric axioms, the triangle inequality among them
 
 
 def test_gen_graph_metric_parses_its_norm(tmp_path, capsys):
@@ -297,7 +300,7 @@ def test_gen_graph_metric_parses_its_norm(tmp_path, capsys):
         assert message in capsys.readouterr().err
         assert not out.exists()
     assert main(["gen", "random-graph-metric", "-n", "10", "-p", "inf", "-o", str(out)]) == 0
-    assert read_matrix(out).n == 10
+    assert load_input(out)[1].n == 10
 
 
 def test_gen_functions_are_pure():

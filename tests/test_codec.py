@@ -24,6 +24,7 @@ from mcsketch._bitio import (
     unary_bits,
     unpack_runs,
 )
+from mcsketch.annotate import shift_to_float
 from mcsketch.cli import (
     build_sketch,
     gen_gaussian_clusters,
@@ -648,7 +649,7 @@ def test_ingress_the_decoder_cannot_derive_refused_at_serialize():
         serialize(model)
     # a leaf under the later child itself, where no descent from a sibling
     # ends
-    own = next(u for u in range(later, ref.subtree_ends(tree)[later]) if tree.is_leaf(u))
+    own = next(u for u in range(later, ref.subtree_ends(tree)[later]) if tree.leaf_label[u] >= 0)
     model.ingress[later] = own
     with pytest.raises(GuaranteeError, match=f"node {later} is not under a sibling of it"):
         serialize(model)
@@ -925,9 +926,9 @@ def _decoders_refuse(blob: bytes, match: str) -> None:
             decode(blob)
 
 
-def test_long_edge_top_with_siblings_refused():
-    # the root raised one level, every child on a long edge: the root tops
-    # several long edges, a tree compression never makes
+def _root_over_long_edges() -> SketchModel:
+    """The root raised one level, every child on a long edge: the root tops
+    several long edges, a tree compression never makes."""
     model = deserialize(_blob(np.random.default_rng(8).normal(size=(12, 2)) * 9))
     tree = model.tree
     kids = ref.children_of(tree)[0]
@@ -942,7 +943,11 @@ def test_long_edge_top_with_siblings_refused():
         model.eta_ints[c : c + 2] = 0
     model.tree = SketchTree(level, tree.parent, long_edge, tree.leaf_label)
     model.spread *= 2  # room for the raised root
-    _decoders_refuse(serialize(model), "long-edge top 0 has degree != 1")
+    return model
+
+
+def test_long_edge_top_with_siblings_refused():
+    _decoders_refuse(ref.write_blob(_root_over_long_edges()), "long-edge top 0 has degree != 1")
 
 
 def _long_edge_chain(links: int, d: int) -> SketchModel:
@@ -977,12 +982,14 @@ def _long_edge_chain(links: int, d: int) -> SketchModel:
 def test_chain_of_long_edges_refused():
     # a valid-CRC v3 blob whose every other check passes: one long edge per
     # child decodes, a chain of them is refused
-    model = deserialize(serialize(_long_edge_chain(1, 2)))
+    blob = serialize(_long_edge_chain(1, 2))
+    assert ref.write_blob(_long_edge_chain(1, 2)) == blob
+    model = deserialize(blob)
     assert model.tree.long_edge == [False, False, True, False, True]
-    _decoders_refuse(serialize(_long_edge_chain(2, 2)), "long-edge top 2 is a part root")
+    _decoders_refuse(ref.write_blob(_long_edge_chain(2, 2)), "long-edge top 2 is a part root")
     # 300 links at d = 2000 fit in 2,845 bytes and would decode to (304,
     # 2000) arrays; the refusal comes before any of them is allocated
-    blob = serialize(_long_edge_chain(300, 2000))
+    blob = ref.write_blob(_long_edge_chain(300, 2000))
     assert len(blob) < 3000
     tracemalloc.start()
     try:
@@ -994,9 +1001,9 @@ def test_chain_of_long_edges_refused():
     assert peak < 500 * len(blob)
 
 
-def test_root_over_a_single_short_edge_refused():
-    # a new root one level above the old one, joined by a short edge: a
-    # one-child chain node at the top, a tree the hierarchy never builds
+def _root_over_a_short_edge() -> SketchModel:
+    """A new root one level above the old one, joined by a short edge: a
+    one-child chain node at the top, a tree the hierarchy never builds."""
     model = deserialize(_blob(np.random.default_rng(8).normal(size=(12, 2)) * 9))
     tree = model.tree
     model.tree = SketchTree(
@@ -1009,7 +1016,38 @@ def test_root_over_a_single_short_edge_refused():
     model.ingress = np.concatenate([[-1, 0], np.where(ing < 0, -1, ing + 1)])
     model.eta_ints = np.vstack([model.eta_ints[:1], model.eta_ints])  # zero rows
     model.spread *= 2  # room for the new root
-    _decoders_refuse(serialize(model), "root is a degree-1 chain node")
+    return model
+
+
+def test_root_over_a_single_short_edge_refused():
+    _decoders_refuse(ref.write_blob(_root_over_a_short_edge()), "root is a degree-1 chain node")
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (_root_over_long_edges, "long-edge top 0 has degree != 1"),
+        (lambda: _long_edge_chain(2, 2), "long-edge top 2 is a part root"),
+        (_root_over_a_short_edge, "root is a degree-1 chain node"),
+    ],
+    ids=["siblings", "chain", "root-chain"],
+)
+def test_serialize_refuses_trees_the_decoder_refuses(make, match):
+    # the writer once wrote these trees, and the decoder refused the blobs
+    with pytest.raises(GuaranteeError, match=match):
+        serialize(make())
+
+
+def test_serialize_refuses_an_ingress_at_a_part_root():
+    # the blob stores no ingress for a part root, so one was once dropped
+    # without a word and decoded as -1
+    model = deserialize(_blob(gen_high_spread_line(12, 12, 1)))
+    bottom = model.tree.long_edge.index(True)
+    for v in (0, bottom):
+        edited = deserialize(serialize(model))
+        edited.ingress[v] = 3
+        with pytest.raises(GuaranteeError, match=f"ingress of part root {v} is not -1"):
+            serialize(edited)
 
 
 def test_shape_deeper_than_the_spread_refused():
@@ -1100,6 +1138,9 @@ def test_valid_crc_mutations_decode_or_fail_fast():
         assert time.perf_counter() - t0 < 2.0
         if model is None:
             return
+        # every rule of a sketch tree holds on what decodes: the decoder
+        # checks three (``_part_fault``) and its shape forces the rest
+        ref.verify_tree(model.tree)
         # a blob that decodes gives the exact sums' floats in both modes,
         # and finite estimates, or an Estimator refuses its scale
         exact = ref.exact_shift_floats(model)
@@ -1160,4 +1201,4 @@ def test_landmark_fields_of_every_width_roundtrip(t):
     est = Estimator(blob, mode="landmark")
     got = np.array([est.shifted_surrogate(u) for u in range(model.tree.n_nodes)])
     assert np.array_equal(got, ref.exact_shift_floats(decoded))
-    assert np.array_equal(got[v], res.table.shift_float(v))
+    assert np.array_equal(got[v], shift_to_float(res.table.shift_int[v], res.table.unit))

@@ -22,10 +22,8 @@ from mcsketch.core import (
     k_parameter,
     load_input,
     lp_distance,
-    lp_norm,
     normalize,
     oracle_all_pairs,
-    read_matrix,
     read_points,
     read_text_points,
     snap_epsilon,
@@ -36,10 +34,11 @@ from mcsketch.cli import (
     gen_gaussian_clusters,
     gen_high_spread_line,
     gen_random_graph_metric,
+    sketch_metric,
     sketch_points,
 )
 from mcsketch.codec import deserialize
-from mcsketch.reduce import JlConfig, frechet_embed, jl_project
+from mcsketch.reduce import frechet_embed, project_points
 
 import _reference as ref
 
@@ -151,7 +150,7 @@ def test_l1_distance_of_integer_points_is_exact():
     # 2 + 13 + 1 in order is exactly 16; max-scaled by 13 it was
     # 15.999999999999998
     assert lp_distance([2, 13, 1], [0, 0, 0], 1) == 16.0
-    assert lp_norm([2, -13, 1], 1) == 16.0
+    assert lp_distance([2, -13, 1], [0, 0, 0], 1) == 16.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -231,16 +230,16 @@ def test_pairwise_peak_is_one_matrix_plus_blocks(d, p):
 
 
 def test_lp_norm_is_distance_to_origin():
-    v = np.array([3.0, -4.0])
-    assert lp_norm(v, 2) == 5.0
-    assert lp_norm(v, 1) == 7.0
-    assert lp_norm(v, math.inf) == 4.0
+    v, origin = np.array([3.0, -4.0]), np.zeros(2)
+    assert lp_distance(v, origin, 2) == 5.0
+    assert lp_distance(v, origin, 1) == 7.0
+    assert lp_distance(v, origin, math.inf) == 4.0
 
 
 def test_lp_distance_zero_vector():
     z = np.zeros(3)
     assert lp_distance(z, z, 2) == 0.0
-    assert lp_norm(z, math.inf) == 0.0
+    assert lp_distance(z, z, math.inf) == 0.0
 
 
 def test_invalid_p_rejected():
@@ -286,7 +285,7 @@ def test_normalize_worked_example():
     assert ps.scale == 2.0
     assert ps.spread == 10.0
     assert np.array_equal(ps.coords, np.array([[0.0], [1.0], [10.0]]))
-    ps.validate()
+    ref.check_point_set(ps)
 
 
 def test_normalize_rejects_duplicates():
@@ -465,9 +464,8 @@ def test_stored_matrix_and_coords_are_read_only():
 
 
 def test_stored_matrix_survives_projection_and_embedding():
-    ps = normalize(np.random.default_rng(7).normal(size=(30, 600)), 2.0)
-    out, applied = jl_project(ps, JlConfig(), 0.5)
-    assert applied and out.d < ps.d
+    out = project_points(np.random.default_rng(7).normal(size=(30, 600)), SketchParams(0.5))
+    assert out.d < 600
     assert out.distances is not None
     assert np.array_equal(out.distances, core._pairwise(out.coords, 2.0))
     dm = DistanceMatrix(entries=oracle_all_pairs(out) * out.scale)
@@ -488,7 +486,7 @@ def _assert_embedded_oracle(d):
     assert off.min() == 1.0
     assert emb.spread == stored.max()
     assert not stored.flags.writeable and not emb.coords.flags.writeable
-    emb.validate()
+    ref.check_point_set(emb)
     # the divided rows measure the same distances up to a few ulps
     assert np.allclose(stored, core._pairwise(emb.coords, math.inf), rtol=1e-14, atol=0.0)
     return emb
@@ -538,7 +536,7 @@ def test_validate_recomputes_from_coordinates():
     fake = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 4.0], [4.0, 4.0, 0.0]])
     wrong = dataclasses.replace(ps, spread=4.0, distances=fake)
     with pytest.raises(InputError, match="measured 10"):
-        wrong.validate()
+        ref.check_point_set(wrong)
 
 
 # --------------------------------------------------------------------------
@@ -736,7 +734,8 @@ def test_matrix_roundtrip(tmp_path):
     entries = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
     path = tmp_path / "dm.mcdm"
     write_matrix(path, entries)
-    back = read_matrix(path)
+    kind, back, p = load_input(path)
+    assert (kind, p) == ("matrix", math.inf)
     assert np.array_equal(back.entries, entries)
 
 
@@ -744,8 +743,10 @@ def test_matrix_read_validates(tmp_path):
     entries = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]])
     path = tmp_path / "bad.mcdm"
     write_matrix(path, entries)
+    # the build checks the metric axioms of a matrix it reads
+    _, dm, _ = load_input(path)
     with pytest.raises(TriangleInequalityError):
-        read_matrix(path)
+        sketch_metric(dm, SketchParams(0.25))
 
 
 def test_points_bad_magic(tmp_path):

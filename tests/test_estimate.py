@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mcsketch.annotate import shift_to_float
 from mcsketch.cli import (
     build_sketch,
     gen_gaussian_clusters,
@@ -18,6 +19,7 @@ from mcsketch.cli import (
 from mcsketch.codec import deserialize, serialize
 from mcsketch.core import (
     FormatError,
+    GuaranteeError,
     InputError,
     SketchParams,
     UnknownLabelError,
@@ -220,8 +222,9 @@ def test_shifted_surrogates_match_build_table():
     res = _result(rng.normal(size=(15, 3)) * 12)
     est = Estimator(res.blob)
     decomp = subtree_decomposition(res.tree)
+    table = shift_to_float(res.table.shift_int, res.table.unit)
     for v in range(res.tree.n_nodes):
-        assert np.array_equal(est.shifted_surrogate(v), res.table.shift_float(v))
+        assert np.array_equal(est.shifted_surrogate(v), table[v])
 
 
 def test_precomputed_surrogate_rows_are_read_only():
@@ -396,10 +399,11 @@ def test_landmark_replay_matches_shift_table_ints():
     K = k_parameter(
         res.point_set.spread, res.model.epsilon, res.point_set.d, res.point_set.p
     )
+    table = shift_to_float(res.table.shift_int, res.table.unit)
     for v in range(res.tree.n_nodes):
         got = est.shifted_surrogate(v)
         assert est.last_hops <= K
-        assert np.array_equal(got, res.table.shift_float(v))
+        assert np.array_equal(got, table[v])
 
 
 @pytest.mark.parametrize("d", [2, 10])
@@ -454,9 +458,12 @@ def test_landmark_ids_out_of_order_or_range_refused(edit, match):
     assert model.tree.n_nodes == 28 and model.landmarks == [10]
     model.landmarks = edit(model.landmarks)
     Estimator(model)  # the precomputed mode reads no landmark
-    for refuse in (lambda: Estimator(model, mode="landmark"), lambda: serialize(model)):
-        with pytest.raises(FormatError, match=match):
-            refuse()
+    with pytest.raises(FormatError, match=match):
+        Estimator(model, mode="landmark")
+    # the writer refuses a model, as it refuses every other, with
+    # GuaranteeError; the message is the decoder's
+    with pytest.raises(GuaranteeError, match=match):
+        serialize(model)
 
 
 @pytest.mark.parametrize(
@@ -476,9 +483,10 @@ def test_landmark_ids_that_are_not_integers_refused(ids, match):
     model = _result(pts, p=1.0, landmarks=True).model
     assert model.landmarks == [10]
     model.landmarks = ids
-    for refuse in (lambda: Estimator(model, mode="landmark"), lambda: serialize(model)):
-        with pytest.raises(FormatError, match=match):
-            refuse()
+    with pytest.raises(FormatError, match=match):
+        Estimator(model, mode="landmark")
+    with pytest.raises(GuaranteeError, match=match):
+        serialize(model)
 
 
 @pytest.mark.parametrize("mode", ["precomputed", "landmark"])
@@ -509,8 +517,9 @@ def test_landmark_table_contents():
     want = select_all_landmarks(res.tree, res.model.ingress, K)
     assert res.model.landmarks == sorted(want)
     est = Estimator(res.blob, mode="landmark")
+    table = shift_to_float(res.table.shift_int, res.table.unit)
     for v in want:
-        assert np.array_equal(est.shifted_surrogate(v), res.table.shift_float(v))
+        assert np.array_equal(est.shifted_surrogate(v), table[v])
         assert est.last_hops == 0
 
 

@@ -37,7 +37,7 @@ from mcsketch import (
 from mcsketch.codec import deserialize, size_report
 from mcsketch.estimate import Estimator
 
-from _reference import children_of
+from _reference import children_of, verify_tree
 
 
 def _lattice(axis: tuple[int, ...], d: int) -> np.ndarray:
@@ -202,7 +202,9 @@ def test_golden_blob(name):
 def test_golden_model(name):
     blob = _blob(name)
     digest, sections = MODELS[name]
-    assert _model_digest(deserialize(blob)) == digest
+    model = deserialize(blob)
+    verify_tree(model.tree)
+    assert _model_digest(model) == digest
     assert _sections(blob) == sections
 
 
@@ -223,7 +225,8 @@ def test_precision_section_is_empty(name):
 # within this many bytes per blob byte, plus a constant.  Measured peaks are
 # 57-139 bytes per blob byte here and 52-131 on the benchmark-scale blobs
 # (MCSK v6; 59-154 and 52-136 at v5, whose blobs were larger); a chain of
-# long edges, which verify now refuses, decoded at 2,574.
+# long edges, which the decoder now refuses (``codec._part_fault``),
+# decoded at 2,574.
 DECODE_PEAK_PER_BYTE = 350
 DECODE_PEAK_CONSTANT = 1 << 16
 

@@ -58,7 +58,7 @@ def _check_merge_tree(tree):
     assert not any(tree.long_edge)
     assert ref.dfs_preorder(tree) == list(range(tree.n_nodes))
     for v, kids in enumerate(ref.children_of(tree)):
-        if tree.is_leaf(v):
+        if tree.leaf_label[v] >= 0:
             assert tree.level[v] == 0 and not kids
             continue
         assert len(kids) >= 2
@@ -83,7 +83,7 @@ def test_uncompressed_tree_on_line():
     # three leaves and two merges; the edges above {0,1} and {10} span levels
     assert tree.n_nodes == 5
     assert tree.level[0] == 4
-    assert sorted(tree.edge_gap(v) for v in ref.children_of(tree)[0]) == [3, 4]
+    assert sorted(ref.edge_gap(tree, v) for v in ref.children_of(tree)[0]) == [3, 4]
     _check_merge_tree(tree)
 
 
@@ -91,7 +91,7 @@ def test_compressed_tree_on_line():
     ps = _line([0, 1, 10])
     tree0, clusters0 = build_hst(ps)
     tree, clusters = compress(tree0, clusters0, 0.25)
-    tree.verify()
+    ref.verify_tree(tree)
 
     # 7 nodes survive: root@4, two run tops@3, the {0,1} merge@1, 3 leaves@0.
     assert tree.n_nodes == 7
@@ -100,7 +100,7 @@ def test_compressed_tree_on_line():
     assert levels == [0, 0, 0, 1, 3, 3, 4]
 
     # long edges: top@3 -> merge@1 (gap 2), top@3 -> leaf(10)@0 (gap 3)
-    gaps = sorted(tree.edge_gap(v) for v in range(tree.n_nodes) if tree.long_edge[v])
+    gaps = sorted(ref.edge_gap(tree, v) for v in range(tree.n_nodes) if tree.long_edge[v])
     assert gaps == [2, 3]
 
     # three parts: {root, both tops}, {merge, leaf0, leaf1}, {leaf10}
@@ -117,10 +117,10 @@ def test_compression_keeps_zero_diameter_chain_rule():
     ps = _line([0, 1, 10, 26])
     tree0, clusters0 = build_hst(ps)
     tree, clusters = compress(tree0, clusters0, 0.25)
-    tree.verify()
+    ref.verify_tree(tree)
     leaf_26 = tree.leaf_of()[3]
     assert tree.long_edge[leaf_26]
-    assert tree.edge_gap(leaf_26) == 4
+    assert ref.edge_gap(tree, leaf_26) == 4
     assert tree.level[leaf_26] == 0
 
 
@@ -132,11 +132,11 @@ def test_compression_rule_matches_naive_runs():
             dm = oracle_all_pairs(ps)
             tree0, clusters0 = build_hst(ps)
             tree, clusters = compress(tree0, clusters0, eps)
-            tree.verify()
+            ref.verify_tree(tree)
             # collect surviving long edges as (bottom members, gap)
             members = _members(tree)
             got = {
-                (members[v], tree.edge_gap(v))
+                (members[v], ref.edge_gap(tree, v))
                 for v in range(tree.n_nodes)
                 if tree.long_edge[v]
             }
@@ -178,8 +178,8 @@ def test_compress_preserves_leaves_and_members():
     dm = oracle_all_pairs(ps)
     tree0, clusters0 = build_hst(ps)
     tree, clusters = compress(tree0, clusters0, 0.25)
-    assert sum(map(tree.is_leaf, range(tree.n_nodes))) == 18
-    assert sorted(tree.leaf_label[v] for v in range(tree.n_nodes) if tree.is_leaf(v)) == list(range(18))
+    labels = [x for x in tree.leaf_label if x >= 0]
+    assert sorted(labels) == list(range(18))
     # every surviving node represents the same cluster it did before, at a
     # level its merge-tree node spans
     before = {
@@ -240,15 +240,15 @@ def test_tree_invariants_on_integer_lines(values, eps):
     tree0, clusters0 = build_hst(ps)
     _check_merge_tree(tree0)
     tree, clusters = compress(tree0, clusters0, eps)
-    tree.verify()
+    ref.verify_tree(tree)
     n = len(values)
-    assert sum(map(tree.is_leaf, range(tree.n_nodes))) == n
+    assert sum(x >= 0 for x in tree.leaf_label) == n
     assert tree.n_nodes <= 2 * n * (3 + round(-math.log2(eps)))
     # every long edge satisfies the compression guarantee
     t = round(-math.log2(eps))
     for v in range(tree.n_nodes):
         if tree.long_edge[v]:
-            gap = tree.edge_gap(v)
+            gap = ref.edge_gap(tree, v)
             assert gap >= 2
             diam = clusters.diameter[v]
             if diam > 0.0:
@@ -517,20 +517,20 @@ def _small_tree(parent, level):
 
 def test_verify_refuses_parents_out_of_preorder():
     # 0 -> (1 -> (2, 3), 4 -> (5, 6)) in preorder passes
-    _small_tree([-1, 0, 1, 1, 0, 4, 4], [2, 1, 0, 0, 1, 0, 0]).verify()
+    ref.verify_tree(_small_tree([-1, 0, 1, 1, 0, 4, 4], [2, 1, 0, 0, 1, 0, 0]))
     # ids 1 and 4 exchanged: node 2 hangs below node 4
     swapped = _small_tree([-1, 0, 4, 4, 0, 1, 1], [2, 1, 0, 0, 1, 0, 0])
     with pytest.raises(FormatError, match="parent 4 of node 2 is not below it"):
-        swapped.verify()
+        ref.verify_tree(swapped)
     # the two sibling subtrees' children exchanged in id order: every parent
     # comes first, but node 2 is not where a walk from node 1 goes next
     interleaved = _small_tree([-1, 0, 0, 2, 2, 1, 1], [2, 1, 1, 0, 0, 0, 0])
     with pytest.raises(FormatError, match="node 2 is out of preorder"):
-        interleaved.verify()
+        ref.verify_tree(interleaved)
     # a compressed tree with its ids permuted at random
     ps = normalize(gen_gaussian_clusters(60, 2, 6), 2.0)
     tree, _ = compress(*build_hst(ps), 0.0625)
-    tree.verify()
+    ref.verify_tree(tree)
     perm = np.random.default_rng(5).permutation(tree.n_nodes)
     old = np.argsort(perm).tolist()  # the id in tree of every moved id
     moved = SketchTree(
@@ -540,7 +540,7 @@ def test_verify_refuses_parents_out_of_preorder():
         leaf_label=[tree.leaf_label[v] for v in old],
     )
     with pytest.raises(FormatError, match="root has a parent|not below it|out of preorder"):
-        moved.verify()
+        ref.verify_tree(moved)
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Checks on the package's imports: every import is used, and no
-package-level name hides a submodule.
+"""Checks on the package's imports: every import is used, no
+package-level name hides a submodule, and the package exports what the
+benchmark and README's library example use.
 
 A name counts as used when the module reads it anywhere (annotations
 included) or lists it in ``__all__``, which is how ``__init__`` re-exports.
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mcsketch"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mcsketch"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -61,3 +63,30 @@ def test_submodule_is_not_shadowed(path):
     import mcsketch
 
     assert getattr(mcsketch, path.stem) is importlib.import_module(f"mcsketch.{path.stem}")
+
+
+def test_package_surface_serves_the_benchmark_and_the_readme(capsys):
+    # what the benchmark's child process imports from the package, or reads
+    # as an attribute of it, is exported; the rest lives in submodules
+    import mcsketch
+
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "mcsketch":
+            used.update(a.name for a in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "mcsketch"
+        ):
+            used.add(node.attr)
+    assert used and used <= set(mcsketch.__all__)
+    assert len(mcsketch.__all__) <= 21
+    assert all(hasattr(mcsketch, name) for name in mcsketch.__all__)
+    # README's library example runs as printed
+    readme = (ROOT / "README.md").read_text()
+    library = readme.split("## Library use", 1)[1]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) > 1

@@ -8,7 +8,11 @@ import pytest
 from mcsketch import net
 from mcsketch._bitio import pack_fields
 from mcsketch.codec import _read_rice, _rice_columns
-from mcsketch.core import FormatError, GuaranteeError, lp_distance, lp_norm
+from mcsketch.core import FormatError, GuaranteeError, lp_distance
+
+
+def _norm(x, p):
+    return lp_distance(x, np.zeros_like(x), p)
 
 
 def _rounded(x, delta, d, p):
@@ -38,7 +42,7 @@ def test_grid_indices_error_bound():
             for d in (1, 2, 5):
                 side = net.per_coord_scale(delta, d, p)
                 x = rng.uniform(-1, 1, size=d)
-                x = x / max(1.0, lp_norm(x, p))  # rounding domain is the unit ball
+                x = x / max(1.0, _norm(x, p))  # rounding domain is the unit ball
                 y = _rounded(x, delta, d, p)
                 assert np.abs(x - y).max() <= side / 2 + 1e-15
                 # multiples of the side, so the lp error is at most delta/2
@@ -66,7 +70,7 @@ def test_grid_indices_rows_match_single_vectors(p):
     d = 4
     deltas = np.array([0.5, 0.25, 1 / 6, 0.125 / 7, 1 / 16, 0.5, 0.25, 0.125])
     rows = rng.uniform(-1, 1, size=(deltas.size, d))
-    rows /= np.maximum(1.0, [lp_norm(x, p) for x in rows])[:, None]
+    rows /= np.maximum(1.0, [_norm(x, p) for x in rows])[:, None]
     # exact half-grid ties: with d = 4 the side is delta over a power of two
     # for p in {1, 2, inf}, so (k + 1/2) * side is a tie on the float grid
     ties = np.array([[0, 1, -1, -2], [1, 0, 0, -1], [-1, 0, 2, 0]]) + 0.5
@@ -133,7 +137,7 @@ def test_grid_codec_roundtrip():
             b = net.grid_bound(delta, d, p)
             ms = []
             for x in rng.uniform(-1, 1, size=(7, d)):
-                ms.append(net.grid_indices(x / max(1.0, lp_norm(x, p)), delta, d, p))
+                ms.append(net.grid_indices(x / max(1.0, _norm(x, p)), delta, d, p))
             ms = np.array(ms)
             assert np.abs(ms).max() <= b
             bounds = np.array([0 if i in roots else b for i in range(7)])

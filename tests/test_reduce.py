@@ -5,58 +5,63 @@ import math
 import numpy as np
 import pytest
 
+from mcsketch.cli import prepare_points
 from mcsketch.core import (
     DistanceMatrix,
-    InputError,
+    SketchParams,
     lp_distance,
     normalize,
     oracle_all_pairs,
 )
-from mcsketch.reduce import JlConfig, frechet_embed, jl_project
+from mcsketch.reduce import frechet_embed, project_points, target_dim
+
+import _reference as ref
 
 
 def test_target_dim_formula():
     # ceil(C * eps^-2 * ln n)
-    assert JlConfig(constant=4.0).target_dim(500, 0.25) == 398
-    assert JlConfig(constant=4.0).target_dim(100, 0.25) == 295
-    assert JlConfig(constant=1.0).target_dim(3, 0.5) == 5
-    assert JlConfig(constant=4.0).target_dim(2, 0.5) == 12
+    assert target_dim(500, 0.25, 4.0) == 398
+    assert target_dim(100, 0.25, 4.0) == 295
+    assert target_dim(3, 0.5, 1.0) == 5
+    assert target_dim(2, 0.5, 4.0) == 12
 
 
 def test_target_dim_at_least_one():
-    assert JlConfig(constant=0.001).target_dim(2, 0.5) >= 1
+    assert target_dim(2, 0.5, 0.001) >= 1
 
 
 def test_projection_requires_l2():
-    ps = normalize(np.random.default_rng(0).normal(size=(10, 50)), 1.0)
-    with pytest.raises(InputError):
-        jl_project(ps, JlConfig(), 0.25)
+    # the build projects Euclidean inputs only: at p = 1 a point set far
+    # above the target dimension is normalized as it is
+    coords = np.random.default_rng(0).normal(size=(10, 200))
+    assert target_dim(10, 0.25, 4.0) < 200
+    ps, applied, orig_dim = prepare_points(coords, 1.0, SketchParams(0.25))
+    assert (applied, orig_dim) == (False, 0)
+    assert np.array_equal(ps.coords, normalize(coords, 1.0).coords)
 
 
 def test_low_dimension_passthrough():
-    ps = normalize(np.random.default_rng(1).normal(size=(10, 3)), 2.0)
-    out, applied = jl_project(ps, JlConfig(), 0.25)
+    coords = np.random.default_rng(1).normal(size=(10, 3))
+    assert project_points(coords, SketchParams(0.25)) is None
+    ps, applied, _ = prepare_points(coords, 2.0, SketchParams(0.25))
     assert not applied
-    assert out is ps
+    assert np.array_equal(ps.coords, normalize(coords, 2.0).coords)
 
 
 def test_projection_shrinks_dimension_and_normalizes():
     rng = np.random.default_rng(2)
-    ps = normalize(rng.normal(size=(60, 800)), 2.0)
-    out, applied = jl_project(ps, JlConfig(constant=4.0, seed=7), 0.25)
-    assert applied
-    d_target = JlConfig(constant=4.0).target_dim(60, 0.25)
-    assert out.d == d_target < 800
+    out = project_points(rng.normal(size=(60, 800)), SketchParams(0.25, jl_seed=7))
+    assert out.d == target_dim(60, 0.25, 4.0) < 800
     assert out.n == 60
-    out.validate()
+    ref.check_point_set(out)
 
 
 def test_projection_deterministic_in_seed():
     rng = np.random.default_rng(3)
-    ps = normalize(rng.normal(size=(30, 600)), 2.0)
-    a, _ = jl_project(ps, JlConfig(seed=5), 0.25)
-    b, _ = jl_project(ps, JlConfig(seed=5), 0.25)
-    c, _ = jl_project(ps, JlConfig(seed=6), 0.25)
+    raw = rng.normal(size=(30, 600))
+    a = project_points(raw, SketchParams(0.25, jl_seed=5))
+    b = project_points(raw, SketchParams(0.25, jl_seed=5))
+    c = project_points(raw, SketchParams(0.25, jl_seed=6))
     assert np.array_equal(a.coords, b.coords) and a.scale == b.scale
     assert not np.array_equal(a.coords, c.coords)
 
@@ -65,9 +70,9 @@ def test_projection_preserves_distances_within_eps():
     # frozen seed: the measured distortion on this instance stays below eps
     rng = np.random.default_rng(4)
     eps = 0.25
-    ps = normalize(rng.normal(size=(80, 1000)), 2.0)
-    out, applied = jl_project(ps, JlConfig(constant=4.0, seed=0), eps)
-    assert applied
+    raw = rng.normal(size=(80, 1000))
+    ps = normalize(raw, 2.0)
+    out = project_points(raw, SketchParams(eps, jl_constant=4.0, jl_seed=0))
     before = oracle_all_pairs(ps) * ps.scale
     after = oracle_all_pairs(out) * out.scale
     iu = np.triu_indices(80, k=1)
@@ -79,9 +84,7 @@ def test_projection_composite_scale():
     # distances in the output point set times its scale approximate raw input
     rng = np.random.default_rng(5)
     raw = rng.normal(size=(25, 700)) * 3.7
-    ps = normalize(raw, 2.0)
-    out, applied = jl_project(ps, JlConfig(seed=1), 0.25)
-    assert applied
+    out = project_points(raw, SketchParams(0.25, jl_seed=1))
     i, j = 3, 17
     true = lp_distance(raw[i], raw[j], 2.0)
     got = out.scale * lp_distance(out.coords[i], out.coords[j], 2.0)
