@@ -2,7 +2,7 @@
 
 Layout, all multi-byte header fields little-endian:
 
-* header: magic ``MCSK``; u16 version (6); u8 p-code (1, 2, 255 = inf;
+* header: magic ``MCSK``; u16 version (7); u8 p-code (1, 2, 255 = inf;
   0 = rational p followed by u32 numerator + u32 denominator); u64 n;
   u64 d; f64 epsilon (post-snap); f64 scale; f64 spread; u8 flags (bit 1:
   landmark table present; every other bit, bit 0 included, is reserved
@@ -28,15 +28,23 @@ Layout, all multi-byte header fields little-endian:
      [end[c], end[v]) of c's parent v, and c stores its rank among them,
      in id order, in ceil(log2 count) bits (none when count is 1); see
      :func:`_reference_ranges`;
-  5. the displacements of the nodes that are not part roots, each d grid
-     integers m with |m| <= B, the node's grid bound from the tree alone
-     (``net.tree_bounds``), coded by their zigzag values z (2m for m >= 0,
-     -2m-1 below) in Rice codes: first one parameter k in 6 bits for each
-     of four classes, first children with and without short children,
-     then every other node with and without; then the unary codes of every
-     quotient z >> k, node by node; then every node's k low bits of its d
-     values as k bit planes of d bits, most significant plane first (see
-     :func:`_rice_columns`);
+  5. the displacements of the nodes that are not part roots and whose
+     grid bound B, from the tree alone (``net.tree_bounds``), is above 0
+     (a part root's first child, whose bound is 0, stores none), each d
+     grid integers m with |m| <= B, coded by their zigzag values z (2m for
+     m >= 0, -2m-1 below) in Rice codes, in four classes: first children
+     with and without short children, then every other node with and
+     without.  First, per class that stores a row, its head: where its
+     alphabet 0..2 B_max (B_max the largest B of its rows) has no more
+     values than the class stores, one bit, set when a rank table
+     follows; the table, the Elias gamma of its length A, then its A
+     values in bitlen(2 B_max) bits each, the class's distinct zigzag
+     values by descending count (ties to the smaller); then the class's
+     Rice parameter k in bitlen(min(63, bitlen(2 B_max))) bits.  A class
+     with a table codes each value's rank in it instead of the value.
+     Then the unary codes of every quotient (z or rank) >> k, node by
+     node; then every node's k low bits of its d codes as k bit planes of
+     d bits, most significant plane first (see :func:`_rice_columns`);
   6. when flags bit 1 is set: the Elias-gamma of (landmark count L + 1),
      then the L landmark node ids in strictly ascending order,
      ceil(log2 N) bits each.  A landmark's shift is not stored: the
@@ -44,9 +52,10 @@ Layout, all multi-byte header fields little-endian:
 
   Versions 1 (fields node by node), 2 (every node's center, one ingress
   flag per node), 3 (every landmark's shift, in K+2 bits per coordinate),
-  4 (displacements and gamma codes in fixed or interleaved fields) and 5
+  4 (displacements and gamma codes in fixed or interleaved fields), 5
   (every node's precision, two Rice offsets, and ingress references into
-  all nodes without short children) are refused.
+  all nodes without short children) and 6 (four 6-bit Rice parameters,
+  no rank tables, rows of bound 0 stored) are refused.
 
 * trailer: u32 CRC-32 (zlib) of header plus payload bytes.  Every header
   or payload corruption is caught by the CRC at the latest; structural
@@ -55,7 +64,8 @@ Layout, all multi-byte header fields little-endian:
   inside their part, padding) runs after it so
   corrupt or truncated blobs always fail loudly with FormatError.  Ingress
   cycles are found by :func:`~mcsketch.annotate.ingress_layers`, the
-  layering the builder and the estimator use, failing to reach every node.
+  layering the builder and the estimator use, failing to reach every node;
+  the decoded model keeps the layers for the ``Estimator``.
 
 Decoding levels: the gaps give each node's level relative to the root;
 all leaves must land on one common level, which is then pinned to 0.
@@ -68,7 +78,8 @@ pass (``_bitio.pack_fields``); the reader reads each fixed-width column in
 one pass (``unpack_runs``), and each unary stream, a gamma column's or
 the displacements' quotients, by locating its one bits with whole-array
 calls (``read_unary``), and the ingress ranks, whose widths follow from
-the tree, as one run of fields (``unpack_runs``).  Every column's length
+the tree, as one run of fields (``unpack_runs``).  Only the four
+displacement class heads are read field by field.  Every column's length
 follows from the node count and the columns before it, and is checked
 against the bits that remain before anything is allocated for it.
 """
@@ -79,7 +90,7 @@ import math
 import numbers
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,7 +123,7 @@ from .hst import SketchTree, _jump
 __all__ = ["SketchModel", "SizeReport", "serialize", "deserialize", "size_report"]
 
 MAGIC = b"MCSK"
-VERSION = 6
+VERSION = 7
 
 _FLAG_LANDMARKS = 2
 # the fixed header after the norm: n, d, epsilon, scale, spread, flags, random
@@ -130,6 +141,12 @@ class SketchModel:
     and first children's ingresses follow from the tree (see the module
     docstring), and the blob stores neither.  ``landmarks`` is the sorted
     list of landmark node ids, or None without a landmark table.
+
+    ``layers`` is not stored: the decoder sets it to the ingress layers
+    (:func:`~mcsketch.annotate.ingress_layers`) that its cycle check
+    found, so that an ``Estimator`` decoding a blob does not layer the
+    ingresses again.  An ``Estimator`` handed a model layers them itself,
+    as the model may have changed since it was decoded.
     """
 
     tree: SketchTree
@@ -144,6 +161,7 @@ class SketchModel:
     d: int
     jl_seed: int
     jl_orig_dim: int
+    layers: list | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -239,7 +257,7 @@ def serialize(model: SketchModel) -> bytes:
             f"ingress of node {later[~inside][0]} is not under a sibling of it"
         )
     rank = below[u] - np.where(u < later, below[v + 1], below[end[later]] - before)
-    fault = _ingress_fault(tree, ingress)
+    fault, _ = _ingress_fault(tree, ingress)
     if fault:
         raise GuaranteeError(fault)
 
@@ -320,20 +338,21 @@ def _part_fault(tree, parent: np.ndarray, long_edge: np.ndarray) -> str | None:
     return None
 
 
-def _ingress_fault(tree, ingress: np.ndarray) -> str | None:
+def _ingress_fault(tree, ingress: np.ndarray) -> tuple[str | None, list]:
     """The decoder's message when an ingress crosses a long edge or the
-    ingresses form a cycle, else None.  Every node but a part root has a
-    node of the tree as its ingress; part roots count as -1, as the
-    decoder builds them."""
+    ingresses form a cycle, else None, and the ingress layers
+    (:func:`~mcsketch.annotate.ingress_layers`; none after a crossing).
+    Every node but a part root has a node of the tree as its ingress; part
+    roots count as -1, as the decoder builds them."""
     inner = np.flatnonzero(~tree.part_root)
     part_of = tree.part_of
     crossing = inner[part_of[ingress[inner]] != part_of[inner]]
     if crossing.size:
-        return f"ingress of {crossing[0]} crosses a long edge"
+        return f"ingress of {crossing[0]} crosses a long edge", []
     layers = ingress_layers(np.where(tree.part_root, -1, ingress))
     if sum(map(len, layers)) != tree.n_nodes:
-        return "ingress references contain a cycle"
-    return None
+        return "ingress references contain a cycle", layers
+    return None, layers
 
 
 def _classes(tree, parent: np.ndarray) -> np.ndarray:
@@ -376,28 +395,72 @@ def _read_ingress(payload, start: int, limit: int, tree, parent: np.ndarray):
 
 
 # --------------------------------------------------------------------------
-# Displacements: zigzag values in Rice codes, in two streams.
+# Displacements: zigzag values, or their frequency ranks, in Rice codes.
 
 
 def _rice_columns(rows, bounds, classes) -> list:
     """The displacement section of int64 grid rows, as columns for
     ``pack_fields``.  Row i stores nothing when ``classes[i]`` is -1 (a
-    part root); any other row stores its d integers m, each as its zigzag
-    value z (2m for m >= 0, -2m-1 below, so |m| <= B exactly when z <= 2B,
-    B = ``bounds[i]``) in a Rice code of its class's parameter k.  The
-    section holds the four classes' k in 6 bits each
-    (:func:`_rice_parameters`), then the unary codes of every quotient
-    z >> k, row by row, then every row's k remainder bits as bit planes
-    (``plane_bits``).  Raises ValueError when an integer lies outside
-    [-B, B]."""
-    stored = classes >= 0
-    z = _zigzag(np.asarray(rows)[stored], bounds[stored])
-    ks = _rice_parameters(z, classes[stored])
-    k = ks[classes[stored]]
+    part root) or its bound B = ``bounds[i]`` is 0 (its integers are 0);
+    any other row stores its d integers m, each as its zigzag value z (2m
+    for m >= 0, -2m-1 below, so |m| <= B exactly when z <= 2B) in a Rice
+    code of its class's parameter k, or as the rank of z in its class's
+    table.  The section holds, per class with stored rows, its head
+    (:func:`_rice_parameters`): a flag bit, where the class's alphabet of
+    2 B_max + 1 values is no larger than its count of values, set when a
+    table follows; the table as the Elias gamma of its length A, then A
+    values in bitlen(2 B_max) bits; the class's k in just enough bits for
+    0..min(63, bitlen(2 B_max)).  Then the unary codes of every quotient
+    (z or its rank) >> k, row by row, then every row's k remainder bits as
+    bit planes (``plane_bits``).  Raises ValueError when an integer lies
+    outside [-B, B]."""
+    rows = np.asarray(rows)
+    zero = (classes >= 0) & (bounds == 0)
+    _zigzag(rows[zero], bounds[zero])  # refuses a non-zero integer there
+    stored = (classes >= 0) & (bounds > 0)
+    z = _zigzag(rows[stored], bounds[stored])
+    cls = classes[stored]
+    tops = _class_tops(bounds[stored], cls)
+    ks, tables = _rice_parameters(z, cls, tops)
+    # the heads as one column of (value, width) fields; a table's length A
+    # in Elias gamma is A itself in 2 bitlen(A) - 1 bits
+    head, ranks = [], [np.zeros(0, dtype=np.int64)]
+    for c, top in enumerate(tops):
+        if top is None:
+            continue
+        table = tables[c]
+        if top < z.shape[1] * np.count_nonzero(cls == c):
+            head.append((int(table is not None), 1))
+        if table is not None:
+            a = table.size
+            head.append((a, 2 * a.bit_length() - 1))
+            head += [(v, top.bit_length()) for v in table.tolist()]
+            ranks.append(np.zeros(top + 1, dtype=np.int64))
+            ranks[-1][table] = np.arange(a)
+        head.append((int(ks[c]), _k_width(top)))
+    values, widths = zip(*head) if head else ((), ())
+    # a table class's values become their ranks, block by block, through
+    # the classes' rank arrays laid end to end
+    sizes = np.array([0 if t is None else top + 1 for t, top in zip(tables, tops)])
+    offset, ranked = (np.cumsum(sizes) - sizes)[cls], (sizes > 0)[cls]
+    lut = np.concatenate(ranks)
+    k = ks[cls]
     shift = k.astype(np.uint64)[:, None]
-    unary = [unary_bits((z[r] >> shift[r]).astype(np.int64)) for r in row_blocks(*z.shape)]
+    unary = []
+    for r in row_blocks(*z.shape):
+        v, sel = z[r].view(np.int64), ranked[r]
+        if sel.all():
+            v += offset[r, None]
+            np.take(lut, v, out=v, mode="clip")  # every value is within its class's top
+        elif sel.any():
+            v[sel] = lut[v[sel] + offset[r][sel, None]]
+        unary.append(unary_bits((z[r] >> shift[r]).astype(np.int64)))
     z &= (np.uint64(1) << shift) - np.uint64(1)  # the remainders, in place
-    return [(ks, 6), (np.concatenate(unary or [[]]), 1), (plane_bits(z, k), 1)]
+    return [
+        (np.array(values, dtype=np.uint64), np.array(widths, dtype=np.int64)),
+        (np.concatenate(unary or [[]]), 1),
+        (plane_bits(z, k), 1),
+    ]
 
 
 def _zigzag(rows, bounds) -> np.ndarray:
@@ -418,84 +481,255 @@ def _zigzag(rows, bounds) -> np.ndarray:
     return z
 
 
-def _rice_parameters(z, classes) -> np.ndarray:
-    """The Rice parameter k in 0..63 of each of the four classes of rows,
-    each by exhaustive search: the fewest bits, k + 1 per value plus the
-    sum of the quotients z >> k, the smaller k on a tie (0 for an empty
-    class).  Every k from 0 up to the bit length of the class's largest
-    value is costed, exactly, from the number of values with each bit
-    set: the quotients sum to ones[j] 2^(j - k) over the bits j >= k."""
+def _class_tops(bounds, classes) -> list:
+    """Per class, 2 B_max, twice the largest of the (positive) bounds of
+    its stored rows, as a Python int, or None for a class without one."""
+    return [2 * int(np.where(classes == c, bounds, 0).max(initial=0)) or None for c in range(4)]
+
+
+def _k_width(top: int) -> int:
+    """Bits of a class's Rice parameter, which lies in 0..min(63,
+    bitlen(top)) for values up to ``top``: the larger k code no value in
+    fewer bits."""
+    return min(63, top.bit_length()).bit_length()
+
+
+def _rice_parameters(z, classes, tops) -> tuple[np.ndarray, list]:
+    """Per class of rows, its Rice parameter k in 0..63 and its table, the
+    class's distinct zigzag values by descending count, ties to the smaller
+    value, or None: each by exhaustive search.  On the values the fewest
+    bits, k + 1 per value plus the sum of the quotients z >> k, the smaller
+    k on a tie (0 for an empty class).  A class whose alphabet, 0..2 B_max
+    (``tops``), is no larger than its count of values may code the ranks
+    of its values in its table instead: it does when the ranks' fewest
+    Rice bits plus the table's, 2 bitlen(A) - 1 + A bitlen(2 B_max) for A
+    values, are fewer than the values' fewest.  Every k from 0 up to the
+    bit length of the largest value (or rank) is costed, exactly, from the
+    number of values with each bit set."""
     ks = np.zeros(4, dtype=np.int64)
-    for c in range(4):
+    tables = [None] * 4
+    for c, top in enumerate(tops):
         values = z[classes == c]
         if not values.size:
             continue
-        top = int(values.max()).bit_length()
-        ones = [int(np.count_nonzero(values & np.uint64(1 << j))) for j in range(top)]
-        costs = [
-            values.size * (k + 1) + sum(ones[j] << j - k for j in range(k, top))
-            for k in range(min(63, top) + 1)
-        ]
-        ks[c] = costs.index(min(costs))
-    return ks
+        if top >= values.size:  # no table: 2 B_max + 1 values outnumber these
+            bits = int(values.max()).bit_length()
+            ones = [int(np.count_nonzero(values & np.uint64(1 << j))) for j in range(bits)]
+            ks[c] = _best_k(ones, values.size)[0]
+            continue
+        counts = np.bincount(values.ravel().view(np.int64))
+        k, cost = _best_k(_bit_counts(counts), values.size)
+        table = np.argsort(-counts, kind="stable")[: np.count_nonzero(counts)]
+        rank_k, rank_cost = _best_k(_bit_counts(counts[table]), values.size)
+        a = table.size
+        if rank_cost + 2 * a.bit_length() - 1 + a * top.bit_length() < cost:
+            k, tables[c] = rank_k, table.astype(np.uint64)
+        ks[c] = k
+    return ks, tables
+
+
+def _bit_counts(counts) -> list[int]:
+    """Per bit j, the number of values with bit j set among values v held
+    ``counts[v]`` times each, up to the bit length of the largest."""
+    v = np.flatnonzero(counts)
+    return (counts[v] @ (v[:, None] >> np.arange(int(v[-1]).bit_length()) & 1)).tolist()
+
+
+def _best_k(ones: list[int], size: int) -> tuple[int, int]:
+    """The k in 0..min(63, len(ones)) whose Rice codes of ``size`` values
+    take the fewest bits, the smaller on a tie, and those bits, from the
+    number ``ones[j]`` of values with bit j set: the quotients sum to
+    ones[j] 2^(j - k) over the bits j >= k."""
+    top = len(ones)
+    costs = [
+        size * (k + 1) + sum(ones[j] << j - k for j in range(k, top))
+        for k in range(min(63, top) + 1)
+    ]
+    best = min(costs)
+    return costs.index(best), best
 
 
 def _read_rice(payload, start: int, limit: int, bounds, classes, d: int):
     """The rows :func:`_rice_columns` wrote from bit ``start`` of
     ``payload``, as one (len(bounds), d) int64 array with zero rows where
-    ``classes`` is -1, and the bit after the section.  Each stream is read
-    with whole-array calls: the quotients with one ``read_unary`` window up
-    to the remainders, the remainders with ``read_planes``.  FormatError,
-    before any (rows, d) array is allocated, when the rows cannot fit
-    before bit ``limit`` (at least d (k + 1) bits each), and after, when a
-    quotient exceeds 2B >> k (checked before it is shifted) or a value
-    exceeds 2B."""
-    if limit - start < 24:
-        raise FormatError(f"Rice parameters need 24 bits, {limit - start} remain")
-    word = int.from_bytes(payload[start >> 3 : (start >> 3) + 4].ljust(4, b"\0"), "big")
-    word >>= 8 - (start & 7)
-    ks = np.array([word >> 18 - 6 * i & 63 for i in range(4)], dtype=np.int64)
-    pos = start + 24
-    stored = classes >= 0
-    k = np.where(stored, ks[classes], 0)
+    ``classes`` is -1 or ``bounds`` is 0, and the bit after the section.
+    The class heads are read field by field (:func:`_read_heads`), each
+    stream with whole-array calls: the quotients with one ``read_unary``
+    window up to the remainders, the remainders with ``read_planes``; a
+    block of rows then turns its ranks into integers with one gather from
+    the tables, laid end to end.  FormatError, before any (rows, d) array
+    is allocated, when the rows cannot fit before bit ``limit`` (at least
+    d (k + 1) bits each), and after, naming the node, when a quotient
+    exceeds 2B >> k, or (A - 1) >> k for a rank (checked before it is
+    shifted, where a shift could wrap), a value exceeds 2B, a rank is not
+    below A or its table value exceeds the node's 2B."""
+    stored = (classes >= 0) & (bounds > 0)
+    cls, b = classes[stored], bounds[stored].astype(np.uint64)
+    ks, tables, pos = _read_heads(payload, start, limit, b, cls, d)
+    nodes = np.flatnonzero(stored)
+    k = ks[cls]
     # never allocate from the header's d alone: the first node whose codes
     # cannot end before the limit is named
-    ends = np.cumsum(np.where(stored, k + 1, 0))
+    ends = np.cumsum(k + 1)
     over = np.flatnonzero(ends > (limit - pos) // d)
     if over.size:
-        v = over[0]
+        i = over[0]
         raise FormatError(
-            f"displacement of node {v} needs at least {d * (k[v] + 1)} bits, "
-            f"{limit - pos - d * (ends[v] - k[v] - 1)} remain"
+            f"displacement of node {nodes[i]} needs at least {d * (k[i] + 1)} bits, "
+            f"{limit - pos - d * (ends[i] - k[i] - 1)} remain"
         )
-    k, b = k[stored], bounds[stored].astype(np.uint64)
+    # per row, the largest value the stream may hold: 2B, or A - 1 for ranks
+    sizes = np.array([0 if t is None else t.size for t in tables], dtype=np.uint64)
+    ranked = (sizes > 0)[cls]
+    lim = np.where(ranked, sizes[cls] - np.uint64(1), b << np.uint64(1))[:, None]
     planes = d * int(k.sum())
     q, pos = read_unary(payload, pos, d * k.size, limit - planes, limit - planes - pos)
     z = q.view(np.uint64).reshape(-1, d)
-    top = (b << np.uint64(1))[:, None]
-    bad = z > top >> k.astype(np.uint64)[:, None]
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise FormatError(
-            f"quotient {z[i, j]} of node {np.flatnonzero(stored)[i]} exceeds "
-            f"2B >> k = {top[i, 0] >> np.uint64(k[i])}"
-        )
+    # a quotient shifted past bit 63 would wrap, so where one may, the
+    # quotients above L >> k are refused before the shift; elsewhere the
+    # check of the values below refuses them
+    if k.size and int(q.max()).bit_length() + int(k.max()) > 64:
+        bad = z > lim >> k.astype(np.uint64)[:, None]
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            what = "(A - 1)" if ranked[i] else "2B"
+            raise FormatError(
+                f"quotient {z[i, j]} of node {nodes[i]} exceeds {what} >> k = "
+                f"{lim[i, 0] >> np.uint64(k[i])}"
+            )
     read_planes(payload, pos, k, z)
-    bad = z > top
+    bad = z > lim
     if bad.any():
         i, j = np.argwhere(bad)[0]
+        if ranked[i]:
+            raise FormatError(
+                f"rank {z[i, j]} of node {nodes[i]} is not below the {lim[i, 0] + 1} "
+                f"values of class {cls[i]}'s table"
+            )
         raise FormatError(
-            f"zigzag value {z[i, j]} of node {np.flatnonzero(stored)[i]} exceeds 2B = {top[i, 0]}"
+            f"zigzag value {z[i, j]} of node {nodes[i]} exceeds 2B = {lim[i, 0]}"
         )
-    for r in row_blocks(*z.shape):
-        sign = z[r].view(np.int64) & 1
-        np.negative(sign, out=sign)  # all ones below zero, where z = 2|m| - 1
-        z[r] >>= np.uint64(1)
-        z[r] ^= sign.view(np.uint64)  # ~(|m| - 1) = m
+    for c, table in enumerate(tables):
+        if table is None:
+            continue
+        rows = np.flatnonzero(cls == c)
+        top = b[rows] << np.uint64(1)
+        # only a node below its class's largest B may meet a value above its 2B
+        if table.max() > top.min():
+            bad = table[z[rows]] > top[:, None]
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise FormatError(
+                    f"table value {table[z[rows[i], j]]} of node {nodes[rows[i]]} "
+                    f"exceeds 2B = {top[i]}"
+                )
+    # ranks become integers m with one gather per block from the tables'
+    # integers, laid end to end: each class's ranks offset to its table
+    lut = np.concatenate(
+        [np.zeros(0, dtype=np.int64)] + [_unzigzag(t.copy()) for t in tables if t is not None]
+    )
+    offset = (np.cumsum(sizes) - sizes).astype(np.int64)[cls]
     m = z.view(np.int64)
+    for r in row_blocks(*z.shape):
+        v, sel = m[r], ranked[r]
+        if sel.all():
+            v += offset[r, None]
+            np.take(lut, v, out=v, mode="clip")  # every rank is below its A
+        else:
+            ranks = v[sel] + offset[r][sel, None]
+            _unzigzag(z[r])
+            v[sel] = lut[ranks]
     eta = np.zeros((bounds.size, d), dtype=np.int64)
     eta[stored] = m
     return eta, pos + planes
+
+
+def _unzigzag(z) -> np.ndarray:
+    """The integers m of uint64 zigzag values z, as int64, in place."""
+    sign = z.view(np.int64) & 1
+    np.negative(sign, out=sign)  # all ones below zero, where z = 2|m| - 1
+    z >>= np.uint64(1)
+    z ^= sign.view(np.uint64)  # ~(|m| - 1) = m
+    return z.view(np.int64)
+
+
+def _read_heads(payload, start: int, limit: int, bounds, classes, d: int):
+    """The class heads :func:`_rice_columns` wrote from bit ``start`` of
+    ``payload`` for stored rows of ``bounds`` (all above 0) and
+    ``classes``: the four Rice parameters as int64, the four tables as
+    uint64 arrays or None, and the bit after them.  FormatError, naming
+    the class, for a field that runs past bit ``limit``, a k above the
+    class's range, or a table longer than the class's alphabet (before
+    its values are read), holding a value above 2 B_max or repeating
+    one."""
+    ks = np.zeros(4, dtype=np.int64)
+    tables = [None] * 4
+    counts = np.bincount(classes, minlength=4)
+    pos = start
+    for c, top in enumerate(_class_tops(bounds, classes)):
+        if top is None:
+            continue
+        flagged = top < d * int(counts[c])  # the alphabet fits the class's values
+        if flagged and _field(payload, pos, 1, limit, f"table flag of class {c}"):
+            tables[c], pos = _read_table(payload, pos + 1, limit, c, top)
+        else:
+            pos += flagged
+        kw = _k_width(top)
+        ks[c] = _field(payload, pos, kw, limit, f"Rice parameter of class {c}")
+        pos += kw
+        if ks[c] > min(63, top.bit_length()):
+            raise FormatError(
+                f"Rice parameter {ks[c]} of class {c} exceeds {min(63, top.bit_length())}"
+            )
+    return ks, tables, pos
+
+
+def _read_table(payload, pos: int, limit: int, c: int, top: int):
+    """Class c's table from bit ``pos`` of ``payload``, gamma(A) and then A
+    values of bitlen(top) bits, as uint64, and the bit after it.
+    FormatError when A exceeds the alphabet 0..top (read from at most
+    bitlen(top + 1) leading zeros) or the values run past bit ``limit``,
+    both before any value is read, and when a value exceeds top or comes
+    twice."""
+    most = (top + 1).bit_length()
+    span = min(most, limit - pos)
+    zeros = span - _field(payload, pos, span, limit, "").bit_length()
+    if zeros == most:
+        raise FormatError(
+            f"table of class {c} holds at least {1 << most} values, more than its "
+            f"alphabet of {top + 1}"
+        )
+    a = _field(payload, pos + zeros, zeros + 1, limit, f"table length of class {c}")
+    pos += 2 * zeros + 1
+    if a > top + 1:  # then also more than the class's values
+        raise FormatError(
+            f"table of class {c} holds {a} values, more than its alphabet of {top + 1}"
+        )
+    width = top.bit_length()
+    if a * width > limit - pos:
+        raise FormatError(f"table of class {c} needs {a * width} bits, {limit - pos} remain")
+    # the fields as rows of bits, summed against the powers of two
+    first, off = pos >> 3, pos & 7
+    raw = np.frombuffer(payload, np.uint8, (off + a * width + 7) >> 3, first)
+    bits = np.unpackbits(raw)[off : off + a * width].reshape(a, width)
+    table = bits @ (np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64))
+    ordered = np.sort(table)
+    if ordered[-1] > top:
+        raise FormatError(f"table value {ordered[-1]} of class {c} exceeds 2 B_max = {top}")
+    again = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if again.size:
+        raise FormatError(f"table of class {c} repeats value {ordered[again[0]]}")
+    return table, pos + a * width
+
+
+def _field(payload, pos: int, width: int, limit: int, what: str) -> int:
+    """The ``width``-bit field at bit ``pos`` of ``payload`` as an int;
+    FormatError, naming ``what``, when it runs past bit ``limit``."""
+    if width > limit - pos:
+        raise FormatError(f"{what} needs {width} bits, {limit - pos} remain")
+    last = (pos + width + 7) >> 3
+    word = int.from_bytes(payload[pos >> 3 : last], "big")
+    return word >> 8 * last - pos - width & (1 << width) - 1
 
 
 def deserialize(data: bytes) -> SketchModel:
@@ -669,7 +903,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     eta_ints, pos = _read_rice(payload, pos, payload_bits, bounds, _classes(tree, parent), d)
     displacement_bits = pos - mark
 
-    fault = _ingress_fault(tree, ingress)
+    fault, layers = _ingress_fault(tree, ingress)
     if fault:
         raise FormatError(fault)
 
@@ -700,6 +934,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         d=d,
         jl_seed=jl_seed,
         jl_orig_dim=jl_orig_dim,
+        layers=layers,
     )
     sizes = SizeReport(
         total_bytes=len(data),

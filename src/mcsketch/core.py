@@ -806,18 +806,22 @@ def _parse_matrix(path: str | Path) -> DistanceMatrix:
 
 
 def read_text_points(path: str | Path) -> np.ndarray:
-    """Parse whitespace- or comma-separated coordinates, one point per line."""
+    """Parse whitespace- or comma-separated coordinates, one point per line.
+    FormatError for a file that is not UTF-8 text."""
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            try:
-                rows.append([float(tok) for tok in parts])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: unparsable coordinate") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.replace(",", " ").split()
+                try:
+                    rows.append([float(tok) for tok in parts])
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: unparsable coordinate") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise FormatError(f"{path}: no points found")
     width = len(rows[0])
@@ -828,6 +832,8 @@ def read_text_points(path: str | Path) -> np.ndarray:
 
 def load_input(path: str | Path, p_override: float | None = None):
     """Dispatch on magic: returns ('points', coords, p) or ('matrix', dm, inf).
+    FormatError for a sketch blob, and for a file with neither magic that
+    is not UTF-8 text.
 
     The matrix is not validated here: :func:`~mcsketch.reduce.frechet_embed`
     validates it in the one l-inf pass, whose matrix becomes the stored
@@ -836,6 +842,8 @@ def load_input(path: str | Path, p_override: float | None = None):
     """
     with open(path, "rb") as fh:
         head = fh.read(4)
+    if head == b"MCSK":  # the codec's magic (the codec imports this module)
+        raise FormatError(f"{path} is a sketch (an MCSK blob), not a point set or matrix")
     if head == MCPT_MAGIC:
         coords, p = read_points(path)
         return "points", coords, (p_override if p_override is not None else p)

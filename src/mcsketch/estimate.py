@@ -95,8 +95,9 @@ class Estimator:
     def __init__(self, blob, mode: str = "precomputed") -> None:
         if isinstance(blob, (bytes, bytearray, memoryview)):
             model = codec.deserialize(bytes(blob))
+            layers = model.layers  # the decoder's, of a model no one else holds
         elif isinstance(blob, codec.SketchModel):
-            model = blob
+            model, layers = blob, None
         else:
             raise InputError(f"expected blob bytes or SketchModel, got {type(blob)}")
         if mode not in _MODES:
@@ -117,7 +118,7 @@ class Estimator:
         self.max_hops = 0  # high-water mark across all calls
         if mode == "landmark" and model.landmarks is None:
             raise InputError("sketch carries no landmark table")
-        steps, layers = self._steps_of(model)
+        steps, layers = self._steps_of(model, layers)
         shifts = steps.copy() if mode == "landmark" else steps
         # layer by layer each row becomes its node's shift: its ingress's
         # row, one layer up, already holds the ingress's shift
@@ -156,11 +157,12 @@ class Estimator:
 
     # -- shifted surrogates ------------------------------------------------
 
-    def _steps_of(self, model) -> tuple[np.ndarray, list]:
+    def _steps_of(self, model, layers) -> tuple[np.ndarray, list]:
         """Every node's exact step over its ingress as one (n_nodes, d) array
-        (zero rows at part roots), plus the ingress layers.  FormatError
-        when the layers leave out a node, so the ingress references contain
-        a cycle, which a landmark replay would walk for ever.
+        (zero rows at part roots), plus the ingress layers: ``layers`` when
+        the decoder gave them, else layered here.  FormatError when these
+        leave out a node, so the ingress references contain a cycle, which
+        a landmark replay would walk for ever.
 
         The steps are the model's grid integers ``eta_ints`` shifted left
         by :func:`~mcsketch.annotate.shift_exponents`, in a fresh array:
@@ -180,10 +182,10 @@ class Estimator:
         tree = self.tree
         grid = model.eta_ints
         sh = shift_exponents(tree, self._t)
-        layers = ingress_layers(model.ingress)
-        if sum(map(len, layers)) != tree.n_nodes:
-            # a model handed over directly, not through the decoder's check
-            raise FormatError("ingress references contain a cycle")
+        if layers is None:  # a model handed over, not checked by the decoder
+            layers = ingress_layers(model.ingress)
+            if sum(map(len, layers)) != tree.n_nodes:
+                raise FormatError("ingress references contain a cycle")
         kk = k_parameter(model.spread, model.epsilon, self._d, self._p)
         dtype = shift_dtype(kk)
         if dtype == np.int64:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mcsketch import net
 from mcsketch.core import DuplicatePointError, FormatError, InputError, _pairwise, encode_p
 
 
@@ -743,23 +744,128 @@ def rice_classes(tree) -> list[int | None]:
     return out
 
 
-def rice_parameters(rows, classes) -> list[int]:
-    """Per class, the k in 0..63 whose Rice codes of the class's zigzag
-    values take the fewest bits, the smallest on a tie, by costing every
-    k; 0 for an empty class."""
-    ks = []
+def best_rice(values) -> tuple[int, int]:
+    """The k in 0..63 whose Rice codes of ``values`` take the fewest bits,
+    the smallest on a tie, by costing every k, and those bits."""
+    costs = [sum((z >> k) + 1 + k for z in values) for k in range(64)]
+    return costs.index(min(costs)), min(costs)
+
+
+def rice_tops(classes, bounds, d: int) -> list[tuple[int, int] | None]:
+    """Per class, (2 B_max, count of values) over its rows with a bound
+    above 0, the rows it stores, or None when it stores none."""
+    out = []
     for c in range(4):
-        values = [zigzag(int(m)) for row, k in zip(rows, classes) if k == c for m in row]
-        costs = [sum((z >> k) + 1 + k for z in values) for k in range(64)]
-        ks.append(costs.index(min(costs)))
-    return ks
+        members = [v for v, k in enumerate(classes) if k == c and bounds[v] > 0]
+        out.append((2 * max(int(bounds[v]) for v in members), d * len(members)) if members else None)
+    return out
 
 
-def write_payload(model) -> tuple[bytes, int, dict[str, int]]:
-    """The payload of an MCSK v6 blob written one field at a time, straight
+def rice_heads(rows, classes, bounds) -> list[tuple[list[int] | None, int] | None]:
+    """Per class, None when it stores no row, else its table (None for
+    none) and Rice parameter, by exhaustive search: the best k of the
+    class's zigzag values, or, where the alphabet 0..2 B_max is no larger
+    than the class's count of values and it costs fewer bits, the best k
+    of their ranks in the table of the class's distinct values by
+    descending count (ties to the smaller value), plus the table's bits,
+    gamma(A) and A values of bitlen(2 B_max) bits."""
+    heads = []
+    for c, top in enumerate(rice_tops(classes, bounds, len(rows[0]) if rows else 0)):
+        if top is None:
+            heads.append(None)
+            continue
+        values = [
+            zigzag(int(m))
+            for v, row in enumerate(rows)
+            if classes[v] == c and bounds[v] > 0
+            for m in row
+        ]
+        k, cost = best_rice(values)
+        head = (None, k)
+        if top[0] + 1 <= top[1]:
+            counts = {}
+            for z in values:
+                counts[z] = counts.get(z, 0) + 1
+            table = sorted(counts, key=lambda z: (-counts[z], z))
+            rank = {z: i for i, z in enumerate(table)}
+            rank_k, rank_cost = best_rice([rank[z] for z in values])
+            a = len(table)
+            if rank_cost + 2 * a.bit_length() - 1 + a * top[0].bit_length() < cost:
+                head = (table, rank_k)
+        heads.append(head)
+    return heads
+
+
+def write_rice_heads(w: BitWriter, heads, tops) -> None:
+    """The class heads of the displacement section, one field at a time:
+    per class that stores rows, a flag bit where its alphabet 0..2 B_max
+    is no larger than its count of values (``tops``, from
+    :func:`rice_tops`), set when a table follows; the table, gamma(A) and
+    A values of bitlen(2 B_max) bits; k in bitlen(min(63, bitlen(2
+    B_max))) bits."""
+    for head, top in zip(heads, tops):
+        if top is None:
+            continue
+        table, k = head
+        if top[0] + 1 <= top[1]:
+            w.write_uint(int(table is not None), 1)
+        if table is not None:
+            write_gammas(w, [len(table)])
+            for z in table:
+                w.write_uint(z, top[0].bit_length())
+        w.write_uint(k, min(63, top[0].bit_length()).bit_length())
+
+
+def write_rice_section(w: BitWriter, rows, classes, bounds, heads) -> tuple[int, int]:
+    """The MCSK v7 displacement section of grid rows under ``heads`` (see
+    :func:`rice_heads`): the heads, then every stored row's codes, the rank
+    of each zigzag value in its class's table or the value itself, in Rice
+    codes (:func:`write_rice_rows`).  Returns the bits where the quotients
+    and the remainder planes start."""
+    write_rice_heads(w, heads, rice_tops(classes, bounds, len(rows[0]) if rows else 0))
+    quotients = w.bit_length
+    codes, ks = [], []
+    for v, row in enumerate(rows):
+        if classes[v] is None or bounds[v] == 0:
+            continue
+        table, k = heads[classes[v]]
+        zs = [zigzag(int(m)) for m in row]
+        codes.append([table.index(z) for z in zs] if table is not None else zs)
+        ks.append(k)
+    write_rice_rows(w, codes, ks)
+    return quotients, w.bit_length - sum(k * len(row) for row, k in zip(codes, ks))
+
+
+def read_rice_section(r: BitReader, classes, bounds, d: int) -> list[list[int]]:
+    """Every row's grid integers from the section :func:`write_rice_section`
+    wrote, zeros where a row stores nothing; no check of the values."""
+    tops = rice_tops(classes, bounds, d)
+    heads = []
+    for top in tops:
+        if top is None:
+            heads.append(None)
+            continue
+        table = None
+        if top[0] + 1 <= top[1] and r.read_uint(1):
+            (a,) = read_gammas(r, 1)
+            table = [r.read_uint(top[0].bit_length()) for _ in range(a)]
+        heads.append((table, r.read_uint(min(63, top[0].bit_length()).bit_length())))
+    stored = [v for v in range(len(classes)) if classes[v] is not None and bounds[v] > 0]
+    codes = read_rice_rows(r, [heads[classes[v]][1] for v in stored], d)
+    rows = [[0] * d for _ in classes]
+    for v, row in zip(stored, codes):
+        table = heads[classes[v]][0]
+        zs = [table[x] for x in row] if table is not None else row
+        rows[v] = [z >> 1 if z % 2 == 0 else -(z + 1 >> 1) for z in zs]
+    return rows
+
+
+def write_payload(model, heads=None) -> tuple[bytes, int, dict[str, int]]:
+    """The payload of an MCSK v7 blob written one field at a time, straight
     from the layout: its bytes, its bit length and the first bit of every
-    column of ``COLUMNS``.  Ranks come from :func:`ingress_ranks` and the
-    Rice parameters from :func:`rice_parameters`; a model whose ingress
+    column of ``COLUMNS``.  Ranks come from :func:`ingress_ranks`, grid
+    bounds from ``net.tree_bounds`` and the displacement heads from
+    :func:`rice_heads`, unless ``heads`` gives them; a model whose ingress
     is not in its range raises AssertionError."""
     tree = model.tree
     kids = children_of(tree)
@@ -787,18 +893,11 @@ def write_payload(model) -> tuple[bytes, int, dict[str, int]]:
         assert rank is not None, "ingress outside its range"
         w.write_uint(rank, (count - 1).bit_length())
     classes = rice_classes(tree)
+    bounds = [int(b) for b in net.tree_bounds(tree, model.epsilon, model.d, model.p)]
     rows = [[int(m) for m in model.eta_ints[v]] for v in range(tree.n_nodes)]
-    ks = rice_parameters(rows, classes)
-    starts["Rice parameters"] = w.bit_length
-    for k in ks:
-        w.write_uint(k, 6)
-    stored = [v for v in range(tree.n_nodes) if classes[v] is not None]
-    zig = [[zigzag(m) for m in rows[v]] for v in stored]
-    starts["quotients"] = w.bit_length
-    write_rice_rows(w, zig, [ks[classes[v]] for v in stored])
-    starts["remainders"] = starts["quotients"] + sum(
-        (z >> ks[classes[v]]) + 1 for v, row in zip(stored, zig) for z in row
-    )
+    heads = rice_heads(rows, classes, bounds) if heads is None else heads
+    starts["Rice heads"] = w.bit_length
+    starts["quotients"], starts["remainders"] = write_rice_section(w, rows, classes, bounds, heads)
     starts["landmark count"] = w.bit_length
     if model.landmarks is not None:
         write_gammas(w, [len(model.landmarks) + 1])
@@ -809,12 +908,12 @@ def write_payload(model) -> tuple[bytes, int, dict[str, int]]:
 
 
 def write_blob(model) -> bytes:
-    """A whole MCSK v6 blob written straight from the layout, with no
+    """A whole MCSK v7 blob written straight from the layout, with no
     check of the model: the header, :func:`write_payload`'s payload and
     the CRC.  It writes the hostile blobs that ``serialize`` refuses to."""
     payload, bits, _ = write_payload(model)
     code, num, den = encode_p(model.p)
-    head = b"MCSK" + struct.pack("<HB", 6, code)
+    head = b"MCSK" + struct.pack("<HB", 7, code)
     if code == 0:
         head += struct.pack("<II", num, den)
     flags = 2 if model.landmarks is not None else 0
@@ -839,7 +938,7 @@ COLUMNS = (
     "gaps",
     "leaf labels",
     "ingress ranks",
-    "Rice parameters",
+    "Rice heads",
     "quotients",
     "remainders",
     "landmark count",
@@ -849,7 +948,7 @@ COLUMNS = (
 
 def payload_columns(blob: bytes) -> dict[str, range]:
     """The bits, counted from the blob's first bit, of every payload column
-    of an MCSK v6 blob, from the decoded model through :func:`write_payload`,
+    of an MCSK v7 blob, from the decoded model through :func:`write_payload`,
     which must give the blob's payload bit for bit; a column the blob lacks
     is an empty range."""
     from mcsketch.codec import deserialize, size_report

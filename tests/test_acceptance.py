@@ -23,7 +23,14 @@ from mcsketch.cli import (
     gen_uniform,
     prepare_points,
 )
-from mcsketch.codec import _read_rice, _rice_columns, deserialize, serialize, size_report
+from mcsketch.codec import (
+    _read_heads,
+    _read_rice,
+    _rice_columns,
+    deserialize,
+    serialize,
+    size_report,
+)
 from mcsketch.core import (
     DistanceMatrix,
     FormatError,
@@ -238,9 +245,25 @@ def test_criterion_04_ingress_bounds(corpus):
 # 5. Grid net and codec correctness, exhaustively.
 
 
+def _hostile_rows(b, c, heads, d, rows) -> bool:
+    """True when ``_read_rice`` refuses the rows of class c and bound b,
+    written as their codes (zigzag values, or ranks where ``heads[c]``
+    holds a table) by the scalar writer under ``heads``."""
+    tops = ref.rice_tops([c] * len(rows), [b] * len(rows), d)
+    w = ref.BitWriter()
+    ref.write_rice_heads(w, heads, tops)
+    ref.write_rice_rows(w, rows, [heads[c][1]] * len(rows))
+    try:
+        _read_rice(w.getvalue(), 0, w.bit_length, np.full(len(rows), b), np.full(len(rows), c), d)
+    except FormatError:
+        return True
+    return False
+
+
 def test_criterion_05_net_exhaustive():
     t0 = time.perf_counter()
     vectors = rejected = refused = 0
+    kinds = [0, 0]  # classes coded without and with a rank table
     ok = True
     for d in (1, 2, 3):
         for delta in (0.5, 0.25):
@@ -248,35 +271,43 @@ def test_criterion_05_net_exhaustive():
                 b = net.grid_bound(delta, d, p)
                 inside = range(-b, b + 1)
                 grid = np.array(list(itertools.product(inside, repeat=d)), np.int64)
-                k = len(grid)
-                bounds = np.full(k, b)
-                classes = np.arange(k) % 4  # all four Rice classes
-                cols = _rice_columns(grid, bounds, classes)
-                data, bits = pack_fields(cols)
-                back, end = _read_rice(data, 0, bits, bounds, classes, d)
-                ok &= back.dtype == np.int64 and back.tobytes() == grid.tobytes()
-                ok &= end == bits
-                vectors += k
-
-                # one stored value above 2B, the rest anywhere inside: every
-                # value of the top quotient 2B >> k, and the first quotient
-                # past it, at each distinct k the encoder chose for a class
-                ks = cols[0][0].tolist()
-                for shift in sorted(set(ks)):
-                    c = ks.index(shift)
-                    for i in range(d):
-                        for u in range(2 * b + 1, ((2 * b >> shift) + 1 << shift) + 1):
-                            for rest in itertools.product(range(2 * b + 1), repeat=d - 1):
-                                w = ref.BitWriter()
-                                for kk in ks:
-                                    w.write_uint(kk, 6)
-                                ref.write_rice_rows(w, [rest[:i] + (u,) + rest[i:]], [shift])
-                                data, bits = w.getvalue(), w.bit_length
-                                try:
-                                    _read_rice(data, 0, bits, bounds[:1], np.array([c]), d)
-                                    ok = False
-                                except FormatError:
-                                    rejected += 1
+                # the grid alone, and with as many copies of (b, ..., b) on
+                # top, whose zigzag value 2B then leads every class's
+                # counts: rank tables pay there
+                for rows in (grid, np.concatenate([grid, np.full_like(grid, b)])):
+                    k = len(rows)
+                    bounds = np.full(k, b)
+                    classes = np.arange(k) % 4  # all four Rice classes
+                    data, bits = pack_fields(_rice_columns(rows.copy(), bounds, classes))
+                    back, end = _read_rice(data, 0, bits, bounds, classes, d)
+                    ok &= back.dtype == np.int64 and back.tobytes() == rows.tobytes()
+                    ok &= end == bits
+                    vectors += k
+                    ks, tables, _ = _read_heads(data, 0, bits, bounds, classes, d)
+                    seen = set()
+                    for c, (shift, table) in enumerate(zip(ks.tolist(), tables)):
+                        kinds[table is not None] += 1
+                        key = (shift, None if table is None else table.size)
+                        if key in seen:
+                            continue  # the same k on the same limit L below
+                        seen.add(key)
+                        # one stored code above its limit L (2B, or A - 1
+                        # for ranks), the rest anywhere up to it: every code
+                        # of the top quotient L >> k past L, and the first
+                        # quotient past it.  A table class stores enough
+                        # further rows (zeros) that its alphabet fits
+                        heads = [None] * 4
+                        heads[c] = (None if table is None else table.tolist(), shift)
+                        top = 2 * b if table is None else table.size - 1
+                        pad = [[0] * d] * (0 if table is None else 2 * b // d)
+                        for i in range(d):
+                            for u in range(top + 1, ((top >> shift) + 1 << shift) + 1):
+                                for rest in itertools.product(range(top + 1), repeat=d - 1):
+                                    row = [*rest[:i], u, *rest[i:]]
+                                    if _hostile_rows(b, c, heads, d, [row, *pad]):
+                                        rejected += 1
+                                    else:
+                                        ok = False
 
                 # one coordinate just outside the bound, the rest anywhere inside
                 for i in range(d):
@@ -284,20 +315,21 @@ def test_criterion_05_net_exhaustive():
                         for rest in itertools.product(inside, repeat=d - 1):
                             m = np.array([rest[:i] + (out,) + rest[i:]], np.int64)
                             try:
-                                _rice_columns(m, bounds[:1], np.array([3]))
+                                _rice_columns(m, np.array([b]), np.array([3]))
                                 ok = False
                             except ValueError:
                                 refused += 1
     elapsed = time.perf_counter() - t0
-    ok &= elapsed < 60.0
+    ok &= elapsed < 60.0 and min(kinds) > 0
     assert _line(
         5,
         ok,
-        f"all {vectors} vectors |m_i| <= B over 18 (d, delta, p) combos come back "
-        f"exactly through the codec's _rice_columns and _read_rice; {rejected} "
-        f"stored vectors with a zigzag value in (2B, (2B >> k) + 1 << k] rejected; "
-        f"{refused} vectors with one coordinate at +-(B+1) refused by the encoder; "
-        f"{elapsed:.1f}s",
+        f"all {vectors} vectors |m_i| <= B over 18 (d, delta, p) combos, each alone "
+        f"and with copies of (B, ..., B), come back exactly through the codec's "
+        f"_rice_columns and _read_rice, in {kinds[0]} classes without and {kinds[1]} "
+        f"with a rank table; {rejected} stored vectors with a code in (L, (L >> k) + 1 "
+        f"<< k], L = 2B or A - 1 for ranks, rejected; {refused} vectors with one "
+        f"coordinate at +-(B+1) refused by the encoder; {elapsed:.1f}s",
     )
 
 
@@ -338,8 +370,8 @@ def test_criterion_06_codec_fuzz():
         except FormatError:
             detected += 1
     # 200 payload bit flips spread over all ten columns of a blob that has
-    # them all (MCSK v6 dropped v5's precision column, and its Rice
-    # parameter column replaced the offsets): with the CRC left stale each must be detected; with the CRC
+    # them all (the Rice heads column holds v7's table flags, rank tables
+    # and Rice parameters): with the CRC left stale each must be detected; with the CRC
     # recomputed the decoder must refuse within 2 s, or decode to a model
     # whose estimators give the exact sums' floats (the landmark mode may
     # refuse instead)

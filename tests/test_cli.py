@@ -154,6 +154,24 @@ def test_sketch_text_input(tmp_path, capsys):
     assert deserialize(dst.read_bytes()).n == 3
 
 
+@pytest.mark.parametrize("command", ["sketch", "eval"])
+def test_sketch_passed_as_input_is_a_format_error(tmp_path, capsys, command):
+    # a blob has neither input magic, so it was once read as UTF-8 text and
+    # ended in an uncaught UnicodeDecodeError; it is named as a sketch, and
+    # any other file that is not UTF-8 text is refused too, exit 2
+    blob = _sketched(tmp_path, np.random.default_rng(5).normal(size=(20, 2)))
+    dst = tmp_path / "again.mcsk"
+    capsys.readouterr()
+    out = ["-o", str(dst)] if command == "sketch" else []
+    assert main([command, str(blob), "-e", "0.25", "--no-jl", *out]) == 2
+    assert "is a sketch (an MCSK blob)" in capsys.readouterr().err
+    binary = tmp_path / "pts.bin"
+    binary.write_bytes(b"0 0\n1 \xff\xfe\n")
+    assert main([command, str(binary), "-e", "0.25", "--no-jl", *out]) == 2
+    assert "not UTF-8 text" in capsys.readouterr().err
+    assert not dst.exists()
+
+
 # --------------------------------------------------------------------------
 # query
 

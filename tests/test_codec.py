@@ -176,37 +176,94 @@ def test_gamma_code_announcing_63_low_bits_refused():
         read_gamma_column(data, 0, 1, len(bits))
 
 
-def _rice_section(ks, unary, planes) -> tuple[bytes, int]:
-    """A displacement section written bit by bit: the four 6-bit Rice
-    parameters, then the unary stream and the remainder planes as given."""
-    return pack_fields([(np.array(ks), 6), (np.array(unary + planes, dtype=np.uint8), 1)])
+def _rice_section(*fields) -> tuple[bytes, int]:
+    """A displacement section written field by field: (value, width) pairs
+    and lists of bits."""
+    w = ref.BitWriter()
+    for f in fields:
+        for value, width in [f] if isinstance(f, tuple) else [(b, 1) for b in f]:
+            w.write_uint(value, width)
+    return w.getvalue(), w.bit_length
 
 
 def test_rice_section_hostile_streams_refused():
-    later = np.array([2])  # a later child with short children: the third k
-    # d = 2 codes announced, one terminating one before the remainders
-    data, bits = _rice_section([0, 0, 2, 0], [0, 1], [0, 0, 0, 0])
+    later = np.array([2])  # a later child with short children: class 2
+    # B = 3, d = 2: no flag (the alphabet of 7 outnumbers 2 values) and k
+    # in 2 bits; two codes announced, one terminating one before the
+    # remainders
+    data, bits = _rice_section((2, 2), [0, 1], [0, 0, 0, 0])
     with pytest.raises(FormatError, match="past the end"):
         _read_rice(data, 0, bits, np.array([3]), later, 2)
-    # B = 2^62 at k = 63 gives 2B >> k = 1: quotient 2 is refused before it
-    # is shifted, where 2 << 63 would wrap to 0 in uint64
-    data, bits = _rice_section([0, 0, 63, 0], [0, 0, 1], [0] * 63)
+    # B = 2^62 at k = 63 (in 6 bits) gives 2B >> k = 1: quotient 2 is
+    # refused before it is shifted, where 2 << 63 would wrap to 0 in uint64
+    # (quotients that no shift can wrap are refused with their values)
+    data, bits = _rice_section((63, 6), [0, 0, 1], [0] * 63)
     with pytest.raises(FormatError, match="quotient 2 of node 0 exceeds 2B >> k = 1"):
         _read_rice(data, 0, bits, np.array([2**62]), later, 1)
-    # B = 5 at k = 2: quotient 2 (= 2B >> k) with remainder 3 makes zigzag
-    # 11 > 2B
-    data, bits = _rice_section([0, 0, 2, 0], [0, 0, 1], [1, 1])
+    # B = 5: k in 0..bitlen(10) = 4, in 3 bits.  Quotient 2 (= 2B >> k) at
+    # k = 2 with remainder 3 makes zigzag 11 > 2B; remainder 2 makes m = 5
+    data, bits = _rice_section((2, 3), [0, 0, 1], [1, 1])
     with pytest.raises(FormatError, match="zigzag value 11 of node 0 exceeds 2B = 10"):
         _read_rice(data, 0, bits, np.array([5]), later, 1)
-    data, bits = _rice_section([0, 0, 2, 0], [0, 0, 1], [1, 0])
+    data, bits = _rice_section((2, 3), [0, 0, 1], [1, 0])
     assert _read_rice(data, 0, bits, np.array([5]), later, 1)[0].tolist() == [[5]]
-    # bound 0, a part root's first child: any value but 0 is refused, at
-    # every k; the parameters themselves need 24 bits
-    data, bits = _rice_section([5, 0, 0, 0], [1], [0, 0, 0, 0, 1])
-    with pytest.raises(FormatError, match="zigzag value 1 of node 0 exceeds 2B = 0"):
-        _read_rice(data, 0, bits, np.array([0]), np.array([0]), 1)
-    with pytest.raises(FormatError, match="Rice parameters need 24 bits, 23 remain"):
-        _read_rice(data, 0, 23, np.array([0]), np.array([0]), 1)
+    data, bits = _rice_section((5, 3), [1])
+    with pytest.raises(FormatError, match="Rice parameter 5 of class 2 exceeds 4"):
+        _read_rice(data, 0, bits, np.array([5]), later, 1)
+    with pytest.raises(FormatError, match="Rice parameter of class 2 needs 3 bits, 2 remain"):
+        _read_rice(data, 0, 2, np.array([5]), later, 1)
+    # bound 0, a part root's first child: no head, no row, zeros
+    eta, end = _read_rice(b"", 0, 0, np.array([0]), np.array([0]), 3)
+    assert eta.tolist() == [[0, 0, 0]] and end == 0
+    # a header dimension of 2^31 with B = 5: a flag (0) and k = 0, then the
+    # row needs 2^31 bits, refused before anything is allocated
+    data, bits = _rice_section((0, 1), (0, 3), [1] * 8)
+    with pytest.raises(FormatError, match="displacement of node 0 needs at least 2147483648 bits"):
+        _read_rice(data, 0, bits, np.array([5]), later, 2**31)
+
+
+def test_rank_table_hostile_streams_refused():
+    # B = 5 and d = 11: the alphabet 0..10 fits the 11 values, so a flag
+    # bit comes first; table values take 4 bits and k 3 bits
+    b, later, d = np.array([5]), np.array([2]), 11
+    cases = {
+        # gamma(12), three zeros: one more value than the alphabet
+        "table of class 2 holds 12 values, more than its alphabet of 11": [
+            (1, 1), [0, 0, 0, 1], (4, 3)
+        ],
+        # four zeros announce at least 16 values, refused before the rest
+        "table of class 2 holds at least 16 values, more than its alphabet of 11": [
+            (1, 1), [0, 0, 0, 0, 1]
+        ],
+        # gamma(11), then a payload that ends long before 11 values of 4 bits
+        "table of class 2 needs 44 bits, 8 remain": [(1, 1), [0, 0, 0, 1], (3, 3), (0, 8)],
+        "table of class 2 repeats value 3": [(1, 1), [0, 1], (0, 1), (3, 4), (3, 4), (0, 3)],
+        "table value 12 of class 2 exceeds 2 B_max = 10": [(1, 1), [1], (12, 4), (0, 3)],
+        # A = 3 at k = 2: rank 3 (quotient 0, remainder 3) is not below A
+        "rank 3 of node 0 is not below the 3 values of class 2's table": [
+            (1, 1), [0, 1], (1, 1), (0, 4), (1, 4), (2, 4), (2, 3), [1] * d,
+            [1] + [0] * (d - 1), [1] + [0] * (d - 1),
+        ],
+        # A = 3 at k = 0: rank 7 in unary, which no shift can wrap
+        "rank 7 of node 0 is not below the 3 values of class 2's table": [
+            (1, 1), [0, 1], (1, 1), (0, 4), (1, 4), (2, 4), (0, 3), [0] * 7, [1] * d,
+        ],
+    }
+    for message, fields in cases.items():
+        data, bits = _rice_section(*fields)
+        with pytest.raises(FormatError, match=message):
+            _read_rice(data, 0, bits, b, later, d)
+    # a table value may exceed the 2B of a node below the class's B_max:
+    # bounds 5 and 1 at d = 6, table (4, 0), k = 0; node 0 takes rank 0
+    # (4, so m = 2) and node 1 rank 1 (0), or rank 0, which is refused
+    b, later, d = np.array([5, 1]), np.array([2, 2]), 6
+    head = [(1, 1), [0, 1], (0, 1), (4, 4), (0, 4), (0, 3)]
+    data, bits = _rice_section(*head, [1] * d, [0, 1] * d)
+    eta, end = _read_rice(data, 0, bits, b, later, d)
+    assert eta.tolist() == [[2] * d, [0] * d] and end == bits
+    data, bits = _rice_section(*head, [1] * d, [0, 1] * (d - 1), [1])
+    with pytest.raises(FormatError, match="table value 4 of node 1 exceeds 2B = 2"):
+        _read_rice(data, 0, bits, b, later, d)
 
 
 @settings(max_examples=200, deadline=None)
@@ -214,20 +271,35 @@ def test_rice_section_hostile_streams_refused():
     st.lists(
         st.tuples(
             st.integers(0, 3),
-            st.one_of(st.integers(-20, 20), st.integers(-(2**63), 2**63 - 1)),
+            st.one_of(
+                st.integers(-2, 2), st.integers(-20, 20), st.integers(-(2**63), 2**63 - 1)
+            ),
+            st.sampled_from([0, 1, 3, 2**20]),
         ),
         min_size=1,
-        max_size=40,
+        max_size=60,
     )
 )
+@example([(3, 2, 0)] * 20 + [(3, -1, 0), (0, 5, 0)])  # class 3 takes a table
 def test_rice_parameters_are_the_exhaustive_best(items):
-    # the encoder's exact costing by bit counts picks, per class, the k the
-    # scalar search over every k in 0..63 picks, up to zigzag values of 64
-    # bits, which no cost of its may overflow
-    classes = [c for c, _ in items]
-    z = np.array([[ref.zigzag(m)] for _, m in items], dtype=np.uint64)
-    got = _rice_parameters(z, np.array(classes)).tolist()
-    assert got == ref.rice_parameters([[m] for _, m in items], classes)
+    # the encoder's exact costing by bit counts picks, per class, the table
+    # (or none) and the k that the scalar search picks: over every k in
+    # 0..63, on the values and, where the alphabet 0..2 B_max is no larger
+    # than the class's count of values, on their ranks plus the table's
+    # bits.  Zigzag values reach 64 bits, which no cost of its may
+    # overflow; bounds |m| plus some slack make alphabets that both fit
+    # the values and outnumber them
+    classes = [c for c, _, _ in items]
+    bounds = [max(abs(m) + extra, 1) for _, m, extra in items]
+    z = np.array([[ref.zigzag(m)] for _, m, _ in items], dtype=np.uint64)
+    tops = [top and top[0] for top in ref.rice_tops(classes, bounds, 1)]
+    ks, tables = _rice_parameters(z, np.array(classes), tops)
+    heads = ref.rice_heads([[m] for _, m, _ in items], classes, bounds)
+    got = [
+        None if tops[c] is None else (None if t is None else t.tolist(), int(ks[c]))
+        for c, t in enumerate(tables)
+    ]
+    assert got == heads
 
 
 @settings(max_examples=200, deadline=None)
@@ -558,10 +630,20 @@ def _bound_cases(model) -> dict[str, int]:
     }
 
 
+def _raw_heads(model) -> list:
+    """Displacement heads without tables and with k = 0, for any rows."""
+    rows = model.eta_ints.tolist()
+    classes = ref.rice_classes(model.tree)
+    bounds = net.tree_bounds(model.tree, model.epsilon, model.d, model.p)
+    return [None if h is None else (None, 0) for h in ref.rice_heads(rows, classes, bounds)]
+
+
 def test_grid_integer_beyond_tree_bound_refused_at_decode():
     # the blob stores no precision: every node's bound comes from the tree.
     # A value at +-B decodes; one at +-(B+1), which serialize refuses, is
-    # written by the scalar writer and refused by the decoder
+    # written by the scalar writer (as a zigzag value, with no table) and
+    # refused by the decoder.  A node of bound 0 stores no row, so no value
+    # of its can be written at all
     blob = _blob(np.random.default_rng(8).normal(size=(12, 2)) * 9)
     model = deserialize(blob)
     bounds = net.tree_bounds(model.tree, model.epsilon, model.d, model.p)
@@ -587,9 +669,13 @@ def test_grid_integer_beyond_tree_bound_refused_at_decode():
             model.eta_ints[v, 0] = m
             with pytest.raises(GuaranteeError, match="exceeds its bound"):
                 serialize(model)
-            payload, bits, _ = ref.write_payload(model)
-            with pytest.raises(FormatError, match=f"of node {v} exceeds 2B"):
-                deserialize(_with_payload(blob, payload, bits))
+            payload, bits, _ = ref.write_payload(model, _raw_heads(model))
+            if bounds[v]:
+                with pytest.raises(FormatError, match=f"of node {v} exceeds 2B"):
+                    deserialize(_with_payload(blob, payload, bits))
+            else:
+                model.eta_ints[v, 0] = 0
+                assert (payload, bits) == ref.write_payload(model, _raw_heads(model))[:2]
         model.eta_ints[v, 0] = saved
 
 
@@ -752,12 +838,13 @@ def _patch_header(blob: bytes, offset: int, fmt: str, value) -> bytes:
 def test_version_one_refused():
     # version 2 moved every field into columns, version 3 dropped the
     # centers and ingress flags, version 4 the landmark shifts, version 5
-    # moved the displacements from fixed widths to Rice codes, and version
-    # 6 dropped the precisions and made ingress references local ranks;
-    # older blobs are refused, not read by a second parser
+    # moved the displacements from fixed widths to Rice codes, version 6
+    # dropped the precisions and made ingress references local ranks, and
+    # version 7 added rank tables and sized the Rice parameters by the
+    # tree; older blobs are refused, not read by a second parser
     blob = _blob(np.random.default_rng(9).normal(size=(10, 2)) * 7)
-    assert struct.unpack_from("<H", blob, 4) == (VERSION,) == (6,)
-    for old in (1, 2, 3, 4, 5):
+    assert struct.unpack_from("<H", blob, 4) == (VERSION,) == (7,)
+    for old in (1, 2, 3, 4, 5, 6):
         body = bytearray(blob[:-4])
         struct.pack_into("<H", body, 4, old)
         with pytest.raises(FormatError, match=f"unsupported version {old}"):
@@ -836,12 +923,16 @@ def _rank_fields(blob: bytes) -> list[tuple[int, int, range, list[int]]]:
 )
 def test_ranks_and_rice_parameters_match_the_scalar_writer(seed, kind, p, landmarks, data):
     # any node of its range is an ingress the rank column can hold, and any
-    # row within its bounds one the Rice section can: the column readers
-    # read back the scalar writer's payload, and the codec writes it bit
-    # for bit, rank widths and exhaustive Rice parameters included.  Drawn
-    # from the nodes of its range inside its part, the ingresses may still
-    # close a cycle: then serialize refuses the model with the message the
-    # decoder gives for that payload
+    # row within its bounds one the Rice section can, in a class with or
+    # without a rank table: the column readers read back the scalar
+    # writer's payload, and the codec writes it bit for bit, rank widths,
+    # exhaustive Rice parameters and table choices included.  Half the
+    # examples force each class's head instead: a table, in any order of
+    # the class's values, wherever the alphabet allows one, or none, and
+    # any k that keeps the quotients short; both readers read those back.
+    # Drawn from the nodes of its range inside its part, the ingresses may
+    # still close a cycle: then serialize refuses the model with the
+    # message the decoder gives for that payload
     ps = ref.small_instance(seed, 14, 2, p, kind)
     assume(ps is not None)
     params = SketchParams(epsilon=0.25, jl_enabled=False, landmarks=landmarks)
@@ -852,19 +943,43 @@ def test_ranks_and_rice_parameters_match_the_scalar_writer(seed, kind, p, landma
         span = [u for u in ref.rank_range(tree, c) if tree.part_of[u] == tree.part_of[c]]
         model.ingress[c] = span[data.draw(st.integers(0, len(span) - 1))]
     bounds = net.tree_bounds(tree, model.epsilon, model.d, model.p)
-    classes = np.array([-1 if k is None else k for k in ref.rice_classes(tree)])
+    labels = ref.rice_classes(tree)
+    classes = np.array([-1 if k is None else k for k in labels])
     # per class, values up to 0, 1, 5 or the bound, so the four k differ
     caps = [data.draw(st.sampled_from([0, 1, 5, 2**62])) for _ in range(4)]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     for v in np.flatnonzero(classes >= 0):
         top = min(int(bounds[v]), caps[classes[v]])
         model.eta_ints[v] = rng.integers(-top, top + 1, size=model.d)
-    payload, bits, starts = ref.write_payload(model)
+    rows = model.eta_ints.tolist()
+    heads = ref.rice_heads(rows, labels, bounds)
+    forced = data.draw(st.booleans())
+    if forced:
+        tops = ref.rice_tops(labels, bounds, model.d)
+        for c, top in enumerate(tops):
+            if top is None:
+                continue
+            values = sorted(
+                {ref.zigzag(m) for v in np.flatnonzero((classes == c) & (bounds > 0)) for m in rows[v]}
+            )
+            table = None
+            if top[0] + 1 <= top[1] and data.draw(st.booleans()):
+                table = data.draw(st.permutations(values))
+            width = (len(table) - 1 if table else values[-1]).bit_length()
+            k = data.draw(st.integers(max(0, width - 3), min(63, top[0].bit_length())))
+            heads[c] = (table, k)
+    payload, bits, starts = ref.write_payload(model, heads)
     parent = np.array(tree.parent)
     ingress, end = _read_ingress(payload, starts["ingress ranks"], bits, tree, parent)
-    assert end == starts["Rice parameters"] and np.array_equal(ingress, model.ingress)
+    assert end == starts["Rice heads"] and np.array_equal(ingress, model.ingress)
     eta, end = _read_rice(payload, end, bits, bounds, classes, model.d)
     assert end == starts["landmark count"] and np.array_equal(eta, model.eta_ints)
+    r = ref.BitReader(payload, bits)
+    r.position = starts["Rice heads"]
+    assert ref.read_rice_section(r, labels, bounds, model.d) == rows
+    assert r.position == starts["landmark count"]
+    if forced:
+        return
     try:
         blob = serialize(model)
     except GuaranteeError as exc:
@@ -1072,9 +1187,20 @@ def test_flag_bit_zero_rejected():
 
 @pytest.mark.parametrize("d", [2**31, 2**32 - 1])
 def test_huge_header_dimension_rejected_before_allocating(d):
+    # the header's d sizes every class's count of values, and so where the
+    # displacement heads hold a table flag: whichever check refuses such a
+    # blob first (a Rice parameter out of range, or a row that cannot fit,
+    # see test_rice_section_hostile_streams_refused), it does so before
+    # anything of d values per row is allocated
     blob = _blob(np.random.default_rng(10).normal(size=(8, 2)) * 7)
-    with pytest.raises(FormatError, match="displacement of node"):
-        deserialize(_patch_header(blob, 8, "<Q", d))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="Rice parameter|displacement of node"):
+            deserialize(_patch_header(blob, 8, "<Q", d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_header_spread_beyond_k_rejected():

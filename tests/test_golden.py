@@ -8,7 +8,8 @@ A second digest covers each decoded model's content and stays put across a
 change of layout: header scalars, tree, centers, ingresses, grid integers
 and landmark ids, beside the bits of every ``size_report`` section.  A new
 layout that moves fields but keeps them must leave these unchanged.  (MCSK
-v6 dropped the precisions from the blob and from this content.)
+v6 dropped the precisions from the blob and from this content; v7's rank
+tables moved only the displacement and padding bits.)
 
 The cases cover p in {1, 2, inf, 1.5}, metric inputs (Frechet embedding of a
 graph metric), a high-spread line with long edges, a spread near 2^512 whose
@@ -80,18 +81,18 @@ CASES = {
 }
 
 DIGESTS = {
-    "clusters-l2-fine-landmarks": "50c64347c9b80cf62f20a44e765ee081baf0b5568e59be520be80018f13d4b66",
-    "clusters-linf": "a81a69f50467b7bcd5f99b313cc3d4ecfe9fd30f2cd924465a6418d4cf1907b2",
-    "graph-metric": "fac458a75286b8a16e972818d7932b5182c3917ed4c0c7d076e98bc3133c25e6",
-    "graph-metric-landmarks": "8cf365e6de597be157d4986ca6ed3cd312de8a8bda3fb8573110a4adfc3130e6",
-    "high-spread-line": "578af1340d6343e8b608a99540dca4226f410df2157e6a3b364d9a805429dbb0",
-    "high-spread-line-512-landmarks": "f6ff2b01c6f65e5a7217d028710019bd72fed3f95c6238b26a58b40e7c020a41",
-    "lattice-l1-ties": "364a0fe47eed0fb8b26d5d6519f79745d053b6f14d32d0e35b3ef7326fad39e0",
-    "lattice-l2-ties-landmarks": "0551ed6e2b4a251f938bc4007dad06665b50d9b100b5f633f8410c84002f12c2",
-    "projected-l2": "a93ff3393cdf92352115da66625adf30c90154aa636a9ec3577736ee72d9991d",
-    "uniform-l1-landmarks": "6a16d70ed55ce74e1724d25722d62cef18a53624010a72fcc79d29912c42fd86",
-    "uniform-l1.5": "45c660b7feb52621dce8aea5e377720c61610a2dae59e4f37a2d8c2482eda050",
-    "uniform-l2": "1060e40b825e7b2d7b0c9c79ce89e7a5caae38e1c5f2a33f46bb357487b270af",
+    "clusters-l2-fine-landmarks": "42e622245e5670cc3bb2883d224c03d951f35b69f86bbbf571665467f2a52e6f",
+    "clusters-linf": "c0bf13fc614b157d381677fee35788dbbd043331f9de6b913848920955c1c436",
+    "graph-metric": "f082ba25f4f80fbd3fa615eefda99aa81b406bf0a65ffd25b3ff032b1773c198",
+    "graph-metric-landmarks": "eee7d898745fc653bfeb3f4396f7610507ed177f3bd1cea9688ca80ddbd179ec",
+    "high-spread-line": "a82a9e0462c6045eb4d7c19fb99fa5330265fb1abd259a88801c964d4177db00",
+    "high-spread-line-512-landmarks": "7f168a104528dfdc059e750c654cc289e25f57f05bbd6eeb421ba9d316997b1b",
+    "lattice-l1-ties": "ce99b042418fd29ba22181047863192a4723627dd893058efc8bfb3c9da6a076",
+    "lattice-l2-ties-landmarks": "5b0afbedcf4921d0cdd1085ea639148a0b99c3533944db7d7e9ef1c8c5724214",
+    "projected-l2": "6581b3c06a40669235606fca0f3ffe128c3f9e1b71d399fd0c95fc954c6b992e",
+    "uniform-l1-landmarks": "cd2ccca2c01a7e7e7ce938ba562779236a35b0a1967396c26d27516aeeab8ab9",
+    "uniform-l1.5": "ed34ae54032758d197ffdbe822e5b15a0c8fc369aa064e06de59faff0bc9fcae",
+    "uniform-l2": "b5b5e714c611a2d891eb25f8e7808676ebb844c6b8fc92ef696d4f8b254a9982",
 }
 
 
@@ -101,51 +102,51 @@ DIGESTS = {
 MODELS = {
     "clusters-l2-fine-landmarks": (
         "6070eaa0f2efce95b0a370b20101c96ce83152b6a83e6cd0b1d40b8b98403d66",
-        (455, 86, 360, 198, 0, 1550, 37, 2),
+        (455, 86, 360, 198, 0, 1516, 37, 4),
     ),
     "clusters-linf": (
         "23170c859d6aa663dde07a5950867265b7d0c81fe4b1bde57068e344a394926c",
-        (467, 24, 560, 287, 0, 2200, 0, 6),
+        (467, 24, 560, 287, 0, 2175, 0, 7),
     ),
     "graph-metric": (
         "1f29db31c15d78faa3a97fa9a3f5beb8759cb1277fa90d114d48741c5893cb8c",
-        (152, 0, 240, 194, 0, 8114, 0, 4),
+        (152, 0, 240, 194, 0, 7098, 0, 4),
     ),
     "graph-metric-landmarks": (
         "00fa5ededf06ad4f5801394a5d3013b07e3b4266ac4e3c38b1f081b769c5494c",
-        (104, 0, 150, 145, 0, 5147, 15, 7),
+        (104, 0, 150, 145, 0, 4726, 15, 4),
     ),
     "high-spread-line": (
         "c41ae153d5e90b8d6c18ae3505d328a186d964786029d2d23f465bae5a6cb8c3",
-        (77, 22, 100, 70, 0, 124, 0, 7),
+        (77, 22, 100, 70, 0, 107, 0, 0),
     ),
     "high-spread-line-512-landmarks": (
         "3d88ef9a45b1eb9c48960dfca379eb77abe160709e7a209c766995e948b0fdee",
-        (77, 36, 100, 70, 0, 123, 1, 1),
+        (77, 36, 100, 70, 0, 106, 1, 2),
     ),
     "lattice-l1-ties": (
         "83ff965182b23de045dffacb13a27a5e5890bdd280d4dbb196b2a54bdd6620b8",
-        (266, 0, 384, 162, 0, 668, 0, 0),
+        (266, 0, 384, 162, 0, 337, 0, 3),
     ),
     "lattice-l2-ties-landmarks": (
         "beb05a4617c4a772f352df9e35a848763ba99e1f88c418cb27d416b4460d592d",
-        (218, 0, 384, 210, 0, 1116, 17, 7),
+        (218, 0, 384, 210, 0, 378, 17, 1),
     ),
     "projected-l2": (
         "24f31915048fa39db3c081e08773ba875091cfae7af6dd1d05b8d1da6b61aa10",
-        (122, 0, 240, 234, 0, 41252, 0, 0),
+        (122, 0, 240, 234, 0, 40996, 0, 0),
     ),
     "uniform-l1-landmarks": (
         "06b5687ca732772a42d3f99ca3dcb4acd835215aae0cb3392e6455944483162a",
-        (404, 159, 360, 274, 0, 1037, 29, 1),
+        (404, 159, 360, 274, 0, 1018, 29, 4),
     ),
     "uniform-l1.5": (
         "7ba095af690e8badd792735361f0b5cdafdceba6e78173ba13562186a8d23442",
-        (350, 226, 300, 216, 0, 572, 0, 0),
+        (350, 226, 300, 216, 0, 553, 0, 3),
     ),
     "uniform-l2": (
         "a385a58517e0d41b6fc3ab31ce59ce401de23aa17b7ee3716fb141ae8e260df4",
-        (419, 150, 360, 270, 0, 1019, 0, 6),
+        (419, 150, 360, 270, 0, 1007, 0, 2),
     ),
 }
 
@@ -223,10 +224,10 @@ def test_precision_section_is_empty(name):
 
 # Decoder memory: the tracemalloc peak of deserialize plus Estimator stays
 # within this many bytes per blob byte, plus a constant.  Measured peaks are
-# 57-139 bytes per blob byte here and 52-131 on the benchmark-scale blobs
-# (MCSK v6; 59-154 and 52-136 at v5, whose blobs were larger); a chain of
-# long edges, which the decoder now refuses (``codec._part_fault``),
-# decoded at 2,574.
+# 60-168 bytes per blob byte here and 60-134 on the benchmark-scale blobs
+# (MCSK v7, whose rank tables shrank the blobs, not the decoded models;
+# 57-140 and 52-130 at v6); a chain of long edges, which the decoder now
+# refuses (``codec._part_fault``), decoded at 2,574.
 DECODE_PEAK_PER_BYTE = 350
 DECODE_PEAK_CONSTANT = 1 << 16
 

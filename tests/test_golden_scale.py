@@ -37,9 +37,9 @@ CASES = {
 }
 
 DIGESTS = {
-    "build-clusters": "3ce140656bb78afb591b9df3b8acc0682e36ea646dc24d407868eb75b7e0905f",
-    "query-clusters": "f3f38bb8902b70fec5eda57e36b2ef9a9a33f888b3c49c960652f1e8eba730f2",
-    "metric-graph": "100b22996e28a4bce2a063549dbdc569f2b80e70781e28ee68be582e561c0c65",
+    "build-clusters": "bb439016bfe140754cb1824ea2c031440c2ed3feefe64fcb9561e86f33c0aa16",
+    "query-clusters": "968ca70157662b168d4b6dd24579f3de4e4de1d3a70da32d778c282274cc8289",
+    "metric-graph": "1a08163ee2b5d48b795fc8d456c1e2e0a6358c67ac24ef9d7039a86c440f8b92",
 }
 
 

@@ -154,7 +154,8 @@ def test_grid_codec_rejects_out_of_bounds():
     for m in (-b - 1, b + 1):
         with pytest.raises(ValueError, match=r"outside \[-3, 3\]"):
             _rice_columns(np.array([[m]]), bounds, later)
-    # zigzag 7 = 2B + 1 at k = 2: quotient 1, remainder 3
-    data, bits = pack_fields([(np.array([0, 0, 2, 0]), 6), (np.array([0, 1, 1, 1]), 1)])
+    # zigzag 7 = 2B + 1 at k = 2 (in 2 bits, as k <= bitlen(2B) = 3):
+    # quotient 1, remainder 3
+    data, bits = pack_fields([(np.array([2]), 2), (np.array([0, 1, 1, 1]), 1)])
     with pytest.raises(FormatError, match="zigzag value 7 of node 0 exceeds 2B = 6"):
         _read_rice(data, 0, bits, bounds, later, 1)
