@@ -18,7 +18,8 @@ Rows of d integers can also be stored as bit planes: row i as its k[i] low
 bits, one plane of d bits per bit, most significant plane first
 (:func:`plane_bits`, :func:`read_planes`).  :func:`pack_fields` writes
 columns of fields and bit columns in one pass; :func:`unpack_runs` reads
-runs of fixed-width fields at any bit offsets in one pass.
+runs of fixed-width fields at any bit offsets in one pass, and
+:func:`read_bits` a bit column as one slice.
 
 Every field is at most 64 bits wide and every gamma value lies in
 [1, 2^63): a valid blob's gamma values are level gaps, at most the
@@ -42,6 +43,7 @@ __all__ = [
     "gamma_columns",
     "unary_bits",
     "plane_bits",
+    "read_bits",
     "bit_windows",
     "unpack_runs",
     "read_unary",
@@ -195,15 +197,21 @@ def row_blocks(n: int, d: int) -> list[slice]:
     return [slice(s, s + step) for s in range(0, n, step)]
 
 
+def read_bits(data: bytes, start: int, stop: int) -> np.ndarray:
+    """Bits ``start:stop`` of the MSB-first stream ``data`` as a uint8 array
+    of 0s and 1s, from one ``np.unpackbits`` over the bytes they touch."""
+    first, last = start >> 3, (stop + 7) >> 3
+    bits = np.unpackbits(np.frombuffer(data, np.uint8, last - first, first))
+    return bits[start - 8 * first : stop - 8 * first]
+
+
 def bit_windows(data: bytes, start: int, limit: int, span: int):
     """Ever longer windows of the stream from bit ``start`` on, each as its
-    end and its bits (a uint8 array of 0s and 1s): ``span`` bits, doubling
-    up to bit ``limit``.  Asking for one more raises FormatError."""
+    end and its bits (:func:`read_bits`): ``span`` bits, doubling up to bit
+    ``limit``.  Asking for one more raises FormatError."""
     while True:
         stop = min(limit, start + span)
-        first, last = start >> 3, (stop + 7) >> 3
-        bits = np.unpackbits(np.frombuffer(data, np.uint8, last - first, first))
-        yield stop, bits[start - 8 * first : stop - 8 * first]
+        yield stop, read_bits(data, start, stop)
         if stop == limit:
             raise FormatError("a column runs past the end of the payload")
         span *= 2
@@ -221,13 +229,16 @@ def unpack_runs(
     out = np.empty((starts.size, count), dtype=np.uint64)
     if not out.size:
         return out
-    buf = np.frombuffer(bytes(data) + bytes(9), dtype=np.uint8)
+    # a copy of just the bytes the runs cover, padded for the last word
+    first = int(starts.min()) >> 3
+    last = (int((starts + widths * count).max()) + 7) >> 3
+    buf = np.frombuffer(bytes(data[first:last]) + bytes(9), dtype=np.uint8)
     words = sliding_window_view(buf, 8)
     # about eight uint64 temporaries per field: together one float block
     step = max(1, _BLOCK_ELEMS // (8 * count))
     for s in range(0, starts.size, step):
         w = widths[s : s + step, None]
-        pos = starts[s : s + step, None] + w * np.arange(count)
+        pos = starts[s : s + step, None] + w * np.arange(count) - 8 * first
         byte = pos >> 3
         off = (pos & 7).astype(np.uint64)
         # the 64 bits from pos on: 8 bytes shifted left, then the next byte's top
@@ -293,9 +304,7 @@ def read_planes(data: bytes, start: int, k: np.ndarray, rows: np.ndarray) -> Non
     total = int(k.sum()) * d
     if not total:
         return
-    first, last = start >> 3, (start + total + 7) >> 3
-    bits = np.unpackbits(np.frombuffer(data, np.uint8, last - first, first))
-    planes = bits[start - 8 * first : start - 8 * first + total].reshape(-1, d)
+    planes = read_bits(data, start, start + total).reshape(-1, d)
     top = np.cumsum(k) - k  # each row's first plane
     for kk in np.unique(k[k > 0]).tolist():
         g = np.flatnonzero(k == kk)

@@ -18,15 +18,16 @@ Four passes, in dependency order:
    node whose surrogate anchors its own.  The tau-root's ingress is the
    parent; any other child v_i of v takes the closest point y of its
    tau-predecessor's cluster, which the build stores as the near label of
-   that tau edge, and descends from that predecessor toward leaf(y),
-   stopping before any long edge, which always lands on a node with no
-   short children.  Each step takes the last child whose preorder
-   id is at most leaf(y)'s.  So a node's ingress is its parent exactly when
-   it is the parent's first child; the decoder derives those and the blob
-   stores only the others.  ``Annotations.ingress`` is a list with None at
-   part roots; :func:`annotate` turns it once into one int64 array with -1
-   there, which pass 4, :func:`ingress_layers`, the sketch model, the
-   codec and the estimator take.
+   that tau edge, and the deepest ancestor of leaf(y) in v's part: the
+   node where a descent from the predecessor toward leaf(y) over short
+   edges stops, which always has no short children.  All of these are
+   found at once: from leaf(y), climb from each part's root to the top of
+   the long edge above it until the part is v's.  So a node's ingress is
+   its parent exactly when it is the parent's first child; the decoder
+   derives those and the blob stores only the others.  The pass returns
+   one int64 array with -1 at part roots, which pass 4,
+   :func:`ingress_layers`, the sketch model, the codec and the estimator
+   take; ``Annotations.ingress`` holds it as a list with None there.
 
 3. precisions: inv_delta(v) = 5 + ceil(Delta(v)/2^level(v)), computed with
    a 1e-12 downward nudge so diameters that are exact multiples of the
@@ -163,37 +164,37 @@ def assign_centers(
 # Pass 2: ingresses.
 
 
-def assign_ingresses(
-    tree: SketchTree, tau: dict[int, TauTree], clusters: ClusterIndex
-) -> list[int | None]:
-    """Ingress node per non-part-root node (None at part roots).  A
-    tau-root's is its parent; any other child i of v descends from its
-    tau-parent toward the leaf of ``clusters.near[v][i]``."""
-    ingress: list[int | None] = [None] * tree.n_nodes
-    leaf_of = tree.leaf_of()
-    end = tree.end.tolist()
-    for v, tt in tau.items():
-        kids = _children(end, v)
-        ingress[kids[0]] = v
-        for i in range(1, len(kids)):
-            y = clusters.near[v][i]
-            ingress[kids[i]] = _descend_short(tree, end, tt.parent[kids[i]], leaf_of[y])
+def assign_ingresses(tree: SketchTree, clusters: ClusterIndex) -> np.ndarray:
+    """Ingress node per node as an int64 array, -1 at part roots.  A first
+    child's is its parent; a later child i of v takes the deepest ancestor
+    of the leaf of ``clusters.near[v][i]`` in v's part."""
+    parent = np.array(tree.parent, dtype=np.int64)
+    ingress = np.full(tree.n_nodes, -1, dtype=np.int64)
+    kid = np.flatnonzero(~tree.part_root)  # every node on a short edge
+    first = kid == parent[kid] + 1  # ids are preorder
+    ingress[kid[first]] = parent[kid[first]]
+    # the later children by parent, then id: the order of their near labels
+    later = kid[~first]
+    later = later[np.argsort(parent[later], kind="stable")]
+    near = np.fromiter(
+        (y for ys in clusters.near if ys for y in ys[1:]), np.int64, later.size
+    )
+    label = np.array(tree.leaf_label)
+    leaves = np.flatnonzero(label >= 0)
+    leaf = np.empty(leaves.size, dtype=np.int64)
+    leaf[label[leaves]] = leaves
+    # from the leaf, climb a part at a time to the long-edge top above the
+    # part's root, until the part is v's
+    part = tree.part_of
+    top = parent[tree.part_root]  # by part
+    x = leaf[near]
+    want = part[parent[later]]
+    i = np.flatnonzero(part[x] != want)
+    while i.size:
+        x[i] = top[part[x[i]]]
+        i = i[part[x[i]] != want[i]]
+    ingress[later] = x
     return ingress
-
-
-def _descend_short(tree: SketchTree, end: list[int], start: int, leaf: int) -> int:
-    """Lowest node on the path start -> leaf reachable over short edges.
-    Ids are DFS preorder: the child holding leaf is the one whose subtree
-    range reaches past it."""
-    cur = start
-    while end[cur] > cur + 1:  # not a leaf
-        nxt = cur + 1
-        while end[nxt] <= leaf:
-            nxt = end[nxt]
-        if tree.long_edge[nxt]:
-            break
-        cur = nxt
-    return cur
 
 
 # --------------------------------------------------------------------------
@@ -305,11 +306,12 @@ def compute_surrogates(
 def annotate(
     tree: SketchTree, clusters: ClusterIndex, ps: PointSet, params: SketchParams
 ) -> tuple[Annotations, np.ndarray, SurrogateTable]:
-    """All four passes in one call.  The ingress forest is turned into its
-    int64 array (-1 at part roots) once, here; that array is returned
-    between the annotations and the table, for the sketch model."""
+    """All four passes in one call.  The ingress array (-1 at part roots)
+    is returned between the annotations and the table, for the sketch
+    model; ``Annotations.ingress`` holds it as a list with None there."""
     center, tau = assign_centers(tree, clusters)
-    ann = Annotations(center=center, tau=tau, ingress=assign_ingresses(tree, tau, clusters))
-    ingress = np.array([-1 if u is None else u for u in ann.ingress], dtype=np.int64)
+    ingress = assign_ingresses(tree, clusters)
+    listed = [None if u < 0 else u for u in ingress.tolist()]
+    ann = Annotations(center=center, tau=tau, ingress=listed)
     table = compute_surrogates(tree, ann, ingress, ps, params, clusters)
     return ann, ingress, table

@@ -104,7 +104,7 @@ def build_sketch(
     ann, ingress, table = annotate(tree, clusters, ps, params)
     if not math.isfinite(estimate_bound(table.shift_int, table.unit, ps.scale, ps.d, ps.p)):
         raise InputError(f"coordinates too large: estimates at scale {ps.scale} may overflow")
-    landmarks = sorted(select_all_landmarks(tree, ingress, kk)) if params.landmarks else None
+    landmarks = select_all_landmarks(ingress, kk) if params.landmarks else None
     model = SketchModel(
         tree=tree,
         ingress=ingress,
@@ -174,29 +174,23 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def gen_uniform(
-    n: int, d: int, seed: int, low: float = 0.0, high: float = 100.0
-) -> np.ndarray:
+def gen_uniform(n: int, d: int, seed: int) -> np.ndarray:
+    """n points drawn uniformly from the cube [0, 100)^d."""
     if n < 2 or d < 1:
         raise InputError(f"need n >= 2 points of d >= 1 coordinates, got n={n}, d={d}")
     rng = _rng(seed)
-    return rng.uniform(low, high, size=(n, d))
+    return rng.uniform(0.0, 100.0, size=(n, d))
 
 
-def gen_gaussian_clusters(
-    n: int,
-    d: int,
-    seed: int,
-    clusters: int = 5,
-    center_spread: float = 40.0,
-    sigma: float = 1.0,
-) -> np.ndarray:
+def gen_gaussian_clusters(n: int, d: int, seed: int) -> np.ndarray:
+    """n points around five centers drawn from N(0, 40^2) per coordinate,
+    each point a center plus N(0, 1) noise per coordinate."""
     if n < 2 or d < 1:
         raise InputError(f"need n >= 2 points of d >= 1 coordinates, got n={n}, d={d}")
     rng = _rng(seed)
-    centers = rng.normal(0.0, center_spread, size=(clusters, d))
-    assign = rng.integers(0, clusters, size=n)
-    return centers[assign] + rng.normal(0.0, sigma, size=(n, d))
+    centers = rng.normal(0.0, 40.0, size=(5, d))
+    assign = rng.integers(0, 5, size=n)
+    return centers[assign] + rng.normal(0.0, 1.0, size=(n, d))
 
 
 def gen_high_spread_line(n: int, t: int, seed: int) -> np.ndarray:
@@ -226,8 +220,9 @@ def gen_high_spread_line(n: int, t: int, seed: int) -> np.ndarray:
     return np.array([0.0, 1.0, *blob, top], dtype=np.float64).reshape(-1, 1)
 
 
-def gen_random_graph_metric(n: int, seed: int, extra_edges: int | None = None) -> np.ndarray:
-    """Shortest-path metric of a random connected weighted graph."""
+def gen_random_graph_metric(n: int, seed: int) -> np.ndarray:
+    """Shortest-path metric of a random connected weighted graph: a random
+    spanning tree plus 2n random edges, weights uniform in [1, 4)."""
     if n < 2:
         raise InputError("need at least two nodes")
     rng = _rng(seed)
@@ -239,8 +234,7 @@ def gen_random_graph_metric(n: int, seed: int, extra_edges: int | None = None) -
 
     for i in range(1, n):
         add_edge(i, int(rng.integers(0, i)), float(rng.uniform(1.0, 4.0)))
-    m_extra = 2 * n if extra_edges is None else extra_edges
-    for _ in range(m_extra):
+    for _ in range(2 * n):
         i, j = (int(v) for v in rng.integers(0, n, size=2))
         if i != j:
             add_edge(i, j, float(rng.uniform(1.0, 4.0)))
@@ -386,7 +380,6 @@ def _params_from(args: argparse.Namespace) -> SketchParams:
         epsilon=args.epsilon,
         landmarks=args.landmarks,
         jl_enabled=not args.no_jl,
-        jl_constant=args.jl_const,
         jl_seed=args.jl_seed,
     )
 
@@ -525,7 +518,6 @@ def _add_build_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--landmarks", action="store_true")
     sp.add_argument("--no-jl", action="store_true")
     sp.add_argument("--jl-seed", type=int, default=0)
-    sp.add_argument("--jl-const", type=float, default=4.0)
 
 
 def build_parser() -> argparse.ArgumentParser:

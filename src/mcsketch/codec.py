@@ -75,7 +75,8 @@ at part roots, from the parents and the ranks.
 
 Columns move whole.  The writer packs every field of the payload in one
 pass (``_bitio.pack_fields``); the reader reads each fixed-width column in
-one pass (``unpack_runs``), and each unary stream, a gamma column's or
+one pass (``unpack_runs``), the edge flags as one slice of bits
+(``read_bits``), and each unary stream, a gamma column's or
 the displacements' quotients, by locating its one bits with whole-array
 calls (``read_unary``), and the ingress ranks, whose widths follow from
 the tree, as one run of fields (``unpack_runs``).  Only the four
@@ -101,6 +102,7 @@ from ._bitio import (
     gamma_columns,
     pack_fields,
     plane_bits,
+    read_bits,
     read_gamma_column,
     read_planes,
     read_unary,
@@ -800,15 +802,18 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         if pad and payload[-1] & ((1 << pad) - 1):
             raise FormatError("nonzero padding bits")
 
-    def column(width: int, count: int, what: str) -> np.ndarray:
-        """The next ``count`` fields of ``width`` bits, checked against the
-        bits that remain before allocating."""
+    def take(bits: int, what: str) -> int:
+        """Where the next ``bits`` bits start, checked against the bits that
+        remain before anything is allocated for them."""
         nonlocal pos
-        bits = count * width
         if bits > payload_bits - pos:
             raise FormatError(f"{what} need {bits} bits, {payload_bits - pos} remain")
         pos += bits
-        return unpack_runs(payload, [pos - bits], [width], count)[0]
+        return pos - bits
+
+    def column(width: int, count: int, what: str) -> np.ndarray:
+        """The next ``count`` fields of ``width`` bits."""
+        return unpack_runs(payload, [take(count * width, what)], [width], count)[0]
 
     def gammas(count: int) -> tuple[np.ndarray, int]:
         nonlocal pos
@@ -843,7 +848,8 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     parent[0] = -1
 
     # 2. edges
-    long_edge = np.append(False, column(1, n_nodes - 1, "edge flags") == 1)
+    start = take(n_nodes - 1, "edge flags")  # one bit column
+    long_edge = np.append(False, read_bits(payload, start, pos).view(bool))
     gap_values, gap_bits = gammas(int(long_edge.sum()))
     bad = np.flatnonzero((gap_values < 2) | (gap_values > top))
     if bad.size:

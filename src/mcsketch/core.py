@@ -501,15 +501,12 @@ class SketchParams:
     epsilon: float
     landmarks: bool = False
     jl_enabled: bool = True
-    jl_constant: float = 4.0
     jl_seed: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "epsilon", snap_epsilon(self.epsilon))
-        c, seed = self.jl_constant, self.jl_seed
-        if not (math.isfinite(c) and c > 0):
-            raise InputError(f"jl_constant must be finite and positive, got {c}")
         # the blob header stores the seed as a u64
+        seed = self.jl_seed
         if not (isinstance(seed, int | np.integer) and 0 <= seed < 2**64):
             raise InputError(f"jl_seed must be an integer in [0, 2^64), got {seed!r}")
 

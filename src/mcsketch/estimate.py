@@ -48,12 +48,18 @@ so few terms in; so a query makes no numpy call, and the precomputed mode
 keeps its table as one flat list for it.  Other rows go to ``_lp_reduce``
 itself.
 
-Landmark selection on one part's ingress tree: repeatedly take the deepest
-remaining node (smallest id on ties); stop when its depth is below K;
-otherwise its K-th ingress ancestor becomes a landmark and that ancestor's
-whole ingress subtree is removed.  Every selection removes at least K+1
-nodes, so a part of size s yields at most ceil(s/K) landmarks and a part of
-size <= K yields none.
+Landmark selection is one pass over the ingress layers, from the deepest
+up.  Each node's ``reach`` is the depth below it of its deepest ingress
+descendant that no landmark covers, 0 at a node with none.  A node whose
+reach is K becomes a landmark and reports nothing; every other node reports
+reach + 1 to its ingress, which keeps the largest report.  So a node
+becomes a landmark exactly when an uncovered node sits K hops below it,
+and every node lies within K hops of its nearest anchor.  This is the
+greedy that repeatedly takes the deepest node left, makes its K-th ingress
+ancestor a landmark and removes that ancestor's ingress subtree: within
+one depth the uncovered nodes pick distinct K-th ancestors in any order.
+Every landmark covers at least K+1 nodes, so a part of s nodes yields at
+most ceil(s/K) landmarks and a part of at most K nodes none.
 """
 
 from __future__ import annotations
@@ -72,7 +78,6 @@ from .hst import _children
 __all__ = [
     "Estimator",
     "estimate_bound",
-    "select_landmarks",
     "select_all_landmarks",
 ]
 
@@ -452,52 +457,16 @@ def estimate_bound(shifts: np.ndarray, unit: float, scale: float, d: int, p: flo
 # Landmark selection.
 
 
-def select_landmarks(
-    ingress_children: dict[int, list[int]], root: int, K: int
-) -> set[int]:
-    """Landmarks of one part's ingress tree (see module docstring)."""
+def select_all_landmarks(ingress: np.ndarray, K: int) -> list[int]:
+    """Landmark ids, ascending, of the ingress forest given as an int64
+    array (-1 at part roots), in one pass over its layers from the deepest
+    up (see the module docstring)."""
     if K < 1:
         raise InputError(f"landmark spacing must be >= 1, got {K}")
-    depth = {root: 0}
-    ingress_parent: dict[int, int] = {}
-    order = [root]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for c in ingress_children.get(v, ()):
-            depth[c] = depth[v] + 1
-            ingress_parent[c] = v
-            order.append(c)
-    removed: set[int] = set()
-    landmarks: set[int] = set()
-    for v in sorted(depth, key=lambda v: (-depth[v], v)):
-        if v in removed:
-            continue
-        if depth[v] < K:
-            break
-        anc = v
-        for _ in range(K):
-            anc = ingress_parent[anc]
-        landmarks.add(anc)
-        stack = [anc]
-        while stack:
-            w = stack.pop()
-            if w in removed:
-                continue
-            removed.add(w)
-            stack.extend(ingress_children.get(w, ()))
-    return landmarks
-
-
-def select_all_landmarks(tree, ingress: np.ndarray, K: int) -> set[int]:
-    """Union of per-part landmark selections over the whole tree, from the
-    ingress array (-1 at part roots).  A part of at most K nodes yields no
-    landmark (see the module docstring) and is skipped."""
-    big = (np.bincount(tree.part_of) > K)[tree.part_of]
-    kids: dict[int, list[int]] = {}
-    nodes = np.flatnonzero(big & (ingress >= 0))
-    for v, u in zip(nodes.tolist(), ingress[nodes].tolist()):
-        kids.setdefault(u, []).append(v)
-    roots = np.flatnonzero(big & (ingress < 0)).tolist()
-    return set().union(*(select_landmarks(kids, root, K) for root in roots))
+    # depth below each node of its deepest ingress descendant no landmark covers
+    reach = np.zeros(len(ingress), dtype=np.int64)
+    for layer in ingress_layers(ingress)[:0:-1]:
+        below = reach[layer]
+        open_ = below < K  # a node at K is a landmark and reports nothing
+        np.maximum.at(reach, ingress[layer[open_]], below[open_] + 1)
+    return np.flatnonzero(reach >= K).tolist()

@@ -4,8 +4,8 @@ distance-matrix row embedding.
 ``project_points`` multiplies Euclidean inputs by a random +-1/sqrt(d')
 sign matrix with d' = ceil(C * eps^-2 * ln n) columns (``target_dim``),
 drawn from a seeded PCG64 generator so builds are reproducible.  The
-projection is linear (zero maps to zero, scaling commutes) and with the
-default C = 4 distorts any fixed pair by more than (1 +- eps) only with
+projection is linear (zero maps to zero, scaling commutes) and with
+C = 4 distorts any fixed pair by more than (1 +- eps) only with
 vanishing probability, so the end-to-end error budget becomes
 (1+eps)(1+4eps) - 1.  Inputs already at or below the target dimension
 pass through untouched.  It projects raw coordinates divided by their
@@ -42,18 +42,23 @@ from .core import (
 __all__ = ["target_dim", "project_points", "frechet_embed"]
 
 
-def target_dim(n: int, epsilon: float, constant: float) -> int:
-    """d' = ceil(C * eps^-2 * ln n) (natural log), capped at 2^63, more than
-    any dimension, so a huge C cannot overflow to infinity."""
+# C in d' = ceil(C * eps^-2 * ln n)
+_JL_CONSTANT = 4.0
+
+
+def target_dim(n: int, epsilon: float) -> int:
+    """d' = ceil(C * eps^-2 * ln n) (natural log) with C = 4, capped at
+    2^63, more than any dimension, so a tiny epsilon cannot overflow to
+    infinity."""
     if n < 2:
         raise InputError("need at least two points")
-    target = constant * epsilon**-2.0 * math.log(n)
-    return max(1, math.ceil(min(target, 2.0**63)))
+    target = _JL_CONSTANT * math.log(n) / epsilon / epsilon  # inf, never an error
+    return math.ceil(min(target, 2.0**63))
 
 
 def project_points(coords: np.ndarray, params: SketchParams) -> PointSet | None:
     """The normalized projection of raw Euclidean coordinates to
-    ``target_dim(n, params.epsilon, params.jl_constant)`` columns, with the
+    ``target_dim(n, params.epsilon)`` columns, with the
     sign matrix of ``params.jl_seed``; None where that is no fewer columns.
 
     The raw coordinates are divided by their exact closest pair, the divisor
@@ -63,7 +68,7 @@ def project_points(coords: np.ndarray, params: SketchParams) -> PointSet | None:
     """
     coords = _as_points(coords)
     n, d = coords.shape
-    dprime = target_dim(n, params.epsilon, params.jl_constant)
+    dprime = target_dim(n, params.epsilon)
     if dprime >= d:
         return None
     mn = _min_distance(coords, 2.0)

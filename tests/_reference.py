@@ -509,6 +509,48 @@ def subtree_decomposition(tree) -> Decomposition:
     return Decomposition(part_of=part_of, parts=parts, roots=roots)
 
 
+def greedy_landmarks(ingress, K: int) -> set[int]:
+    """Landmarks of an ingress forest (-1 at part roots) by the greedy the
+    package once ran on each part's ingress tree: repeatedly take the
+    deepest remaining node (smallest id on ties); stop when its depth is
+    below K; otherwise its K-th ingress ancestor becomes a landmark and
+    that ancestor's whole ingress subtree is removed."""
+    ingress = [int(u) for u in ingress]
+    ingress_children: dict[int, list[int]] = {}
+    for v, u in enumerate(ingress):
+        if u >= 0:
+            ingress_children.setdefault(u, []).append(v)
+    landmarks: set[int] = set()
+    for root in (v for v, u in enumerate(ingress) if u < 0):
+        depth = {root: 0}
+        order = [root]
+        i = 0
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for c in ingress_children.get(v, ()):
+                depth[c] = depth[v] + 1
+                order.append(c)
+        removed: set[int] = set()
+        for v in sorted(depth, key=lambda v: (-depth[v], v)):
+            if v in removed:
+                continue
+            if depth[v] < K:
+                break
+            anc = v
+            for _ in range(K):
+                anc = ingress[anc]
+            landmarks.add(anc)
+            stack = [anc]
+            while stack:
+                w = stack.pop()
+                if w in removed:
+                    continue
+                removed.add(w)
+                stack.extend(ingress_children.get(w, ()))
+    return landmarks
+
+
 def member_search_ingresses(tree, tau, clusters) -> list:
     """Ingresses found by searching member labels, as the package once did.
 

@@ -467,7 +467,7 @@ def test_criterion_07_size_scaling():
 def test_criterion_08_euclidean_end_to_end():
     coords = np.random.default_rng(777).normal(size=(500, 1000))
     eps = 0.25
-    params = SketchParams(epsilon=eps, jl_enabled=True, jl_constant=4.0, jl_seed=0)
+    params = SketchParams(epsilon=eps, jl_enabled=True, jl_seed=0)
     ps, applied, orig_dim = prepare_points(coords, 2.0, params)
     assert applied and orig_dim == 1000
     jl_blob = build_sketch(ps, params, applied, orig_dim).blob
@@ -483,7 +483,7 @@ def test_criterion_08_euclidean_end_to_end():
 
     plain_blob = build_sketch(raw, SketchParams(epsilon=eps, jl_enabled=False)).blob
     jl_model, plain_model = deserialize(jl_blob), deserialize(plain_blob)
-    target_dim = reduce.target_dim(500, eps, params.jl_constant)
+    target_dim = reduce.target_dim(500, eps)
     ok_dims = (
         jl_model.d == target_dim
         and jl_model.jl_orig_dim == orig_dim

@@ -120,7 +120,7 @@ def _count_passes(monkeypatch) -> list[int]:
 def test_projected_prepare_points_makes_no_pass_at_the_original_dimension(monkeypatch):
     coords = np.random.default_rng(10).normal(size=(60, 800)) * 3.0
     params = SketchParams(epsilon=0.25, jl_seed=4)
-    dprime = target_dim(60, params.epsilon, params.jl_constant)
+    dprime = target_dim(60, params.epsilon)
     # the same projection of the set normalized at the original dimension
     full = normalize(coords, 2.0)
     signs = np.random.default_rng(params.jl_seed).integers(0, 2, size=(800, dprime)) * 2.0 - 1.0
@@ -142,7 +142,7 @@ def test_eval_of_projected_points_makes_one_pass_at_the_original_dimension(
     write_points(src, np.random.default_rng(11).normal(size=(40, 300)), 2.0)
     dims = _count_passes(monkeypatch)
     assert main(["eval", str(src), "-e", "0.5"]) == 0
-    assert dims == [target_dim(40, 0.5, 4.0), 300]
+    assert dims == [target_dim(40, 0.5), 300]
 
 
 def test_sketch_text_input(tmp_path, capsys):

@@ -1012,6 +1012,24 @@ def test_ingress_rank_at_its_range_count_refused():
         deserialize(_rewritten(blob, bits, count))
 
 
+def test_stream_cut_inside_the_edge_flags_refused():
+    # the payload ends inside the flag column, which is read as one slice
+    # of bits once its length is checked
+    blob = _fuzz_blob(2.0, True, 60)
+    model = deserialize(blob)
+    head = size_report(blob).header_bytes
+    flags = _columns(blob)["edge flags"]
+    assert len(flags) == model.tree.n_nodes - 1
+    cut = flags.start + len(flags) // 2 - 8 * head
+    payload, _, _ = ref.write_payload(model)
+    kept = bytearray(payload[: (cut + 7) // 8])
+    if cut % 8:
+        kept[-1] &= 0xFF << (8 - cut % 8) & 0xFF  # zero padding
+    remain = cut - (flags.start - 8 * head)
+    with pytest.raises(FormatError, match=f"edge flags need {len(flags)} bits, {remain} remain"):
+        deserialize(_with_payload(blob, bytes(kept), cut))
+
+
 def test_stream_cut_inside_the_ingress_ranks_refused():
     # the payload ends inside the rank column: the decoder sums the ranks'
     # widths from the tree and refuses before it reads or allocates them

@@ -560,7 +560,7 @@ def test_sketch_params_snaps_and_validates():
     assert params.t == 2
     assert SketchParams(epsilon=0.5).t == 1
     with pytest.raises(InputError):
-        SketchParams(epsilon=0.25, jl_constant=0.0)
+        SketchParams(epsilon=0.75)
 
 
 @pytest.mark.parametrize(
@@ -569,27 +569,23 @@ def test_sketch_params_snaps_and_validates():
         {"jl_seed": -1},
         {"jl_seed": 2**64},
         {"jl_seed": 1.5},
-        {"jl_constant": math.nan},
-        {"jl_constant": math.inf},
     ],
 )
 def test_sketch_params_refuse_what_the_build_cannot_use(bad):
-    # a negative seed once failed in numpy's generator, 2^64 when the blob
-    # header packed it as a u64, and nan / inf constants in the target
-    # dimension; all are refused up front
+    # a negative seed once failed in numpy's generator and 2^64 when the
+    # blob header packed it as a u64; both are refused up front
     with pytest.raises(InputError, match=next(iter(bad))):
         SketchParams(epsilon=0.25, **bad)
 
 
 def test_projection_seeds_and_constants_at_their_limits_build():
-    # the largest u64 seed projects and comes back from the header; a
-    # constant near the float limit asks for more dimensions than the input
-    # has, so no projection applies
+    # the largest u64 seed projects and comes back from the header; an
+    # epsilon whose eps^-2 passes the float limit asks for more dimensions
+    # than the input has, so no projection applies
     pts = np.random.default_rng(0).normal(size=(20, 500))
     blob = sketch_points(pts, 2.0, SketchParams(epsilon=0.25, jl_seed=2**64 - 1))
     assert deserialize(blob).jl_seed == 2**64 - 1
-    blob = sketch_points(pts, 2.0, SketchParams(epsilon=0.25, jl_constant=1e308))
-    assert deserialize(blob).jl_orig_dim == 0
+    assert project_points(pts, SketchParams(epsilon=2.0**-600)) is None
 
 
 def test_k_parameter_examples():

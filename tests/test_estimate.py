@@ -2,10 +2,11 @@
 
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcsketch.annotate import shift_to_float
 from mcsketch.cli import (
@@ -29,7 +30,7 @@ from mcsketch.core import (
 )
 from mcsketch import core, estimate
 from mcsketch.core import _BLOCK_ELEMS, _SHORT_AXIS
-from mcsketch.estimate import _SMALL_BLOCK, Estimator, select_all_landmarks, select_landmarks
+from mcsketch.estimate import _SMALL_BLOCK, Estimator, select_all_landmarks
 from mcsketch.hst import _children
 
 import _reference as ref
@@ -48,43 +49,49 @@ def _result(points, eps=0.25, p=2.0, **kw):
 
 def _chain(length):
     """Ingress path 0 -> 1 -> ... -> length-1 rooted at 0."""
-    return {i: [i + 1] for i in range(length - 1)}
+    return np.arange(-1, length - 1)
+
+
+def _random_tree(rng, s):
+    """Ingress array of a random tree of s nodes rooted at 0."""
+    return np.array([-1] + [int(rng.integers(0, v)) for v in range(1, s)])
 
 
 def test_chain_of_2k_plus_2_nodes_yields_two_landmarks():
     K = 3
-    kids = _chain(2 * K + 2)  # depths 0 .. 2K+1
-    got = select_landmarks(kids, 0, K)
-    # deepest node's K-th ancestor sits at depth K+1; after its subtree is
-    # gone the deepest survivor (depth K) selects the root itself
-    assert got == {K + 1, 0}
+    got = select_all_landmarks(_chain(2 * K + 2), K)  # depths 0 .. 2K+1
+    # the deepest node's K-th ancestor sits at depth K+1; the node at depth
+    # K is left uncovered, K hops below the root
+    assert got == [0, K + 1]
 
 
 def test_chain_shorter_than_k_yields_none():
     K = 4
-    assert select_landmarks(_chain(K), 0, K) == set()  # depths 0..K-1
-    assert select_landmarks({}, 0, K) == set()  # single node
+    assert select_all_landmarks(_chain(K), K) == []  # depths 0..K-1
+    assert select_all_landmarks(_chain(1), K) == []  # single node
 
 
 def test_chain_of_exactly_k_plus_1_selects_root():
     K = 4
-    got = select_landmarks(_chain(K + 1), 0, K)  # depths 0..K
-    assert got == {0}
+    assert select_all_landmarks(_chain(K + 1), K) == [0]  # depths 0..K
 
 
 def test_all_landmarks_skip_only_parts_of_at_most_k_nodes():
     # part 0 is an ingress chain of K + 1 nodes, which selects its root;
-    # part 1 is a chain of K nodes, which is skipped
+    # part 1 is a chain of K nodes, which selects none
     K = 4
-    tree = SimpleNamespace(part_of=np.array([0] * (K + 1) + [1] * K))
     ingress = np.array([-1, 0, 1, 2, 3, -1, 5, 6, 7])
-    assert select_all_landmarks(tree, ingress, K) == {0}
+    assert select_all_landmarks(ingress, K) == [0]
 
 
 def test_star_never_needs_landmarks():
     K = 2
-    kids = {0: [1, 2, 3, 4, 5]}
-    assert select_landmarks(kids, 0, K) == set()
+    assert select_all_landmarks(np.array([-1, 0, 0, 0, 0, 0]), K) == []
+
+
+def test_landmark_spacing_below_one_refused():
+    with pytest.raises(InputError, match="landmark spacing"):
+        select_all_landmarks(_chain(3), 0)
 
 
 def test_landmark_count_bound_random_trees():
@@ -92,10 +99,7 @@ def test_landmark_count_bound_random_trees():
     for trial in range(20):
         s = int(rng.integers(2, 60))
         K = int(rng.integers(1, 6))
-        kids: dict[int, list[int]] = {}
-        for v in range(1, s):
-            kids.setdefault(int(rng.integers(0, v)), []).append(v)
-        got = select_landmarks(kids, 0, K)
+        got = select_all_landmarks(_random_tree(rng, s), K)
         assert len(got) <= math.ceil(s / K)
 
 
@@ -104,18 +108,39 @@ def test_every_node_within_k_hops_of_anchor():
     for trial in range(20):
         s = int(rng.integers(2, 80))
         K = int(rng.integers(1, 6))
-        parent = {v: int(rng.integers(0, v)) for v in range(1, s)}
-        kids: dict[int, list[int]] = {}
-        for v, u in parent.items():
-            kids.setdefault(u, []).append(v)
-        anchors = select_landmarks(kids, 0, K) | {0}
+        ingress = _random_tree(rng, s)
+        anchors = set(select_all_landmarks(ingress, K)) | {0}
         for v in range(s):
             hops = 0
             cur = v
             while cur not in anchors:
-                cur = parent[cur]
+                cur = ingress[cur]
                 hops += 1
             assert hops <= K
+
+
+@st.composite
+def _ingress_forests(draw):
+    """An ingress forest (-1 at part roots) with arbitrary ids: each node in
+    a random order links to an earlier one, to the one just before it (long
+    chains), or starts a part (parts of a node or a few)."""
+    n = draw(st.integers(1, 60))
+    ids = draw(st.permutations(range(n)))
+    ingress = np.full(n, -1)
+    for i in range(1, n):
+        kind = draw(st.sampled_from(["any", "chain", "chain", "root"]))
+        if kind == "any":
+            ingress[ids[i]] = ids[draw(st.integers(0, i - 1))]
+        elif kind == "chain":
+            ingress[ids[i]] = ids[i - 1]
+    return ingress
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ingress_forests(), st.integers(1, 8))
+def test_selection_equals_the_greedy(ingress, K):
+    got = select_all_landmarks(ingress, K)
+    assert got == sorted(ref.greedy_landmarks(ingress, K))
 
 
 # --------------------------------------------------------------------------
@@ -514,8 +539,8 @@ def test_landmark_table_contents():
     K = k_parameter(
         res.point_set.spread, res.model.epsilon, res.point_set.d, res.point_set.p
     )
-    want = select_all_landmarks(res.tree, res.model.ingress, K)
-    assert res.model.landmarks == sorted(want)
+    want = select_all_landmarks(res.model.ingress, K)
+    assert res.model.landmarks == want
     est = Estimator(res.blob, mode="landmark")
     table = shift_to_float(res.table.shift_int, res.table.unit)
     for v in want:

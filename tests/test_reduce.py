@@ -19,22 +19,24 @@ import _reference as ref
 
 
 def test_target_dim_formula():
-    # ceil(C * eps^-2 * ln n)
-    assert target_dim(500, 0.25, 4.0) == 398
-    assert target_dim(100, 0.25, 4.0) == 295
-    assert target_dim(3, 0.5, 1.0) == 5
-    assert target_dim(2, 0.5, 4.0) == 12
+    # ceil(4 * eps^-2 * ln n)
+    assert target_dim(500, 0.25) == 398
+    assert target_dim(100, 0.25) == 295
+    assert target_dim(3, 0.5) == 18
+    assert target_dim(2, 0.5) == 12
 
 
 def test_target_dim_at_least_one():
-    assert target_dim(2, 0.5, 0.001) >= 1
+    # the fewest points at the coarsest epsilon; the finest epsilons cap
+    assert target_dim(2, 0.5) >= 1
+    assert target_dim(2, 2.0**-600) == 2**63
 
 
 def test_projection_requires_l2():
     # the build projects Euclidean inputs only: at p = 1 a point set far
     # above the target dimension is normalized as it is
     coords = np.random.default_rng(0).normal(size=(10, 200))
-    assert target_dim(10, 0.25, 4.0) < 200
+    assert target_dim(10, 0.25) < 200
     ps, applied, orig_dim = prepare_points(coords, 1.0, SketchParams(0.25))
     assert (applied, orig_dim) == (False, 0)
     assert np.array_equal(ps.coords, normalize(coords, 1.0).coords)
@@ -51,7 +53,7 @@ def test_low_dimension_passthrough():
 def test_projection_shrinks_dimension_and_normalizes():
     rng = np.random.default_rng(2)
     out = project_points(rng.normal(size=(60, 800)), SketchParams(0.25, jl_seed=7))
-    assert out.d == target_dim(60, 0.25, 4.0) < 800
+    assert out.d == target_dim(60, 0.25) < 800
     assert out.n == 60
     ref.check_point_set(out)
 
@@ -72,7 +74,7 @@ def test_projection_preserves_distances_within_eps():
     eps = 0.25
     raw = rng.normal(size=(80, 1000))
     ps = normalize(raw, 2.0)
-    out = project_points(raw, SketchParams(eps, jl_constant=4.0, jl_seed=0))
+    out = project_points(raw, SketchParams(eps, jl_seed=0))
     before = oracle_all_pairs(ps) * ps.scale
     after = oracle_all_pairs(out) * out.scale
     iu = np.triu_indices(80, k=1)
