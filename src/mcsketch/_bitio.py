@@ -17,16 +17,17 @@ finds every code's width with whole-array calls:
 Rows of d integers can also be stored as bit planes: row i as its k[i] low
 bits, one plane of d bits per bit, most significant plane first
 (:func:`plane_bits`, :func:`read_planes`).  :func:`pack_fields` writes
-columns of fields and bit columns in one pass; :func:`unpack_runs` reads
-runs of fixed-width fields at any bit offsets in one pass, and
-:func:`read_bits` a bit column as one slice.
+columns of fields and bit columns in one pass.  :func:`read_bits` reads a
+bit column as one slice, :func:`read_fields` a column of fields of one
+width through the same slice, and :func:`unpack_runs` fields of varying
+widths at any bit offsets in one pass.
 
 Every field is at most 64 bits wide and every gamma value lies in
-[1, 2^63): a valid blob's gamma values are level gaps, at most the
-spread's exponent, and a landmark count plus one.  The writer refuses a
-wider field or a larger value with ValueError, and the gamma reader a
-unary part that announces 63 or more low bits with FormatError, before
-it reads them.
+[1, 2^63): a valid blob's gamma values are rank-table lengths, at most
+an alphabet that fits a class's values, and a landmark count plus one.
+The writer refuses a wider field or a larger value with ValueError, and
+the gamma reader a unary part that announces 63 or more low bits with
+FormatError, before it reads them.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "unary_bits",
     "plane_bits",
     "read_bits",
+    "read_fields",
     "bit_windows",
     "unpack_runs",
     "read_unary",
@@ -203,6 +205,18 @@ def read_bits(data: bytes, start: int, stop: int) -> np.ndarray:
     first, last = start >> 3, (stop + 7) >> 3
     bits = np.unpackbits(np.frombuffer(data, np.uint8, last - first, first))
     return bits[start - 8 * first : stop - 8 * first]
+
+
+def read_fields(data: bytes, start: int, count: int, width: int) -> np.ndarray:
+    """The ``count`` fields of ``width`` bits (at most 64) that follow one
+    another from bit ``start`` of the MSB-first stream ``data``, as uint64:
+    one :func:`read_bits` slice as rows of bits, summed against the powers
+    of two.  The caller has checked the fields against the stream's
+    length."""
+    if not count * width:
+        return np.zeros(count, dtype=np.uint64)
+    bits = read_bits(data, start, start + count * width).reshape(count, width)
+    return bits @ (np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64))
 
 
 def bit_windows(data: bytes, start: int, limit: int, span: int):

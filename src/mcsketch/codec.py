@@ -2,7 +2,7 @@
 
 Layout, all multi-byte header fields little-endian:
 
-* header: magic ``MCSK``; u16 version (7); u8 p-code (1, 2, 255 = inf;
+* header: magic ``MCSK``; u16 version (8); u8 p-code (1, 2, 255 = inf;
   0 = rational p followed by u32 numerator + u32 denominator); u64 n;
   u64 d; f64 epsilon (post-snap); f64 scale; f64 spread; u8 flags (bit 1:
   landmark table present; every other bit, bit 0 included, is reserved
@@ -17,17 +17,24 @@ Layout, all multi-byte header fields little-endian:
 
   1. tree shape as balanced parentheses, two bits per node (1 opens it,
      0 closes it);
-  2. one bit per non-root node, 1 for a long edge; then the Elias-gamma
-     column of the level gaps (>= 2) of the long edges;
+  2. one bit per node whose parent has one child and is not the root, 1
+     for a long edge (see :func:`_flagged`): a parent of two or more
+     children has only short edges below it, and a root of one child
+     hangs it on a long edge.  Then, when there is a long edge, the level
+     gaps g of the long edges, in [2, top] for top the spread's binary
+     exponent, as Rice codes of g - 2: one parameter k in 0..bitlen(top -
+     2), in just enough bits for that range, the unary codes of every
+     (g - 2) >> k, then every g - 2's k low bits;
   3. every leaf's point label in ceil(log2 n) bits (a node's center, its
      first child's, is the label of the first leaf at or after it);
   4. per node c that is not a part root and not its parent's first child
      (a first child's ingress is its parent), its ingress as a rank: the
-     builder descends to it from a sibling of c, so it is one of the
-     ``count`` nodes without short children among the ids [v+1, c) and
-     [end[c], end[v]) of c's parent v, and c stores its rank among them,
-     in id order, in ceil(log2 count) bits (none when count is 1); see
-     :func:`_reference_ranges`;
+     builder descends to it from a sibling of c without crossing a long
+     edge, so it is one of the ``count`` nodes without short children of
+     the part of c's parent v among the ids [v+1, c) and [end[c],
+     end[v]), and c stores its rank among them, in id order, in
+     ceil(log2 count) bits (none when count is 1); see
+     :func:`_part_ranges`;
   5. the displacements of the nodes that are not part roots and whose
      grid bound B, from the tree alone (``net.tree_bounds``), is above 0
      (a part root's first child, whose bound is 0, stores none), each d
@@ -54,15 +61,18 @@ Layout, all multi-byte header fields little-endian:
   flag per node), 3 (every landmark's shift, in K+2 bits per coordinate),
   4 (displacements and gamma codes in fixed or interleaved fields), 5
   (every node's precision, two Rice offsets, and ingress references into
-  all nodes without short children) and 6 (four 6-bit Rice parameters,
-  no rank tables, rows of bound 0 stored) are refused.
+  all nodes without short children), 6 (four 6-bit Rice parameters,
+  no rank tables, rows of bound 0 stored) and 7 (a flag on every edge,
+  Elias-gamma gaps, ingress ranks among the nodes of every part) are
+  refused.
 
 * trailer: u32 CRC-32 (zlib) of header plus payload bytes.  Every header
   or payload corruption is caught by the CRC at the latest; structural
   validation (leaf counts, level consistency, permutation of leaf labels,
-  the long-edge rules of :func:`_part_fault`, index ranges, ingress edges
-  inside their part, padding) runs after it so
-  corrupt or truncated blobs always fail loudly with FormatError.  Ingress
+  the long-edge rule of :func:`_chain_fault`, index ranges, padding) runs
+  after it so corrupt or truncated blobs always fail loudly with
+  FormatError.  The layout cannot express the other long-edge rules or
+  an ingress in another part, so nothing checks them.  Ingress
   cycles are found by :func:`~mcsketch.annotate.ingress_layers`, the
   layering the builder and the estimator use, failing to reach every node;
   the decoded model keeps the layers for the ``Estimator``.
@@ -74,13 +84,15 @@ parent from it and builds the ingresses directly as one int64 array, -1
 at part roots, from the parents and the ranks.
 
 Columns move whole.  The writer packs every field of the payload in one
-pass (``_bitio.pack_fields``); the reader reads each fixed-width column in
-one pass (``unpack_runs``), the edge flags as one slice of bits
-(``read_bits``), and each unary stream, a gamma column's or
-the displacements' quotients, by locating its one bits with whole-array
-calls (``read_unary``), and the ingress ranks, whose widths follow from
-the tree, as one run of fields (``unpack_runs``).  Only the four
-displacement class heads are read field by field.  Every column's length
+pass (``_bitio.pack_fields``); the reader reads the edge flags as one
+slice of bits (``read_bits``), each column of fields of one width, the
+leaf labels, the gaps' low bits, a rank table's values and the landmark
+ids, through one such slice (``read_fields``), each unary stream, a
+gamma column's or the gaps' or the displacements' quotients, by locating
+its one bits with whole-array calls (``read_unary``), and the ingress
+ranks, whose widths follow from the tree, as one run of fields
+(``unpack_runs``).  Only the gaps' parameter and the four displacement
+class heads are read field by field.  Every column's length
 follows from the node count and the columns before it, and is checked
 against the bits that remain before anything is allocated for it.
 """
@@ -103,6 +115,7 @@ from ._bitio import (
     pack_fields,
     plane_bits,
     read_bits,
+    read_fields,
     read_gamma_column,
     read_planes,
     read_unary,
@@ -125,7 +138,7 @@ from .hst import SketchTree, _jump
 __all__ = ["SketchModel", "SizeReport", "serialize", "deserialize", "size_report"]
 
 MAGIC = b"MCSK"
-VERSION = 7
+VERSION = 8
 
 _FLAG_LANDMARKS = 2
 # the fixed header after the norm: n, d, epsilon, scale, spread, flags, random
@@ -169,6 +182,8 @@ class SketchModel:
 @dataclass
 class SizeReport:
     """Exact bit accounting of one blob; sections sum to the total.
+    ``tree_shape_bits`` counts the shape and the edge flags the blob
+    holds, ``long_gap_bits`` the gaps' Rice parameter and codes.
     ``precision_bits`` is always 0: the blob has stored no precision
     since version 6, and the field stays for readers of the old name."""
 
@@ -217,7 +232,8 @@ def _pack_p(p: float) -> bytes:
 def serialize(model: SketchModel) -> bytes:
     """Deterministic bytes of a sketch model (see module docstring).
     GuaranteeError, with the decoder's message where it has one, for a
-    model whose blob the decoder would refuse or decode differently."""
+    model whose blob the decoder would refuse or decode differently, or
+    that the layout cannot express."""
     tree = model.tree
     n_nodes = tree.n_nodes
     n, d, eps = model.n, model.d, model.epsilon
@@ -226,6 +242,17 @@ def serialize(model: SketchModel) -> bytes:
     fault = _part_fault(tree, parent, long_edge)
     if fault:
         raise GuaranteeError(fault)
+    level = np.array(tree.level, dtype=np.int64)
+    top = math.frexp(model.spread)[1]
+    if level[0] > top:
+        raise GuaranteeError(f"root level {level[0]} inconsistent with spread {model.spread}")
+    edges = np.flatnonzero(long_edge)
+    gaps = level[parent[edges]] - level[edges]
+    bad = np.flatnonzero((gaps < 2) | (gaps > top))
+    if bad.size:
+        raise GuaranteeError(
+            f"long edge into {edges[bad[0]]} has gap {gaps[bad[0]]} outside [2, {top}]"
+        )
     ingress = model.ingress
     wrong = np.flatnonzero(tree.part_root & (ingress != -1))
     if wrong.size:
@@ -237,8 +264,6 @@ def serialize(model: SketchModel) -> bytes:
     closed = np.cumsum(np.bincount(tree.end, minlength=n_nodes))[:n_nodes]
     shape = np.zeros(2 * n_nodes, dtype=np.uint8)
     shape[np.arange(n_nodes) + closed] = 1
-    level = np.array(tree.level, dtype=np.int64)
-    gaps = (level[parent] - level)[long_edge]
 
     label = np.array(tree.leaf_label, dtype=np.int64)
     # ids are preorder, so a first child comes right after its parent
@@ -246,7 +271,7 @@ def serialize(model: SketchModel) -> bytes:
     wrong = inner[first & (ingress[inner] != parent[inner])]
     if wrong.size:
         raise GuaranteeError(f"ingress of first child {wrong[0]} is not its parent")
-    later, below, before, count = _reference_ranges(tree, parent)
+    later, before, count, lo, mid, at, _ = _part_ranges(tree, parent)
     u = ingress[later]
     known = (u >= 0) & (u < n_nodes)
     known[known] = ~tree.has_short[u[known]]
@@ -258,7 +283,10 @@ def serialize(model: SketchModel) -> bytes:
         raise GuaranteeError(
             f"ingress of node {later[~inside][0]} is not under a sibling of it"
         )
-    rank = below[u] - np.where(u < later, below[v + 1], below[end[later]] - before)
+    crossing = tree.part_of[u] != tree.part_of[v]
+    if crossing.any():
+        raise GuaranteeError(f"ingress of {later[crossing][0]} crosses a long edge")
+    rank = np.where(u < later, at[u] - lo, at[u] - mid + before)
     fault, _ = _ingress_fault(tree, ingress)
     if fault:
         raise GuaranteeError(fault)
@@ -275,8 +303,8 @@ def serialize(model: SketchModel) -> bytes:
 
     cols = [  # (values, widths), in payload order
         (shape, 1),
-        (long_edge[1:], 1),
-        *gamma_columns(gaps),
+        (long_edge[_flagged(parent)], 1),
+        *_gap_columns(gaps - 2, top),
         (label[label >= 0], (n - 1).bit_length()),
         (rank, bit_lengths(count - 1)),
         *displacements,
@@ -300,57 +328,110 @@ def serialize(model: SketchModel) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def _reference_ranges(tree, parent: np.ndarray):
+def _flagged(parent: np.ndarray) -> np.ndarray:
+    """The nodes whose edge stores a long-edge flag, in id order: those
+    whose parent has one child and is not the root.  Every other edge is
+    short, but the only edge of a root with one child, which is long."""
+    up = parent[1:]
+    degree = np.bincount(up, minlength=parent.size)
+    return 1 + np.flatnonzero((degree[up] == 1) & (up > 0))
+
+
+def _gap_k_range(top: int) -> int:
+    """The largest Rice parameter of the gaps below a root at most at level
+    ``top``: the bit length of the largest gap - 2, top - 2, at which every
+    quotient is 0."""
+    return max(top - 2, 0).bit_length()
+
+
+def _gap_columns(values: np.ndarray, top: int) -> list:
+    """The gap section, as columns for ``pack_fields``, of the long edges'
+    gaps - 2 (``values``, each in [0, top - 2]): nothing without a long
+    edge; else the Rice parameter k that codes them in the fewest bits
+    (the smaller on a tie), in bitlen(:func:`_gap_k_range`) bits, then the
+    unary codes of every value >> k, then every value's k low bits."""
+    if not values.size:
+        return []
+    ones = [int(np.count_nonzero(values >> j & 1)) for j in range(int(values.max()).bit_length())]
+    k = _best_k(ones, values.size)[0]
+    return [
+        ([k], [_gap_k_range(top).bit_length()]),
+        (unary_bits(values >> k), 1),
+        (values & (1 << k) - 1, k),
+    ]
+
+
+def _part_ranges(tree, parent: np.ndarray):
     """The nodes that store an ingress rank, every later child c of its
     parent v that is not a part root, in id order, and what places the
-    rank: ``below``, per id i (one entry longer than the tree), the number
-    of nodes without short children among the ids below i; per c, the
-    number ``before`` of them in [v+1, c) and the number ``count`` in
-    [v+1, c) and [end[c], end[v]) together.  The ingress with rank r is
-    the (r+1)-th of them in id order: the one below which ``below`` counts
-    below[v+1] + r of them when r < ``before``, below[end[c]] + r -
-    ``before`` otherwise."""
+    rank.  Its range is the nodes without short children of v's part in
+    [v+1, c) and [end[c], end[v]), ``before`` of them in the first and
+    ``count`` in both.  ``ranked`` lists the nodes without short children
+    part by part, each part's in id order; ``at`` gives each node the
+    index in ``ranked`` of the first one of its part at or after it, and
+    its last entry, past the tree, the length of ``ranked``.  The ingress
+    of rank r is ranked[lo + r] for r < ``before``, else ranked[mid + r -
+    before]: per c, ``lo`` and ``mid`` are the indices of its two
+    intervals' first nodes.
+
+    Every child of a node with two or more children hangs on a short edge,
+    so v's children, c, its next sibling end[c] (when below end[v]) and,
+    unless v's subtree ends with its part root's, end[v] all lie in v's
+    part.  Where v's subtree does end there, the range ends where the
+    next part's nodes start in ``ranked``: at the next part root in id
+    order, as parts are numbered in id order of their roots."""
+    n_nodes, part_of, end = tree.n_nodes, tree.part_of, tree.end
+    order = np.argsort(part_of, kind="stable")  # part by part, each in id order
+    leafy = ~tree.has_short[order]
+    seen = np.cumsum(leafy)
+    at = np.empty(n_nodes + 1, dtype=np.int64)
+    at[order] = seen - leafy
+    at[n_nodes] = seen[-1]
+    roots = np.append(np.flatnonzero(tree.part_root), n_nodes)
     inner = np.flatnonzero(~tree.part_root)
     later = inner[parent[inner] != inner - 1]
-    below = np.zeros(tree.n_nodes + 1, dtype=np.int64)
-    np.cumsum(~tree.has_short, out=below[1:])
-    v, end = parent[later], tree.end
-    before = below[later] - below[v + 1]
-    return later, below, before, before + below[end[v]] - below[end[later]]
+    v = parent[later]
+    part = part_of[v]
+    hi = at[np.where(end[v] < end[roots[part]], end[v], roots[part + 1])]
+    mid = np.where(end[later] < end[v], at[end[later]], hi)
+    lo = at[v]
+    before = at[later] - lo
+    return later, before, before + hi - mid, lo, mid, at, order[leafy]
 
 
 def _part_fault(tree, parent: np.ndarray, long_edge: np.ndarray) -> str | None:
-    """The decoder's message when a long edge's top has other children or
-    is itself a part root other than the root, or when the root is a bare
-    chain node (one child, on a short edge), else None.  These are the
-    rules of a sketch tree that a balanced-parenthesis shape, gaps in
-    [2, top], one leaf level and a label permutation leave open.  Without
-    them every part root but the root hangs below a node that stores d
-    fields, so the displacements bound the part count."""
+    """The writer's message when a long edge's top has other children, or
+    the root is a bare chain node (one child, on a short edge): trees the
+    layout cannot express (see :func:`_flagged`).  Else the decoder's
+    message from :func:`_chain_fault`, or None."""
     top = parent[np.flatnonzero(long_edge)]
     degree = np.bincount(parent[1:], minlength=tree.n_nodes)
     bad = top[degree[top] != 1]
     if bad.size:
         return f"long-edge top {bad[0]} has degree != 1"
-    bad = top[tree.part_root[top] & (top != 0)]
-    if bad.size:
-        return f"long-edge top {bad[0]} is a part root"
     if degree[0] == 1 and not long_edge[1]:
         return "root is a degree-1 chain node"
-    return None
+    return _chain_fault(parent, long_edge)
+
+
+def _chain_fault(parent: np.ndarray, long_edge: np.ndarray) -> str | None:
+    """The decoder's message when a long edge's top is itself the bottom of
+    another long edge, a part root other than the root, else None: the one
+    rule of a sketch tree that a balanced-parenthesis shape, flags only
+    under one-child parents, gaps in [2, top], one leaf level and a label
+    permutation leave open.  Without it every part root but the root hangs
+    below a node that stores d fields, so the displacements bound the part
+    count."""
+    top = parent[np.flatnonzero(long_edge)]
+    bad = top[long_edge[top]]
+    return f"long-edge top {bad[0]} is a part root" if bad.size else None
 
 
 def _ingress_fault(tree, ingress: np.ndarray) -> tuple[str | None, list]:
-    """The decoder's message when an ingress crosses a long edge or the
-    ingresses form a cycle, else None, and the ingress layers
-    (:func:`~mcsketch.annotate.ingress_layers`; none after a crossing).
-    Every node but a part root has a node of the tree as its ingress; part
-    roots count as -1, as the decoder builds them."""
-    inner = np.flatnonzero(~tree.part_root)
-    part_of = tree.part_of
-    crossing = inner[part_of[ingress[inner]] != part_of[inner]]
-    if crossing.size:
-        return f"ingress of {crossing[0]} crosses a long edge", []
+    """The decoder's message when the ingresses form a cycle, else None,
+    and the ingress layers (:func:`~mcsketch.annotate.ingress_layers`).
+    Every node but a part root has a node of its own part as its ingress;
+    part roots count as -1, as the decoder builds them."""
     layers = ingress_layers(np.where(tree.part_root, -1, ingress))
     if sum(map(len, layers)) != tree.n_nodes:
         return "ingress references contain a cycle", layers
@@ -371,10 +452,10 @@ def _read_ingress(payload, start: int, limit: int, tree, parent: np.ndarray):
     """Every node's ingress as one int64 array, -1 at part roots, from the
     ranks written from bit ``start`` of ``payload``, and the bit after
     them.  Each rank's width follows from its range (see
-    :func:`_reference_ranges`), and the ranks are read as one run of fields.
+    :func:`_part_ranges`), and the ranks are read as one run of fields.
     FormatError, before the ranks are read, when their bits run past bit
     ``limit``, and after, when a rank is not below its range's count."""
-    later, below, before, count = _reference_ranges(tree, parent)
+    later, before, count, lo, mid, _, ranked = _part_ranges(tree, parent)
     widths = bit_lengths(count - 1)
     bits = int(widths.sum())
     if bits > limit - start:
@@ -388,11 +469,8 @@ def _read_ingress(payload, start: int, limit: int, tree, parent: np.ndarray):
             f"ingress rank {rank[i]} of node {later[i]} is not below the "
             f"{count[i]} nodes of its range"
         )
-    # the r-th node without short children from id a on is the one at
-    # index below[a] + r among all of them
-    base = np.where(rank < before, below[parent[later] + 1], below[tree.end[later]] - before)
     ingress = np.where(tree.part_root, -1, parent)
-    ingress[later] = np.flatnonzero(~tree.has_short)[base + rank]
+    ingress[later] = ranked[np.where(rank < before, lo, mid - before) + rank]
     return ingress, start + bits
 
 
@@ -710,11 +788,7 @@ def _read_table(payload, pos: int, limit: int, c: int, top: int):
     width = top.bit_length()
     if a * width > limit - pos:
         raise FormatError(f"table of class {c} needs {a * width} bits, {limit - pos} remain")
-    # the fields as rows of bits, summed against the powers of two
-    first, off = pos >> 3, pos & 7
-    raw = np.frombuffer(payload, np.uint8, (off + a * width + 7) >> 3, first)
-    bits = np.unpackbits(raw)[off : off + a * width].reshape(a, width)
-    table = bits @ (np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64))
+    table = read_fields(payload, pos, a, width)
     ordered = np.sort(table)
     if ordered[-1] > top:
         raise FormatError(f"table value {ordered[-1]} of class {c} exceeds 2 B_max = {top}")
@@ -813,13 +887,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
 
     def column(width: int, count: int, what: str) -> np.ndarray:
         """The next ``count`` fields of ``width`` bits."""
-        return unpack_runs(payload, [take(count * width, what)], [width], count)[0]
-
-    def gammas(count: int) -> tuple[np.ndarray, int]:
-        nonlocal pos
-        start = pos
-        values, pos = read_gamma_column(payload, pos, count, payload_bits)
-        return values, pos - start
+        return read_fields(payload, take(count * width, what), count, width)
 
     # 1. shape: read through windows that double until the root closes (a
     # tree of n leaves takes a few times n nodes, not the whole payload)
@@ -847,18 +915,37 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     parent = ranked[np.searchsorted(ranked, key - n_nodes) - 1] % n_nodes
     parent[0] = -1
 
-    # 2. edges
-    start = take(n_nodes - 1, "edge flags")  # one bit column
-    long_edge = np.append(False, read_bits(payload, start, pos).view(bool))
-    gap_values, gap_bits = gammas(int(long_edge.sum()))
-    bad = np.flatnonzero((gap_values < 2) | (gap_values > top))
-    if bad.size:
-        v = np.flatnonzero(long_edge)[bad[0]]
-        raise FormatError(
-            f"long edge into {v} has gap {gap_values[bad[0]]} outside [2, {top}]"
-        )
+    # 2. edges: flags only under one-child parents but the root, whose one
+    # child, if it has one, hangs on a long edge; then the gaps
+    flagged = _flagged(parent)
+    start = take(flagged.size, "edge flags")  # one bit column
+    long_edge = np.zeros(n_nodes, dtype=bool)
+    long_edge[1:2] = np.count_nonzero(parent == 0) == 1
+    long_edge[flagged] = read_bits(payload, start, pos).view(bool)
+    fault = _chain_fault(parent, long_edge)
+    if fault:
+        raise FormatError(fault)
+    edges = np.flatnonzero(long_edge)
+    shape_bits, mark = pos, pos
     gaps = np.ones(n_nodes, dtype=np.int64)
-    gaps[long_edge] = gap_values
+    if edges.size:
+        most = _gap_k_range(top)
+        width = most.bit_length()
+        k = _field(payload, pos, width, payload_bits, "gap Rice parameter")
+        pos += width
+        if k > most:
+            raise FormatError(f"gap Rice parameter {k} exceeds {most}")
+        q, pos = read_unary(payload, pos, edges.size, payload_bits)
+        rest = column(k, edges.size, "gap remainders").astype(np.int64)
+        gap = 2 + (q << k) + rest
+        bad = np.flatnonzero(gap > top)
+        if bad.size:
+            raise FormatError(
+                f"long edge into {edges[bad[0]]} has gap {gap[bad[0]]} above the "
+                f"spread's {top} levels"
+            )
+        gaps[edges] = gap
+    gap_bits = pos - mark
 
     # levels below the root's, then pin the common leaf level to 0
     _, rel = _jump(np.maximum(parent, 0), np.append(0, -gaps[1:]))
@@ -867,8 +954,8 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     leaf_rel = np.unique(rel[leaves])
     if leaf_rel.size != 1:
         raise FormatError("leaves do not share a common level")
-    root_level = -int(leaf_rel[0])
-    if root_level < 1 or root_level > top:
+    root_level = -int(leaf_rel[0])  # at least 1: n >= 2 leaves hang below the root
+    if root_level > top:
         raise FormatError(
             f"root level {root_level} inconsistent with spread {spread}"
         )
@@ -887,12 +974,6 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         long_edge=long_edge.tolist(),
         leaf_label=leaf_label.tolist(),
     )
-
-    # before any (n_nodes, d) array: a valid shape makes every part root but
-    # the root hang below a node that stores d fields
-    fault = _part_fault(tree, parent, long_edge)
-    if fault:
-        raise FormatError(fault)
 
     # 4. ingresses: a first child's is its parent, every other node's with
     # an ingress a rank within its range
@@ -917,7 +998,8 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     landmarks = None
     mark = pos
     if has_landmarks:
-        count = int(gammas(1)[0][0]) - 1  # below 2^63: a wider code is refused
+        count, pos = read_gamma_column(payload, pos, 1, payload_bits)
+        count = int(count[0]) - 1  # below 2^63: a wider code is refused
         ids = column((n_nodes - 1).bit_length(), count, "landmark ids")
         landmarks = landmark_ids(ids, n_nodes).tolist()
     landmark_bits = pos - mark
@@ -946,7 +1028,7 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
         total_bytes=len(data),
         header_bytes=header_len,
         crc_bytes=4,
-        tree_shape_bits=3 * n_nodes - 1,
+        tree_shape_bits=shape_bits,
         long_gap_bits=gap_bits,
         center_bits=n * (n - 1).bit_length(),
         ingress_bits=ingress_bits,

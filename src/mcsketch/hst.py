@@ -77,8 +77,9 @@ class SketchTree:
     edges that descend one level and long edges that descend at least two.
     :func:`build_hst`'s merge tree is held in the same class: it has no
     long edges, and one edge may descend several levels.  The decoder
-    derives a sketch tree from a balanced-parenthesis shape and checks the
-    rules that shape leaves open (``codec._part_fault``).
+    derives a sketch tree from a balanced-parenthesis shape and flags only
+    where a long edge may hang, and checks the rule they leave open
+    (``codec._chain_fault``).
 
     Four arrays are derived from the edges at construction:
     ``has_short[v]`` (some child of v hangs on a short edge),

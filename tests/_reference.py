@@ -420,10 +420,9 @@ def verify_tree(tree) -> None:
     FormatError naming the first violation.  A merge tree fails them
     wherever an edge spans more than one level.
 
-    The decoder checks only the rules its balanced-parenthesis shape and
-    its own field checks leave open (``codec._part_fault``); the property
-    tests apply all of them to every tree the builder or the decoder
-    makes."""
+    The decoder checks only the rule its layout and its own field checks
+    leave open (``codec._chain_fault``); the property tests apply all of
+    them to every tree the builder or the decoder makes."""
     n = tree.n_nodes
     parent, level, label = tree.parent, tree.level, tree.leaf_label
     if parent[0] != -1:
@@ -746,15 +745,19 @@ def subtree_ends(tree) -> list[int]:
 
 def rank_range(tree, c: int) -> list[int]:
     """The nodes a later child c of v may take as its ingress, in id
-    order, by a scan: the ids of v's subtree outside c's, v excluded,
-    whose children all hang on long edges (leaves among them)."""
+    order, by a scan: the ids of v's subtree outside c's, v excluded, that
+    lie in v's part (:func:`subtree_decomposition`) and whose children all
+    hang on long edges (leaves among them)."""
     kids = children_of(tree)
     end = subtree_ends(tree)
+    part_of = subtree_decomposition(tree).part_of
     v = tree.parent[c]
     return [
         u
         for u in range(v + 1, end[v])
-        if not c <= u < end[c] and all(tree.long_edge[k] for k in kids[u])
+        if not c <= u < end[c]
+        and part_of[u] == part_of[v]
+        and all(tree.long_edge[k] for k in kids[u])
     ]
 
 
@@ -770,6 +773,31 @@ def ingress_ranks(tree, ingress) -> list[tuple[int, int | None, int]]:
         u = int(ingress[c])
         out.append((c, span.index(u) if u in span else None, len(span)))
     return out
+
+
+def flagged_edges(tree) -> list[int]:
+    """The nodes whose edge stores a long-edge flag, in id order: those
+    whose parent is not the root and has no other child."""
+    kids = children_of(tree)
+    return [
+        v for v in range(1, tree.n_nodes) if tree.parent[v] != 0 and len(kids[tree.parent[v]]) == 1
+    ]
+
+
+def write_gap_section(w: BitWriter, gaps, top: int) -> None:
+    """The gaps of the long edges, one field at a time: nothing without
+    one; else the k of the fewest Rice bits of every gap - 2
+    (:func:`best_rice`) in bitlen(bitlen(top - 2)) bits, then every
+    (gap - 2) >> k in unary, then every gap - 2's k low bits."""
+    if not gaps:
+        return
+    values = [g - 2 for g in gaps]
+    k, _ = best_rice(values)
+    w.write_uint(k, max(top - 2, 0).bit_length().bit_length())
+    for z in values:
+        w.write_unary(z >> k)
+    for z in values:
+        w.write_uint(z & (1 << k) - 1, k)
 
 
 def rice_classes(tree) -> list[int | None]:
@@ -859,7 +887,7 @@ def write_rice_heads(w: BitWriter, heads, tops) -> None:
 
 
 def write_rice_section(w: BitWriter, rows, classes, bounds, heads) -> tuple[int, int]:
-    """The MCSK v7 displacement section of grid rows under ``heads`` (see
+    """The displacement section (MCSK v7 on) of grid rows under ``heads`` (see
     :func:`rice_heads`): the heads, then every stored row's codes, the rank
     of each zigzag value in its class's table or the value itself, in Rice
     codes (:func:`write_rice_rows`).  Returns the bits where the quotients
@@ -903,12 +931,13 @@ def read_rice_section(r: BitReader, classes, bounds, d: int) -> list[list[int]]:
 
 
 def write_payload(model, heads=None) -> tuple[bytes, int, dict[str, int]]:
-    """The payload of an MCSK v7 blob written one field at a time, straight
+    """The payload of an MCSK v8 blob written one field at a time, straight
     from the layout: its bytes, its bit length and the first bit of every
-    column of ``COLUMNS``.  Ranks come from :func:`ingress_ranks`, grid
-    bounds from ``net.tree_bounds`` and the displacement heads from
-    :func:`rice_heads`, unless ``heads`` gives them; a model whose ingress
-    is not in its range raises AssertionError."""
+    column of ``COLUMNS``.  Flags go only where :func:`flagged_edges` puts
+    them, ranks come from :func:`ingress_ranks`, grid bounds from
+    ``net.tree_bounds`` and the displacement heads from :func:`rice_heads`,
+    unless ``heads`` gives them; a model whose ingress is not in its range
+    raises AssertionError."""
     tree = model.tree
     kids = children_of(tree)
     w = BitWriter()
@@ -922,10 +951,11 @@ def write_payload(model, heads=None) -> tuple[bytes, int, dict[str, int]]:
             stack.append((v, False))
             stack.extend((c, True) for c in reversed(kids[v]))
     starts["edge flags"] = w.bit_length
-    for v in range(1, tree.n_nodes):
+    for v in flagged_edges(tree):
         w.write_uint(int(tree.long_edge[v]), 1)
     starts["gaps"] = w.bit_length
-    write_gammas(w, [edge_gap(tree, v) for v in range(1, tree.n_nodes) if tree.long_edge[v]])
+    gaps = [edge_gap(tree, v) for v in range(1, tree.n_nodes) if tree.long_edge[v]]
+    write_gap_section(w, gaps, math.frexp(model.spread)[1])
     starts["leaf labels"] = w.bit_length
     for label in tree.leaf_label:
         if label >= 0:
@@ -950,12 +980,12 @@ def write_payload(model, heads=None) -> tuple[bytes, int, dict[str, int]]:
 
 
 def write_blob(model) -> bytes:
-    """A whole MCSK v7 blob written straight from the layout, with no
+    """A whole MCSK v8 blob written straight from the layout, with no
     check of the model: the header, :func:`write_payload`'s payload and
     the CRC.  It writes the hostile blobs that ``serialize`` refuses to."""
     payload, bits, _ = write_payload(model)
     code, num, den = encode_p(model.p)
-    head = b"MCSK" + struct.pack("<HB", 7, code)
+    head = b"MCSK" + struct.pack("<HB", 8, code)
     if code == 0:
         head += struct.pack("<II", num, den)
     flags = 2 if model.landmarks is not None else 0
@@ -990,7 +1020,7 @@ COLUMNS = (
 
 def payload_columns(blob: bytes) -> dict[str, range]:
     """The bits, counted from the blob's first bit, of every payload column
-    of an MCSK v7 blob, from the decoded model through :func:`write_payload`,
+    of an MCSK v8 blob, from the decoded model through :func:`write_payload`,
     which must give the blob's payload bit for bit; a column the blob lacks
     is an empty range."""
     from mcsketch.codec import deserialize, size_report

@@ -18,6 +18,7 @@ from mcsketch._bitio import (
     gamma_widths,
     pack_fields,
     plane_bits,
+    read_fields,
     read_gamma_column,
     read_planes,
     read_unary,
@@ -57,7 +58,6 @@ from mcsketch.estimate import Estimator
 from mcsketch.hst import SketchTree
 
 import _reference as ref
-from _reference import subtree_decomposition
 
 
 def _blob(points, eps=0.25, p=2.0, **kw):
@@ -398,7 +398,8 @@ def test_rice_rows_match_scalar_codes(seed):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_runs_match_scalar_fields(seed):
-    # runs of 1..64-bit fields at every bit alignment, widths mixed in one read
+    # runs of 1..64-bit fields at every bit alignment, widths mixed in one
+    # read, and each run alone through the reader of one width
     rng = np.random.default_rng(seed)
     count = int(rng.integers(1, 6))
     fields = [("u", 0, int(rng.integers(0, 8)))]
@@ -419,6 +420,7 @@ def test_runs_match_scalar_fields(seed):
     for start, width, row, back in zip(starts, widths, rows, got.tolist()):
         r.read_uint(start - r.position)
         assert back == row == [r.read_uint(width) for _ in range(count)]
+        assert read_fields(data, start, count, width).tolist() == row
 
 
 def test_gamma_length_is_logarithmic():
@@ -771,13 +773,18 @@ def test_ingress_cycle_between_siblings_rejected():
 
 
 def test_ingress_crossing_or_cycle_refused_at_serialize():
-    # serialize refuses, with the decoder's message, the ingresses the
-    # decoder refuses: a rank into another part of its range, and a cycle
+    # serialize refuses an ingress under a sibling but across a long edge,
+    # which no rank can name (ranks count only the nodes of the parent's
+    # part), and, with the decoder's message, a cycle
     blob = _fuzz_blob(2.0, False, 60)
     model = deserialize(blob)
-    part_of = model.tree.part_of
+    tree = model.tree
+    end = ref.subtree_ends(tree)
     c, u = next(
-        (c, u) for c, _, _, span in _rank_fields(blob) for u in span if part_of[u] != part_of[c]
+        (c, u)
+        for c, _, _ in ref.ingress_ranks(tree, model.ingress)
+        for u in range(tree.parent[c] + 1, end[tree.parent[c]])
+        if not c <= u < end[c] and not tree.has_short[u] and tree.part_of[u] != tree.part_of[c]
     )
     model.ingress[c] = u
     with pytest.raises(GuaranteeError, match=f"ingress of {c} crosses a long edge"):
@@ -839,12 +846,14 @@ def test_version_one_refused():
     # version 2 moved every field into columns, version 3 dropped the
     # centers and ingress flags, version 4 the landmark shifts, version 5
     # moved the displacements from fixed widths to Rice codes, version 6
-    # dropped the precisions and made ingress references local ranks, and
+    # dropped the precisions and made ingress references local ranks,
     # version 7 added rank tables and sized the Rice parameters by the
-    # tree; older blobs are refused, not read by a second parser
+    # tree, and version 8 stores flags only under one-child parents, Rice
+    # codes of the gaps and ranks within the parent's part; older blobs are
+    # refused, not read by a second parser
     blob = _blob(np.random.default_rng(9).normal(size=(10, 2)) * 7)
-    assert struct.unpack_from("<H", blob, 4) == (VERSION,) == (7,)
-    for old in (1, 2, 3, 4, 5, 6):
+    assert struct.unpack_from("<H", blob, 4) == (VERSION,) == (8,)
+    for old in (1, 2, 3, 4, 5, 6, 7):
         body = bytearray(blob[:-4])
         struct.pack_into("<H", body, 4, old)
         with pytest.raises(FormatError, match=f"unsupported version {old}"):
@@ -930,9 +939,9 @@ def test_ranks_and_rice_parameters_match_the_scalar_writer(seed, kind, p, landma
     # examples force each class's head instead: a table, in any order of
     # the class's values, wherever the alphabet allows one, or none, and
     # any k that keeps the quotients short; both readers read those back.
-    # Drawn from the nodes of its range inside its part, the ingresses may
-    # still close a cycle: then serialize refuses the model with the
-    # message the decoder gives for that payload
+    # Drawn from their ranges, the ingresses may close a cycle: then
+    # serialize refuses the model with the message the decoder gives for
+    # that payload
     ps = ref.small_instance(seed, 14, 2, p, kind)
     assume(ps is not None)
     params = SketchParams(epsilon=0.25, jl_enabled=False, landmarks=landmarks)
@@ -940,7 +949,7 @@ def test_ranks_and_rice_parameters_match_the_scalar_writer(seed, kind, p, landma
     model = built.model
     tree = model.tree
     for c, _, _ in ref.ingress_ranks(tree, model.ingress):
-        span = [u for u in ref.rank_range(tree, c) if tree.part_of[u] == tree.part_of[c]]
+        span = ref.rank_range(tree, c)
         model.ingress[c] = span[data.draw(st.integers(0, len(span) - 1))]
     bounds = net.tree_bounds(tree, model.epsilon, model.d, model.p)
     labels = ref.rice_classes(tree)
@@ -989,20 +998,6 @@ def test_ranks_and_rice_parameters_match_the_scalar_writer(seed, kind, p, landma
         assert blob == _with_payload(built.blob, payload, bits)
 
 
-def test_ingress_reference_across_a_long_edge_refused():
-    # a rank may name a node of its range below a long edge, in another part
-    blob = _fuzz_blob(2.0, False, 60)
-    part_of = subtree_decomposition(deserialize(blob).tree).part_of
-    c, u, bits, span = next(
-        (c, u, bits, span)
-        for c, _, bits, span in _rank_fields(blob)
-        for u in span
-        if part_of[u] != part_of[c]
-    )
-    with pytest.raises(FormatError, match=f"ingress of {c} crosses a long edge"):
-        deserialize(_rewritten(blob, bits, span.index(u)))
-
-
 def test_ingress_rank_at_its_range_count_refused():
     # a rank equal to its range's count fits its field unless the count is
     # a power of two; the decoder refuses it before it indexes anything
@@ -1013,13 +1008,14 @@ def test_ingress_rank_at_its_range_count_refused():
 
 
 def test_stream_cut_inside_the_edge_flags_refused():
-    # the payload ends inside the flag column, which is read as one slice
-    # of bits once its length is checked
+    # the payload ends inside the flag column, one bit per edge under a
+    # one-child parent, which is read as one slice of bits once its length
+    # is checked
     blob = _fuzz_blob(2.0, True, 60)
     model = deserialize(blob)
     head = size_report(blob).header_bytes
     flags = _columns(blob)["edge flags"]
-    assert len(flags) == model.tree.n_nodes - 1
+    assert 0 < len(flags) == len(ref.flagged_edges(model.tree)) < model.tree.n_nodes - 1
     cut = flags.start + len(flags) // 2 - 8 * head
     payload, _, _ = ref.write_payload(model)
     kept = bytearray(payload[: (cut + 7) // 8])
@@ -1077,10 +1073,6 @@ def _root_over_long_edges() -> SketchModel:
     model.tree = SketchTree(level, tree.parent, long_edge, tree.leaf_label)
     model.spread *= 2  # room for the raised root
     return model
-
-
-def test_long_edge_top_with_siblings_refused():
-    _decoders_refuse(ref.write_blob(_root_over_long_edges()), "long-edge top 0 has degree != 1")
 
 
 def _long_edge_chain(links: int, d: int) -> SketchModel:
@@ -1152,10 +1144,6 @@ def _root_over_a_short_edge() -> SketchModel:
     return model
 
 
-def test_root_over_a_single_short_edge_refused():
-    _decoders_refuse(ref.write_blob(_root_over_a_short_edge()), "root is a degree-1 chain node")
-
-
 @pytest.mark.parametrize(
     "make, match",
     [
@@ -1166,7 +1154,9 @@ def test_root_over_a_single_short_edge_refused():
     ids=["siblings", "chain", "root-chain"],
 )
 def test_serialize_refuses_trees_the_decoder_refuses(make, match):
-    # the writer once wrote these trees, and the decoder refused the blobs
+    # the writer once wrote these trees, and the decoder refused the blobs;
+    # since MCSK v8 the layout cannot express the first and the third (no
+    # flag under a parent of two children, none under a one-child root)
     with pytest.raises(GuaranteeError, match=match):
         serialize(make())
 
@@ -1181,6 +1171,164 @@ def test_serialize_refuses_an_ingress_at_a_part_root():
         edited.ingress[v] = 3
         with pytest.raises(GuaranteeError, match=f"ingress of part root {v} is not -1"):
             serialize(edited)
+
+
+def test_root_above_the_spread_refused():
+    # two long edges of gap 2 under short edges from a root at level 3: a
+    # spread of 2 allows a depth of 2 and gaps of 2, not the root's level.
+    # The root cannot sit below level 1, since n >= 2 leaves put an edge
+    # under it and all of them on one level
+    model = _long_edge_chain(1, 2)
+    model.spread = 2.0
+    _decoders_refuse(ref.write_blob(model), "root level 3 inconsistent with spread 2.0")
+    with pytest.raises(GuaranteeError, match="root level 3 inconsistent with spread 2.0"):
+        serialize(model)
+
+
+def _with_bits(blob: bytes, at: int, bits: list[int]) -> bytes:
+    """``blob`` with ``bits`` put in before bit ``at`` of its payload, the
+    payload bit length and the CRC set to match."""
+    rep = size_report(blob)
+    payload = np.frombuffer(blob[rep.header_bytes : -rep.crc_bytes], np.uint8)
+    stream = np.unpackbits(payload)[: rep.payload_bits].tolist()
+    stream[at:at] = bits
+    return _with_payload(blob, np.packbits(stream).tobytes(), len(stream))
+
+
+def test_gap_section_hostile_streams_refused():
+    # at top = 4 the gaps' Rice parameter lies in 0..bitlen(top - 2) = 2,
+    # in 2 bits, so 3 fits its field
+    blob = _fuzz_blob(math.inf, True, 12)
+    assert math.frexp(deserialize(blob).spread)[1] == 4
+    with pytest.raises(FormatError, match="gap Rice parameter 3 exceeds 2"):
+        deserialize(_rewritten(blob, _columns(blob)["gaps"][:2], 3))
+    # at top = 6 and k = 0, zeros put before the first long edge's
+    # quotient carry its gap past the top
+    blob = _fuzz_blob(2.0, True, 60)
+    model = deserialize(blob)
+    gaps = _columns(blob)["gaps"]
+    r = ref.BitReader(blob, 8 * len(blob))
+    r.position = gaps.start
+    assert math.frexp(model.spread)[1] == 6 and r.read_uint(2) == 0
+    v = model.tree.long_edge.index(True)
+    at = gaps.start + 2 - 8 * size_report(blob).header_bytes
+    hostile = _with_bits(blob, at, [0] * (7 - ref.edge_gap(model.tree, v)))
+    with pytest.raises(FormatError, match=f"long edge into {v} has gap 7 above the spread's 6"):
+        deserialize(hostile)
+
+
+def test_header_fields_out_of_range_refused():
+    # cuts inside the rational norm's two u32 fields and inside the fixed
+    # header, refused before the CRC is read; a point count outside [2,
+    # 2^40) and a scale that is not finite and positive, under a valid CRC
+    rational = _blob(np.random.default_rng(3).normal(size=(6, 2)) * 9, p=1.5)
+    assert rational[6] == 0
+    with pytest.raises(FormatError, match="truncated inside the rational norm field"):
+        deserialize(rational[:12])
+    blob = _blob(np.random.default_rng(9).normal(size=(10, 2)) * 7)
+    for cut in (rational[:30], blob[:30], blob[:55]):
+        with pytest.raises(FormatError, match="truncated inside the header"):
+            deserialize(cut)
+    for n in (0, 1, 2**40, 2**64 - 1):
+        with pytest.raises(FormatError, match=f"implausible point count {n}"):
+            deserialize(_patch_header(blob, 0, "<Q", n))
+    for scale in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(FormatError, match="implausible scale"):
+            deserialize(_patch_header(blob, 24, "<d", scale))
+
+
+def _random_sketch_model(rng, p: float, landmarks: bool) -> SketchModel | None:
+    """A random model of a random sketch tree, ids in preorder: a node at
+    level l > 0 has two or three children on short edges, one on a short
+    edge (a one-child chain; not at the root), or one on a long edge of
+    gap 2..l (not below a long edge, and at the root not down to a lone
+    leaf), so a one-child root, long edges side by side and parts nested
+    in parts all come up.  A later child takes any node of its rank range
+    as ingress, mostly one before it (which closes no cycle), and grid
+    integers any value within their bounds, or a bound's end.  None when
+    the tree has fewer than two leaves."""
+    top = int(rng.integers(1, 8))
+    level, parent, long_edge = [], [], []
+
+    def grow(u: int, lvl: int, long: bool) -> None:
+        v = len(level)
+        level.append(lvl)
+        parent.append(u)
+        long_edge.append(long)
+        if lvl == 0:
+            return
+        kinds = ["merge"]
+        if u >= 0:
+            kinds.append("chain")
+        if not long and lvl >= (2 if u >= 0 else 3):
+            kinds.append("long")
+        kind = kinds[rng.integers(len(kinds))] if len(level) < 40 else kinds[-1]
+        if kind == "merge":
+            for _ in range(rng.integers(2, 4)):
+                grow(v, lvl - 1, False)
+        elif kind == "chain":
+            grow(v, lvl - 1, False)
+        else:
+            grow(v, lvl - int(rng.integers(2, lvl + (u >= 0))), True)
+
+    grow(-1, top, False)
+    leaves = [v for v, lvl in enumerate(level) if lvl == 0]
+    if len(leaves) < 2:
+        return None
+    label = [-1] * len(level)
+    for v, x in zip(leaves, rng.permutation(len(leaves)).tolist()):
+        label[v] = x
+    tree = SketchTree(level, parent, long_edge, label)
+    d = int(rng.integers(1, 4))
+    model = SketchModel(
+        tree=tree,
+        ingress=np.where(tree.part_root, -1, np.array(parent)),
+        eta_ints=np.zeros((tree.n_nodes, d), dtype=np.int64),
+        landmarks=sorted(rng.choice(tree.n_nodes, 3).tolist()) if landmarks else None,
+        p=p,
+        epsilon=float(rng.choice([0.5, 0.25])),
+        scale=1.0,
+        spread=2.0 ** (top - 1 + int(rng.integers(0, 3))) * float(rng.uniform(1, 2)),
+        n=len(leaves),
+        d=d,
+        jl_seed=0,
+        jl_orig_dim=d,
+    )
+    if model.landmarks is not None:
+        model.landmarks = sorted(set(model.landmarks))
+    for c, _, _ in ref.ingress_ranks(tree, model.ingress):
+        span = ref.rank_range(tree, c)
+        if rng.random() < 0.75:
+            span = [u for u in span if u < c]
+        model.ingress[c] = span[rng.integers(len(span))]
+    bounds = net.tree_bounds(tree, model.epsilon, d, p)
+    for v in np.flatnonzero(~tree.part_root):
+        b = int(bounds[v])
+        model.eta_ints[v] = rng.integers(-b, b + 1, size=d) if b < 8 else rng.choice([-b, b], d)
+    return model
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 2.0, math.inf]), st.booleans())
+def test_random_trees_match_the_scalar_writer(seed, p, landmarks):
+    # serialize writes, byte for byte, what the scalar writer writes for a
+    # random sketch tree, and the blob decodes to the same model; an
+    # ingress cycle is refused by both ends with the decoder's message
+    model = _random_sketch_model(np.random.default_rng(seed), p, landmarks)
+    assume(model is not None)
+    ref.verify_tree(model.tree)
+    try:
+        blob = serialize(model)
+    except GuaranteeError as exc:
+        assert str(exc) == "ingress references contain a cycle"
+        _decoders_refuse(ref.write_blob(model), str(exc))
+        return
+    assert blob == ref.write_blob(model)
+    decoded = deserialize(blob)
+    assert decoded.tree == model.tree
+    assert np.array_equal(decoded.ingress, model.ingress)
+    assert np.array_equal(decoded.eta_ints, model.eta_ints)
+    assert decoded.landmarks == model.landmarks
 
 
 def test_shape_deeper_than_the_spread_refused():
@@ -1283,7 +1431,7 @@ def test_valid_crc_mutations_decode_or_fail_fast():
         if model is None:
             return
         # every rule of a sketch tree holds on what decodes: the decoder
-        # checks three (``_part_fault``) and its shape forces the rest
+        # checks one (``_chain_fault``) and its layout forces the rest
         ref.verify_tree(model.tree)
         # a blob that decodes gives the exact sums' floats in both modes,
         # and finite estimates, or an Estimator refuses its scale

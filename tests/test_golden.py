@@ -9,7 +9,8 @@ change of layout: header scalars, tree, centers, ingresses, grid integers
 and landmark ids, beside the bits of every ``size_report`` section.  A new
 layout that moves fields but keeps them must leave these unchanged.  (MCSK
 v6 dropped the precisions from the blob and from this content; v7's rank
-tables moved only the displacement and padding bits.)
+tables moved only the displacement and padding bits, and v8's tree columns
+only the shape, gap, ingress and padding bits.)
 
 The cases cover p in {1, 2, inf, 1.5}, metric inputs (Frechet embedding of a
 graph metric), a high-spread line with long edges, a spread near 2^512 whose
@@ -81,18 +82,18 @@ CASES = {
 }
 
 DIGESTS = {
-    "clusters-l2-fine-landmarks": "42e622245e5670cc3bb2883d224c03d951f35b69f86bbbf571665467f2a52e6f",
-    "clusters-linf": "c0bf13fc614b157d381677fee35788dbbd043331f9de6b913848920955c1c436",
-    "graph-metric": "f082ba25f4f80fbd3fa615eefda99aa81b406bf0a65ffd25b3ff032b1773c198",
-    "graph-metric-landmarks": "eee7d898745fc653bfeb3f4396f7610507ed177f3bd1cea9688ca80ddbd179ec",
-    "high-spread-line": "a82a9e0462c6045eb4d7c19fb99fa5330265fb1abd259a88801c964d4177db00",
-    "high-spread-line-512-landmarks": "7f168a104528dfdc059e750c654cc289e25f57f05bbd6eeb421ba9d316997b1b",
-    "lattice-l1-ties": "ce99b042418fd29ba22181047863192a4723627dd893058efc8bfb3c9da6a076",
-    "lattice-l2-ties-landmarks": "5b0afbedcf4921d0cdd1085ea639148a0b99c3533944db7d7e9ef1c8c5724214",
-    "projected-l2": "6581b3c06a40669235606fca0f3ffe128c3f9e1b71d399fd0c95fc954c6b992e",
-    "uniform-l1-landmarks": "cd2ccca2c01a7e7e7ce938ba562779236a35b0a1967396c26d27516aeeab8ab9",
-    "uniform-l1.5": "ed34ae54032758d197ffdbe822e5b15a0c8fc369aa064e06de59faff0bc9fcae",
-    "uniform-l2": "b5b5e714c611a2d891eb25f8e7808676ebb844c6b8fc92ef696d4f8b254a9982",
+    "clusters-l2-fine-landmarks": "c72ff48f7cec1281eacd514ec63bba66f0a6ff94c59b29c32e153276b791f023",
+    "clusters-linf": "7ff3c516b616f9bbe2869e02bb9fab7bd4ea4460a81ec69aa417b721ed30a69a",
+    "graph-metric": "e696798c97db6f4275aacc3e72b849c8cc0e172b5d1aa3c61c3d8176eee8de3a",
+    "graph-metric-landmarks": "a195c07eb4eeea5c7c3fe59fb3da6ab84a9608f04df941b0792cf2dc008f6ddb",
+    "high-spread-line": "b47e849254a101d821b28e5b207e484f11bb2ed557e60f65b42cd2940f828ca5",
+    "high-spread-line-512-landmarks": "0a1b38fdf6e1b573ab4ab625d53f1e577f2383654982ddfb218114170ad78bf4",
+    "lattice-l1-ties": "efd1065e3bc325d7baa4d5ab8ea9c274f09fdf381a821f7497b97d9ac366a169",
+    "lattice-l2-ties-landmarks": "79331c4858a790eb3f5ca434a83985597a7e946ed944eaec79b6a7182144612f",
+    "projected-l2": "df51b67054dab7648a969550eef81e1a73cdac31683e736eef8590f0ceea82cd",
+    "uniform-l1-landmarks": "008f04580e5b3e3ca5f1bb6fa457404b412ba7144bc638f99f901d93f2d38a95",
+    "uniform-l1.5": "b81d43def68549a5f08bffe609cf0f5404f493bb465216b5538ac70484d8a84d",
+    "uniform-l2": "9b5b71eade34b7985d8e5b1dd8727a5ee5346b6d8fbacf2449a29e8c1e26b15e",
 }
 
 
@@ -102,51 +103,51 @@ DIGESTS = {
 MODELS = {
     "clusters-l2-fine-landmarks": (
         "6070eaa0f2efce95b0a370b20101c96ce83152b6a83e6cd0b1d40b8b98403d66",
-        (455, 86, 360, 198, 0, 1516, 37, 4),
+        (375, 33, 360, 172, 0, 1516, 37, 3),
     ),
     "clusters-linf": (
         "23170c859d6aa663dde07a5950867265b7d0c81fe4b1bde57068e344a394926c",
-        (467, 24, 560, 287, 0, 2175, 0, 7),
+        (366, 16, 560, 281, 0, 2175, 0, 2),
     ),
     "graph-metric": (
         "1f29db31c15d78faa3a97fa9a3f5beb8759cb1277fa90d114d48741c5893cb8c",
-        (152, 0, 240, 194, 0, 7098, 0, 4),
+        (109, 0, 240, 194, 0, 7098, 0, 7),
     ),
     "graph-metric-landmarks": (
         "00fa5ededf06ad4f5801394a5d3013b07e3b4266ac4e3c38b1f081b769c5494c",
-        (104, 0, 150, 145, 0, 4726, 15, 4),
+        (73, 0, 150, 145, 0, 4726, 15, 3),
     ),
     "high-spread-line": (
         "c41ae153d5e90b8d6c18ae3505d328a186d964786029d2d23f465bae5a6cb8c3",
-        (77, 22, 100, 70, 0, 107, 0, 0),
+        (54, 17, 100, 65, 0, 107, 0, 1),
     ),
     "high-spread-line-512-landmarks": (
         "3d88ef9a45b1eb9c48960dfca379eb77abe160709e7a209c766995e948b0fdee",
-        (77, 36, 100, 70, 0, 106, 1, 2),
+        (54, 24, 100, 65, 0, 106, 1, 2),
     ),
     "lattice-l1-ties": (
         "83ff965182b23de045dffacb13a27a5e5890bdd280d4dbb196b2a54bdd6620b8",
-        (266, 0, 384, 162, 0, 337, 0, 3),
+        (182, 0, 384, 162, 0, 337, 0, 7),
     ),
     "lattice-l2-ties-landmarks": (
         "beb05a4617c4a772f352df9e35a848763ba99e1f88c418cb27d416b4460d592d",
-        (218, 0, 384, 210, 0, 378, 17, 1),
+        (146, 0, 384, 210, 0, 378, 17, 1),
     ),
     "projected-l2": (
         "24f31915048fa39db3c081e08773ba875091cfae7af6dd1d05b8d1da6b61aa10",
-        (122, 0, 240, 234, 0, 40996, 0, 0),
+        (82, 0, 240, 234, 0, 40996, 0, 0),
     ),
     "uniform-l1-landmarks": (
         "06b5687ca732772a42d3f99ca3dcb4acd835215aae0cb3392e6455944483162a",
-        (404, 159, 360, 274, 0, 1018, 29, 4),
+        (328, 73, 360, 225, 0, 1018, 29, 7),
     ),
     "uniform-l1.5": (
         "7ba095af690e8badd792735361f0b5cdafdceba6e78173ba13562186a8d23442",
-        (350, 226, 300, 216, 0, 553, 0, 3),
+        (285, 140, 300, 165, 0, 553, 0, 5),
     ),
     "uniform-l2": (
         "a385a58517e0d41b6fc3ab31ce59ce401de23aa17b7ee3716fb141ae8e260df4",
-        (419, 150, 360, 270, 0, 1007, 0, 2),
+        (341, 69, 360, 221, 0, 1007, 0, 2),
     ),
 }
 
@@ -224,10 +225,11 @@ def test_precision_section_is_empty(name):
 
 # Decoder memory: the tracemalloc peak of deserialize plus Estimator stays
 # within this many bytes per blob byte, plus a constant.  Measured peaks are
-# 60-168 bytes per blob byte here and 60-134 on the benchmark-scale blobs
-# (MCSK v7, whose rank tables shrank the blobs, not the decoded models;
-# 57-140 and 52-130 at v6); a chain of long edges, which the decoder now
-# refuses (``codec._part_fault``), decoded at 2,574.
+# 60-178 bytes per blob byte here and 60-145 on the benchmark-scale blobs
+# (MCSK v8, whose tree columns shrank the blobs, not the decoded models;
+# 60-168 and 60-134 at v7, 57-140 and 52-130 at v6); a chain of long
+# edges, which the decoder now refuses (``codec._chain_fault``), decoded
+# at 2,574.
 DECODE_PEAK_PER_BYTE = 350
 DECODE_PEAK_CONSTANT = 1 << 16
 

@@ -37,9 +37,9 @@ CASES = {
 }
 
 DIGESTS = {
-    "build-clusters": "bb439016bfe140754cb1824ea2c031440c2ed3feefe64fcb9561e86f33c0aa16",
-    "query-clusters": "968ca70157662b168d4b6dd24579f3de4e4de1d3a70da32d778c282274cc8289",
-    "metric-graph": "1a08163ee2b5d48b795fc8d456c1e2e0a6358c67ac24ef9d7039a86c440f8b92",
+    "build-clusters": "0341a3790545893d23dc40be5aee37b9dce453b29c148a7a840d9d507a564bc9",
+    "query-clusters": "42b51cb9ce27b287427afc7dd8d35d4c7de371b81908cd09c5bdaded8c155fd6",
+    "metric-graph": "b2990d7e43dd37aca47d7dfa27a0cf6ae93947920d51b0409cedfd4f78b4445c",
 }
 
 
