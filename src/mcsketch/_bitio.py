@@ -11,8 +11,9 @@ finds every code's width with whole-array calls:
   (:func:`read_unary`);
 * an Elias gamma column of values v >= 1 is the unary codes of every
   bitlen(v) - 1, then every value's bitlen(v) - 1 low bits as fields
-  (:func:`gamma_columns`, :func:`read_gamma_column`): 2 bitlen(v) - 1 bits
-  per value, as in the interleaved code.
+  (:func:`gamma_columns`): 2 bitlen(v) - 1 bits per value, as in the
+  interleaved code.  A blob's gamma codes are each read alone, as fields
+  (``codec._read_table``, and the decoder's landmark count).
 
 Rows of d integers can also be stored as bit planes: row i as its k[i] low
 bits, one plane of d bits per bit, most significant plane first
@@ -26,8 +27,8 @@ Every field is at most 64 bits wide and every gamma value lies in
 [1, 2^63): a valid blob's gamma values are rank-table lengths, at most
 an alphabet that fits a class's values, and a landmark count plus one.
 The writer refuses a wider field or a larger value with ValueError, and
-the gamma reader a unary part that announces 63 or more low bits with
-FormatError, before it reads them.
+the decoder a landmark count whose unary part announces 63 or more low
+bits with FormatError, before it reads them.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "bit_windows",
     "unpack_runs",
     "read_unary",
-    "read_gamma_column",
     "read_planes",
     "row_blocks",
 ]
@@ -284,25 +284,6 @@ def read_unary(
     np.subtract(ones[1:count], ones[: count - 1], out=q[1:])
     q[1:] -= 1
     return q, start + int(ones[count - 1]) + 1
-
-
-def read_gamma_column(data: bytes, start: int, count: int, limit: int) -> tuple[np.ndarray, int]:
-    """The values of the Elias gamma column of ``count`` codes that
-    :func:`gamma_columns` laid out from bit ``start`` of ``data``, as
-    int64, and the bit after it.  FormatError when the unary part runs
-    past bit ``limit``, and, before any low bit is read, when a unary code
-    announces 63 or more low bits (a value of 2^63 or more) or the low
-    bits run past ``limit``."""
-    low, mid = read_unary(data, start, count, limit, 4 * count + 64)
-    if low.max(initial=0) >= 63:
-        raise FormatError(
-            f"a gamma code announces {low.max()} low bits; values stop below 2^63"
-        )
-    total = int(low.sum())
-    if total > limit - mid:
-        raise FormatError(f"gamma codes need {total} more bits, {limit - mid} remain")
-    suffix = unpack_runs(data, mid + np.cumsum(low) - low, low, 1)[:, 0]
-    return (suffix | (np.uint64(1) << low.astype(np.uint64))).view(np.int64), mid + total
 
 
 def read_planes(data: bytes, start: int, k: np.ndarray, rows: np.ndarray) -> None:

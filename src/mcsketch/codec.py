@@ -78,23 +78,27 @@ Layout, all multi-byte header fields little-endian:
   the decoded model keeps the layers for the ``Estimator``.
 
 Decoding levels: the gaps give each node's level relative to the root;
-all leaves must land on one common level, which is then pinned to 0.
-The shape fixes the tree's preorder; the decoder derives every node's
-parent from it and builds the ingresses directly as one int64 array, -1
-at part roots, from the parents and the ranks.
+all leaves must land on one common level, which is then pinned to 0, and
+every short edge descends one level.  So the writer refuses a model whose
+short edges descend by other steps or whose leaves are not at level 0:
+its blob would decode to other levels.  The shape fixes the tree's
+preorder; the decoder derives every node's parent from it and builds the
+ingresses directly as one int64 array, -1 at part roots, from the parents
+and the ranks.
 
 Columns move whole.  The writer packs every field of the payload in one
 pass (``_bitio.pack_fields``); the reader reads the edge flags as one
 slice of bits (``read_bits``), each column of fields of one width, the
 leaf labels, the gaps' low bits, a rank table's values and the landmark
-ids, through one such slice (``read_fields``), each unary stream, a
-gamma column's or the gaps' or the displacements' quotients, by locating
-its one bits with whole-array calls (``read_unary``), and the ingress
-ranks, whose widths follow from the tree, as one run of fields
-(``unpack_runs``).  Only the gaps' parameter and the four displacement
-class heads are read field by field.  Every column's length
-follows from the node count and the columns before it, and is checked
-against the bits that remain before anything is allocated for it.
+ids, through one such slice (``read_fields``), each unary stream, the
+gaps' or the displacements' quotients, by locating its one bits with
+whole-array calls (``read_unary``), and the ingress ranks, whose widths
+follow from the tree, as one run of fields (``unpack_runs``).  Only the
+gaps' parameter, the four displacement class heads and the landmark
+count, a single gamma code, are read field by field.  Every column's
+length follows from the node count and the columns before it, and is
+checked against the bits that remain before anything is allocated for
+it.
 """
 
 from __future__ import annotations
@@ -116,7 +120,6 @@ from ._bitio import (
     plane_bits,
     read_bits,
     read_fields,
-    read_gamma_column,
     read_planes,
     read_unary,
     row_blocks,
@@ -253,6 +256,19 @@ def serialize(model: SketchModel) -> bytes:
         raise GuaranteeError(
             f"long edge into {edges[bad[0]]} has gap {gaps[bad[0]]} outside [2, {top}]"
         )
+    # the blob stores no level but the long edges' gaps: the decoder lets
+    # every short edge descend one level and pins the leaves to level 0
+    short = np.flatnonzero(~long_edge[1:]) + 1
+    drop = level[parent[short]] - level[short]
+    bad = np.flatnonzero(drop != 1)
+    if bad.size:
+        raise GuaranteeError(
+            f"short edge into {short[bad[0]]} descends {drop[bad[0]]} levels, not 1"
+        )
+    leaves = np.flatnonzero(tree.end == np.arange(1, n_nodes + 1))
+    bad = leaves[level[leaves] != 0]
+    if bad.size:
+        raise GuaranteeError(f"leaf {bad[0]} is at level {level[bad[0]]}, not 0")
     ingress = model.ingress
     wrong = np.flatnonzero(tree.part_root & (ingress != -1))
     if wrong.size:
@@ -998,8 +1014,18 @@ def _parse(data: bytes) -> tuple[SketchModel, SizeReport]:
     landmarks = None
     mark = pos
     if has_landmarks:
-        count, pos = read_gamma_column(payload, pos, 1, payload_bits)
-        count = int(count[0]) - 1  # below 2^63: a wider code is refused
+        # gamma(count + 1) as two fields, as _read_table reads a length:
+        # the zeros before the first one bit of the rest, then that one and
+        # as many low bits.  The rest of a valid payload is just the count
+        # and the ids, so one field of it all costs little
+        rest = payload_bits - pos
+        zeros = rest - _field(payload, pos, rest, payload_bits, "").bit_length()
+        if zeros >= 63:
+            raise FormatError(
+                f"a gamma code announces {zeros} low bits; values stop below 2^63"
+            )
+        count = _field(payload, pos + zeros, zeros + 1, payload_bits, "landmark count") - 1
+        pos += 2 * zeros + 1
         ids = column((n_nodes - 1).bit_length(), count, "landmark ids")
         landmarks = landmark_ids(ids, n_nodes).tolist()
     landmark_bits = pos - mark

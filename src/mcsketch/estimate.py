@@ -48,6 +48,16 @@ so few terms in; so a query makes no numpy call, and the precomputed mode
 keeps its table as one flat list for it.  Other rows go to ``_lp_reduce``
 itself.
 
+All pairs at once are grouped by the part that holds their LCA, not by
+the LCA itself.  The *exit* of a leaf from a part above it is the leaf
+when it lies in that part, else the top of the long edge by which its
+root path leaves the part.  No long edge lies between u and the root of
+its part, so v_x is x's exit from u's part, and every pair whose LCA lies
+in one part reads ``scale * ||s(exit(x)) - s(exit(y))||`` over the same
+exits.  ``estimate_all_pairs`` makes one triangular pass of the pair
+kernel per part of two or more leaves: the root part's over every
+label's exit row, then each nested part's over one row per exit.
+
 Landmark selection is one pass over the ingress layers, from the deepest
 up.  Each node's ``reach`` is the depth below it of its deepest ingress
 descendant that no landmark covers, 0 at a node with none.  A node whose
@@ -72,8 +82,7 @@ import numpy as np
 from . import codec, net
 from .annotate import ingress_layers, shift_dtype, shift_exponents, shift_to_float
 from .core import FormatError, InputError, UnknownLabelError, k_parameter
-from .core import _BLOCK_ELEMS, _SHORT_AXIS, _lp_pair, _lp_reduce, _pair_blocks, _permute_in_place
-from .hst import _children
+from .core import _BLOCK_ELEMS, _SHORT_AXIS, _lp_pair, _lp_reduce, _pair_blocks
 
 __all__ = [
     "Estimator",
@@ -82,16 +91,6 @@ __all__ = [
 ]
 
 _MODES = ("precomputed", "landmark")
-
-# estimate_all_pairs batches a child's rectangle of pairs that holds at most
-# this many coordinate differences instead of giving it a pair-kernel call.
-# In-process on a 2-vCPU host, a kernel call cost about 30 us before its
-# first pair at d = 2, p = 1 (10 us for cdist at d = 400), and a batched
-# pair about 20 ns more per coordinate difference than a blocked one (3 ns
-# at d = 400): even near 1,500 differences at d = 2 and 3,000 at d = 400.
-# The all-pairs time of the benchmark's three instances was level from
-# 1,024 to 8,192; at 32,768 the d = 400 one was 20% slower.
-_SMALL_BLOCK = 2048
 
 
 class Estimator:
@@ -308,133 +307,96 @@ class Estimator:
         return self.scale * float(_lp_reduce(diff, self._p))
 
     def estimate_all_pairs(self) -> np.ndarray:
-        """Full n x n matrix of estimates; identical floats to estimate().
+        """Full n x n matrix of estimates, in label order; identical floats
+        to estimate().
 
-        One pass over the nodes, children before parents, with the leaves
-        in DFS preorder, where every node's leaves, and within them each
-        child's, are one contiguous range.  ``anchor`` holds each leaf's
-        anchor as seen from the node at hand: a node over a long edge sets
-        that child's range to itself.  A node u with two or more children
-        owns its cross-child leaf pairs (exactly those whose LCA is u),
-        one rectangle per child: the child's leaves against the later
-        children's.
+        A pair's estimate depends only on the part that holds its LCA: it
+        is ``scale * ||s(x') - s(y')||``, where x' is the leaf's *exit*
+        from that part, the leaf itself when it lies in the part, else the
+        top of the long edge by which its root path leaves the part (see
+        the module docstring).  So one triangular pass of the pair kernel
+        :func:`~mcsketch.core._pair_blocks` per part covers every pair, at
+        p = inf SciPy's compiled Chebyshev ``cdist`` in blocks of at most
+        ``_BLOCK_ELEMS`` entries, at every other p blocks of at most
+        ``_BLOCK_ELEMS`` coordinate differences in one reused buffer:
 
-        A rectangle of more than ``_SMALL_BLOCK`` coordinate differences is
-        reduced at once from the anchors' shifted surrogates by the pair
-        kernel :func:`~mcsketch.core._pair_blocks`: at p = inf SciPy's
-        compiled Chebyshev ``cdist`` in blocks of at most ``_BLOCK_ELEMS``
-        entries, at every other p blocks of at most ``_BLOCK_ELEMS``
-        coordinate differences in one reused buffer, coordinate-major on
-        rows shorter than ``core._SHORT_AXIS``.  For a smaller one the pass
-        only records the rectangle and, once per merge, copies out the
-        merge's slice of ``anchor`` as it stands; after the pass
-        :meth:`_small_pairs` expands the recorded pairs with array code and
-        reduces them in chunks with ``core._lp_reduce`` (at p = inf a row
-        max).  Either way each entry is the float ``lp_distance`` gives the
-        pair alone, so ``estimate``'s.  Every result goes into one
-        ``np.empty`` matrix in leaf preorder, and across the diagonal.
+        * the root part's pass runs over every label's exit row, in label
+          order, and writes its bands straight into the matrix and across
+          its diagonal.  Pairs that share an exit read 0 here;
+        * every other part of two or more leaves, outer first, makes one
+          pass over one row per exit, the first leaf of each shared exit
+          standing for it, written to those leaves' rows and columns.  Each
+          shared exit's row is then copied to its other leaves, against the
+          part's leaves outside that exit.
 
-        That matrix is then put into label order in place by
-        :func:`~mcsketch.core._permute_in_place`, so no second n x n array
-        is made.
+        A pair whose leaves leave a part by one long edge has its LCA below
+        that part, so only the root part's pass and the pass of the part
+        that holds its LCA write it, the latter last: every pair is
+        reduced at most twice.  Each entry is the float ``lp_distance``
+        gives its pair alone, so ``estimate``'s.  No second n x n array is
+        made.
         """
         tree = self.tree
-        n, d, p = self.n, self._d, self._p
+        n, p, scale = self.n, self._p, self.scale
         if self.mode == "precomputed":
             sf = self._sf
         else:
-            sf = np.zeros((tree.n_nodes, d), dtype=np.float64)
+            sf = np.zeros((tree.n_nodes, self._d), dtype=np.float64)
             for v in range(tree.n_nodes):
                 sf[v] = self.shifted_surrogate(v)
-        end = tree.end.tolist()
-        long_edge = tree.long_edge
-        lo, hi = tree.leaf_ranges()
         label = np.array(tree.leaf_label)
-        anchor = np.flatnonzero(label >= 0)  # the leaves, in preorder
+        leaf = np.flatnonzero(label >= 0)  # the leaves in id order
+        label = label[leaf]
+        lo, hi = map(np.array, tree.leaf_ranges())
+        root = np.flatnonzero(tree.part_root)  # part k's root, in id order
+        top = np.array(tree.parent)[root]  # the top of its long edge
+        link = tree.part_of[top]  # the part that holds that top
+        link[0] = -1
+        # the parts that hang from part k: kids[first[k] : first[k + 1]],
+        # in id order, so their leaf ranges ascend
+        kids = np.argsort(link, kind="stable")[1:]
+        first = np.searchsorted(link[kids], np.arange(len(root) + 1))
         out = np.empty((n, n), dtype=np.float64)
         # below p = inf every block's differences go to this one buffer, so
-        # the loop makes no block-sized temporaries and its page faults do
-        # not depend on where the allocator happens to place them
+        # the passes make no block-sized temporaries and their page faults
+        # do not depend on where the allocator happens to place them
         buf = None if p == math.inf else np.empty(_BLOCK_ELEMS)
-        # small rectangles: their merges' anchor slices, ``held`` entries so
-        # far, and per rectangle (first row, rows, first column, columns,
-        # start of its merge's slice in them less the merge's first leaf)
-        snaps, rects, held = [], [], 0
-        for u in np.flatnonzero(label < 0)[::-1].tolist():
-            kids = _children(end, u)
-            for c in kids:
-                if long_edge[c]:
-                    anchor[lo[c] : hi[c]] = u
-            if len(kids) < 2:
+        for k in np.flatnonzero(hi[root] - lo[root] >= 2).tolist():
+            a, b = lo[root[k]], hi[root[k]]
+            q = kids[first[k] : first[k + 1]]
+            s, e = lo[root[q]] - a, hi[root[q]] - a
+            # 1 + the index in q of the hanging part that holds each of the
+            # part's leaves, 0 for a leaf of the part itself
+            mark = np.zeros(b - a + 1, dtype=np.int64)
+            mark[s] = np.arange(1, q.size + 1)
+            mark[e] -= np.arange(1, q.size + 1)
+            held = np.cumsum(mark[:-1])
+            ex = leaf[a:b].copy()  # each leaf's exit
+            ex[held > 0] = top[q[held[held > 0] - 1]]
+            if k == 0:
+                rows = sf.take(ex[np.argsort(label)], axis=0)  # in label order
+                for t, block in _pair_blocks(rows, rows, p, tri=True, buf=buf):
+                    block *= scale
+                    band = slice(t, t + block.shape[0])
+                    out[band, t:] = block
+                    out[t:, band] = block.T
                 continue
-            # child c's leaves against every later child's
-            large = []
-            for c in kids[:-1]:
-                h, w = hi[c] - lo[c], hi[u] - hi[c]
-                if h * w * d <= _SMALL_BLOCK:
-                    rects.append((lo[c], h, hi[c], w, held - lo[u]))
-                else:
-                    large.append(c)
-            if len(large) < len(kids) - 1:
-                snaps.append(anchor[lo[u] : hi[u]].copy())
-                held += hi[u] - lo[u]
-            if not large:
-                continue
-            rows = sf.take(anchor[lo[u] : hi[u]], axis=0)
-            for c in large:
-                a_rows = rows[lo[c] - lo[u] : hi[c] - lo[u]]
-                b_rows = rows[hi[c] - lo[u] :]
-                for s, block in _pair_blocks(a_rows, b_rows, p, buf=buf):
-                    block *= self.scale
-                    top = slice(lo[c] + s, lo[c] + s + block.shape[0])
-                    out[top, hi[c] : hi[u]] = block
-                    out[hi[c] : hi[u], top] = block.T
-        buf = None  # the batch below makes its own, smaller arrays
-        if rects:
-            self._small_pairs(out, sf, np.concatenate(snaps), np.array(rects))
-        np.fill_diagonal(out, 0.0)
-        # out[pos[x], pos[y]] is the estimate of labels x and y
-        pos = np.empty(n, dtype=np.int64)
-        pos[label[label >= 0]] = np.arange(n)
-        _permute_in_place(out, pos)
+            lab = label[a:b]
+            keep = held == 0
+            keep[s] = True  # one leaf per exit
+            rows = sf.take(ex[keep], axis=0)
+            rl = lab[keep]
+            for t, block in _pair_blocks(rows, rows, p, tri=True, buf=buf):
+                block *= scale
+                i, j = np.ix_(rl[t : t + block.shape[0]], rl[t:])
+                out[i, j] = block
+                out[j.T, i.T] = block.T
+            for c in np.flatnonzero(e - s >= 2).tolist():
+                rep, rest = lab[s[c]], lab[s[c] + 1 : e[c]]
+                others = np.concatenate((lab[: s[c]], lab[e[c] :]))
+                out[np.ix_(rest, others)] = out[rep, others]
+                out[np.ix_(others, rest)] = out[others, rep, None]
         return out
-
-    def _small_pairs(self, out, sf, held, rects) -> None:
-        """Write the pairs of the recorded small rectangles into ``out``
-        and across its diagonal.  ``held`` is the recorded anchor slices
-        end to end; each row of ``rects`` is one rectangle: its first row,
-        rows, first column and columns, and the offset into ``held`` of its
-        merge's first leaf, less that leaf.
-
-        The rectangles are split into one record per row, and the pairs
-        are expanded and reduced in chunks of whole records, each reduced
-        by ``_lp_reduce``.  A chunk of P pairs holds P x d differences and
-        about eight arrays of P indices, so it takes at most
-        ``_BLOCK_ELEMS // (d + 8)`` pairs, or one record that alone holds
-        more.
-        """
-        r0, h, c0, w, off = rects.T
-        rid = np.repeat(np.arange(len(rects)), h)
-        # per record: its leaf, columns, first column, offset into held
-        x = np.arange(len(rid)) - np.repeat(np.cumsum(h) - h - r0, h)
-        k, c0, off = w.take(rid), c0.take(rid), off.take(rid)
-        ax = held.take(x + off)  # the anchor of each record's leaf
-        end = np.cumsum(k)  # pairs up to and including each record
-        step = max(1, _BLOCK_ELEMS // (self._d + 8))
-        a = 0
-        while a < len(k):
-            b = max(a + 1, int(np.searchsorted(end, end[a] - k[a] + step, side="right")))
-            kk = k[a:b]
-            first = end[a:b] - kk  # number of each record's first pair
-            i = np.repeat(x[a:b], kk)
-            j = np.arange(first[0], end[b - 1]) - np.repeat(first - c0[a:b], kk)
-            diff = sf.take(np.repeat(ax[a:b], kk), axis=0)
-            diff -= sf.take(held.take(j + np.repeat(off[a:b], kk)), axis=0)
-            vals = _lp_reduce(diff, self._p)
-            vals *= self.scale
-            out[i, j] = vals
-            out[j, i] = vals
-            a = b
 
 
 def estimate_bound(shifts: np.ndarray, unit: float, scale: float, d: int, p: float) -> float:

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from mcsketch import net
+from mcsketch.codec import SketchModel
 from mcsketch.core import DuplicatePointError, FormatError, InputError, _pairwise, encode_p
+from mcsketch.hst import SketchTree
 
 
 def matrix_min_distance(coords, p) -> float:
@@ -303,7 +305,6 @@ def compress_chain_hst(tree, clusters, epsilon):
     from its bottom, contract the runs the rule allows, then renumber the
     survivors in DFS preorder in a second pass."""
     from mcsketch.core import snap_epsilon
-    from mcsketch.hst import SketchTree
 
     t = round(-math.log2(snap_epsilon(epsilon)))
     long_child: dict[int, int] = {}  # surviving top -> run bottom
@@ -587,7 +588,6 @@ def node_by_node_surrogates(tree, ingress, center, ps, params, clusters):
     package once computed them: one node at a time in ingress order, with
     a scalar rounding per node.  Returns (inv_delta, grid, shift_int,
     s_star) with the dtypes of the package's arrays."""
-    from mcsketch import net
     from mcsketch.annotate import ingress_layers, shift_dtype
     from mcsketch.core import k_parameter
 
@@ -773,6 +773,77 @@ def ingress_ranks(tree, ingress) -> list[tuple[int, int | None, int]]:
         u = int(ingress[c])
         out.append((c, span.index(u) if u in span else None, len(span)))
     return out
+
+
+def random_sketch_model(rng, p: float, landmarks: bool) -> SketchModel | None:
+    """A random model of a random sketch tree, ids in preorder: a node at
+    level l > 0 has two or three children on short edges, one on a short
+    edge (a one-child chain; not at the root), or one on a long edge of
+    gap 2..l (not below a long edge, and at the root not down to a lone
+    leaf), so a one-child root, long edges side by side and parts nested
+    in parts all come up.  A later child takes any node of its rank range
+    as ingress, mostly one before it (which closes no cycle), and grid
+    integers any value within their bounds, or a bound's end.  None when
+    the tree has fewer than two leaves."""
+    top = int(rng.integers(1, 8))
+    level, parent, long_edge = [], [], []
+
+    def grow(u: int, lvl: int, long: bool) -> None:
+        v = len(level)
+        level.append(lvl)
+        parent.append(u)
+        long_edge.append(long)
+        if lvl == 0:
+            return
+        kinds = ["merge"]
+        if u >= 0:
+            kinds.append("chain")
+        if not long and lvl >= (2 if u >= 0 else 3):
+            kinds.append("long")
+        kind = kinds[rng.integers(len(kinds))] if len(level) < 40 else kinds[-1]
+        if kind == "merge":
+            for _ in range(rng.integers(2, 4)):
+                grow(v, lvl - 1, False)
+        elif kind == "chain":
+            grow(v, lvl - 1, False)
+        else:
+            grow(v, lvl - int(rng.integers(2, lvl + (u >= 0))), True)
+
+    grow(-1, top, False)
+    leaves = [v for v, lvl in enumerate(level) if lvl == 0]
+    if len(leaves) < 2:
+        return None
+    label = [-1] * len(level)
+    for v, x in zip(leaves, rng.permutation(len(leaves)).tolist()):
+        label[v] = x
+    tree = SketchTree(level, parent, long_edge, label)
+    d = int(rng.integers(1, 4))
+    model = SketchModel(
+        tree=tree,
+        ingress=np.where(tree.part_root, -1, np.array(parent)),
+        eta_ints=np.zeros((tree.n_nodes, d), dtype=np.int64),
+        landmarks=sorted(rng.choice(tree.n_nodes, 3).tolist()) if landmarks else None,
+        p=p,
+        epsilon=float(rng.choice([0.5, 0.25])),
+        scale=1.0,
+        spread=2.0 ** (top - 1 + int(rng.integers(0, 3))) * float(rng.uniform(1, 2)),
+        n=len(leaves),
+        d=d,
+        jl_seed=0,
+        jl_orig_dim=d,
+    )
+    if model.landmarks is not None:
+        model.landmarks = sorted(set(model.landmarks))
+    for c, _, _ in ingress_ranks(tree, model.ingress):
+        span = rank_range(tree, c)
+        if rng.random() < 0.75:
+            span = [u for u in span if u < c]
+        model.ingress[c] = span[rng.integers(len(span))]
+    bounds = net.tree_bounds(tree, model.epsilon, d, p)
+    for v in np.flatnonzero(~tree.part_root):
+        b = int(bounds[v])
+        model.eta_ints[v] = rng.integers(-b, b + 1, size=d) if b < 8 else rng.choice([-b, b], d)
+    return model
 
 
 def flagged_edges(tree) -> list[int]:

@@ -19,7 +19,6 @@ from mcsketch._bitio import (
     pack_fields,
     plane_bits,
     read_fields,
-    read_gamma_column,
     read_planes,
     read_unary,
     unary_bits,
@@ -126,12 +125,9 @@ def test_bitwriter_reader_basic():
     assert (data, sum(widths)) == _scalar(fields)
     assert len(data) == (sum(widths) + 7) // 8
     assert unpack_runs(data, starts, widths, 1)[:, 0].tolist() == [5, 1, 9, 0]
-    values, end = read_gamma_column(data, 4, 1, 18)
-    assert values.tolist() == [9] and end == 11
-    # the gamma reader is bounded by the logical bit length, not the bytes:
-    # the unary part of 9 ends at bit 8, its three low bits would end at 11
-    with pytest.raises(FormatError, match="gamma codes need 3 more bits, 2 remain"):
-        read_gamma_column(data, 4, 1, 10)
+    r = ref.BitReader(data, 18)
+    r.read_uint(4)
+    assert ref.read_gammas(r, 1) == [9] and r.position == 11
 
 
 def test_bitwriter_rejects_oversized_values():
@@ -154,26 +150,25 @@ def test_bitwriter_rejects_oversized_values():
 
 def test_bitreader_rejects_overrun():
     data, _ = pack_fields([(np.array([3, 0]), [2, 5])])
-    for read in (read_unary, read_gamma_column):
-        with pytest.raises(FormatError):
-            read(data, 2, 1, 7)  # five zeros and no terminating one
-        with pytest.raises(FormatError):
-            read(data, 0, 3, 2)  # two one-bit codes, then nothing
-    # a unary part that announces low bits past the limit: 2^40 - 1 has 39
-    # of them; the reader refuses before it reads or allocates for them
-    data, bits = pack_fields(gamma_columns([2**40 - 1]))
-    assert bits == 79
-    with pytest.raises(FormatError, match="need 39 more bits, 38 remain"):
-        read_gamma_column(data, 0, 1, 78)
+    with pytest.raises(FormatError):
+        read_unary(data, 2, 1, 7)  # five zeros and no terminating one
+    with pytest.raises(FormatError):
+        read_unary(data, 0, 3, 2)  # two one-bit codes, then nothing
+    # a landmark count whose unary part announces low bits past the
+    # payload's end: 2^40 - 1 has 39 of them, and the decoder reads its one
+    # bit and those as one field of 40 bits, of which 39 remain
+    code = np.unpackbits(np.frombuffer(pack_fields(gamma_columns([2**40 - 1]))[0], np.uint8))
+    with pytest.raises(FormatError, match="landmark count needs 40 bits, 39 remain"):
+        deserialize(_with_landmark_count(code[:78].tolist()))
 
 
 def test_gamma_code_announcing_63_low_bits_refused():
-    # gamma values stay below 2^63: the reader refuses a unary part that
-    # announces 63 low bits, here those of 2^63 + 5, before it reads them
+    # gamma values stay below 2^63: the decoder refuses a landmark count
+    # whose unary part announces 63 low bits, here those of 2^63 + 5,
+    # before it reads them
     bits = [0] * 63 + [1] + [int(b) for b in format(5, "063b")]
-    data = np.packbits(bits).tobytes()
     with pytest.raises(FormatError, match="announces 63 low bits"):
-        read_gamma_column(data, 0, 1, len(bits))
+        deserialize(_with_landmark_count(bits))
 
 
 def _rice_section(*fields) -> tuple[bytes, int]:
@@ -320,9 +315,8 @@ def test_gamma_roundtrip(values):
     fields = [("g", values)]
     data, _, widths = _packed(fields)
     assert (data, sum(widths)) == _scalar(fields)
-    back, end = read_gamma_column(data, 0, len(values), sum(widths))
-    assert [int(x) for x in back] == values and end == sum(widths)
-    assert ref.read_gammas(ref.BitReader(data, sum(widths)), len(values)) == values
+    r = ref.BitReader(data, sum(widths))
+    assert ref.read_gammas(r, len(values)) == values and r.position == sum(widths)
 
 
 @settings(max_examples=200, deadline=None)
@@ -351,9 +345,8 @@ def test_packer_matches_scalar_writer(fields):
         elif f[0] == "b":
             assert [r.read_uint(1) for _ in f[1]] == f[1]
         else:
-            got, end = read_gamma_column(data, start, len(f[1]), sum(widths))
-            assert [int(x) for x in got] == ref.read_gammas(r, len(f[1])) == f[1]
-            assert end == start + width
+            assert ref.read_gammas(r, len(f[1])) == f[1]
+            assert r.position == start + width
 
 
 @settings(max_examples=200, deadline=None)
@@ -892,19 +885,23 @@ def test_landmark_ids_that_do_not_ascend_or_overrun_refused():
         deserialize(_rewritten(blob, count, 7))
 
 
-def test_landmark_count_code_beyond_63_low_bits_refused():
-    # the landmark count's gamma code rewritten to announce 70 low bits, a
-    # count of 2^70 - 1 (ids and all else after it dropped): the reader
-    # refuses the code before it reads its low bits or sizes a column
+def _with_landmark_count(bits: list[int]) -> bytes:
+    """A landmark blob whose payload ends with ``bits`` in place of its
+    landmark count and ids, its bit length and CRC set to match."""
     blob = _fuzz_blob(2.0, True, 60)
     head = size_report(blob).header_bytes
     start = _columns(blob)["landmark count"].start - 8 * head
     payload, _, _ = ref.write_payload(deserialize(blob))
-    bits = np.unpackbits(np.frombuffer(payload, np.uint8))[:start].tolist()
-    bits += [0] * 70 + [1] + [0] * 70
-    hostile = _with_payload(blob, np.packbits(bits).tobytes(), len(bits))
+    stream = np.unpackbits(np.frombuffer(payload, np.uint8))[:start].tolist() + bits
+    return _with_payload(blob, np.packbits(stream).tobytes(), len(stream))
+
+
+def test_landmark_count_code_beyond_63_low_bits_refused():
+    # the landmark count's gamma code rewritten to announce 70 low bits, a
+    # count of 2^70 - 1 (ids and all else after it dropped): the reader
+    # refuses the code before it reads its low bits or sizes a column
     with pytest.raises(FormatError, match="gamma code announces 70 low bits"):
-        deserialize(hostile)
+        deserialize(_with_landmark_count([0] * 70 + [1] + [0] * 70))
 
 
 def _rank_fields(blob: bytes) -> list[tuple[int, int, range, list[int]]]:
@@ -1185,6 +1182,35 @@ def test_root_above_the_spread_refused():
         serialize(model)
 
 
+def _relevelled(root_up: int, all_up: int) -> SketchModel:
+    """A 12-point model with its root raised ``root_up`` levels and every
+    node ``all_up`` more, under a spread scaled to match."""
+    ps = normalize(gen_gaussian_clusters(12, 2, 3), 2.0)
+    model = build_sketch(ps, SketchParams(0.25, jl_enabled=False)).model
+    tree = model.tree
+    level = [lvl + all_up for lvl in tree.level]
+    level[0] += root_up
+    model.tree = SketchTree(level, tree.parent, tree.long_edge, tree.leaf_label)
+    model.spread *= 2.0 ** (root_up + all_up)
+    return model
+
+
+@pytest.mark.parametrize(
+    "root_up, all_up, match",
+    [(1, 0, "short edge into 1 descends 2 levels, not 1"), (0, 1, "leaf 7 is at level 1, not 0")],
+    ids=["root-raised", "leaves-raised"],
+)
+def test_serialize_refuses_levels_the_blob_cannot_hold(root_up, all_up, match):
+    # the blob stores the long edges' gaps and no level: the decoder lets
+    # short edges descend one level and pins the leaves to 0.  The writer
+    # once wrote both models without a word, and the first decoded with
+    # its root at level 10, not 11
+    model = _relevelled(root_up, all_up)
+    assert model.tree.level[0] == 10 + root_up + all_up
+    with pytest.raises(GuaranteeError, match=match):
+        serialize(model)
+
+
 def _with_bits(blob: bytes, at: int, bits: list[int]) -> bytes:
     """``blob`` with ``bits`` put in before bit ``at`` of its payload, the
     payload bit length and the CRC set to match."""
@@ -1237,84 +1263,13 @@ def test_header_fields_out_of_range_refused():
             deserialize(_patch_header(blob, 24, "<d", scale))
 
 
-def _random_sketch_model(rng, p: float, landmarks: bool) -> SketchModel | None:
-    """A random model of a random sketch tree, ids in preorder: a node at
-    level l > 0 has two or three children on short edges, one on a short
-    edge (a one-child chain; not at the root), or one on a long edge of
-    gap 2..l (not below a long edge, and at the root not down to a lone
-    leaf), so a one-child root, long edges side by side and parts nested
-    in parts all come up.  A later child takes any node of its rank range
-    as ingress, mostly one before it (which closes no cycle), and grid
-    integers any value within their bounds, or a bound's end.  None when
-    the tree has fewer than two leaves."""
-    top = int(rng.integers(1, 8))
-    level, parent, long_edge = [], [], []
-
-    def grow(u: int, lvl: int, long: bool) -> None:
-        v = len(level)
-        level.append(lvl)
-        parent.append(u)
-        long_edge.append(long)
-        if lvl == 0:
-            return
-        kinds = ["merge"]
-        if u >= 0:
-            kinds.append("chain")
-        if not long and lvl >= (2 if u >= 0 else 3):
-            kinds.append("long")
-        kind = kinds[rng.integers(len(kinds))] if len(level) < 40 else kinds[-1]
-        if kind == "merge":
-            for _ in range(rng.integers(2, 4)):
-                grow(v, lvl - 1, False)
-        elif kind == "chain":
-            grow(v, lvl - 1, False)
-        else:
-            grow(v, lvl - int(rng.integers(2, lvl + (u >= 0))), True)
-
-    grow(-1, top, False)
-    leaves = [v for v, lvl in enumerate(level) if lvl == 0]
-    if len(leaves) < 2:
-        return None
-    label = [-1] * len(level)
-    for v, x in zip(leaves, rng.permutation(len(leaves)).tolist()):
-        label[v] = x
-    tree = SketchTree(level, parent, long_edge, label)
-    d = int(rng.integers(1, 4))
-    model = SketchModel(
-        tree=tree,
-        ingress=np.where(tree.part_root, -1, np.array(parent)),
-        eta_ints=np.zeros((tree.n_nodes, d), dtype=np.int64),
-        landmarks=sorted(rng.choice(tree.n_nodes, 3).tolist()) if landmarks else None,
-        p=p,
-        epsilon=float(rng.choice([0.5, 0.25])),
-        scale=1.0,
-        spread=2.0 ** (top - 1 + int(rng.integers(0, 3))) * float(rng.uniform(1, 2)),
-        n=len(leaves),
-        d=d,
-        jl_seed=0,
-        jl_orig_dim=d,
-    )
-    if model.landmarks is not None:
-        model.landmarks = sorted(set(model.landmarks))
-    for c, _, _ in ref.ingress_ranks(tree, model.ingress):
-        span = ref.rank_range(tree, c)
-        if rng.random() < 0.75:
-            span = [u for u in span if u < c]
-        model.ingress[c] = span[rng.integers(len(span))]
-    bounds = net.tree_bounds(tree, model.epsilon, d, p)
-    for v in np.flatnonzero(~tree.part_root):
-        b = int(bounds[v])
-        model.eta_ints[v] = rng.integers(-b, b + 1, size=d) if b < 8 else rng.choice([-b, b], d)
-    return model
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 2.0, math.inf]), st.booleans())
 def test_random_trees_match_the_scalar_writer(seed, p, landmarks):
     # serialize writes, byte for byte, what the scalar writer writes for a
     # random sketch tree, and the blob decodes to the same model; an
     # ingress cycle is refused by both ends with the decoder's message
-    model = _random_sketch_model(np.random.default_rng(seed), p, landmarks)
+    model = ref.random_sketch_model(np.random.default_rng(seed), p, landmarks)
     assume(model is not None)
     ref.verify_tree(model.tree)
     try:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcsketch.annotate import shift_to_float
@@ -26,12 +26,10 @@ from mcsketch.core import (
     UnknownLabelError,
     k_parameter,
     normalize,
-    oracle_all_pairs,
 )
 from mcsketch import core, estimate
 from mcsketch.core import _BLOCK_ELEMS, _SHORT_AXIS
-from mcsketch.estimate import _SMALL_BLOCK, Estimator, select_all_landmarks
-from mcsketch.hst import _children
+from mcsketch.estimate import Estimator, select_all_landmarks
 
 import _reference as ref
 from _reference import subtree_decomposition
@@ -588,41 +586,109 @@ def test_all_pairs_matches_single_queries_at_a_general_p(d):
     )
 
 
+def _passes(monkeypatch):
+    """Record every pass of estimate_all_pairs' pair kernel: one list of
+    its blocks' shapes per call of ``_pair_blocks``."""
+    passes = []
+    kernel = estimate._pair_blocks
+
+    def counted(*args, **kwargs):
+        passes.append([])
+        for s, block in kernel(*args, **kwargs):
+            passes[-1].append(block.shape)
+            yield s, block
+
+    monkeypatch.setattr(estimate, "_pair_blocks", counted)
+    return passes
+
+
+def _multi_leaf_parts(tree) -> list[int]:
+    """Leaf counts of the parts below the root with two or more leaves,
+    from the reference decomposition."""
+    decomp = subtree_decomposition(tree)
+    below = ref.leaf_labels_under(tree)
+    return [len(below[r]) for r in decomp.roots[1:] if len(below[r]) >= 2]
+
+
 @pytest.mark.parametrize("block", [64, _BLOCK_ELEMS])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
-def test_all_pairs_batches_small_rectangles(monkeypatch, p, block):
-    # the merges' child rectangles (a child's leaves against the later
-    # children's) lie on both sides of _SMALL_BLOCK: the small ones are
-    # reduced in a batch after the pass, the others by the pair kernel.  A
-    # 64-entry block splits the batch into many chunks (and the kernel's
-    # blocks into single rows)
-    pts = gen_gaussian_clusters(120, 2, 1) * 11
+def test_all_pairs_blocks_split_over_the_passes(monkeypatch, p, block):
+    # the root part's pass and the nested parts' passes all go through the
+    # pair kernel; a 64-entry block splits each into single rows, and the
+    # full one keeps the triangular bands.  The tree has nested parts, some
+    # with a shared exit (a long edge over two or more leaves), so the rows
+    # copied to a shared exit's other leaves are checked too
+    pts = gen_gaussian_clusters(120, 2, 3) * 11
     blob = sketch_points(pts, p, SketchParams(epsilon=0.25, landmarks=True, jl_enabled=False))
     tree = Estimator(blob).tree
-    end = tree.end.tolist()
-    lo, hi = tree.leaf_ranges()
-    rects = [
-        (hi[c] - lo[c], hi[u] - hi[c])
-        for u in range(tree.n_nodes)
-        if tree.leaf_label[u] < 0
-        for c in _children(end, u)[:-1]
-    ]
-    small = [(h, w) for h, w in rects if h * w * 2 <= _SMALL_BLOCK]
-    assert 0 < len(small) < len(rects)
+    nested = _multi_leaf_parts(tree)
+    assert len(nested) >= 3
     monkeypatch.setattr(estimate, "_BLOCK_ELEMS", block)
     monkeypatch.setattr(core, "_BLOCK_ELEMS", block)
-    chunks = []
-    reduce = estimate._lp_reduce
-    monkeypatch.setattr(estimate, "_lp_reduce", lambda diff, p: chunks.append(len(diff)) or reduce(diff, p))
+    passes = _passes(monkeypatch)
+    per_entry = 1 if p == math.inf else 2  # d = 2 differences per pair below inf
     for mode in ("precomputed", "landmark"):
         est = Estimator(blob, mode=mode)
-        chunks.clear()
+        passes.clear()
         allp = est.estimate_all_pairs()
-        # every small pair reduced once, in chunks of whole rectangle rows
-        # of at most block / (d + 8) pairs, or one row that alone is wider
-        assert sum(chunks) == sum(h * w for h, w in small)
-        assert max(chunks) <= max(block // 10, *(w for _, w in small))
-        assert (len(chunks) == 1) == (block == _BLOCK_ELEMS)
+        assert len(passes) == 1 + len(nested)
+        # one pass over every label, then one row per exit of each nested
+        # part: fewer rows than leaves where a long edge holds several
+        assert passes[0][0][1] == est.n
+        assert sum(rows for rows, _ in passes[0]) == est.n
+        firsts = [shapes[0][1] for shapes in passes[1:]]
+        assert all(f <= k for f, k in zip(firsts, nested)) and firsts != nested
+        for shapes in passes:
+            for rows, cols in shapes:
+                assert rows <= core._TRI_ROWS
+                assert rows == 1 or rows * cols * per_entry <= block
+        if block == 64:
+            assert max(len(shapes) for shapes in passes) > 1
+        for i in range(est.n):
+            for j in range(est.n):
+                assert allp[i, j] == est.estimate(i, j)
+
+
+def test_all_pairs_work_is_bounded_on_a_nested_chain(monkeypatch):
+    # 30 points, each 2^6 times farther than the last, beside a cluster:
+    # every one hangs its nearer neighbours on a long edge, so 34 parts of
+    # two or more leaves nest up to 30 deep.  A pass over each part's
+    # leaves would reduce 14.4 n^2 pairs; with one row per exit the kernel
+    # yields 0.68 n^2, and the matrix still matches every single query
+    base = gen_gaussian_clusters(150, 2, 1)
+    diam = np.ptp(base, axis=0).max()
+    far = [[diam * 2.0 ** (6 * j), 0.0] for j in range(1, 31)]
+    params = SketchParams(epsilon=0.25, landmarks=True, jl_enabled=False)
+    blob = sketch_points(np.vstack([base, far]), 2.0, params)
+    n = 180
+    passes = _passes(monkeypatch)
+    for mode in ("precomputed", "landmark"):
+        est = Estimator(blob, mode=mode)
+        assert len(_multi_leaf_parts(est.tree)) == 33
+        passes.clear()
+        allp = est.estimate_all_pairs()
+        assert len(passes) == 34
+        assert sum(rows * cols for shapes in passes for rows, cols in shapes) <= n * n
+        for i in range(n):
+            for j in range(n):
+                assert allp[i, j] == est.estimate(i, j)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1.5, 2.0, math.inf]))
+def test_all_pairs_match_single_queries_on_random_trees(seed, p):
+    # random decoder-valid trees: a one-child root over a long edge, long
+    # edges side by side and parts nested in parts, through serialize and
+    # both modes
+    model = ref.random_sketch_model(np.random.default_rng(seed), p, landmarks=True)
+    assume(model is not None)
+    try:
+        blob = serialize(model)
+    except GuaranteeError:  # an ingress cycle
+        assume(False)
+    for mode in ("precomputed", "landmark"):
+        est = Estimator(blob, mode=mode)
+        allp = est.estimate_all_pairs()
         for i in range(est.n):
             for j in range(est.n):
                 assert allp[i, j] == est.estimate(i, j)
@@ -713,16 +779,12 @@ def test_all_pairs_rows_wider_than_one_block():
 
 @pytest.mark.parametrize("d, p", [(2, 1.0), (4, 2.0), (4, math.inf)])
 def test_all_pairs_peak_is_one_matrix_plus_blocks(d, p):
-    # the leaf-preorder matrix is put into label order in place.  Besides
-    # the n x n result the peak holds one _BLOCK_ELEMS difference buffer,
-    # the planar kernel's two arrays of _BLOCK_ELEMS / d entries (row max
-    # and divisor; the max becomes the block's result) and the small
-    # rectangles' records: 2.8 buffers at d = 2, 2.0 at d = 4, p = 2.  The
-    # small rectangles' batch runs after the buffer is freed, in chunks of
-    # at most _BLOCK_ELEMS / (d + 8) pairs, and the permutation goes
-    # through one strip of _STRIP_ELEMS entries.  At p = inf there is no
-    # difference buffer, and cdist's block holds at most _BLOCK_ELEMS
-    # entries: 1.5 buffers.  A second n x n array, 4 buffers at n = 1000,
+    # the passes write straight into the one label-order matrix; there is
+    # no leaf-preorder matrix to permute.  Besides it the peak holds one
+    # _BLOCK_ELEMS difference buffer and the kernel's arrays of one band of
+    # at most _TRI_ROWS rows: 1.2 buffers at d = 2, p = 1 and 1.3 at d = 4,
+    # p = 2.  At p = inf there is no difference buffer, and cdist's bands
+    # hold 0.2 buffers.  A second n x n array, 4 buffers at n = 1000,
     # exceeds the bound.
     n = 1000
     pts = gen_gaussian_clusters(n, d, 1)
