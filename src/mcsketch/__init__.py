@@ -16,11 +16,13 @@ Typical library use::
 
 The package exports the sketch entry points, the codec, the estimator, the
 generators and the error classes; everything else, such as
-``mcsketch.cli.build_sketch`` or ``mcsketch.core.normalize``, is reached
-through its submodule.
+``mcsketch.pipeline.build_sketch`` (which returns every intermediate of a
+build) or ``mcsketch.core.normalize``, is reached through its submodule.
+The command line lives in ``mcsketch.cli``, which the package does not
+import.
 """
 
-from .cli import (
+from .pipeline import (
     gen_gaussian_clusters,
     gen_high_spread_line,
     gen_random_graph_metric,

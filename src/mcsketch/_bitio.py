@@ -231,28 +231,26 @@ def bit_windows(data: bytes, start: int, limit: int, span: int):
         span *= 2
 
 
-def unpack_runs(
-    data: bytes, starts: np.ndarray, widths: np.ndarray, count: int
-) -> np.ndarray:
-    """uint64 array whose row i holds the ``count`` consecutive fields of
-    ``widths[i]`` bits (width 0 reads zeros) that start at bit ``starts[i]``
-    of the MSB-first stream ``data``.  The caller has checked every run
-    against the stream's length, and every width is at most 64."""
+def unpack_runs(data: bytes, starts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """uint64 array whose entry i is the field of ``widths[i]`` bits (width
+    0 reads zero) that starts at bit ``starts[i]`` of the MSB-first stream
+    ``data``.  The caller has checked every field against the stream's
+    length, and every width is at most 64."""
     starts = np.asarray(starts, dtype=np.int64)
     widths = np.asarray(widths, dtype=np.int64)
-    out = np.empty((starts.size, count), dtype=np.uint64)
+    out = np.empty(starts.size, dtype=np.uint64)
     if not out.size:
         return out
-    # a copy of just the bytes the runs cover, padded for the last word
+    # a copy of just the bytes the fields cover, padded for the last word
     first = int(starts.min()) >> 3
-    last = (int((starts + widths * count).max()) + 7) >> 3
+    last = (int((starts + widths).max()) + 7) >> 3
     buf = np.frombuffer(bytes(data[first:last]) + bytes(9), dtype=np.uint8)
     words = sliding_window_view(buf, 8)
     # about eight uint64 temporaries per field: together one float block
-    step = max(1, _BLOCK_ELEMS // (8 * count))
+    step = _BLOCK_ELEMS // 8
     for s in range(0, starts.size, step):
-        w = widths[s : s + step, None]
-        pos = starts[s : s + step, None] + w * np.arange(count) - 8 * first
+        w = widths[s : s + step]
+        pos = starts[s : s + step] - 8 * first
         byte = pos >> 3
         off = (pos & 7).astype(np.uint64)
         # the 64 bits from pos on: 8 bytes shifted left, then the next byte's top

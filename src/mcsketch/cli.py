@@ -1,4 +1,4 @@
-"""Command-line surface and the high-level sketch pipeline.
+"""Command-line surface: argument parsing and the commands.
 
 Commands: ``sketch`` (build a blob from points/matrix/CSV), ``query``
 (estimate pair distances from a blob), ``eval`` (build, compare against
@@ -8,10 +8,10 @@ the exact oracle, print a line-oriented key=value report), ``gen``
 Exit codes: 0 ok, 1 usage/input, 2 malformed bytes, 3 bad data
 (duplicates, metric violations, unknown labels), 4 guarantee violation.
 
-The functions ``sketch_points`` and ``sketch_metric`` are the programmatic
-equivalents of ``sketch`` and are re-exported at package level for library
-use; ``build_sketch``, which sketches a normalized point set and returns
-every intermediate, is reached as ``mcsketch.cli.build_sketch``.
+The commands run the build of :mod:`mcsketch.pipeline`, whose entry
+points the package re-exports for library use.  The package does not
+import this module, so ``python -m mcsketch.cli`` finds it unloaded and
+runs it without runpy's "found in sys.modules" RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -20,226 +20,36 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
-from .annotate import Annotations, SurrogateTable, annotate
-from .codec import SketchModel, SizeReport, deserialize, serialize, size_report
+from .codec import SizeReport, deserialize, size_report
 from .core import (
     DataError,
-    DistanceMatrix,
     FormatError,
     GuaranteeError,
     InputError,
-    PointSet,
     SketchError,
     SketchParams,
-    k_parameter,
     load_input,
     normalize,
     oracle_all_pairs,
     write_matrix,
     write_points,
 )
-from .estimate import Estimator, estimate_bound, select_all_landmarks
-from .hst import ClusterIndex, SketchTree, build_hst, compress
-from .reduce import frechet_embed, project_points
+from .estimate import Estimator
+from .pipeline import (
+    build_sketch,
+    gen_gaussian_clusters,
+    gen_high_spread_line,
+    gen_random_graph_metric,
+    gen_uniform,
+    prepare_points,
+)
+from .reduce import frechet_embed
 
-__all__ = [
-    "BuildResult",
-    "EvalReport",
-    "build_sketch",
-    "sketch_points",
-    "sketch_metric",
-    "gen_uniform",
-    "gen_gaussian_clusters",
-    "gen_high_spread_line",
-    "gen_random_graph_metric",
-    "main",
-]
-
-
-# --------------------------------------------------------------------------
-# Pipeline.
-
-
-@dataclass
-class BuildResult:
-    """Everything produced while building one sketch.
-
-    ``point_set`` is the sketched (post-projection) point set.  When it came
-    from ``normalize`` it holds its (n, n) distance matrix, which
-    :func:`evaluate` reads as the oracle; keeping a result keeps that matrix.
-    """
-
-    blob: bytes
-    model: SketchModel
-    point_set: PointSet
-    jl_applied: bool
-    tree: SketchTree
-    clusters: ClusterIndex
-    ann: Annotations
-    table: SurrogateTable
-    build_seconds: float
-
-
-def build_sketch(
-    ps: PointSet,
-    params: SketchParams,
-    jl_applied: bool = False,
-    jl_orig_dim: int = 0,
-) -> BuildResult:
-    """Sketch an already-normalized point set.  Raises InputError when the
-    spread and epsilon leave no finite landmark spacing K, when epsilon
-    leaves a grid bound beyond int64, and when the estimates could
-    overflow (:func:`~mcsketch.estimate.estimate_bound`), so that every
-    blob it writes decodes."""
-    start = time.perf_counter()
-    kk = k_parameter(ps.spread, params.epsilon, ps.d, ps.p)
-    tree0, clusters0 = build_hst(ps)
-    tree, clusters = compress(tree0, clusters0, params.epsilon)
-    ann, ingress, table = annotate(tree, clusters, ps, params)
-    if not math.isfinite(estimate_bound(table.shift_int, table.unit, ps.scale, ps.d, ps.p)):
-        raise InputError(f"coordinates too large: estimates at scale {ps.scale} may overflow")
-    landmarks = select_all_landmarks(ingress, kk) if params.landmarks else None
-    model = SketchModel(
-        tree=tree,
-        ingress=ingress,
-        eta_ints=ann.eta_ints,
-        landmarks=landmarks,
-        p=ps.p,
-        epsilon=params.epsilon,
-        scale=ps.scale,
-        spread=ps.spread,
-        n=ps.n,
-        d=ps.d,
-        jl_seed=params.jl_seed if jl_applied else 0,
-        jl_orig_dim=jl_orig_dim if jl_applied else 0,
-    )
-    blob = serialize(model)
-    return BuildResult(
-        blob=blob,
-        model=model,
-        point_set=ps,
-        jl_applied=jl_applied,
-        tree=tree,
-        clusters=clusters,
-        ann=ann,
-        table=table,
-        build_seconds=time.perf_counter() - start,
-    )
-
-
-def prepare_points(
-    coords: np.ndarray, p: float, params: SketchParams
-) -> tuple[PointSet, bool, int]:
-    """Normalize and, for Euclidean inputs, apply the random projection.
-
-    An input that gets projected is never normalized at its original
-    dimension (see :func:`~mcsketch.reduce.project_points`).
-    """
-    if params.jl_enabled and p == 2.0:
-        projected = project_points(coords, params)
-        if projected is not None:
-            return projected, True, np.shape(coords)[1]
-    return normalize(coords, p), False, 0
-
-
-def sketch_points(coords: np.ndarray, p: float, params: SketchParams) -> bytes:
-    """Sketch raw lp points; returns the blob bytes."""
-    ps, applied, orig_dim = prepare_points(coords, p, params)
-    return build_sketch(ps, params, applied, orig_dim).blob
-
-
-def sketch_metric(entries: np.ndarray | DistanceMatrix, params: SketchParams) -> bytes:
-    """Sketch an arbitrary finite metric given as a distance matrix."""
-    dm = entries if isinstance(entries, DistanceMatrix) else DistanceMatrix(
-        entries=np.asarray(entries, dtype=np.float64)
-    )
-    ps = frechet_embed(dm)
-    return build_sketch(ps, params).blob
-
-
-# --------------------------------------------------------------------------
-# Generators.
-
-
-def _rng(seed: int) -> np.random.Generator:
-    """The generators' random source; InputError on a negative seed."""
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
-    return np.random.default_rng(seed)
-
-
-def gen_uniform(n: int, d: int, seed: int) -> np.ndarray:
-    """n points drawn uniformly from the cube [0, 100)^d."""
-    if n < 2 or d < 1:
-        raise InputError(f"need n >= 2 points of d >= 1 coordinates, got n={n}, d={d}")
-    rng = _rng(seed)
-    return rng.uniform(0.0, 100.0, size=(n, d))
-
-
-def gen_gaussian_clusters(n: int, d: int, seed: int) -> np.ndarray:
-    """n points around five centers drawn from N(0, 40^2) per coordinate,
-    each point a center plus N(0, 1) noise per coordinate."""
-    if n < 2 or d < 1:
-        raise InputError(f"need n >= 2 points of d >= 1 coordinates, got n={n}, d={d}")
-    rng = _rng(seed)
-    centers = rng.normal(0.0, 40.0, size=(5, d))
-    assign = rng.integers(0, 5, size=n)
-    return centers[assign] + rng.normal(0.0, 1.0, size=(n, d))
-
-
-def gen_high_spread_line(n: int, t: int, seed: int) -> np.ndarray:
-    """1-D points whose pairwise gaps range from 2^0 up to exactly 2^t.
-
-    Layout: the exact pair {0, 1} (so normalization divides by 1), a jittered
-    blob at unit-ish spacing, and one outpost at exactly 2^t, so the
-    normalized spread is exactly 2^t.  The same node set arises at every
-    valid t -- only the two long runs hanging off the root (above the blob
-    and above the outpost leaf) stretch with t -- so sketch-size growth
-    across t isolates the long-edge gap codes.
-    """
-    if n < 11:
-        raise InputError("high-spread-line needs n >= 11")
-    if t >= 1024:  # 2^1024 is past the largest float
-        raise InputError(f"spread exponent t={t} must be below 1024")
-    rng = _rng(seed)
-    blob_count = n - 3
-    jitter = rng.uniform(-0.9, 0.9, size=blob_count)
-    blob = 3.0 + 1.5 * np.arange(blob_count) + 0.25 * jitter
-    base = float(blob[-1]) + 2.0
-    top = math.ldexp(1.0, t)
-    if top <= 2.0 * base:
-        raise InputError(
-            f"spread exponent t={t} too small for n={n} (need 2^t > {2 * base:g})"
-        )
-    return np.array([0.0, 1.0, *blob, top], dtype=np.float64).reshape(-1, 1)
-
-
-def gen_random_graph_metric(n: int, seed: int) -> np.ndarray:
-    """Shortest-path metric of a random connected weighted graph: a random
-    spanning tree plus 2n random edges, weights uniform in [1, 4)."""
-    if n < 2:
-        raise InputError("need at least two nodes")
-    rng = _rng(seed)
-    w = np.zeros((n, n), dtype=np.float64)
-
-    def add_edge(i: int, j: int, weight: float) -> None:
-        if w[i, j] == 0.0 or weight < w[i, j]:
-            w[i, j] = w[j, i] = weight
-
-    for i in range(1, n):
-        add_edge(i, int(rng.integers(0, i)), float(rng.uniform(1.0, 4.0)))
-    for _ in range(2 * n):
-        i, j = (int(v) for v in rng.integers(0, n, size=2))
-        if i != j:
-            add_edge(i, j, float(rng.uniform(1.0, 4.0)))
-    dist = shortest_path(w, method="D", directed=False)
-    return np.asarray(dist, dtype=np.float64)
+__all__ = ["main"]
 
 
 # --------------------------------------------------------------------------
@@ -257,105 +67,6 @@ def _section_lines(s: SizeReport) -> list[str]:
         f"section_displacement_bits={s.displacement_bits}",
         f"section_landmark_bits={s.landmark_bits}",
     ]
-
-
-@dataclass
-class EvalReport:
-    """Build-and-check summary; ``lines()`` is the key=value wire format."""
-
-    n: int
-    d: int
-    p: float
-    epsilon: float
-    spread: float
-    sizes: SizeReport
-    max_rel_error: float
-    mean_rel_error: float
-    error_bound: float
-    build_seconds: float
-    query_seconds: float
-    jl_applied: bool
-    end_to_end_max_error: float | None = None
-    end_to_end_budget: float | None = None
-    end_to_end_frac_within: float | None = None
-
-    def lines(self) -> list[str]:
-        s = self.sizes
-        out = [
-            f"n={self.n}",
-            f"d={self.d}",
-            f"p={self.p}",
-            f"epsilon={self.epsilon}",
-            f"spread={self.spread}",
-            f"total_bits={s.total_bits}",
-            f"bits_per_point={s.bits_per_point:.3f}",
-            f"header_bits={8 * s.header_bytes}",
-            *_section_lines(s),
-            f"max_rel_error={self.max_rel_error:.6g}",
-            f"mean_rel_error={self.mean_rel_error:.6g}",
-            f"error_bound={self.error_bound}",
-            f"build_seconds={self.build_seconds:.4f}",
-            f"query_seconds={self.query_seconds:.4f}",
-            f"jl_applied={int(self.jl_applied)}",
-        ]
-        if self.end_to_end_max_error is not None:
-            out += [
-                f"end_to_end_max_error={self.end_to_end_max_error:.6g}",
-                f"end_to_end_budget={self.end_to_end_budget:.6g}",
-                f"end_to_end_frac_within={self.end_to_end_frac_within:.6g}",
-            ]
-        return out
-
-
-def evaluate(
-    result: BuildResult, raw_oracle: np.ndarray | None = None
-) -> EvalReport:
-    """Compare all estimates against the exact oracle of the sketched set.
-
-    Raises GuaranteeError (exit 4) naming the worst pair if the 4*eps bound
-    fails against the post-projection oracle.
-    """
-    ps = result.point_set
-    model = result.model
-    start = time.perf_counter()
-    est = Estimator(model)
-    estimates = est.estimate_all_pairs()
-    query_seconds = time.perf_counter() - start
-    oracle = oracle_all_pairs(ps) * ps.scale
-    iu = np.triu_indices(ps.n, k=1)
-    rel = np.abs(estimates[iu] - oracle[iu]) / oracle[iu]
-    max_err = float(rel.max())
-    mean_err = float(rel.mean())
-    bound = 4.0 * model.epsilon
-    report = EvalReport(
-        n=model.n,
-        d=model.d,
-        p=model.p,
-        epsilon=model.epsilon,
-        spread=model.spread,
-        sizes=size_report(result.blob),
-        max_rel_error=max_err,
-        mean_rel_error=mean_err,
-        error_bound=bound,
-        build_seconds=result.build_seconds,
-        query_seconds=query_seconds,
-        jl_applied=result.jl_applied,
-    )
-    if result.jl_applied and raw_oracle is not None:
-        budget = (1.0 + model.epsilon) * (1.0 + bound) - 1.0
-        rel_raw = np.abs(estimates[iu] - raw_oracle[iu]) / raw_oracle[iu]
-        report.end_to_end_max_error = float(rel_raw.max())
-        report.end_to_end_budget = budget
-        report.end_to_end_frac_within = float((rel_raw <= budget).mean())
-    if max_err > bound:
-        worst = int(np.argmax(rel))
-        x, y = int(iu[0][worst]), int(iu[1][worst])
-        raise GuaranteeError(
-            f"estimate for pair ({x}, {y}) off by {max_err:.6g} > 4*eps = "
-            f"{bound:.6g} (estimate {estimates[x, y]:.12g}, "
-            f"true {oracle[x, y]:.12g})"
-        )
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -386,18 +97,18 @@ def _params_from(args: argparse.Namespace) -> SketchParams:
 
 def _load_for_build(args: argparse.Namespace, params: SketchParams):
     """The input's points (None for a distance matrix) and norm, then the
-    point set to build from, jl_applied and jl_orig_dim."""
+    point set to build from."""
     p_override = _parse_p(args.p) if args.p is not None else None
     kind, payload, p = load_input(args.input, p_override)
     if kind == "matrix":
-        return None, p, frechet_embed(payload), False, 0
-    return payload, p, *prepare_points(payload, p, params)
+        return None, p, frechet_embed(payload)
+    return payload, p, prepare_points(payload, p, params)
 
 
 def cmd_sketch(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    _, _, ps, applied, orig_dim = _load_for_build(args, params)
-    result = build_sketch(ps, params, applied, orig_dim)
+    _, _, ps = _load_for_build(args, params)
+    result = build_sketch(ps, params)
     with open(args.output, "wb") as fh:
         fh.write(result.blob)
     sizes = size_report(result.blob)
@@ -411,22 +122,27 @@ def cmd_sketch(args: argparse.Namespace) -> int:
 
 
 def _query_pairs(args: argparse.Namespace) -> list[tuple[int, int]]:
+    """``x y``, or every pair of the ``--pairs`` file; FormatError for a
+    pairs file that is not UTF-8 text."""
     if args.pairs is not None:
         pairs: list[tuple[int, int]] = []
-        with open(args.pairs, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                toks = line.replace(",", " ").split()
-                if len(toks) != 2:
-                    raise InputError(f"{args.pairs}:{lineno}: expected two labels")
-                try:
-                    pairs.append((int(toks[0]), int(toks[1])))
-                except ValueError:
-                    raise InputError(
-                        f"{args.pairs}:{lineno}: labels must be integers"
-                    ) from None
+        try:
+            with open(args.pairs, "r", encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    line = line.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    toks = line.replace(",", " ").split()
+                    if len(toks) != 2:
+                        raise InputError(f"{args.pairs}:{lineno}: expected two labels")
+                    try:
+                        pairs.append((int(toks[0]), int(toks[1])))
+                    except ValueError:
+                        raise InputError(
+                            f"{args.pairs}:{lineno}: labels must be integers"
+                        ) from None
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{args.pairs}: not UTF-8 text ({exc.reason})") from None
         if not pairs:
             raise InputError(f"{args.pairs}: no pairs found")
         return pairs
@@ -447,17 +163,59 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    """Build, then compare every pair's estimate against the exact oracle
+    of the sketched set.  GuaranteeError (exit 4), naming the worst pair
+    and before any line is printed, when one is off by more than 4*eps.
+    A projected set also reports the error against the raw points."""
     params = _params_from(args)
-    payload, p, ps, applied, orig_dim = _load_for_build(args, params)
-    result = build_sketch(ps, params, applied, orig_dim)
-    raw_oracle = None
-    if applied:  # only points are projected
+    payload, p, ps = _load_for_build(args, params)
+    result = build_sketch(ps, params)
+    model = result.model
+    start = time.perf_counter()
+    estimates = Estimator(model).estimate_all_pairs()
+    query_seconds = time.perf_counter() - start
+    iu = np.triu_indices(ps.n, k=1)
+    est = estimates[iu]
+    true = oracle_all_pairs(ps)[iu] * ps.scale
+    rel = np.abs(est - true) / true
+    bound = 4.0 * model.epsilon
+    worst = int(np.argmax(rel))
+    max_err = float(rel[worst])
+    if max_err > bound:
+        x, y = int(iu[0][worst]), int(iu[1][worst])
+        raise GuaranteeError(
+            f"estimate for pair ({x}, {y}) off by {max_err:.6g} > 4*eps = "
+            f"{bound:.6g} (estimate {est[worst]:.12g}, true {true[worst]:.12g})"
+        )
+    sizes = size_report(result.blob)
+    lines = [
+        f"n={model.n}",
+        f"d={model.d}",
+        f"p={model.p}",
+        f"epsilon={model.epsilon}",
+        f"spread={model.spread}",
+        f"total_bits={sizes.total_bits}",
+        f"bits_per_point={sizes.bits_per_point:.3f}",
+        f"header_bits={8 * sizes.header_bytes}",
+        *_section_lines(sizes),
+        f"max_rel_error={max_err:.6g}",
+        f"mean_rel_error={float(rel.mean()):.6g}",
+        f"error_bound={bound}",
+        f"build_seconds={result.build_seconds:.4f}",
+        f"query_seconds={query_seconds:.4f}",
+        f"jl_applied={int(ps.jl_orig_dim > 0)}",
+    ]
+    if ps.jl_orig_dim:  # only points are projected
         raw = normalize(payload, p)
-        raw_oracle = oracle_all_pairs(raw) * raw.scale
-    report = evaluate(result, raw_oracle)
-    for line in report.lines():
-        print(line)
-    print("status=ok")
+        raw_true = oracle_all_pairs(raw)[iu] * raw.scale
+        rel_raw = np.abs(est - raw_true) / raw_true
+        budget = (1.0 + model.epsilon) * (1.0 + bound) - 1.0
+        lines += [
+            f"end_to_end_max_error={float(rel_raw.max()):.6g}",
+            f"end_to_end_budget={budget:.6g}",
+            f"end_to_end_frac_within={float((rel_raw <= budget).mean()):.6g}",
+        ]
+    print(*lines, "status=ok", sep="\n")
     return 0
 
 

@@ -476,7 +476,7 @@ def _read_ingress(payload, start: int, limit: int, tree, parent: np.ndarray):
     bits = int(widths.sum())
     if bits > limit - start:
         raise FormatError(f"ingress ranks need {bits} bits, {limit - start} remain")
-    rank = unpack_runs(payload, start + np.cumsum(widths) - widths, widths, 1)[:, 0]
+    rank = unpack_runs(payload, start + np.cumsum(widths) - widths, widths)
     rank = rank.astype(np.int64)
     over = np.flatnonzero(rank >= count)
     if over.size:

@@ -395,6 +395,10 @@ class PointSet:
     within a few ulps of the distance of the divided rows.  It is left out
     of equality and repr; :func:`oracle_all_pairs` computes the matrix
     when it is None.
+
+    ``jl_orig_dim`` is the raw dimension when ``coords`` is a random
+    projection of the raw points (:func:`~mcsketch.reduce.project_points`),
+    and 0 when no projection was applied; the blob's header records it.
     """
 
     coords: np.ndarray
@@ -402,6 +406,7 @@ class PointSet:
     scale: float
     spread: float
     distances: np.ndarray | None = field(default=None, compare=False, repr=False)
+    jl_orig_dim: int = 0
 
     @property
     def n(self) -> int:

@@ -346,7 +346,7 @@ def _pair_tables(dm: np.ndarray, tree: SketchTree) -> ClusterIndex:
     order = label[label >= 0]  # the labels in leaf preorder
     lo, hi = tree.leaf_ranges()
     end = tree.end.tolist()
-    P = dm.copy()  # dm is read-only, and evaluate reads it after the build
+    P = dm.copy()  # dm is read-only, and `mcsketch eval` reads it after the build
     _permute_in_place(P, order)
 
     nodes = tree.n_nodes

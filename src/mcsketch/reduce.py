@@ -64,7 +64,8 @@ def project_points(coords: np.ndarray, params: SketchParams) -> PointSet | None:
     The raw coordinates are divided by their exact closest pair, the divisor
     ``normalize`` would use, and projected; the only n x n pass is the one
     that normalizes the projected set.  The returned scale composes the two
-    divisors, so estimates still come back in original units.
+    divisors, so estimates still come back in original units, and its
+    ``jl_orig_dim`` is the raw dimension d.
     """
     coords = _as_points(coords)
     n, d = coords.shape
@@ -76,7 +77,7 @@ def project_points(coords: np.ndarray, params: SketchParams) -> PointSet | None:
     bits = rng.integers(0, 2, size=(d, dprime))
     signs = bits.astype(np.float64) * 2.0 - 1.0
     out = normalize((coords / mn) @ signs / math.sqrt(dprime), 2.0)
-    return replace(out, scale=mn * out.scale)
+    return replace(out, scale=mn * out.scale, jl_orig_dim=d)
 
 
 def frechet_embed(dm: DistanceMatrix) -> PointSet:

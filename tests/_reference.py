@@ -1111,7 +1111,7 @@ def small_instance(seed: int, n: int, d: int, p: float, kind: str):
     lattice of small integer coordinates, whose many equal distances make
     ties at merges (``"lattice"``); None when the lattice draw has fewer
     than two distinct points."""
-    from mcsketch.cli import gen_high_spread_line, gen_random_graph_metric
+    from mcsketch.pipeline import gen_high_spread_line, gen_random_graph_metric
     from mcsketch.core import DistanceMatrix, normalize
     from mcsketch.reduce import frechet_embed
 

@@ -15,7 +15,7 @@ import pytest
 
 from mcsketch import net, reduce
 from mcsketch._bitio import pack_fields
-from mcsketch.cli import (
+from mcsketch.pipeline import (
     build_sketch,
     gen_high_spread_line,
     gen_gaussian_clusters,
@@ -468,9 +468,10 @@ def test_criterion_08_euclidean_end_to_end():
     coords = np.random.default_rng(777).normal(size=(500, 1000))
     eps = 0.25
     params = SketchParams(epsilon=eps, jl_enabled=True, jl_seed=0)
-    ps, applied, orig_dim = prepare_points(coords, 2.0, params)
-    assert applied and orig_dim == 1000
-    jl_blob = build_sketch(ps, params, applied, orig_dim).blob
+    ps = prepare_points(coords, 2.0, params)
+    orig_dim = ps.jl_orig_dim
+    assert orig_dim == 1000
+    jl_blob = build_sketch(ps, params).blob
 
     raw = normalize(coords, 2.0)
     raw_oracle = oracle_all_pairs(raw) * raw.scale

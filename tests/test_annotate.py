@@ -22,7 +22,7 @@ from mcsketch.annotate import (
     ingress_layers,
     shift_to_float,
 )
-from mcsketch.cli import build_sketch, gen_gaussian_clusters, gen_high_spread_line
+from mcsketch.pipeline import build_sketch, gen_gaussian_clusters, gen_high_spread_line
 from mcsketch.hst import _tau_parents, build_hst, compress
 
 import _reference as ref

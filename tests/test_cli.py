@@ -1,18 +1,14 @@
 """Command-line behavior: routing, output formats, exit codes, generators."""
 
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-from mcsketch import cli, core
-from mcsketch.cli import (
-    gen_gaussian_clusters,
-    gen_high_spread_line,
-    gen_random_graph_metric,
-    gen_uniform,
-    main,
-)
+from mcsketch import cli, core, pipeline
+from mcsketch.cli import main
 from mcsketch.codec import deserialize, serialize, size_report
 from mcsketch.core import (
     DistanceMatrix,
@@ -22,6 +18,13 @@ from mcsketch.core import (
     normalize,
     write_matrix,
     write_points,
+)
+from mcsketch.estimate import Estimator
+from mcsketch.pipeline import (
+    gen_gaussian_clusters,
+    gen_high_spread_line,
+    gen_random_graph_metric,
+    gen_uniform,
 )
 from mcsketch.reduce import target_dim
 
@@ -126,8 +129,8 @@ def test_projected_prepare_points_makes_no_pass_at_the_original_dimension(monkey
     signs = np.random.default_rng(params.jl_seed).integers(0, 2, size=(800, dprime)) * 2.0 - 1.0
     want = normalize(full.coords @ signs / math.sqrt(dprime), 2.0)
     dims = _count_passes(monkeypatch)
-    ps, applied, orig_dim = cli.prepare_points(coords, 2.0, params)
-    assert applied and orig_dim == 800
+    ps = pipeline.prepare_points(coords, 2.0, params)
+    assert ps.jl_orig_dim == 800
     # one pass, the stored matrix of the projected set
     assert dims == [dprime]
     assert np.array_equal(ps.coords, want.coords)
@@ -219,8 +222,6 @@ def test_query_twelve_significant_digits(tmp_path, capsys):
     main(["query", str(dst), "0", "2"])
     text = capsys.readouterr().out.strip()
     blob = dst.read_bytes()
-    from mcsketch.estimate import Estimator
-
     assert text == f"{Estimator(blob).estimate(0, 2):.12g}"
 
 
@@ -235,6 +236,21 @@ def test_query_landmark_mode_identical_output(tmp_path, capsys):
     assert main(["query", str(dst), "--pairs", str(pairs), "--landmarks"]) == 0
     landmark_out = capsys.readouterr().out
     assert default_out == landmark_out
+
+
+def test_query_pairs_file_not_utf8_is_a_format_error(tmp_path, capsys):
+    # a pairs file is read as UTF-8 text; undecodable bytes (the blob itself
+    # passed as the pairs file, or a stray byte order mark) once ended in an
+    # uncaught UnicodeDecodeError, and exit 2 now, as an input file does
+    dst = _sketched(tmp_path, np.array([[0.0], [1.0], [10.0]]))
+    bom = tmp_path / "pairs.txt"
+    bom.write_bytes(b"\xff\xfe 2\n")
+    for pairs in (dst, bom):
+        capsys.readouterr()
+        assert main(["query", str(dst), "--pairs", str(pairs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {pairs}: not UTF-8 text")
+        assert captured.out == ""
 
 
 # --------------------------------------------------------------------------
@@ -501,7 +517,7 @@ def test_spread_beyond_k_is_input_error():
     for t, eps in ((1000, 2.0**-30), (1023, 0.25)):
         params = SketchParams(epsilon=eps, jl_enabled=False)
         with pytest.raises(core.InputError, match="K overflows"):
-            cli.sketch_points(gen_high_spread_line(20, t, 1), 2.0, params)
+            pipeline.sketch_points(gen_high_spread_line(20, t, 1), 2.0, params)
 
 
 def test_sketch_of_spread_beyond_k_is_usage_error(tmp_path, capsys):
@@ -520,3 +536,130 @@ def test_invalid_p_is_usage_error(tmp_path):
         main(["sketch", str(src), "-e", "0.25", "-p", "0.5", "-o", str(tmp_path / "x.mcsk")])
         == 1
     )
+
+
+@pytest.mark.parametrize(
+    "argv, pairs, message",
+    [
+        (["query", "{blob}"], None, "query needs either x y or --pairs FILE"),
+        (["query", "{blob}", "--pairs", "{pairs}"], "0 1\n2\n", "{pairs}:2: expected two labels"),
+        (["query", "{blob}", "--pairs", "{pairs}"], "0 x\n", "{pairs}:1: labels must be integers"),
+        (["query", "{blob}", "--pairs", "{pairs}"], "# none\n\n", "{pairs}: no pairs found"),
+        (["gen", "high-spread-line", "-n", "10"], None, "high-spread-line needs n >= 11"),
+        (["gen", "high-spread-line", "-n", "20", "-t", "3"], None, "spread exponent t=3 too small for n=20"),
+        (["gen", "random-graph-metric", "-n", "1"], None, "need at least two nodes"),
+    ],
+    ids=[
+        "query-no-pair",
+        "query-one-label",
+        "query-label-not-integer",
+        "query-only-comments",
+        "gen-line-below-11",
+        "gen-line-spread-too-small",
+        "gen-graph-one-node",
+    ],
+)
+def test_command_refusals(tmp_path, capsys, argv, pairs, message):
+    # each argument refusal of query and of the generators: exit 1 and its
+    # message, with no estimate printed and no file written
+    blob = _sketched(tmp_path, np.array([[0.0], [1.0], [10.0]]))
+    names = {"blob": str(blob), "pairs": str(tmp_path / "pairs.txt")}
+    if pairs is not None:
+        (tmp_path / "pairs.txt").write_text(pairs)
+    out = tmp_path / "gen.out"
+    argv = [a.format(**names) for a in argv] + (["-o", str(out)] if argv[0] == "gen" else [])
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message.format(**names) in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_eval_guarantee_error_names_the_worst_pair(tmp_path, monkeypatch, capsys):
+    # eval's own 4*eps check: estimates doubled are off by about 1 > 4 eps
+    # = 0.5, refused with exit 4 before any report line is printed
+    class Doubled(Estimator):
+        def estimate_all_pairs(self):
+            return 2.0 * super().estimate_all_pairs()
+
+    monkeypatch.setattr(cli, "Estimator", Doubled)
+    src = tmp_path / "pts.mcpt"
+    write_points(src, gen_gaussian_clusters(30, 3, seed=2), 2.0)
+    assert main(["eval", str(src), "-e", "0.125", "--no-jl"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: estimate for pair (")
+    assert "> 4*eps = 0.5 (estimate " in captured.err
+    assert captured.out == ""
+
+
+# --------------------------------------------------------------------------
+# hostile input files
+
+
+def _mutated(data: bytes, rng: np.random.Generator) -> bytes:
+    """``data`` with one to three bit flips, one to three bytes set, a cut
+    (its tail or a slice dropped) or one to eight random bytes inserted."""
+    b = bytearray(data)
+    kind = int(rng.integers(4))
+    if kind == 0:
+        for bit in rng.integers(0, 8 * len(b), size=int(rng.integers(1, 4))).tolist():
+            b[bit // 8] ^= 1 << (bit % 8)
+    elif kind == 1:
+        for at in rng.integers(0, len(b), size=int(rng.integers(1, 4))).tolist():
+            b[at] = int(rng.integers(256))
+    elif kind == 2:
+        at = int(rng.integers(len(b)))
+        stop = len(b) if rng.integers(2) else at + int(rng.integers(1, 9))
+        del b[at:stop]
+    else:
+        at = int(rng.integers(len(b) + 1))
+        b[at:at] = rng.integers(0, 256, size=int(rng.integers(1, 9)), dtype=np.uint8).tobytes()
+    return bytes(b)
+
+
+# seeded and fixed: 100 mutations of each of the four sketch inputs and 100
+# of a pairs file, about a second in all
+_MUTATION_SEED = 19
+_MUTATIONS = 100
+
+
+def test_mutated_input_files_end_in_an_exit_code(tmp_path, capsys):
+    # every input file is hostile: a mutated point set, distance matrix,
+    # text file or pairs file must end in a result or a SketchError's exit
+    # code, never in an uncaught exception, with every RuntimeWarning an
+    # error, and each within 2 s
+    rng = np.random.default_rng(_MUTATION_SEED)
+    write_points(tmp_path / "l2.mcpt", gen_gaussian_clusters(12, 3, 1), 2.0)
+    write_points(tmp_path / "l1.5.mcpt", gen_uniform(12, 2, 2), 1.5)
+    write_matrix(tmp_path / "graph.mcdm", gen_random_graph_metric(12, 3))
+    text = "".join(f"{x:.6g} {y:.6g}\n" for x, y in gen_uniform(12, 2, 4))
+    (tmp_path / "pts.txt").write_text("# twelve points\n" + text)
+    blob = _sketched(tmp_path, gen_gaussian_clusters(12, 2, 5))
+    pairs = "".join(f"{i} {(5 * i + 3) % 12}\n" for i in range(12)).encode()
+    cases = [
+        (name, (tmp_path / name).read_bytes())
+        for name in ("l2.mcpt", "l1.5.mcpt", "graph.mcdm", "pts.txt")
+    ] + [("pairs.txt", pairs)]
+    src, dst = tmp_path / "mutated", tmp_path / "out.mcsk"
+    codes = []
+    for name, data in cases:
+        for i in range(_MUTATIONS):
+            src.write_bytes(_mutated(data, rng))
+            if name == "pairs.txt":
+                argv = ["query", str(blob), "--pairs", str(src)]
+            else:
+                argv = ["sketch", str(src), "-e", "0.25", "-o", str(dst)]
+            t0 = time.perf_counter()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    rc = main(argv)
+                except Exception as exc:
+                    raise AssertionError(f"{name} mutation {i}: {exc!r}") from exc
+            assert time.perf_counter() - t0 < 2.0, f"{name} mutation {i}"
+            assert rc in (0, 1, 2, 3), f"{name} mutation {i}: exit {rc}"
+            codes.append(rc)
+            capsys.readouterr()
+    # the mutations reach both results and refusals
+    assert 0 in codes and 2 in codes

@@ -25,7 +25,7 @@ from mcsketch._bitio import (
     unpack_runs,
 )
 from mcsketch.annotate import shift_to_float
-from mcsketch.cli import (
+from mcsketch.pipeline import (
     build_sketch,
     gen_gaussian_clusters,
     gen_high_spread_line,
@@ -124,7 +124,7 @@ def test_bitwriter_reader_basic():
     assert widths[2] == 7 and sum(widths) == 18
     assert (data, sum(widths)) == _scalar(fields)
     assert len(data) == (sum(widths) + 7) // 8
-    assert unpack_runs(data, starts, widths, 1)[:, 0].tolist() == [5, 1, 9, 0]
+    assert unpack_runs(data, starts, widths).tolist() == [5, 1, 9, 0]
     r = ref.BitReader(data, 18)
     r.read_uint(4)
     assert ref.read_gammas(r, 1) == [9] and r.position == 11
@@ -304,7 +304,7 @@ def test_uint_roundtrip(items):
     fields = [("u", value % (1 << width), width) for value, width in items]
     data, starts, widths = _packed(fields)
     assert (data, sum(widths)) == _scalar(fields)
-    back = unpack_runs(data, starts, widths, 1)[:, 0] if fields else []
+    back = unpack_runs(data, starts, widths)
     assert [int(x) for x in back] == [f[1] for f in fields]
 
 
@@ -340,7 +340,7 @@ def test_packer_matches_scalar_writer(fields):
     r = ref.BitReader(data, sum(widths))
     for f, start, width in zip(fields, starts, widths):
         if f[0] == "u":
-            got = unpack_runs(data, [start], [width], 1)[0, 0]
+            got = unpack_runs(data, [start], [width])[0]
             assert int(got) == r.read_uint(width) == f[1]
         elif f[0] == "b":
             assert [r.read_uint(1) for _ in f[1]] == f[1]
@@ -391,29 +391,28 @@ def test_rice_rows_match_scalar_codes(seed):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_runs_match_scalar_fields(seed):
-    # runs of 1..64-bit fields at every bit alignment, widths mixed in one
-    # read, and each run alone through the reader of one width
+    # 1..64-bit fields at every bit alignment, with gaps between them and
+    # widths mixed in one read, and each field alone through the reader of
+    # one width
     rng = np.random.default_rng(seed)
-    count = int(rng.integers(1, 6))
     fields = [("u", 0, int(rng.integers(0, 8)))]
-    starts, widths, rows = [], [], []
+    starts, widths, values = [], [], []
     for _ in range(int(rng.integers(1, 6))):
         width = int(rng.integers(1, 65))
-        draws = rng.integers(0, 2**64, size=count, dtype=np.uint64)
-        row = [int(x) >> (64 - width) for x in draws]
+        value = int(rng.integers(0, 2**64, dtype=np.uint64)) >> (64 - width)
         starts.append(sum(f[2] for f in fields))
         widths.append(width)
-        rows.append(row)
-        fields += [("u", x, width) for x in row]
+        values.append(value)
+        fields.append(("u", value, width))
         fields.append(("u", 0, int(rng.integers(0, 9))))
     data, _, _ = _packed(fields)
     assert data == _scalar(fields)[0]
-    got = unpack_runs(data, starts, widths, count)
+    got = unpack_runs(data, starts, widths)
     r = ref.BitReader(data, _scalar(fields)[1])
-    for start, width, row, back in zip(starts, widths, rows, got.tolist()):
+    for start, width, value, back in zip(starts, widths, values, got.tolist()):
         r.read_uint(start - r.position)
-        assert back == row == [r.read_uint(width) for _ in range(count)]
-        assert read_fields(data, start, count, width).tolist() == row
+        assert back == value == r.read_uint(width)
+        assert read_fields(data, start, 1, width).tolist() == [value]
 
 
 def test_gamma_length_is_logarithmic():

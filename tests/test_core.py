@@ -30,7 +30,7 @@ from mcsketch.core import (
     write_matrix,
     write_points,
 )
-from mcsketch.cli import (
+from mcsketch.pipeline import (
     gen_gaussian_clusters,
     gen_high_spread_line,
     gen_random_graph_metric,

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcsketch.annotate import shift_to_float
-from mcsketch.cli import (
+from mcsketch.pipeline import (
     build_sketch,
     gen_gaussian_clusters,
     gen_high_spread_line,

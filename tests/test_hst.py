@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from mcsketch.cli import gen_gaussian_clusters, gen_random_graph_metric
+from mcsketch.pipeline import gen_gaussian_clusters, gen_random_graph_metric
 from mcsketch.codec import deserialize
 from mcsketch.core import (
     DistanceMatrix,

@@ -1,6 +1,7 @@
 """Checks on the package's imports: every import is used, no
-package-level name hides a submodule, and the package exports what the
-benchmark and README's library example use.
+package-level name hides a submodule, the package exports what the
+benchmark and README's library example use, and it leaves its command
+line unimported.
 
 A name counts as used when the module reads it anywhere (annotations
 included) or lists it in ``__all__``, which is how ``__init__`` re-exports.
@@ -8,6 +9,9 @@ included) or lists it in ``__all__``, which is how ``__init__`` re-exports.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,10 +63,12 @@ def test_no_unused_imports(path):
 def test_submodule_is_not_shadowed(path):
     # a re-export named like its submodule (a function ``annotate`` from
     # ``annotate.py``) rebinds the package attribute, so
-    # ``from mcsketch import annotate`` would not give the module
+    # ``from mcsketch import annotate`` would not give the module; the
+    # package does not import ``cli``, so each module is imported first
     import mcsketch
 
-    assert getattr(mcsketch, path.stem) is importlib.import_module(f"mcsketch.{path.stem}")
+    module = importlib.import_module(f"mcsketch.{path.stem}")
+    assert getattr(mcsketch, path.stem) is module
 
 
 def test_package_surface_serves_the_benchmark_and_the_readme(capsys):
@@ -90,3 +96,22 @@ def test_package_surface_serves_the_benchmark_and_the_readme(capsys):
     block = library.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) > 1
+
+
+def test_cli_module_runs_under_warnings_as_errors():
+    # a package that imported its CLI module made ``python -m mcsketch.cli``
+    # warn that the module was already in sys.modules, an exit 1 with every
+    # RuntimeWarning an error; fresh interpreters, so this process's
+    # imports do not count
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mcsketch.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: mcsketch")
+    check = "import sys, mcsketch; sys.exit('mcsketch.cli' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", check], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mcsketch.cli import prepare_points
+from mcsketch.pipeline import prepare_points
 from mcsketch.core import (
     DistanceMatrix,
     SketchParams,
@@ -37,16 +37,16 @@ def test_projection_requires_l2():
     # above the target dimension is normalized as it is
     coords = np.random.default_rng(0).normal(size=(10, 200))
     assert target_dim(10, 0.25) < 200
-    ps, applied, orig_dim = prepare_points(coords, 1.0, SketchParams(0.25))
-    assert (applied, orig_dim) == (False, 0)
+    ps = prepare_points(coords, 1.0, SketchParams(0.25))
+    assert ps.jl_orig_dim == 0
     assert np.array_equal(ps.coords, normalize(coords, 1.0).coords)
 
 
 def test_low_dimension_passthrough():
     coords = np.random.default_rng(1).normal(size=(10, 3))
     assert project_points(coords, SketchParams(0.25)) is None
-    ps, applied, _ = prepare_points(coords, 2.0, SketchParams(0.25))
-    assert not applied
+    ps = prepare_points(coords, 2.0, SketchParams(0.25))
+    assert ps.jl_orig_dim == 0
     assert np.array_equal(ps.coords, normalize(coords, 2.0).coords)
 
 
@@ -54,7 +54,7 @@ def test_projection_shrinks_dimension_and_normalizes():
     rng = np.random.default_rng(2)
     out = project_points(rng.normal(size=(60, 800)), SketchParams(0.25, jl_seed=7))
     assert out.d == target_dim(60, 0.25) < 800
-    assert out.n == 60
+    assert out.n == 60 and out.jl_orig_dim == 800
     ref.check_point_set(out)
 
 
